@@ -6,13 +6,13 @@ Cantor-Bendixson ranks of symbolic countable sets."""
 from .circle import Arc, CirclePoint, arc_contains, cyclic_between, frac_mod1, reduce_mod1
 from .homeo import (ExoticParams, InvalidHomeoError, PLHomeo, exotic_element,
                     from_lift_vertices, identity, random_pl, rotation)
-from .cocycle import (FiniteVector, GrowthParams, JumpVector, affine_apply,
+from .cocycle import (FiniteVector, GrowthParams, affine_apply,
                       breakpoint_growth, growth_params, jump_cocycle,
                       l2_norm_sq, orbit_norm_seq)
 from .rotnum import (FixedSet, RotNumResult, fixed_points, rotation_number,
                      semiconjugacy_table)
-from .smoothing import (Edge, GroupPresentation, JumpAssignment, Obstruction,
-                        OrbitGraph, SmoothingOutcome, SynthesisInfeasible,
+from .smoothing import (Edge, GroupPresentation, Obstruction, OrbitGraph,
+                        Success, SynthesisInfeasible, Truncated,
                         build_orbit_graph, commensuration_defect,
                         detect_finite_orbit, smooth_group, solve_coboundary,
                         synthesize_conjugator)

@@ -17,6 +17,10 @@ from .circle import CirclePoint, frac_mod1
 LEFT = "left"
 RIGHT = "right"
 
+# validate_realization refuses sets with more realized points than this,
+# since it builds every one of them in exact arithmetic
+MAX_REALIZED_POINTS = 10 ** 5
+
 
 @dataclass(frozen=True)
 class Leaf:
@@ -79,7 +83,8 @@ def realize(S: SymbolicSet, depth: int) -> FrozenSet[Fraction]:
 
 def validate_realization(S: SymbolicSet, depth: int = 3) -> None:
     """Check that all constituents realize pairwise distinct points at the
-    given depth (beyond it, the ratio bounds keep copies disjoint)."""
+    given depth (beyond it, the ratio bounds keep copies disjoint).  Sets
+    realizing more than MAX_REALIZED_POINTS points are rejected unrealized."""
     total = 0
 
     def count(node: Node) -> int:
@@ -90,6 +95,9 @@ def validate_realization(S: SymbolicSet, depth: int = 3) -> None:
 
     for node in S.nodes:
         total += count(node)
+    if total > MAX_REALIZED_POINTS:
+        raise ValueError(f"set realizes {total} points at depth {depth}, "
+                         f"more than the limit of {MAX_REALIZED_POINTS}")
     if len(realize(S, depth)) != total:
         raise ValueError(f"realized points collide at depth {depth}")
 

@@ -66,13 +66,9 @@ class FiniteVector:
         return out
 
 
-# A JumpVector is a FiniteVector produced from a PLHomeo; its values
-# multiply to 1 by telescoping of the one-sided slopes around the circle.
-JumpVector = FiniteVector
-
-
-def jump_cocycle(h: PLHomeo) -> JumpVector:
-    """Jump vector of h: support BP(h), value D+h(x)/D-h(x)."""
+def jump_cocycle(h: PLHomeo) -> FiniteVector:
+    """Jump vector of h: support BP(h), value D+h(x)/D-h(x).  Its values
+    multiply to 1 by telescoping of the one-sided slopes around the circle."""
     return FiniteVector.from_dict({p: h.jump(p) for p in h.breakpoints})
 
 

@@ -263,6 +263,19 @@ def random_pl(seed: int, k: int, denom_bound: int) -> PLHomeo:
         raise ValueError("k must be non-negative")
     if denom_bound < 1:
         raise ValueError("denom_bound must be positive")
+    if k > denom_bound:
+        # there are 1 + sum(totient(q), q = 2..denom_bound) such rationals
+        # in [0, 1), never fewer than denom_bound (0 and the 1/q)
+        tot = list(range(denom_bound + 1))
+        for p in range(2, denom_bound + 1):
+            if tot[p] == p:  # p is prime
+                for m in range(p, denom_bound + 1, p):
+                    tot[m] -= tot[m] // p
+        available = 1 + sum(tot[2:])
+        if k > available:
+            raise ValueError(f"{k} breakpoints need {k} distinct rationals in "
+                             f"[0, 1), but only {available} have denominator "
+                             f"at most {denom_bound}")
     rng = random.Random(seed)
 
     def rand_frac() -> Fraction:

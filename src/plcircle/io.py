@@ -12,7 +12,7 @@ from .circle import CirclePoint, frac_mod1
 from .cocycle import FiniteVector
 from .homeo import (ExoticParams, InvalidHomeoError, PLHomeo, exotic_element,
                     from_lift_vertices, rotation)
-from .smoothing import Edge, GroupPresentation, SmoothingOutcome
+from .smoothing import Edge, GroupPresentation
 
 
 class FormatError(ValueError):
@@ -108,7 +108,8 @@ def _edge_to_json(e: Edge) -> Dict[str, Any]:
     }
 
 
-def outcome_to_json(o: SmoothingOutcome) -> Dict[str, Any]:
+def outcome_to_json(o) -> Dict[str, Any]:
+    """A smooth_group result as a JSON object tagged by its kind."""
     out: Dict[str, Any] = {"kind": o.kind}
     if o.kind == "success":
         out["phi"] = element_to_json(o.phi)
@@ -120,10 +121,8 @@ def outcome_to_json(o: SmoothingOutcome) -> Dict[str, Any]:
     elif o.kind == "truncated":
         out["escaping"] = [format_rational(p.value) for p in o.escaping]
     elif o.kind == "infeasible":
-        out["total_product"] = format_rational(o.found)
+        out["total_product"] = format_rational(o.total_product)
         out["component_sizes"] = list(o.component_sizes)
-    elif o.kind == "finite_orbit":
-        out["orbit"] = [format_rational(p.value) for p in o.orbit]
     return out
 
 

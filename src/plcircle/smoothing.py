@@ -13,14 +13,12 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 from .circle import CirclePoint, frac_mod1
 from .cocycle import FiniteVector
 from .homeo import PLHomeo, identity, _canonical
 from .rotnum import fixed_points
-
-JumpAssignment = FiniteVector
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,17 @@ class Edge:
     target: CirclePoint
     weight: Fraction    # jump of the (signed) generator at the source
 
+    def reverse(self) -> "Edge":
+        """The same step walked backwards; its jump is 1/weight (chain rule)."""
+        return Edge(self.target, self.gen, -self.sign, self.source, 1 / self.weight)
+
 
 @dataclass(frozen=True)
 class OrbitGraph:
+    """Every vertex is expanded: `edges` holds its out-edge for each generator
+    and each inverse, so the reverse of every edge is an out-edge of its
+    target.  In a truncated graph some edges lead to `escaping` points."""
+
     vertices: Tuple[CirclePoint, ...]
     edges: Tuple[Edge, ...]
     closed: bool
@@ -100,8 +106,10 @@ def build_orbit_graph(G: GroupPresentation, max_vertices: int = 4096) -> OrbitGr
 
 @dataclass(frozen=True)
 class Obstruction:
-    """An exactly inconsistent cycle: its weight product differs from 1."""
+    """An exactly inconsistent cycle: a closed walk, each edge listed in the
+    direction it is walked, whose weights multiply to `found`, not 1."""
 
+    kind: ClassVar[str] = "obstruction"
     cycle: Tuple[Edge, ...]
     expected: Fraction
     found: Fraction
@@ -112,6 +120,7 @@ class SynthesisInfeasible:
     """Consistent cocycle, but no rational component rescaling reaches a
     product-one assignment (a component-size-th root would be needed)."""
 
+    kind: ClassVar[str] = "infeasible"
     total_product: Fraction
     component_sizes: Tuple[int, ...]
 
@@ -138,18 +147,16 @@ def _nth_root(q: Fraction, n: int) -> Optional[Fraction]:
 def solve_coboundary(graph: OrbitGraph):
     """Solve a_y = J(g, y) * a_{g(y)} over a closed orbit graph.
 
-    Returns a product-one JumpAssignment, an Obstruction carrying an
+    Returns a product-one FiniteVector, an Obstruction carrying an
     inconsistent cycle, or SynthesisInfeasible if no rational rescaling
     can normalize the product.
     """
     if not graph.closed:
         raise ValueError("cannot solve a truncated orbit graph")
-    if not graph.vertices:
-        return FiniteVector.empty()
-    a, parent, components = _propagate(graph)
-    obstruction = _check_consistency(graph, a, parent)
-    if obstruction is not None:
-        return obstruction
+    sol = _potentials(graph)
+    if isinstance(sol, Obstruction):
+        return sol
+    a, components = sol
     total = Fraction(1)
     for v in graph.vertices:
         total *= a[v]
@@ -196,67 +203,58 @@ def _ext_gcd(a: int, b: int):
     return g, y, x - (a // b) * y
 
 
-def _propagate(graph: OrbitGraph):
-    """Spanning-tree propagation of a_y = J * a_{g(y)} over the graph's
-    vertex set; edges leaving the vertex set (truncated graphs) are skipped."""
-    vset = set(graph.vertices)
-    adj: Dict[CirclePoint, List[Tuple[Edge, bool]]] = {v: [] for v in graph.vertices}
+def _potentials(graph: OrbitGraph):
+    """One breadth-first pass over out-edges from the first vertex of each
+    component, setting a_{g(y)} = a_y / w on tree edges and checking every
+    other edge between vertices when it is met.  Returns the Obstruction of
+    the first inconsistent edge, or the potentials (1 at each component's
+    first vertex) and the components in discovery order."""
+    out: Dict[CirclePoint, List[Edge]] = {v: [] for v in graph.vertices}
     for e in graph.edges:
-        if e.source in vset and e.target in vset:
-            adj[e.source].append((e, True))    # forward: a_source = w * a_target
-            adj[e.target].append((e, False))
+        out[e.source].append(e)
     a: Dict[CirclePoint, Fraction] = {}
-    parent: Dict[CirclePoint, Tuple[CirclePoint, Edge]] = {}
+    parent: Dict[CirclePoint, Edge] = {}
     components: List[List[CirclePoint]] = []
     for root in graph.vertices:
         if root in a:
             continue
-        comp = [root]
         a[root] = Fraction(1)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for e, forward in adj[v]:
-                other = e.target if forward else e.source
-                val = a[v] / e.weight if forward else e.weight * a[v]
-                if other not in a:
-                    a[other] = val
-                    parent[other] = (v, e)
-                    comp.append(other)
-                    queue.append(other)
+        comp = [root]
+        for v in comp:  # comp grows in breadth-first order as it is read
+            for e in out[v]:
+                t = e.target
+                if t not in out:
+                    continue  # an escaping point of a truncated graph
+                if t not in a:
+                    a[t] = a[v] / e.weight
+                    parent[t] = e
+                    comp.append(t)
+                elif a[v] != e.weight * a[t]:
+                    return Obstruction(cycle=_closed_walk(e, parent),
+                                       expected=Fraction(1),
+                                       found=e.weight * a[t] / a[v])
         components.append(comp)
-    return a, parent, components
+    return a, components
 
 
-def _check_consistency(graph: OrbitGraph, a, parent) -> Optional[Obstruction]:
-    for e in graph.edges:
-        if e.source not in a or e.target not in a:
-            continue
-        if a[e.source] != e.weight * a[e.target]:
-            cycle = _cycle_through(e, parent)
-            found = e.weight * a[e.target] / a[e.source]
-            return Obstruction(cycle=cycle, expected=Fraction(1), found=found)
-    return None
-
-
-def _cycle_through(e: Edge, parent) -> Tuple[Edge, ...]:
-    """The closing edge together with the spanning-tree paths to the root."""
-    def path(v):
+def _closed_walk(e: Edge, parent: Dict[CirclePoint, Edge]) -> Tuple[Edge, ...]:
+    """The closing edge e, then the tree path up from its target to the
+    lowest common ancestor (tree edges reversed), then down to its source."""
+    def path_up(v):
         out = []
         while v in parent:
-            v, edge = parent[v]
-            out.append(edge)
+            out.append(parent[v])
+            v = parent[v].source
         return out
-    p_src = path(e.source)
-    p_tgt = path(e.target)
-    # strip the shared tail up to the lowest common ancestor
-    while p_src and p_tgt and p_src[-1] == p_tgt[-1]:
-        p_src.pop()
-        p_tgt.pop()
-    return tuple([e] + p_tgt + list(reversed(p_src)))
+    up = path_up(e.target)
+    down = path_up(e.source)
+    while up and down and up[-1] == down[-1]:
+        up.pop()
+        down.pop()
+    return (e, *(t.reverse() for t in up), *reversed(down))
 
 
-def synthesize_conjugator(a: JumpAssignment) -> PLHomeo:
+def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
     """The canonical PL map whose jump vector is exactly a.
 
     Requires the product of values to be 1 (every PL circle homeomorphism
@@ -355,21 +353,25 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
 
 
 @dataclass(frozen=True)
-class SmoothingOutcome:
-    """Result of the conjugation pipeline."""
+class Success:
+    """phi conjugates every generator to a rotation, listed by name."""
 
-    kind: str  # "success" | "finite_orbit" | "obstruction" | "truncated" | "infeasible"
-    phi: Optional[PLHomeo] = None
-    conjugated: Tuple[Tuple[str, PLHomeo], ...] = ()
-    orbit: Tuple[CirclePoint, ...] = ()
-    cycle: Tuple[Edge, ...] = ()
-    expected: Optional[Fraction] = None
-    found: Optional[Fraction] = None
-    escaping: Tuple[CirclePoint, ...] = ()
-    component_sizes: Tuple[int, ...] = ()
+    kind: ClassVar[str] = "success"
+    phi: PLHomeo
+    conjugated: Tuple[Tuple[str, PLHomeo], ...]
 
 
-def smooth_group(G: GroupPresentation, max_vertices: int = 4096) -> SmoothingOutcome:
+@dataclass(frozen=True)
+class Truncated:
+    """The orbit graph reached max_vertices with no inconsistent cycle
+    inside; `escaping` are the points it did not take in."""
+
+    kind: ClassVar[str] = "truncated"
+    escaping: Tuple[CirclePoint, ...]
+
+
+def smooth_group(G: GroupPresentation, max_vertices: int = 4096
+                 ) -> Union[Success, Obstruction, SynthesisInfeasible, Truncated]:
     """Full pipeline: orbit graph, coboundary solve, conjugator synthesis.
 
     On success every conjugated generator has an empty breakpoint set, so it
@@ -382,20 +384,11 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096) -> SmoothingOut
         # a truncated graph is never solved, but an inconsistent cycle inside
         # the explored part already certifies unsolvability (e.g. a jump at a
         # fixed breakpoint forces a bad self-loop)
-        a, parent, _ = _propagate(graph)
-        obstruction = _check_consistency(graph, a, parent)
-        if obstruction is not None:
-            return SmoothingOutcome(kind="obstruction", cycle=obstruction.cycle,
-                                    expected=obstruction.expected,
-                                    found=obstruction.found)
-        return SmoothingOutcome(kind="truncated", escaping=graph.escaping)
+        sol = _potentials(graph)
+        return sol if isinstance(sol, Obstruction) else Truncated(graph.escaping)
     sol = solve_coboundary(graph)
-    if isinstance(sol, Obstruction):
-        return SmoothingOutcome(kind="obstruction", cycle=sol.cycle,
-                                expected=sol.expected, found=sol.found)
-    if isinstance(sol, SynthesisInfeasible):
-        return SmoothingOutcome(kind="infeasible", found=sol.total_product,
-                                component_sizes=sol.component_sizes)
+    if isinstance(sol, (Obstruction, SynthesisInfeasible)):
+        return sol
     phi = synthesize_conjugator(sol)
     phi_inv = phi.inverse()
     conjugated = []
@@ -405,4 +398,4 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096) -> SmoothingOut
             "conjugate retains breakpoints after a successful solve; "
             "this indicates a bug in the solver or synthesis")
         conjugated.append((name, c))
-    return SmoothingOutcome(kind="success", phi=phi, conjugated=tuple(conjugated))
+    return Success(phi=phi, conjugated=tuple(conjugated))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -134,6 +135,52 @@ def test_invalid_element_exit_two(tmp_path):
     r = run("show", str(bad))
     assert r.returncode == 2
     assert r.stderr.strip() != ""
+
+
+def _assert_one_error_line(r):
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+def test_random_rejects_more_breakpoints_than_rationals():
+    # only 0 and 1/2 have denominator at most 2
+    _assert_one_error_line(run("random", "--seed", "1", "-k", "3",
+                               "--denom-bound", "2", timeout=30))
+
+
+def _nested_set(depth):
+    doc = '[{"leaf": "0/1"}]'
+    for _ in range(depth):
+        doc = ('[{"limit": {"apex": "0/1", "child": %s, '
+               '"direction": "right", "ratio": "1/4"}}]' % doc)
+    return doc
+
+
+def test_cb_rank_rejects_deep_nesting(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_nested_set(600))
+    _assert_one_error_line(run("cb-rank", str(deep)))
+
+
+def test_cb_rank_rejects_oversized_realization(tmp_path):
+    # 12 nested limits realize 797,161 points at depth 3
+    big = tmp_path / "big.json"
+    big.write_text(_nested_set(12))
+    r = run("cb-rank", str(big), timeout=30)
+    _assert_one_error_line(r)
+    assert "797161 points" in r.stderr
+
+
+def test_fixture_requests_match_recorded_digests(monkeypatch, capsys):
+    from plcircle import cli
+    recorded = json.loads((REPO / "perfbench" / "cli_digests.json").read_text())
+    monkeypatch.chdir(REPO)
+    for req in recorded:
+        code = cli.main(req["argv"])
+        out = capsys.readouterr().out
+        assert code == req["exit"], req["argv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == req["sha256"], req["argv"]
 
 
 def test_deterministic_output():

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from plcircle import (FiniteVector, GroupPresentation, SynthesisInfeasible,
+from plcircle import (Edge, FiniteVector, GroupPresentation, Obstruction,
+                      OrbitGraph, Success, SynthesisInfeasible, Truncated,
                       build_orbit_graph, commensuration_defect,
                       detect_finite_orbit, exotic_element, ExoticParams,
                       from_lift_vertices, identity, jump_cocycle, random_pl,
                       reduce_mod1, rotation, smooth_group, solve_coboundary,
                       synthesize_conjugator)
+from plcircle.io import outcome_to_json
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
 
@@ -89,6 +91,18 @@ def test_solve_obstruction_self_loop():
     assert outcome.expected == 1
     assert outcome.found == F(1, 3)
     assert outcome.cycle[0].source == outcome.cycle[-1].target == reduce_mod1(0)
+
+
+def test_solve_infeasible_on_hand_built_graph():
+    # a(1/4) = 2 a(3/4) is consistent, but the product a(1/4) a(3/4) = 1/2
+    # of the solution with a(1/4) = 1 has no rational square root
+    p, q = reduce_mod1(F(1, 4)), reduce_mod1(F(3, 4))
+    edges = tuple(Edge(s, "g", sign, t, w)
+                  for s, t, w in ((p, q, F(2)), (q, p, F(1, 2)))
+                  for sign in (1, -1))
+    graph = OrbitGraph(vertices=(p, q), edges=edges, closed=True, seed=(p, q))
+    assert solve_coboundary(graph) == SynthesisInfeasible(
+        total_product=F(1, 2), component_sizes=(2,))
 
 
 def test_solve_rejects_truncated():
@@ -188,12 +202,60 @@ def test_smooth_conjugated_rotation_pair():
     assert back[1] == rotation(F(1, 5))
 
 
+def _assert_closed_walk(outcome, gens):
+    """The cycle chains head to tail, each edge is a genuine signed-generator
+    step with its jump as weight, and the weights multiply to `found`."""
+    cycle = outcome.cycle
+    prod = F(1)
+    for i, e in enumerate(cycle):
+        assert e.target == cycle[(i + 1) % len(cycle)].source
+        g = gens[e.gen] if e.sign == 1 else gens[e.gen].inverse()
+        assert g.eval(e.source) == e.target
+        assert g.jump(e.source) == e.weight
+        prod *= e.weight
+    assert prod == outcome.found != outcome.expected == 1
+
+
 def test_smooth_obstruction_reports_cycle():
     outcome = smooth_group(pres(STD))
     assert outcome.kind == "obstruction"
-    prod = F(1)
-    # replay the cycle's jumps; they must multiply to the reported value
-    assert outcome.found != outcome.expected
+    _assert_closed_walk(outcome, {"g0": STD})
+
+
+def test_smooth_obstruction_cycles_are_closed_walks():
+    # seeded pairs whose obstruction cycles include tree paths walked
+    # against their edges' direction
+    multi_edge = 0
+    for seed in range(30):
+        gens = {"a": random_pl(seed, 3, 8), "b": random_pl(seed + 1000, 2, 6)}
+        outcome = smooth_group(GroupPresentation(tuple(gens.items())),
+                               max_vertices=128)
+        if outcome.kind == "obstruction":
+            _assert_closed_walk(outcome, gens)
+            multi_edge += len(outcome.cycle) > 1
+    assert multi_edge >= 5
+
+
+def test_outcome_to_json_each_kind():
+    zero = reduce_mod1(0)
+    cases = [
+        (Success(phi=identity(), conjugated=(("r", rotation(F(1, 3))),)),
+         {"kind": "success", "phi": {"rotation": "0/1"},
+          "conjugated": {"r": {"rotation": "1/3"}}}),
+        (Obstruction(cycle=(Edge(zero, "f", -1, zero, F(3)),),
+                     expected=F(1), found=F(3)),
+         {"kind": "obstruction",
+          "cycle": [{"source": "0/1", "generator": "f^-1", "target": "0/1",
+                     "weight": "3/1"}],
+          "expected": "1/1", "found": "3/1"}),
+        (SynthesisInfeasible(total_product=F(1, 2), component_sizes=(2,)),
+         {"kind": "infeasible", "total_product": "1/2", "component_sizes": [2]}),
+        (Truncated(escaping=(reduce_mod1(F(1, 8)),)),
+         {"kind": "truncated", "escaping": ["1/8"]}),
+    ]
+    for outcome, want in cases:
+        got = outcome_to_json(outcome)
+        assert got == want and list(got) == list(want)
 
 
 def test_smooth_conjugated_exotic_succeeds():
