@@ -11,8 +11,7 @@ import csv
 import sys
 from fractions import Fraction as F
 
-from plcircle import (breakpoint_growth, from_lift_vertices, growth_params,
-                      orbit_norm_seq)
+from plcircle import from_lift_vertices, growth_params, growth_sequences
 
 
 def main():
@@ -24,8 +23,7 @@ def main():
     f = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
     gp = growth_params(f)
     rate = (gp.c1 - gp.c0) / gp.mu
-    growth = breakpoint_growth(f, args.N)
-    norms = orbit_norm_seq(f, args.N)
+    growth, norms = growth_sequences(f, args.N)
 
     out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     w = csv.writer(out)

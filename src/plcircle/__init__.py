@@ -7,8 +7,8 @@ from .circle import Arc, CirclePoint, arc_contains, cyclic_between, frac_mod1, r
 from .homeo import (ExoticParams, InvalidHomeoError, PLHomeo, exotic_element,
                     from_lift_vertices, identity, random_pl, rotation)
 from .cocycle import (FiniteVector, GrowthParams, affine_apply,
-                      breakpoint_growth, growth_params, jump_cocycle,
-                      l2_norm_sq, orbit_norm_seq)
+                      breakpoint_growth, growth_params, growth_sequences,
+                      jump_cocycle, l2_norm_sq, orbit_norm_seq)
 from .rotnum import (FixedSet, RotNumResult, fixed_points, rotation_number,
                      semiconjugacy_table)
 from .smoothing import (Edge, GroupPresentation, Obstruction, OrbitGraph,

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import cantor_bendixson as cb
 from . import io
 from .circle import CirclePoint, frac_mod1
-from .cocycle import (breakpoint_growth, growth_params, jump_cocycle,
-                      l2_norm_sq, orbit_norm_seq)
+from .cocycle import (breakpoint_growth, growth_params, growth_sequences,
+                      jump_cocycle)
 from .homeo import ExoticParams, exotic_element, random_pl
 from .rotnum import rotation_number
 from .smoothing import commensuration_defect, detect_finite_orbit, smooth_group
@@ -99,8 +100,7 @@ def _growth_header(f):
 def cmd_orbit_norms(args):
     f = io.element_from_json(io.load_json(args.element))
     header, rate = _growth_header(f)
-    norms = orbit_norm_seq(f, args.N)
-    growth = breakpoint_growth(f, args.N)
+    growth, norms = growth_sequences(f, args.N)
     print("# " + json.dumps({"growth_params": header}))
     print("n,M_n,norm_sq,bound")
     for n, (m, ns) in enumerate(zip(growth, norms), start=1):
@@ -224,7 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone after the last write fails here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`plcircle ... | head`); send the
+        # unwritten output to devnull so the flush at exit is silent
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print("error: output closed before it was complete", file=sys.stderr)
+        return 2
     except (io.FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,12 +7,13 @@ at x is log of the stored value, so the zero vector is the empty map.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .circle import Arc, CirclePoint
+from .circle import Arc, CirclePoint, frac_mod1
 from .homeo import PLHomeo
 from .rotnum import fixed_points
 
@@ -91,30 +92,54 @@ def l2_norm_sq(v: FiniteVector) -> float:
     return sum(_log(val) ** 2 for _, val in v.entries)
 
 
-def orbit_norm_seq(f: PLHomeo, N: int) -> List[float]:
-    """Squared norms of the orbit of the zero vector: entry n-1 is
-    ||rho(f^n) 0||^2, computed incrementally and exactly."""
+def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
+    """Breakpoint counts M_n of f^n and squared orbit norms ||rho(f^n) 0||^2
+    for n = 1..N, in one exact incremental pass.
+
+    rho(f^n) 0 = J(f^-n) = rho(f^(n-1)) 0 * (f^(n-1))_* J(f^-1), so step n
+    multiplies the jump of f^-1 at each s in its support into the point
+    f^(n-1)(s).  These k heads advance by one evaluation each, N*k in all.
+    A canonical map's breakpoints are the support of its jump vector, and
+    |supp J(f^n)| = |supp J(f^-n)|, so M_n is the support size.  The support
+    is a sorted list of bare Fractions with aligned value and squared-log
+    lists (bisect, no hashing); each norm is summed left to right over
+    ascending points, exactly as l2_norm_sq does.
+    """
     if N < 1:
         raise ValueError("N must be at least 1")
-    out = []
-    v = FiniteVector.empty()
+    jv = jump_cocycle(f.inverse())
+    heads = [p.value for p in jv.support]
+    weights = [w for _, w in jv.entries]
+    pts, vals, sqs = [], [], []  # sorted support, its values, squared logs
+    M, norms = [], []
     for _ in range(N):
-        v = affine_apply(f, v)
-        out.append(l2_norm_sq(v))
-    return out
+        for i, (x, w) in enumerate(zip(heads, weights)):
+            j = bisect.bisect_left(pts, x)
+            if j < len(pts) and pts[j] == x:
+                v = vals[j] * w
+                if v == 1:
+                    del pts[j], vals[j], sqs[j]
+                else:
+                    vals[j] = v
+                    sqs[j] = _log(v) ** 2
+            else:
+                pts.insert(j, x)
+                vals.insert(j, w)
+                sqs.insert(j, _log(w) ** 2)
+            heads[i] = frac_mod1(f.lift_eval(x))
+        M.append(len(pts))
+        norms.append(sum(sqs))
+    return M, norms
+
+
+def orbit_norm_seq(f: PLHomeo, N: int) -> List[float]:
+    """Entry n-1 is ||rho(f^n) 0||^2; see growth_sequences."""
+    return growth_sequences(f, N)[1]
 
 
 def breakpoint_growth(f: PLHomeo, N: int) -> List[int]:
     """Entry n-1 is the breakpoint count of the canonical form of f^n."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    out = []
-    cur = f
-    for n in range(N):
-        out.append(len(cur.breakpoints))
-        if n + 1 < N:
-            cur = f.compose(cur)
-    return out
+    return growth_sequences(f, N)[0]
 
 
 @dataclass(frozen=True)

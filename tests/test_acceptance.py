@@ -187,10 +187,13 @@ def test_criterion_08_obstruction():
     outcome = smooth_group(GroupPresentation((("f", STD),)))
     ok = outcome.kind == "obstruction"
     if ok:
+        # a closed walk: each step's weight is the jump of the step as walked
+        cyc = outcome.cycle
+        ok = all(a.target == b.source for a, b in zip(cyc, cyc[1:] + cyc[:1]))
         prod = F(1)
-        for e in outcome.cycle:
-            prod *= e.weight if e.sign == 1 else 1 / e.weight
-        ok = prod == outcome.found != 1 and outcome.expected == 1
+        for e in cyc:
+            prod *= e.weight
+        ok = ok and prod == outcome.found != 1 and outcome.expected == 1
     _report(8, "jump at a fixed point yields an exact cycle obstruction", ok)
 
 

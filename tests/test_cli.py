@@ -172,6 +172,40 @@ def test_cb_rank_rejects_oversized_realization(tmp_path):
     assert "797161 points" in r.stderr
 
 
+class _ClosedStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_broken_pipe_exit_two(monkeypatch, capsys):
+    from plcircle import cli
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = cli.main(["orbit-norms", str(FIXTURES / "standard_contracting.json"),
+                     "-N", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_broken_pipe_reader_closes_early():
+    # about 300 kB of output, far more than a pipe buffers, so the writer
+    # is still writing when the reader closes after one line
+    p = subprocess.Popen([sys.executable, "-m", "plcircle.cli", "orbit-norms",
+                          str(FIXTURES / "rotation_one_third.json"), "-N", "20000"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert p.stdout.readline().startswith("# ")
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert p.wait(timeout=60) == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_fixture_requests_match_recorded_digests(monkeypatch, capsys):
     from plcircle import cli
     recorded = json.loads((REPO / "perfbench" / "cli_digests.json").read_text())

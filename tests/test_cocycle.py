@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from plcircle import (ExoticParams, FiniteVector, affine_apply,
                       breakpoint_growth, exotic_element, from_lift_vertices,
-                      growth_params, identity, jump_cocycle, l2_norm_sq,
-                      orbit_norm_seq, random_pl, reduce_mod1, rotation)
+                      growth_params, growth_sequences, identity, jump_cocycle,
+                      l2_norm_sq, orbit_norm_seq, random_pl, reduce_mod1,
+                      rotation)
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
 
@@ -100,6 +101,58 @@ def test_finite_vector_prunes_ones():
     assert v.support == (reduce_mod1(F(1, 2)),)
     with pytest.raises(ValueError):
         FiniteVector(((reduce_mod1(0), F(1)),))
+
+
+def composition_growth(f, N):
+    """Oracle: breakpoint count of f^n, with f^n built by composition."""
+    out = []
+    cur = f
+    for n in range(N):
+        out.append(len(cur.breakpoints))
+        if n + 1 < N:
+            cur = f.compose(cur)
+    return out
+
+
+def affine_orbit_norms(f, N):
+    """Oracle: squared norms of the zero vector moved N times by f."""
+    out = []
+    v = FiniteVector.empty()
+    for _ in range(N):
+        v = affine_apply(f, v)
+        out.append(l2_norm_sq(v))
+    return out
+
+
+def assert_matches_oracles(f, N):
+    M, norms = growth_sequences(f, N)
+    assert M == composition_growth(f, N)
+    want = affine_orbit_norms(f, N)
+    # bit-identical floats, and int 0 for an empty support as l2_norm_sq gives
+    assert norms == want
+    assert list(map(repr, norms)) == list(map(repr, want))
+    assert breakpoint_growth(f, N) == M
+    assert orbit_norm_seq(f, N) == norms
+
+
+@given(random_maps, st.integers(1, 15))
+@settings(max_examples=40, deadline=None)
+def test_growth_sequences_match_oracles(f, N):
+    assert_matches_oracles(f, N)
+
+
+@pytest.mark.parametrize("f, N", [
+    (STD, 60),
+    (exotic_element(ExoticParams(F(6), F(2))), 100),
+    (rotation(F(3, 8)), 12),
+], ids=["std", "exotic_6_2", "rotation"])
+def test_growth_sequences_fixed_cases(f, N):
+    assert_matches_oracles(f, N)
+
+
+def test_growth_sequences_rejects_empty_range():
+    with pytest.raises(ValueError):
+        growth_sequences(STD, 0)
 
 
 def test_orbit_norms_rotation_zero():

@@ -82,6 +82,27 @@ def test_bracket_refinement():
     assert r.hi - r.lo < wider.hi - wider.lo
 
 
+@pytest.mark.parametrize("A, lam, exact", [
+    (6, 2, None), (6, 3, None), (7, 2, None), (10, 3, None),
+    (8, 2, F(1, 3)), (9, 3, F(1, 2)),
+])
+def test_exotic_rotation_number_closed_form(A, lam, exact):
+    # rho(exotic(A, lam)) = log lam / log A, so p/q < rho exactly when
+    # A^p < lam^q, and rho = p/q exactly when lam^q = A^p: integer tests only
+    r = rotation_number(exotic_element(ExoticParams(F(A), F(lam))), depth=16)
+    if exact is not None:
+        assert r.is_exact and r.exact == exact
+        assert lam ** exact.denominator == A ** exact.numerator
+        return
+    assert not r.is_exact
+    a, b = r.lo.numerator, r.lo.denominator
+    c, d = r.hi.numerator, r.hi.denominator
+    assert A ** a < lam ** b and lam ** d < A ** c
+    assert b * c - a * d == 1
+    # no p/q with q <= max_q is the rotation number, so a bracket is right
+    assert all(lam ** q != A ** p for q in range(1, 33) for p in range(q + 1))
+
+
 def test_semiconjugacy_rejects_fixed_points():
     with pytest.raises(ValueError):
         semiconjugacy_table(STD, 10, 10)
