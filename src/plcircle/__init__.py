@@ -3,7 +3,7 @@ derivative-jump cocycles, the induced affine isometric action, rotation
 numbers, exotic circles, coboundary-based conjugation into rotations, and
 Cantor-Bendixson ranks of symbolic countable sets."""
 
-from .circle import Arc, CirclePoint, arc_contains, cyclic_between, frac_mod1, reduce_mod1
+from .circle import CirclePoint, frac_mod1, reduce_mod1
 from .homeo import (ExoticParams, InvalidHomeoError, PLHomeo, exotic_element,
                     from_lift_vertices, identity, random_pl, rotation)
 from .cocycle import (FiniteVector, GrowthParams, affine_apply,
@@ -17,8 +17,8 @@ from .smoothing import (Edge, GroupPresentation, Obstruction, OrbitGraph,
                         detect_finite_orbit, smooth_group, solve_coboundary,
                         synthesize_conjugator)
 from .cantor_bendixson import (CBRank, Leaf, Limit, SymbolicSet, cb_derivative,
-                               cb_rank, derivative_chain, nested_limit,
-                               realize, structural_rank, validate_realization)
+                               cb_rank, nested_limit, realize,
+                               validate_realization)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -122,43 +122,23 @@ def cb_derivative(S: SymbolicSet) -> SymbolicSet:
 class CBRank:
     rank: int
     top_finite_set_size: int
+    chain: Tuple[int, ...]  # node counts of S, S', S'', ..., ending with 0
 
 
 def cb_rank(S: SymbolicSet) -> CBRank:
     """Iterate the derivative until empty; the rank is the iteration count
     and the last nonempty derivative is a finite set whose size is reported."""
-    rank = 0
     cur = S
     last_size = 0
+    chain = []
     while not cur.is_empty:
+        chain.append(len(cur.nodes))
         last_size = len({node.point.value if isinstance(node, Leaf) else node.apex.value
                          for node in cur.nodes})
         cur = cb_derivative(cur)
-        rank += 1
-    return CBRank(rank=rank, top_finite_set_size=last_size)
-
-
-def structural_rank(S: SymbolicSet) -> int:
-    """Rank by structural recursion: leaves count 1, a limit node counts one
-    more than its child set."""
-    best = 0
-    for node in S.nodes:
-        if isinstance(node, Leaf):
-            best = max(best, 1)
-        else:
-            best = max(best, 1 + structural_rank(node.child))
-    return best
-
-
-def derivative_chain(S: SymbolicSet) -> List[int]:
-    """Node counts of the successive derivatives, down to the empty set."""
-    out = []
-    cur = S
-    while not cur.is_empty:
-        out.append(len(cur.nodes))
-        cur = cb_derivative(cur)
-    out.append(0)
-    return out
+    chain.append(0)
+    return CBRank(rank=len(chain) - 1, top_finite_set_size=last_size,
+                  chain=tuple(chain))
 
 
 def nested_limit(apex: CirclePoint, k: int, ratio: Fraction = Fraction(1, 4),

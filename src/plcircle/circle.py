@@ -1,4 +1,4 @@
-"""Exact rational arithmetic on the circle R/Z: points, arcs, cyclic order.
+"""Exact rational arithmetic on the circle R/Z: points and reduction mod 1.
 
 Everything in this module is pure and exact; no floating point is used.
 """
@@ -44,43 +44,3 @@ class CirclePoint:
 def reduce_mod1(q: RationalLike) -> CirclePoint:
     """Project an arbitrary rational to the circle."""
     return CirclePoint(frac_mod1(q))
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Open, positively oriented arc from start to end.
-
-    With full=True the arc is the whole circle punctured at start
-    (start == end is only allowed in that case).
-    """
-
-    start: CirclePoint
-    end: CirclePoint
-    full: bool = False
-
-    def __post_init__(self):
-        if self.start == self.end and not self.full:
-            raise ValueError("degenerate arc: start == end without full flag")
-        if self.full and self.start != self.end:
-            raise ValueError("full arc must have start == end")
-
-    @property
-    def length(self) -> Fraction:
-        if self.full:
-            return Fraction(1)
-        return self.end - self.start
-
-
-def arc_contains(a: Arc, p: CirclePoint) -> bool:
-    """True iff p lies strictly inside the open arc a."""
-    if a.full:
-        return p != a.start
-    off = p - a.start
-    return 0 < off < (a.end - a.start)
-
-
-def cyclic_between(a: CirclePoint, b: CirclePoint, c: CirclePoint) -> bool:
-    """True iff b lies in the open positively oriented arc from a to c."""
-    if a == b or b == c or a == c:
-        raise ValueError("cyclic_between requires three distinct points")
-    return 0 < (b - a) < (c - a)

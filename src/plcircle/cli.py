@@ -88,8 +88,8 @@ def _growth_header(f):
     try:
         gp = growth_params(f)
         return {
-            "component": [io.format_rational(gp.component.start.value),
-                          io.format_rational(gp.component.end.value)],
+            "component": [io.format_rational(gp.component[0].value),
+                          io.format_rational(gp.component[1].value)],
             "c0": gp.c0, "c1": gp.c1, "mu": gp.mu, "beta": gp.beta,
             "analyzed_inverse": gp.analyzed_inverse,
         }, (gp.c1 - gp.c0) / gp.mu
@@ -144,7 +144,7 @@ def cmd_cb_rank(args):
     print(f"rank {r.rank}")
     print(f"top finite set size {r.top_finite_set_size}")
     print("derivative chain sizes: "
-          + " ".join(str(n) for n in cb.derivative_chain(S)))
+          + " ".join(str(n) for n in r.chain))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .circle import Arc, CirclePoint, frac_mod1
+from .circle import CirclePoint, frac_mod1
 from .homeo import PLHomeo
 from .rotnum import fixed_points
 
@@ -147,7 +147,8 @@ class GrowthParams:
     """Constants controlling the linear breakpoint-growth lower bound
     for a map contracting on a component of its open support."""
 
-    component: Arc
+    # open arc (start, end); start == end is the circle punctured at start
+    component: Tuple[CirclePoint, CirclePoint]
     c0: float                      # log of the right slope at the left endpoint
     c1: float                      # log of the left slope at the right endpoint
     mu: float                      # max |log s| over nontrivial superset values
@@ -163,7 +164,7 @@ def _subset_products(values) -> frozenset:
     return frozenset(prods)
 
 
-def _contracting_component(f: PLHomeo) -> "Arc | None":
+def _contracting_component(f: PLHomeo) -> "Tuple[CirclePoint, CirclePoint] | None":
     """A component (x0, x1) of the open support on which f(y) < y, or None."""
     fs = fixed_points(f)
     if fs.full or (not fs.points and not fs.arcs):
@@ -183,9 +184,7 @@ def _contracting_component(f: PLHomeo) -> "Arc | None":
         fm = f.lift_eval(mid)
         fm -= math.floor(fm - a)
         if fm < mid:
-            start = CirclePoint(a - math.floor(a))
-            end = CirclePoint(b - math.floor(b))
-            return Arc(start, end, full=(start == end))
+            return CirclePoint(a - math.floor(a)), CirclePoint(b - math.floor(b))
     return None
 
 
@@ -208,8 +207,8 @@ def growth_params(f: PLHomeo) -> GrowthParams:
         comp = _contracting_component(g)
     if comp is None:
         raise ValueError("no contracting support component found")
-    _, right_slope_at_x0 = g.left_right_slopes(comp.start)
-    left_slope_at_x1, _ = g.left_right_slopes(comp.end)
+    _, right_slope_at_x0 = g.left_right_slopes(comp[0])
+    left_slope_at_x1, _ = g.left_right_slopes(comp[1])
     superset = _subset_products(g.jump(p) for p in g.breakpoints)
     logs = [abs(_log(s)) for s in superset if s != 1]
     if not logs:

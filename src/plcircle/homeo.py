@@ -42,7 +42,8 @@ def _lift_cyclic(values: Sequence[Fraction]):
 
 
 def _canonical(pairs) -> Tuple[Vertex, ...]:
-    """Canonicalize circle-coordinate vertex pairs into lift vertices.
+    """Canonicalize vertex pairs, in circle or lift coordinates, into lift
+    vertices.
 
     Merges vertices where the slope does not change and rebases at the
     smallest breakpoint; a map with no breakpoint collapses to a rotation.
@@ -72,43 +73,16 @@ def _canonical(pairs) -> Tuple[Vertex, ...]:
 
 @dataclass(frozen=True)
 class PLHomeo:
-    """Orientation-preserving PL circle homeomorphism in canonical form."""
+    """Orientation-preserving PL circle homeomorphism in canonical form.
+
+    The constructor takes vertex pairs in circle or lift coordinates and
+    stores their canonical form, raising InvalidHomeoError when they do not
+    define a homeomorphism; every map is built through it."""
 
     verts: Tuple[Vertex, ...]
 
     def __post_init__(self):
-        v = self.verts
-        if not v:
-            raise InvalidHomeoError("empty vertex list")
-        xs = [p[0] for p in v]
-        ys = [p[1] for p in v]
-        if not 0 <= xs[0] < 1:
-            raise InvalidHomeoError("base x coordinate not in [0, 1)")
-        if not 0 <= ys[0] < 1:
-            raise InvalidHomeoError("base y coordinate not in [0, 1)")
-        for a, b in zip(xs, xs[1:]):
-            if not a < b:
-                raise InvalidHomeoError("x coordinates not strictly increasing")
-        for a, b in zip(ys, ys[1:]):
-            if not a < b:
-                raise InvalidHomeoError("y coordinates not strictly increasing")
-        if xs[-1] >= xs[0] + 1:
-            raise InvalidHomeoError("x coordinates span a full period or more")
-        if ys[-1] >= ys[0] + 1:
-            raise InvalidHomeoError("y coordinates span a full period or more")
-        k = len(v)
-        slopes = self.slopes
-        for s in slopes:
-            if s <= 0:
-                raise InvalidHomeoError("non-positive slope")
-        if k == 1:
-            if xs[0] != 0:
-                raise InvalidHomeoError("rotation must be based at 0")
-        else:
-            for i in range(k):
-                if slopes[i - 1] == slopes[i]:
-                    raise InvalidHomeoError(
-                        f"removable vertex at x={xs[i]} (equal adjacent slopes)")
+        object.__setattr__(self, "verts", _canonical(self.verts))
 
     # -- structure ---------------------------------------------------------
 
@@ -193,11 +167,11 @@ class PLHomeo:
                     for x in self._xs)
         pairs = [(c, frac_mod1(self.lift_eval(frac_mod1(other.lift_eval(c)))))
                  for c in cuts]
-        return PLHomeo(_canonical(pairs))
+        return PLHomeo(pairs)
 
     def inverse(self) -> "PLHomeo":
         pairs = [(frac_mod1(y), frac_mod1(x)) for x, y in self.verts]
-        return PLHomeo(_canonical(pairs))
+        return PLHomeo(pairs)
 
     def iterate(self, n: int) -> "PLHomeo":
         """n-th iterate (negative n iterates the inverse), by sequential composition."""
@@ -211,16 +185,14 @@ class PLHomeo:
 
 
 def from_lift_vertices(pairs) -> PLHomeo:
-    """Build a canonical map from lift vertices, closing vertex optional."""
-    pairs = [(Fraction(x), Fraction(y)) for x, y in pairs]
-    if len(pairs) >= 2 and pairs[-1] == (pairs[0][0] + 1, pairs[0][1] + 1):
-        pairs = pairs[:-1]
-    return PLHomeo(_canonical(pairs))
+    """Build a canonical map from lift vertices, closing vertex optional
+    (it reduces mod 1 to the base vertex)."""
+    return PLHomeo(pairs)
 
 
 def rotation(alpha) -> PLHomeo:
     """The rotation x -> x + alpha mod 1."""
-    return PLHomeo(((Fraction(0), frac_mod1(alpha)),))
+    return PLHomeo(((0, alpha),))
 
 
 def identity() -> PLHomeo:
@@ -253,7 +225,7 @@ def exotic_element(e: ExoticParams) -> PLHomeo:
     A, lam = e.A, e.lam
     y0 = (lam - 1) / (A - 1)
     xstar = (A - lam) / (lam * (A - 1))
-    return PLHomeo(_canonical([(Fraction(0), y0), (xstar, Fraction(0))]))
+    return PLHomeo(((0, y0), (xstar, 0)))
 
 
 def random_pl(seed: int, k: int, denom_bound: int) -> PLHomeo:
@@ -294,4 +266,4 @@ def random_pl(seed: int, k: int, denom_bound: int) -> PLHomeo:
     ys = distinct(k)
     r = rng.randrange(k)
     pairs = [(xs[i], ys[(i + r) % k]) for i in range(k)]
-    return PLHomeo(_canonical(pairs))
+    return PLHomeo(pairs)

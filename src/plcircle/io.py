@@ -4,6 +4,7 @@ with positive denominator."""
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Dict
 
@@ -19,13 +20,21 @@ class FormatError(ValueError):
     """Malformed or invariant-violating input file."""
 
 
+# the documented form only: Fraction would also take decimals and exponents,
+# and "1e-10000000" takes seconds to expand
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(s) -> Fraction:
+    """A JSON integer or a "p/q" string (q optional) as an exact Fraction."""
     if isinstance(s, str):
+        if not _RATIONAL.fullmatch(s):
+            raise FormatError(f"not a rational: {s!r} (expected p/q)")
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a rational: {s!r} ({exc})") from None
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise FormatError(f"rational expected, got {type(s).__name__}: {s!r}")
 

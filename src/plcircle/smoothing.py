@@ -17,7 +17,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 from .circle import CirclePoint, frac_mod1
 from .cocycle import FiniteVector
-from .homeo import PLHomeo, identity, _canonical
+from .homeo import PLHomeo, identity
 from .rotnum import fixed_points
 
 
@@ -279,8 +279,7 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
     for i in range(m - 1):
         ys.append(ys[-1] + sigma * u[i] * lengths[i])
     pairs = [(x, frac_mod1(y)) for x, y in zip(pts, ys)]
-    phi = PLHomeo(_canonical(pairs))
-    return phi
+    return PLHomeo(pairs)
 
 
 def detect_finite_orbit(G: GroupPresentation, max_period: int,

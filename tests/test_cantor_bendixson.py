@@ -11,9 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcircle import (CBRank, Leaf, Limit, SymbolicSet, cb_derivative,
-                      cb_rank, derivative_chain, nested_limit, realize,
-                      reduce_mod1, structural_rank, validate_realization)
+                      cb_rank, nested_limit, realize, reduce_mod1,
+                      validate_realization)
 from plcircle.io import symbolic_set_from_json, symbolic_set_to_json
+
+
+def structural_rank(S: SymbolicSet) -> int:
+    """Independent rank oracle by structural recursion: leaves count 1, a
+    limit node counts one more than its child set."""
+    best = 0
+    for node in S.nodes:
+        if isinstance(node, Leaf):
+            best = max(best, 1)
+        else:
+            best = max(best, 1 + structural_rank(node.child))
+    return best
 
 
 def leaves(*xs):
@@ -55,9 +67,9 @@ def test_derivative_drops_leaves():
 
 def test_derivative_chain_lengths():
     S = nested_limit(reduce_mod1(F(1, 7)), 3)
-    chain = derivative_chain(S)
-    assert chain == [1, 1, 1, 1, 0]   # S, S', S'', S''', empty
-    assert len(chain) == cb_rank(S).rank + 1
+    r = cb_rank(S)
+    assert r.chain == (1, 1, 1, 1, 0)   # S, S', S'', S''', empty
+    assert len(r.chain) == r.rank + 1
 
 
 def test_realization_distinct_and_validates():

@@ -1,14 +1,11 @@
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plcircle import (Arc, CirclePoint, arc_contains, cyclic_between,
-                      reduce_mod1)
+from plcircle import reduce_mod1
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=97)
-points = st.fractions(min_value=0, max_value=F(96, 97), max_denominator=97).map(reduce_mod1)
 
 
 def test_reduce_mod1_examples():
@@ -20,36 +17,3 @@ def test_reduce_mod1_examples():
 @given(fracs, st.integers(min_value=-5, max_value=5))
 def test_reduce_mod1_periodic(q, n):
     assert reduce_mod1(q + n) == reduce_mod1(q)
-
-
-def test_arc_contains_examples():
-    a = Arc(reduce_mod1(0), reduce_mod1(F(1, 2)))
-    assert arc_contains(a, reduce_mod1(F(1, 4)))
-    assert not arc_contains(a, reduce_mod1(F(1, 2)))  # open arc
-    wrap = Arc(reduce_mod1(F(3, 4)), reduce_mod1(F(1, 4)))
-    assert arc_contains(wrap, reduce_mod1(0))
-
-
-def test_full_arc():
-    p = reduce_mod1(F(1, 3))
-    a = Arc(p, p, full=True)
-    assert a.length == 1
-    assert arc_contains(a, reduce_mod1(0))
-    assert not arc_contains(a, p)
-    with pytest.raises(ValueError):
-        Arc(p, p)
-
-
-def test_cyclic_between_examples():
-    assert cyclic_between(reduce_mod1(0), reduce_mod1(F(1, 4)), reduce_mod1(F(1, 2)))
-    assert cyclic_between(reduce_mod1(F(1, 2)), reduce_mod1(F(3, 4)), reduce_mod1(0))
-    assert not cyclic_between(reduce_mod1(0), reduce_mod1(F(1, 2)), reduce_mod1(F(1, 4)))
-    with pytest.raises(ValueError):
-        cyclic_between(reduce_mod1(0), reduce_mod1(0), reduce_mod1(F(1, 2)))
-
-
-@given(points, points, points)
-def test_cyclic_between_antisymmetric(a, b, c):
-    if len({a, b, c}) < 3:
-        return
-    assert cyclic_between(a, b, c) != cyclic_between(a, c, b)

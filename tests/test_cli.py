@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -235,3 +239,104 @@ def test_every_fixture_parses(path):
         pio.group_from_json(doc)
     else:
         pio.element_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ({"rotation": "1e-1000000"}, ["show"]),
+    ({"rotation": "0.5"}, ["show"]),
+    ({"rotation": True}, ["show"]),
+    ({"vertices": [["0/1", "0/1"], ["1/2", "1/4"], [True, "1/1"]]}, ["show"]),
+    ({"exotic": {"A": "4", "lambda": "2e0"}}, ["show"]),
+    ({"rotation": "1/3"}, ["eval", "{path}", "1e-10000000"]),
+    ({"rotation": "1/3"}, ["eval", "{path}", "0.25"]),
+], ids=["exponent", "decimal", "true", "true_vertex", "exotic_exponent",
+        "point_exponent", "point_decimal"])
+def test_rejects_rationals_not_in_p_q_form(tmp_path, capsys, doc, argv):
+    from plcircle import cli
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    argv = [a.format(path=path) for a in argv]
+    if argv == ["show"]:
+        argv.append(str(path))
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a rational" in err or "rational expected" in err
+
+
+# -- fuzzing the CLI on malformed documents ------------------------------------
+
+_rationals = st.one_of(
+    st.fractions(-2, 2, max_denominator=12).map(lambda q: f"{q.numerator}/{q.denominator}"),
+    st.sampled_from(["0/1", "1/2", "1/3", "2/3", "3/4", "-1/4", "5/4", "1/1", "4/1",
+                     "1/0", "0.5", "1e-5", "", " 1/2", "1/-2", "abc", "+1/3"]),
+    st.integers(-3, 5))
+_scalars = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, width=16),
+                     st.text(max_size=4), _rationals)
+_keys = st.sampled_from(["vertices", "rotation", "exotic", "A", "lambda", "generators",
+                         "leaf", "limit", "apex", "child", "direction", "ratio", "x"])
+
+
+@st.composite
+def _documents(draw, depth=4, kind="any"):
+    """A JSON value nested at most `depth` deep.  It is mostly shaped like
+    the `kind` of document asked for (an element, a symbolic set, or any of
+    these and a group), with wrong types, missing keys and bad rationals
+    mixed in at every level."""
+    if depth == 0:
+        return draw(_scalars)
+    junk = ["scalar", "list", "dict"]
+    shapes = {"any": ["element", "group", "set"] + junk,
+              "element": ["vertices", "vertices", "exotic", "rotation"] + junk,
+              "group": ["generators"] * 3 + junk,
+              "set": ["nodes"] * 3 + junk}[kind]
+    shape = draw(st.sampled_from(shapes))
+    inner = _documents(depth - 1)
+    if shape == "scalar":
+        return draw(_scalars)
+    if shape == "list":
+        return draw(st.lists(inner, max_size=3))
+    if shape == "dict":
+        return draw(st.dictionaries(_keys, inner, max_size=3))
+    if shape in ("element", "group", "set"):
+        return draw(_documents(depth, shape))
+    if shape == "vertices":
+        pair = st.one_of(st.tuples(_rationals, _rationals).map(list),
+                         st.lists(_rationals, max_size=3))
+        return {"vertices": draw(st.lists(pair, max_size=4))}
+    if shape == "exotic":
+        return {"exotic": {"A": draw(_rationals), "lambda": draw(_rationals)}}
+    if shape == "rotation":
+        return {"rotation": draw(_rationals)}
+    if shape == "generators":
+        return {"generators": draw(st.dictionaries(st.text(max_size=2),
+                                                   _documents(depth - 1, "element"),
+                                                   max_size=2))}
+    leaf = st.builds(lambda p: {"leaf": p}, _rationals)
+    limit = st.builds(
+        lambda a, c, d, r: {"limit": {"apex": a, "child": c, "direction": d, "ratio": r}},
+        _rationals, _documents(depth - 1, "set"),
+        st.sampled_from(["left", "right", "up", 1]), _rationals)
+    return draw(st.lists(st.one_of(leaf, limit, inner), max_size=3))
+
+
+@given(st.sampled_from([(["show"], "element"),
+                        (["smooth", "--max-vertices", "64"], "group"),
+                        (["cb-rank"], "set")]).flatmap(
+    lambda req: st.tuples(st.just(req[0]), _documents(4, req[1]))))
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_malformed_documents(tmp_path_factory, command_and_doc):
+    command, doc = command_and_doc
+    from plcircle import cli
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command[0], str(path), *command[1:]])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

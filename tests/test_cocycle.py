@@ -165,8 +165,8 @@ def test_breakpoint_growth_rotation():
 
 def test_growth_params_standard_example():
     gp = growth_params(STD)
-    assert gp.component.start == reduce_mod1(0)
-    assert gp.component.full
+    start, end = gp.component
+    assert start == end == reduce_mod1(0)  # the circle punctured at 0
     assert abs(gp.c0 - math.log(F(1, 2))) < 1e-12
     assert abs(gp.c1 - math.log(F(3, 2))) < 1e-12
     assert gp.jump_value_superset == frozenset({F(1, 3), F(1), F(3)})

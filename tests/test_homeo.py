@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcircle import (ExoticParams, InvalidHomeoError, PLHomeo, exotic_element,
-                      from_lift_vertices, identity, random_pl, reduce_mod1,
-                      rotation)
+                      from_lift_vertices, identity, jump_cocycle, random_pl,
+                      reduce_mod1, rotation, synthesize_conjugator)
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
 
@@ -14,6 +14,36 @@ random_maps = st.builds(random_pl,
                         seed=st.integers(0, 10**6),
                         k=st.integers(0, 5),
                         denom_bound=st.just(32))
+
+
+def assert_canonical(verts):
+    """Independent oracle for the canonical form: lift vertices based in
+    [0, 1)^2, strictly increasing over less than one period, positive
+    slopes, every vertex a genuine breakpoint, rotations based at 0."""
+    assert verts, "empty vertex list"
+    xs = [p[0] for p in verts]
+    ys = [p[1] for p in verts]
+    assert all(isinstance(q, F) for q in xs + ys), "coordinates not Fractions"
+    assert 0 <= xs[0] < 1, "base x coordinate not in [0, 1)"
+    assert 0 <= ys[0] < 1, "base y coordinate not in [0, 1)"
+    assert all(a < b for a, b in zip(xs, xs[1:])), "x not strictly increasing"
+    assert all(a < b for a, b in zip(ys, ys[1:])), "y not strictly increasing"
+    assert xs[-1] < xs[0] + 1, "x coordinates span a full period or more"
+    assert ys[-1] < ys[0] + 1, "y coordinates span a full period or more"
+    cx, cy = xs + [xs[0] + 1], ys + [ys[0] + 1]
+    slopes = [(cy[i + 1] - cy[i]) / (cx[i + 1] - cx[i]) for i in range(len(xs))]
+    assert all(s > 0 for s in slopes), "non-positive slope"
+    if len(verts) == 1:
+        assert xs[0] == 0, "rotation must be based at 0"
+    else:
+        for i in range(len(verts)):
+            assert slopes[i - 1] != slopes[i], f"removable vertex at x={xs[i]}"
+
+
+def assert_fixed_point(h):
+    """h is canonical, and the constructor returns it unchanged."""
+    assert_canonical(h.verts)
+    assert PLHomeo(h.verts).verts == h.verts
 
 
 def interpolate(verts_closed, x):
@@ -112,8 +142,7 @@ def test_random_pl_determinism_and_validity():
     assert random_pl(7, 4, 64) == random_pl(7, 4, 64)
     h = random_pl(7, 4, 64)
     assert len(h.breakpoints) <= 4
-    # canonical-form invariants are enforced by the constructor
-    PLHomeo(h.verts)
+    assert_fixed_point(h)
 
 
 @given(random_maps)
@@ -138,10 +167,39 @@ def test_breakpoint_subadditivity(g, h):
 def test_canonical_rejects_bad_data():
     with pytest.raises(InvalidHomeoError):
         from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 8)), (1, 1)])
-    with pytest.raises(InvalidHomeoError):
-        PLHomeo(((F(1, 2), F(0)),))  # rotation not based at 0
-    with pytest.raises(InvalidHomeoError):
-        PLHomeo(((F(0), F(0)), (F(1, 2), F(1, 2))))  # removable vertex
+    with pytest.raises(InvalidHomeoError, match="not injective"):
+        PLHomeo(((F(0), F(0)), (F(1, 2), F(0))))
+    with pytest.raises(InvalidHomeoError, match="at least one vertex"):
+        PLHomeo(())
+    # the constructor normalizes data that is valid but not canonical
+    assert PLHomeo(((F(1, 2), F(0)),)) == rotation(F(1, 2))  # rotation based off 0
+    assert PLHomeo(((0, 0), (F(1, 2), F(1, 2)))) == identity()  # removable vertex
+
+
+lift_vertex_lists = st.lists(
+    st.tuples(st.fractions(-2, 2, max_denominator=8),
+              st.fractions(-2, 2, max_denominator=8)),
+    min_size=1, max_size=5)
+
+
+@given(random_maps, random_maps, lift_vertex_lists,
+       st.integers(3, 12), st.fractions(0, 1, max_denominator=16))
+@settings(max_examples=60, deadline=None)
+def test_library_maps_are_canonical(g, h, verts, A, t):
+    """Every constructor path of the library yields the canonical form,
+    which the constructor then leaves unchanged."""
+    for f in (g, h, g.compose(h), g.inverse(), synthesize_conjugator(jump_cocycle(g))):
+        assert_fixed_point(f)
+    lam = 1 + (A - 1) * t
+    if 1 < lam < A:
+        assert_fixed_point(exotic_element(ExoticParams(A, lam)))
+    try:
+        f = from_lift_vertices(verts)
+    except InvalidHomeoError:
+        return
+    assert_fixed_point(f)
+    for x, y in verts:
+        assert f.eval(reduce_mod1(x)) == reduce_mod1(y)
 
 
 def test_removable_breakpoints_merge():
