@@ -21,6 +21,7 @@ from typing import Sequence, Tuple
 from .circle import CirclePoint, frac_mod1
 
 Vertex = Tuple[Fraction, Fraction]
+_ONE = Fraction(1)
 
 
 class InvalidHomeoError(ValueError):
@@ -123,12 +124,15 @@ class PLHomeo:
 
     # -- evaluation --------------------------------------------------------
 
+    def _locate(self, t: Fraction) -> Tuple[int, Fraction, int]:
+        """(i, u, m): t = u + m with m an integer and x_i <= u < x_{i+1}."""
+        m = math.floor(t - self._xs[0])
+        u = t - m if m else t
+        return bisect.bisect_right(self._xs, u) - 1, u, m
+
     def lift_eval(self, t: Fraction) -> Fraction:
         """Evaluate the canonical lift (the one with value of x_0 in [0,1))."""
-        x0 = self._xs[0]
-        m = math.floor(t - x0)
-        u = t - m
-        i = bisect.bisect_right(self._xs, u) - 1
+        i, u, m = self._locate(t)
         return self._ys[i] + self.slopes[i] * (u - self._xs[i]) + m
 
     def lift_eval_inverse(self, t: Fraction) -> Fraction:
@@ -146,9 +150,7 @@ class PLHomeo:
 
     def left_right_slopes(self, p: CirclePoint) -> Tuple[Fraction, Fraction]:
         """Exact (left derivative, right derivative) at p."""
-        x0 = self._xs[0]
-        u = p.value - math.floor(p.value - x0)
-        i = bisect.bisect_right(self._xs, u) - 1
+        i, u, _ = self._locate(p.value)
         if u == self._xs[i]:
             return self.slopes[i - 1], self.slopes[i]
         return self.slopes[i], self.slopes[i]
@@ -157,6 +159,13 @@ class PLHomeo:
         """Derivative jump D+h(p) / D-h(p); equals 1 off the breakpoints."""
         left, right = self.left_right_slopes(p)
         return right / left
+
+    def _eval_jump(self, x: Fraction) -> Tuple[Fraction, Fraction]:
+        """The circle coordinates of eval and jump at x, from one _locate."""
+        i, u, _ = self._locate(x)
+        s = self.slopes
+        y = self._ys[i] + s[i] * (u - self._xs[i])  # in [0, 2)
+        return (y if y < 1 else y - 1), (s[i] / s[i - 1] if u == self._xs[i] else _ONE)
 
     # -- group operations --------------------------------------------------
 

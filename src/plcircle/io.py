@@ -25,18 +25,23 @@ class FormatError(ValueError):
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _clip(text: str) -> str:
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def parse_rational(s) -> Fraction:
     """A JSON integer or a "p/q" string (q optional) as an exact Fraction."""
     if isinstance(s, str):
         if not _RATIONAL.fullmatch(s):
-            raise FormatError(f"not a rational: {s!r} (expected p/q)")
+            raise FormatError(f"not a rational: {_clip(repr(s))} (expected p/q)")
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"not a rational: {s!r} ({exc})") from None
+            raise FormatError(f"not a rational: {_clip(repr(s))} "
+                              f"({_clip(str(exc))})") from None
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    raise FormatError(f"rational expected, got {type(s).__name__}: {s!r}")
+    raise FormatError(f"rational expected, got {type(s).__name__}: {_clip(repr(s))}")
 
 
 def format_rational(q: Fraction) -> str:

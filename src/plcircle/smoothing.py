@@ -62,7 +62,8 @@ class Edge:
 class OrbitGraph:
     """Every vertex is expanded: `edges` holds its out-edge for each generator
     and each inverse, so the reverse of every edge is an out-edge of its
-    target.  In a truncated graph some edges lead to `escaping` points."""
+    target.  In a truncated graph some edges lead to `escaping` points.
+    smooth_group expands it on demand and stops at the first inconsistent edge."""
 
     vertices: Tuple[CirclePoint, ...]
     edges: Tuple[Edge, ...]
@@ -71,37 +72,67 @@ class OrbitGraph:
     escaping: Tuple[CirclePoint, ...] = ()
 
 
+class _Orbits:
+    """An orbit graph explored on demand.  Points get int ids in
+    breadth-first discovery order from the sorted seed, interned by the
+    (numerator, denominator) of their coordinate, so no Fraction is hashed;
+    ids from max_vertices on are escaping points.  rows[v] lists vertex v's
+    out-edges (target id, weight, (generator, sign)) in generator order."""
+
+    def __init__(self, seed, maps, max_vertices: int):
+        self.maps, self.max_vertices = maps, max_vertices
+        self.pts: List[Fraction] = []
+        self.ids: Dict[Tuple[int, int], int] = {}
+        self.rows: List[list] = []
+        for x in seed:
+            self._intern(x)
+        self.n_seed = len(self.pts)
+        if self.n_seed > max_vertices:
+            raise ValueError("max_vertices smaller than the seed")
+
+    @classmethod
+    def of_group(cls, G: GroupPresentation, max_vertices: int) -> "_Orbits":
+        maps = [((name, sign), g if sign == 1 else g.inverse())
+                for name, g in G.generators for sign in (1, -1)]
+        seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
+        return cls(seed, maps, max_vertices)
+
+    def _intern(self, x: Fraction) -> int:
+        key = (x.numerator, x.denominator)
+        v = self.ids.get(key)
+        if v is None:
+            v = self.ids[key] = len(self.pts)
+            self.pts.append(x)
+        return v
+
+    def expand(self, v: int) -> None:
+        """Fill the rows of the vertices up to id v, in id order."""
+        while len(self.rows) <= v and len(self.rows) < len(self.pts):
+            x = self.pts[len(self.rows)]
+            row = []
+            for label, g in self.maps:
+                y, w = g._eval_jump(x)
+                row.append((self._intern(y), w, label))
+            self.rows.append(row)
+
+    @property
+    def escaping(self) -> Tuple[CirclePoint, ...]:
+        return tuple(CirclePoint(x) for x in sorted(self.pts[self.max_vertices:]))
+
+    def edge(self, v: int, out) -> Edge:
+        t, w, (gen, sign) = out
+        return Edge(CirclePoint(self.pts[v]), gen, sign, CirclePoint(self.pts[t]), w)
+
+
 def build_orbit_graph(G: GroupPresentation, max_vertices: int = 4096) -> OrbitGraph:
     """Breadth-first closure of the union of generator breakpoints under all
     generators and inverses, cut off at max_vertices."""
-    seed = sorted({p for _, g in G.generators for p in g.breakpoints})
-    if max_vertices < len(seed):
-        raise ValueError("max_vertices smaller than the seed")
-    maps = []
-    for name, g in G.generators:
-        maps.append((name, 1, g))
-        maps.append((name, -1, g.inverse()))
-    visited = set(seed)
-    order = list(seed)
-    queue = deque(seed)
-    edges: List[Edge] = []
-    escaping = set()
-    closed = True
-    while queue:
-        v = queue.popleft()
-        for name, sign, g in maps:
-            w = g.eval(v)
-            edges.append(Edge(v, name, sign, w, g.jump(v)))
-            if w not in visited:
-                if len(visited) >= max_vertices:
-                    closed = False
-                    escaping.add(w)
-                else:
-                    visited.add(w)
-                    order.append(w)
-                    queue.append(w)
-    return OrbitGraph(tuple(order), tuple(edges), closed, tuple(seed),
-                      tuple(sorted(escaping)))
+    o = _Orbits.of_group(G, max_vertices)
+    o.expand(max_vertices - 1)
+    vertices = tuple(CirclePoint(x) for x in o.pts[:max_vertices])
+    edges = tuple(o.edge(v, out) for v, row in enumerate(o.rows) for out in row)
+    return OrbitGraph(vertices, edges, len(o.pts) <= max_vertices, vertices[:o.n_seed],
+                      o.escaping)
 
 
 @dataclass(frozen=True)
@@ -153,31 +184,13 @@ def solve_coboundary(graph: OrbitGraph):
     """
     if not graph.closed:
         raise ValueError("cannot solve a truncated orbit graph")
-    sol = _potentials(graph)
-    if isinstance(sol, Obstruction):
-        return sol
-    a, components = sol
-    total = Fraction(1)
-    for v in graph.vertices:
-        total *= a[v]
-    if total != 1:
-        # scaling component c by t multiplies the total by t^{|c|}; the
-        # reachable correction factors are exactly the g-th powers for
-        # g = gcd of the component sizes (Bezout on the exponents)
-        sizes = [len(c) for c in components]
-        g = 0
-        for n in sizes:
-            g = math.gcd(g, n)
-        t = _nth_root(1 / total, g)
-        if t is None:
-            return SynthesisInfeasible(total_product=total,
-                                       component_sizes=tuple(sizes))
-        for comp, c in zip(components, _gcd_coefficients(sizes)):
-            if c:
-                scale = t ** c
-                for v in comp:
-                    a[v] *= scale
-    return FiniteVector.from_dict(a)
+    o = _Orbits([v.value for v in graph.vertices], (), len(graph.vertices))
+    o.rows = [[] for _ in o.pts]
+    for e in graph.edges:
+        key = (e.target.value.numerator, e.target.value.denominator)
+        o.rows[o._intern(e.source.value)].append(
+            (o.ids.get(key, len(o.pts)), e.weight, (e.gen, e.sign)))
+    return _solve(o)
 
 
 def _gcd_coefficients(sizes: List[int]) -> List[int]:
@@ -203,55 +216,74 @@ def _ext_gcd(a: int, b: int):
     return g, y, x - (a // b) * y
 
 
-def _potentials(graph: OrbitGraph):
-    """One breadth-first pass over out-edges from the first vertex of each
-    component, setting a_{g(y)} = a_y / w on tree edges and checking every
-    other edge between vertices when it is met.  Returns the Obstruction of
-    the first inconsistent edge, or the potentials (1 at each component's
-    first vertex) and the components in discovery order."""
-    out: Dict[CirclePoint, List[Edge]] = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        out[e.source].append(e)
-    a: Dict[CirclePoint, Fraction] = {}
-    parent: Dict[CirclePoint, Edge] = {}
-    components: List[List[CirclePoint]] = []
-    for root in graph.vertices:
-        if root in a:
+def _solve(o: _Orbits):
+    """The one potentials pass, breadth-first over out-edges from each root in
+    id order, each vertex expanded just before its edges are read.  Tree edges
+    set a_{g(y)} = a_y / w (1 at a root); the first inconsistent other edge
+    ends it as an Obstruction; else Truncated, SynthesisInfeasible or the solution."""
+    a: List[Optional[Fraction]] = [None] * o.n_seed
+    parent: list = [None] * o.n_seed
+    components: List[List[int]] = []
+    for root in range(o.n_seed):  # every vertex is reached from a seed
+        if a[root] is not None:
             continue
         a[root] = Fraction(1)
         comp = [root]
         for v in comp:  # comp grows in breadth-first order as it is read
-            for e in out[v]:
-                t = e.target
-                if t not in out:
-                    continue  # an escaping point of a truncated graph
-                if t not in a:
-                    a[t] = a[v] / e.weight
-                    parent[t] = e
+            o.expand(v)
+            grow = [None] * (len(o.pts) - len(a))
+            a += grow
+            parent += grow
+            av = a[v]
+            for out in o.rows[v]:
+                t, w, _ = out
+                if t >= o.max_vertices:
+                    continue  # an escaping point
+                at = a[t]
+                if at is None:
+                    a[t] = av / w
+                    parent[t] = (v, out)
                     comp.append(t)
-                elif a[v] != e.weight * a[t]:
-                    return Obstruction(cycle=_closed_walk(e, parent),
-                                       expected=Fraction(1),
-                                       found=e.weight * a[t] / a[v])
+                elif av != w * at:
+                    return Obstruction(cycle=_closed_walk(o, v, out, parent),
+                                       expected=Fraction(1), found=w * at / av)
         components.append(comp)
-    return a, components
+    if len(o.pts) > o.max_vertices:
+        return Truncated(o.escaping)
+    total = math.prod(a, start=Fraction(1))
+    if total != 1:
+        # scaling component c by t multiplies the total by t^{|c|}; the
+        # reachable correction factors are exactly the g-th powers for
+        # g = gcd of the component sizes (Bezout on the exponents)
+        sizes = [len(c) for c in components]
+        t = _nth_root(1 / total, math.gcd(*sizes))
+        if t is None:
+            return SynthesisInfeasible(total_product=total,
+                                       component_sizes=tuple(sizes))
+        for comp, c in zip(components, _gcd_coefficients(sizes)):
+            if c:
+                scale = t ** c
+                for v in comp:
+                    a[v] *= scale
+    return FiniteVector(tuple((CirclePoint(x), y) for x, y in sorted(zip(o.pts, a))
+                              if y != 1))
 
 
-def _closed_walk(e: Edge, parent: Dict[CirclePoint, Edge]) -> Tuple[Edge, ...]:
-    """The closing edge e, then the tree path up from its target to the
-    lowest common ancestor (tree edges reversed), then down to its source."""
-    def path_up(v):
-        out = []
-        while v in parent:
-            out.append(parent[v])
-            v = parent[v].source
-        return out
-    up = path_up(e.target)
-    down = path_up(e.source)
+def _closed_walk(o: _Orbits, v: int, out, parent) -> Tuple[Edge, ...]:
+    """The closing edge out of v, then the tree path up from its target to
+    the lowest common ancestor (tree edges reversed), then down to v."""
+    def path_up(u):
+        ups = []
+        while parent[u] is not None:
+            ups.append(u)
+            u = parent[u][0]
+        return ups
+    up, down = path_up(out[0]), path_up(v)
     while up and down and up[-1] == down[-1]:
         up.pop()
         down.pop()
-    return (e, *(t.reverse() for t in up), *reversed(down))
+    return (o.edge(v, out), *(o.edge(*parent[u]).reverse() for u in up),
+            *(o.edge(*parent[u]) for u in reversed(down)))
 
 
 def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
@@ -373,20 +405,14 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
                  ) -> Union[Success, Obstruction, SynthesisInfeasible, Truncated]:
     """Full pipeline: orbit graph, coboundary solve, conjugator synthesis.
 
-    On success every conjugated generator has an empty breakpoint set, so it
-    is structurally a rotation.  A finite orbit is not searched for here; a
-    finite orbit and a solvable cocycle can coexist (use detect_finite_orbit
-    separately).
-    """
-    graph = build_orbit_graph(G, max_vertices)
-    if not graph.closed:
-        # a truncated graph is never solved, but an inconsistent cycle inside
-        # the explored part already certifies unsolvability (e.g. a jump at a
-        # fixed breakpoint forces a bad self-loop)
-        sol = _potentials(graph)
-        return sol if isinstance(sol, Obstruction) else Truncated(graph.escaping)
-    sol = solve_coboundary(graph)
-    if isinstance(sol, (Obstruction, SynthesisInfeasible)):
+    One pass expands the orbit graph only as far as the potentials sweep
+    reads it and stops at the first inconsistent edge, the one that
+    solve_coboundary would report on build_orbit_graph(G, max_vertices); such
+    a cycle certifies unsolvability even in a truncated graph.  On success
+    every conjugated generator has no breakpoint: it is a rotation.  Finite
+    orbits are not searched for (see detect_finite_orbit)."""
+    sol = _solve(_Orbits.of_group(G, max_vertices))
+    if not isinstance(sol, FiniteVector):
         return sol
     phi = synthesize_conjugator(sol)
     phi_inv = phi.inverse()

@@ -221,6 +221,33 @@ def test_fixture_requests_match_recorded_digests(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == req["sha256"], req["argv"]
 
 
+def test_smooth_obstruction_stops_early(monkeypatch, capsys):
+    # the obstruction is the first edge read, so a budget of 10^5 vertices
+    # gives the cycle recorded for a budget of 64, without expanding them
+    from plcircle import cli
+    recorded = json.loads((REPO / "perfbench" / "cli_digests.json").read_text())
+    argv = ["smooth", "fixtures/fixed_jump_obstruction.json", "--max-vertices"]
+    want = next(r for r in recorded if r["argv"] == argv + ["64"])
+    monkeypatch.chdir(REPO)
+    assert cli.main(argv + ["100000"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+
+
+@pytest.mark.parametrize("value", ["x" * 200_000, [1] * 50_000],
+                         ids=["long_string", "long_list"])
+def test_rejected_rational_gives_short_message(tmp_path, capsys, value):
+    from plcircle import cli
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"rotation": value}))
+    assert cli.main(["show", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a rational" in err or "rational expected" in err
+    assert len(err) < 200
+
+
 def test_deterministic_output():
     a = run("random", "--seed", "7")
     b = run("random", "--seed", "7")

@@ -33,3 +33,10 @@ def test_exotic_boundedness():
     rows = [line for line in r.stdout.splitlines() if not line.startswith("#")]
     assert rows[0] == "n,breakpoints,distinct_jumps,norm_sq"
     assert [int(row.split(",")[0]) for row in rows[1:]] == [1, 10, 20, 30, 40, 50]
+
+
+def test_smoothing_demo():
+    r = run_script("smoothing_demo.py", "--seed", "7")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.count('"kind": "success"') == 1
+    assert r.stdout.count('"kind": "obstruction"') == 1

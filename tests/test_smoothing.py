@@ -1,5 +1,8 @@
 """Orbit graphs, the coboundary solver, and the full smoothing pipeline."""
 
+import json
+import math
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +15,7 @@ from plcircle import (Edge, FiniteVector, GroupPresentation, Obstruction,
                       reduce_mod1, rotation, smooth_group, solve_coboundary,
                       synthesize_conjugator)
 from plcircle.io import outcome_to_json
+from plcircle.smoothing import _gcd_coefficients, _nth_root
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
 
@@ -269,3 +273,180 @@ def test_smooth_conjugated_exotic_succeeds():
     else:
         # an exotic circle is rigid: no conjugate is breakpoint-free
         assert outcome.kind in ("obstruction", "truncated", "infeasible")
+
+
+# ------------------------------------------------------- two-pass oracle
+#
+# An independent two-pass pipeline: build the whole orbit graph with
+# CirclePoint-keyed sets, then run one breadth-first potentials pass over
+# Edge objects, then normalize.  smooth_group's one on-demand pass must give
+# byte-identical results, the same first inconsistent edge included.
+
+def bfs_orbit_graph(G, max_vertices):
+    seed = sorted({p for _, g in G.generators for p in g.breakpoints})
+    maps = [m for name, g in G.generators
+            for m in ((name, 1, g), (name, -1, g.inverse()))]
+    visited, order, queue = set(seed), list(seed), deque(seed)
+    edges, escaping = [], set()
+    while queue:
+        v = queue.popleft()
+        for name, sign, g in maps:
+            w = g.eval(v)
+            edges.append(Edge(v, name, sign, w, g.jump(v)))
+            if w not in visited:
+                if len(visited) >= max_vertices:
+                    escaping.add(w)
+                else:
+                    visited.add(w)
+                    order.append(w)
+                    queue.append(w)
+    return OrbitGraph(tuple(order), tuple(edges), not escaping, tuple(seed),
+                      tuple(sorted(escaping)))
+
+
+def oracle_potentials(graph):
+    out = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        out[e.source].append(e)
+    a, parent, components = {}, {}, []
+    for root in graph.vertices:
+        if root in a:
+            continue
+        a[root] = F(1)
+        comp = [root]
+        for v in comp:
+            for e in out[v]:
+                t = e.target
+                if t not in out:
+                    continue
+                if t not in a:
+                    a[t] = a[v] / e.weight
+                    parent[t] = e
+                    comp.append(t)
+                elif a[v] != e.weight * a[t]:
+                    def path_up(u):
+                        path = []
+                        while u in parent:
+                            path.append(parent[u])
+                            u = parent[u].source
+                        return path
+                    up, down = path_up(e.target), path_up(e.source)
+                    while up and down and up[-1] == down[-1]:
+                        up.pop()
+                        down.pop()
+                    cycle = (e, *(t.reverse() for t in up), *reversed(down))
+                    return Obstruction(cycle, F(1), e.weight * a[t] / a[v])
+        components.append(comp)
+    return a, components
+
+
+def oracle_solve(graph):
+    sol = oracle_potentials(graph)
+    if isinstance(sol, Obstruction):
+        return sol
+    a, components = sol
+    total = F(1)
+    for v in graph.vertices:
+        total *= a[v]
+    if total != 1:
+        sizes = [len(c) for c in components]
+        t = _nth_root(1 / total, math.gcd(*sizes))
+        if t is None:
+            return SynthesisInfeasible(total, tuple(sizes))
+        for comp, c in zip(components, _gcd_coefficients(sizes)):
+            for v in comp:
+                a[v] *= t ** c
+    return FiniteVector.from_dict(a)
+
+
+def two_pass_smooth(G, max_vertices=4096):
+    graph = bfs_orbit_graph(G, max_vertices)
+    if not graph.closed:
+        sol = oracle_potentials(graph)
+        return sol if isinstance(sol, Obstruction) else Truncated(graph.escaping)
+    sol = oracle_solve(graph)
+    if isinstance(sol, (Obstruction, SynthesisInfeasible)):
+        return sol
+    phi = synthesize_conjugator(sol)
+    return Success(phi, tuple((name, phi.compose(g).compose(phi.inverse()))
+                              for name, g in G.generators))
+
+
+def _conjugate(phi, g):
+    return phi.compose(g).compose(phi.inverse())
+
+
+def _hidden_rotations(seed):
+    phi = random_pl(seed, 4, 32)
+    return pres(*(_conjugate(phi, rotation(a)) for a in (F(1, 3), F(1, 5))))
+
+
+def _std_conjugate(seed):
+    return pres(_conjugate(random_pl(seed, 2, 16), STD))
+
+
+def _exotic(seed):
+    # log 2 / log A is irrational: the orbit graph is infinite
+    return pres(exotic_element(ExoticParams(F((5, 6, 7, 10)[seed]), F(2))))
+
+
+def _two_generators(seed):
+    return GroupPresentation((("a", random_pl(seed, 3, 8)),
+                              ("b", random_pl(seed + 1000, 2, 6))))
+
+
+ORACLE_CASES = (
+    [("hidden_rotations", _hidden_rotations, s, 4096, "success") for s in range(4)]
+    + [("std_conjugate", _std_conjugate, s, 128, "obstruction") for s in range(4)]
+    + [("exotic", _exotic, s, 48, "truncated") for s in range(4)]
+    + [("two_generators", _two_generators, s, 40, None) for s in range(12)])
+
+
+@pytest.mark.parametrize("family, make, seed, max_vertices, kind", ORACLE_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in ORACLE_CASES])
+def test_smooth_group_matches_two_pass_oracle(family, make, seed, max_vertices, kind):
+    G = make(seed)
+    got = smooth_group(G, max_vertices)
+    want = two_pass_smooth(G, max_vertices)
+    if kind is not None:
+        assert want.kind == kind
+    assert (json.dumps(outcome_to_json(got)) == json.dumps(outcome_to_json(want)))
+    assert build_orbit_graph(G, max_vertices) == bfs_orbit_graph(G, max_vertices)
+
+
+def test_oracle_cases_cover_cut_off_components():
+    # expansion order matters where several seeds start components of a
+    # graph cut off at max_vertices: some case must have one
+    many = 0
+    for family, make, seed, max_vertices, _ in ORACLE_CASES:
+        graph = bfs_orbit_graph(make(seed), max_vertices)
+        sol = oracle_potentials(graph)
+        if not graph.closed and not isinstance(sol, Obstruction):
+            many += len(sol[1]) > 1
+    assert many >= 1
+
+
+def test_solve_coboundary_matches_oracle_on_hand_built_graph():
+    p, q = reduce_mod1(F(1, 4)), reduce_mod1(F(3, 4))
+    edges = tuple(Edge(s, "g", sign, t, w)
+                  for s, t, w in ((p, q, F(2)), (q, p, F(1, 2)))
+                  for sign in (1, -1))
+    graph = OrbitGraph(vertices=(p, q), edges=edges, closed=True, seed=(p, q))
+    assert solve_coboundary(graph) == oracle_solve(graph)
+
+
+def test_smooth_stops_at_first_inconsistent_edge():
+    # STD's self-loop at 0 is the first edge the pass reads; at a budget of
+    # a million vertices the whole graph would take minutes to expand
+    outcome = smooth_group(pres(STD), max_vertices=10**6)
+    zero = reduce_mod1(0)
+    assert outcome == Obstruction(cycle=(Edge(zero, "g0", 1, zero, F(1, 3)),),
+                                  expected=F(1), found=F(1, 3))
+
+
+def test_vertex_budget_below_seed_is_rejected():
+    # STD has two breakpoints, so the seed needs two vertices
+    for f in (smooth_group, build_orbit_graph):
+        with pytest.raises(ValueError):
+            f(pres(STD), max_vertices=1)
+    assert smooth_group(pres(STD), max_vertices=2).kind == "obstruction"
