@@ -14,8 +14,10 @@ RationalLike = Union[Fraction, int]
 
 def frac_mod1(q: RationalLike) -> Fraction:
     """Return q - floor(q) as an exact Fraction in [0, 1)."""
-    q = Fraction(q)
-    return q - math.floor(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    f = math.floor(q)
+    return q - f if f else q
 
 
 @dataclass(frozen=True, order=True)

@@ -133,14 +133,16 @@ class PLHomeo:
     def lift_eval(self, t: Fraction) -> Fraction:
         """Evaluate the canonical lift (the one with value of x_0 in [0,1))."""
         i, u, m = self._locate(t)
-        return self._ys[i] + self.slopes[i] * (u - self._xs[i]) + m
+        y = self._ys[i] + self.slopes[i] * (u - self._xs[i])
+        return y + m if m else y
 
     def lift_eval_inverse(self, t: Fraction) -> Fraction:
         y0 = self._ys[0]
         m = math.floor(t - y0)
-        u = t - m
+        u = t - m if m else t
         i = bisect.bisect_right(self._ys, u) - 1
-        return self._xs[i] + (u - self._ys[i]) / self.slopes[i] + m
+        x = self._xs[i] + (u - self._ys[i]) / self.slopes[i]
+        return x + m if m else x
 
     def eval(self, p: CirclePoint) -> CirclePoint:
         return CirclePoint(frac_mod1(self.lift_eval(p.value)))

@@ -1,8 +1,12 @@
 """Exact fixed-point solving and rotation numbers for PL circle maps.
 
 Rational rotation numbers are certified by an exact periodic-point search;
-irrational ones are only bracketed between Farey neighbours.  The
-semi-conjugacy table is explicitly numeric, with stated tolerances.
+otherwise the rotation number is bracketed between Farey neighbours, all
+from one forward orbit of 0.  Each bracket sign is decided by integer
+enclosures of that orbit (interval arithmetic on ints scaled by 2^b), and
+every sign they leave open, equality included, by the exact orbit, so no
+float decides an answer.  The semi-conjugacy table is explicitly numeric,
+with stated tolerances.
 """
 from __future__ import annotations
 
@@ -101,9 +105,58 @@ def _lift_iterate(h: PLHomeo, t: Fraction, n: int) -> Fraction:
     return t
 
 
+# Bits of the integer enclosure; a sign it leaves open is decided by the
+# exact orbit.
+_BITS = 64
+
+
+class _Enclosure:
+    """Integer bounds lo <= 2^b F^n(0) <= hi on the lift orbit of 0.
+
+    F is increasing, so flooring each step keeps a lower bound and ceiling
+    it an upper one.  A breakpoint x_i is held as ceil(x_i 2^b) and piece i,
+    F(u) = s_i u + c_i, as the ints (c_i d_i 2^b, s_i d_i, d_i); for an
+    integer t these give its piece and winding exactly."""
+
+    def __init__(self, h: PLHomeo, b: int):
+        self.b = b
+        one = 1 << b
+        self.xs = [-(-x.numerator * one // x.denominator) for x in h._xs]
+        self.pieces = []
+        for x, y, s in zip(h._xs, h._ys, h.slopes):
+            c = y - s * x
+            d = math.lcm(s.denominator, c.denominator)
+            self.pieces.append((c.numerator * (d // c.denominator) << b,
+                                s.numerator * (d // s.denominator), d))
+        self.n = self.lo = self.hi = 0
+
+    def at(self, q: int) -> Tuple[int, int]:
+        """(lo, hi) at n = q; q never decreases between calls."""
+        b, xs, pieces, x0 = self.b, self.xs, self.pieces, self.xs[0]
+        lo, hi = self.lo, self.hi
+        for _ in range(q - self.n):
+            m = (lo - x0) >> b
+            t = lo - (m << b)
+            c, s, d = pieces[bisect.bisect_right(xs, t) - 1]
+            lo = (s * t + c) // d + (m << b)
+            m = (hi - x0) >> b
+            t = hi - (m << b)
+            c, s, d = pieces[bisect.bisect_right(xs, t) - 1]
+            hi = -(-(s * t + c) // d) + (m << b)
+        self.n, self.lo, self.hi = q, lo, hi
+        return lo, hi
+
+
 def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResult:
     """Exact rotation number when some h^q (q <= max_q) has a periodic point,
-    otherwise a Farey bracket refined `depth` times by exact sign tests."""
+    otherwise a Farey bracket refined `depth` times.
+
+    The bracket is a Stern-Brocot search on one forward lift orbit of 0,
+    since mediant denominators q only grow.  With w = floor(F(0)), the
+    mediant p/q becomes the lower end when F^q(0) > p + wq, the upper end
+    when F^q(0) < p + wq, and the exact answer on equality.  Integer
+    enclosures of the orbit decide each sign; the exact orbit decides those
+    they leave open, equality among them, so no float decides an answer."""
     if max_q < 1 or depth < 1:
         raise ValueError("max_q and depth must be positive")
     power = h
@@ -121,14 +174,24 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
             return RotNumResult(exact=frac_mod1(Fraction(int(p), q)))
         if q < max_q:
             power = power.compose(h)
+    enc = _Enclosure(h, _BITS)
+    n, t = 1, h.lift_eval(Fraction(0))  # the exact orbit, t = F^n(0)
+    # F(0) is no integer, as 0 is not fixed, so F's translation number lies
+    # in [w, w + 1]: the search brackets that of F - w, which is rho mod 1
+    w = math.floor(t)
     lo, hi = Fraction(0), Fraction(1)
-    for d in range(depth):
+    for _ in range(depth):
         p = lo.numerator + hi.numerator
         q = lo.denominator + hi.denominator
-        disp = _lift_iterate(h, Fraction(0), q)
-        if disp > p:
+        target = p + w * q
+        lower, upper = enc.at(q)
+        sign = (lower > target << enc.b) - (upper < target << enc.b)
+        if not sign:
+            t, n = _lift_iterate(h, t, q - n), q
+            sign = (t > target) - (t < target)
+        if sign > 0:
             lo = Fraction(p, q)
-        elif disp < p:
+        elif sign < 0:
             hi = Fraction(p, q)
         else:
             return RotNumResult(exact=frac_mod1(Fraction(p, q)))

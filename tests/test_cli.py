@@ -67,6 +67,16 @@ def test_rotnum_exact_and_bracket():
     assert r.returncode == 0 and "1/3 (exact)" in r.stdout
 
 
+def test_rotnum_deep_exotic_bracket(tmp_path):
+    doc = tmp_path / "exotic.json"
+    doc.write_text(json.dumps({"exotic": {"A": "6/1", "lambda": "2/1"}}))
+    r = run("rotnum", str(doc), "--depth", "30", timeout=60)
+    assert r.returncode == 0
+    assert r.stdout == "[8286/21419, 665/1719] after 30 refinements\n"
+    # rho = log 2 / log 6, so p/q < rho exactly when 6^p < 2^q
+    assert 6 ** 8286 < 2 ** 21419 and 2 ** 1719 < 6 ** 665
+
+
 def test_orbit_norms_csv():
     r = run("orbit-norms", str(FIXTURES / "standard_contracting.json"),
             "-N", "50")

@@ -1,15 +1,88 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plcircle import (ExoticParams, exotic_element, fixed_points,
-                      from_lift_vertices, identity, random_pl, reduce_mod1,
-                      rotation, rotation_number, semiconjugacy_table)
+from plcircle import (ExoticParams, RotNumResult, exotic_element,
+                      fixed_points, from_lift_vertices, identity, random_pl,
+                      reduce_mod1, rotation, rotation_number,
+                      semiconjugacy_table)
+from plcircle import rotnum
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
+BITS = rotnum._BITS
+
+
+def restart_rotation_number(h, max_q=32, depth=16):
+    """Test oracle: rotation_number with the Farey phase as a restart loop,
+    each mediant p/q compared, after the shift by w = floor(F(0)), with
+    F^q(0) computed afresh in exact arithmetic."""
+    power = h
+    for q in range(1, max_q + 1):
+        fs = fixed_points(power)
+        if not fs.is_empty:
+            if fs.full:
+                u = F(0)
+            elif fs.points:
+                u = fs.points[0].value
+            else:
+                u = fs.arcs[0][0].value
+            t = u
+            for _ in range(q):
+                t = h.lift_eval(t)
+            return RotNumResult(exact=F(int(t - u), q) % 1)
+        if q < max_q:
+            power = power.compose(h)
+    w = math.floor(h.lift_eval(F(0)))
+    lo, hi = F(0), F(1)
+    for _ in range(depth):
+        p = lo.numerator + hi.numerator
+        q = lo.denominator + hi.denominator
+        t = F(0)
+        for _ in range(q):
+            t = h.lift_eval(t)
+        if t > p + w * q:
+            lo = F(p, q)
+        elif t < p + w * q:
+            hi = F(p, q)
+        else:
+            return RotNumResult(exact=F(p, q) % 1)
+    return RotNumResult(lo=lo, hi=hi, depth=depth)
+
+
+def count_sign_tests(mp, bits):
+    """Set the enclosure precision to `bits`.  Returns a Counter of the
+    enclosure reads, keyed "enclosure", and of the exact orbit extensions,
+    keyed "exact": one per sign test the enclosure leaves open, in a map
+    with no periodic point of period <= max_q."""
+    mp.setattr(rotnum, "_BITS", bits)
+    counts = Counter()
+    at, lift_iterate = rotnum._Enclosure.at, rotnum._lift_iterate
+
+    def counted_at(self, q):
+        counts["enclosure"] += 1
+        return at(self, q)
+
+    def counted_lift_iterate(h, t, n):
+        counts["exact"] += 1
+        return lift_iterate(h, t, n)
+
+    mp.setattr(rotnum._Enclosure, "at", counted_at)
+    mp.setattr(rotnum, "_lift_iterate", counted_lift_iterate)
+    return counts
+
+
+# a rotation number p/q with q beyond max_q = 4 and within the Farey depth 16,
+# so the bracket search meets the mediant p/q and an exact equality
+hidden_rotations = st.integers(5, 13).flatmap(lambda q: st.sampled_from(
+    [F(p, q) for p in range(1, q) if math.gcd(p, q) == 1]))
+
+# integer (A, lambda) with 1 < lambda < A: rotation number log lambda / log A
+exotic_pairs = st.integers(3, 12).flatmap(
+    lambda A: st.tuples(st.just(A), st.integers(2, A - 1)))
 
 
 def test_fixed_points_identity_full():
@@ -80,6 +153,85 @@ def test_bracket_refinement():
     assert r.hi - r.lo == F(1, r.lo.denominator * r.hi.denominator)
     wider = rotation_number(g, max_q=8, depth=5)
     assert r.hi - r.lo < wider.hi - wider.lo
+
+
+@pytest.mark.parametrize("bits", [BITS, 1])
+@given(seed=st.integers(0, 10**6), alpha=hidden_rotations)
+@settings(max_examples=15, deadline=None)
+def test_farey_phase_matches_restart_oracle_on_hidden_rotations(bits, seed, alpha):
+    phi = random_pl(seed, 3, 16)
+    h = phi.compose(rotation(alpha)).compose(phi.inverse())
+    want = restart_rotation_number(h, max_q=4)
+    assert want == RotNumResult(exact=alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        counts = count_sign_tests(mp, bits)
+        assert rotation_number(h, max_q=4) == want
+    # equality is never decided by an enclosure
+    assert counts["exact"] >= 1
+
+
+@pytest.mark.parametrize("bits", [BITS, 1])
+@given(pair=exotic_pairs, depth=st.integers(1, 18))
+@settings(max_examples=25, deadline=None)
+def test_farey_phase_matches_restart_oracle_on_exotic_pairs(bits, pair, depth):
+    A, lam = pair
+    h = exotic_element(ExoticParams(F(A), F(lam)))
+    want = restart_rotation_number(h, max_q=6, depth=depth)
+    with pytest.MonkeyPatch.context() as mp:
+        count_sign_tests(mp, bits)
+        assert rotation_number(h, max_q=6, depth=depth) == want
+
+
+@given(seed=st.integers(0, 10**6), pair=exotic_pairs)
+@example(seed=47, pair=(10, 7))  # F(0) < 0
+@settings(max_examples=25, deadline=None)
+def test_conjugated_exotic_bracket_closed_form(seed, pair):
+    # a conjugate's canonical lift may have F(0) < 0 and a negative
+    # translation number; the bracket is still of rho mod 1 =
+    # log lam / log A, checked with integers only
+    A, lam = pair
+    phi = random_pl(seed, 3, 16)
+    h = phi.compose(exotic_element(ExoticParams(F(A), F(lam)))).compose(phi.inverse())
+    r = rotation_number(h, max_q=6, depth=12)
+    assert r == restart_rotation_number(h, max_q=6, depth=12)
+    if r.is_exact:
+        assert lam ** r.exact.denominator == A ** r.exact.numerator
+        return
+    a, b = r.lo.numerator, r.lo.denominator
+    c, d = r.hi.numerator, r.hi.denominator
+    assert A ** a < lam ** b and lam ** d < A ** c
+
+
+def test_rotation_number_of_lift_below_zero():
+    phi = random_pl(37244, 3, 16)
+    h = phi.compose(rotation(F(7, 8))).compose(phi.inverse())
+    assert h.lift_eval(F(0)) < 0
+    assert str(rotation_number(h, max_q=4)) == "7/8 (exact)"
+
+
+@pytest.mark.parametrize("alpha", [F(7, 40), F(3, 16)])
+def test_rotation_number_exact_beyond_max_q(alpha):
+    # the orbit of 0 under R(3/16) is dyadic, so its enclosures are exact
+    # and equality meets lower = upper = p 2^b
+    r = rotation_number(rotation(alpha), max_q=8)
+    assert r == restart_rotation_number(rotation(alpha), max_q=8)
+    assert str(r) == f"{alpha} (exact)"
+
+
+@pytest.mark.parametrize("bits", [BITS, 4, 1])
+def test_exotic_bracket_at_each_precision(monkeypatch, bits):
+    counts = count_sign_tests(monkeypatch, bits)
+    r = rotation_number(exotic_element(ExoticParams(F(6), F(2))), depth=21)
+    # the restart loop's bracket
+    assert (r.lo, r.hi, r.depth) == (F(2301, 5948), F(665, 1719), 21)
+    assert counts["enclosure"] == 21
+    if bits == BITS:
+        assert counts["exact"] == 0
+    elif bits == 4:
+        # the enclosure decides some tests and the exact orbit the rest
+        assert 0 < counts["exact"] < 21
+    else:
+        assert counts["exact"] > 0
 
 
 @pytest.mark.parametrize("A, lam, exact", [
