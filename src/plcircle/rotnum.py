@@ -1,16 +1,18 @@
 """Exact fixed-point solving and rotation numbers for PL circle maps.
 
-Rational rotation numbers are certified by an exact periodic-point search;
-otherwise the rotation number is bracketed between Farey neighbours, all
-from one forward orbit of 0.  Each bracket sign is decided by integer
-enclosures of that orbit (interval arithmetic on ints scaled by 2^b), and
-every sign they leave open, equality included, by the exact orbit, so no
-float decides an answer.  The semi-conjugacy table is explicitly numeric,
-with stated tolerances.
+The rotation number comes from one Stern-Brocot descent.  A mediant p/q
+with q <= max_q is tested at every point at once, exactly, on the orbits of
+the breakpoints, so a periodic orbit anywhere gives the exact answer.
+Beyond max_q only the orbit of 0 is followed: integer enclosures of it
+(interval arithmetic on ints scaled by 2^b) decide each sign, and the exact
+orbit every sign they leave open, equality included, so no float decides an
+answer.  The semi-conjugacy table is explicitly numeric, with stated
+tolerances.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,54 +150,60 @@ class _Enclosure:
 
 
 def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResult:
-    """Exact rotation number when some h^q (q <= max_q) has a periodic point,
-    otherwise a Farey bracket refined `depth` times.
+    """Exact rotation number when it is p/q with q <= max_q or the search
+    meets it, otherwise a Farey bracket refined `depth` times.
 
-    The bracket is a Stern-Brocot search on one forward lift orbit of 0,
-    since mediant denominators q only grow.  With w = floor(F(0)), the
-    mediant p/q becomes the lower end when F^q(0) > p + wq, the upper end
-    when F^q(0) < p + wq, and the exact answer on equality.  Integer
-    enclosures of the orbit decide each sign; the exact orbit decides those
-    they leave open, equality among them, so no float decides an answer."""
+    One Stern-Brocot descent on the lift F shifted by w = floor(F(0)): the
+    mediant p/q becomes the lower end when g = F^q - id - p - wq is positive
+    everywhere, the upper end when it is negative everywhere, and else the
+    exact answer (a periodic orbit).  For q <= max_q the gaps g(c) at the
+    breakpoints c of F decide this for every x: g keeps its sign along
+    F-orbits and breaks only on the backward orbits of the c, so a zero of
+    g that no c shares lies inside an affine piece of g whose two ends,
+    and so two of the c, have opposite signs.  The descent goes on past
+    `depth` while q <= max_q, as a p/q between Farey neighbours has q at
+    least the sum of theirs, and returns the bracket of step `depth`.  For
+    q > max_q only x = 0 is tested: integer enclosures of its orbit decide
+    each sign and the exact orbit those they leave open, so no float decides
+    an answer."""
     if max_q < 1 or depth < 1:
         raise ValueError("max_q and depth must be positive")
-    power = h
-    for q in range(1, max_q + 1):
-        fs = fixed_points(power)
-        if not fs.is_empty:
-            if fs.full:
-                u = Fraction(0)
-            elif fs.points:
-                u = fs.points[0].value
-            else:
-                u = fs.arcs[0][0].value
-            p = _lift_iterate(h, u, q) - u
-            assert p == math.floor(p), "winding displacement must be an integer"
-            return RotNumResult(exact=frac_mod1(Fraction(int(p), q)))
-        if q < max_q:
-            power = power.compose(h)
+    # q = 1: the descent never tests the ends 0/1 and 1/1
+    if not fixed_points(h).is_empty:
+        return RotNumResult(exact=Fraction(0))
+    orbits = [[c] for c in h._xs]  # the exact lift orbits of the breakpoints
     enc = _Enclosure(h, _BITS)
-    n, t = 1, h.lift_eval(Fraction(0))  # the exact orbit, t = F^n(0)
+    n, t = 1, h.lift_eval(Fraction(0))  # the exact orbit of 0, t = F^n(0)
     # F(0) is no integer, as 0 is not fixed, so F's translation number lies
     # in [w, w + 1]: the search brackets that of F - w, which is rho mod 1
     w = math.floor(t)
     lo, hi = Fraction(0), Fraction(1)
-    for _ in range(depth):
+    for step in itertools.count():
         p = lo.numerator + hi.numerator
         q = lo.denominator + hi.denominator
+        if step == depth:
+            bracket = RotNumResult(lo=lo, hi=hi, depth=depth)
+        if step >= depth and q > max_q:
+            return bracket
         target = p + w * q
-        lower, upper = enc.at(q)
-        sign = (lower > target << enc.b) - (upper < target << enc.b)
-        if not sign:
-            t, n = _lift_iterate(h, t, q - n), q
-            sign = (t > target) - (t < target)
+        if q <= max_q:
+            for orbit in orbits:
+                while len(orbit) <= q:
+                    orbit.append(h.lift_eval(orbit[-1]))
+            gaps = [orbit[q] - orbit[0] for orbit in orbits]
+            sign = (min(gaps) > target) - (max(gaps) < target)
+        else:
+            lower, upper = enc.at(q)
+            sign = (lower > target << enc.b) - (upper < target << enc.b)
+            if not sign:
+                t, n = _lift_iterate(h, t, q - n), q
+                sign = (t > target) - (t < target)
         if sign > 0:
             lo = Fraction(p, q)
         elif sign < 0:
             hi = Fraction(p, q)
         else:
-            return RotNumResult(exact=frac_mod1(Fraction(p, q)))
-    return RotNumResult(lo=lo, hi=hi, depth=depth)
+            return RotNumResult(exact=Fraction(p, q))
 
 
 def semiconjugacy_table(h: PLHomeo, n_samples: int, n_iter: int

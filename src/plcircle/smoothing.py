@@ -10,7 +10,6 @@ phi g phi^{-1} has no breakpoints, hence is a rotation.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Optional, Tuple, Union
@@ -326,6 +325,8 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     """
     if max_period < 1:
         raise ValueError("max_period must be positive")
+    if max_orbit < 1:
+        raise ValueError("max_orbit must be positive")
     maps = []
     for _, g in G.generators:
         maps.append(g)
@@ -360,26 +361,12 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     # is then a candidate for a finite group orbit
     if identity_word_seen:
         candidates.append(CirclePoint(Fraction(0)))
-    tried = set()
-    for p in candidates:
-        if p in tried:
-            continue
-        tried.add(p)
-        orbit = {p}
-        queue = deque([p])
-        bounded = True
-        while queue and bounded:
-            v = queue.popleft()
-            for g in maps:
-                w = g.eval(v)
-                if w not in orbit:
-                    if len(orbit) >= max_orbit:
-                        bounded = False
-                        break
-                    orbit.add(w)
-                    queue.append(w)
-        if bounded:
-            return tuple(sorted(orbit))
+    for p in dict.fromkeys(candidates):
+        o = _Orbits([p.value], [(None, g) for g in maps], max_orbit)
+        while len(o.rows) < len(o.pts) <= max_orbit:
+            o.expand(len(o.rows))
+        if len(o.pts) <= max_orbit:
+            return tuple(CirclePoint(x) for x in sorted(o.pts))
     return None
 
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -12,11 +13,14 @@ from hypothesis import strategies as st
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
+# the CLI subprocesses import plcircle from this checkout
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def run(*args, **kw):
     return subprocess.run([sys.executable, "-m", "plcircle.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=ENV, **kw)
 
 
 def test_show_table():
@@ -111,20 +115,17 @@ def test_smooth_obstruction_exit_one():
     assert doc["found"] != doc["expected"]
 
 
-def test_finite_orbit_exit_codes():
+def test_finite_orbit_exit_codes(tmp_path):
     ok = run("finite-orbit", str(FIXTURES / "fixed_jump_obstruction.json"))
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["finite_orbit"] == ["0/1"]
     # irrational-type element: no finite orbit exists
-    irr = FIXTURES.parent / "tests" / "_tmp_irr.json"
+    irr = tmp_path / "irr.json"
     grp = {"generators": {"g": {"exotic": {"A": "5/1", "lambda": "2/1"}}}}
     irr.write_text(json.dumps(grp))
-    try:
-        none = run("finite-orbit", str(irr), "--max-period", "4")
-        assert none.returncode == 1
-        assert json.loads(none.stdout)["finite_orbit"] is None
-    finally:
-        irr.unlink()
+    none = run("finite-orbit", str(irr), "--max-period", "4")
+    assert none.returncode == 1
+    assert json.loads(none.stdout)["finite_orbit"] is None
 
 
 def test_cb_rank_two_level_tree():
@@ -211,7 +212,8 @@ def test_broken_pipe_reader_closes_early():
     # is still writing when the reader closes after one line
     p = subprocess.Popen([sys.executable, "-m", "plcircle.cli", "orbit-norms",
                           str(FIXTURES / "rotation_one_third.json"), "-N", "20000"],
-                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                         env=ENV)
     assert p.stdout.readline().startswith("# ")
     p.stdout.close()
     err = p.stderr.read()

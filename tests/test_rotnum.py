@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plcircle import (ExoticParams, RotNumResult, exotic_element,
+from plcircle import (ExoticParams, PLHomeo, RotNumResult, exotic_element,
                       fixed_points, from_lift_vertices, identity, random_pl,
                       reduce_mod1, rotation, rotation_number,
                       semiconjugacy_table)
@@ -218,20 +218,116 @@ def test_rotation_number_exact_beyond_max_q(alpha):
     assert str(r) == f"{alpha} (exact)"
 
 
-@pytest.mark.parametrize("bits", [BITS, 4, 1])
+@pytest.mark.parametrize("bits", [BITS, 16, 1])
 def test_exotic_bracket_at_each_precision(monkeypatch, bits):
     counts = count_sign_tests(monkeypatch, bits)
     r = rotation_number(exotic_element(ExoticParams(F(6), F(2))), depth=21)
     # the restart loop's bracket
     assert (r.lo, r.hi, r.depth) == (F(2301, 5948), F(665, 1719), 21)
-    assert counts["enclosure"] == 21
+    # mediants 1/2 ... 12/31 have q <= max_q = 32 and are tested exactly on
+    # the breakpoint orbits; the other 14 read the enclosure
+    assert counts["enclosure"] == 14
     if bits == BITS:
         assert counts["exact"] == 0
-    elif bits == 4:
+    elif bits == 16:
         # the enclosure decides some tests and the exact orbit the rest
-        assert 0 < counts["exact"] < 21
+        assert 0 < counts["exact"] < 14
     else:
-        assert counts["exact"] > 0
+        assert counts["exact"] == 14
+
+
+@given(seed=st.integers(0, 10**6), k=st.integers(1, 5),
+       max_q=st.integers(1, 16), depth=st.integers(1, 16))
+@example(seed=3, k=4, max_q=24, depth=16)  # rho = 13/23
+@example(seed=4, k=5, max_q=3, depth=1)  # rho = 1/3, met past depth
+@settings(max_examples=100, deadline=None)
+def test_descent_matches_restart_oracle_on_random_maps(seed, k, max_q, depth):
+    # a rational rotation number p/q is often carried by a periodic orbit
+    # that misses 0; then only the test over every x finds it
+    h = random_pl(seed, k, 32)
+    want = restart_rotation_number(h, max_q=max_q, depth=depth)
+    assert rotation_number(h, max_q=max_q, depth=depth) == want
+
+
+def gap_signs(h, q, js):
+    """For each p in 1..q-1, the sign of g = F^q - id - p - wq over the
+    points F^-j(c), j in js, c a breakpoint of F: 0 when g vanishes or
+    changes sign on them."""
+    w = math.floor(h.lift_eval(F(0)))
+    gaps = []
+    for c in h._xs:
+        fwd, bwd = [c], [c]
+        for _ in range(q):
+            fwd.append(h.lift_eval(fwd[-1]))
+            bwd.append(h.lift_eval_inverse(bwd[-1]))
+        gaps += [fwd[q - j] - bwd[j] for j in js]
+    return [(min(gaps) > p + w * q) - (max(gaps) < p + w * q) for p in range(1, q)]
+
+
+@given(seed=st.integers(0, 10**6), k=st.integers(1, 6), q=st.integers(2, 12))
+@example(seed=3, k=4, q=23)  # rho = 13/23
+@settings(max_examples=60, deadline=None)
+def test_breakpoints_of_the_map_decide_every_sign(seed, k, q):
+    # the F^-j(c), j < q, are the breakpoints of F^q, where the PL map g is
+    # extreme, so they give its sign everywhere; rotation_number reads the
+    # gaps F^q(c) - c at j = 0 alone
+    h = random_pl(seed, k, 32)
+    assert gap_signs(h, q, [0]) == gap_signs(h, q, range(q))
+
+
+@pytest.mark.parametrize("seed, k, rho", [(3, 4, F(13, 23)), (4, 5, F(1, 3))])
+def test_exact_where_zero_is_not_periodic(seed, k, rho):
+    h = random_pl(seed, k, 32)
+    assert rotation_number(h) == RotNumResult(exact=rho)
+    t = F(0)
+    for _ in range(rho.denominator):
+        t = h.lift_eval(t)
+    assert t != math.floor(t)
+
+
+def test_exact_on_a_semistable_orbit_through_one_breakpoint():
+    # {0, 1/2} is the only periodic orbit, and F^2 - id - 1 >= 0 touches 0
+    # there alone: the gap at the breakpoint 0 is 0, the other four positive
+    h = from_lift_vertices([(0, F(1, 2)), (F(1, 8), F(11, 16)), (F(3, 8), F(7, 8)),
+                            (F(5, 8), F(9, 8)), (F(7, 8), F(23, 16))])
+    assert fixed_points(h.compose(h)).points == (reduce_mod1(0), reduce_mod1(F(1, 2)))
+    assert gap_signs(h, 2, [0]) == [0]
+    want = RotNumResult(exact=F(1, 2))
+    assert rotation_number(h) == restart_rotation_number(h) == want
+
+
+def test_exact_past_depth():
+    # the descent goes on past depth while q <= max_q, so a rational
+    # rotation number within max_q is exact at any depth
+    phi = random_pl(3, 4, 32)
+    h = phi.compose(rotation(F(1, 32))).compose(phi.inverse())
+    assert rotation_number(h, depth=1) == RotNumResult(exact=F(1, 32))
+    assert restart_rotation_number(h, depth=1) == RotNumResult(exact=F(1, 32))
+    # and the bracket returned is the one of step depth
+    r = rotation_number(rotation(F(1, 33)), max_q=32, depth=1)
+    assert r == RotNumResult(lo=F(0), hi=F(1, 2), depth=1)
+    assert r == restart_rotation_number(rotation(F(1, 33)), max_q=32, depth=1)
+
+
+@pytest.mark.parametrize("alpha", [F(3, 8), None])
+def test_rotation_number_composes_no_power(monkeypatch, alpha):
+    g = rotation(alpha) if alpha else exotic_element(ExoticParams(F(6), F(2)))
+    phi = random_pl(21, 8, 64)
+    h = phi.compose(g).compose(phi.inverse())
+    want = restart_rotation_number(h)
+    fixed_point_calls = []
+
+    def no_compose(self, other):
+        raise AssertionError("rotation_number composed two maps")
+
+    def counted_fixed_points(f):
+        fixed_point_calls.append(f)
+        return fixed_points(f)
+
+    monkeypatch.setattr(PLHomeo, "compose", no_compose)
+    monkeypatch.setattr(rotnum, "fixed_points", counted_fixed_points)
+    assert rotation_number(h) == want
+    assert fixed_point_calls == [h]
 
 
 @pytest.mark.parametrize("A, lam, exact", [

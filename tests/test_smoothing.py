@@ -11,9 +11,9 @@ from plcircle import (Edge, FiniteVector, GroupPresentation, Obstruction,
                       OrbitGraph, Success, SynthesisInfeasible, Truncated,
                       build_orbit_graph, commensuration_defect,
                       detect_finite_orbit, exotic_element, ExoticParams,
-                      from_lift_vertices, identity, jump_cocycle, random_pl,
-                      reduce_mod1, rotation, smooth_group, solve_coboundary,
-                      synthesize_conjugator)
+                      fixed_points, from_lift_vertices, identity, jump_cocycle,
+                      random_pl, reduce_mod1, rotation, smooth_group,
+                      solve_coboundary, synthesize_conjugator)
 from plcircle.io import outcome_to_json
 from plcircle.smoothing import _gcd_coefficients, _nth_root
 
@@ -184,6 +184,117 @@ def test_finite_orbit_exotic_period_two():
 def test_finite_orbit_none_for_irrational_type():
     g = exotic_element(ExoticParams(F(5), F(2)))
     assert detect_finite_orbit(pres(g), 6) is None
+
+
+def bfs_detect_finite_orbit(G, max_period, max_orbit=512, max_words=2000):
+    """Test oracle: the finite-orbit search with each candidate's orbit
+    closed by its own breadth-first search over CirclePoint sets."""
+    maps = []
+    for _, g in G.generators:
+        maps.append(g)
+        maps.append(g.inverse())
+    seen = {identity()}
+    frontier = [identity()]
+    candidates = []
+    identity_word_seen = False
+    for _ in range(max_period):
+        nxt = []
+        for w in frontier:
+            for g in maps:
+                gw = g.compose(w)
+                if gw.is_identity:
+                    identity_word_seen = True
+                if gw in seen:
+                    continue
+                seen.add(gw)
+                nxt.append(gw)
+                fs = fixed_points(gw)
+                if fs.full:
+                    identity_word_seen = True
+                candidates.extend(fs.points)
+                for s, t in fs.arcs:
+                    candidates.extend((s, t))
+            if len(seen) > max_words:
+                break
+        frontier = nxt
+        if not frontier or len(seen) > max_words:
+            break
+    if identity_word_seen:
+        candidates.append(reduce_mod1(0))
+    tried = set()
+    for p in candidates:
+        if p in tried:
+            continue
+        tried.add(p)
+        orbit = {p}
+        queue = deque([p])
+        bounded = True
+        while queue and bounded:
+            v = queue.popleft()
+            for g in maps:
+                w = g.eval(v)
+                if w not in orbit:
+                    if len(orbit) >= max_orbit:
+                        bounded = False
+                        break
+                    orbit.add(w)
+                    queue.append(w)
+        if bounded:
+            return tuple(sorted(orbit))
+    return None
+
+
+def _finite_orbit_group(seed):
+    """A group with a finite orbit of 1 to 6 points, or a pair of random
+    maps, which usually has none."""
+    phi = random_pl(seed, 2, 16)
+    kind = seed % 4
+    if kind == 0:
+        return pres(_conjugate(phi, rotation(F(1, 2 + seed % 5))))
+    if kind == 1:
+        return pres(*(_conjugate(phi, rotation(a)) for a in (F(1, 2), F(1, 3))))
+    if kind == 2:
+        return pres(_conjugate(phi, STD))
+    return pres(random_pl(seed, 2, 16), random_pl(seed + 500, 1, 16))
+
+
+FINITE_ORBIT_BUDGETS = (1, 2, 3, 5, 8)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_finite_orbit_matches_bfs_oracle(seed):
+    # small max_orbit budgets cut some candidate orbits off
+    G = _finite_orbit_group(seed)
+    for max_orbit in FINITE_ORBIT_BUDGETS:
+        assert (detect_finite_orbit(G, 2, max_orbit=max_orbit)
+                == bfs_detect_finite_orbit(G, 2, max_orbit=max_orbit))
+
+
+def test_finite_orbit_after_a_cut_off_candidate():
+    # a fixes 0, 1/4 and 3/4 and pushes 1/2 towards 3/4; with R(1/2) the
+    # first candidate, 0, has an infinite orbit and the next, 1/4, a finite one
+    a = from_lift_vertices([(0, 0), (F(1, 8), F(1, 32)), (F(1, 4), F(1, 4)),
+                            (F(1, 2), F(5, 8)), (F(3, 4), F(3, 4)),
+                            (F(7, 8), F(15, 16))])
+    G = GroupPresentation((("a", a), ("b", rotation(F(1, 2)))))
+    want = (reduce_mod1(F(1, 4)), reduce_mod1(F(3, 4)))
+    for max_orbit in FINITE_ORBIT_BUDGETS[1:]:
+        assert detect_finite_orbit(G, 1, max_orbit=max_orbit) == want
+        assert bfs_detect_finite_orbit(G, 1, max_orbit=max_orbit) == want
+    assert detect_finite_orbit(G, 1, max_orbit=1) is None
+
+
+def test_finite_orbit_oracle_cases_reach_the_cut_off():
+    # some group must have an orbit that the smallest budgets cut off
+    found = [[bfs_detect_finite_orbit(_finite_orbit_group(seed), 2, max_orbit=m)
+              for m in FINITE_ORBIT_BUDGETS] for seed in range(16)]
+    assert any(r[0] is None and r[-1] is not None for r in found)
+
+
+def test_finite_orbit_rejects_empty_budgets():
+    for max_period, max_orbit in ((0, 512), (4, 0)):
+        with pytest.raises(ValueError):
+            detect_finite_orbit(pres(STD), max_period, max_orbit=max_orbit)
 
 
 # -------------------------------------------------------------- full pipeline
