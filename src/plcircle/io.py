@@ -1,6 +1,6 @@
-"""JSON (de)serialization for elements, groups, assignments, outcomes and
-symbolic sets.  Rationals travel as "p/q" strings in canonical lowest terms
-with positive denominator."""
+"""JSON (de)serialization for elements, groups, outcomes and symbolic sets.
+Rationals travel as "p/q" strings in canonical lowest terms with positive
+denominator."""
 from __future__ import annotations
 
 import json
@@ -10,7 +10,6 @@ from typing import Any, Dict
 
 from . import cantor_bendixson as cb
 from .circle import CirclePoint, frac_mod1
-from .cocycle import FiniteVector
 from .homeo import (ExoticParams, InvalidHomeoError, PLHomeo, exotic_element,
                     from_lift_vertices, rotation)
 from .smoothing import Edge, GroupPresentation
@@ -103,14 +102,6 @@ def group_from_json(obj) -> GroupPresentation:
         except FormatError as exc:
             raise FormatError(f'generator "{name}": {exc}') from None
     return GroupPresentation(tuple(items))
-
-
-def group_to_json(G: GroupPresentation) -> Dict[str, Any]:
-    return {"generators": {name: element_to_json(g) for name, g in G.generators}}
-
-
-def assignment_to_json(a: FiniteVector) -> Dict[str, str]:
-    return {format_rational(p.value): format_rational(v) for p, v in a.entries}
 
 
 def _edge_to_json(e: Edge) -> Dict[str, Any]:

@@ -1,11 +1,13 @@
-"""Breakpoint-orbit machinery: commensuration defects, orbit graphs, the
-multiplicative coboundary problem over them, conjugator synthesis, and the
-full conjugation pipeline turning a group of PL maps into rotations.
+"""Breakpoint-orbit machinery: commensuration defects, the multiplicative
+coboundary problem over the orbit graph of the generator breakpoints,
+conjugator synthesis, and the conjugation pipeline turning a group of PL
+maps into rotations.
 
-The constraint solved over an orbit graph is a_y = J(g, y) * a_{g(y)} for
+The constraint solved over the orbit graph is a_y = J(g, y) * a_{g(y)} for
 every generator edge, where J is the derivative jump.  A product-one
-solution is realized as the jump vector of a PL conjugator phi, and then
-phi g phi^{-1} has no breakpoints, hence is a rotation.
+solution is realized as the jump vector of a PL conjugator phi; by the chain
+rule phi g phi^{-1} then has no breakpoints, so it is the rotation by
+phi(g(y)) - phi(y) for any y, read off without composing.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 from .circle import CirclePoint, frac_mod1
 from .cocycle import FiniteVector
-from .homeo import PLHomeo, identity
+from .homeo import PLHomeo, identity, rotation
 from .rotnum import fixed_points
 
 
@@ -33,15 +35,12 @@ class GroupPresentation:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
 
-    @classmethod
-    def from_dict(cls, d) -> "GroupPresentation":
-        return cls(tuple(d.items()))
-
 
 def commensuration_defect(g: PLHomeo) -> int:
     """|BP(g)| + |BP(g^{-1})|: the size of the symmetric difference of the
-    trivial commensurated section and its translate."""
-    return len(g.breakpoints) + len(g.inverse().breakpoints)
+    trivial commensurated section and its translate.  BP(g^{-1}) = g(BP(g)),
+    so both terms are |BP(g)|."""
+    return 2 * len(g.breakpoints)
 
 
 @dataclass(frozen=True)
@@ -55,20 +54,6 @@ class Edge:
     def reverse(self) -> "Edge":
         """The same step walked backwards; its jump is 1/weight (chain rule)."""
         return Edge(self.target, self.gen, -self.sign, self.source, 1 / self.weight)
-
-
-@dataclass(frozen=True)
-class OrbitGraph:
-    """Every vertex is expanded: `edges` holds its out-edge for each generator
-    and each inverse, so the reverse of every edge is an out-edge of its
-    target.  In a truncated graph some edges lead to `escaping` points.
-    smooth_group expands it on demand and stops at the first inconsistent edge."""
-
-    vertices: Tuple[CirclePoint, ...]
-    edges: Tuple[Edge, ...]
-    closed: bool
-    seed: Tuple[CirclePoint, ...]
-    escaping: Tuple[CirclePoint, ...] = ()
 
 
 class _Orbits:
@@ -123,17 +108,6 @@ class _Orbits:
         return Edge(CirclePoint(self.pts[v]), gen, sign, CirclePoint(self.pts[t]), w)
 
 
-def build_orbit_graph(G: GroupPresentation, max_vertices: int = 4096) -> OrbitGraph:
-    """Breadth-first closure of the union of generator breakpoints under all
-    generators and inverses, cut off at max_vertices."""
-    o = _Orbits.of_group(G, max_vertices)
-    o.expand(max_vertices - 1)
-    vertices = tuple(CirclePoint(x) for x in o.pts[:max_vertices])
-    edges = tuple(o.edge(v, out) for v, row in enumerate(o.rows) for out in row)
-    return OrbitGraph(vertices, edges, len(o.pts) <= max_vertices, vertices[:o.n_seed],
-                      o.escaping)
-
-
 @dataclass(frozen=True)
 class Obstruction:
     """An exactly inconsistent cycle: a closed walk, each edge listed in the
@@ -172,24 +146,6 @@ def _nth_root(q: Fraction, n: int) -> Optional[Fraction]:
     if a is None or b is None or a == 0:
         return None
     return Fraction(a, b)
-
-
-def solve_coboundary(graph: OrbitGraph):
-    """Solve a_y = J(g, y) * a_{g(y)} over a closed orbit graph.
-
-    Returns a product-one FiniteVector, an Obstruction carrying an
-    inconsistent cycle, or SynthesisInfeasible if no rational rescaling
-    can normalize the product.
-    """
-    if not graph.closed:
-        raise ValueError("cannot solve a truncated orbit graph")
-    o = _Orbits([v.value for v in graph.vertices], (), len(graph.vertices))
-    o.rows = [[] for _ in o.pts]
-    for e in graph.edges:
-        key = (e.target.value.numerator, e.target.value.denominator)
-        o.rows[o._intern(e.source.value)].append(
-            (o.ids.get(key, len(o.pts)), e.weight, (e.gen, e.sign)))
-    return _solve(o)
 
 
 def _gcd_coefficients(sizes: List[int]) -> List[int]:
@@ -361,12 +317,18 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     # is then a candidate for a finite group orbit
     if identity_word_seen:
         candidates.append(CirclePoint(Fraction(0)))
+    # keys of points on orbits known to exceed max_orbit: a candidate among
+    # them shares such an orbit, so closing it again cannot succeed
+    cut_off = set()
     for p in dict.fromkeys(candidates):
+        if (p.value.numerator, p.value.denominator) in cut_off:
+            continue
         o = _Orbits([p.value], [(None, g) for g in maps], max_orbit)
         while len(o.rows) < len(o.pts) <= max_orbit:
             o.expand(len(o.rows))
         if len(o.pts) <= max_orbit:
             return tuple(CirclePoint(x) for x in sorted(o.pts))
+        cut_off.update(o.ids)
     return None
 
 
@@ -393,21 +355,27 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     """Full pipeline: orbit graph, coboundary solve, conjugator synthesis.
 
     One pass expands the orbit graph only as far as the potentials sweep
-    reads it and stops at the first inconsistent edge, the one that
-    solve_coboundary would report on build_orbit_graph(G, max_vertices); such
-    a cycle certifies unsolvability even in a truncated graph.  On success
-    every conjugated generator has no breakpoint: it is a rotation.  Finite
-    orbits are not searched for (see detect_finite_orbit)."""
+    reads it and stops at the first inconsistent edge; such a cycle
+    certifies unsolvability even in a truncated graph.  Finite orbits are
+    not searched for (see detect_finite_orbit).
+
+    On success each conjugate is read off phi, with no composition.  Let V
+    be the closed vertex set and a the product-one solution, supported in V;
+    phi = synthesize_conjugator(a) has jump vector exactly a (criterion 09).
+    For every generator g and every x, by the chain rule,
+        J(phi g phi^{-1}, phi(x)) = J(phi, g(x)) * J(g, x) / J(phi, x).
+    V holds BP(g) and is closed under g and g^{-1}.  For x in V the right
+    side is a(g(x)) * J(g, x) / a(x) = 1: the pass checks every non-tree
+    edge, tree edges hold by construction, and rescaling a component by a
+    constant keeps them.  For x off V, g(x) is off V too and every factor
+    is 1.  So phi g phi^{-1} has no breakpoint: it is the rotation by
+    phi(g(y)) - phi(y), for any y."""
     sol = _solve(_Orbits.of_group(G, max_vertices))
     if not isinstance(sol, FiniteVector):
         return sol
     phi = synthesize_conjugator(sol)
-    phi_inv = phi.inverse()
-    conjugated = []
-    for name, g in G.generators:
-        c = phi.compose(g).compose(phi_inv)
-        assert not c.breakpoints, (
-            "conjugate retains breakpoints after a successful solve; "
-            "this indicates a bug in the solver or synthesis")
-        conjugated.append((name, c))
-    return Success(phi=phi, conjugated=tuple(conjugated))
+    zero = CirclePoint(Fraction(0))
+    phi_zero = phi.eval(zero)
+    return Success(phi=phi, conjugated=tuple(
+        (name, rotation(phi.eval(g.eval(zero)) - phi_zero))
+        for name, g in G.generators))

@@ -18,7 +18,6 @@ from plcircle import (ExoticParams, FiniteVector, GroupPresentation, Leaf,
                       identity, jump_cocycle, l2_norm_sq, nested_limit,
                       orbit_norm_seq, random_pl, realize, reduce_mod1,
                       rotation, rotation_number, smooth_group,
-                      solve_coboundary, build_orbit_graph,
                       synthesize_conjugator)
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])

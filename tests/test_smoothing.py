@@ -2,20 +2,26 @@
 
 import json
 import math
-from collections import deque
+import pathlib
+from collections import deque, namedtuple
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcircle import (Edge, FiniteVector, GroupPresentation, Obstruction,
-                      OrbitGraph, Success, SynthesisInfeasible, Truncated,
-                      build_orbit_graph, commensuration_defect,
-                      detect_finite_orbit, exotic_element, ExoticParams,
-                      fixed_points, from_lift_vertices, identity, jump_cocycle,
-                      random_pl, reduce_mod1, rotation, smooth_group,
-                      solve_coboundary, synthesize_conjugator)
-from plcircle.io import outcome_to_json
-from plcircle.smoothing import _gcd_coefficients, _nth_root
+                      PLHomeo, Success, SynthesisInfeasible, Truncated,
+                      commensuration_defect, detect_finite_orbit,
+                      exotic_element, ExoticParams, fixed_points,
+                      from_lift_vertices, identity, jump_cocycle, random_pl,
+                      reduce_mod1, rotation, smooth_group,
+                      synthesize_conjugator)
+from plcircle import smoothing
+from plcircle.io import group_from_json, load_json, outcome_to_json
+from plcircle.smoothing import _Orbits, _gcd_coefficients, _nth_root, _solve
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
 
@@ -37,40 +43,12 @@ def test_defect_exotic():
     assert commensuration_defect(g) == 4
 
 
-# ---------------------------------------------------------------- orbit graphs
-
-def test_orbit_graph_rotations_empty():
-    G = build_orbit_graph(pres(rotation(F(1, 3))))
-    assert G.closed and G.vertices == ()
-
-
-def test_orbit_graph_standard_never_closes():
-    # the breakpoint at 1/2 has an infinite forward orbit under x -> x/2
-    G = build_orbit_graph(pres(STD), max_vertices=64)
-    assert not G.closed
-    assert len(G.vertices) >= 64
-
-
-def test_orbit_graph_finite_closure():
-    phi = random_pl(7, 3, 16)
-    g = phi.compose(rotation(F(1, 4))).compose(phi.inverse())
-    G = build_orbit_graph(pres(g))
-    assert G.closed
-    # breakpoints of g live on finitely many period-4 orbits of the rotation
-    assert len(G.vertices) % 1 == 0 and len(G.vertices) > 0
-    names = {v for v in G.vertices}
-    for e in G.edges:
-        assert e.source in names and e.target in names
-
-
-def test_orbit_graph_edge_weights_are_jumps():
-    phi = random_pl(3, 2, 16)
-    g = phi.compose(rotation(F(1, 3))).compose(phi.inverse())
-    G = build_orbit_graph(pres(g))
-    for e in G.edges:
-        if e.sign == 1:
-            assert e.weight == g.jump(e.source)
-            assert g.eval(e.source) == e.target
+@given(st.integers(0, 10**6), st.integers(1, 8), st.integers(8, 64))
+@settings(max_examples=100, deadline=None)
+def test_defect_matches_inverse_breakpoints(seed, k, denom_bound):
+    # oracle: count the breakpoints of the inverse instead of g(BP(g))
+    g = random_pl(seed, k, denom_bound)
+    assert commensuration_defect(g) == len(g.breakpoints) + len(g.inverse().breakpoints)
 
 
 # ------------------------------------------------------------ coboundary solve
@@ -78,41 +56,22 @@ def test_orbit_graph_edge_weights_are_jumps():
 def test_solve_single_conjugated_rotation_roundtrip():
     phi = random_pl(11, 4, 32)
     g = phi.compose(rotation(F(1, 3))).compose(phi.inverse())
-    G = build_orbit_graph(pres(g))
-    a = solve_coboundary(G)
-    assert a is not None and not isinstance(a, tuple)
-    # coboundary equation a(y) = J(g, y) * a(g y) at every known vertex
-    for y in G.vertices:
+    outcome = smooth_group(pres(g))
+    assert outcome.kind == "success"
+    a = jump_cocycle(outcome.phi)
+    # coboundary equation a(y) = J(g, y) * a(g y) at every vertex of the graph
+    for y in bfs_orbit_graph(pres(g), 4096).vertices:
         assert a.value_at(y) == g.jump(y) * a.value_at(g.eval(y))
     assert a.product() == 1
 
 
 def test_solve_obstruction_self_loop():
     # jump at a fixed point: a(0) = J(0) * a(0) forces J(0) = 1, but J(0) = 1/3
-    G = build_orbit_graph(pres(STD), max_vertices=64)
     outcome = smooth_group(pres(STD))
     assert outcome.kind == "obstruction"
     assert outcome.expected == 1
     assert outcome.found == F(1, 3)
     assert outcome.cycle[0].source == outcome.cycle[-1].target == reduce_mod1(0)
-
-
-def test_solve_infeasible_on_hand_built_graph():
-    # a(1/4) = 2 a(3/4) is consistent, but the product a(1/4) a(3/4) = 1/2
-    # of the solution with a(1/4) = 1 has no rational square root
-    p, q = reduce_mod1(F(1, 4)), reduce_mod1(F(3, 4))
-    edges = tuple(Edge(s, "g", sign, t, w)
-                  for s, t, w in ((p, q, F(2)), (q, p, F(1, 2)))
-                  for sign in (1, -1))
-    graph = OrbitGraph(vertices=(p, q), edges=edges, closed=True, seed=(p, q))
-    assert solve_coboundary(graph) == SynthesisInfeasible(
-        total_product=F(1, 2), component_sizes=(2,))
-
-
-def test_solve_rejects_truncated():
-    G = build_orbit_graph(pres(STD), max_vertices=64)
-    with pytest.raises(ValueError):
-        solve_coboundary(G)
 
 
 # ------------------------------------------------------------------- synthesis
@@ -186,13 +145,18 @@ def test_finite_orbit_none_for_irrational_type():
     assert detect_finite_orbit(pres(g), 6) is None
 
 
-def bfs_detect_finite_orbit(G, max_period, max_orbit=512, max_words=2000):
-    """Test oracle: the finite-orbit search with each candidate's orbit
-    closed by its own breadth-first search over CirclePoint sets."""
+def _generator_maps(G):
     maps = []
     for _, g in G.generators:
         maps.append(g)
         maps.append(g.inverse())
+    return maps
+
+
+def oracle_candidates(G, max_period, max_words=2000):
+    """The fixed points of short words that the finite-orbit search tries,
+    in the order it tries them, repeats included."""
+    maps = _generator_maps(G)
     seen = {identity()}
     frontier = [identity()]
     candidates = []
@@ -221,8 +185,15 @@ def bfs_detect_finite_orbit(G, max_period, max_orbit=512, max_words=2000):
             break
     if identity_word_seen:
         candidates.append(reduce_mod1(0))
+    return candidates
+
+
+def bfs_detect_finite_orbit(G, max_period, max_orbit=512, max_words=2000):
+    """Test oracle: the finite-orbit search with each candidate's orbit
+    closed by its own breadth-first search over CirclePoint sets."""
+    maps = _generator_maps(G)
     tried = set()
-    for p in candidates:
+    for p in oracle_candidates(G, max_period, max_words):
         if p in tried:
             continue
         tried.add(p)
@@ -291,6 +262,27 @@ def test_finite_orbit_oracle_cases_reach_the_cut_off():
     assert any(r[0] is None and r[-1] is not None for r in found)
 
 
+def test_finite_orbit_skips_candidates_on_cut_off_orbits(monkeypatch):
+    # of this pair's 11 distinct candidates, 4 lie on orbits that an earlier
+    # closure cut off at max_orbit
+    G = pres(STD, random_pl(0, 4, 32))
+    closures = []
+
+    class CountingOrbits(_Orbits):
+        def __init__(self, *args):
+            super().__init__(*args)
+            closures.append(self)
+
+    monkeypatch.setattr(smoothing, "_Orbits", CountingOrbits)
+    got = detect_finite_orbit(G, 2, max_orbit=8)
+    assert got == bfs_detect_finite_orbit(G, 2, max_orbit=8)
+    assert len(closures) < len(set(oracle_candidates(G, 2)))
+    # no closure starts on a point an earlier closure explored
+    for i, o in enumerate(closures):
+        x = o.pts[0]
+        assert all((x.numerator, x.denominator) not in e.ids for e in closures[:i])
+
+
 def test_finite_orbit_rejects_empty_budgets():
     for max_period, max_orbit in ((0, 512), (4, 0)):
         with pytest.raises(ValueError):
@@ -315,6 +307,45 @@ def test_smooth_conjugated_rotation_pair():
     assert all(h.breakpoints == () for h in back)
     assert back[0] == rotation(F(1, 3))
     assert back[1] == rotation(F(1, 5))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: group_from_json(load_json(str(FIXTURES / "conjugated_rotations.json"))),
+    lambda: _hidden_rotations(0)], ids=["fixture", "hidden_rotations"])
+def test_smooth_group_composes_nothing(monkeypatch, make):
+    # each conjugate is read off phi; the only maps inverted are the
+    # generators, whose inverses step the orbit graph
+    G = make()
+    inverse, inverted = PLHomeo.inverse, []
+
+    def compose(self, other):
+        raise AssertionError("smooth_group composed two maps")
+
+    def recording_inverse(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(PLHomeo, "compose", compose)
+    monkeypatch.setattr(PLHomeo, "inverse", recording_inverse)
+    assert smooth_group(G).kind == "success"
+    assert inverted == [g for _, g in G.generators]
+
+
+rotation_amounts = st.tuples(st.integers(0, 6), st.integers(1, 7)).map(
+    lambda t: F(t[0] % t[1], t[1]))
+
+
+@given(st.integers(0, 10**6), st.integers(1, 4),
+       st.lists(rotation_amounts, min_size=1, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_conjugates_match_composition_oracle(seed, k, amounts):
+    G = pres(*(_conjugate(random_pl(seed, k, 32), rotation(a)) for a in amounts))
+    outcome = smooth_group(G)
+    assert outcome.kind == "success"
+    phi, phi_inv = outcome.phi, outcome.phi.inverse()
+    assert [name for name, _ in outcome.conjugated] == [name for name, _ in G.generators]
+    for (_, g), (_, c) in zip(G.generators, outcome.conjugated):
+        assert phi.compose(g).compose(phi_inv) == c
 
 
 def _assert_closed_walk(outcome, gens):
@@ -393,6 +424,9 @@ def test_smooth_conjugated_exotic_succeeds():
 # Edge objects, then normalize.  smooth_group's one on-demand pass must give
 # byte-identical results, the same first inconsistent edge included.
 
+OracleGraph = namedtuple("OracleGraph", "vertices edges closed escaping")
+
+
 def bfs_orbit_graph(G, max_vertices):
     seed = sorted({p for _, g in G.generators for p in g.breakpoints})
     maps = [m for name, g in G.generators
@@ -411,8 +445,8 @@ def bfs_orbit_graph(G, max_vertices):
                     visited.add(w)
                     order.append(w)
                     queue.append(w)
-    return OrbitGraph(tuple(order), tuple(edges), not escaping, tuple(seed),
-                      tuple(sorted(escaping)))
+    return OracleGraph(tuple(order), tuple(edges), not escaping,
+                       tuple(sorted(escaping)))
 
 
 def oracle_potentials(graph):
@@ -522,7 +556,6 @@ def test_smooth_group_matches_two_pass_oracle(family, make, seed, max_vertices, 
     if kind is not None:
         assert want.kind == kind
     assert (json.dumps(outcome_to_json(got)) == json.dumps(outcome_to_json(want)))
-    assert build_orbit_graph(G, max_vertices) == bfs_orbit_graph(G, max_vertices)
 
 
 def test_oracle_cases_cover_cut_off_components():
@@ -537,13 +570,35 @@ def test_oracle_cases_cover_cut_off_components():
     assert many >= 1
 
 
-def test_solve_coboundary_matches_oracle_on_hand_built_graph():
+def _hand_built_graph():
+    """a(1/4) = 2 a(3/4) is consistent, but the product a(1/4) a(3/4) = 1/2
+    of the solution with a(1/4) = 1 has no rational square root."""
     p, q = reduce_mod1(F(1, 4)), reduce_mod1(F(3, 4))
     edges = tuple(Edge(s, "g", sign, t, w)
                   for s, t, w in ((p, q, F(2)), (q, p, F(1, 2)))
                   for sign in (1, -1))
-    graph = OrbitGraph(vertices=(p, q), edges=edges, closed=True, seed=(p, q))
-    assert solve_coboundary(graph) == oracle_solve(graph)
+    return OracleGraph(vertices=(p, q), edges=edges, closed=True, escaping=())
+
+
+def _orbits_of(graph):
+    """A closed graph as an _Orbits with every row filled in, so the pass
+    expands nothing."""
+    o = _Orbits([v.value for v in graph.vertices], (), len(graph.vertices))
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    o.rows = [[] for _ in graph.vertices]
+    for e in graph.edges:
+        o.rows[index[e.source]].append((index[e.target], e.weight, (e.gen, e.sign)))
+    return o
+
+
+def test_solve_infeasible_on_hand_built_graph():
+    assert _solve(_orbits_of(_hand_built_graph())) == SynthesisInfeasible(
+        total_product=F(1, 2), component_sizes=(2,))
+
+
+def test_solve_coboundary_matches_oracle_on_hand_built_graph():
+    graph = _hand_built_graph()
+    assert _solve(_orbits_of(graph)) == oracle_solve(graph)
 
 
 def test_smooth_stops_at_first_inconsistent_edge():
@@ -557,7 +612,6 @@ def test_smooth_stops_at_first_inconsistent_edge():
 
 def test_vertex_budget_below_seed_is_rejected():
     # STD has two breakpoints, so the seed needs two vertices
-    for f in (smooth_group, build_orbit_graph):
-        with pytest.raises(ValueError):
-            f(pres(STD), max_vertices=1)
+    with pytest.raises(ValueError):
+        smooth_group(pres(STD), max_vertices=1)
     assert smooth_group(pres(STD), max_vertices=2).kind == "obstruction"
