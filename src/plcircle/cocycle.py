@@ -73,13 +73,21 @@ def jump_cocycle(h: PLHomeo) -> FiniteVector:
     return FiniteVector.from_dict({p: h.jump(p) for p in h.breakpoints})
 
 
+def _inverse_jumps(h: PLHomeo) -> List[Tuple[CirclePoint, Fraction]]:
+    """The jump vector of h^-1, read off h: BP(h^-1) = h(BP(h)), and the
+    chain rule gives J(h^-1, h(b)) = 1/J(h, b)."""
+    if h.is_rotation:
+        return []
+    s = h.slopes
+    return [(CirclePoint(frac_mod1(y)), s[i - 1] / s[i]) for i, y in enumerate(h._ys)]
+
+
 def affine_apply(h: PLHomeo, v: FiniteVector) -> FiniteVector:
-    """Affine isometric action: new value at x is v(h^{-1}(x)) * jump(h^{-1}, x)."""
-    hinv = h.inverse()
-    jv = jump_cocycle(hinv)
-    candidates = {h.eval(p) for p in v.support}
-    candidates.update(jv.support)
-    d = {x: v.value_at(hinv.eval(x)) * jv.value_at(x) for x in candidates}
+    """Affine isometric action: new value at x is v(h^{-1}(x)) * jump(h^{-1}, x).
+    So v(p) moves to h(p), and 1/J(h, b) multiplies into h(b) for b in BP(h)."""
+    d = {h.eval(p): w for p, w in v.entries}
+    for x, w in _inverse_jumps(h):
+        d[x] = d.get(x, 1) * w
     return FiniteVector.from_dict(d)
 
 
@@ -97,8 +105,9 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     for n = 1..N, in one exact incremental pass.
 
     rho(f^n) 0 = J(f^-n) = rho(f^(n-1)) 0 * (f^(n-1))_* J(f^-1), so step n
-    multiplies the jump of f^-1 at each s in its support into the point
-    f^(n-1)(s).  These k heads advance by one evaluation each, N*k in all.
+    multiplies the jump of f^-1 at each s in its support, read off f, into
+    the point f^(n-1)(s).  These k heads advance by one evaluation each, N*k
+    in all.
     A canonical map's breakpoints are the support of its jump vector, and
     |supp J(f^n)| = |supp J(f^-n)|, so M_n is the support size.  The support
     is a sorted list of bare Fractions with aligned value and squared-log
@@ -107,9 +116,9 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    jv = jump_cocycle(f.inverse())
-    heads = [p.value for p in jv.support]
-    weights = [w for _, w in jv.entries]
+    jumps = _inverse_jumps(f)
+    heads = [x.value for x, _ in jumps]
+    weights = [w for _, w in jumps]
     pts, vals, sqs = [], [], []  # sorted support, its values, squared logs
     M, norms = [], []
     for _ in range(N):
@@ -157,66 +166,58 @@ class GrowthParams:
     analyzed_inverse: bool         # True if the bound was derived from f^{-1}
 
 
+# Cap on the subset products: their number doubles with each breakpoint,
+# and 2^15 of them keep growth_params under a second.
+_MAX_SUBSET_PRODUCTS = 1 << 15
+
+
 def _subset_products(values) -> frozenset:
     prods = {Fraction(1)}
     for v in values:
         prods |= {p * v for p in prods}
+        if len(prods) > _MAX_SUBSET_PRODUCTS:
+            raise ValueError(f"more than {_MAX_SUBSET_PRODUCTS} subset products "
+                             "of the jumps")
     return frozenset(prods)
 
 
-def _contracting_component(f: PLHomeo) -> "Tuple[CirclePoint, CirclePoint] | None":
-    """A component (x0, x1) of the open support on which f(y) < y, or None."""
-    fs = fixed_points(f)
-    if fs.full or (not fs.points and not fs.arcs):
-        return None
-    # closed fixed components in cyclic order, as (start, end) lift intervals
-    comps = [(p.value, p.value) for p in fs.points]
-    comps += [(a.value, b.value + (1 if b.value < a.value else 0)) for a, b in fs.arcs]
-    comps.sort()
-    n = len(comps)
-    for i in range(n):
-        a = comps[i][1]                       # right end of this fixed component
-        b = comps[(i + 1) % n][0] + (1 if i + 1 == n else 0)  # next left end, lifted
-        if b == a:
-            continue
-        mid = (a + b) / 2
-        # f maps (a, b) to itself; lift the image next to mid
-        fm = f.lift_eval(mid)
-        fm -= math.floor(fm - a)
-        if fm < mid:
-            return CirclePoint(a - math.floor(a)), CirclePoint(b - math.floor(b))
-    return None
-
-
 def growth_params(f: PLHomeo) -> GrowthParams:
-    """Derive the growth constants from f (or, if f expands on every support
-    component, from f^{-1}); requires a fixed point and f != identity."""
+    """Derive the growth constants from the first component of the open
+    support on which f contracts, or else on which f^{-1} does; requires a
+    fixed point and f != identity.  f^{-1} is read off f: it has f's fixed
+    set, contracts where f expands, has the reciprocal one-sided slopes at a
+    fixed point, and has f's subset products, which are closed under
+    reciprocals because all jumps multiply to 1."""
     if f.is_identity:
         raise ValueError("identity map has no support component")
     fs = fixed_points(f)
-    if fs.full:
-        raise ValueError("identity map has no support component")
-    if not fs.points and not fs.arcs:
+    if fs.is_empty:
         raise ValueError("map has no fixed point")
-    analyzed_inverse = False
-    g = f
-    comp = _contracting_component(g)
-    if comp is None:
-        g = f.inverse()
-        analyzed_inverse = True
-        comp = _contracting_component(g)
-    if comp is None:
-        raise ValueError("no contracting support component found")
-    _, right_slope_at_x0 = g.left_right_slopes(comp[0])
-    left_slope_at_x1, _ = g.left_right_slopes(comp[1])
-    superset = _subset_products(g.jump(p) for p in g.breakpoints)
+    # closed fixed components in cyclic order, as (start, end) lift intervals,
+    # and the open support components (a, b) between them
+    comps = [(p.value, p.value) for p in fs.points]
+    comps += [(a.value, b.value + (1 if b.value < a.value else 0)) for a, b in fs.arcs]
+    comps.sort()
+    nxt = comps[1:] + [(comps[0][0] + 1, comps[0][1] + 1)]
+    support = [(a, b) for (_, a), (b, _) in zip(comps, nxt) if a != b]
+    for a, b in support:
+        mid = (a + b) / 2
+        # f maps (a, b) to itself; lift the image next to mid
+        fm = f.lift_eval(mid)
+        if fm - math.floor(fm - a) < mid:
+            analyzed_inverse = False
+            break
+    else:
+        (a, b), analyzed_inverse = support[0], True
+    comp = CirclePoint(a - math.floor(a)), CirclePoint(b - math.floor(b))
+    c0 = _log(f.left_right_slopes(comp[0])[1])
+    c1 = _log(f.left_right_slopes(comp[1])[0])
+    superset = _subset_products(f.jump(p) for p in f.breakpoints)
     logs = [abs(_log(s)) for s in superset if s != 1]
-    if not logs:
-        raise ValueError("map has no breakpoints")
     return GrowthParams(
         component=comp,
-        c0=_log(right_slope_at_x0),
-        c1=_log(left_slope_at_x1),
+        c0=-c0 if analyzed_inverse else c0,
+        c1=-c1 if analyzed_inverse else c1,
         mu=max(logs),
         beta=min(logs),
         jump_value_superset=superset,

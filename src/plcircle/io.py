@@ -10,8 +10,8 @@ from typing import Any, Dict
 
 from . import cantor_bendixson as cb
 from .circle import CirclePoint, frac_mod1
-from .homeo import (ExoticParams, InvalidHomeoError, PLHomeo, exotic_element,
-                    from_lift_vertices, rotation)
+from .homeo import (ExoticParams, PLHomeo, exotic_element, from_lift_vertices,
+                    rotation)
 from .smoothing import Edge, GroupPresentation
 
 
@@ -72,8 +72,6 @@ def element_from_json(obj) -> PLHomeo:
             raise FormatError('field "vertices" must be a list of [x, y] pairs')
         return from_lift_vertices(
             [(parse_rational(x), parse_rational(y)) for x, y in verts])
-    except InvalidHomeoError as exc:
-        raise FormatError(f"invalid element: {exc}") from None
     except ValueError as exc:
         if isinstance(exc, FormatError):
             raise

@@ -168,10 +168,12 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
     an answer."""
     if max_q < 1 or depth < 1:
         raise ValueError("max_q and depth must be positive")
-    # q = 1: the descent never tests the ends 0/1 and 1/1
-    if not fixed_points(h).is_empty:
+    # q = 1, never a mediant: F - id is affine between breakpoints, so h fixes
+    # a point when an integer lies between the least and greatest gap F(c) - c
+    gaps = [y - c for c, y in h.verts]
+    if math.ceil(min(gaps)) <= max(gaps):
         return RotNumResult(exact=Fraction(0))
-    orbits = [[c] for c in h._xs]  # the exact lift orbits of the breakpoints
+    orbits = [[c, y] for c, y in h.verts]  # the exact lift orbits of the breakpoints
     enc = _Enclosure(h, _BITS)
     n, t = 1, h.lift_eval(Fraction(0))  # the exact orbit of 0, t = F^n(0)
     # F(0) is no integer, as 0 is not fixed, so F's translation number lies

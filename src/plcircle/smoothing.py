@@ -303,8 +303,6 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
                 seen.add(gw)
                 nxt.append(gw)
                 fs = fixed_points(gw)
-                if fs.full:
-                    identity_word_seen = True
                 candidates.extend(fs.points)
                 for s, t in fs.arcs:
                     candidates.extend((s, t))

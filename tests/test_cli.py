@@ -86,9 +86,10 @@ def test_orbit_norms_csv():
             "-N", "50")
     assert r.returncode == 0
     lines = r.stdout.strip().splitlines()
-    assert lines[0].startswith("# {")
-    header = json.loads(lines[0][2:])
-    assert header["growth_params"]["analyzed_inverse"] is False
+    assert lines[0] == (
+        '# {"growth_params": {"component": ["0/1", "0/1"], "c0": -0.6931471805599453, '
+        '"c1": 0.4054651081081645, "mu": 1.0986122886681098, '
+        '"beta": 1.0986122886681098, "analyzed_inverse": false}}')
     assert lines[1] == "n,M_n,norm_sq,bound"
     rows = [ln.split(",") for ln in lines[2:]]
     assert len(rows) == 50
@@ -185,6 +186,22 @@ def test_cb_rank_rejects_oversized_realization(tmp_path):
     r = run("cb-rank", str(big), timeout=30)
     _assert_one_error_line(r)
     assert "797161 points" in r.stderr
+
+
+def test_orbit_norms_past_the_subset_product_limit(tmp_path):
+    # 22 breakpoints and a fixed point: 2^22 subset products of the jumps,
+    # so growth_params rejects the map and the table is still printed
+    from plcircle import io as pio
+    from plcircle import random_pl, reduce_mod1, rotation
+    h = random_pl(3, 22, 512)
+    f = rotation(-h.eval(reduce_mod1(0)).value).compose(h)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(pio.element_to_json(f)))
+    r = run("orbit-norms", str(path), "-N", "3", timeout=30)
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert lines[:2] == ['# {"growth_params": null}', "n,M_n,norm_sq,bound"]
+    assert [ln.split(",")[:2] for ln in lines[2:]] == [["1", "22"], ["2", "44"], ["3", "66"]]
 
 
 class _ClosedStdout:

@@ -2,14 +2,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plcircle import (ExoticParams, FiniteVector, affine_apply,
-                      breakpoint_growth, exotic_element, from_lift_vertices,
-                      growth_params, growth_sequences, identity, jump_cocycle,
-                      l2_norm_sq, orbit_norm_seq, random_pl, reduce_mod1,
-                      rotation)
+from plcircle import (CirclePoint, ExoticParams, FiniteVector, GrowthParams,
+                      PLHomeo, affine_apply, breakpoint_growth, exotic_element,
+                      fixed_points, from_lift_vertices, growth_params,
+                      growth_sequences, identity, jump_cocycle, l2_norm_sq,
+                      orbit_norm_seq, random_pl, reduce_mod1, rotation)
+from plcircle import cocycle
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
 
@@ -23,6 +24,16 @@ vec_entries = st.dictionaries(
     st.fractions(min_value=F(1, 7), max_value=7, max_denominator=24).filter(lambda v: v != 1),
     max_size=4)
 vectors = vec_entries.map(FiniteVector.from_dict)
+
+
+def fixing_zero(h):
+    """h followed by the rotation taking h(0) back to 0, so 0 is fixed."""
+    return rotation(-h.eval(reduce_mod1(0)).value).compose(h)
+
+
+# half of the maps fix 0, so growth_params reaches both of its branches
+half_fixing_zero = st.tuples(random_maps, st.booleans()).map(
+    lambda t: fixing_zero(t[0]) if t[1] else t[0])
 
 
 def telescoped_product(h):
@@ -205,3 +216,138 @@ def test_exotic_orbit_norms_bounded():
     assert max(norms) <= 2 * math.log(4) ** 2 + 1e-9
     growth = breakpoint_growth(g, 50)
     assert max(growth) <= 2
+
+
+# -- oracles that build h^-1 -----------------------------------------------
+
+def oracle_affine_apply(h, v):
+    """The action with h^-1 built: v(h^-1(x)) * J(h^-1, x) on every candidate x."""
+    hinv = h.inverse()
+    jv = jump_cocycle(hinv)
+    candidates = {h.eval(p) for p in v.support}
+    candidates.update(jv.support)
+    d = {x: v.value_at(hinv.eval(x)) * jv.value_at(x) for x in candidates}
+    return FiniteVector.from_dict(d)
+
+
+def _log(q):
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def oracle_contracting_component(f):
+    """A component (x0, x1) of the open support on which f(y) < y, or None."""
+    fs = fixed_points(f)
+    if fs.full or (not fs.points and not fs.arcs):
+        return None
+    comps = [(p.value, p.value) for p in fs.points]
+    comps += [(a.value, b.value + (1 if b.value < a.value else 0)) for a, b in fs.arcs]
+    comps.sort()
+    n = len(comps)
+    for i in range(n):
+        a = comps[i][1]
+        b = comps[(i + 1) % n][0] + (1 if i + 1 == n else 0)
+        if b == a:
+            continue
+        mid = (a + b) / 2
+        fm = f.lift_eval(mid)
+        fm -= math.floor(fm - a)
+        if fm < mid:
+            return CirclePoint(a - math.floor(a)), CirclePoint(b - math.floor(b))
+    return None
+
+
+def oracle_growth_params(f):
+    """growth_params with f^-1 built and analyzed when f contracts nowhere."""
+    if f.is_identity:
+        raise ValueError("identity map has no support component")
+    fs = fixed_points(f)
+    if fs.full:
+        raise ValueError("identity map has no support component")
+    if not fs.points and not fs.arcs:
+        raise ValueError("map has no fixed point")
+    analyzed_inverse = False
+    g = f
+    comp = oracle_contracting_component(g)
+    if comp is None:
+        g = f.inverse()
+        analyzed_inverse = True
+        comp = oracle_contracting_component(g)
+    if comp is None:
+        raise ValueError("no contracting support component found")
+    _, right_slope_at_x0 = g.left_right_slopes(comp[0])
+    left_slope_at_x1, _ = g.left_right_slopes(comp[1])
+    superset = {F(1)}
+    for p in g.breakpoints:
+        superset |= {s * g.jump(p) for s in superset}
+    logs = [abs(_log(s)) for s in superset if s != 1]
+    if not logs:
+        raise ValueError("map has no breakpoints")
+    return GrowthParams(
+        component=comp,
+        c0=_log(right_slope_at_x0),
+        c1=_log(left_slope_at_x1),
+        mu=max(logs),
+        beta=min(logs),
+        jump_value_superset=frozenset(superset),
+        analyzed_inverse=analyzed_inverse,
+    )
+
+
+def params_outcome(fn, f):
+    """The fields of fn(f), floats as bits, or its error message."""
+    try:
+        gp = fn(f)
+    except ValueError as exc:
+        return "error", str(exc)
+    return (gp.component, gp.c0.hex(), gp.c1.hex(), gp.mu.hex(), gp.beta.hex(),
+            gp.jump_value_superset, gp.analyzed_inverse)
+
+
+@given(half_fixing_zero, vectors)
+@example(STD, FiniteVector.empty())
+@example(STD.inverse(), FiniteVector.empty())  # the inverse branch
+@settings(max_examples=150, deadline=None)
+def test_inverse_read_off_h_matches_oracles(h, v):
+    assert affine_apply(h, v) == oracle_affine_apply(h, v)
+    assert params_outcome(growth_params, h) == params_outcome(oracle_growth_params, h)
+
+
+def test_cocycle_builds_no_inverse(monkeypatch):
+    # J(h^-1) and the inverse branch of growth_params are read off h
+    std_inv = STD.inverse()  # built before inverse is patched
+    v = FiniteVector.from_dict({reduce_mod1(F(1, 3)): F(2), reduce_mod1(F(1, 2)): F(5)})
+    want_apply = oracle_affine_apply(STD, v)
+    want_params = [params_outcome(oracle_growth_params, f) for f in (STD, std_inv)]
+    want_growth = growth_sequences(STD, 12)
+    calls = []
+
+    def no_inverse(self):
+        raise AssertionError("built an inverse")
+
+    def counted_fixed_points(f):
+        calls.append(f)
+        return fixed_points(f)
+
+    monkeypatch.setattr(PLHomeo, "inverse", no_inverse)
+    monkeypatch.setattr(cocycle, "fixed_points", counted_fixed_points)
+    assert affine_apply(STD, v) == want_apply
+    assert growth_sequences(STD, 12) == want_growth
+    for f, want in zip((STD, std_inv), want_params):
+        calls.clear()
+        assert params_outcome(growth_params, f) == want
+        assert calls == [f]
+    assert growth_params(std_inv).analyzed_inverse
+
+
+def test_subset_products_stop_at_the_limit(monkeypatch):
+    monkeypatch.setattr(cocycle, "_MAX_SUBSET_PRODUCTS", 8)
+    assert len(cocycle._subset_products(map(F, [2, 3, 5]))) == 8
+    with pytest.raises(ValueError, match="more than 8 subset products"):
+        cocycle._subset_products(map(F, [2, 3, 5, 7]))
+
+
+def test_growth_params_rejects_too_many_subset_products():
+    f = fixing_zero(random_pl(3, 22, 512))
+    assert len(f.breakpoints) == 22 and not fixed_points(f).is_empty
+    with pytest.raises(ValueError, match=f"more than {cocycle._MAX_SUBSET_PRODUCTS} "):
+        growth_params(f)

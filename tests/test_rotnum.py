@@ -143,6 +143,16 @@ def test_rotation_number_zero_iff_fixed_point():
     assert not r.is_exact or r.exact != 0
 
 
+@given(seed=st.integers(0, 10**6), k=st.integers(0, 6), fix_zero=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_zero_rotation_number_iff_fixed_point(seed, k, fix_zero):
+    # q = 1 is settled by the breakpoint gaps; fixed_points is the oracle
+    h = random_pl(seed, k, 32)
+    if fix_zero:
+        h = rotation(-h.eval(reduce_mod1(0)).value).compose(h)
+    assert (rotation_number(h, depth=4).exact == 0) == (not fixed_points(h).is_empty)
+
+
 def test_bracket_refinement():
     # an exotic element with lambda = 2, A = 5 has irrational rotation number
     g = exotic_element(ExoticParams(F(5), F(2)))
@@ -327,7 +337,7 @@ def test_rotation_number_composes_no_power(monkeypatch, alpha):
     monkeypatch.setattr(PLHomeo, "compose", no_compose)
     monkeypatch.setattr(rotnum, "fixed_points", counted_fixed_points)
     assert rotation_number(h) == want
-    assert fixed_point_calls == [h]
+    assert fixed_point_calls == []
 
 
 @pytest.mark.parametrize("A, lam, exact", [
