@@ -162,12 +162,33 @@ class PLHomeo:
         left, right = self.left_right_slopes(p)
         return right / left
 
-    def _eval_jump(self, x: Fraction) -> Tuple[Fraction, Fraction]:
-        """The circle coordinates of eval and jump at x, from one _locate."""
-        i, u, _ = self._locate(x)
-        s = self.slopes
-        y = self._ys[i] + s[i] * (u - self._xs[i])  # in [0, 2)
-        return (y if y < 1 else y - 1), (s[i] / s[i - 1] if u == self._xs[i] else _ONE)
+    @cached_property
+    def _table(self):
+        """One period in integers: L the lcm of the breakpoint denominators,
+        X_i = x_i * L, piece i is y = (a_i * u + b_i) / D, J_i the jump at x_i."""
+        xs, s = self._xs, self.slopes
+        L = math.lcm(*(x.denominator for x in xs))
+        X = [x.numerator * (L // x.denominator) for x in xs]
+        cs = [y - si * x for x, y, si in zip(xs, self._ys, s)]
+        D = math.lcm(*(q.denominator for q in (*s, *cs)))
+        A = [q.numerator * (D // q.denominator) for q in s]
+        B = [q.numerator * (D // q.denominator) for q in cs]
+        J = [s[i] / s[i - 1] for i in range(len(s))]
+        return L, X, A, B, D, J
+
+    def _step(self, n: int, d: int) -> Tuple[int, int, Fraction]:
+        """Eval and jump at the circle point n/d, given in lowest terms, in
+        integers: (n', d', J) with n'/d' the image in lowest terms."""
+        L, X, A, B, D, J = self._table
+        f, r = divmod(n * L, d)  # f = floor(u * L)
+        if f < X[0]:  # u = n/d + 1 lies in the lift period [x_0, x_0 + 1)
+            n += d
+            f += L
+        i = bisect.bisect_right(X, f) - 1
+        p, q = A[i] * n + B[i] * d, D * d
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        return (p - q if p >= q else p), q, (J[i] if r == 0 and f == X[i] else _ONE)
 
     # -- group operations --------------------------------------------------
 

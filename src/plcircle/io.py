@@ -98,7 +98,8 @@ def group_from_json(obj) -> GroupPresentation:
         try:
             items.append((name, element_from_json(el)))
         except FormatError as exc:
-            raise FormatError(f'generator "{name}": {exc}') from None
+            raise FormatError(f"generator {_clip(json.dumps(name, ensure_ascii=False))}: "
+                              f"{exc}") from None
     return GroupPresentation(tuple(items))
 
 

@@ -58,18 +58,23 @@ class Edge:
 
 class _Orbits:
     """An orbit graph explored on demand.  Points get int ids in
-    breadth-first discovery order from the sorted seed, interned by the
-    (numerator, denominator) of their coordinate, so no Fraction is hashed;
-    ids from max_vertices on are escaping points.  rows[v] lists vertex v's
-    out-edges (target id, weight, (generator, sign)) in generator order."""
+    breadth-first discovery order from the sorted seed, and are held as the
+    (numerator, denominator) pair that interns them; a point becomes a
+    Fraction only in results.  Ids from max_vertices on are escaping points.
+    rows[v] lists vertex v's out-edges (target id, weight, (generator, sign))
+    in generator order.  The maps come in (g, g^{-1}) pairs, so map k ^ 1
+    inverts map k: a step u -> t of map k gives t's entry k ^ 1 as (u, 1/w)
+    by the chain rule, held in `pending` until t is expanded, so each step
+    is evaluated once."""
 
     def __init__(self, seed, maps, max_vertices: int):
         self.maps, self.max_vertices = maps, max_vertices
-        self.pts: List[Fraction] = []
+        self.pts: List[Tuple[int, int]] = []
         self.ids: Dict[Tuple[int, int], int] = {}
         self.rows: List[list] = []
+        self.pending: Dict[int, list] = {}
         for x in seed:
-            self._intern(x)
+            self._intern((x.numerator, x.denominator))
         self.n_seed = len(self.pts)
         if self.n_seed > max_vertices:
             raise ValueError("max_vertices smaller than the seed")
@@ -81,31 +86,48 @@ class _Orbits:
         seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
         return cls(seed, maps, max_vertices)
 
-    def _intern(self, x: Fraction) -> int:
-        key = (x.numerator, x.denominator)
+    def _intern(self, key: Tuple[int, int]) -> int:
         v = self.ids.get(key)
         if v is None:
             v = self.ids[key] = len(self.pts)
-            self.pts.append(x)
+            self.pts.append(key)
         return v
 
     def expand(self, v: int) -> None:
         """Fill the rows of the vertices up to id v, in id order."""
-        while len(self.rows) <= v and len(self.rows) < len(self.pts):
-            x = self.pts[len(self.rows)]
-            row = []
-            for label, g in self.maps:
-                y, w = g._eval_jump(x)
-                row.append((self._intern(y), w, label))
-            self.rows.append(row)
+        maps, rows, pending = self.maps, self.rows, self.pending
+        while len(rows) <= v and len(rows) < len(self.pts):
+            u = len(rows)
+            n, d = self.pts[u]
+            row = pending.pop(u, None) or [None] * len(maps)
+            for k, (label, g) in enumerate(maps):
+                if row[k] is None:
+                    n2, d2, w = g._step(n, d)
+                    t = self._intern((n2, d2))
+                    row[k] = (t, w, label)
+                    if u < t < self.max_vertices:
+                        pending.setdefault(t, [None] * len(maps))[k ^ 1] = (
+                            u, w if w == 1 else 1 / w, maps[k ^ 1][0])
+            rows.append(row)
+
+    def point(self, v: int) -> CirclePoint:
+        return CirclePoint(Fraction(*self.pts[v]))
+
+    def in_order(self, ids) -> List[int]:
+        """The ids sorted by their points' position in [0, 1).  The key
+        n * K // d, with K the largest d squared, is exact: two distinct
+        points differ by at least 1/K."""
+        pts = self.pts
+        K = max((pts[v][1] for v in ids), default=1) ** 2
+        return sorted(ids, key=lambda v: pts[v][0] * K // pts[v][1])
 
     @property
     def escaping(self) -> Tuple[CirclePoint, ...]:
-        return tuple(CirclePoint(x) for x in sorted(self.pts[self.max_vertices:]))
+        return tuple(map(self.point, self.in_order(range(self.max_vertices, len(self.pts)))))
 
     def edge(self, v: int, out) -> Edge:
         t, w, (gen, sign) = out
-        return Edge(CirclePoint(self.pts[v]), gen, sign, CirclePoint(self.pts[t]), w)
+        return Edge(self.point(v), gen, sign, self.point(t), w)
 
 
 @dataclass(frozen=True)
@@ -175,9 +197,12 @@ def _solve(o: _Orbits):
     """The one potentials pass, breadth-first over out-edges from each root in
     id order, each vertex expanded just before its edges are read.  Tree edges
     set a_{g(y)} = a_y / w (1 at a root); the first inconsistent other edge
-    ends it as an Obstruction; else Truncated, SynthesisInfeasible or the solution."""
+    ends it as an Obstruction; else Truncated, SynthesisInfeasible or the
+    solution.  An edge into a vertex already done is not checked: its
+    reverse was checked there, and that is the same equation."""
     a: List[Optional[Fraction]] = [None] * o.n_seed
     parent: list = [None] * o.n_seed
+    done = set()
     components: List[List[int]] = []
     for root in range(o.n_seed):  # every vertex is reached from a seed
         if a[root] is not None:
@@ -192,16 +217,17 @@ def _solve(o: _Orbits):
             av = a[v]
             for out in o.rows[v]:
                 t, w, _ = out
-                if t >= o.max_vertices:
-                    continue  # an escaping point
+                if t >= o.max_vertices or t in done:
+                    continue  # an escaping point, or an edge checked backwards
                 at = a[t]
                 if at is None:
-                    a[t] = av / w
+                    a[t] = av if w == 1 else av / w
                     parent[t] = (v, out)
                     comp.append(t)
-                elif av != w * at:
+                elif av != (at if w == 1 else w * at):
                     return Obstruction(cycle=_closed_walk(o, v, out, parent),
                                        expected=Fraction(1), found=w * at / av)
+            done.add(v)
         components.append(comp)
     if len(o.pts) > o.max_vertices:
         return Truncated(o.escaping)
@@ -220,8 +246,8 @@ def _solve(o: _Orbits):
                 scale = t ** c
                 for v in comp:
                     a[v] *= scale
-    return FiniteVector(tuple((CirclePoint(x), y) for x, y in sorted(zip(o.pts, a))
-                              if y != 1))
+    support = o.in_order([v for v, y in enumerate(a) if y != 1])
+    return FiniteVector(tuple((o.point(v), a[v]) for v in support))
 
 
 def _closed_walk(o: _Orbits, v: int, out, parent) -> Tuple[Edge, ...]:
@@ -325,7 +351,7 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
         while len(o.rows) < len(o.pts) <= max_orbit:
             o.expand(len(o.rows))
         if len(o.pts) <= max_orbit:
-            return tuple(CirclePoint(x) for x in sorted(o.pts))
+            return tuple(map(o.point, o.in_order(range(len(o.pts)))))
         cut_off.update(o.ids)
     return None
 

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -381,6 +381,8 @@ def _documents(draw, depth=4, kind="any"):
                         (["smooth", "--max-vertices", "64"], "group"),
                         (["cb-rank"], "set")]).flatmap(
     lambda req: st.tuples(st.just(req[0]), _documents(4, req[1]))))
+@example(command_and_doc=(["smooth", "--max-vertices", "64"],
+                          {"generators": {"\n": {"vertices": []}}}))
 @settings(max_examples=150, deadline=None)
 def test_cli_fuzz_malformed_documents(tmp_path_factory, command_and_doc):
     command, doc = command_and_doc

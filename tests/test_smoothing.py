@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import random
 from collections import deque, namedtuple
 from fractions import Fraction as F
 
@@ -18,6 +19,7 @@ from plcircle import (Edge, FiniteVector, GroupPresentation, Obstruction,
                       reduce_mod1, rotation, smooth_group,
                       synthesize_conjugator)
 from plcircle import smoothing
+from plcircle.circle import CirclePoint
 from plcircle.io import group_from_json, load_json, outcome_to_json
 from plcircle.smoothing import _Orbits, _gcd_coefficients, _nth_root, _solve
 
@@ -279,8 +281,7 @@ def test_finite_orbit_skips_candidates_on_cut_off_orbits(monkeypatch):
     assert len(closures) < len(set(oracle_candidates(G, 2)))
     # no closure starts on a point an earlier closure explored
     for i, o in enumerate(closures):
-        x = o.pts[0]
-        assert all((x.numerator, x.denominator) not in e.ids for e in closures[:i])
+        assert all(o.pts[0] not in e.ids for e in closures[:i])
 
 
 def test_finite_orbit_rejects_empty_budgets():
@@ -615,3 +616,184 @@ def test_vertex_budget_below_seed_is_rejected():
     with pytest.raises(ValueError):
         smooth_group(pres(STD), max_vertices=1)
     assert smooth_group(pres(STD), max_vertices=2).kind == "obstruction"
+
+
+# ------------------------------------------------------ integer orbit kernel
+#
+# PLHomeo._step evaluates a map in integers for the orbit pass.  Its oracle
+# is the Fraction evaluation the pass used before, kept here verbatim.
+
+def eval_jump(g, x):
+    """The circle coordinates of eval and jump at x, from one _locate."""
+    i, u, _ = g._locate(x)
+    s = g.slopes
+    y = g._ys[i] + s[i] * (u - g._xs[i])  # in [0, 2)
+    return (y if y < 1 else y - 1), (s[i] / s[i - 1] if u == g._xs[i] else F(1))
+
+
+@st.composite
+def _exotic_params(draw):
+    A = draw(st.integers(2, 12))
+    q = draw(st.integers(2, 5))
+    # lam = (q + 1 + m) / q lies in [1 + 1/q, A - 1/q]
+    m = draw(st.integers(0, (A - 1) * q - 2))
+    return ExoticParams(F(A), F(q + 1 + m, q))
+
+
+kernel_maps = st.one_of(
+    st.builds(random_pl, st.integers(0, 10**6), st.integers(0, 8),
+              st.integers(8, 512)),
+    rotation_amounts.map(rotation),
+    _exotic_params().map(exotic_element),
+    # conjugates with their smallest breakpoint off 0
+    st.builds(lambda seed, k, g: _conjugate(random_pl(seed, k, 16), g),
+              st.integers(0, 10**6), st.integers(1, 3),
+              st.one_of(st.just(STD), _exotic_params().map(exotic_element)))
+    .filter(lambda g: g.verts[0][0] > 0))
+
+circle_rationals = st.integers(1, 2**40).flatmap(
+    lambda d: st.integers(0, d - 1).map(lambda n: F(n, d)))
+
+
+@given(kernel_maps, st.integers(2, 2**40), st.lists(circle_rationals, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_fraction_oracle(g, below, rationals):
+    # breakpoints, 0, a point just below x_0 (it wraps into the lift
+    # period) and random rationals
+    x0 = g.verts[0][0]
+    points = [F(0), *(p.value for p in g.breakpoints), (x0 - F(1, below)) % 1,
+              *rationals]
+    for x in points:
+        n, d, w = g._step(x.numerator, x.denominator)
+        y, jump = eval_jump(g, x)
+        assert (n, d, w) == (y.numerator, y.denominator, jump)
+
+
+def _count_steps(monkeypatch):
+    """Record (map, source, image) of every kernel call."""
+    step, calls = PLHomeo._step, []
+
+    def counting_step(self, n, d):
+        out = step(self, n, d)
+        calls.append((self, (n, d), out[:2]))
+        return out
+
+    monkeypatch.setattr(PLHomeo, "_step", counting_step)
+    return calls
+
+
+def test_smooth_group_evaluates_each_step_once(monkeypatch):
+    # 231 vertices under two generators: 462 steps, each met twice, as g at
+    # x and as g^-1 at g(x)
+    phi = random_pl(7, 4, 32)
+    G = pres(*(_conjugate(phi, rotation(a)) for a in (F(1, 7), F(2, 11))))
+    assert len(bfs_orbit_graph(G, 4096).vertices) == 231
+    calls = _count_steps(monkeypatch)
+    assert smooth_group(G).kind == "success"
+    assert len(calls) == 462
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_finite_orbit_closures_evaluate_no_step_backwards(monkeypatch, seed):
+    # within one closure, map k ^ 1 inverts map k, and its step y -> x is
+    # not evaluated once the step x -> y of map k was, unless x is fixed
+    G = _finite_orbit_group(seed)
+    calls, closures = _count_steps(monkeypatch), []
+
+    class CountingOrbits(_Orbits):
+        def __init__(self, *args):
+            super().__init__(*args)
+            closures.append((self, len(calls)))
+
+    monkeypatch.setattr(smoothing, "_Orbits", CountingOrbits)
+    detect_finite_orbit(G, 2, max_orbit=8)
+    ends = [start for _, start in closures[1:]] + [len(calls)]
+    for (o, start), end in zip(closures, ends):
+        index = {id(g): k for k, (_, g) in enumerate(o.maps)}
+        steps = [(index[id(g)], x, y) for g, x, y in calls[start:end]]
+        done = {(k, x) for k, x, _ in steps}
+        assert len(done) == len(steps)
+        for k, x, y in steps:
+            assert x == y or (k ^ 1, y) not in done
+
+
+class FractionOrbits(_Orbits):
+    """The orbit pass before the integer kernel, as a test oracle: points are
+    Fractions, and every map, inverses included, is evaluated at every vertex
+    by the Fraction oracle."""
+
+    def __init__(self, seed, maps, max_vertices):
+        self.maps, self.max_vertices = maps, max_vertices
+        self.pts, self.ids, self.rows = [], {}, []
+        for x in seed:
+            self._intern(x)
+        self.n_seed = len(self.pts)
+        if self.n_seed > max_vertices:
+            raise ValueError("max_vertices smaller than the seed")
+
+    def _intern(self, x):
+        key = (x.numerator, x.denominator)
+        v = self.ids.get(key)
+        if v is None:
+            v = self.ids[key] = len(self.pts)
+            self.pts.append(x)
+        return v
+
+    def expand(self, v):
+        while len(self.rows) <= v and len(self.rows) < len(self.pts):
+            x = self.pts[len(self.rows)]
+            row = []
+            for label, g in self.maps:
+                y, w = eval_jump(g, x)
+                row.append((self._intern(y), w, label))
+            self.rows.append(row)
+
+    def point(self, v):
+        return CirclePoint(self.pts[v])
+
+    def in_order(self, ids):
+        return sorted(ids, key=self.pts.__getitem__)
+
+
+def _kind_groups(kind, seed):
+    """Seeded small groups whose smoothing mostly ends in `kind`, with a
+    vertex budget."""
+    rng = random.Random(seed)
+    if kind == "success":
+        phi = random_pl(seed, rng.randint(1, 4), rng.choice((8, 16, 32)))
+        qs = rng.sample(range(2, 8), rng.randint(1, 2))
+        return pres(*(_conjugate(phi, rotation(F(rng.randrange(1, q), q)))
+                      for q in qs)), 4096
+    if kind == "obstruction":
+        if seed % 2:
+            return pres(_conjugate(random_pl(seed, rng.randint(1, 3), 16), STD)), 64
+        return _two_generators(seed), rng.choice((8, 20, 40))
+    A, lam = rng.choice((5, 6, 7, 10)), rng.choice((2, 3))
+    e = exotic_element(ExoticParams(F(A), F(lam)))
+    return pres(_conjugate(random_pl(seed, rng.randint(1, 3), 16), e)), rng.choice((16, 32))
+
+
+@pytest.mark.parametrize("kind", ["success", "obstruction", "truncated"])
+def test_orbit_pass_matches_fraction_oracle(monkeypatch, kind):
+    # 150 seeded groups of each outcome kind: byte-identical smoothing
+    # outcomes and finite orbits
+    compared = backward = 0
+    for seed in range(400):
+        G, max_vertices = _kind_groups(kind, seed)
+        got = smooth_group(G, max_vertices)
+        if got.kind != kind:
+            continue
+        orbit = detect_finite_orbit(G, 1, max_orbit=16)
+        with monkeypatch.context() as m:
+            m.setattr(smoothing, "_Orbits", FractionOrbits)
+            want = smooth_group(G, max_vertices)
+            assert detect_finite_orbit(G, 1, max_orbit=16) == orbit
+        assert json.dumps(outcome_to_json(got)) == json.dumps(outcome_to_json(want))
+        if kind == "obstruction":
+            backward += any(e.sign == -1 for e in got.cycle)
+        compared += 1
+        if compared == 150:
+            break
+    assert compared == 150
+    if kind == "obstruction":
+        assert backward >= 10
