@@ -8,7 +8,9 @@ at x is log of the stored value, so the zero vector is the empty map.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -96,8 +98,9 @@ def _log(q: Fraction) -> float:
 
 
 def l2_norm_sq(v: FiniteVector) -> float:
-    """Squared l2 norm of the additive coordinates: sum of (log value)^2."""
-    return sum(_log(val) ** 2 for _, val in v.entries)
+    """Squared l2 norm of the additive coordinates: sum of (log value)^2,
+    added left to right (from 3.12 on, sum() compensates float sums)."""
+    return functools.reduce(operator.add, (_log(val) ** 2 for _, val in v.entries), 0)
 
 
 def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
@@ -137,7 +140,7 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
                 sqs.insert(j, _log(w) ** 2)
             heads[i] = frac_mod1(f.lift_eval(x))
         M.append(len(pts))
-        norms.append(sum(sqs))
+        norms.append(functools.reduce(operator.add, sqs, 0))
     return M, norms
 
 

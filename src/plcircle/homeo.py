@@ -97,10 +97,8 @@ class PLHomeo:
 
     @cached_property
     def slopes(self) -> Tuple[Fraction, ...]:
-        xs = [p[0] for p in self.verts] + [self.verts[0][0] + 1]
-        ys = [p[1] for p in self.verts] + [self.verts[0][1] + 1]
-        return tuple((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-                     for i in range(len(self.verts)))
+        L, _, A, _, E = self._table
+        return tuple(Fraction(a * L, e) for a, e in zip(A, E))
 
     @property
     def breakpoints(self) -> Tuple[CirclePoint, ...]:
@@ -124,17 +122,9 @@ class PLHomeo:
 
     # -- evaluation --------------------------------------------------------
 
-    def _locate(self, t: Fraction) -> Tuple[int, Fraction, int]:
-        """(i, u, m): t = u + m with m an integer and x_i <= u < x_{i+1}."""
-        m = math.floor(t - self._xs[0])
-        u = t - m if m else t
-        return bisect.bisect_right(self._xs, u) - 1, u, m
-
     def lift_eval(self, t: Fraction) -> Fraction:
         """Evaluate the canonical lift (the one with value of x_0 in [0,1))."""
-        i, u, m = self._locate(t)
-        y = self._ys[i] + self.slopes[i] * (u - self._xs[i])
-        return y + m if m else y
+        return Fraction(*self._step(t.numerator, t.denominator)[:2])
 
     def lift_eval_inverse(self, t: Fraction) -> Fraction:
         y0 = self._ys[0]
@@ -145,50 +135,55 @@ class PLHomeo:
         return x + m if m else x
 
     def eval(self, p: CirclePoint) -> CirclePoint:
-        return CirclePoint(frac_mod1(self.lift_eval(p.value)))
+        n, d, _ = self._step(p.value.numerator, p.value.denominator)
+        return CirclePoint(Fraction(n % d, d))
 
     def eval_inverse(self, p: CirclePoint) -> CirclePoint:
         return CirclePoint(frac_mod1(self.lift_eval_inverse(p.value)))
 
     def left_right_slopes(self, p: CirclePoint) -> Tuple[Fraction, Fraction]:
         """Exact (left derivative, right derivative) at p."""
-        i, u, _ = self._locate(p.value)
-        if u == self._xs[i]:
+        i = bisect.bisect_right(self._xs, p.value) - 1  # -1: p < x_0, the last piece
+        if p.value == self._xs[i]:
             return self.slopes[i - 1], self.slopes[i]
         return self.slopes[i], self.slopes[i]
 
     def jump(self, p: CirclePoint) -> Fraction:
         """Derivative jump D+h(p) / D-h(p); equals 1 off the breakpoints."""
-        left, right = self.left_right_slopes(p)
-        return right / left
+        return self._step(p.value.numerator, p.value.denominator)[2]
 
     @cached_property
     def _table(self):
-        """One period in integers: L the lcm of the breakpoint denominators,
-        X_i = x_i * L, piece i is y = (a_i * u + b_i) / D, J_i the jump at x_i."""
-        xs, s = self._xs, self.slopes
-        L = math.lcm(*(x.denominator for x in xs))
-        X = [x.numerator * (L // x.denominator) for x in xs]
-        cs = [y - si * x for x, y, si in zip(xs, self._ys, s)]
-        D = math.lcm(*(q.denominator for q in (*s, *cs)))
-        A = [q.numerator * (D // q.denominator) for q in s]
-        B = [q.numerator * (D // q.denominator) for q in cs]
-        J = [s[i] / s[i - 1] for i in range(len(s))]
-        return L, X, A, B, D, J
+        """One period in integers, built with no Fraction arithmetic: L and M
+        the lcms of the vertex x and y denominators, X_i = x_i L, and piece i
+        as F(u) = (a_i u L + b_i) / e_i, with a_i = (y_{i+1} - y_i) M and
+        e_i = (x_{i+1} - x_i) L M.  _step and rotnum's enclosures read it."""
+        L = math.lcm(*(x.denominator for x in self._xs))
+        M = math.lcm(*(y.denominator for y in self._ys))
+        X = [x.numerator * (L // x.denominator) for x in self._xs]
+        Y = [y.numerator * (M // y.denominator) for y in self._ys]
+        dX = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
+        A = [b - a for a, b in zip(Y, Y[1:] + [Y[0] + M])]
+        B = [y * dx - a * x for x, y, dx, a in zip(X, Y, dX, A)]
+        return L, X, A, B, [M * dx for dx in dX]
 
     def _step(self, n: int, d: int) -> Tuple[int, int, Fraction]:
-        """Eval and jump at the circle point n/d, given in lowest terms, in
-        integers: (n', d', J) with n'/d' the image in lowest terms."""
-        L, X, A, B, D, J = self._table
-        f, r = divmod(n * L, d)  # f = floor(u * L)
-        if f < X[0]:  # u = n/d + 1 lies in the lift period [x_0, x_0 + 1)
-            n += d
-            f += L
+        """The one exact forward evaluation: (n', d', J), with n'/d' = F(n/d)
+        in lowest terms for the canonical lift F and J the jump at n/d, for
+        any n/d with d > 0.  u = n/d - m, for the winding m, lies in [x_0,
+        x_0 + 1); F(n/d) = F(u) + m; J at x_i is (a_i e_{i-1}) / (a_{i-1} e_i)."""
+        L, X, A, B, E = self._table
+        nL = n * L
+        f, r = divmod(nL, d)  # f = floor(n/d * L)
+        m = (f - X[0]) // L
+        f -= m * L
+        nL -= m * L * d
         i = bisect.bisect_right(X, f) - 1
-        p, q = A[i] * n + B[i] * d, D * d
+        p, q = A[i] * nL + B[i] * d, E[i] * d
         g = math.gcd(p, q)
         p, q = p // g, q // g
-        return (p - q if p >= q else p), q, (J[i] if r == 0 and f == X[i] else _ONE)
+        J = Fraction(A[i] * E[i - 1], A[i - 1] * E[i]) if r == 0 and f == X[i] else _ONE
+        return p + m * q, q, J
 
     # -- group operations --------------------------------------------------
 

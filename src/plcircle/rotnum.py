@@ -6,8 +6,9 @@ the breakpoints, so a periodic orbit anywhere gives the exact answer.
 Beyond max_q only the orbit of 0 is followed: integer enclosures of it
 (interval arithmetic on ints scaled by 2^b) decide each sign, and the exact
 orbit every sign they leave open, equality included, so no float decides an
-answer.  The semi-conjugacy table is explicitly numeric, with stated
-tolerances.
+answer.  Exact orbits are int pairs stepped by PLHomeo._step; the
+enclosures read PLHomeo._table.  The semi-conjugacy table is explicitly
+numeric, with stated tolerances.
 """
 from __future__ import annotations
 
@@ -101,9 +102,10 @@ class RotNumResult:
         return f"[{self.lo}, {self.hi}] after {self.depth} refinements"
 
 
-def _lift_iterate(h: PLHomeo, t: Fraction, n: int) -> Fraction:
+def _lift_iterate(h: PLHomeo, t: Tuple[int, int], n: int) -> Tuple[int, int]:
+    """F^n(t), with t and the result (numerator, denominator) pairs."""
     for _ in range(n):
-        t = h.lift_eval(t)
+        t = h._step(*t)[:2]
     return t
 
 
@@ -116,35 +118,28 @@ class _Enclosure:
     """Integer bounds lo <= 2^b F^n(0) <= hi on the lift orbit of 0.
 
     F is increasing, so flooring each step keeps a lower bound and ceiling
-    it an upper one.  A breakpoint x_i is held as ceil(x_i 2^b) and piece i,
-    F(u) = s_i u + c_i, as the ints (c_i d_i 2^b, s_i d_i, d_i); for an
-    integer t these give its piece and winding exactly."""
+    it an upper one.  Each step reads h's integer table, PLHomeo._table."""
 
     def __init__(self, h: PLHomeo, b: int):
-        self.b = b
-        one = 1 << b
-        self.xs = [-(-x.numerator * one // x.denominator) for x in h._xs]
-        self.pieces = []
-        for x, y, s in zip(h._xs, h._ys, h.slopes):
-            c = y - s * x
-            d = math.lcm(s.denominator, c.denominator)
-            self.pieces.append((c.numerator * (d // c.denominator) << b,
-                                s.numerator * (d // s.denominator), d))
+        self.b, self.table = b, h._table
         self.n = self.lo = self.hi = 0
 
     def at(self, q: int) -> Tuple[int, int]:
-        """(lo, hi) at n = q; q never decreases between calls."""
-        b, xs, pieces, x0 = self.b, self.xs, self.pieces, self.xs[0]
+        """(lo, hi) at n = q; q never decreases between calls.  As in _step,
+        t / 2^b = u + m and 2^b F(t / 2^b) = 2^b (a_i u L + b_i) / e_i + m 2^b."""
+        b, (L, X, A, B, E) = self.b, self.table
         lo, hi = self.lo, self.hi
         for _ in range(q - self.n):
-            m = (lo - x0) >> b
-            t = lo - (m << b)
-            c, s, d = pieces[bisect.bisect_right(xs, t) - 1]
-            lo = (s * t + c) // d + (m << b)
-            m = (hi - x0) >> b
-            t = hi - (m << b)
-            c, s, d = pieces[bisect.bisect_right(xs, t) - 1]
-            hi = -(-(s * t + c) // d) + (m << b)
+            tL = lo * L
+            f = tL >> b
+            m = (f - X[0]) // L
+            i = bisect.bisect_right(X, f - m * L) - 1
+            lo = (A[i] * (tL - (m * L << b)) + (B[i] << b)) // E[i] + (m << b)
+            tL = hi * L
+            f = tL >> b
+            m = (f - X[0]) // L
+            i = bisect.bisect_right(X, f - m * L) - 1
+            hi = -(-(A[i] * (tL - (m * L << b)) + (B[i] << b)) // E[i]) + (m << b)
         self.n, self.lo, self.hi = q, lo, hi
         return lo, hi
 
@@ -173,12 +168,13 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
     gaps = [y - c for c, y in h.verts]
     if math.ceil(min(gaps)) <= max(gaps):
         return RotNumResult(exact=Fraction(0))
-    orbits = [[c, y] for c, y in h.verts]  # the exact lift orbits of the breakpoints
+    orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
+              for c, y in h.verts]  # the breakpoints' exact lift orbits
     enc = _Enclosure(h, _BITS)
-    n, t = 1, h.lift_eval(Fraction(0))  # the exact orbit of 0, t = F^n(0)
+    n, t = 1, h._step(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
     # F(0) is no integer, as 0 is not fixed, so F's translation number lies
     # in [w, w + 1]: the search brackets that of F - w, which is rho mod 1
-    w = math.floor(t)
+    w = t[0] // t[1]
     lo, hi = Fraction(0), Fraction(1)
     for step in itertools.count():
         p = lo.numerator + hi.numerator
@@ -191,15 +187,17 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
         if q <= max_q:
             for orbit in orbits:
                 while len(orbit) <= q:
-                    orbit.append(h.lift_eval(orbit[-1]))
-            gaps = [orbit[q] - orbit[0] for orbit in orbits]
-            sign = (min(gaps) > target) - (max(gaps) < target)
+                    orbit.append(h._step(*orbit[-1])[:2])
+            # F^q(c) - c - target, each times its positive denominator
+            gaps = [y * e - (c + target * e) * d
+                    for (c, e), (y, d) in ((o[0], o[q]) for o in orbits)]
+            sign = (min(gaps) > 0) - (max(gaps) < 0)
         else:
             lower, upper = enc.at(q)
             sign = (lower > target << enc.b) - (upper < target << enc.b)
             if not sign:
                 t, n = _lift_iterate(h, t, q - n), q
-                sign = (t > target) - (t < target)
+                sign = (t[0] > target * t[1]) - (t[0] < target * t[1])
         if sign > 0:
             lo = Fraction(p, q)
         elif sign < 0:

@@ -103,7 +103,7 @@ class _Orbits:
             for k, (label, g) in enumerate(maps):
                 if row[k] is None:
                     n2, d2, w = g._step(n, d)
-                    t = self._intern((n2, d2))
+                    t = self._intern((n2 % d2, d2))
                     row[k] = (t, w, label)
                     if u < t < self.max_vertices:
                         pending.setdefault(t, [None] * len(maps))[k ^ 1] = (

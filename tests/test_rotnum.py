@@ -212,11 +212,36 @@ def test_conjugated_exotic_bracket_closed_form(seed, pair):
     assert A ** a < lam ** b and lam ** d < A ** c
 
 
+def _conjugate_rotation(seed, alpha):
+    phi = random_pl(seed, 3, 16)
+    return phi.compose(rotation(alpha)).compose(phi.inverse())
+
+
 def test_rotation_number_of_lift_below_zero():
-    phi = random_pl(37244, 3, 16)
-    h = phi.compose(rotation(F(7, 8))).compose(phi.inverse())
+    h = _conjugate_rotation(37244, F(7, 8))
     assert h.lift_eval(F(0)) < 0
     assert str(rotation_number(h, max_q=4)) == "7/8 (exact)"
+
+
+@pytest.mark.parametrize("make, kwargs, want", [
+    # exact beyond max_q: breakpoint orbits, enclosure and the orbit of 0
+    (lambda: _conjugate_rotation(5, F(5, 7)), {"max_q": 4}, "5/7 (exact)"),
+    # the enclosure decides every sign past q = 32
+    (lambda: exotic_element(ExoticParams(F(6), F(2))), {"depth": 24},
+     "[4296/11105, 665/1719] after 24 refinements"),
+    # a canonical lift with F(0) < 0, as in test_rotation_number_of_lift_below_zero
+    (lambda: _conjugate_rotation(37244, F(7, 8)), {"max_q": 4}, "7/8 (exact)"),
+])
+def test_rotation_number_never_calls_lift_eval(monkeypatch, make, kwargs, want):
+    # every evaluation goes through the integer kernel: PLHomeo._step, or
+    # PLHomeo._table for the enclosure
+    h = make()
+
+    def forbidden(self, t):
+        raise AssertionError("rotation_number called lift_eval")
+
+    monkeypatch.setattr(PLHomeo, "lift_eval", forbidden)
+    assert str(rotation_number(h, **kwargs)) == want
 
 
 @pytest.mark.parametrize("alpha", [F(7, 40), F(3, 16)])

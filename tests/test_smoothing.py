@@ -1,5 +1,6 @@
 """Orbit graphs, the coboundary solver, and the full smoothing pipeline."""
 
+import bisect
 import json
 import math
 import pathlib
@@ -620,15 +621,35 @@ def test_vertex_budget_below_seed_is_rejected():
 
 # ------------------------------------------------------ integer orbit kernel
 #
-# PLHomeo._step evaluates a map in integers for the orbit pass.  Its oracle
-# is the Fraction evaluation the pass used before, kept here verbatim.
+# PLHomeo._step is the one exact forward evaluation: lift_eval, eval, jump,
+# rotation_number and the orbit pass all read it.  Its oracle is the
+# Fraction evaluation it replaced, _locate and the lift_eval body, kept
+# here verbatim.
+
+def oracle_locate(g, t):
+    """(i, u, m): t = u + m with m an integer and x_i <= u < x_{i+1}."""
+    m = math.floor(t - g._xs[0])
+    u = t - m if m else t
+    return bisect.bisect_right(g._xs, u) - 1, u, m
+
+
+def oracle_lift_eval(g, t):
+    """Evaluate the canonical lift (the one with value of x_0 in [0,1))."""
+    i, u, m = oracle_locate(g, t)
+    y = g._ys[i] + g.slopes[i] * (u - g._xs[i])
+    return y + m if m else y
+
+
+def oracle_jump(g, t):
+    """The jump at t, from one oracle_locate: D+g(t) / D-g(t)."""
+    i, u, _ = oracle_locate(g, t)
+    s = g.slopes
+    return s[i] / s[i - 1] if u == g._xs[i] else F(1)
+
 
 def eval_jump(g, x):
-    """The circle coordinates of eval and jump at x, from one _locate."""
-    i, u, _ = g._locate(x)
-    s = g.slopes
-    y = g._ys[i] + s[i] * (u - g._xs[i])  # in [0, 2)
-    return (y if y < 1 else y - 1), (s[i] / s[i - 1] if u == g._xs[i] else F(1))
+    """The circle coordinate of the image of x, and the jump at x."""
+    return oracle_lift_eval(g, x) % 1, oracle_jump(g, x)
 
 
 @st.composite
@@ -655,30 +676,51 @@ circle_rationals = st.integers(1, 2**40).flatmap(
     lambda d: st.integers(0, d - 1).map(lambda n: F(n, d)))
 
 
-@given(kernel_maps, st.integers(2, 2**40), st.lists(circle_rationals, max_size=4))
+@given(kernel_maps, st.integers(2, 2**40), st.lists(circle_rationals, max_size=4),
+       st.lists(st.integers(-10**6, 10**6), max_size=3))
 @settings(max_examples=300, deadline=None)
-def test_kernel_matches_fraction_oracle(g, below, rationals):
+def test_kernel_matches_fraction_oracle(g, below, rationals, windings):
     # breakpoints, 0, a point just below x_0 (it wraps into the lift
-    # period) and random rationals
+    # period) and random rationals, each moved by -2..2 and by random
+    # windings: the kernel returns the lift, not its circle coordinate
     x0 = g.verts[0][0]
     points = [F(0), *(p.value for p in g.breakpoints), (x0 - F(1, below)) % 1,
               *rationals]
     for x in points:
-        n, d, w = g._step(x.numerator, x.denominator)
-        y, jump = eval_jump(g, x)
-        assert (n, d, w) == (y.numerator, y.denominator, jump)
+        p = CirclePoint(x)
+        jump = oracle_jump(g, x)
+        assert g.jump(p) == jump
+        assert g.eval(p) == CirclePoint(oracle_lift_eval(g, x) % 1)
+        for m in (-2, -1, 0, 1, 2, *windings):
+            t = x + m
+            y = oracle_lift_eval(g, t)
+            assert g._step(t.numerator, t.denominator) == (y.numerator, y.denominator, jump)
+            assert g.lift_eval(t) == y
+            # n/d need not be in lowest terms
+            assert g._step(3 * t.numerator, 3 * t.denominator)[:2] == (y.numerator, y.denominator)
 
 
 def _count_steps(monkeypatch):
-    """Record (map, source, image) of every kernel call."""
-    step, calls = PLHomeo._step, []
+    """Record (map, source, circle image) of every kernel call made inside
+    the orbit pass (_Orbits.expand); calls elsewhere, such as phi.eval on a
+    success, are not counted."""
+    step, expand, calls, inside = PLHomeo._step, _Orbits.expand, [], []
 
     def counting_step(self, n, d):
         out = step(self, n, d)
-        calls.append((self, (n, d), out[:2]))
+        if inside:
+            calls.append((self, (n, d), (out[0] % out[1], out[1])))
         return out
 
+    def counting_expand(self, v):
+        inside.append(v)
+        try:
+            expand(self, v)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(PLHomeo, "_step", counting_step)
+    monkeypatch.setattr(_Orbits, "expand", counting_expand)
     return calls
 
 
