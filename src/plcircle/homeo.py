@@ -76,14 +76,27 @@ def _canonical(pairs) -> Tuple[Vertex, ...]:
 class PLHomeo:
     """Orientation-preserving PL circle homeomorphism in canonical form.
 
-    The constructor takes vertex pairs in circle or lift coordinates and
-    stores their canonical form, raising InvalidHomeoError when they do not
-    define a homeomorphism; every map is built through it."""
+    The constructor canonicalizes input: it takes vertex pairs in circle or
+    lift coordinates and stores their canonical form, raising
+    InvalidHomeoError when they do not define a homeomorphism.  Maps the
+    library derives from canonical maps are built in canonical form
+    directly, through _of_canonical: `inverse` (swapping coordinates merges
+    nothing, as the slopes invert), `compose` (it keeps the cuts whose
+    chain-rule jump is not 1), `rotation` and `synthesize_conjugator` (its
+    support points are sorted, distinct, and all true breakpoints)."""
 
     verts: Tuple[Vertex, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "verts", _canonical(self.verts))
+
+    @classmethod
+    def _of_canonical(cls, verts: Tuple[Vertex, ...]) -> "PLHomeo":
+        """The map with these vertices, which must already be in canonical
+        form, as a tuple of (Fraction, Fraction) tuples; nothing is checked."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "verts", verts)
+        return h
 
     # -- structure ---------------------------------------------------------
 
@@ -188,17 +201,43 @@ class PLHomeo:
     # -- group operations --------------------------------------------------
 
     def compose(self, other: "PLHomeo") -> "PLHomeo":
-        """self o other, canonicalized."""
-        cuts = {frac_mod1(x) for x in other._xs}
-        cuts.update(frac_mod1(other.lift_eval_inverse(frac_mod1(x)))
-                    for x in self._xs)
-        pairs = [(c, frac_mod1(self.lift_eval(frac_mod1(other.lift_eval(c)))))
-                 for c in cuts]
-        return PLHomeo(pairs)
+        """self o other.  Its breakpoints lie among the cuts BP(other) and
+        other^{-1}(BP(self)), sorted once; a cut c is kept when the chain-rule
+        jump J(self, other(c)) J(other, c) is not 1, and the kept lifted
+        images are shifted by one floor."""
+        # the preimages are cyclically sorted: at most three sorted runs
+        cuts = sorted([frac_mod1(other.lift_eval_inverse(x)) for x in self._xs]
+                      + other._xs)
+        verts = []
+        last = None
+        for c in cuts:
+            if c == last:
+                continue
+            last = c
+            n, d, J1 = other._step(c.numerator, c.denominator)
+            n, d, J2 = self._step(n, d)
+            # jumps are in lowest terms: J1 J2 = 1 exactly when they are reciprocal
+            if J1.numerator != J2.denominator or J1.denominator != J2.numerator:
+                verts.append((c, n, d))
+        if not verts:
+            return rotation(Fraction(n, d) - last)
+        m = verts[0][1] // verts[0][2]
+        return PLHomeo._of_canonical(tuple(
+            (c, Fraction(n - m * d, d)) for c, n, d in verts))
 
     def inverse(self) -> "PLHomeo":
-        pairs = [(frac_mod1(y), frac_mod1(x)) for x, y in self.verts]
-        return PLHomeo(pairs)
+        """Swap the coordinates and rebase at the first vertex whose image
+        is at least 1, so that the smallest breakpoint of the inverse comes
+        first; BP(h^{-1}) = h(BP(h)) and the slopes invert, so nothing merges."""
+        verts = self.verts
+        if len(verts) == 1:
+            return rotation(-verts[0][1])
+        # every x lies in [x_0, 1): a smaller one would be the base
+        j = next((j for j, (_, y) in enumerate(verts) if y >= 1), 0)
+        if not j:
+            return PLHomeo._of_canonical(tuple((y, x) for x, y in verts))
+        return PLHomeo._of_canonical(tuple((y - 1, x) for x, y in verts[j:])
+                                     + tuple((y, x + 1) for x, y in verts[:j]))
 
     def iterate(self, n: int) -> "PLHomeo":
         """n-th iterate (negative n iterates the inverse), by sequential composition."""
@@ -219,7 +258,7 @@ def from_lift_vertices(pairs) -> PLHomeo:
 
 def rotation(alpha) -> PLHomeo:
     """The rotation x -> x + alpha mod 1."""
-    return PLHomeo(((0, alpha),))
+    return PLHomeo._of_canonical(((Fraction(0), frac_mod1(alpha)),))
 
 
 def identity() -> PLHomeo:

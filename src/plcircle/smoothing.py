@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
-from .circle import CirclePoint, frac_mod1
+from .circle import CirclePoint
 from .cocycle import FiniteVector
 from .homeo import PLHomeo, identity, rotation
 from .rotnum import fixed_points
@@ -270,29 +270,40 @@ def _closed_walk(o: _Orbits, v: int, out, parent) -> Tuple[Edge, ...]:
 def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
     """The canonical PL map whose jump vector is exactly a.
 
-    Requires the product of values to be 1 (every PL circle homeomorphism
-    has jump product 1).  The result fixes the smallest support point.
-    """
+    Requires the support points strictly increasing and the product of
+    values to be 1 (every PL circle homeomorphism has jump product 1).  The
+    result fixes the smallest support point x_0.  In integers: L is the lcm
+    of the point denominators, X_i = x_i L, u_i = P_i / Q the cumulative
+    jump products over one denominator Q, and the slope after x_i is
+    proportional to u_i.  With D_i = X_{i+1} - X_i (closing at X_0 + L),
+    N_i = sum_{l<i} P_l D_l and T = N_m, the map sends x_i to
+    x_0 + N_i / T = (X_0 T + N_i L) / (L T).  No value is 1, so every x_i
+    is a true breakpoint and the vertices are already canonical."""
     if not a.entries:
         return identity()
     if a.product() != 1:
         raise ValueError("assignment product differs from 1; no PL map realizes it")
     pts = [p.value for p, _ in a.entries]
-    jumps = [v for _, v in a.entries]
-    m = len(pts)
-    # cumulative jump products: slope on the arc after pts[i] is sigma * u[i]
-    u = []
-    cur = Fraction(1)
-    for j in jumps:
-        cur *= j
-        u.append(cur)
-    lengths = [pts[i + 1] - pts[i] for i in range(m - 1)] + [pts[0] + 1 - pts[m - 1]]
-    sigma = 1 / sum(ui * li for ui, li in zip(u, lengths))
-    ys = [pts[0]]
-    for i in range(m - 1):
-        ys.append(ys[-1] + sigma * u[i] * lengths[i])
-    pairs = [(x, frac_mod1(y)) for x, y in zip(pts, ys)]
-    return PLHomeo(pairs)
+    L = math.lcm(*(x.denominator for x in pts))
+    X = [x.numerator * (L // x.denominator) for x in pts]
+    D = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
+    if min(D[:-1], default=1) <= 0:
+        raise ValueError("support points are not strictly increasing")
+    us = []
+    p = q = 1
+    for _, v in a.entries:
+        p, q = p * v.numerator, q * v.denominator
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        us.append((p, q))
+    Q = math.lcm(*(q for _, q in us))
+    N = [0]
+    for (p, q), dx in zip(us, D):
+        N.append(N[-1] + p * (Q // q) * dx)
+    T = N.pop()
+    LT, X0T = L * T, X[0] * T
+    return PLHomeo._of_canonical(tuple(
+        (x, Fraction(X0T + n * L, LT)) for x, n in zip(pts, N)))
 
 
 def detect_finite_orbit(G: GroupPresentation, max_period: int,

@@ -188,7 +188,8 @@ lift_vertex_lists = st.lists(
 def test_library_maps_are_canonical(g, h, verts, A, t):
     """Every constructor path of the library yields the canonical form,
     which the constructor then leaves unchanged."""
-    for f in (g, h, g.compose(h), g.inverse(), synthesize_conjugator(jump_cocycle(g))):
+    for f in (g, h, g.compose(h), g.inverse(), synthesize_conjugator(jump_cocycle(g)),
+              rotation(t), rotation(-A * t)):
         assert_fixed_point(f)
     lam = 1 + (A - 1) * t
     if 1 < lam < A:

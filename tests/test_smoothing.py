@@ -19,8 +19,8 @@ from plcircle import (Edge, FiniteVector, GroupPresentation, Obstruction,
                       from_lift_vertices, identity, jump_cocycle, random_pl,
                       reduce_mod1, rotation, smooth_group,
                       synthesize_conjugator)
-from plcircle import smoothing
-from plcircle.circle import CirclePoint
+from plcircle import homeo, smoothing
+from plcircle.circle import CirclePoint, frac_mod1
 from plcircle.io import group_from_json, load_json, outcome_to_json
 from plcircle.smoothing import _Orbits, _gcd_coefficients, _nth_root, _solve
 
@@ -98,6 +98,20 @@ def test_synthesize_three_points():
 def test_synthesize_rejects_bad_product():
     a = FiniteVector.from_dict({reduce_mod1(0): F(2)})
     with pytest.raises(ValueError):
+        synthesize_conjugator(a)
+
+
+@pytest.mark.parametrize("entries", [
+    ((F(1, 2), F(2)), (F(1, 4), F(1, 2))),  # unsorted
+    ((F(1, 4), F(2)), (F(1, 4), F(1, 2))),  # a repeated point
+    ((F(0), F(3)), (F(1, 2), F(1, 6)), (F(1, 3), F(2))),
+], ids=["unsorted", "repeated", "unsorted_three"])
+def test_synthesize_rejects_support_not_strictly_increasing(entries):
+    # FiniteVector does not sort its entries; a conjugator built from them in
+    # the given order would realize another vector
+    a = FiniteVector(tuple((CirclePoint(x), v) for x, v in entries))
+    assert a.product() == 1
+    with pytest.raises(ValueError, match="strictly increasing"):
         synthesize_conjugator(a)
 
 
@@ -331,6 +345,29 @@ def test_smooth_group_composes_nothing(monkeypatch, make):
     monkeypatch.setattr(PLHomeo, "inverse", recording_inverse)
     assert smooth_group(G).kind == "success"
     assert inverted == [g for _, g in G.generators]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: group_from_json(load_json(str(FIXTURES / "conjugated_rotations.json"))),
+    lambda: _hidden_rotations(0)], ids=["fixture", "hidden_rotations"])
+def test_smooth_group_canonicalizes_nothing(monkeypatch, make):
+    # input is canonicalized when it is built; every map derived from it
+    # (inverses, composites, rotations, the conjugator) is built in
+    # canonical form directly
+    G, H = make(), _two_generators(7)
+    (_, g), (_, h) = H.generators
+    orbit = detect_finite_orbit(H, 3, max_orbit=16)
+    assert orbit is not None
+
+    def forbidden(pairs):
+        raise AssertionError("a derived map was canonicalized")
+
+    monkeypatch.setattr(homeo, "_canonical", forbidden)
+    assert smooth_group(G).kind == "success"
+    assert g.compose(h).compose(h.inverse()) == g
+    assert g.inverse().compose(g) == identity()
+    assert rotation(F(-7, 3)).verts == ((F(0), F(2, 3)),)
+    assert detect_finite_orbit(H, 3, max_orbit=16) == orbit
 
 
 rotation_amounts = st.tuples(st.integers(0, 6), st.integers(1, 7)).map(
@@ -839,3 +876,93 @@ def test_orbit_pass_matches_fraction_oracle(monkeypatch, kind):
     assert compared == 150
     if kind == "obstruction":
         assert backward >= 10
+
+
+# ------------------------------------------------------ trusted construction
+#
+# inverse, compose and synthesize_conjugator build their results in
+# canonical form directly.  Their oracles are the bodies they replaced,
+# kept here verbatim, which build the vertex pairs and canonicalize them
+# through the constructor.
+
+def oracle_compose(self, other):
+    """self o other, canonicalized."""
+    cuts = {frac_mod1(x) for x in other._xs}
+    cuts.update(frac_mod1(other.lift_eval_inverse(frac_mod1(x)))
+                for x in self._xs)
+    pairs = [(c, frac_mod1(self.lift_eval(frac_mod1(other.lift_eval(c)))))
+             for c in cuts]
+    return PLHomeo(pairs)
+
+
+def oracle_inverse(self):
+    pairs = [(frac_mod1(y), frac_mod1(x)) for x, y in self.verts]
+    return PLHomeo(pairs)
+
+
+def oracle_synthesize_conjugator(a):
+    """The canonical PL map whose jump vector is exactly a.
+
+    Requires the product of values to be 1 (every PL circle homeomorphism
+    has jump product 1).  The result fixes the smallest support point.
+    """
+    if not a.entries:
+        return identity()
+    if a.product() != 1:
+        raise ValueError("assignment product differs from 1; no PL map realizes it")
+    pts = [p.value for p, _ in a.entries]
+    jumps = [v for _, v in a.entries]
+    m = len(pts)
+    # cumulative jump products: slope on the arc after pts[i] is sigma * u[i]
+    u = []
+    cur = F(1)
+    for j in jumps:
+        cur *= j
+        u.append(cur)
+    lengths = [pts[i + 1] - pts[i] for i in range(m - 1)] + [pts[0] + 1 - pts[m - 1]]
+    sigma = 1 / sum(ui * li for ui, li in zip(u, lengths))
+    ys = [pts[0]]
+    for i in range(m - 1):
+        ys.append(ys[-1] + sigma * u[i] * lengths[i])
+    pairs = [(x, frac_mod1(y)) for x, y in zip(pts, ys)]
+    return PLHomeo(pairs)
+
+
+def assert_same_verts(got, want):
+    """Equal vertices, held as a tuple of (Fraction, Fraction) tuples, as
+    the constructor holds them: equality and hashing of maps rely on it."""
+    assert got.verts == want.verts
+    assert type(got.verts) is tuple
+    for v in got.verts:
+        assert type(v) is tuple and len(v) == 2
+        assert all(type(q) is F for q in v)
+    assert hash(got) == hash(want)
+
+
+derived_maps = st.one_of(
+    kernel_maps,
+    # canonical lifts with F(0) < 0
+    st.builds(random_pl, st.integers(0, 10**6), st.integers(1, 8),
+              st.integers(8, 64)).filter(lambda g: g.lift_eval(F(0)) < 0))
+
+
+@given(derived_maps, derived_maps, circle_rationals)
+@settings(max_examples=300, deadline=None)
+def test_derived_maps_match_canonicalizing_oracles(g, h, alpha):
+    for f in (g, h):
+        assert_same_verts(f.inverse(), oracle_inverse(f))
+        a = jump_cocycle(f)
+        assert_same_verts(synthesize_conjugator(a), oracle_synthesize_conjugator(a))
+    assert_same_verts(g.compose(h), oracle_compose(g, h))
+    assert_same_verts(h.compose(g), oracle_compose(h, g))
+    assert_same_verts(g.compose(g.inverse()), identity())
+    assert_same_verts(rotation(alpha - 2), PLHomeo(((0, alpha),)))
+
+
+def test_derived_maps_oracle_covers_lifts_below_zero():
+    g = _conjugate(random_pl(37244, 3, 16), rotation(F(7, 8)))
+    assert g.lift_eval(F(0)) < 0
+    for f in (g, g.inverse(), STD):
+        assert_same_verts(f.inverse(), oracle_inverse(f))
+        assert_same_verts(f.compose(g), oracle_compose(f, g))
+        assert_same_verts(g.compose(f), oracle_compose(g, f))
