@@ -32,9 +32,6 @@ class CirclePoint:
         if not 0 <= self.value < 1:
             raise ValueError(f"circle coordinate {self.value} not in [0, 1)")
 
-    def __add__(self, other: RationalLike) -> "CirclePoint":
-        return CirclePoint(frac_mod1(self.value + Fraction(other)))
-
     def __sub__(self, other: "CirclePoint") -> Fraction:
         """Positively oriented displacement from other to self, in [0, 1)."""
         return frac_mod1(self.value - other.value)

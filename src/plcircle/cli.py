@@ -136,10 +136,7 @@ def cmd_finite_orbit(args):
 
 def cmd_cb_rank(args):
     S = io.symbolic_set_from_json(io.load_json(args.set))
-    try:
-        cb.validate_realization(S)
-    except ValueError as exc:
-        raise io.FormatError(str(exc))
+    cb.validate_realization(S)
     r = cb.cb_rank(S)
     print(f"rank {r.rank}")
     print(f"top finite set size {r.top_finite_set_size}")
@@ -236,7 +233,7 @@ def main(argv=None) -> int:
             os.close(devnull)
         print("error: output closed before it was complete", file=sys.stderr)
         return 2
-    except (io.FormatError, ValueError) as exc:
+    except ValueError as exc:  # io.FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

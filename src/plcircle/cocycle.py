@@ -22,16 +22,21 @@ from .rotnum import fixed_points
 
 @dataclass(frozen=True)
 class FiniteVector:
-    """Finitely supported map CirclePoint -> positive rational, value 1 pruned."""
+    """Positive rationals at strictly increasing CirclePoints, value 1 pruned."""
 
     entries: Tuple[Tuple[CirclePoint, Fraction], ...]
 
     def __post_init__(self):
+        # compared in integers: Fraction's comparisons would double the cost
         for p, v in self.entries:
-            if v <= 0:
+            if v.numerator <= 0:
                 raise ValueError(f"non-positive value {v} at {p}")
             if v == 1:
                 raise ValueError(f"trivial value 1 stored at {p}")
+        for (p, _), (q, _) in zip(self.entries, self.entries[1:]):
+            a, b = p.value, q.value
+            if a.numerator * b.denominator >= b.numerator * a.denominator:
+                raise ValueError(f"support points are not strictly increasing at {q}")
 
     @classmethod
     def from_dict(cls, d: Dict[CirclePoint, Fraction]) -> "FiniteVector":

@@ -140,19 +140,17 @@ class PLHomeo:
         return Fraction(*self._step(t.numerator, t.denominator)[:2])
 
     def lift_eval_inverse(self, t: Fraction) -> Fraction:
-        y0 = self._ys[0]
-        m = math.floor(t - y0)
-        u = t - m if m else t
-        i = bisect.bisect_right(self._ys, u) - 1
-        x = self._xs[i] + (u - self._ys[i]) / self.slopes[i]
-        return x + m if m else x
+        """F^{-1}(t) for the canonical lift F: the canonical lift G of h^{-1}
+        minus the integer G(y_0) - x_0, which is 0 or 1."""
+        inv, (x0, y0) = self.inverse(), self.verts[0]
+        return inv.lift_eval(t) - (inv.lift_eval(y0) - x0)
 
     def eval(self, p: CirclePoint) -> CirclePoint:
         n, d, _ = self._step(p.value.numerator, p.value.denominator)
         return CirclePoint(Fraction(n % d, d))
 
     def eval_inverse(self, p: CirclePoint) -> CirclePoint:
-        return CirclePoint(frac_mod1(self.lift_eval_inverse(p.value)))
+        return self.inverse().eval(p)
 
     def left_right_slopes(self, p: CirclePoint) -> Tuple[Fraction, Fraction]:
         """Exact (left derivative, right derivative) at p."""
@@ -206,8 +204,8 @@ class PLHomeo:
         jump J(self, other(c)) J(other, c) is not 1, and the kept lifted
         images are shifted by one floor."""
         # the preimages are cyclically sorted: at most three sorted runs
-        cuts = sorted([frac_mod1(other.lift_eval_inverse(x)) for x in self._xs]
-                      + other._xs)
+        inv = other.inverse()
+        cuts = sorted([frac_mod1(inv.lift_eval(x)) for x in self._xs] + other._xs)
         verts = []
         last = None
         for c in cuts:
@@ -226,9 +224,14 @@ class PLHomeo:
             (c, Fraction(n - m * d, d)) for c, n, d in verts))
 
     def inverse(self) -> "PLHomeo":
-        """Swap the coordinates and rebase at the first vertex whose image
-        is at least 1, so that the smallest breakpoint of the inverse comes
-        first; BP(h^{-1}) = h(BP(h)) and the slopes invert, so nothing merges."""
+        """h^{-1}, built once per map: swap the coordinates and rebase at the
+        first vertex whose image is at least 1, so that the smallest
+        breakpoint of the inverse comes first; BP(h^{-1}) = h(BP(h)) and the
+        slopes invert, so nothing merges."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "PLHomeo":
         verts = self.verts
         if len(verts) == 1:
             return rotation(-verts[0][1])

@@ -56,6 +56,12 @@ class Edge:
         return Edge(self.target, self.gen, -self.sign, self.source, 1 / self.weight)
 
 
+def _signed_generators(G: GroupPresentation) -> List[Tuple[Tuple[str, int], PLHomeo]]:
+    """Each generator, labelled (name, 1), then its inverse, (name, -1)."""
+    return [((name, sign), g if sign == 1 else g.inverse())
+            for name, g in G.generators for sign in (1, -1)]
+
+
 class _Orbits:
     """An orbit graph explored on demand.  Points get int ids in
     breadth-first discovery order from the sorted seed, and are held as the
@@ -78,13 +84,6 @@ class _Orbits:
         self.n_seed = len(self.pts)
         if self.n_seed > max_vertices:
             raise ValueError("max_vertices smaller than the seed")
-
-    @classmethod
-    def of_group(cls, G: GroupPresentation, max_vertices: int) -> "_Orbits":
-        maps = [((name, sign), g if sign == 1 else g.inverse())
-                for name, g in G.generators for sign in (1, -1)]
-        seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
-        return cls(seed, maps, max_vertices)
 
     def _intern(self, key: Tuple[int, int]) -> int:
         v = self.ids.get(key)
@@ -287,8 +286,6 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
     L = math.lcm(*(x.denominator for x in pts))
     X = [x.numerator * (L // x.denominator) for x in pts]
     D = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
-    if min(D[:-1], default=1) <= 0:
-        raise ValueError("support points are not strictly increasing")
     us = []
     p = q = 1
     for _, v in a.entries:
@@ -320,10 +317,7 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
         raise ValueError("max_period must be positive")
     if max_orbit < 1:
         raise ValueError("max_orbit must be positive")
-    maps = []
-    for _, g in G.generators:
-        maps.append(g)
-        maps.append(g.inverse())
+    signed = _signed_generators(G)
     seen = {identity()}
     frontier = [identity()]
     candidates: List[CirclePoint] = []
@@ -331,7 +325,7 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     for _ in range(max_period):
         nxt = []
         for w in frontier:
-            for g in maps:
+            for _, g in signed:
                 gw = g.compose(w)
                 if gw.is_identity:
                     identity_word_seen = True
@@ -358,7 +352,7 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     for p in dict.fromkeys(candidates):
         if (p.value.numerator, p.value.denominator) in cut_off:
             continue
-        o = _Orbits([p.value], [(None, g) for g in maps], max_orbit)
+        o = _Orbits([p.value], signed, max_orbit)
         while len(o.rows) < len(o.pts) <= max_orbit:
             o.expand(len(o.rows))
         if len(o.pts) <= max_orbit:
@@ -405,7 +399,8 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     constant keeps them.  For x off V, g(x) is off V too and every factor
     is 1.  So phi g phi^{-1} has no breakpoint: it is the rotation by
     phi(g(y)) - phi(y), for any y."""
-    sol = _solve(_Orbits.of_group(G, max_vertices))
+    seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
+    sol = _solve(_Orbits(seed, _signed_generators(G), max_vertices))
     if not isinstance(sol, FiniteVector):
         return sol
     phi = synthesize_conjugator(sol)

@@ -114,6 +114,23 @@ def test_finite_vector_prunes_ones():
         FiniteVector(((reduce_mod1(0), F(1)),))
 
 
+def test_finite_vector_rejects_support_not_strictly_increasing():
+    # a repeated point: as_dict and value_at would keep one of the two
+    # values while product multiplied both
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FiniteVector(((CirclePoint(F(1, 4)), F(2)), (CirclePoint(F(1, 4)), F(1, 2))))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FiniteVector(((CirclePoint(F(1, 2)), F(2)), (CirclePoint(F(1, 4)), F(1, 2))))
+    v = FiniteVector(((CirclePoint(F(1, 4)), F(2)), (CirclePoint(F(1, 2)), F(1, 2))))
+    assert v == FiniteVector.from_dict(v.as_dict())
+
+
+@pytest.mark.parametrize("value", [F(0), F(-1, 2), 0, -3])
+def test_finite_vector_rejects_non_positive_values(value):
+    with pytest.raises(ValueError, match="non-positive"):
+        FiniteVector(((CirclePoint(F(1, 4)), value),))
+
+
 def composition_growth(f, N):
     """Oracle: breakpoint count of f^n, with f^n built by composition."""
     out = []

@@ -107,12 +107,10 @@ def test_synthesize_rejects_bad_product():
     ((F(0), F(3)), (F(1, 2), F(1, 6)), (F(1, 3), F(2))),
 ], ids=["unsorted", "repeated", "unsorted_three"])
 def test_synthesize_rejects_support_not_strictly_increasing(entries):
-    # FiniteVector does not sort its entries; a conjugator built from them in
-    # the given order would realize another vector
-    a = FiniteVector(tuple((CirclePoint(x), v) for x, v in entries))
-    assert a.product() == 1
+    # a conjugator built from these entries in the given order would realize
+    # another vector; FiniteVector rejects them before one can be asked for
     with pytest.raises(ValueError, match="strictly increasing"):
-        synthesize_conjugator(a)
+        synthesize_conjugator(FiniteVector(tuple((CirclePoint(x), v) for x, v in entries)))
 
 
 def test_synthesize_roundtrip_many():
@@ -881,14 +879,29 @@ def test_orbit_pass_matches_fraction_oracle(monkeypatch, kind):
 # ------------------------------------------------------ trusted construction
 #
 # inverse, compose and synthesize_conjugator build their results in
-# canonical form directly.  Their oracles are the bodies they replaced,
-# kept here verbatim, which build the vertex pairs and canonicalize them
-# through the constructor.
+# canonical form directly, and every backward evaluation steps the cached
+# inverse through the integer kernel.  Their oracles are the bodies they
+# replaced, kept here verbatim: they build the vertex pairs and canonicalize
+# them through the constructor, and evaluate F^{-1} by Fraction arithmetic.
+
+def oracle_lift_eval_inverse(self, t):
+    """F^{-1}(t) for the canonical lift F, by Fraction arithmetic."""
+    y0 = self._ys[0]
+    m = math.floor(t - y0)
+    u = t - m if m else t
+    i = bisect.bisect_right(self._ys, u) - 1
+    x = self._xs[i] + (u - self._ys[i]) / self.slopes[i]
+    return x + m if m else x
+
+
+def oracle_eval_inverse(self, p):
+    return CirclePoint(frac_mod1(oracle_lift_eval_inverse(self, p.value)))
+
 
 def oracle_compose(self, other):
     """self o other, canonicalized."""
     cuts = {frac_mod1(x) for x in other._xs}
-    cuts.update(frac_mod1(other.lift_eval_inverse(frac_mod1(x)))
+    cuts.update(frac_mod1(oracle_lift_eval_inverse(other, frac_mod1(x)))
                 for x in self._xs)
     pairs = [(c, frac_mod1(self.lift_eval(frac_mod1(other.lift_eval(c)))))
              for c in cuts]
@@ -966,3 +979,75 @@ def test_derived_maps_oracle_covers_lifts_below_zero():
         assert_same_verts(f.inverse(), oracle_inverse(f))
         assert_same_verts(f.compose(g), oracle_compose(f, g))
         assert_same_verts(g.compose(f), oracle_compose(g, f))
+
+
+# rotations (the identity too), exotic elements, random maps and composites
+inverse_maps = st.one_of(
+    kernel_maps,
+    st.builds(lambda s, k, t: random_pl(s, k, 32).compose(random_pl(s + 1, k, 32))
+              .compose(rotation(t)),
+              st.integers(0, 10**6), st.integers(1, 4), circle_rationals),
+    st.just(identity()))
+
+
+@given(inverse_maps, st.lists(circle_rationals, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_lift_eval_inverse_matches_fraction_oracle(g, rationals):
+    # every vertex image, 0 and random rationals, at windings -3..3
+    for y in (*g._ys, F(0), *rationals):
+        for m in range(-3, 4):
+            t = y + m
+            x = oracle_lift_eval_inverse(g, t)
+            assert g.lift_eval_inverse(t) == x
+            assert g.lift_eval(x) == t
+        p = CirclePoint(y % 1)
+        assert g.eval_inverse(p) == oracle_eval_inverse(g, p)
+
+
+def _seeded_pair(seed):
+    """One of 4 x 4 pairs of map families: random, rotation, exotic,
+    composite."""
+    rng = random.Random(seed)
+
+    def make(kind):
+        if kind == 0:
+            return random_pl(rng.randrange(10**6), rng.randint(1, 8), rng.choice((8, 32, 128)))
+        if kind == 1:
+            q = rng.randint(1, 12)
+            return rotation(F(rng.randrange(q), q))
+        if kind == 2:
+            A = rng.randint(2, 9)  # lam = 1 + j/2 lies in (1, A)
+            return exotic_element(ExoticParams(F(A), 1 + F(rng.randint(1, 2 * A - 3), 2)))
+        return _conjugate(random_pl(rng.randrange(10**6), rng.randint(1, 3), 16),
+                          random_pl(rng.randrange(10**6), rng.randint(1, 4), 32))
+
+    return make(seed % 4), make(seed // 4 % 4)
+
+
+def test_eval_inverse_and_compose_match_oracles_on_seeded_pairs():
+    for seed in range(240):
+        g, h = _seeded_pair(seed)
+        assert_same_verts(g.compose(h), oracle_compose(g, h))
+        assert_same_verts(h.compose(g), oracle_compose(h, g))
+        for p in (*g.breakpoints, *h.breakpoints, CirclePoint(F(seed % 7, 7))):
+            assert g.eval_inverse(p) == oracle_eval_inverse(g, p)
+            assert h.eval_inverse(p) == oracle_eval_inverse(h, p)
+
+
+def test_compose_calls_no_lift_eval_inverse(monkeypatch):
+    pairs = [_seeded_pair(seed) for seed in range(32)]
+    want = [(oracle_compose(g, h), oracle_compose(h, g)) for g, h in pairs]
+
+    def forbidden(self, t):
+        raise AssertionError("compose called lift_eval_inverse")
+
+    monkeypatch.setattr(PLHomeo, "lift_eval_inverse", forbidden)
+    for (g, h), (gh, hg) in zip(pairs, want):
+        assert_same_verts(g.compose(h), gh)
+        assert_same_verts(h.compose(g), hg)
+
+
+def test_inverse_is_built_once():
+    g = random_pl(5, 4, 32)
+    assert g.inverse() is g.inverse()
+    assert g.inverse().inverse() == g
