@@ -29,7 +29,7 @@ def main():
     worst = 0.0
     print("n,breakpoints,distinct_jumps,norm_sq")
     for n in range(1, args.N + 1):
-        power = g.compose(power)
+        power = power.compose(g)
         vec = affine_apply(g, vec)
         jumps.update(v for _, v in jump_cocycle(power).entries)
         worst = max(worst, l2_norm_sq(vec))

@@ -7,6 +7,7 @@ Output is deterministic for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -145,6 +146,7 @@ def cmd_cb_rank(args):
     return 0
 
 
+@functools.cache  # built on first use; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="plcircle",

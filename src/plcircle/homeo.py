@@ -249,7 +249,7 @@ class PLHomeo:
         base = self if n > 0 else self.inverse()
         result = base
         for _ in range(abs(n) - 1):
-            result = base.compose(result)
+            result = result.compose(base)
         return result
 
 

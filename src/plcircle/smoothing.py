@@ -303,24 +303,11 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
         (x, Fraction(X0T + n * L, LT)) for x, n in zip(pts, N)))
 
 
-def detect_finite_orbit(G: GroupPresentation, max_period: int,
-                        max_orbit: int = 512, max_words: int = 2000
-                        ) -> Optional[Tuple[CirclePoint, ...]]:
-    """Exact search for a finite orbit of the group.
-
-    Candidate points are fixed points of words of length at most max_period
-    in the generators and their inverses; each candidate's orbit is closed
-    under the generators up to max_orbit points.  Returns a finite orbit or
-    None if nothing is found within the budget.
-    """
-    if max_period < 1:
-        raise ValueError("max_period must be positive")
-    if max_orbit < 1:
-        raise ValueError("max_orbit must be positive")
-    signed = _signed_generators(G)
+def _word_candidates(signed, max_period: int, max_words: int):
+    """Fixed points of each new word of length <= max_period, in word order;
+    then 0 if a nontrivial word is the identity, which fixes every point."""
     seen = {identity()}
     frontier = [identity()]
-    candidates: List[CirclePoint] = []
     identity_word_seen = False
     for _ in range(max_period):
         nxt = []
@@ -334,22 +321,37 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
                 seen.add(gw)
                 nxt.append(gw)
                 fs = fixed_points(gw)
-                candidates.extend(fs.points)
-                for s, t in fs.arcs:
-                    candidates.extend((s, t))
+                yield from fs.points
+                yield from (p for arc in fs.arcs for p in arc)
             if len(seen) > max_words:
                 break
         frontier = nxt
         if not frontier or len(seen) > max_words:
             break
-    # a nontrivial word equal to the identity fixes everything; any point
-    # is then a candidate for a finite group orbit
     if identity_word_seen:
-        candidates.append(CirclePoint(Fraction(0)))
-    # keys of points on orbits known to exceed max_orbit: a candidate among
-    # them shares such an orbit, so closing it again cannot succeed
+        yield CirclePoint(Fraction(0))
+
+
+def detect_finite_orbit(G: GroupPresentation, max_period: int,
+                        max_orbit: int = 512, max_words: int = 2000
+                        ) -> Optional[Tuple[CirclePoint, ...]]:
+    """Exact search for a finite orbit of the group.
+
+    Candidates are the fixed points of words of length <= max_period in the
+    generators and their inverses, tried in word order as each word is found,
+    with 0 last when a nontrivial word is the identity.  Each candidate's
+    orbit is closed under the generators up to max_orbit points; the first
+    that closes is returned, or None if none closes within the budget.
+    """
+    if max_period < 1:
+        raise ValueError("max_period must be positive")
+    if max_orbit < 1:
+        raise ValueError("max_orbit must be positive")
+    signed = _signed_generators(G)
+    # keys of the points of closures that passed max_orbit, tried candidates
+    # included: closing any of them again cannot succeed
     cut_off = set()
-    for p in dict.fromkeys(candidates):
+    for p in _word_candidates(signed, max_period, max_words):
         if (p.value.numerator, p.value.denominator) in cut_off:
             continue
         o = _Orbits([p.value], signed, max_orbit)

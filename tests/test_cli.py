@@ -263,6 +263,38 @@ def test_smooth_obstruction_stops_early(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
 
 
+# rotation number 1/5 on a periodic orbit that misses 0: a search with
+# max_q = 4 tests only the orbit of 0, so it ends in a bracket
+ROTNUM_ONE_FIFTH = {"vertices": [
+    ["1/20", "1/4"], ["3/20", "3/10"], ["1/4", "9/20"], ["7/20", "1/2"],
+    ["9/20", "13/20"], ["11/20", "7/10"], ["13/20", "17/20"], ["3/4", "9/10"],
+    ["17/20", "21/20"], ["19/20", "11/10"]]}
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    # one process serves every request from one parser
+    from plcircle import cli
+    assert cli.build_parser() is cli.build_parser()
+    std = str(FIXTURES / "standard_contracting.json")
+    assert cli.main(["show", std, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(
+        (FIXTURES / "standard_contracting.json").read_text())
+    assert cli.main(["show", std]) == 0
+    assert capsys.readouterr().out.startswith("vertices (lift):\n")
+    doc = tmp_path / "fifth.json"
+    doc.write_text(json.dumps(ROTNUM_ONE_FIFTH))
+    assert cli.main(["rotnum", str(doc), "--max-q", "4"]) == 0
+    assert capsys.readouterr().out == "[12/61, 1/5] after 16 refinements\n"
+    assert cli.main(["rotnum", str(doc)]) == 0
+    assert capsys.readouterr().out == "1/5 (exact)\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rotnum"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert cli.main(["eval", std, "1/4"]) == 0
+    assert capsys.readouterr() == ("1/8\n", "")
+
+
 @pytest.mark.parametrize("value", ["x" * 200_000, [1] * 50_000],
                          ids=["long_string", "long_list"])
 def test_rejected_rational_gives_short_message(tmp_path, capsys, value):

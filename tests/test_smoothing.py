@@ -149,6 +149,20 @@ def test_finite_orbit_fixed_point():
     assert orbit == (reduce_mod1(0),)
 
 
+def test_finite_orbit_closes_each_candidate_as_found(monkeypatch):
+    # STD fixes 0, the first candidate of the first word: no further word
+    # is composed (the whole enumeration to length 6 composes 22)
+    compose, composed = PLHomeo.compose, []
+
+    def counting_compose(self, other):
+        composed.append(self)
+        return compose(self, other)
+
+    monkeypatch.setattr(PLHomeo, "compose", counting_compose)
+    assert detect_finite_orbit(pres(STD), 6) == (reduce_mod1(0),)
+    assert len(composed) == 1
+
+
 def test_finite_orbit_exotic_period_two():
     g = exotic_element(ExoticParams(F(4), F(2)))
     orbit = detect_finite_orbit(pres(g), 4)
