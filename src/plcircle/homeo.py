@@ -6,7 +6,9 @@ period, y_0 in [0,1), y strictly increasing, and an implicit closing
 vertex (x_0 + 1, y_0 + 1).  Canonical form: every stored vertex is a
 genuine breakpoint (adjacent slopes differ cyclically) and the base
 vertex is the smallest breakpoint; rotations are stored as the single
-vertex (0, alpha).
+vertex (0, alpha).  Input is canonicalized in integers over the lcms L and
+M of its x and y denominators, with a Fraction built only for each kept
+vertex; evaluation runs on the same integer layout (_table, _step).
 """
 from __future__ import annotations
 
@@ -16,30 +18,27 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .circle import CirclePoint, frac_mod1
 
 Vertex = Tuple[Fraction, Fraction]
 _ONE = Fraction(1)
+_PRIME = (1 << 61) - 1
 
 
 class InvalidHomeoError(ValueError):
     """Data does not define a canonical PL circle homeomorphism."""
 
 
-def _lift_cyclic(values: Sequence[Fraction]):
-    """Lift circle values (first taken as base) to an increasing sequence."""
-    base = values[0]
-    out = [base]
-    for v in values[1:]:
-        out.append(v + 1 if v < base else v)
-    for a, b in zip(out, out[1:]):
-        if not a < b:
-            raise InvalidHomeoError(
-                "vertex images are not in matching cyclic order "
-                "(map is not an orientation-preserving homeomorphism)")
-    return out
+def _rational(q) -> Fraction:
+    """q as a Fraction; InvalidHomeoError when q is no finite rational."""
+    if isinstance(q, Fraction):
+        return q
+    try:
+        return Fraction(q)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidHomeoError(f"vertex coordinate {q!r} is not a rational number") from None
 
 
 def _canonical(pairs) -> Tuple[Vertex, ...]:
@@ -48,28 +47,43 @@ def _canonical(pairs) -> Tuple[Vertex, ...]:
 
     Merges vertices where the slope does not change and rebases at the
     smallest breakpoint; a map with no breakpoint collapses to a rotation.
+    Works in integers, like _table: with L and M the lcms of the input x
+    and y denominators, vertex (x, y) mod 1 is (X / L, Y / M) for integers
+    X in [0, L) and Y in [0, M), slopes are compared by cross-multiplying
+    integer differences, and a Fraction is built only for each kept vertex.
     """
-    pairs = sorted({(frac_mod1(x), frac_mod1(y)) for x, y in pairs})
+    pairs = [(_rational(x), _rational(y)) for x, y in pairs]
     if not pairs:
         raise InvalidHomeoError("at least one vertex is required")
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    if len(set(xs)) != len(xs):
+    L = math.lcm(*(x.denominator for x, _ in pairs))
+    M = math.lcm(*(y.denominator for _, y in pairs))
+    pts = sorted({(x.numerator * (L // x.denominator) % L,
+                   y.numerator * (M // y.denominator) % M) for x, y in pairs})
+    X = [p[0] for p in pts]
+    Y = [p[1] for p in pts]
+    if len(set(X)) != len(X):
         raise InvalidHomeoError("two vertices share the same x coordinate")
-    if len(set(ys)) != len(ys):
+    if len(set(Y)) != len(Y):
         raise InvalidHomeoError("two vertices share the same image (map not injective)")
-    ylift = _lift_cyclic(ys)
-    k = len(pairs)
-    ext_x = xs + [xs[0] + 1]
-    ext_y = ylift + [ylift[0] + 1]
-    slopes = [(ext_y[i + 1] - ext_y[i]) / (ext_x[i + 1] - ext_x[i]) for i in range(k)]
-    keep = [i for i in range(k) if slopes[i - 1] != slopes[i]]
+    ylift = [y + M if y < Y[0] else y for y in Y]
+    if any(a >= b for a, b in zip(ylift, ylift[1:])):
+        raise InvalidHomeoError(
+            "vertex images are not in matching cyclic order "
+            "(map is not an orientation-preserving homeomorphism)")
+    dx = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
+    dy = [b - a for a, b in zip(ylift, ylift[1:] + [ylift[0] + M])]
+    # slope i is (dy_i L) / (dx_i M), and every dx_i is positive; products
+    # that differ mod a prime differ, so only equal residues multiply out
+    rx, ry = [d % _PRIME for d in dx], [d % _PRIME for d in dy]
+    keep = [i for i in range(len(X)) if (ry[i - 1] * rx[i] - ry[i] * rx[i - 1]) % _PRIME
+            or dy[i - 1] * dx[i] != dy[i] * dx[i - 1]]
     if not keep:
         # constant slope around the circle forces slope 1: a rotation
-        return ((Fraction(0), frac_mod1(ys[0] - xs[0])),)
-    kxs = [xs[i] for i in keep]
-    kys = _lift_cyclic([ys[i] for i in keep])
-    return tuple(zip(kxs, kys))
+        LM = L * M
+        return ((Fraction(0), Fraction((Y[0] * L - X[0] * M) % LM, LM)),)
+    base = Y[keep[0]]
+    return tuple((Fraction(X[i], L), Fraction(Y[i] + M if Y[i] < base else Y[i], M))
+                 for i in keep)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plcircle import (ExoticParams, InvalidHomeoError, PLHomeo, exotic_element,
-                      from_lift_vertices, identity, jump_cocycle, random_pl,
+                      from_lift_vertices, homeo, identity, jump_cocycle, random_pl,
                       reduce_mod1, rotation, synthesize_conjugator)
+from plcircle.circle import frac_mod1
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
 
@@ -206,3 +207,160 @@ def test_library_maps_are_canonical(g, h, verts, A, t):
 def test_removable_breakpoints_merge():
     h = from_lift_vertices([(0, 0), (F(1, 4), F(1, 4)), (1, 1)])
     assert h == identity()
+
+
+# -- the Fraction canonicalization, as an oracle for the integer one --------
+
+def oracle_lift_cyclic(values):
+    """Lift circle values (first taken as base) to an increasing sequence."""
+    base = values[0]
+    out = [base]
+    for v in values[1:]:
+        out.append(v + 1 if v < base else v)
+    for a, b in zip(out, out[1:]):
+        if not a < b:
+            raise InvalidHomeoError(
+                "vertex images are not in matching cyclic order "
+                "(map is not an orientation-preserving homeomorphism)")
+    return out
+
+
+def oracle_canonical(pairs):
+    """Canonicalize vertex pairs, in circle or lift coordinates, into lift
+    vertices.
+
+    Merges vertices where the slope does not change and rebases at the
+    smallest breakpoint; a map with no breakpoint collapses to a rotation.
+    """
+    pairs = sorted({(frac_mod1(x), frac_mod1(y)) for x, y in pairs})
+    if not pairs:
+        raise InvalidHomeoError("at least one vertex is required")
+    xs = [p[0] for p in pairs]
+    ys = [p[1] for p in pairs]
+    if len(set(xs)) != len(xs):
+        raise InvalidHomeoError("two vertices share the same x coordinate")
+    if len(set(ys)) != len(ys):
+        raise InvalidHomeoError("two vertices share the same image (map not injective)")
+    ylift = oracle_lift_cyclic(ys)
+    k = len(pairs)
+    ext_x = xs + [xs[0] + 1]
+    ext_y = ylift + [ylift[0] + 1]
+    slopes = [(ext_y[i + 1] - ext_y[i]) / (ext_x[i + 1] - ext_x[i]) for i in range(k)]
+    keep = [i for i in range(k) if slopes[i - 1] != slopes[i]]
+    if not keep:
+        # constant slope around the circle forces slope 1: a rotation
+        return ((F(0), frac_mod1(ys[0] - xs[0])),)
+    kxs = [xs[i] for i in keep]
+    kys = oracle_lift_cyclic([ys[i] for i in keep])
+    return tuple(zip(kxs, kys))
+
+
+def canonical_outcome(fn, pairs):
+    """The canonical vertices fn gives for pairs, or its error type and message."""
+    try:
+        return fn(pairs)
+    except Exception as exc:  # any error, with its message, must match the oracle's
+        return type(exc), str(exc)
+
+
+def _as_form(q, form):
+    """q as a Fraction, a string (lowest terms or not) or, if integral, an int."""
+    if form == 1:
+        return str(q)
+    if form == 2:
+        return f"{3 * q.numerator}/{3 * q.denominator}"
+    if form == 3 and q.denominator == 1:
+        return int(q)
+    return q
+
+
+@st.composite
+def vertex_inputs(draw):
+    """(pairs, expected): vertex pairs in mixed coordinate forms, and the
+    map they must define, or None when only the oracle decides."""
+    kind = draw(st.sampled_from(["random", "subdivided", "rotation", "repeated",
+                                 "shared_x", "shared_y", "swapped"]))
+    expected = None
+    if kind == "random":
+        pairs = draw(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=12),
+                                        st.fractions(-3, 3, max_denominator=12)),
+                              max_size=6))
+    elif kind == "rotation":
+        alpha = draw(st.fractions(-2, 2, max_denominator=16))
+        xs = draw(st.lists(st.fractions(0, 1, max_denominator=16), min_size=1,
+                           max_size=5, unique=True))
+        pairs = [(x, x + alpha) for x in xs if x < 1]
+        expected = rotation(alpha) if pairs else None
+    else:
+        h = random_pl(draw(st.integers(0, 10**6)), draw(st.integers(1, 5)), 32)
+        pairs = list(h.verts)
+        closing = (pairs[0][0] + 1, pairs[0][1] + 1)
+        n = len(pairs)
+        if kind == "subdivided":
+            closed = pairs + [closing]
+            pairs = [v for (xa, ya), (xb, yb) in zip(closed, closed[1:])
+                     for v in ((xa, ya), ((xa + xb) / 2, (ya + yb) / 2))]
+            expected = h
+        elif kind == "repeated":
+            pairs += [pairs[draw(st.integers(0, n - 1))], closing]
+            expected = h
+        elif n > 1:
+            i, j = draw(st.permutations(range(n)))[:2]
+            (xi, yi), (xj, yj) = pairs[i], pairs[j]
+            if kind == "shared_x":
+                pairs[j] = (xi, yj)
+            elif kind == "shared_y":
+                pairs[j] = (xj, yi)
+            else:
+                pairs[i], pairs[j] = (xi, yj), (xj, yi)
+    # lift coordinates: shift each vertex by integers, in any order
+    shifts = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=len(pairs), max_size=len(pairs)))
+    pairs = [(x + m, y + n) for (x, y), (m, n) in zip(pairs, shifts)]
+    pairs = draw(st.permutations(pairs))
+    forms = draw(st.lists(st.integers(0, 3), min_size=2 * len(pairs),
+                          max_size=2 * len(pairs)))
+    return [(_as_form(x, forms[2 * i]), _as_form(y, forms[2 * i + 1]))
+            for i, (x, y) in enumerate(pairs)], expected
+
+
+@given(vertex_inputs())
+# the two slope products differ by 2 (2^61 - 1): equal residues, unequal slopes
+@example(([(0, 0), (F(1, 2**62), F(1, 2))], None))
+@settings(max_examples=400, deadline=None)
+def test_integer_canonicalization_matches_fraction_oracle(case):
+    pairs, expected = case
+    want = canonical_outcome(oracle_canonical, pairs)
+    got = canonical_outcome(lambda p: PLHomeo(p).verts, pairs)
+    assert got == want
+    if expected is not None:
+        assert got == expected.verts
+
+
+def test_canonicalization_reduces_no_fraction(monkeypatch):
+    # every coordinate is reduced mod 1 as an integer numerator over the
+    # lcm of its denominators; no Fraction is reduced
+    h = random_pl(11, 5, 32)
+    g = exotic_element(ExoticParams(F(4), F(2)))
+    shifted = [(x + i, y - 2 * i) for i, (x, y) in enumerate(h.verts)]
+    closed = list(h.verts) + [(h.verts[0][0] + 1, h.verts[0][1] + 1)]
+    subdivided = [v for (xa, ya), (xb, yb) in zip(closed, closed[1:])
+                  for v in ((xa, ya), ((xa + xb) / 2, (ya + yb) / 2))]
+    half = rotation(F(1, 2))
+
+    def forbidden(q):
+        raise AssertionError("canonicalization reduced a Fraction mod 1")
+
+    monkeypatch.setattr(homeo, "frac_mod1", forbidden)
+    assert PLHomeo(shifted) == h
+    assert exotic_element(ExoticParams(F(4), F(2))) == g
+    assert PLHomeo(subdivided) == h
+    assert PLHomeo([(F(1, 3), F(5, 6)), (F(2, 3), F(7, 6))]) == half
+
+
+@pytest.mark.parametrize("bad, shown", [(float("inf"), "inf"), (float("nan"), "nan"),
+                                        (None, "None")])
+def test_non_rational_coordinate_is_invalid(bad, shown):
+    for pairs in ([(bad, 0), (F(1, 2), F(1, 4))], [(0, 0), (F(1, 2), bad)]):
+        with pytest.raises(InvalidHomeoError, match=f"coordinate {shown} is not a rational"):
+            PLHomeo(pairs)
