@@ -24,7 +24,6 @@ from .circle import CirclePoint, frac_mod1
 
 Vertex = Tuple[Fraction, Fraction]
 _ONE = Fraction(1)
-_PRIME = (1 << 61) - 1
 
 
 class InvalidHomeoError(ValueError):
@@ -72,11 +71,8 @@ def _canonical(pairs) -> Tuple[Vertex, ...]:
             "(map is not an orientation-preserving homeomorphism)")
     dx = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
     dy = [b - a for a, b in zip(ylift, ylift[1:] + [ylift[0] + M])]
-    # slope i is (dy_i L) / (dx_i M), and every dx_i is positive; products
-    # that differ mod a prime differ, so only equal residues multiply out
-    rx, ry = [d % _PRIME for d in dx], [d % _PRIME for d in dy]
-    keep = [i for i in range(len(X)) if (ry[i - 1] * rx[i] - ry[i] * rx[i - 1]) % _PRIME
-            or dy[i - 1] * dx[i] != dy[i] * dx[i - 1]]
+    # slope i is (dy_i L) / (dx_i M), and every dx_i is positive
+    keep = [i for i in range(len(X)) if dy[i - 1] * dx[i] != dy[i] * dx[i - 1]]
     if not keep:
         # constant slope around the circle forces slope 1: a rotation
         LM = L * M
