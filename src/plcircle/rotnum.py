@@ -4,11 +4,13 @@ The rotation number comes from one Stern-Brocot descent.  A mediant p/q
 with q <= max_q is tested at every point at once, exactly, on the orbits of
 the breakpoints, so a periodic orbit anywhere gives the exact answer.
 Beyond max_q only the orbit of 0 is followed: integer enclosures of it
-(interval arithmetic on ints scaled by 2^b) decide each sign, and the exact
-orbit every sign they leave open, equality included, so no float decides an
-answer.  Exact orbits are int pairs stepped by PLHomeo._step; the
-enclosures read PLHomeo._table.  The semi-conjugacy table is explicitly
-numeric, with stated tolerances.
+(interval arithmetic on ints scaled by L 2^b, L the lcm of the map's x
+denominators) decide each sign, and the exact orbit every sign they leave
+open, equality included, so no float decides an answer.  Exact orbits are
+int pairs stepped by PLHomeo._step; the enclosures step both bounds at once
+over a piece table pre-scaled once from PLHomeo._table, with one piece
+lookup shared by both bounds unless they lie in different pieces.  The
+semi-conjugacy table is explicitly numeric, with stated tolerances.
 """
 from __future__ import annotations
 
@@ -115,31 +117,43 @@ _BITS = 64
 
 
 class _Enclosure:
-    """Integer bounds lo <= 2^b F^n(0) <= hi on the lift orbit of 0.
+    """Integer bounds lo <= L 2^b F^n(0) <= hi on the lift orbit of 0, on
+    the grid 1 / (L 2^b) with L the lcm of h's x denominators.
 
     F is increasing, so flooring each step keeps a lower bound and ceiling
-    it an upper one.  Each step reads h's integer table, PLHomeo._table."""
+    it an upper one.  The grid 1 / 2^b lies on this one, so the bounds are
+    never looser than bounds scaled by 2^b alone.  PLHomeo._table is read
+    once into one tuple (X_{i+1}, a_i L, b_i L 2^b, e_i) per piece i: for
+    T = L 2^b (u + m), with u in piece i and m the winding, L 2^b F(T / (L
+    2^b)) = (a_i L (T - s) + b_i L 2^b) / e_i + s, s = m L 2^b.  As hi >=
+    lo, hi lies in lo's piece unless floor(hi / 2^b) reaches X_{i+1} + m L:
+    a step looks up lo's piece and winding, and hi's only then."""
 
     def __init__(self, h: PLHomeo, b: int):
-        self.b, self.table = b, h._table
+        L, X, A, B, E = h._table
+        self.b, self.L, self.X, self.scale = b, L, X, L << b
+        self.pieces = [(x, a * L, c * L << b, e)
+                       for x, a, c, e in zip(X[1:] + [X[0] + L], A, B, E)]
         self.n = self.lo = self.hi = 0
 
     def at(self, q: int) -> Tuple[int, int]:
-        """(lo, hi) at n = q; q never decreases between calls.  As in _step,
-        t / 2^b = u + m and 2^b F(t / 2^b) = 2^b (a_i u L + b_i) / e_i + m 2^b."""
-        b, (L, X, A, B, E) = self.b, self.table
+        """(lo, hi) at n = q; q never decreases between calls."""
+        b, L, X, pieces, scale = self.b, self.L, self.X, self.pieces, self.scale
+        x0, bisect_right = X[0], bisect.bisect_right
         lo, hi = self.lo, self.hi
         for _ in range(q - self.n):
-            tL = lo * L
-            f = tL >> b
-            m = (f - X[0]) // L
-            i = bisect.bisect_right(X, f - m * L) - 1
-            lo = (A[i] * (tL - (m * L << b)) + (B[i] << b)) // E[i] + (m << b)
-            tL = hi * L
-            f = tL >> b
-            m = (f - X[0]) // L
-            i = bisect.bisect_right(X, f - m * L) - 1
-            hi = -(-(A[i] * (tL - (m * L << b)) + (B[i] << b)) // E[i]) + (m << b)
+            f = lo >> b  # floor(u L) + m L
+            m = (f - x0) // L
+            mL = m * L
+            x_next, a, c, e = pieces[bisect_right(X, f - mL) - 1]
+            s = m * scale
+            lo = (a * (lo - s) + c) // e + s
+            f = hi >> b
+            if f - mL >= x_next:
+                m = (f - x0) // L
+                x_next, a, c, e = pieces[bisect_right(X, f - m * L) - 1]
+                s = m * scale
+            hi = s - (a * (s - hi) - c) // e
         self.n, self.lo, self.hi = q, lo, hi
         return lo, hi
 
@@ -161,6 +175,9 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
     q > max_q only x = 0 is tested: integer enclosures of its orbit decide
     each sign and the exact orbit those they leave open, so no float decides
     an answer."""
+    for name, value in (("max_q", max_q), ("depth", depth)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, not {value!r}")
     if max_q < 1 or depth < 1:
         raise ValueError("max_q and depth must be positive")
     # q = 1, never a mediant: F - id is affine between breakpoints, so h fixes
@@ -170,7 +187,7 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
         return RotNumResult(exact=Fraction(0))
     orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
               for c, y in h.verts]  # the breakpoints' exact lift orbits
-    enc = _Enclosure(h, _BITS)
+    enc = None  # built when q first passes max_q
     n, t = 1, h._step(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
     # F(0) is no integer, as 0 is not fixed, so F's translation number lies
     # in [w, w + 1]: the search brackets that of F - w, which is rho mod 1
@@ -193,8 +210,11 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
                     for (c, e), (y, d) in ((o[0], o[q]) for o in orbits)]
             sign = (min(gaps) > 0) - (max(gaps) < 0)
         else:
+            if enc is None:
+                enc = _Enclosure(h, _BITS)
             lower, upper = enc.at(q)
-            sign = (lower > target << enc.b) - (upper < target << enc.b)
+            scaled = target * enc.scale
+            sign = (lower > scaled) - (upper < scaled)
             if not sign:
                 t, n = _lift_iterate(h, t, q - n), q
                 sign = (t[0] > target * t[1]) - (t[0] < target * t[1])

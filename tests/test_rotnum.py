@@ -1,6 +1,8 @@
+import bisect
 import math
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -75,6 +77,55 @@ def count_sign_tests(mp, bits):
     return counts
 
 
+def oracle_enclosure(h, b, steps):
+    """Test oracle: the enclosure with each bound stepped on its own, on
+    the grid 1 / 2^b.  Returns the bounds lo <= 2^b F^n(0) <= hi for
+    n = 1..steps; each step looks up the piece of lo and of hi in
+    PLHomeo._table."""
+    L, X, A, B, E = h._table
+    lo = hi = 0
+    bounds = []
+    for _ in range(steps):
+        tL = lo * L
+        f = tL >> b
+        m = (f - X[0]) // L
+        i = bisect.bisect_right(X, f - m * L) - 1
+        lo = (A[i] * (tL - (m * L << b)) + (B[i] << b)) // E[i] + (m << b)
+        tL = hi * L
+        f = tL >> b
+        m = (f - X[0]) // L
+        i = bisect.bisect_right(X, f - m * L) - 1
+        hi = -(-(A[i] * (tL - (m * L << b)) + (B[i] << b)) // E[i]) + (m << b)
+        bounds.append((lo, hi))
+    return bounds
+
+
+def check_enclosure(h, bits, steps=300):
+    """Step rotnum._Enclosure at `bits` through n = 1..steps, checking
+    oracle_lo L <= lo <= L 2^b F^n(0) <= hi <= oracle_hi L with the exact
+    orbit from _lift_iterate.  Returns the number of second piece lookups,
+    those made for hi beyond the one per step for lo."""
+    lookups = []
+
+    def counted_bisect_right(xs, x):
+        lookups.append(x)
+        return bisect.bisect_right(xs, x)
+
+    L = h._table[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rotnum, "bisect", SimpleNamespace(bisect_right=counted_bisect_right))
+        enc = rotnum._Enclosure(h, bits)
+        assert enc.scale == L << bits
+        t = (0, 1)
+        for n, (oracle_lo, oracle_hi) in enumerate(oracle_enclosure(h, bits, steps), 1):
+            lo, hi = enc.at(n)
+            t = rotnum._lift_iterate(h, t, 1)
+            assert oracle_lo * L <= lo
+            assert lo * t[1] <= (L << bits) * t[0] <= hi * t[1]
+            assert hi <= oracle_hi * L
+    return len(lookups) - steps
+
+
 # a rotation number p/q with q beyond max_q = 4 and within the Farey depth 16,
 # so the bracket search meets the mediant p/q and an exact equality
 hidden_rotations = st.integers(5, 13).flatmap(lambda q: st.sampled_from(
@@ -83,6 +134,12 @@ hidden_rotations = st.integers(5, 13).flatmap(lambda q: st.sampled_from(
 # integer (A, lambda) with 1 < lambda < A: rotation number log lambda / log A
 exotic_pairs = st.integers(3, 12).flatmap(
     lambda A: st.tuples(st.just(A), st.integers(2, A - 1)))
+
+
+def conjugate_exotic(seed, pair):
+    A, lam = pair
+    phi = random_pl(seed, 3, 16)
+    return phi.compose(exotic_element(ExoticParams(F(A), F(lam)))).compose(phi.inverse())
 
 
 def test_fixed_points_identity_full():
@@ -200,8 +257,7 @@ def test_conjugated_exotic_bracket_closed_form(seed, pair):
     # translation number; the bracket is still of rho mod 1 =
     # log lam / log A, checked with integers only
     A, lam = pair
-    phi = random_pl(seed, 3, 16)
-    h = phi.compose(exotic_element(ExoticParams(F(A), F(lam)))).compose(phi.inverse())
+    h = conjugate_exotic(seed, pair)
     r = rotation_number(h, max_q=6, depth=12)
     assert r == restart_rotation_number(h, max_q=6, depth=12)
     if r.is_exact:
@@ -271,17 +327,62 @@ def test_exotic_bracket_at_each_precision(monkeypatch, bits):
         assert counts["exact"] == 14
 
 
+@pytest.mark.parametrize("bits", [BITS, 1])
 @given(seed=st.integers(0, 10**6), k=st.integers(1, 5),
        max_q=st.integers(1, 16), depth=st.integers(1, 16))
 @example(seed=3, k=4, max_q=24, depth=16)  # rho = 13/23
 @example(seed=4, k=5, max_q=3, depth=1)  # rho = 1/3, met past depth
 @settings(max_examples=100, deadline=None)
-def test_descent_matches_restart_oracle_on_random_maps(seed, k, max_q, depth):
+def test_descent_matches_restart_oracle_on_random_maps(bits, seed, k, max_q, depth):
     # a rational rotation number p/q is often carried by a periodic orbit
     # that misses 0; then only the test over every x finds it
     h = random_pl(seed, k, 32)
     want = restart_rotation_number(h, max_q=max_q, depth=depth)
-    assert rotation_number(h, max_q=max_q, depth=depth) == want
+    with pytest.MonkeyPatch.context() as mp:
+        count_sign_tests(mp, bits)
+        assert rotation_number(h, max_q=max_q, depth=depth) == want
+
+
+# random maps (k = 0 and 1 give rotations), exotic elements and their
+# conjugates
+enclosure_maps = st.one_of(
+    st.builds(random_pl, seed=st.integers(0, 10**6), k=st.integers(0, 6),
+              denom_bound=st.just(32)),
+    exotic_pairs.map(lambda p: exotic_element(ExoticParams(F(p[0]), F(p[1])))),
+    st.builds(conjugate_exotic, seed=st.integers(0, 10**6), pair=exotic_pairs))
+
+
+@pytest.mark.parametrize("bits", [BITS, 1])
+@given(h=enclosure_maps)
+@example(h=conjugate_exotic(47, (10, 7)))  # F(0) < 0
+@settings(max_examples=30, deadline=None)
+def test_enclosure_lies_inside_the_coarse_oracle(bits, h):
+    # grid 1 / 2^b lies on grid 1 / (L 2^b), so each step's floor and
+    # ceiling can only tighten the oracle's bounds
+    check_enclosure(h, bits)
+
+
+@pytest.mark.parametrize("make, bits", [
+    # the orbit of 0 meets an integer, where the piece wraps, at n = 3
+    (lambda: rotation(F(1, 3)), BITS),
+    # the orbit of 0 converges to the fixed breakpoint 1/2 from below, so
+    # the bounds come to lie on both sides of it
+    (lambda: random_pl(171, 3, 32), BITS),
+    # the bounds spread over several pieces
+    (lambda: exotic_element(ExoticParams(F(6), F(2))), 1),
+])
+def test_enclosure_looks_up_a_second_piece(make, bits):
+    assert check_enclosure(make(), bits) >= 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"depth": 2.5}, {"depth": F(5, 2)}, {"depth": True}, {"max_q": 4.0},
+    {"max_q": False}, {"max_q": "8"},
+])
+def test_rotation_number_rejects_non_int_arguments(kwargs):
+    (name, value), = kwargs.items()
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        rotation_number(rotation(F(1, 3)), **kwargs)
 
 
 def gap_signs(h, q, js):
