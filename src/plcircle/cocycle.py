@@ -168,9 +168,8 @@ class GrowthParams:
     component: Tuple[CirclePoint, CirclePoint]
     c0: float                      # log of the right slope at the left endpoint
     c1: float                      # log of the left slope at the right endpoint
-    mu: float                      # max |log s| over nontrivial superset values
-    beta: float                    # min |log s| over nontrivial superset values
-    jump_value_superset: frozenset  # all subset products of the jump values
+    mu: float                      # max |log s| over subset products s != 1
+    beta: float                    # min |log s| over subset products s != 1
     analyzed_inverse: bool         # True if the bound was derived from f^{-1}
 
 
@@ -220,14 +219,13 @@ def growth_params(f: PLHomeo) -> GrowthParams:
     comp = CirclePoint(a - math.floor(a)), CirclePoint(b - math.floor(b))
     c0 = _log(f.left_right_slopes(comp[0])[1])
     c1 = _log(f.left_right_slopes(comp[1])[0])
-    superset = _subset_products(f.jump(p) for p in f.breakpoints)
-    logs = [abs(_log(s)) for s in superset if s != 1]
+    logs = [abs(_log(s)) for s in _subset_products(f.jump(p) for p in f.breakpoints)
+            if s != 1]
     return GrowthParams(
         component=comp,
         c0=-c0 if analyzed_inverse else c0,
         c1=-c1 if analyzed_inverse else c1,
         mu=max(logs),
         beta=min(logs),
-        jump_value_superset=superset,
         analyzed_inverse=analyzed_inverse,
     )

@@ -1,5 +1,10 @@
 """Exact fixed-point solving and rotation numbers for PL circle maps.
 
+Fixed sets are read off the vertex gaps g_i = y_i - x_i of the lift F: as
+F - id is affine between vertices and spans less than 1, ceil(min g_i) is
+the one integer it can take, and one in-order pass over the pieces finds
+its zeros.
+
 The rotation number comes from one Stern-Brocot descent.  A mediant p/q
 with q <= max_q is tested at every point at once, exactly, on the orbits of
 the breakpoints, so a periodic orbit anywhere gives the exact answer.
@@ -27,7 +32,10 @@ from .homeo import PLHomeo
 
 @dataclass(frozen=True)
 class FixedSet:
-    """Exact solution set of h(x) = x, as maximal components."""
+    """Exact solution set of h(x) = x, as maximal components.
+
+    Points, then arcs, each in lift order from x_0, the base vertex; an arc
+    that wraps past x_0 + 1 is listed first."""
 
     full: bool
     points: Tuple[CirclePoint, ...]
@@ -39,50 +47,42 @@ class FixedSet:
 
 
 def fixed_points(h: PLHomeo) -> FixedSet:
-    """Solve h(x) = x exactly, piece by piece, merging adjacent components."""
-    xs = h._xs + [h._xs[0] + 1]
-    ys = h._ys + [h._ys[0] + 1]
-    intervals: List[Tuple[Fraction, Fraction]] = []  # closed, in lift coords
-    for i, s in enumerate(h.slopes):
-        a, b = xs[i], xs[i + 1]
-        da = ys[i] - a
-        db = ys[i + 1] - b
-        if s == 1:
-            if da == math.floor(da):
-                intervals.append((a, b))
-            continue
-        lo, hi = min(da, db), max(da, db)
-        for c in range(math.ceil(lo), math.floor(hi) + 1):
-            # solve ys[i] + s (x - a) = x + c
-            x = (c - ys[i] + s * a) / (s - 1)
-            if a <= x <= b:
-                intervals.append((x, x))
-    if not intervals:
+    """Solve h(x) = x exactly from the vertex gaps g_i = y_i - x_i.
+
+    F - id is affine between vertices and spans less than 1 over a period,
+    so c = ceil(min g_i) is the only integer it can take, and none when
+    c > max g_i.  One in-order pass over the pieces [x_i, x_{i+1}] adds the
+    zeros of F - id - c, merged with the last interval: the whole piece when
+    both ends are 0, its left vertex when only that end is, the interpolated
+    zero when the signs differ.  An arc ending at x_0 + 1 is then joined
+    onto the first interval."""
+    gaps = [y - x for x, y in h.verts]
+    c = math.ceil(min(gaps))
+    if c > max(gaps):
         return FixedSet(False, (), ())
-    intervals.sort()
-    merged = [list(intervals[0])]
-    for a, b in intervals[1:]:
-        if a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    # wrap-around merge: the last component may touch the first, one period up
-    if len(merged) > 1 and merged[0][0] + 1 <= merged[-1][1]:
-        merged[0][0] = merged[-1][0] - 1
-        merged[0][1] = max(merged[0][1], merged[-1][1] - 1)
-        merged.pop()
-    if merged[0][1] - merged[0][0] >= 1:
+    if len(gaps) == 1:  # a single vertex with gap c: the identity
         return FixedSet(True, (), ())
-    points = []
-    arcs = []
-    for a, b in merged:
-        pa = CirclePoint(frac_mod1(a))
-        pb = CirclePoint(frac_mod1(b))
-        if a == b:
-            points.append(pa)
+    xs = h._xs + [h._xs[0] + 1]
+    d = [g - c for g in gaps + gaps[:1]]
+    merged: List[List[Fraction]] = []  # closed, in lift coords
+    for a, b, da, db in zip(xs, xs[1:], d, d[1:]):
+        if da == 0:
+            iv = [a, b if db == 0 else a]
+        elif da * db < 0:
+            x = a + da * (b - a) / (da - db)
+            iv = [x, x]
         else:
-            arcs.append((pa, pb))
-    return FixedSet(False, tuple(points), tuple(arcs))
+            continue
+        if merged and iv[0] == merged[-1][1]:
+            merged[-1][1] = iv[1]
+        else:
+            merged.append(iv)
+    if merged[-1][1] == xs[-1]:
+        merged[0][0] = merged.pop()[0] - 1
+    points = tuple(CirclePoint(frac_mod1(a)) for a, b in merged if a == b)
+    arcs = tuple((CirclePoint(frac_mod1(a)), CirclePoint(frac_mod1(b)))
+                 for a, b in merged if a != b)
+    return FixedSet(False, points, arcs)
 
 
 @dataclass(frozen=True)

@@ -170,26 +170,15 @@ def _nth_root(q: Fraction, n: int) -> Optional[Fraction]:
 
 
 def _gcd_coefficients(sizes: List[int]) -> List[int]:
-    """Integers c_i with sum(c_i * sizes[i]) == gcd(sizes)."""
-    coeffs = [0] * len(sizes)
-    g = 0
-    for i, n in enumerate(sizes):
-        if g == 0:
-            g, coeffs[i] = n, 1
-            continue
-        gg, x, y = _ext_gcd(g, n)
-        for j in range(i):
-            coeffs[j] *= x
-        coeffs[i] = y
-        g = gg
+    """Integers c_i with sum(c_i * sizes[i]) == gcd(sizes), one Bezout step
+    per size n: x g + y n = h = gcd(g, n), x = (g/h)^-1 mod n/h, 0 if n = h."""
+    coeffs, g = [], 0
+    for n in sizes:
+        h = math.gcd(g, n)
+        x = pow(g // h, -1, n // h)
+        coeffs = [c * x for c in coeffs] + [(h - x * g) // n]
+        g = h
     return coeffs
-
-
-def _ext_gcd(a: int, b: int):
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 def _solve(o: _Orbits):

@@ -123,7 +123,7 @@ def test_criterion_05_exotic_boundedness():
         power = identity()
         vec = FiniteVector.empty()
         for n in range(1, 1001):
-            power = g.compose(power)
+            power = power.compose(g)
             vec = affine_apply(g, vec)
             if len(power.breakpoints) > 2:
                 ok = False

@@ -197,7 +197,6 @@ def test_growth_params_standard_example():
     assert start == end == reduce_mod1(0)  # the circle punctured at 0
     assert abs(gp.c0 - math.log(F(1, 2))) < 1e-12
     assert abs(gp.c1 - math.log(F(3, 2))) < 1e-12
-    assert gp.jump_value_superset == frozenset({F(1, 3), F(1), F(3)})
     assert abs(gp.mu - math.log(3)) < 1e-12
     assert abs(gp.beta - math.log(3)) < 1e-12
     assert not gp.analyzed_inverse
@@ -206,7 +205,6 @@ def test_growth_params_standard_example():
 def test_growth_params_expanding_uses_inverse():
     gp_inv = growth_params(STD.inverse())
     assert gp_inv.analyzed_inverse
-    assert gp_inv.jump_value_superset == frozenset({F(1, 3), F(1), F(3)})
 
 
 def test_growth_params_errors():
@@ -305,7 +303,6 @@ def oracle_growth_params(f):
         c1=_log(left_slope_at_x1),
         mu=max(logs),
         beta=min(logs),
-        jump_value_superset=frozenset(superset),
         analyzed_inverse=analyzed_inverse,
     )
 
@@ -317,7 +314,7 @@ def params_outcome(fn, f):
     except ValueError as exc:
         return "error", str(exc)
     return (gp.component, gp.c0.hex(), gp.c1.hex(), gp.mu.hex(), gp.beta.hex(),
-            gp.jump_value_superset, gp.analyzed_inverse)
+            gp.analyzed_inverse)
 
 
 @given(half_fixing_zero, vectors)

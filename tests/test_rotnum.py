@@ -13,9 +13,60 @@ from plcircle import (ExoticParams, PLHomeo, RotNumResult, exotic_element,
                       reduce_mod1, rotation, rotation_number,
                       semiconjugacy_table)
 from plcircle import rotnum
+from plcircle.circle import CirclePoint, frac_mod1
+from plcircle.rotnum import FixedSet
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
 BITS = rotnum._BITS
+
+
+def oracle_fixed_points(h):
+    """Test oracle: the earlier solver of h(x) = x.  Each piece is solved in
+    Fraction arithmetic for every integer between the gaps at its ends;
+    the intervals found are sorted, then merged in a second pass."""
+    xs = h._xs + [h._xs[0] + 1]
+    ys = h._ys + [h._ys[0] + 1]
+    intervals = []  # closed, in lift coords
+    for i, s in enumerate(h.slopes):
+        a, b = xs[i], xs[i + 1]
+        da = ys[i] - a
+        db = ys[i + 1] - b
+        if s == 1:
+            if da == math.floor(da):
+                intervals.append((a, b))
+            continue
+        lo, hi = min(da, db), max(da, db)
+        for c in range(math.ceil(lo), math.floor(hi) + 1):
+            # solve ys[i] + s (x - a) = x + c
+            x = (c - ys[i] + s * a) / (s - 1)
+            if a <= x <= b:
+                intervals.append((x, x))
+    if not intervals:
+        return FixedSet(False, (), ())
+    intervals.sort()
+    merged = [list(intervals[0])]
+    for a, b in intervals[1:]:
+        if a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    # wrap-around merge: the last component may touch the first, one period up
+    if len(merged) > 1 and merged[0][0] + 1 <= merged[-1][1]:
+        merged[0][0] = merged[-1][0] - 1
+        merged[0][1] = max(merged[0][1], merged[-1][1] - 1)
+        merged.pop()
+    if merged[0][1] - merged[0][0] >= 1:
+        return FixedSet(True, (), ())
+    points = []
+    arcs = []
+    for a, b in merged:
+        pa = CirclePoint(frac_mod1(a))
+        pb = CirclePoint(frac_mod1(b))
+        if a == b:
+            points.append(pa)
+        else:
+            arcs.append((pa, pb))
+    return FixedSet(False, tuple(points), tuple(arcs))
 
 
 def restart_rotation_number(h, max_q=32, depth=16):
@@ -161,6 +212,65 @@ def test_fixed_points_arc():
     h = from_lift_vertices([(0, 0), (F(1, 4), F(1, 4)), (F(1, 2), F(5, 16)), (1, 1)])
     fs = fixed_points(h)
     assert (reduce_mod1(0), reduce_mod1(F(1, 4))) in fs.arcs
+
+
+def fixing_vertex(h, i):
+    """h followed by the rotation taking h(x_i) back to x_i, a map that
+    fixes x_i, with i taken mod the vertex count."""
+    x = h.verts[i % len(h.verts)][0]
+    return rotation(x - h.lift_eval(x)).compose(h)
+
+
+@st.composite
+def diagonal_arc_maps(draw):
+    """A map on the grid 1/n that is the identity on one arc [a, b] and has
+    vertices (c, d), (d, c) or both beyond it; the shift s may carry the arc
+    past x_0 + 1."""
+    n = draw(st.integers(4, 40))
+    a, b, c, d = sorted(draw(st.lists(st.integers(0, n - 1), min_size=4,
+                                      max_size=4, unique=True)))
+    kinks = draw(st.sampled_from([[(c, d)], [(d, c)], [(c, c + (d - c) // 2), (d, d)]]))
+    s = draw(st.integers(0, n - 1))
+    return PLHomeo([(F((x + s) % n, n), F((y + s) % n, n))
+                    for x, y in [(a, a), (b, b)] + kinks])
+
+
+exotic_maps = exotic_pairs.map(lambda p: exotic_element(ExoticParams(F(p[0]), F(p[1]))))
+
+fixed_set_maps = st.one_of(
+    st.builds(random_pl, st.integers(0, 10**6), st.integers(0, 8),
+              st.sampled_from([6, 32, 512])),
+    st.builds(fixing_vertex, st.builds(random_pl, st.integers(0, 10**6),
+                                       st.integers(0, 8), st.just(32)),
+              st.integers(0, 8)),
+    exotic_maps,
+    st.builds(fixing_vertex, exotic_maps, st.integers(0, 1)),
+    diagonal_arc_maps(),
+    st.fractions(0, 1, max_denominator=64).map(rotation),
+    st.just(identity()))
+
+
+# identity on [3/4, 5/4] with x_0 = 1/4: the arc wraps past x_0 + 1
+@example(PLHomeo([(F(1, 4), F(1, 4)), (F(1, 2), F(5, 16)), (F(3, 4), F(3, 4))]))
+@example(STD)
+@example(identity())
+@given(fixed_set_maps)
+@settings(max_examples=300, deadline=None)
+def test_fixed_points_match_the_piecewise_oracle(h):
+    assert fixed_points(h) == oracle_fixed_points(h)
+
+
+def test_fixed_points_match_the_piecewise_oracle_on_a_seeded_sweep():
+    # 2,500 seeded random_pl maps, each also rotated to fix a vertex and
+    # composed with STD on either side: 10,000 maps
+    nonempty = 0
+    for seed in range(2500):
+        h = random_pl(seed, seed % 9, (6, 32, 512)[seed % 3])
+        for f in (h, fixing_vertex(h, seed), h.compose(STD), STD.compose(h)):
+            fs = fixed_points(f)
+            assert fs == oracle_fixed_points(f), f.verts
+            nonempty += not fs.is_empty
+    assert nonempty > 5000
 
 
 def test_rotation_number_of_rotations():

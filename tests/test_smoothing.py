@@ -1,15 +1,17 @@
 """Orbit graphs, the coboundary solver, and the full smoothing pipeline."""
 
 import bisect
+import itertools
 import json
 import math
+import operator
 import pathlib
 import random
 from collections import deque, namedtuple
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plcircle import (Edge, FiniteVector, GroupPresentation, Obstruction,
@@ -534,6 +536,26 @@ def oracle_potentials(graph):
                     return Obstruction(cycle, F(1), e.weight * a[t] / a[v])
         components.append(comp)
     return a, components
+
+
+# component sizes: any, all equal, and each dividing the next (in any order)
+size_lists = st.one_of(
+    st.lists(st.integers(1, 60), min_size=1, max_size=6),
+    st.tuples(st.integers(1, 60), st.integers(1, 6)).map(lambda t: [t[0]] * t[1]),
+    st.lists(st.integers(1, 5), min_size=1, max_size=6).map(
+        lambda ks: list(itertools.accumulate(ks, operator.mul))).flatmap(st.permutations))
+
+
+@given(size_lists)
+@example([7])
+@example([6, 6, 6])
+@example([2, 4, 12])
+@example([12, 4, 2])
+@settings(max_examples=200, deadline=None)
+def test_gcd_coefficients_combine_to_the_gcd(sizes):
+    coeffs = _gcd_coefficients(sizes)
+    assert len(coeffs) == len(sizes)
+    assert sum(c * n for c, n in zip(coeffs, sizes)) == math.gcd(*sizes)
 
 
 def oracle_solve(graph):
