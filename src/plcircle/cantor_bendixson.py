@@ -81,11 +81,11 @@ def realize(S: SymbolicSet, depth: int) -> FrozenSet[Fraction]:
     return frozenset(pts)
 
 
-def validate_realization(S: SymbolicSet, depth: int = 3) -> None:
-    """Check that all constituents realize pairwise distinct points at the
-    given depth (beyond it, the ratio bounds keep copies disjoint).  Sets
-    realizing more than MAX_REALIZED_POINTS points are rejected unrealized."""
-    total = 0
+def validate_realization(S: SymbolicSet) -> None:
+    """Check that all constituents realize pairwise distinct points at depth
+    3 (beyond it, the ratio bounds keep copies disjoint).  Sets realizing
+    more than MAX_REALIZED_POINTS points are rejected unrealized."""
+    depth, total = 3, 0
 
     def count(node: Node) -> int:
         if isinstance(node, Leaf):

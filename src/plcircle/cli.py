@@ -25,11 +25,14 @@ from .smoothing import commensuration_defect, detect_finite_orbit, smooth_group
 
 def _write_element(h, path):
     doc = json.dumps(io.element_to_json(h), indent=2)
-    if path:
+    if not path:
+        print(doc)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(doc + "\n")
-    else:
-        print(doc)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_show(args):
@@ -226,14 +229,17 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader gone after the last write fails here
         return code
-    except BrokenPipeError:
-        # the reader closed stdout early (`plcircle ... | head`); send the
+    except OSError as exc:
+        # stdout failed (`plcircle ... | head`, or a full device): send the
         # unwritten output to devnull so the flush at exit is silent
         if sys.stdout is sys.__stdout__:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print("error: output closed before it was complete", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            print("error: output closed before it was complete", file=sys.stderr)
+        else:
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return 2
     except ValueError as exc:  # io.FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -239,6 +239,32 @@ def test_broken_pipe_reader_closes_early():
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["exotic", "4", "2"], ["random", "--seed", "1"],
+                                  ["compose", str(FIXTURES / "standard_contracting.json"),
+                                   str(FIXTURES / "rotation_one_third.json")]],
+                         ids=["exotic", "random", "compose"])
+@pytest.mark.parametrize("target", ["no-such-dir/e.json", "."],
+                         ids=["missing_dir", "directory"])
+def test_unwritable_output_exit_two(tmp_path, capsys, argv, target):
+    from plcircle import cli
+    path = str(tmp_path / target)
+    assert cli.main(argv + ["-o", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_exit_two():
+    with open("/dev/full", "w") as full:
+        r = subprocess.run([sys.executable, "-m", "plcircle.cli", "show",
+                            str(FIXTURES / "standard_contracting.json")],
+                           stdout=full, stderr=subprocess.PIPE, text=True, env=ENV)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot write output: ")
+    assert r.stderr.count("\n") == 1  # no traceback, no "Exception ignored"
+
+
 def test_fixture_requests_match_recorded_digests(monkeypatch, capsys):
     from plcircle import cli
     recorded = json.loads((REPO / "perfbench" / "cli_digests.json").read_text())
