@@ -103,8 +103,8 @@ def _growth_header(f):
 
 def cmd_orbit_norms(args):
     f = io.element_from_json(io.load_json(args.element))
+    growth, norms = growth_sequences(f, args.N)  # rejects a bad N before any output
     header, rate = _growth_header(f)
-    growth, norms = growth_sequences(f, args.N)
     print("# " + json.dumps({"growth_params": header}))
     print("n,M_n,norm_sq,bound")
     for n, (m, ns) in enumerate(zip(growth, norms), start=1):
@@ -114,8 +114,9 @@ def cmd_orbit_norms(args):
 
 def cmd_breakpoint_growth(args):
     f = io.element_from_json(io.load_json(args.element))
+    growth = breakpoint_growth(f, args.N)  # rejects a bad N before any output
     print("n,M_n")
-    for n, m in enumerate(breakpoint_growth(f, args.N), start=1):
+    for n, m in enumerate(growth, start=1):
         print(f"{n},{m}")
     return 0
 

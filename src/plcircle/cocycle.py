@@ -4,6 +4,12 @@ supported vectors, and breakpoint-growth / orbit-norm experiments.
 Jumps are stored multiplicatively as exact positive rationals; logarithms
 enter only when a norm is computed.  The additive coordinate of a vector
 at x is log of the stored value, so the zero vector is the empty map.
+
+growth_sequences follows the orbit of the zero vector in integers: its
+heads are lowest-terms pairs (n, d) stepped by PLHomeo._step, and its
+support is searched by bisect on integer keys floor(x 2^64), with points
+that share a key ordered by cross-multiplying.  Only the values, and the
+norms summed from their logs, leave the integers.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .circle import CirclePoint, frac_mod1
+from .circle import CirclePoint
 from .homeo import PLHomeo
 from .rotnum import fixed_points
 
@@ -80,20 +86,23 @@ def jump_cocycle(h: PLHomeo) -> FiniteVector:
     return FiniteVector.from_dict({p: h.jump(p) for p in h.breakpoints})
 
 
-def _inverse_jumps(h: PLHomeo) -> List[Tuple[CirclePoint, Fraction]]:
+def _inverse_jumps(h: PLHomeo) -> List[Tuple[Tuple[int, int], Fraction]]:
     """The jump vector of h^-1, read off h: BP(h^-1) = h(BP(h)), and the
-    chain rule gives J(h^-1, h(b)) = 1/J(h, b)."""
+    chain rule gives J(h^-1, h(b)) = 1/J(h, b).  Each point h(b) is given
+    as the lowest-terms pair (n, d) with 0 <= n < d."""
     if h.is_rotation:
         return []
     s = h.slopes
-    return [(CirclePoint(frac_mod1(y)), s[i - 1] / s[i]) for i, y in enumerate(h._ys)]
+    return [((y.numerator % y.denominator, y.denominator), s[i - 1] / s[i])
+            for i, y in enumerate(h._ys)]
 
 
 def affine_apply(h: PLHomeo, v: FiniteVector) -> FiniteVector:
     """Affine isometric action: new value at x is v(h^{-1}(x)) * jump(h^{-1}, x).
     So v(p) moves to h(p), and 1/J(h, b) multiplies into h(b) for b in BP(h)."""
     d = {h.eval(p): w for p, w in v.entries}
-    for x, w in _inverse_jumps(h):
+    for (n, m), w in _inverse_jumps(h):
+        x = CirclePoint(Fraction(n, m))
         d[x] = d.get(x, 1) * w
     return FiniteVector.from_dict(d)
 
@@ -108,6 +117,27 @@ def l2_norm_sq(v: FiniteVector) -> float:
     return functools.reduce(operator.add, (_log(val) ** 2 for _, val in v.entries), 0)
 
 
+# growth_sequences keys a support point x = n/d as floor(x 2^_KEY_BITS)
+_KEY_BITS = 64
+
+
+def _tie_index(keys, key, j) -> int:
+    """Where key's point sits among the keys sharing its grid value, which
+    bisect ordered as tuples, not as points: those span [lo, hi) around j and
+    are ordered exactly, so a binary search cross-multiplies within them."""
+    g, n, d = key
+    lo = bisect.bisect_left(keys, (g,), 0, j)
+    hi = bisect.bisect_left(keys, (g + 1,), j)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        _, a, c = keys[mid]
+        if a * d < n * c:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     """Breakpoint counts M_n of f^n and squared orbit norms ||rho(f^n) 0||^2
     for n = 1..N, in one exact incremental pass.
@@ -117,34 +147,51 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     the point f^(n-1)(s).  These k heads advance by one evaluation each, N*k
     in all.
     A canonical map's breakpoints are the support of its jump vector, and
-    |supp J(f^n)| = |supp J(f^-n)|, so M_n is the support size.  The support
-    is a sorted list of bare Fractions with aligned value and squared-log
-    lists (bisect, no hashing); each norm is summed left to right over
-    ascending points, exactly as l2_norm_sq does.
+    |supp J(f^n)| = |supp J(f^-n)|, so M_n is the support size.
+
+    The pass runs in integers.  A head is a lowest-terms pair (n, d) with
+    0 <= n < d, advanced by f._step and reduced as (n % d, d).  The support
+    is a list of keys (floor(x 2^_KEY_BITS), n, d) in ascending order of
+    the points x = n/d, aligned with lists of the values (Fractions) and
+    their squared logs.  A point is found by one bisect on its key; where
+    keys share a grid value, as orbits converging on an attracting fixed
+    point do, _tie_index orders them exactly.  Each norm is summed left to
+    right over ascending points, exactly as l2_norm_sq does.
     """
+    if not isinstance(N, int) or isinstance(N, bool):
+        raise ValueError(f"N must be an int, not {N!r}")
     if N < 1:
         raise ValueError("N must be at least 1")
     jumps = _inverse_jumps(f)
-    heads = [x.value for x, _ in jumps]
+    heads = [x for x, _ in jumps]
     weights = [w for _, w in jumps]
-    pts, vals, sqs = [], [], []  # sorted support, its values, squared logs
+    bits, step = _KEY_BITS, f._step
+    keys, vals, sqs = [], [], []  # ascending support keys, values, squared logs
     M, norms = [], []
     for _ in range(N):
-        for i, (x, w) in enumerate(zip(heads, weights)):
-            j = bisect.bisect_left(pts, x)
-            if j < len(pts) and pts[j] == x:
+        for i, ((n, d), w) in enumerate(zip(heads, weights)):
+            g = (n << bits) // d
+            key = (g, n, d)
+            j = bisect.bisect_left(keys, key)
+            found = j < len(keys) and keys[j] == key
+            if not found and ((j < len(keys) and keys[j][0] == g)
+                              or (j and keys[j - 1][0] == g)):
+                j = _tie_index(keys, key, j)
+                found = j < len(keys) and keys[j] == key
+            if found:
                 v = vals[j] * w
                 if v == 1:
-                    del pts[j], vals[j], sqs[j]
+                    del keys[j], vals[j], sqs[j]
                 else:
                     vals[j] = v
                     sqs[j] = _log(v) ** 2
             else:
-                pts.insert(j, x)
+                keys.insert(j, key)
                 vals.insert(j, w)
                 sqs.insert(j, _log(w) ** 2)
-            heads[i] = frac_mod1(f.lift_eval(x))
-        M.append(len(pts))
+            n, d, _ = step(n, d)
+            heads[i] = (n % d, d)
+        M.append(len(keys))
         norms.append(functools.reduce(operator.add, sqs, 0))
     return M, norms
 

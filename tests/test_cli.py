@@ -165,6 +165,14 @@ def test_random_rejects_more_breakpoints_than_rationals():
                                "--denom-bound", "2", timeout=30))
 
 
+@pytest.mark.parametrize("command", ["breakpoint-growth", "orbit-norms"])
+def test_growth_commands_reject_empty_range(command):
+    # the sequence is computed before the CSV header is printed
+    r = run(command, str(FIXTURES / "standard_contracting.json"), "-N", "0")
+    _assert_one_error_line(r)
+    assert "N must be at least 1" in r.stderr
+
+
 def _nested_set(depth):
     doc = '[{"leaf": "0/1"}]'
     for _ in range(depth):

@@ -1,4 +1,7 @@
+import bisect
+import functools
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +13,8 @@ from plcircle import (CirclePoint, ExoticParams, FiniteVector, GrowthParams,
                       fixed_points, from_lift_vertices, growth_params,
                       growth_sequences, identity, jump_cocycle, l2_norm_sq,
                       orbit_norm_seq, random_pl, reduce_mod1, rotation)
-from plcircle import cocycle
+from plcircle import circle, cocycle, homeo
+from plcircle.circle import frac_mod1
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
 
@@ -152,8 +156,52 @@ def affine_orbit_norms(f, N):
     return out
 
 
+def oracle_growth_sequences(f, N):
+    """growth_sequences over Fractions: the heads advance by lift_eval and
+    frac_mod1, and the support is a sorted list of Fractions searched by
+    bisect, which compares them by cross-multiplying."""
+    s = f.slopes
+    jumps = [] if f.is_rotation else [(frac_mod1(y), s[i - 1] / s[i])
+                                      for i, y in enumerate(f._ys)]
+    heads = [x for x, _ in jumps]
+    weights = [w for _, w in jumps]
+    pts, vals, sqs = [], [], []
+    M, norms = [], []
+    for _ in range(N):
+        for i, (x, w) in enumerate(zip(heads, weights)):
+            j = bisect.bisect_left(pts, x)
+            if j < len(pts) and pts[j] == x:
+                v = vals[j] * w
+                if v == 1:
+                    del pts[j], vals[j], sqs[j]
+                else:
+                    vals[j] = v
+                    sqs[j] = _log(v) ** 2
+            else:
+                pts.insert(j, x)
+                vals.insert(j, w)
+                sqs.insert(j, _log(w) ** 2)
+            heads[i] = frac_mod1(f.lift_eval(x))
+        M.append(len(pts))
+        norms.append(functools.reduce(operator.add, sqs, 0))
+    return M, norms
+
+
+def assert_same_sequences(got, want):
+    # equal counts, and bit-identical floats (int 0 for an empty support)
+    assert got[0] == want[0]
+    assert list(map(repr, got[1])) == list(map(repr, want[1]))
+
+
 def assert_matches_oracles(f, N):
     M, norms = growth_sequences(f, N)
+    want = oracle_growth_sequences(f, N)
+    assert_same_sequences((M, norms), want)
+    with pytest.MonkeyPatch.context() as mp:
+        # a 0-bit grid keys every point of [0, 1) as 0, so each lookup that
+        # meets the support is ordered by _tie_index alone
+        mp.setattr(cocycle, "_KEY_BITS", 0)
+        assert_same_sequences(growth_sequences(f, N), want)
     assert M == composition_growth(f, N)
     want = affine_orbit_norms(f, N)
     # bit-identical floats, and int 0 for an empty support as l2_norm_sq gives
@@ -172,8 +220,11 @@ def test_growth_sequences_match_oracles(f, N):
 @pytest.mark.parametrize("f, N", [
     (STD, 60),
     (exotic_element(ExoticParams(F(6), F(2))), 100),
+    # heads of period 2 land on support points that the tuples (0, n, d)
+    # of a 0-bit grid sort differently from the points
+    (exotic_element(ExoticParams(F(4), F(2))), 20),
     (rotation(F(3, 8)), 12),
-], ids=["std", "exotic_6_2", "rotation"])
+], ids=["std", "exotic_6_2", "exotic_4_2", "rotation"])
 def test_growth_sequences_fixed_cases(f, N):
     assert_matches_oracles(f, N)
 
@@ -181,6 +232,48 @@ def test_growth_sequences_fixed_cases(f, N):
 def test_growth_sequences_rejects_empty_range():
     with pytest.raises(ValueError):
         growth_sequences(STD, 0)
+
+
+@pytest.mark.parametrize("N", [2.5, True, "3", None])
+def test_growth_sequences_rejects_non_int_range(N):
+    for fn in (growth_sequences, breakpoint_growth, orbit_norm_seq):
+        with pytest.raises(ValueError, match=f"N must be an int, not {N!r}"):
+            fn(STD, N)
+
+
+def test_growth_sequences_match_oracle_on_real_ties(monkeypatch):
+    # the orbits of this map's four heads converge on attracting fixed
+    # points, where they come within 2^-64 of each other and share keys
+    f = random_pl(5, 4, 32)
+    want = oracle_growth_sequences(f, 400)
+    tie_index, ties = cocycle._tie_index, []
+
+    def counted(*args):
+        ties.append(args[1])
+        return tie_index(*args)
+
+    monkeypatch.setattr(cocycle, "_tie_index", counted)
+    assert_same_sequences(growth_sequences(f, 400), want)
+    assert ties
+
+
+def test_growth_sequences_reduces_no_fraction(monkeypatch):
+    # heads are integer pairs stepped by _step, and the support is searched
+    # on integer keys: no lift_eval, no frac_mod1, no Fraction comparison
+    maps = [STD, exotic_element(ExoticParams(F(6), F(2))), fixing_zero(random_pl(3, 4, 32))]
+    want = [oracle_growth_sequences(f, 60) for f in maps]
+
+    def forbidden(*args):
+        raise AssertionError("growth_sequences used a Fraction path")
+
+    monkeypatch.setattr(PLHomeo, "lift_eval", forbidden)
+    for mod in (circle, homeo, cocycle):
+        if hasattr(mod, "frac_mod1"):
+            monkeypatch.setattr(mod, "frac_mod1", forbidden)
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(F, op, forbidden)
+    for f, w in zip(maps, want):
+        assert_same_sequences(growth_sequences(f, 60), w)
 
 
 def test_orbit_norms_rotation_zero():
