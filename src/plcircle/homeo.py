@@ -192,7 +192,8 @@ class PLHomeo:
         """The one exact forward evaluation: (n', d', J), with n'/d' = F(n/d)
         in lowest terms for the canonical lift F and J the jump at n/d, for
         any n/d with d > 0.  u = n/d - m, for the winding m, lies in [x_0,
-        x_0 + 1); F(n/d) = F(u) + m; J at x_i is (a_i e_{i-1}) / (a_{i-1} e_i)."""
+        x_0 + 1); F(n/d) = F(u) + m; J at x_i is (a_i e_{i-1}) / (a_{i-1} e_i),
+        and the shared _ONE off the breakpoints (a rotation's vertex is none)."""
         L, X, A, B, E = self._table
         nL = n * L
         f, r = divmod(nL, d)  # f = floor(n/d * L)
@@ -203,7 +204,8 @@ class PLHomeo:
         p, q = A[i] * nL + B[i] * d, E[i] * d
         g = math.gcd(p, q)
         p, q = p // g, q // g
-        J = Fraction(A[i] * E[i - 1], A[i - 1] * E[i]) if r == 0 and f == X[i] else _ONE
+        J = (Fraction(A[i] * E[i - 1], A[i - 1] * E[i])
+             if r == 0 and f == X[i] and len(X) > 1 else _ONE)
         return p + m * q, q, J
 
     # -- group operations --------------------------------------------------

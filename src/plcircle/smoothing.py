@@ -4,10 +4,12 @@ conjugator synthesis, and the conjugation pipeline turning a group of PL
 maps into rotations.
 
 The constraint solved over the orbit graph is a_y = J(g, y) * a_{g(y)} for
-every generator edge, where J is the derivative jump.  A product-one
-solution is realized as the jump vector of a PL conjugator phi; by the chain
-rule phi g phi^{-1} then has no breakpoints, so it is the rotation by
-phi(g(y)) - phi(y) for any y, read off without composing.
+every generator edge, where J is the derivative jump.  The graph is a flat
+table of integer target ids with the few jumps other than 1 beside it, and
+the potentials are interned, so only those edges do Fraction arithmetic.  A
+product-one solution is realized as the jump vector of a PL conjugator phi;
+by the chain rule phi g phi^{-1} then has no breakpoints, so it is the
+rotation by phi(g(y)) - phi(y) for any y, read off without composing.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 from .circle import CirclePoint
 from .cocycle import FiniteVector
-from .homeo import PLHomeo, identity, rotation
+from .homeo import _ONE, PLHomeo, identity, rotation
 from .rotnum import fixed_points
 
 
@@ -63,22 +65,22 @@ def _signed_generators(G: GroupPresentation) -> List[Tuple[Tuple[str, int], PLHo
 
 
 class _Orbits:
-    """An orbit graph explored on demand.  Points get int ids in
-    breadth-first discovery order from the sorted seed, and are held as the
-    (numerator, denominator) pair that interns them; a point becomes a
-    Fraction only in results.  Ids from max_vertices on are escaping points.
-    rows[v] lists vertex v's out-edges (target id, weight, (generator, sign))
-    in generator order.  The maps come in (g, g^{-1}) pairs, so map k ^ 1
-    inverts map k: a step u -> t of map k gives t's entry k ^ 1 as (u, 1/w)
-    by the chain rule, held in `pending` until t is expanded, so each step
-    is evaluated once."""
+    """An orbit graph explored on demand.  Points get int ids in breadth-first
+    discovery order from the sorted seed, and are held as the (numerator,
+    denominator) pair that interns them; a point becomes a Fraction only in
+    results.  Ids from max_vertices on are escaping points.  Edges are one
+    flat table: out[v*K + k] is map k's target at vertex v, and `jumps` holds
+    the jumps other than 1 under the same index.  The maps come in (g, g^{-1})
+    pairs, so a step u -> t of map k fills t's slot k ^ 1 with u, jump 1/w by
+    the chain rule: each step is evaluated once."""
 
     def __init__(self, seed, maps, max_vertices: int):
         self.maps, self.max_vertices = maps, max_vertices
         self.pts: List[Tuple[int, int]] = []
         self.ids: Dict[Tuple[int, int], int] = {}
-        self.rows: List[list] = []
-        self.pending: Dict[int, list] = {}
+        self.out: List[Optional[int]] = []  # None until read
+        self.jumps: Dict[int, Fraction] = {}
+        self.expanded = 0  # the ids below it have every slot filled
         for x in seed:
             self._intern((x.numerator, x.denominator))
         self.n_seed = len(self.pts)
@@ -90,24 +92,26 @@ class _Orbits:
         if v is None:
             v = self.ids[key] = len(self.pts)
             self.pts.append(key)
+            self.out += [None] * len(self.maps)
         return v
 
     def expand(self, v: int) -> None:
-        """Fill the rows of the vertices up to id v, in id order."""
-        maps, rows, pending = self.maps, self.rows, self.pending
-        while len(rows) <= v and len(rows) < len(self.pts):
-            u = len(rows)
+        """Fill the slots of the vertices up to the interned id v, in order."""
+        out, jumps, K, top = self.out, self.jumps, len(self.maps), self.max_vertices
+        for u in range(self.expanded, v + 1):
             n, d = self.pts[u]
-            row = pending.pop(u, None) or [None] * len(maps)
-            for k, (label, g) in enumerate(maps):
-                if row[k] is None:
+            for k, (_, g) in enumerate(self.maps):
+                i = u * K + k
+                if out[i] is None:
                     n2, d2, w = g._step(n, d)
-                    t = self._intern((n2 % d2, d2))
-                    row[k] = (t, w, label)
-                    if u < t < self.max_vertices:
-                        pending.setdefault(t, [None] * len(maps))[k ^ 1] = (
-                            u, w if w == 1 else 1 / w, maps[k ^ 1][0])
-            rows.append(row)
+                    t = out[i] = self._intern((n2 % d2, d2))
+                    if w is not _ONE:
+                        jumps[i] = w
+                    if u < t < top:
+                        out[t * K + (k ^ 1)] = u
+                        if w is not _ONE:
+                            jumps[t * K + (k ^ 1)] = 1 / w
+            self.expanded = u + 1
 
     def point(self, v: int) -> CirclePoint:
         return CirclePoint(Fraction(*self.pts[v]))
@@ -124,9 +128,10 @@ class _Orbits:
     def escaping(self) -> Tuple[CirclePoint, ...]:
         return tuple(map(self.point, self.in_order(range(self.max_vertices, len(self.pts)))))
 
-    def edge(self, v: int, out) -> Edge:
-        t, w, (gen, sign) = out
-        return Edge(self.point(v), gen, sign, self.point(t), w)
+    def edge(self, i: int) -> Edge:
+        (gen, sign), _ = self.maps[i % len(self.maps)]
+        v, t = i // len(self.maps), self.out[i]
+        return Edge(self.point(v), gen, sign, self.point(t), self.jumps.get(i, _ONE))
 
 
 @dataclass(frozen=True)
@@ -153,20 +158,12 @@ class SynthesisInfeasible:
 def _nth_root(q: Fraction, n: int) -> Optional[Fraction]:
     """Exact positive rational n-th root of q, or None."""
     def iroot(m: int) -> Optional[int]:
-        if n == 1:
-            return m
         r = 1 << -(-m.bit_length() // n)  # upper bound on the root
-        while True:
-            nr = ((n - 1) * r + m // r ** (n - 1)) // n
-            if nr >= r:
-                break
+        while (nr := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
             r = nr
         return r if r ** n == m else None
-    a = iroot(q.numerator)
-    b = iroot(q.denominator)
-    if a is None or b is None or a == 0:
-        return None
-    return Fraction(a, b)
+    a, b = iroot(q.numerator), iroot(q.denominator)
+    return None if a is None or b is None else Fraction(a, b)
 
 
 def _gcd_coefficients(sizes: List[int]) -> List[int]:
@@ -186,73 +183,74 @@ def _solve(o: _Orbits):
     id order, each vertex expanded just before its edges are read.  Tree edges
     set a_{g(y)} = a_y / w (1 at a root); the first inconsistent other edge
     ends it as an Obstruction; else Truncated, SynthesisInfeasible or the
-    solution.  An edge into a vertex already done is not checked: its
-    reverse was checked there, and that is the same equation."""
-    a: List[Optional[Fraction]] = [None] * o.n_seed
-    parent: list = [None] * o.n_seed
-    done = set()
+    solution.  Potentials are interned, one object per value, so a unit edge
+    copies a_y and is checked by identity: only an edge with a jump divides."""
+    out, jumps, K, top = o.out, o.jumps, len(o.maps), o.max_vertices
+    a: Dict[int, Fraction] = {}
+    parent: Dict[int, int] = {}  # the slot of each non-root's tree edge
+    interned = {_ONE: _ONE}
     components: List[List[int]] = []
     for root in range(o.n_seed):  # every vertex is reached from a seed
-        if a[root] is not None:
+        if root in a:
             continue
-        a[root] = Fraction(1)
+        a[root] = _ONE
         comp = [root]
         for v in comp:  # comp grows in breadth-first order as it is read
             o.expand(v)
-            grow = [None] * (len(o.pts) - len(a))
-            a += grow
-            parent += grow
             av = a[v]
-            for out in o.rows[v]:
-                t, w, _ = out
-                if t >= o.max_vertices or t in done:
-                    continue  # an escaping point, or an edge checked backwards
-                at = a[t]
+            for i in range(v * K, v * K + K):
+                t = out[i]
+                if t >= top:
+                    continue  # an escaping point
+                want = av
+                if i in jumps:
+                    want = av / jumps[i]
+                    want = interned.setdefault(want, want)
+                at = a.get(t)
                 if at is None:
-                    a[t] = av if w == 1 else av / w
-                    parent[t] = (v, out)
+                    a[t] = want
+                    parent[t] = i
                     comp.append(t)
-                elif av != (at if w == 1 else w * at):
-                    return Obstruction(cycle=_closed_walk(o, v, out, parent),
-                                       expected=Fraction(1), found=w * at / av)
-            done.add(v)
+                elif at is not want:
+                    return Obstruction(cycle=_closed_walk(o, i, parent),
+                                       expected=Fraction(1), found=at / want)
         components.append(comp)
     if len(o.pts) > o.max_vertices:
         return Truncated(o.escaping)
-    total = math.prod(a, start=Fraction(1))
-    if total != 1:
+    ys = [y for y in a.values() if y is not _ONE]
+    p, q = math.prod(y.numerator for y in ys), math.prod(y.denominator for y in ys)
+    if p != q:
         # scaling component c by t multiplies the total by t^{|c|}; the
         # reachable correction factors are exactly the g-th powers for
         # g = gcd of the component sizes (Bezout on the exponents)
-        sizes = [len(c) for c in components]
+        total, sizes = Fraction(p, q), [len(c) for c in components]
         t = _nth_root(1 / total, math.gcd(*sizes))
         if t is None:
-            return SynthesisInfeasible(total_product=total,
-                                       component_sizes=tuple(sizes))
+            return SynthesisInfeasible(total_product=total, component_sizes=tuple(sizes))
         for comp, c in zip(components, _gcd_coefficients(sizes)):
             if c:
                 scale = t ** c
                 for v in comp:
                     a[v] *= scale
-    support = o.in_order([v for v, y in enumerate(a) if y != 1])
+    support = o.in_order([v for v, y in a.items() if y is not _ONE and y != 1])
     return FiniteVector(tuple((o.point(v), a[v]) for v in support))
 
 
-def _closed_walk(o: _Orbits, v: int, out, parent) -> Tuple[Edge, ...]:
-    """The closing edge out of v, then the tree path up from its target to
-    the lowest common ancestor (tree edges reversed), then down to v."""
+def _closed_walk(o: _Orbits, i: int, parent) -> Tuple[Edge, ...]:
+    """The closing edge in slot i, the tree path up from its target to the
+    lowest common ancestor (tree edges reversed), then down to its source."""
     def path_up(u):
         ups = []
-        while parent[u] is not None:
+        while u in parent:
             ups.append(u)
-            u = parent[u][0]
+            u = parent[u] // len(o.maps)
         return ups
-    up, down = path_up(out[0]), path_up(v)
+    up, down = path_up(o.out[i]), path_up(i // len(o.maps))
     while up and down and up[-1] == down[-1]:
         up.pop()
         down.pop()
-    return (o.edge(v, out), *(o.edge(*parent[u]).reverse() for u in up),
-            *(o.edge(*parent[u]) for u in reversed(down)))
+    return (o.edge(i), *(o.edge(parent[u]).reverse() for u in up),
+            *(o.edge(parent[u]) for u in reversed(down)))
 
 
 def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
@@ -269,8 +267,6 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
     is a true breakpoint and the vertices are already canonical."""
     if not a.entries:
         return identity()
-    if a.product() != 1:
-        raise ValueError("assignment product differs from 1; no PL map realizes it")
     pts = [p.value for p, _ in a.entries]
     L = math.lcm(*(x.denominator for x in pts))
     X = [x.numerator * (L // x.denominator) for x in pts]
@@ -282,6 +278,8 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
         g = math.gcd(p, q)
         p, q = p // g, q // g
         us.append((p, q))
+    if p != q:
+        raise ValueError("assignment product differs from 1; no PL map realizes it")
     Q = math.lcm(*(q for _, q in us))
     N = [0]
     for (p, q), dx in zip(us, D):
@@ -344,8 +342,8 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
         if (p.value.numerator, p.value.denominator) in cut_off:
             continue
         o = _Orbits([p.value], signed, max_orbit)
-        while len(o.rows) < len(o.pts) <= max_orbit:
-            o.expand(len(o.rows))
+        while o.expanded < len(o.pts) <= max_orbit:
+            o.expand(o.expanded)
         if len(o.pts) <= max_orbit:
             return tuple(map(o.point, o.in_order(range(len(o.pts)))))
         cut_off.update(o.ids)

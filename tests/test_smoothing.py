@@ -7,7 +7,7 @@ import math
 import operator
 import pathlib
 import random
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
 from fractions import Fraction as F
 
 import pytest
@@ -98,9 +98,12 @@ def test_synthesize_three_points():
 
 
 def test_synthesize_rejects_bad_product():
-    a = FiniteVector.from_dict({reduce_mod1(0): F(2)})
-    with pytest.raises(ValueError):
-        synthesize_conjugator(a)
+    # the cumulative product of the values must end at 1, reduced or not
+    for values in ((F(2),), (F(2), F(1, 3)), (F(4), F(1, 2), F(1, 3)),
+                   (F(1, 2), F(3, 2), F(2, 3))):
+        a = FiniteVector.from_dict({reduce_mod1(F(i, 4)): v for i, v in enumerate(values)})
+        with pytest.raises(ValueError, match="assignment product differs from 1"):
+            synthesize_conjugator(a)
 
 
 @pytest.mark.parametrize("entries", [
@@ -654,13 +657,22 @@ def _hand_built_graph():
 
 
 def _orbits_of(graph):
-    """A closed graph as an _Orbits with every row filled in, so the pass
-    expands nothing."""
-    o = _Orbits([v.value for v in graph.vertices], (), len(graph.vertices))
+    """A closed graph as an _Orbits with every slot filled in, so the pass
+    expands nothing.  Every vertex lists its out-edges under the same
+    (generator, sign) labels, in the same order: label k is map k."""
+    rows = [[e for e in graph.edges if e.source == v] for v in graph.vertices]
+    labels = [(e.gen, e.sign) for e in rows[0]]
+    K = len(labels)
+    o = _Orbits([v.value for v in graph.vertices], [(label, None) for label in labels],
+                len(graph.vertices))
     index = {v: i for i, v in enumerate(graph.vertices)}
-    o.rows = [[] for _ in graph.vertices]
-    for e in graph.edges:
-        o.rows[index[e.source]].append((index[e.target], e.weight, (e.gen, e.sign)))
+    for v, row in enumerate(rows):
+        assert [(e.gen, e.sign) for e in row] == labels
+        for k, e in enumerate(row):
+            o.out[v * K + k] = index[e.target]
+            if e.weight != 1:
+                o.jumps[v * K + k] = e.weight
+    o.expanded = len(graph.vertices)
     return o
 
 
@@ -672,6 +684,71 @@ def test_solve_infeasible_on_hand_built_graph():
 def test_solve_coboundary_matches_oracle_on_hand_built_graph():
     graph = _hand_built_graph()
     assert _solve(_orbits_of(graph)) == oracle_solve(graph)
+
+
+def _cycles_graph(cycles):
+    """One generator g permuting each cycle of (point, jump) pairs, point to
+    next point with that jump, and its inverse: a consistent cocycle when
+    each cycle's jumps multiply to 1."""
+    edges = []
+    for cycle in cycles:
+        pts = [reduce_mod1(x) for x, _ in cycle]
+        for j, (p, (_, w)) in enumerate(zip(pts, cycle)):
+            edges.append(Edge(p, "g", 1, pts[(j + 1) % len(pts)], w))
+            edges.append(Edge(p, "g", -1, pts[j - 1], 1 / cycle[j - 1][1]))
+    vertices = tuple(sorted(e.source for e in edges[::2]))
+    return OracleGraph(vertices=vertices, edges=tuple(edges), closed=True, escaping=())
+
+
+def test_solve_pins_the_rescale_of_unequal_components():
+    # components of sizes 2 and 3 whose potentials, 1 at each root, multiply
+    # to 1/2 * 1/9 = 1/18; gcd(2, 3) = 1, so t = 18, and the coefficients
+    # [2, -1] scale them by t^2 and t^-1.  Other Bezout pairs, such as
+    # [-1, 1], give another valid vector: a change to them shows here
+    graph = _cycles_graph([[(F(1, 8), F(2)), (F(3, 8), F(1, 2))],
+                           [(F(1, 2), F(3)), (F(5, 8), F(1)), (F(7, 8), F(1, 3))]])
+    assert _gcd_coefficients([2, 3]) == [2, -1]
+    sol = _solve(_orbits_of(graph))
+    assert sol == FiniteVector.from_dict({
+        reduce_mod1(F(1, 8)): F(324), reduce_mod1(F(3, 8)): F(162),
+        reduce_mod1(F(1, 2)): F(1, 18), reduce_mod1(F(5, 8)): F(1, 54),
+        reduce_mod1(F(7, 8)): F(1, 54)})
+    assert math.prod(v for _, v in sol.entries) == 1
+    assert sol == oracle_solve(graph)
+    assert jump_cocycle(synthesize_conjugator(sol)) == sol
+
+
+def test_orbit_pass_does_fraction_arithmetic_only_on_breakpoint_edges(monkeypatch):
+    # the 616-vertex hidden-rotations group: 64 of its 2,464 edge slots carry
+    # a jump other than 1.  Potentials are interned, so a unit edge copies
+    # and compares by identity; only a slot with a jump divides, once
+    phi = random_pl(21, 8, 64)
+    G = pres(*(_conjugate(phi, rotation(a)) for a in (F(1, 7), F(2, 11))))
+    ops, inside, passes = Counter(), [], []
+    for op in ("__truediv__", "__rtruediv__", "__mul__", "__rmul__", "__eq__"):
+        def counting(self, other, _op=op, _f=getattr(F, op)):
+            ops[_op] += bool(inside)
+            return _f(self, other)
+        monkeypatch.setattr(F, op, counting)
+    solve = smoothing._solve
+
+    def counting_solve(o):
+        passes.append(o)
+        inside.append(o)
+        try:
+            return solve(o)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(smoothing, "_solve", counting_solve)
+    assert smooth_group(G).kind == "success"
+    (o,) = passes
+    assert (len(o.pts), len(o.out), len(o.jumps)) == (616, 2464, 64)
+    assert ops["__truediv__"] <= len(o.jumps)  # a_y / w in the sweep
+    assert ops["__rtruediv__"] <= len(o.jumps)  # 1 / w for a reverse step
+    # equality and products come per vertex (interning hits, the rescaled
+    # component, the support), not per edge
+    assert ops["__eq__"] + ops["__mul__"] + ops["__rmul__"] < len(o.pts)
 
 
 def test_smooth_stops_at_first_inconsistent_edge():
@@ -766,6 +843,8 @@ def test_kernel_matches_fraction_oracle(g, below, rationals, windings):
             t = x + m
             y = oracle_lift_eval(g, t)
             assert g._step(t.numerator, t.denominator) == (y.numerator, y.denominator, jump)
+            # every unit jump is the one shared 1, which the orbit pass skips by identity
+            assert (g._step(t.numerator, t.denominator)[2] is homeo._ONE) == (jump == 1)
             assert g.lift_eval(t) == y
             # n/d need not be in lowest terms
             assert g._step(3 * t.numerator, 3 * t.denominator)[:2] == (y.numerator, y.denominator)
@@ -833,11 +912,11 @@ def test_finite_orbit_closures_evaluate_no_step_backwards(monkeypatch, seed):
 class FractionOrbits(_Orbits):
     """The orbit pass before the integer kernel, as a test oracle: points are
     Fractions, and every map, inverses included, is evaluated at every vertex
-    by the Fraction oracle."""
+    by the Fraction oracle; a jump goes in the table when it is not 1."""
 
     def __init__(self, seed, maps, max_vertices):
         self.maps, self.max_vertices = maps, max_vertices
-        self.pts, self.ids, self.rows = [], {}, []
+        self.pts, self.ids, self.out, self.jumps, self.expanded = [], {}, [], {}, 0
         for x in seed:
             self._intern(x)
         self.n_seed = len(self.pts)
@@ -850,16 +929,20 @@ class FractionOrbits(_Orbits):
         if v is None:
             v = self.ids[key] = len(self.pts)
             self.pts.append(x)
+            self.out += [None] * len(self.maps)
         return v
 
     def expand(self, v):
-        while len(self.rows) <= v and len(self.rows) < len(self.pts):
-            x = self.pts[len(self.rows)]
-            row = []
-            for label, g in self.maps:
+        K = len(self.maps)
+        while self.expanded <= v and self.expanded < len(self.pts):
+            x = self.pts[self.expanded]
+            for k, (label, g) in enumerate(self.maps):
                 y, w = eval_jump(g, x)
-                row.append((self._intern(y), w, label))
-            self.rows.append(row)
+                i = self.expanded * K + k
+                self.out[i] = self._intern(y)
+                if w != 1:
+                    self.jumps[i] = w
+            self.expanded += 1
 
     def point(self, v):
         return CirclePoint(self.pts[v])
