@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Tuple, Union
 
-from .circle import CirclePoint, frac_mod1
+from .circle import CirclePoint, _check_ints, frac_mod1
 
 LEFT = "left"
 RIGHT = "right"
@@ -144,6 +144,7 @@ def cb_rank(S: SymbolicSet) -> CBRank:
 def nested_limit(apex: CirclePoint, k: int, ratio: Fraction = Fraction(1, 4),
                  direction: str = RIGHT) -> SymbolicSet:
     """Convenience builder: a k-fold nested limit tree of rank k + 1."""
+    _check_ints(k=k)
     if k < 0:
         raise ValueError("k must be non-negative")
     S = SymbolicSet((Leaf(apex),))

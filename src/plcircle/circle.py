@@ -1,4 +1,5 @@
-"""Exact rational arithmetic on the circle R/Z: points and reduction mod 1.
+"""Exact rational arithmetic on the circle R/Z: points, reduction mod 1 and
+the one exact order of points held as integer pairs (n, d).
 
 Everything in this module is pure and exact; no floating point is used.
 """
@@ -7,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -43,3 +44,18 @@ class CirclePoint:
 def reduce_mod1(q: RationalLike) -> CirclePoint:
     """Project an arbitrary rational to the circle."""
     return CirclePoint(frac_mod1(q))
+
+
+def _order_keys(pairs: Sequence[Tuple[int, int]]) -> List[int]:
+    """Integer keys ordering the points n/d of the pairs (n, d), d > 0, exactly
+    as the points are ordered: n * K // d, with K the largest d squared.  Two
+    distinct points differ by at least 1/K, so their keys differ too."""
+    K = max((d for _, d in pairs), default=1) ** 2
+    return [n * K // d for n, d in pairs]
+
+
+def _check_ints(**budgets) -> None:
+    """Reject each budget argument, by keyword, that is not an int or is a bool."""
+    for name, value in budgets.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, not {value!r}")

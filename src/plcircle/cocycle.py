@@ -7,9 +7,9 @@ at x is log of the stored value, so the zero vector is the empty map.
 
 growth_sequences follows the orbit of the zero vector in integers: its
 heads are lowest-terms pairs (n, d) stepped by PLHomeo._step, and its
-support is searched by bisect on integer keys floor(x 2^64), with points
-that share a key ordered by cross-multiplying.  Only the values, and the
-norms summed from their logs, leave the integers.
+support is searched by bisect on the exact integer keys of
+circle._order_keys.  Only the values, and the norms summed from their logs,
+leave the integers.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .circle import CirclePoint
+from .circle import CirclePoint, _check_ints, _order_keys
 from .homeo import PLHomeo
 from .rotnum import fixed_points
 
@@ -117,81 +117,54 @@ def l2_norm_sq(v: FiniteVector) -> float:
     return functools.reduce(operator.add, (_log(val) ** 2 for _, val in v.entries), 0)
 
 
-# growth_sequences keys a support point x = n/d as floor(x 2^_KEY_BITS)
-_KEY_BITS = 64
-
-
-def _tie_index(keys, key, j) -> int:
-    """Where key's point sits among the keys sharing its grid value, which
-    bisect ordered as tuples, not as points: those span [lo, hi) around j and
-    are ordered exactly, so a binary search cross-multiplies within them."""
-    g, n, d = key
-    lo = bisect.bisect_left(keys, (g,), 0, j)
-    hi = bisect.bisect_left(keys, (g + 1,), j)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        _, a, c = keys[mid]
-        if a * d < n * c:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     """Breakpoint counts M_n of f^n and squared orbit norms ||rho(f^n) 0||^2
     for n = 1..N, in one exact incremental pass.
 
     rho(f^n) 0 = J(f^-n) = rho(f^(n-1)) 0 * (f^(n-1))_* J(f^-1), so step n
     multiplies the jump of f^-1 at each s in its support, read off f, into
-    the point f^(n-1)(s).  These k heads advance by one evaluation each, N*k
-    in all.
+    the point f^(n-1)(s).  These k heads advance by one evaluation each,
+    (N-1)*k in all.
     A canonical map's breakpoints are the support of its jump vector, and
     |supp J(f^n)| = |supp J(f^-n)|, so M_n is the support size.
 
     The pass runs in integers.  A head is a lowest-terms pair (n, d) with
-    0 <= n < d, advanced by f._step and reduced as (n % d, d).  The support
-    is a list of keys (floor(x 2^_KEY_BITS), n, d) in ascending order of
-    the points x = n/d, aligned with lists of the values (Fractions) and
-    their squared logs.  A point is found by one bisect on its key; where
-    keys share a grid value, as orbits converging on an attracting fixed
-    point do, _tie_index orders them exactly.  Each norm is summed left to
-    right over ascending points, exactly as l2_norm_sq does.
+    0 <= n < d, advanced by f._step and reduced as (n % d, d).  All N*k head
+    positions are stepped first and keyed together by _order_keys, so each
+    point has one exact int key.  The support is a list of those keys in
+    ascending order, aligned with lists of the values (Fractions) and their
+    squared logs, and a point is found by one bisect on its key.  Each norm
+    is summed left to right over ascending points, exactly as l2_norm_sq
+    does.
     """
-    if not isinstance(N, int) or isinstance(N, bool):
-        raise ValueError(f"N must be an int, not {N!r}")
+    _check_ints(N=N)
     if N < 1:
         raise ValueError("N must be at least 1")
     jumps = _inverse_jumps(f)
-    heads = [x for x, _ in jumps]
     weights = [w for _, w in jumps]
-    bits, step = _KEY_BITS, f._step
-    keys, vals, sqs = [], [], []  # ascending support keys, values, squared logs
+    k, step = len(jumps), f._step
+    pts = [x for x, _ in jumps]  # pts[t*k + i] is head i after t steps
+    for _ in range(k * (N - 1)):
+        n, d, _ = step(*pts[-k])
+        pts.append((n % d, d))
+    keys = _order_keys(pts)
+    support, vals, sqs = [], [], []  # ascending keys, values, squared logs
     M, norms = [], []
-    for _ in range(N):
-        for i, ((n, d), w) in enumerate(zip(heads, weights)):
-            g = (n << bits) // d
-            key = (g, n, d)
-            j = bisect.bisect_left(keys, key)
-            found = j < len(keys) and keys[j] == key
-            if not found and ((j < len(keys) and keys[j][0] == g)
-                              or (j and keys[j - 1][0] == g)):
-                j = _tie_index(keys, key, j)
-                found = j < len(keys) and keys[j] == key
-            if found:
+    for t in range(N):
+        for key, w in zip(keys[t * k:t * k + k], weights):
+            j = bisect.bisect_left(support, key)
+            if j < len(support) and support[j] == key:
                 v = vals[j] * w
                 if v == 1:
-                    del keys[j], vals[j], sqs[j]
+                    del support[j], vals[j], sqs[j]
                 else:
                     vals[j] = v
                     sqs[j] = _log(v) ** 2
             else:
-                keys.insert(j, key)
+                support.insert(j, key)
                 vals.insert(j, w)
                 sqs.insert(j, _log(w) ** 2)
-            n, d, _ = step(n, d)
-            heads[i] = (n % d, d)
-        M.append(len(keys))
+        M.append(len(support))
         norms.append(functools.reduce(operator.add, sqs, 0))
     return M, norms
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Tuple
 
-from .circle import CirclePoint, frac_mod1
+from .circle import CirclePoint, _check_ints, frac_mod1
 
 Vertex = Tuple[Fraction, Fraction]
 _ONE = Fraction(1)
@@ -312,6 +312,7 @@ def exotic_element(e: ExoticParams) -> PLHomeo:
 def random_pl(seed: int, k: int, denom_bound: int) -> PLHomeo:
     """Deterministic pseudo-random canonical map with at most k breakpoints
     and all vertex coordinates with denominators at most denom_bound."""
+    _check_ints(k=k, denom_bound=denom_bound)
     if k < 0:
         raise ValueError("k must be non-negative")
     if denom_bound < 1:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .circle import CirclePoint, frac_mod1
+from .circle import CirclePoint, _check_ints, frac_mod1
 from .homeo import PLHomeo
 
 
@@ -175,9 +175,7 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
     q > max_q only x = 0 is tested: integer enclosures of its orbit decide
     each sign and the exact orbit those they leave open, so no float decides
     an answer."""
-    for name, value in (("max_q", max_q), ("depth", depth)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, not {value!r}")
+    _check_ints(max_q=max_q, depth=depth)
     if max_q < 1 or depth < 1:
         raise ValueError("max_q and depth must be positive")
     # q = 1, never a mediant: F - id is affine between breakpoints, so h fixes
@@ -234,6 +232,7 @@ def semiconjugacy_table(h: PLHomeo, n_samples: int, n_iter: int
     floor(n_samples F^k(0)) mod n_samples.  A bucket comes from the integer
     enclosure of the orbit when both bounds give it, else from the exact
     orbit: the only float operation is count / n_iter."""
+    _check_ints(n_samples=n_samples, n_iter=n_iter)
     if n_samples < 1 or n_iter < 1:
         raise ValueError("n_samples and n_iter must be positive")
     if not fixed_points(h).is_empty:

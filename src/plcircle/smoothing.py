@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
-from .circle import CirclePoint
+from .circle import CirclePoint, _check_ints, _order_keys
 from .cocycle import FiniteVector
 from .homeo import _ONE, PLHomeo, identity, rotation
 from .rotnum import fixed_points
@@ -117,12 +117,9 @@ class _Orbits:
         return CirclePoint(Fraction(*self.pts[v]))
 
     def in_order(self, ids) -> List[int]:
-        """The ids sorted by their points' position in [0, 1).  The key
-        n * K // d, with K the largest d squared, is exact: two distinct
-        points differ by at least 1/K."""
-        pts = self.pts
-        K = max((pts[v][1] for v in ids), default=1) ** 2
-        return sorted(ids, key=lambda v: pts[v][0] * K // pts[v][1])
+        """The ids, a list or range, sorted by their points' position in [0, 1)."""
+        keys = _order_keys([self.pts[v] for v in ids])
+        return [v for _, v in sorted(zip(keys, ids))]
 
     @property
     def escaping(self) -> Tuple[CirclePoint, ...]:
@@ -330,6 +327,7 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     orbit is closed under the generators up to max_orbit points; the first
     that closes is returned, or None if none closes within the budget.
     """
+    _check_ints(max_period=max_period, max_orbit=max_orbit, max_words=max_words)
     if max_period < 1:
         raise ValueError("max_period must be positive")
     if max_orbit < 1:
@@ -388,6 +386,7 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     constant keeps them.  For x off V, g(x) is off V too and every factor
     is 1.  So phi g phi^{-1} has no breakpoint: it is the rotation by
     phi(g(y)) - phi(y), for any y."""
+    _check_ints(max_vertices=max_vertices)
     seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
     sol = _solve(_Orbits(seed, _signed_generators(G), max_vertices))
     if not isinstance(sol, FiniteVector):
