@@ -1,8 +1,8 @@
 """Batch command line front end.
 
 Exit codes: 0 success, 1 reported domain outcome (obstruction, truncated,
-infeasible, no finite orbit), 2 malformed input or invariant violation.
-Output is deterministic for identical inputs and seeds.
+infeasible, no finite orbit), 2 malformed input, invariant violation or
+exhausted memory.  Output is deterministic for identical inputs and seeds.
 """
 from __future__ import annotations
 
@@ -247,6 +247,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .circle import CirclePoint, _check_ints, _order_keys
+from .circle import CirclePoint, _check_ints, _order_keys, reduce_mod1
 from .homeo import PLHomeo
 from .rotnum import fixed_points
 
@@ -46,8 +46,7 @@ class FiniteVector:
 
     @classmethod
     def from_dict(cls, d: Dict[CirclePoint, Fraction]) -> "FiniteVector":
-        items = sorted((p, Fraction(v)) for p, v in d.items() if Fraction(v) != 1)
-        return cls(tuple(items))
+        return cls(tuple(sorted((p, Fraction(v)) for p, v in d.items() if v != 1)))
 
     @classmethod
     def empty(cls) -> "FiniteVector":
@@ -58,10 +57,7 @@ class FiniteVector:
         return tuple(p for p, _ in self.entries)
 
     def value_at(self, p: CirclePoint) -> Fraction:
-        for q, v in self.entries:
-            if q == p:
-                return v
-        return Fraction(1)
+        return next((v for q, v in self.entries if q == p), Fraction(1))
 
     def as_dict(self) -> Dict[CirclePoint, Fraction]:
         return dict(self.entries)
@@ -74,36 +70,22 @@ class FiniteVector:
         return FiniteVector.from_dict(d)
 
     def product(self) -> Fraction:
-        out = Fraction(1)
-        for _, v in self.entries:
-            out *= v
-        return out
+        return math.prod((v for _, v in self.entries), start=Fraction(1))
 
 
 def jump_cocycle(h: PLHomeo) -> FiniteVector:
     """Jump vector of h: support BP(h), value D+h(x)/D-h(x).  Its values
     multiply to 1 by telescoping of the one-sided slopes around the circle."""
-    return FiniteVector.from_dict({p: h.jump(p) for p in h.breakpoints})
-
-
-def _inverse_jumps(h: PLHomeo) -> List[Tuple[Tuple[int, int], Fraction]]:
-    """The jump vector of h^-1, read off h: BP(h^-1) = h(BP(h)), and the
-    chain rule gives J(h^-1, h(b)) = 1/J(h, b).  Each point h(b) is given
-    as the lowest-terms pair (n, d) with 0 <= n < d."""
-    if h.is_rotation:
-        return []
-    s = h.slopes
-    return [((y.numerator % y.denominator, y.denominator), s[i - 1] / s[i])
-            for i, y in enumerate(h._ys)]
+    return FiniteVector(tuple(zip(h.breakpoints, h._jumps)))
 
 
 def affine_apply(h: PLHomeo, v: FiniteVector) -> FiniteVector:
     """Affine isometric action: new value at x is v(h^{-1}(x)) * jump(h^{-1}, x).
     So v(p) moves to h(p), and 1/J(h, b) multiplies into h(b) for b in BP(h)."""
     d = {h.eval(p): w for p, w in v.entries}
-    for (n, m), w in _inverse_jumps(h):
-        x = CirclePoint(Fraction(n, m))
-        d[x] = d.get(x, 1) * w
+    for y, j in zip(h._ys, h._jumps):
+        x = reduce_mod1(y)
+        d[x] = d.get(x, 1) / j
     return FiniteVector.from_dict(d)
 
 
@@ -140,10 +122,10 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     _check_ints(N=N)
     if N < 1:
         raise ValueError("N must be at least 1")
-    jumps = _inverse_jumps(f)
-    weights = [w for _, w in jumps]
-    k, step = len(jumps), f._step
-    pts = [x for x, _ in jumps]  # pts[t*k + i] is head i after t steps
+    weights = [1 / j for j in f._jumps]  # J(f^-1, y_i); none for a rotation
+    k, step = len(weights), f._step
+    pts = [(y.numerator % y.denominator, y.denominator) for y in f._ys[:k]]
+    # pts[t*k + i] is head i after t steps
     for _ in range(k * (N - 1)):
         n, d, _ = step(*pts[-k])
         pts.append((n % d, d))
@@ -237,15 +219,8 @@ def growth_params(f: PLHomeo) -> GrowthParams:
     else:
         (a, b), analyzed_inverse = support[0], True
     comp = CirclePoint(a - math.floor(a)), CirclePoint(b - math.floor(b))
-    c0 = _log(f.left_right_slopes(comp[0])[1])
-    c1 = _log(f.left_right_slopes(comp[1])[0])
-    logs = [abs(_log(s)) for s in _subset_products(f.jump(p) for p in f.breakpoints)
-            if s != 1]
-    return GrowthParams(
-        component=comp,
-        c0=-c0 if analyzed_inverse else c0,
-        c1=-c1 if analyzed_inverse else c1,
-        mu=max(logs),
-        beta=min(logs),
-        analyzed_inverse=analyzed_inverse,
-    )
+    sign = -1 if analyzed_inverse else 1
+    c0 = sign * _log(f.left_right_slopes(comp[0])[1])
+    c1 = sign * _log(f.left_right_slopes(comp[1])[0])
+    logs = [abs(_log(s)) for s in _subset_products(f._jumps) if s != 1]
+    return GrowthParams(comp, c0, c1, max(logs), min(logs), analyzed_inverse)

@@ -123,11 +123,18 @@ class PLHomeo:
         L, _, A, _, E = self._table
         return tuple(Fraction(a * L, e) for a, e in zip(A, E))
 
+    @cached_property
+    def _jumps(self) -> Tuple[Fraction, ...]:
+        """J(h, x_i) = s_i / s_{i-1} in vertex order, by _step's formula;
+        empty for a rotation."""
+        _, _, A, _, E = self._table
+        return tuple(Fraction(A[i] * E[i - 1], A[i - 1] * E[i])
+                     for i in range(len(A))) if len(A) > 1 else ()
+
     @property
     def breakpoints(self) -> Tuple[CirclePoint, ...]:
-        if len(self.verts) == 1:
-            return ()
-        return tuple(CirclePoint(frac_mod1(x)) for x in self._xs)
+        # every x_i lies in [x_0, 1): a smaller one would be the base
+        return tuple(map(CirclePoint, self._xs)) if len(self.verts) > 1 else ()
 
     @property
     def is_identity(self) -> bool:

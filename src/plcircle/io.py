@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Dict
 
@@ -44,8 +45,17 @@ def parse_rational(s) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
+    """q as "p/q" of any size, past Python's int-to-string digit limit too."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # over the limit (3.10.7 on): lift it for this one call
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return format_rational(q)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def element_from_json(obj) -> PLHomeo:

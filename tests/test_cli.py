@@ -54,6 +54,31 @@ def test_compose_with_inverse_is_rotation(tmp_path):
     assert doc == {"rotation": "2/3"}
 
 
+def test_compose_prints_answers_past_the_digit_limit(tmp_path):
+    # 2,501-digit inputs compose to vertices of more than 4,300 digits, past
+    # the int-to-string limit that Python applies from 3.10.7 on
+    from fractions import Fraction as F
+    from plcircle import PLHomeo
+    from plcircle import io as pio
+    g = PLHomeo([(0, 0), (F(1, 2), F(1, 10 ** 2500 + 7)), (1, 1)])
+    h = PLHomeo([(0, 0), (F(1, 3), F(1, 10 ** 2500 + 9)), (1, 1)])
+    paths = [tmp_path / "g.json", tmp_path / "h.json"]
+    for path, m in zip(paths, (g, h)):
+        path.write_text(json.dumps(pio.element_to_json(m)))
+    r = run("compose", *map(str, paths))
+    assert r.returncode == 0, r.stderr
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # the expected strings are built with the limit lifted
+        sys.set_int_max_str_digits(0)
+    try:
+        want = pio.element_to_json(g.compose(h))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert json.loads(r.stdout) == want
+    assert max(len(c) for v in want["vertices"] for c in v) > 4300
+
+
 def test_exotic_construction():
     r = run("exotic", "4", "2")
     assert r.returncode == 0
@@ -229,6 +254,21 @@ def test_broken_pipe_exit_two(monkeypatch, capsys):
                      "-N", "5"])
     err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_memory_error_exit_two(monkeypatch, capsys):
+    from plcircle import cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "random_pl", exhausted)
+    code = cli.main(["random", "--seed", "1", "-k", "16000",
+                     "--denom-bound", "1000000000"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -60,6 +60,7 @@ def test_jump_cocycle_examples():
 def test_inverse_cocycle_identity(h):
     hinv = h.inverse()
     jv = jump_cocycle(h)
+    assert jv == FiniteVector.from_dict({p: h.jump(p) for p in h.breakpoints})
     jvi = jump_cocycle(hinv)
     for x in set(jvi.support) | {h.eval(p) for p in jv.support}:
         assert jvi.value_at(x) == 1 / jv.value_at(hinv.eval(x))
@@ -409,23 +410,30 @@ def test_inverse_read_off_h_matches_oracles(h, v):
 
 
 def test_cocycle_builds_no_inverse(monkeypatch):
-    # J(h^-1) and the inverse branch of growth_params are read off h
+    # J(h^-1) and the inverse branch of growth_params are read off h, and
+    # every cocycle reader takes J from the map's one jump tuple
     std_inv = STD.inverse()  # built before inverse is patched
     v = FiniteVector.from_dict({reduce_mod1(F(1, 3)): F(2), reduce_mod1(F(1, 2)): F(5)})
     want_apply = oracle_affine_apply(STD, v)
     want_params = [params_outcome(oracle_growth_params, f) for f in (STD, std_inv)]
     want_growth = growth_sequences(STD, 12)
+    want_jumps = FiniteVector.from_dict({p: STD.jump(p) for p in STD.breakpoints})
     calls = []
 
     def no_inverse(self):
         raise AssertionError("built an inverse")
+
+    def no_jump(self, p):
+        raise AssertionError("called the per-point jump")
 
     def counted_fixed_points(f):
         calls.append(f)
         return fixed_points(f)
 
     monkeypatch.setattr(PLHomeo, "inverse", no_inverse)
+    monkeypatch.setattr(PLHomeo, "jump", no_jump)
     monkeypatch.setattr(cocycle, "fixed_points", counted_fixed_points)
+    assert jump_cocycle(STD) == want_jumps
     assert affine_apply(STD, v) == want_apply
     assert growth_sequences(STD, 12) == want_growth
     for f, want in zip((STD, std_inv), want_params):
