@@ -63,6 +63,7 @@ def realize(S: SymbolicSet, depth: int) -> FrozenSet[Fraction]:
     """Realized points at finite depth: each limit node contributes its apex
     and `depth` scaled copies of its child, each placed in the middle half
     of the slot (ratio^{n+1}, ratio^n] on the chosen side of the apex."""
+    _check_ints(0, depth=depth)
     pts = set()
     for node in S.nodes:
         if isinstance(node, Leaf):
@@ -144,9 +145,7 @@ def cb_rank(S: SymbolicSet) -> CBRank:
 def nested_limit(apex: CirclePoint, k: int, ratio: Fraction = Fraction(1, 4),
                  direction: str = RIGHT) -> SymbolicSet:
     """Convenience builder: a k-fold nested limit tree of rank k + 1."""
-    _check_ints(k=k)
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_ints(0, k=k)
     S = SymbolicSet((Leaf(apex),))
     for _ in range(k):
         S = SymbolicSet((Limit(apex, S, direction, ratio),))

@@ -54,8 +54,11 @@ def _order_keys(pairs: Sequence[Tuple[int, int]]) -> List[int]:
     return [n * K // d for n, d in pairs]
 
 
-def _check_ints(**budgets) -> None:
-    """Reject each budget argument, by keyword, that is not an int or is a bool."""
+def _check_ints(least: int, **budgets) -> None:
+    """The one check of a budget argument: reject each one, by keyword, that
+    is not an int, is a bool, or is below `least`."""
     for name, value in budgets.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, not {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, not {value}")

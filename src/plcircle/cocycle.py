@@ -119,9 +119,7 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     is summed left to right over ascending points, exactly as l2_norm_sq
     does.
     """
-    _check_ints(N=N)
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    _check_ints(1, N=N)
     weights = [1 / j for j in f._jumps]  # J(f^-1, y_i); none for a rotation
     k, step = len(weights), f._step
     pts = [(y.numerator % y.denominator, y.denominator) for y in f._ys[:k]]

@@ -319,11 +319,8 @@ def exotic_element(e: ExoticParams) -> PLHomeo:
 def random_pl(seed: int, k: int, denom_bound: int) -> PLHomeo:
     """Deterministic pseudo-random canonical map with at most k breakpoints
     and all vertex coordinates with denominators at most denom_bound."""
-    _check_ints(k=k, denom_bound=denom_bound)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if denom_bound < 1:
-        raise ValueError("denom_bound must be positive")
+    _check_ints(0, k=k)
+    _check_ints(1, denom_bound=denom_bound)
     if k > denom_bound:
         # there are 1 + sum(totient(q), q = 2..denom_bound) such rationals
         # in [0, 1), never fewer than denom_bound (0 and the 1/q)

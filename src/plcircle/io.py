@@ -29,14 +29,29 @@ def _clip(text: str) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
+def _exact(convert, arg):
+    """convert(arg) past Python's int/string digit limit (3.10.7 on) too: each
+    caller's arg can raise no other ValueError, and on that one the call runs
+    again with the limit lifted for it alone."""
+    try:
+        return convert(arg)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(arg)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def parse_rational(s) -> Fraction:
     """A JSON integer or a "p/q" string (q optional) as an exact Fraction."""
     if isinstance(s, str):
         if not _RATIONAL.fullmatch(s):
             raise FormatError(f"not a rational: {_clip(repr(s))} (expected p/q)")
         try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
+            return _exact(Fraction, s)
+        except ZeroDivisionError as exc:
             raise FormatError(f"not a rational: {_clip(repr(s))} "
                               f"({_clip(str(exc))})") from None
     if isinstance(s, int) and not isinstance(s, bool):
@@ -46,16 +61,7 @@ def parse_rational(s) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """q as "p/q" of any size, past Python's int-to-string digit limit too."""
-    q = Fraction(q)
-    try:
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:  # over the limit (3.10.7 on): lift it for this one call
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return format_rational(q)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    return _exact(lambda r: f"{r.numerator}/{r.denominator}", Fraction(q))
 
 
 def element_from_json(obj) -> PLHomeo:
@@ -185,10 +191,12 @@ def symbolic_set_to_json(S: cb.SymbolicSet):
 
 def load_json(path: str):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_int=lambda digits: _exact(int, digits))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: malformed JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from None

@@ -175,9 +175,7 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
     q > max_q only x = 0 is tested: integer enclosures of its orbit decide
     each sign and the exact orbit those they leave open, so no float decides
     an answer."""
-    _check_ints(max_q=max_q, depth=depth)
-    if max_q < 1 or depth < 1:
-        raise ValueError("max_q and depth must be positive")
+    _check_ints(1, max_q=max_q, depth=depth)
     # q = 1, never a mediant: F - id is affine between breakpoints, so h fixes
     # a point when an integer lies between the least and greatest gap F(c) - c
     gaps = [y - c for c, y in h.verts]
@@ -232,9 +230,7 @@ def semiconjugacy_table(h: PLHomeo, n_samples: int, n_iter: int
     floor(n_samples F^k(0)) mod n_samples.  A bucket comes from the integer
     enclosure of the orbit when both bounds give it, else from the exact
     orbit: the only float operation is count / n_iter."""
-    _check_ints(n_samples=n_samples, n_iter=n_iter)
-    if n_samples < 1 or n_iter < 1:
-        raise ValueError("n_samples and n_iter must be positive")
+    _check_ints(1, n_samples=n_samples, n_iter=n_iter)
     if not fixed_points(h).is_empty:
         raise ValueError("semi-conjugacy degenerates for maps with a fixed point")
     enc = _Enclosure(h, _BITS)

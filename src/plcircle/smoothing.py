@@ -327,11 +327,8 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     orbit is closed under the generators up to max_orbit points; the first
     that closes is returned, or None if none closes within the budget.
     """
-    _check_ints(max_period=max_period, max_orbit=max_orbit, max_words=max_words)
-    if max_period < 1:
-        raise ValueError("max_period must be positive")
-    if max_orbit < 1:
-        raise ValueError("max_orbit must be positive")
+    _check_ints(1, max_period=max_period, max_orbit=max_orbit)
+    _check_ints(0, max_words=max_words)
     signed = _signed_generators(G)
     # keys of the points of closures that passed max_orbit, tried candidates
     # included: closing any of them again cannot succeed
@@ -386,7 +383,7 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     constant keeps them.  For x off V, g(x) is off V too and every factor
     is 1.  So phi g phi^{-1} has no breakpoint: it is the rotation by
     phi(g(y)) - phi(y), for any y."""
-    _check_ints(max_vertices=max_vertices)
+    _check_ints(0, max_vertices=max_vertices)
     seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
     sol = _solve(_Orbits(seed, _signed_generators(G), max_vertices))
     if not isinstance(sol, FiniteVector):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from plcircle import (GroupPresentation, detect_finite_orbit, nested_limit,
-                      random_pl, reduce_mod1, rotation, semiconjugacy_table,
-                      smooth_group)
+from plcircle import (GroupPresentation, detect_finite_orbit, growth_sequences,
+                      nested_limit, random_pl, realize, reduce_mod1, rotation,
+                      rotation_number, semiconjugacy_table, smooth_group)
 from plcircle.circle import _order_keys, frac_mod1
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=97)
@@ -71,19 +71,41 @@ def test_order_keys_order_points_as_fractions(pairs):
 GROUP = GroupPresentation((("r", rotation(F(1, 3))),))
 
 
+# each budget argument: its name, its least accepted value, and a call that
+# takes it and ends at once when given that value
+BUDGETS = [
+    pytest.param("max_vertices", 0, lambda v: smooth_group(GROUP, v), id="max_vertices"),
+    pytest.param("max_period", 1, lambda v: detect_finite_orbit(GROUP, v), id="max_period"),
+    pytest.param("max_orbit", 1, lambda v: detect_finite_orbit(GROUP, 2, max_orbit=v),
+                 id="max_orbit"),
+    pytest.param("max_words", 0, lambda v: detect_finite_orbit(GROUP, 2, max_words=v),
+                 id="max_words"),
+    pytest.param("n_samples", 1, lambda v: semiconjugacy_table(rotation(F(1, 3)), v, 3),
+                 id="n_samples"),
+    pytest.param("n_iter", 1, lambda v: semiconjugacy_table(rotation(F(1, 3)), 3, v),
+                 id="n_iter"),
+    pytest.param("k", 0, lambda v: random_pl(1, v, 32), id="random_pl_k"),
+    pytest.param("denom_bound", 1, lambda v: random_pl(1, 1, v), id="denom_bound"),
+    pytest.param("k", 0, lambda v: nested_limit(reduce_mod1(0), v), id="nested_limit_k"),
+    pytest.param("max_q", 1, lambda v: rotation_number(rotation(F(1, 3)), max_q=v),
+                 id="max_q"),
+    pytest.param("depth", 1, lambda v: rotation_number(rotation(F(1, 3)), depth=v),
+                 id="depth"),
+    pytest.param("N", 1, lambda v: growth_sequences(rotation(F(1, 3)), v), id="N"),
+    pytest.param("depth", 0, lambda v: realize(nested_limit(reduce_mod1(0), 2), v),
+                 id="realize_depth"),
+]
+
+
 @pytest.mark.parametrize("value", [2.5, True, "64"])
-@pytest.mark.parametrize("name, call", [
-    ("max_vertices", lambda v: smooth_group(GROUP, v)),
-    ("max_period", lambda v: detect_finite_orbit(GROUP, v)),
-    ("max_orbit", lambda v: detect_finite_orbit(GROUP, 2, max_orbit=v)),
-    ("max_words", lambda v: detect_finite_orbit(GROUP, 2, max_words=v)),
-    ("n_samples", lambda v: semiconjugacy_table(rotation(F(1, 3)), v, 3)),
-    ("n_iter", lambda v: semiconjugacy_table(rotation(F(1, 3)), 3, v)),
-    ("k", lambda v: random_pl(1, v, 32)),
-    ("denom_bound", lambda v: random_pl(1, 3, v)),
-    ("k", lambda v: nested_limit(reduce_mod1(0), v)),
-], ids=["max_vertices", "max_period", "max_orbit", "max_words", "n_samples",
-        "n_iter", "random_pl_k", "denom_bound", "nested_limit_k"])
-def test_budget_arguments_reject_non_ints(name, call, value):
+@pytest.mark.parametrize("name, least, call", BUDGETS)
+def test_budget_arguments_reject_non_ints(name, least, call, value):
     with pytest.raises(ValueError, match=f"^{name} must be an int, not {re.escape(repr(value))}$"):
         call(value)
+
+
+@pytest.mark.parametrize("name, least, call", BUDGETS)
+def test_budget_arguments_reject_values_below_their_bound(name, least, call):
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least}, not {least - 1}$"):
+        call(least - 1)
+    call(least)

@@ -77,6 +77,19 @@ def test_compose_prints_answers_past_the_digit_limit(tmp_path):
             sys.set_int_max_str_digits(limit)
     assert json.loads(r.stdout) == want
     assert max(len(c) for v in want["vertices"] for c in v) > 4300
+    # and the answer reads back: show prints it byte for byte
+    (tmp_path / "gh.json").write_text(r.stdout)
+    back = run("show", str(tmp_path / "gh.json"), "--format", "json")
+    assert back.returncode == 0, back.stderr
+    assert back.stdout == r.stdout
+
+
+def test_reads_integers_past_the_digit_limit(tmp_path, capsys):
+    from plcircle import cli
+    path = tmp_path / "e.json"
+    path.write_text('{"rotation": %s}' % ("7" * 4401))
+    assert cli.main(["show", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr() == ('{\n  "rotation": "0/1"\n}\n', "")
 
 
 def test_exotic_construction():
@@ -166,6 +179,11 @@ def test_malformed_json_exit_two(tmp_path):
     r = run("show", str(bad))
     assert r.returncode == 2
     assert "line" in r.stderr
+    # bytes that are not UTF-8 are rejected in one line naming the file
+    bad.write_bytes(b'\xff\xfe{"rotation": "1/3"}')
+    r = run("show", str(bad))
+    _assert_one_error_line(r)
+    assert str(bad) in r.stderr
 
 
 def test_invalid_element_exit_two(tmp_path):
@@ -196,6 +214,12 @@ def test_growth_commands_reject_empty_range(command):
     r = run(command, str(FIXTURES / "standard_contracting.json"), "-N", "0")
     _assert_one_error_line(r)
     assert "N must be at least 1" in r.stderr
+
+
+def test_rotnum_rejects_zero_depth_by_name():
+    r = run("rotnum", str(FIXTURES / "exotic_4_2.json"), "--depth", "0")
+    _assert_one_error_line(r)
+    assert "depth" in r.stderr and "max_q" not in r.stderr
 
 
 def _nested_set(depth):
