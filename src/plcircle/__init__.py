@@ -9,8 +9,7 @@ from .homeo import (ExoticParams, InvalidHomeoError, PLHomeo, exotic_element,
 from .cocycle import (FiniteVector, GrowthParams, affine_apply,
                       breakpoint_growth, growth_params, growth_sequences,
                       jump_cocycle, l2_norm_sq, orbit_norm_seq)
-from .rotnum import (FixedSet, RotNumResult, fixed_points, rotation_number,
-                     semiconjugacy_table)
+from .rotnum import FixedSet, RotNumResult, fixed_points, rotation_number
 from .smoothing import (Edge, GroupPresentation, Obstruction, Success,
                         SynthesisInfeasible, Truncated, commensuration_defect,
                         detect_finite_orbit, smooth_group,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Tuple, Union
 
-from .circle import CirclePoint, _check_ints, frac_mod1
+from .circle import CirclePoint, _check_ints, _quote, frac_mod1
 
 LEFT = "left"
 RIGHT = "right"
@@ -36,9 +36,10 @@ class Limit:
 
     def __post_init__(self):
         if self.direction not in (LEFT, RIGHT):
-            raise ValueError(f"direction must be 'left' or 'right', got {self.direction!r}")
+            raise ValueError("direction must be 'left' or 'right', "
+                             f"got {_quote(self.direction, repr)}")
         if not 0 < self.ratio < 1:
-            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
+            raise ValueError(f"ratio must lie in (0, 1), got {_quote(self.ratio)}")
         if not self.child.nodes:
             raise ValueError("limit node requires a nonempty child set")
 

@@ -1,16 +1,39 @@
-"""Exact rational arithmetic on the circle R/Z: points, reduction mod 1 and
-the one exact order of points held as integer pairs (n, d).
+"""Exact rational arithmetic on the circle R/Z: points, reduction mod 1, the
+one exact order of points held as integer pairs (n, d), and the one way a
+value of any size is quoted in an error message.
 
-Everything in this module is pure and exact; no floating point is used.
+Everything in this module is exact; no floating point is used.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int]
+
+
+def _exact(convert, arg):
+    """convert(arg) past Python's int/string digit limit (3.10.7 on) too: each
+    caller's arg can raise no other ValueError, and on that one the call runs
+    again with the limit lifted for it alone."""
+    try:
+        return convert(arg)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(arg)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def _quote(value, convert=str) -> str:
+    """convert(value) of any size, clipped to 40 characters for a message."""
+    text = _exact(convert, value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def frac_mod1(q: RationalLike) -> Fraction:
@@ -31,7 +54,7 @@ class CirclePoint:
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
         if not 0 <= self.value < 1:
-            raise ValueError(f"circle coordinate {self.value} not in [0, 1)")
+            raise ValueError(f"circle coordinate {_quote(self.value)} not in [0, 1)")
 
     def __sub__(self, other: "CirclePoint") -> Fraction:
         """Positively oriented displacement from other to self, in [0, 1)."""
@@ -59,6 +82,6 @@ def _check_ints(least: int, **budgets) -> None:
     is not an int, is a bool, or is below `least`."""
     for name, value in budgets.items():
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, not {value!r}")
+            raise ValueError(f"{name} must be an int, not {_quote(value, repr)}")
         if value < least:
-            raise ValueError(f"{name} must be at least {least}, not {value}")
+            raise ValueError(f"{name} must be at least {least}, not {_quote(value)}")

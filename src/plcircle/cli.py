@@ -11,7 +11,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import cantor_bendixson as cb
 from . import io
@@ -38,7 +37,7 @@ def _write_element(h, path):
 def cmd_show(args):
     h = io.element_from_json(io.load_json(args.element))
     if args.format == "json":
-        print(json.dumps(io.element_to_json(h), indent=2))
+        _write_element(h, None)
         return 0
     print("vertices (lift):")
     for x, y in h.verts:

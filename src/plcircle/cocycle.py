@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .circle import CirclePoint, _check_ints, _order_keys, reduce_mod1
+from .circle import CirclePoint, _check_ints, _order_keys, _quote, reduce_mod1
 from .homeo import PLHomeo
 from .rotnum import fixed_points
 
@@ -36,13 +36,14 @@ class FiniteVector:
         # compared in integers: Fraction's comparisons would double the cost
         for p, v in self.entries:
             if v.numerator <= 0:
-                raise ValueError(f"non-positive value {v} at {p}")
+                raise ValueError(f"non-positive value {_quote(v)} at {_quote(p)}")
             if v == 1:
-                raise ValueError(f"trivial value 1 stored at {p}")
+                raise ValueError(f"trivial value 1 stored at {_quote(p)}")
         for (p, _), (q, _) in zip(self.entries, self.entries[1:]):
             a, b = p.value, q.value
             if a.numerator * b.denominator >= b.numerator * a.denominator:
-                raise ValueError(f"support points are not strictly increasing at {q}")
+                raise ValueError("support points are not strictly increasing "
+                                 f"at {_quote(q)}")
 
     @classmethod
     def from_dict(cls, d: Dict[CirclePoint, Fraction]) -> "FiniteVector":

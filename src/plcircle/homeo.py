@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Tuple
 
-from .circle import CirclePoint, _check_ints, frac_mod1
+from .circle import CirclePoint, _check_ints, _quote, frac_mod1
 
 Vertex = Tuple[Fraction, Fraction]
 _ONE = Fraction(1)
@@ -37,7 +37,8 @@ def _rational(q) -> Fraction:
     try:
         return Fraction(q)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise InvalidHomeoError(f"vertex coordinate {q!r} is not a rational number") from None
+        raise InvalidHomeoError(f"vertex coordinate {_quote(q, repr)} is not "
+                                "a rational number") from None
 
 
 def _canonical(pairs) -> Tuple[Vertex, ...]:
@@ -125,8 +126,8 @@ class PLHomeo:
 
     @cached_property
     def _jumps(self) -> Tuple[Fraction, ...]:
-        """J(h, x_i) = s_i / s_{i-1} in vertex order, by _step's formula;
-        empty for a rotation."""
+        """J(h, x_i) = s_i / s_{i-1} = (a_i e_{i-1}) / (a_{i-1} e_i) in vertex
+        order, the objects _step returns at the x_i; empty for a rotation."""
         _, _, A, _, E = self._table
         return tuple(Fraction(A[i] * E[i - 1], A[i - 1] * E[i])
                      for i in range(len(A))) if len(A) > 1 else ()
@@ -199,8 +200,8 @@ class PLHomeo:
         """The one exact forward evaluation: (n', d', J), with n'/d' = F(n/d)
         in lowest terms for the canonical lift F and J the jump at n/d, for
         any n/d with d > 0.  u = n/d - m, for the winding m, lies in [x_0,
-        x_0 + 1); F(n/d) = F(u) + m; J at x_i is (a_i e_{i-1}) / (a_{i-1} e_i),
-        and the shared _ONE off the breakpoints (a rotation's vertex is none)."""
+        x_0 + 1); F(n/d) = F(u) + m; J at x_i is the cached _jumps[i], and
+        the shared _ONE off the breakpoints (a rotation's vertex is none)."""
         L, X, A, B, E = self._table
         nL = n * L
         f, r = divmod(nL, d)  # f = floor(n/d * L)
@@ -211,8 +212,7 @@ class PLHomeo:
         p, q = A[i] * nL + B[i] * d, E[i] * d
         g = math.gcd(p, q)
         p, q = p // g, q // g
-        J = (Fraction(A[i] * E[i - 1], A[i - 1] * E[i])
-             if r == 0 and f == X[i] and len(X) > 1 else _ONE)
+        J = self._jumps[i] if r == 0 and f == X[i] and len(X) > 1 else _ONE
         return p + m * q, q, J
 
     # -- group operations --------------------------------------------------
@@ -298,9 +298,10 @@ class ExoticParams:
         object.__setattr__(self, "A", Fraction(self.A))
         object.__setattr__(self, "lam", Fraction(self.lam))
         if not self.A > 1:
-            raise ValueError(f"modulus A must exceed 1, got {self.A}")
+            raise ValueError(f"modulus A must exceed 1, got {_quote(self.A)}")
         if not 1 < self.lam < self.A:
-            raise ValueError(f"lambda must lie strictly between 1 and A, got {self.lam}")
+            raise ValueError("lambda must lie strictly between 1 and A, "
+                             f"got {_quote(self.lam)}")
 
 
 def exotic_element(e: ExoticParams) -> PLHomeo:
@@ -331,9 +332,9 @@ def random_pl(seed: int, k: int, denom_bound: int) -> PLHomeo:
                     tot[m] -= tot[m] // p
         available = 1 + sum(tot[2:])
         if k > available:
-            raise ValueError(f"{k} breakpoints need {k} distinct rationals in "
-                             f"[0, 1), but only {available} have denominator "
-                             f"at most {denom_bound}")
+            raise ValueError(f"{_quote(k)} breakpoints need {_quote(k)} distinct "
+                             f"rationals in [0, 1), but only {available} have "
+                             f"denominator at most {denom_bound}")
     rng = random.Random(seed)
 
     def rand_frac() -> Fraction:

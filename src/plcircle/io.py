@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from fractions import Fraction
 from typing import Any, Dict
 
 from . import cantor_bendixson as cb
-from .circle import CirclePoint, frac_mod1
+from .circle import CirclePoint, _exact, _quote, frac_mod1
 from .homeo import (ExoticParams, PLHomeo, exotic_element, from_lift_vertices,
                     rotation)
 from .smoothing import Edge, GroupPresentation
@@ -25,38 +24,19 @@ class FormatError(ValueError):
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _clip(text: str) -> str:
-    return text if len(text) <= 40 else text[:40] + "..."
-
-
-def _exact(convert, arg):
-    """convert(arg) past Python's int/string digit limit (3.10.7 on) too: each
-    caller's arg can raise no other ValueError, and on that one the call runs
-    again with the limit lifted for it alone."""
-    try:
-        return convert(arg)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return convert(arg)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-
 def parse_rational(s) -> Fraction:
     """A JSON integer or a "p/q" string (q optional) as an exact Fraction."""
     if isinstance(s, str):
         if not _RATIONAL.fullmatch(s):
-            raise FormatError(f"not a rational: {_clip(repr(s))} (expected p/q)")
+            raise FormatError(f"not a rational: {_quote(s, repr)} (expected p/q)")
         try:
             return _exact(Fraction, s)
         except ZeroDivisionError as exc:
-            raise FormatError(f"not a rational: {_clip(repr(s))} "
-                              f"({_clip(str(exc))})") from None
+            raise FormatError(f"not a rational: {_quote(s, repr)} "
+                              f"({_quote(exc)})") from None
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    raise FormatError(f"rational expected, got {type(s).__name__}: {_clip(repr(s))}")
+    raise FormatError(f"rational expected, got {type(s).__name__}: {_quote(s, repr)}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -114,7 +94,7 @@ def group_from_json(obj) -> GroupPresentation:
         try:
             items.append((name, element_from_json(el)))
         except FormatError as exc:
-            raise FormatError(f"generator {_clip(json.dumps(name, ensure_ascii=False))}: "
+            raise FormatError(f"generator {_quote(json.dumps(name, ensure_ascii=False))}: "
                               f"{exc}") from None
     return GroupPresentation(tuple(items))
 

@@ -14,8 +14,7 @@ denominators) decide each sign, and the exact orbit every sign they leave
 open, equality included, so no float decides an answer.  Exact orbits are
 int pairs stepped by PLHomeo._step; the enclosures step both bounds at once
 over a piece table pre-scaled once from PLHomeo._table, with one piece
-lookup shared by both bounds unless they lie in different pieces.  The
-semi-conjugacy table counts the orbit of 0 on both, exactly.
+lookup shared by both bounds unless they lie in different pieces.
 """
 from __future__ import annotations
 
@@ -220,28 +219,3 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
             hi = Fraction(p, q)
         else:
             return RotNumResult(exact=Fraction(p, q))
-
-
-def semiconjugacy_table(h: PLHomeo, n_samples: int, n_iter: int
-                        ) -> List[Tuple[CirclePoint, float]]:
-    """The semi-conjugacy to a rotation as the distribution function of the
-    orbit of 0: entry j is (j / n_samples, the share of k < n_iter with
-    F^k(0) mod 1 < j / n_samples), read off the histogram of the buckets
-    floor(n_samples F^k(0)) mod n_samples.  A bucket comes from the integer
-    enclosure of the orbit when both bounds give it, else from the exact
-    orbit: the only float operation is count / n_iter."""
-    _check_ints(1, n_samples=n_samples, n_iter=n_iter)
-    if not fixed_points(h).is_empty:
-        raise ValueError("semi-conjugacy degenerates for maps with a fixed point")
-    enc = _Enclosure(h, _BITS)
-    n, t = 0, (0, 1)  # the exact orbit of 0, t = F^n(0)
-    hist = [0] * n_samples
-    for k in range(n_iter):
-        lower, upper = (v * n_samples // enc.scale for v in enc.at(k))
-        if lower != upper:  # the bounds straddle a bucket edge
-            t, n = _lift_iterate(h, t, k - n), k
-            lower = t[0] * n_samples // t[1]
-        hist[lower % n_samples] += 1
-    counts = itertools.accumulate(hist, initial=0)
-    return [(CirclePoint(Fraction(j, n_samples)), count / n_iter)
-            for j, count in zip(range(n_samples), counts)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from plcircle import (GroupPresentation, detect_finite_orbit, growth_sequences,
                       nested_limit, random_pl, realize, reduce_mod1, rotation,
-                      rotation_number, semiconjugacy_table, smooth_group)
+                      rotation_number, smooth_group)
 from plcircle.circle import _order_keys, frac_mod1
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=97)
@@ -80,10 +80,6 @@ BUDGETS = [
                  id="max_orbit"),
     pytest.param("max_words", 0, lambda v: detect_finite_orbit(GROUP, 2, max_words=v),
                  id="max_words"),
-    pytest.param("n_samples", 1, lambda v: semiconjugacy_table(rotation(F(1, 3)), v, 3),
-                 id="n_samples"),
-    pytest.param("n_iter", 1, lambda v: semiconjugacy_table(rotation(F(1, 3)), 3, v),
-                 id="n_iter"),
     pytest.param("k", 0, lambda v: random_pl(1, v, 32), id="random_pl_k"),
     pytest.param("denom_bound", 1, lambda v: random_pl(1, 1, v), id="denom_bound"),
     pytest.param("k", 0, lambda v: nested_limit(reduce_mod1(0), v), id="nested_limit_k"),

@@ -407,6 +407,35 @@ def test_rejected_rational_gives_short_message(tmp_path, capsys, value):
     assert len(err) < 200
 
 
+BIG = "1" + "0" * 4500  # past the 4,300-digit int-to-string limit
+
+
+def _limit(**fields):
+    return json.dumps([{"limit": {"apex": "0/1", "child": [{"leaf": "0/1"}],
+                                  "direction": "right", "ratio": "1/2", **fields}}])
+
+
+@pytest.mark.parametrize("command, doc, condition", [
+    ("show", json.dumps({"exotic": {"A": "2", "lambda": "1/" + BIG}}),
+     "lambda must lie strictly between 1 and A"),
+    ("cb-rank", _limit(ratio=BIG), "ratio must lie in (0, 1)"),
+    ("cb-rank", _limit(direction="x" * 200_000), "direction must be 'left' or 'right'"),
+    ("show", '{"rotation": [%s]}' % BIG, "rational expected, got list"),
+], ids=["exotic_lambda", "limit_ratio", "limit_direction", "rotation_list"])
+def test_rejected_value_of_any_size_gives_short_message(tmp_path, capsys, command,
+                                                        doc, condition):
+    # the message is built, and clipped, however large the rejected value
+    from plcircle import cli
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    assert cli.main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert condition in err and "Exceeds the limit" not in err
+    assert len(err) < 200
+
+
 def test_deterministic_output():
     a = run("random", "--seed", "7")
     b = run("random", "--seed", "7")

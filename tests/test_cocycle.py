@@ -130,9 +130,11 @@ def test_finite_vector_rejects_support_not_strictly_increasing():
     assert v == FiniteVector.from_dict(v.as_dict())
 
 
-@pytest.mark.parametrize("value", [F(0), F(-1, 2), 0, -3])
+@pytest.mark.parametrize("value", [F(0), F(-1, 2), 0, -3, F(-10 ** 4500)])
 def test_finite_vector_rejects_non_positive_values(value):
-    with pytest.raises(ValueError, match="non-positive"):
+    # a 4,501-digit value is past the int-to-string limit, and the message
+    # quotes only its first 40 characters
+    with pytest.raises(ValueError, match="^non-positive value .{1,43} at 1/4$"):
         FiniteVector(((CirclePoint(F(1, 4)), value),))
 
 

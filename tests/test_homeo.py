@@ -146,6 +146,15 @@ def test_random_pl_determinism_and_validity():
     assert_fixed_point(h)
 
 
+@pytest.mark.parametrize("k", [3, 10 ** 4500], ids=["k3", "k_past_the_digit_limit"])
+def test_random_pl_rejects_more_breakpoints_than_rationals(k):
+    # only 0 and 1/2 have denominator at most 2; a k past the int-to-string
+    # digit limit is quoted by its first 40 digits
+    with pytest.raises(ValueError, match=r"^[0-9]{1,40}(\.\.\.)? breakpoints need "
+                                         r".* but only 2 have denominator at most 2$"):
+        random_pl(1, k, 2)
+
+
 @given(random_maps)
 @settings(max_examples=50, deadline=None)
 def test_group_inverse_law(h):

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from plcircle import (ExoticParams, PLHomeo, RotNumResult, exotic_element,
                       fixed_points, from_lift_vertices, identity, random_pl,
-                      reduce_mod1, rotation, rotation_number,
-                      semiconjugacy_table)
+                      reduce_mod1, rotation, rotation_number)
 from plcircle import rotnum
 from plcircle.circle import CirclePoint, frac_mod1
 from plcircle.rotnum import FixedSet
@@ -595,99 +594,3 @@ def test_exotic_rotation_number_closed_form(A, lam, exact):
     assert b * c - a * d == 1
     # no p/q with q <= max_q is the rotation number, so a bracket is right
     assert all(lam ** q != A ** p for q in range(1, 33) for p in range(q + 1))
-
-
-def test_semiconjugacy_rejects_fixed_points():
-    with pytest.raises(ValueError):
-        semiconjugacy_table(STD, 10, 10)
-
-
-def test_semiconjugacy_rotation_is_identity():
-    n_iter = 89
-    table = semiconjugacy_table(rotation(F(34, 89)), 50, n_iter)
-    for p, v in table:
-        assert abs(v - float(p.value)) <= 1.0 / n_iter + 1.0 / 50
-    vals = [v for _, v in table]
-    assert vals == sorted(vals)
-
-
-def test_semiconjugacy_equivariance_residual():
-    g = exotic_element(ExoticParams(F(5), F(2)))
-    n_iter = 4000
-    n_samples = 200
-    table = semiconjugacy_table(g, n_samples, n_iter)
-    lookup = {p: v for p, v in table}
-    rho = rotation_number(g, max_q=8, depth=20)
-    rho_mid = float(rho.lo + rho.hi) / 2
-    for p, v in table:
-        img = g.eval(p)
-        # degree-1 interpolation at the nearest sample below the image
-        j = int(float(img.value) * n_samples)
-        w = lookup[reduce_mod1(F(j, n_samples))]
-        residual = (w - v - rho_mid) % 1.0
-        residual = min(residual, 1.0 - residual)
-        assert residual <= 5 / math.sqrt(n_iter) + 1.0 / n_samples
-
-
-def oracle_semiconjugacy_table(h, n_samples, n_iter):
-    """Test oracle: the earlier float table, in exact arithmetic.  The orbit
-    of 0 is stepped as Fractions with lift_eval, reduced mod 1 and sorted,
-    and each sample counts the points below it with bisect_left."""
-    orbit, t = [], F(0)
-    for _ in range(n_iter):
-        orbit.append(frac_mod1(t))
-        t = h.lift_eval(t)
-    orbit.sort()
-    return [(CirclePoint(F(j, n_samples)),
-             bisect.bisect_left(orbit, F(j, n_samples)) / n_iter)
-            for j in range(n_samples)]
-
-
-def conjugate(phi, g):
-    return phi.compose(g).compose(phi.inverse())
-
-
-# R(3/8) conjugated: the float table put F^8(0) = 0 at 0.99999999999994, in
-# the last bucket, and was off by about 1/8 at 199 of 200 samples
-R38_CONJUGATE = conjugate(random_pl(0, 3, 32), rotation(F(3, 8)))
-
-semiconjugacy_maps = st.one_of(
-    st.builds(_conjugate_rotation, st.integers(0, 10**6),
-              st.integers(2, 12).flatmap(lambda q: st.sampled_from(
-                  [F(p, q) for p in range(1, q) if math.gcd(p, q) == 1]))),
-    st.builds(conjugate_exotic, st.integers(0, 10**6), exotic_pairs),
-    exotic_pairs.map(lambda pair: exotic_element(ExoticParams(F(pair[0]), F(pair[1])))),
-    st.fractions(0, 1, max_denominator=100).filter(lambda a: 0 < a < 1).map(rotation))
-
-
-@pytest.mark.parametrize("bits", [BITS, 1])
-@given(h=semiconjugacy_maps, n_samples=st.integers(1, 64), n_iter=st.integers(1, 300))
-@example(h=conjugate_exotic(47, (10, 7)), n_samples=64, n_iter=300)  # F(0) < 0
-@example(h=R38_CONJUGATE, n_samples=200, n_iter=2000)
-@settings(max_examples=100, deadline=None)
-def test_semiconjugacy_matches_the_exact_oracle(bits, h, n_samples, n_iter):
-    # at 1 bit the enclosure is coarse, so many buckets come from the exact
-    # orbit, not only those of the points on a bucket edge
-    want = oracle_semiconjugacy_table(h, n_samples, n_iter)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rotnum, "_BITS", bits)
-        assert semiconjugacy_table(h, n_samples, n_iter) == want
-
-
-def test_semiconjugacy_matches_the_exact_oracle_on_a_seeded_sweep():
-    # 8 exotic pairs, then R(3/8), R(2/7), R(34/89) and exotic(6, 2), each
-    # conjugated by 8 seeded maps; the float table was wrong on 14 of these
-    exotic = [exotic_element(ExoticParams(F(A), F(lam))) for A, lam in
-              [(3, 2), (4, 2), (5, 2), (6, 2), (6, 5), (7, 3), (9, 3), (10, 7)]]
-    phis = [random_pl(s, 3, 32) for s in range(8)]
-    conjugates = [conjugate(phi, g) for g in (
-        rotation(F(3, 8)), rotation(F(2, 7)), rotation(F(34, 89)), exotic[3])
-        for phi in phis]
-    assert conjugates[0] == R38_CONJUGATE
-    for h in exotic + conjugates:
-        assert semiconjugacy_table(h, 200, 1000) == \
-            oracle_semiconjugacy_table(h, 200, 1000)
-    # the orbit of 0 under the R(3/8) conjugate has 8 points, each met 125
-    # times, so every entry is a multiple of 1/8
-    assert {v * 8 for _, v in semiconjugacy_table(R38_CONJUGATE, 200, 1000)} \
-        <= set(range(9))

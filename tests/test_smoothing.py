@@ -832,6 +832,8 @@ def test_kernel_matches_fraction_oracle(g, below, rationals, windings):
     # period) and random rationals, each moved by -2..2 and by random
     # windings: the kernel returns the lift, not its circle coordinate
     x0 = g.verts[0][0]
+    # the jump at a breakpoint is the map's cached jump vector entry itself
+    assert all(g._step(x.numerator, x.denominator)[2] is J for x, J in zip(g._xs, g._jumps))
     points = [F(0), *(p.value for p in g.breakpoints), (x0 - F(1, below)) % 1,
               *rationals]
     for x in points:
