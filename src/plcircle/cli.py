@@ -15,8 +15,7 @@ import sys
 from . import cantor_bendixson as cb
 from . import io
 from .circle import CirclePoint, frac_mod1
-from .cocycle import (breakpoint_growth, growth_params, growth_sequences,
-                      jump_cocycle)
+from .cocycle import growth_params, growth_sequences, jump_cocycle
 from .homeo import ExoticParams, exotic_element, random_pl
 from .rotnum import rotation_number
 from .smoothing import commensuration_defect, detect_finite_orbit, smooth_group
@@ -111,9 +110,9 @@ def cmd_orbit_norms(args):
     return 0
 
 
-def cmd_breakpoint_growth(args):
+def cmd_breakpoint_counts(args):
     f = io.element_from_json(io.load_json(args.element))
-    growth = breakpoint_growth(f, args.N)  # rejects a bad N before any output
+    growth = growth_sequences(f, args.N)[0]  # rejects a bad N before any output
     print("n,M_n")
     for n, m in enumerate(growth, start=1):
         print(f"{n},{m}")
@@ -149,9 +148,14 @@ def cmd_cb_rank(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):  # its subparsers are _Parsers too
+    def error(self, message):  # main reports it in one line, with exit 2
+        raise ValueError(message)
+
+
 @functools.cache  # built on first use; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="plcircle",
         description="Exact dynamics of piecewise linear circle homeomorphisms")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -204,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("breakpoint-growth", help="CSV of breakpoint counts")
     p.add_argument("element")
     p.add_argument("-N", type=int, default=50)
-    p.set_defaults(func=cmd_breakpoint_growth)
+    p.set_defaults(func=cmd_breakpoint_counts)
 
     p = sub.add_parser("smooth", help="run the conjugation pipeline on a group")
     p.add_argument("group")
@@ -224,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a reader gone after the last write fails here
         return code

@@ -53,19 +53,12 @@ class FiniteVector:
     def empty(cls) -> "FiniteVector":
         return cls(())
 
-    @property
-    def support(self) -> Tuple[CirclePoint, ...]:
-        return tuple(p for p, _ in self.entries)
-
     def value_at(self, p: CirclePoint) -> Fraction:
         return next((v for q, v in self.entries if q == p), Fraction(1))
 
-    def as_dict(self) -> Dict[CirclePoint, Fraction]:
-        return dict(self.entries)
-
     def quotient(self, other: "FiniteVector") -> "FiniteVector":
         """Pointwise multiplicative quotient self / other (additive difference)."""
-        d = self.as_dict()
+        d = dict(self.entries)
         for p, v in other.entries:
             d[p] = d.get(p, Fraction(1)) / v
         return FiniteVector.from_dict(d)

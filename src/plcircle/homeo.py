@@ -145,12 +145,6 @@ class PLHomeo:
     def is_rotation(self) -> bool:
         return len(self.verts) == 1
 
-    @property
-    def rotation_amount(self) -> Fraction:
-        if not self.is_rotation:
-            raise ValueError("not a rotation")
-        return self.verts[0][1]
-
     # -- evaluation --------------------------------------------------------
 
     def lift_eval(self, t: Fraction) -> Fraction:

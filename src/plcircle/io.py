@@ -10,8 +10,7 @@ from typing import Any, Dict
 
 from . import cantor_bendixson as cb
 from .circle import CirclePoint, _exact, _quote, frac_mod1
-from .homeo import (ExoticParams, PLHomeo, exotic_element, from_lift_vertices,
-                    rotation)
+from .homeo import ExoticParams, PLHomeo, exotic_element, rotation
 from .smoothing import Edge, GroupPresentation
 
 
@@ -66,8 +65,7 @@ def element_from_json(obj) -> PLHomeo:
         if (not isinstance(verts, list)
                 or not all(isinstance(p, list) and len(p) == 2 for p in verts)):
             raise FormatError('field "vertices" must be a list of [x, y] pairs')
-        return from_lift_vertices(
-            [(parse_rational(x), parse_rational(y)) for x, y in verts])
+        return PLHomeo([(parse_rational(x), parse_rational(y)) for x, y in verts])
     except ValueError as exc:
         if isinstance(exc, FormatError):
             raise
@@ -76,7 +74,7 @@ def element_from_json(obj) -> PLHomeo:
 
 def element_to_json(h: PLHomeo) -> Dict[str, Any]:
     if h.is_rotation:
-        return {"rotation": format_rational(h.rotation_amount)}
+        return {"rotation": format_rational(h.verts[0][1])}
     verts = [[format_rational(x), format_rational(y)] for x, y in h.verts]
     x0, y0 = h.verts[0]
     verts.append([format_rational(x0 + 1), format_rational(y0 + 1)])

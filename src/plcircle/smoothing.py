@@ -121,10 +121,6 @@ class _Orbits:
         keys = _order_keys([self.pts[v] for v in ids])
         return [v for _, v in sorted(zip(keys, ids))]
 
-    @property
-    def escaping(self) -> Tuple[CirclePoint, ...]:
-        return tuple(map(self.point, self.in_order(range(self.max_vertices, len(self.pts)))))
-
     def edge(self, i: int) -> Edge:
         (gen, sign), _ = self.maps[i % len(self.maps)]
         v, t = i // len(self.maps), self.out[i]
@@ -212,8 +208,8 @@ def _solve(o: _Orbits):
                     return Obstruction(cycle=_closed_walk(o, i, parent),
                                        expected=Fraction(1), found=at / want)
         components.append(comp)
-    if len(o.pts) > o.max_vertices:
-        return Truncated(o.escaping)
+    if len(o.pts) > top:
+        return Truncated(tuple(map(o.point, o.in_order(range(top, len(o.pts))))))
     ys = [y for y in a.values() if y is not _ONE]
     p, q = math.prod(y.numerator for y in ys), math.prod(y.denominator for y in ys)
     if p != q:
@@ -289,7 +285,7 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
 
 def _word_candidates(signed, max_period: int, max_words: int):
     """Fixed points of each new word of length <= max_period, in word order;
-    then 0 if a nontrivial word is the identity, which fixes every point."""
+    then 0 if a word is the identity (g^-1 g is, from length 2 on)."""
     seen = {identity()}
     frontier = [identity()]
     identity_word_seen = False
@@ -323,9 +319,11 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
 
     Candidates are the fixed points of words of length <= max_period in the
     generators and their inverses, tried in word order as each word is found,
-    with 0 last when a nontrivial word is the identity.  Each candidate's
-    orbit is closed under the generators up to max_orbit points; the first
-    that closes is returned, or None if none closes within the budget.
+    with 0 last when a word is the identity.  The trivial word g^-1 g is, so
+    every search that reaches length 2 tries 0 last, whatever the group.
+    Each candidate's orbit is closed under the generators up to max_orbit
+    points; the first that closes is returned, or None if none closes
+    within the budget.
     """
     _check_ints(1, max_period=max_period, max_orbit=max_orbit)
     _check_ints(0, max_words=max_words)

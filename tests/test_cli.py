@@ -385,12 +385,36 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     assert capsys.readouterr().out == "[12/61, 1/5] after 16 refinements\n"
     assert cli.main(["rotnum", str(doc)]) == 0
     assert capsys.readouterr().out == "1/5 (exact)\n"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["rotnum"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    assert cli.main(["rotnum"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert cli.main(["eval", std, "1/4"]) == 0
     assert capsys.readouterr() == ("1/8\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rotnum", str(FIXTURES / "exotic_4_2.json"), "--depth", "abc"],
+     "argument --depth: invalid int value: 'abc'"),
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["rotnum", str(FIXTURES / "exotic_4_2.json"), "--bogus"],
+     "unrecognized arguments: --bogus"),
+], ids=["bad_int", "missing_command", "unknown_command", "unknown_option"])
+def test_usage_error_is_one_line_exit_two(capsys, argv, message):
+    # argparse by default prints its usage text and raises SystemExit(2)
+    from plcircle import cli
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_usage_errors_and_help_through_the_process():
+    r = run()
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: the following arguments are required: command\n"
+    r = run("-h")
+    assert r.returncode == 0 and r.stdout.startswith("usage: plcircle")
 
 
 @pytest.mark.parametrize("value", ["x" * 200_000, [1] * 50_000],

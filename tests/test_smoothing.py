@@ -179,6 +179,24 @@ def test_finite_orbit_none_for_irrational_type():
     assert detect_finite_orbit(pres(g), 6) is None
 
 
+def test_finite_orbit_tries_zero_after_the_trivial_word(monkeypatch):
+    # no word of length 1 has a fixed point; at length 2 the trivial word
+    # g^-1 g is the identity, so 0 is tried after the words' fixed points
+    G = pres(exotic_element(ExoticParams(F(6), F(2))), rotation(F(1, 3)))
+    seeds = []
+
+    class SeedOrbits(_Orbits):
+        def __init__(self, seed, *args):
+            seeds.append(list(seed))
+            super().__init__(seed, *args)
+
+    monkeypatch.setattr(smoothing, "_Orbits", SeedOrbits)
+    assert detect_finite_orbit(G, 1) is None
+    assert seeds == []
+    assert detect_finite_orbit(G, 2) is None
+    assert len(seeds) > 1 and seeds[-1] == [F(0)]
+
+
 def _generator_maps(G):
     maps = []
     for _, g in G.generators:
@@ -387,12 +405,12 @@ def test_smooth_group_canonicalizes_nothing(monkeypatch, make):
     assert detect_finite_orbit(H, 3, max_orbit=16) == orbit
 
 
-rotation_amounts = st.tuples(st.integers(0, 6), st.integers(1, 7)).map(
+rotation_angles = st.tuples(st.integers(0, 6), st.integers(1, 7)).map(
     lambda t: F(t[0] % t[1], t[1]))
 
 
 @given(st.integers(0, 10**6), st.integers(1, 4),
-       st.lists(rotation_amounts, min_size=1, max_size=2))
+       st.lists(rotation_angles, min_size=1, max_size=2))
 @settings(max_examples=40, deadline=None)
 def test_conjugates_match_composition_oracle(seed, k, amounts):
     G = pres(*(_conjugate(random_pl(seed, k, 32), rotation(a)) for a in amounts))
@@ -812,7 +830,7 @@ def _exotic_params(draw):
 kernel_maps = st.one_of(
     st.builds(random_pl, st.integers(0, 10**6), st.integers(0, 8),
               st.integers(8, 512)),
-    rotation_amounts.map(rotation),
+    rotation_angles.map(rotation),
     _exotic_params().map(exotic_element),
     # conjugates with their smallest breakpoint off 0
     st.builds(lambda seed, k, g: _conjugate(random_pl(seed, k, 16), g),
