@@ -10,11 +10,12 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import cantor_bendixson as cb
 from . import io
-from .circle import CirclePoint, frac_mod1
+from .circle import CirclePoint, _quote, frac_mod1
 from .cocycle import growth_params, growth_sequences, jump_cocycle
 from .homeo import ExoticParams, exotic_element, random_pl
 from .rotnum import rotation_number
@@ -150,7 +151,9 @@ def cmd_cb_rank(args):
 
 class _Parser(argparse.ArgumentParser):  # its subparsers are _Parsers too
     def error(self, message):  # main reports it in one line, with exit 2
-        raise ValueError(message)
+        # argparse quotes the offending value in full: clip each long word,
+        # as io clips rejected input
+        raise ValueError(re.sub(r"\S{41,}", lambda m: _quote(m[0]), message))
 
 
 @functools.cache  # built on first use; parse_args returns a fresh Namespace

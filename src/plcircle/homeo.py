@@ -8,7 +8,8 @@ genuine breakpoint (adjacent slopes differ cyclically) and the base
 vertex is the smallest breakpoint; rotations are stored as the single
 vertex (0, alpha).  Input is canonicalized in integers over the lcms L and
 M of its x and y denominators, with a Fraction built only for each kept
-vertex; evaluation runs on the same integer layout (_table, _step).
+vertex; evaluation runs on the same integer layout (_table, _step), and
+compose reads the two vertex lists with one _step per breakpoint.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Tuple
 
-from .circle import CirclePoint, _check_ints, _quote, frac_mod1
+from .circle import CirclePoint, _check_ints, _order_keys, _quote, frac_mod1
 
 Vertex = Tuple[Fraction, Fraction]
 _ONE = Fraction(1)
@@ -92,9 +93,10 @@ class PLHomeo:
     InvalidHomeoError when they do not define a homeomorphism.  Maps the
     library derives from canonical maps are built in canonical form
     directly, through _of_canonical: `inverse` (swapping coordinates merges
-    nothing, as the slopes invert), `compose` (it keeps the cuts whose
-    chain-rule jump is not 1), `rotation` and `synthesize_conjugator` (its
-    support points are sorted, distinct, and all true breakpoints)."""
+    nothing, as the slopes invert), `compose` (from the two vertex lists, it
+    keeps the cuts whose chain-rule jump is not 1), `rotation` and
+    `synthesize_conjugator` (its support points are sorted, distinct, and
+    all true breakpoints)."""
 
     verts: Tuple[Vertex, ...]
 
@@ -212,29 +214,46 @@ class PLHomeo:
     # -- group operations --------------------------------------------------
 
     def compose(self, other: "PLHomeo") -> "PLHomeo":
-        """self o other.  Its breakpoints lie among the cuts BP(other) and
-        other^{-1}(BP(self)), sorted once; a cut c is kept when the chain-rule
-        jump J(self, other(c)) J(other, c) is not 1, and the kept lifted
-        images are shifted by one floor."""
-        # the preimages are cyclically sorted: at most three sorted runs
-        inv = other.inverse()
-        cuts = sorted([frac_mod1(inv.lift_eval(x)) for x in self._xs] + other._xs)
-        verts = []
-        last = None
-        for c in cuts:
-            if c == last:
-                continue
-            last = c
-            n, d, J1 = other._step(c.numerator, c.denominator)
-            n, d, J2 = self._step(n, d)
-            # jumps are in lowest terms: J1 J2 = 1 exactly when they are reciprocal
-            if J1.numerator != J2.denominator or J1.denominator != J2.numerator:
-                verts.append((c, n, d))
-        if not verts:
-            return rotation(Fraction(n, d) - last)
-        m = verts[0][1] // verts[0][2]
+        """self o other, from the two vertex lists with one _step per
+        breakpoint.  With G the canonical lift of other, the lift F o G breaks
+        only at the cuts BP(other) and other^{-1}(BP(self)).  At a vertex
+        (x_j, y_j) of other, one step of self at y_j gives F(y_j) and the
+        chain-rule jump J(other, x_j) J(self, y_j); the cut is kept when that
+        is not 1.  At a breakpoint (u_i, v_i) of self, one step of other's
+        inverse gives the preimage c; unless c is a breakpoint of other, the
+        value there is v_i moved by an integer and the jump J(self, u_i) is
+        not 1.  The kept cuts are ordered as integer pairs and the lifted
+        values shifted by one floor."""
+        fv, gv = self.verts, other.verts
+        if len(fv) == len(gv) == 1:
+            return rotation(fv[0][1] + gv[0][1])
+        cuts = []  # (cut, numerator, denominator of the lifted value)
+        for (x, y), Jg in zip(gv, other._jumps):
+            n, d, Jf = self._step(y.numerator, y.denominator)
+            # jumps are in lowest terms: Jg Jf = 1 exactly when they are reciprocal
+            if Jg.numerator != Jf.denominator or Jg.denominator != Jf.numerator:
+                cuts.append((x, n, d))
+        if len(fv) > 1:
+            # the inverse's canonical lift is G^{-1} + s, with s = 1 when a
+            # vertex image of other is >= 1.  (For a rotation by alpha > 0 it
+            # is G^{-1} + 1 too, but then every cut comes from this loop and
+            # the shift by one floor drops the common integer.)
+            s = gv[-1][1] >= 1
+            inv = other.inverse()
+            for u, v in fv:
+                p, q, J = inv._step(u.numerator, u.denominator)
+                if J is _ONE:  # u is no image of a breakpoint of other
+                    # c = G^{-1}(u) mod 1, and F(G(c)) = v + s - floor(p/q)
+                    w = s - p // q
+                    cuts.append((Fraction(p % q, q), v.numerator + w * v.denominator,
+                                 v.denominator))
+        if not cuts:  # every cut cancelled, and the first loop ran
+            return rotation(Fraction(n, d) - x)
+        keys = _order_keys([(c.numerator, c.denominator) for c, _, _ in cuts])
+        cuts = [cut for _, cut in sorted(zip(keys, cuts))]  # the keys are distinct
+        m = cuts[0][1] // cuts[0][2]
         return PLHomeo._of_canonical(tuple(
-            (c, Fraction(n - m * d, d)) for c, n, d in verts))
+            (c, Fraction(n - m * d, d)) for c, n, d in cuts))
 
     def inverse(self) -> "PLHomeo":
         """h^{-1}, built once per map: swap the coordinates and rebase at the

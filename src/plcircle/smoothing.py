@@ -285,21 +285,34 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
 
 def _word_candidates(signed, max_period: int, max_words: int):
     """Fixed points of each new word of length <= max_period, in word order;
-    then 0 if a word is the identity (g^-1 g is, from length 2 on)."""
+    then 0 if a word is the identity (g^-1 g is, from length 2 on).
+
+    Only reduced words are composed: a word of length 1 is the generator
+    itself, and a letter followed by its own inverse (slot k ^ 1 of the
+    word's first letter k) is skipped, as it equals the word's tail, which
+    is already seen; it is the identity when the word has length 1.  Each
+    new word is hashed once."""
     seen = {identity()}
-    frontier = [identity()]
+    frontier = [(identity(), None)]  # (word, slot of its first letter)
     identity_word_seen = False
-    for _ in range(max_period):
+    for length in range(max_period):  # the length of the words in frontier
         nxt = []
-        for w in frontier:
-            for _, g in signed:
-                gw = g.compose(w)
+        for w, first in frontier:
+            for k, (_, g) in enumerate(signed):
+                if first is None:
+                    gw = g
+                elif k == first ^ 1:
+                    identity_word_seen |= length == 1
+                    continue
+                else:
+                    gw = g.compose(w)
                 if gw.is_identity:
                     identity_word_seen = True
-                if gw in seen:
-                    continue
+                size = len(seen)
                 seen.add(gw)
-                nxt.append(gw)
+                if len(seen) == size:
+                    continue
+                nxt.append((gw, k))
                 fs = fixed_points(gw)
                 yield from fs.points
                 yield from (p for arc in fs.arcs for p in arc)
@@ -321,6 +334,7 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     generators and their inverses, tried in word order as each word is found,
     with 0 last when a word is the identity.  The trivial word g^-1 g is, so
     every search that reaches length 2 tries 0 last, whatever the group.
+    Only reduced words are composed, and each new word is hashed once.
     Each candidate's orbit is closed under the generators up to max_orbit
     points; the first that closes is returned, or None if none closes
     within the budget.

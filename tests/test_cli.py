@@ -409,6 +409,23 @@ def test_usage_error_is_one_line_exit_two(capsys, argv, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rotnum", str(FIXTURES / "exotic_4_2.json"), "--depth", "9" * 5000],
+    ["c" * 300],
+    ["show", str(FIXTURES / "exotic_4_2.json"), "--format", "f" * 300],
+], ids=["long_int", "long_command", "long_choice"])
+def test_usage_error_quotes_a_long_value_short(capsys, argv):
+    # argparse puts the whole value in its message; the wording differs
+    # across Python versions, so only the shape and length are checked
+    from plcircle import cli
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300 and "..." in err
+    assert "Exceeds the limit" not in err
+
+
 def test_usage_errors_and_help_through_the_process():
     r = run()
     assert (r.returncode, r.stdout) == (2, "")

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plcircle import (ExoticParams, InvalidHomeoError, PLHomeo, exotic_element,
-                      from_lift_vertices, homeo, identity, jump_cocycle, random_pl,
-                      reduce_mod1, rotation, synthesize_conjugator)
+from plcircle import (ExoticParams, FiniteVector, InvalidHomeoError, PLHomeo,
+                      exotic_element, from_lift_vertices, homeo, identity,
+                      jump_cocycle, random_pl, reduce_mod1, rotation,
+                      synthesize_conjugator)
 from plcircle.circle import frac_mod1
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
@@ -371,3 +372,112 @@ def test_non_rational_coordinate_is_invalid(bad, shown):
     for pairs in ([(bad, 0), (F(1, 2), F(1, 4))], [(0, 0), (F(1, 2), bad)]):
         with pytest.raises(InvalidHomeoError, match=f"coordinate {shown} is not a rational"):
             PLHomeo(pairs)
+
+
+# -- compose, against the body it replaced ---------------------------------
+#
+# compose reads the two vertex lists with one _step per breakpoint.  Its
+# oracle is the body before that, kept here verbatim: it sorts the cuts
+# BP(other) and other^{-1}(BP(self)) and steps both maps at each one.
+
+def oracle_compose(self, other):
+    """self o other.  Its breakpoints lie among the cuts BP(other) and
+    other^{-1}(BP(self)), sorted once; a cut c is kept when the chain-rule
+    jump J(self, other(c)) J(other, c) is not 1, and the kept lifted
+    images are shifted by one floor."""
+    # the preimages are cyclically sorted: at most three sorted runs
+    inv = other.inverse()
+    cuts = sorted([frac_mod1(inv.lift_eval(x)) for x in self._xs] + other._xs)
+    verts = []
+    last = None
+    for c in cuts:
+        if c == last:
+            continue
+        last = c
+        n, d, J1 = other._step(c.numerator, c.denominator)
+        n, d, J2 = self._step(n, d)
+        # jumps are in lowest terms: J1 J2 = 1 exactly when they are reciprocal
+        if J1.numerator != J2.denominator or J1.denominator != J2.numerator:
+            verts.append((c, n, d))
+    if not verts:
+        return rotation(F(n, d) - last)
+    m = verts[0][1] // verts[0][2]
+    return PLHomeo._of_canonical(tuple(
+        (c, F(n - m * d, d)) for c, n, d in verts))
+
+
+def _squared_jumps(g):
+    """A map with the breakpoints of g and each jump squared."""
+    return synthesize_conjugator(FiniteVector(
+        tuple((p, v * v) for p, v in jump_cocycle(g).entries)))
+
+
+def _compose_cases(f, g):
+    """(self, other) pairs: both orders, h o h^-1 and h^-1 o h (every cut
+    coincides and the result is the identity), h o h, and two pairs in which
+    other maps each of its breakpoints onto a breakpoint of self, with jumps
+    that cancel (f o g^-1 after g is f) and with jumps that do not."""
+    cases = [(f, g), (g, f), (f, f), (g, g)]
+    for h in (f, g):
+        cases += [(h, h.inverse()), (h.inverse(), h)]
+    cases += [(oracle_compose(f, g.inverse()), g),
+              (oracle_compose(_squared_jumps(g), g.inverse()), g)]
+    return cases
+
+
+compose_maps = st.one_of(
+    st.builds(random_pl, st.integers(0, 10**6), st.integers(0, 6),
+              st.sampled_from((4, 8, 64, 2**16, 2**32))),
+    st.fractions(0, 1, max_denominator=64).filter(lambda t: t < 1).map(rotation),
+    st.integers(2, 9).flatmap(lambda A: st.integers(1, 2 * A - 3).map(
+        lambda j: exotic_element(ExoticParams(F(A), 1 + F(j, 2))))))
+
+
+@given(compose_maps, compose_maps)
+@settings(max_examples=200, deadline=None)
+@example(STD, STD)
+@example(rotation(F(1, 3)), rotation(F(2, 3)))
+@example(STD, rotation(F(1, 4)))
+@example(rotation(F(1, 4)), STD)
+def test_compose_matches_cut_sorting_oracle(f, g):
+    for a, b in _compose_cases(f, g):
+        assert a.compose(b).verts == oracle_compose(a, b).verts
+    for h in (f, g):
+        assert h.compose(h.inverse()) == h.inverse().compose(h) == identity()
+
+
+def test_compose_oracle_cases_cover_each_branch():
+    # other with a vertex image >= 1 (its inverse's lift is G^-1 + 1) and
+    # without, and breakpoints of other mapped onto breakpoints of self with
+    # jumps that cancel and do not
+    s_values, coinciding = set(), set()
+    for seed in range(60):
+        f, g = random_pl(seed, seed % 7, (8, 64, 2**32)[seed % 3]), random_pl(seed + 1, 3, 16)
+        for a, b in _compose_cases(f, g) + [(f, rotation(F(seed % 5, 5)))]:
+            assert a.compose(b).verts == oracle_compose(a, b).verts
+            if a.is_rotation or b.is_rotation:
+                continue
+            s_values.add(b.verts[-1][1] >= 1)
+            for p, J in zip(b.breakpoints, b._jumps):
+                Ja = a.jump(b.eval(p))
+                if Ja != 1:
+                    coinciding.add(Ja * J == 1)
+    assert s_values == coinciding == {False, True}
+
+
+def test_compose_steps_once_per_breakpoint(monkeypatch):
+    maps = [STD, STD.inverse(), rotation(F(2, 5)), identity(),
+            exotic_element(ExoticParams(F(4), F(2))),
+            *(random_pl(seed, seed % 7, 64) for seed in range(12))]
+    step, calls = PLHomeo._step, []
+
+    def counting_step(self, n, d):
+        calls.append(self)
+        return step(self, n, d)
+
+    monkeypatch.setattr(PLHomeo, "_step", counting_step)
+    for f in maps:
+        for g in maps:
+            del calls[:]
+            f.compose(g)
+            assert len(calls) == len(f.breakpoints) + len(g.breakpoints)

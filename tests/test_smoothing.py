@@ -154,9 +154,8 @@ def test_finite_orbit_fixed_point():
     assert orbit == (reduce_mod1(0),)
 
 
-def test_finite_orbit_closes_each_candidate_as_found(monkeypatch):
-    # STD fixes 0, the first candidate of the first word: no further word
-    # is composed (the whole enumeration to length 6 composes 22)
+def _count_composes(monkeypatch):
+    """The list that records every PLHomeo.compose call from now on."""
     compose, composed = PLHomeo.compose, []
 
     def counting_compose(self, other):
@@ -164,8 +163,15 @@ def test_finite_orbit_closes_each_candidate_as_found(monkeypatch):
         return compose(self, other)
 
     monkeypatch.setattr(PLHomeo, "compose", counting_compose)
+    return composed
+
+
+def test_finite_orbit_closes_each_candidate_as_found(monkeypatch):
+    # STD fixes 0, the first candidate of the first word, STD itself: no
+    # word is composed (the whole enumeration to length 6 composes 10)
+    composed = _count_composes(monkeypatch)
     assert detect_finite_orbit(pres(STD), 6) == (reduce_mod1(0),)
-    assert len(composed) == 1
+    assert len(composed) == 0
 
 
 def test_finite_orbit_exotic_period_two():
@@ -282,6 +288,28 @@ def _finite_orbit_group(seed):
 
 
 FINITE_ORBIT_BUDGETS = (1, 2, 3, 5, 8)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_reduced_words_change_no_candidate(seed):
+    # the search composes reduced words only and the oracle every word, so
+    # the same candidates come in the same order, and a word budget binds
+    # at the same word
+    G = _finite_orbit_group(seed)
+    signed = smoothing._signed_generators(G)
+    for max_period in (1, 2, 3):
+        for max_words in (0, 1, 3, 20, 2000):
+            assert (list(smoothing._word_candidates(signed, max_period, max_words))
+                    == oracle_candidates(G, max_period, max_words))
+
+
+def test_finite_orbit_composes_reduced_words_only(monkeypatch):
+    # two generators: the 4 words of length 1 are the signed generators,
+    # and each extends by the 3 letters other than its own inverse
+    G = group_from_json(load_json(str(FIXTURES / "conjugated_rotations.json")))
+    composed = _count_composes(monkeypatch)
+    assert len(detect_finite_orbit(G, 2)) == 15
+    assert len(composed) == 12
 
 
 @pytest.mark.parametrize("seed", range(16))
