@@ -51,14 +51,6 @@ Node = Union[Leaf, Limit]
 class SymbolicSet:
     nodes: Tuple[Node, ...]
 
-    @classmethod
-    def empty(cls) -> "SymbolicSet":
-        return cls(())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.nodes
-
 
 def realize(S: SymbolicSet, depth: int) -> FrozenSet[Fraction]:
     """Realized points at finite depth: each limit node contributes its apex
@@ -113,7 +105,7 @@ def cb_derivative(S: SymbolicSet) -> SymbolicSet:
         if isinstance(node, Leaf):
             continue
         child = cb_derivative(node.child)
-        if child.is_empty:
+        if not child.nodes:
             nodes.append(Leaf(node.apex))
         else:
             nodes.append(Limit(node.apex, child, node.direction, node.ratio))
@@ -133,7 +125,7 @@ def cb_rank(S: SymbolicSet) -> CBRank:
     cur = S
     last_size = 0
     chain = []
-    while not cur.is_empty:
+    while cur.nodes:
         chain.append(len(cur.nodes))
         last_size = len({node.point.value if isinstance(node, Leaf) else node.apex.value
                          for node in cur.nodes})
@@ -143,11 +135,10 @@ def cb_rank(S: SymbolicSet) -> CBRank:
                   chain=tuple(chain))
 
 
-def nested_limit(apex: CirclePoint, k: int, ratio: Fraction = Fraction(1, 4),
-                 direction: str = RIGHT) -> SymbolicSet:
-    """Convenience builder: a k-fold nested limit tree of rank k + 1."""
+def nested_limit(apex: CirclePoint, k: int) -> SymbolicSet:
+    """A k-fold nested limit tree of rank k + 1, of ratio 1/4, right-sided."""
     _check_ints(0, k=k)
     S = SymbolicSet((Leaf(apex),))
     for _ in range(k):
-        S = SymbolicSet((Limit(apex, S, direction, ratio),))
+        S = SymbolicSet((Limit(apex, S, RIGHT, Fraction(1, 4)),))
     return S

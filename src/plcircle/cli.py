@@ -248,8 +248,8 @@ def main(argv=None) -> int:
         else:
             print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # io.FormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # io.FormatError too; a line break shows as \n
+        print("error:", "\\n".join(str(exc).splitlines()), file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)

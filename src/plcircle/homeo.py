@@ -122,11 +122,6 @@ class PLHomeo:
         return [p[1] for p in self.verts]
 
     @cached_property
-    def slopes(self) -> Tuple[Fraction, ...]:
-        L, _, A, _, E = self._table
-        return tuple(Fraction(a * L, e) for a, e in zip(A, E))
-
-    @cached_property
     def _jumps(self) -> Tuple[Fraction, ...]:
         """J(h, x_i) = s_i / s_{i-1} = (a_i e_{i-1}) / (a_{i-1} e_i) in vertex
         order, the objects _step returns at the x_i; empty for a rotation."""
@@ -167,11 +162,11 @@ class PLHomeo:
         return self.inverse().eval(p)
 
     def left_right_slopes(self, p: CirclePoint) -> Tuple[Fraction, Fraction]:
-        """Exact (left derivative, right derivative) at p."""
+        """Exact (left derivative, right derivative) at p, each a_i L / e_i."""
+        L, _, A, _, E = self._table
         i = bisect.bisect_right(self._xs, p.value) - 1  # -1: p < x_0, the last piece
-        if p.value == self._xs[i]:
-            return self.slopes[i - 1], self.slopes[i]
-        return self.slopes[i], self.slopes[i]
+        j = i - 1 if p.value == self._xs[i] else i
+        return Fraction(A[j] * L, E[j]), Fraction(A[i] * L, E[i])
 
     def jump(self, p: CirclePoint) -> Fraction:
         """Derivative jump D+h(p) / D-h(p); equals 1 off the breakpoints."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Any, Dict
 
@@ -167,10 +168,20 @@ def symbolic_set_to_json(S: cb.SymbolicSet):
     return [node(n) for n in S.nodes]
 
 
+def _object(pairs) -> Dict[str, Any]:
+    """A JSON object as a dict, rejecting a repeated key (json keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise FormatError(f"repeated key {_quote(json.dumps(key, ensure_ascii=False))}")
+    return obj
+
+
 def load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_int=lambda digits: _exact(int, digits))
+            return json.load(fh, object_pairs_hook=_object,
+                             parse_int=lambda digits: _exact(int, digits))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -178,3 +189,5 @@ def load_json(path: str):
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: malformed JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -33,7 +33,7 @@ def leaves(*xs):
 
 
 def test_rank_empty():
-    assert cb_rank(SymbolicSet.empty()).rank == 0
+    assert cb_rank(SymbolicSet(())).rank == 0
 
 
 def test_rank_finite():
@@ -144,7 +144,11 @@ def test_rank_matches_brute_force_mixed():
 # ---------------------------------------------------------------- json i/o
 
 def test_symbolic_json_roundtrip():
-    S = nested_limit(reduce_mod1(F(2, 5)), 3, ratio=F(1, 3))
+    # a three-fold left-sided tower of ratio 1/3, which nested_limit does not build
+    apex = reduce_mod1(F(2, 5))
+    S = SymbolicSet((Leaf(apex),))
+    for _ in range(3):
+        S = SymbolicSet((Limit(apex, S, "left", F(1, 3)),))
     blob = symbolic_set_to_json(S)
     assert symbolic_set_from_json(blob) == S
 

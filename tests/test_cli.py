@@ -426,6 +426,41 @@ def test_usage_error_quotes_a_long_value_short(capsys, argv):
     assert "Exceeds the limit" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["show", str(FIXTURES / "exotic_4_2.json"), "a\nb"],
+     "unrecognized arguments: a\\nb"),
+    (["show", "no\nsuch.json"], "cannot read no\\nsuch.json: "),
+    (["exotic", "4", "2", "-o", "{tmp}/no\ndir/e.json"],
+     "cannot write {tmp}/no\\ndir/e.json: "),
+], ids=["argument", "missing_path", "unwritable_path"])
+def test_line_breaks_in_a_message_are_shown_as_backslash_n(tmp_path, capsys, argv,
+                                                           message):
+    from plcircle import cli
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message.format(tmp=tmp_path) in err
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("smooth", '{"generators": {"a": {"rotation": "1/3"}, "a": {"rotation": "1/2"}}}',
+     '"a"'),
+    ("show", '{"rotation": "1/3", "rotation": "1/2"}', '"rotation"'),
+    ("cb-rank", '[{"leaf": "0/1"}, {"leaf": "1/3", "leaf": "1/2"}]', '"leaf"'),
+    ("show", '{"rotation": "1/3", "%s": 1, "%s": 2}' % ("k" * 60, "k" * 60),
+     '"' + "k" * 39 + "..."),
+], ids=["group", "element", "set_node", "long_key"])
+def test_repeated_json_key_is_rejected(tmp_path, capsys, command, doc, key):
+    # json would keep the last value of a repeated key and drop the others
+    from plcircle import cli
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    assert cli.main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {path}: repeated key {key}\n")
+
+
 def test_usage_errors_and_help_through_the_process():
     r = run()
     assert (r.returncode, r.stdout) == (2, "")
@@ -462,10 +497,15 @@ def _limit(**fields):
     ("cb-rank", _limit(ratio=BIG), "ratio must lie in (0, 1)"),
     ("cb-rank", _limit(direction="x" * 200_000), "direction must be 'left' or 'right'"),
     ("show", '{"rotation": [%s]}' % BIG, "rational expected, got list"),
-], ids=["exotic_lambda", "limit_ratio", "limit_direction", "rotation_list"])
+    ("cb-rank", _limit(child=[]), "limit node requires a nonempty child set"),
+    ("cb-rank", json.dumps([{"limit": {"apex": "0/1"}}]), "limit node requires fields"),
+    ("show", json.dumps({"exotic": {"A": "4"}}), 'field "exotic" must be'),
+], ids=["exotic_lambda", "limit_ratio", "limit_direction", "rotation_list",
+        "limit_empty_child", "limit_missing_fields", "exotic_missing_lambda"])
 def test_rejected_value_of_any_size_gives_short_message(tmp_path, capsys, command,
                                                         doc, condition):
-    # the message is built, and clipped, however large the rejected value
+    # the message names the condition, and is built and clipped however large
+    # the rejected value
     from plcircle import cli
     path = tmp_path / "doc.json"
     path.write_text(doc)

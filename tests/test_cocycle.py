@@ -160,12 +160,18 @@ def affine_orbit_norms(f, N):
     return out
 
 
+def vertex_slopes(h):
+    """The slope of each piece of h, from the differences of its vertices."""
+    v = h.verts + ((h.verts[0][0] + 1, h.verts[0][1] + 1),)
+    return [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(v, v[1:])]
+
+
 def oracle_growth_sequences(f, N):
     """growth_sequences over Fractions: the heads advance by lift_eval and
     frac_mod1, and the support is a sorted list of Fractions searched by
     bisect, which compares them by cross-multiplying.  Returns M and the
     norms, then the support after step N."""
-    s = f.slopes
+    s = vertex_slopes(f)
     jumps = [] if f.is_rotation else [(frac_mod1(y), s[i - 1] / s[i])
                                       for i, y in enumerate(f._ys)]
     heads = [x for x, _ in jumps]
@@ -375,8 +381,9 @@ def oracle_growth_params(f):
         comp = oracle_contracting_component(g)
     if comp is None:
         raise ValueError("no contracting support component found")
-    _, right_slope_at_x0 = g.left_right_slopes(comp[0])
-    left_slope_at_x1, _ = g.left_right_slopes(comp[1])
+    slopes = vertex_slopes(g)
+    right_slope_at_x0 = slopes[bisect.bisect_right(g._xs, comp[0].value) - 1]
+    left_slope_at_x1 = slopes[bisect.bisect_left(g._xs, comp[1].value) - 1]
     superset = {F(1)}
     for p in g.breakpoints:
         superset |= {s * g.jump(p) for s in superset}

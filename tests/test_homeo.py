@@ -121,10 +121,10 @@ def test_rotation_basics():
 
 def test_exotic_element():
     g = exotic_element(ExoticParams(F(4), F(2)))
-    assert sorted(g.slopes) == [F(1, 2), F(2)]
+    assert sorted(g.left_right_slopes(g.breakpoints[0])) == [F(1, 2), F(2)]
     assert len(g.breakpoints) == 2
     g2 = exotic_element(ExoticParams(F(9), F(3)))
-    assert sorted(g2.slopes) == [F(1, 3), F(3)]
+    assert sorted(g2.left_right_slopes(g2.breakpoints[0])) == [F(1, 3), F(3)]
     with pytest.raises(ValueError):
         ExoticParams(F(4), F(1))
     with pytest.raises(ValueError):

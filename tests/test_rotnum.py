@@ -26,8 +26,9 @@ def oracle_fixed_points(h):
     xs = h._xs + [h._xs[0] + 1]
     ys = h._ys + [h._ys[0] + 1]
     intervals = []  # closed, in lift coords
-    for i, s in enumerate(h.slopes):
+    for i in range(len(h.verts)):
         a, b = xs[i], xs[i + 1]
+        s = (ys[i + 1] - ys[i]) / (b - a)
         da = ys[i] - a
         db = ys[i + 1] - b
         if s == 1:

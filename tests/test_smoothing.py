@@ -35,6 +35,15 @@ def pres(*gens):
     return GroupPresentation(tuple((f"g{i}", g) for i, g in enumerate(gens)))
 
 
+@pytest.mark.parametrize("generators, message", [
+    ((), "presentation needs at least one generator"),
+    ((("a", STD), ("a", rotation(F(1, 3)))), "generator names must be unique"),
+], ids=["empty", "repeated_name"])
+def test_presentation_rejects_by_name(generators, message):
+    with pytest.raises(ValueError, match=message):
+        GroupPresentation(generators)
+
+
 def test_defect_rotation_zero():
     assert commensuration_defect(rotation(F(1, 3))) == 0
 
@@ -827,17 +836,23 @@ def oracle_locate(g, t):
     return bisect.bisect_right(g._xs, u) - 1, u, m
 
 
+def vertex_slopes(g):
+    """The slope of each piece of g, from the differences of its vertices."""
+    v = g.verts + ((g.verts[0][0] + 1, g.verts[0][1] + 1),)
+    return [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(v, v[1:])]
+
+
 def oracle_lift_eval(g, t):
     """Evaluate the canonical lift (the one with value of x_0 in [0,1))."""
     i, u, m = oracle_locate(g, t)
-    y = g._ys[i] + g.slopes[i] * (u - g._xs[i])
+    y = g._ys[i] + vertex_slopes(g)[i] * (u - g._xs[i])
     return y + m if m else y
 
 
 def oracle_jump(g, t):
     """The jump at t, from one oracle_locate: D+g(t) / D-g(t)."""
     i, u, _ = oracle_locate(g, t)
-    s = g.slopes
+    s = vertex_slopes(g)
     return s[i] / s[i - 1] if u == g._xs[i] else F(1)
 
 
@@ -1057,7 +1072,7 @@ def oracle_lift_eval_inverse(self, t):
     m = math.floor(t - y0)
     u = t - m if m else t
     i = bisect.bisect_right(self._ys, u) - 1
-    x = self._xs[i] + (u - self._ys[i]) / self.slopes[i]
+    x = self._xs[i] + (u - self._ys[i]) / vertex_slopes(self)[i]
     return x + m if m else x
 
 
