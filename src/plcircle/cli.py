@@ -149,6 +149,19 @@ def cmd_cb_rank(args):
     return 0
 
 
+def _int(text):
+    """argparse's type=int, except that a value past Python's int-from-string
+    digit limit (3.10.7 on) is called too large, not an invalid int."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(r"[+-]?[0-9]+", text):
+            raise argparse.ArgumentTypeError(
+                f"value too large: {_quote(text)} has more than "
+                f"{sys.get_int_max_str_digits()} digits") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):  # its subparsers are _Parsers too
     def error(self, message):  # main reports it in one line, with exit 2
         # argparse quotes the offending value in full: clip each long word,
@@ -186,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exotic)
 
     p = sub.add_parser("random", help="seeded random element")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-k", "--breakpoints", type=int, default=4)
-    p.add_argument("--denom-bound", type=int, default=64)
+    p.add_argument("--seed", type=_int, required=True)
+    p.add_argument("-k", "--breakpoints", type=_int, default=4)
+    p.add_argument("--denom-bound", type=_int, default=64)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_random)
 
@@ -198,29 +211,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rotnum", help="rotation number (exact or bracketed)")
     p.add_argument("element")
-    p.add_argument("--max-q", type=int, default=32)
-    p.add_argument("--depth", type=int, default=16)
+    p.add_argument("--max-q", type=_int, default=32)
+    p.add_argument("--depth", type=_int, default=16)
     p.set_defaults(func=cmd_rotnum)
 
     p = sub.add_parser("orbit-norms",
                        help="CSV of breakpoint counts and orbit norms of iterates")
     p.add_argument("element")
-    p.add_argument("-N", type=int, default=50)
+    p.add_argument("-N", type=_int, default=50)
     p.set_defaults(func=cmd_orbit_norms)
 
     p = sub.add_parser("breakpoint-growth", help="CSV of breakpoint counts")
     p.add_argument("element")
-    p.add_argument("-N", type=int, default=50)
+    p.add_argument("-N", type=_int, default=50)
     p.set_defaults(func=cmd_breakpoint_counts)
 
     p = sub.add_parser("smooth", help="run the conjugation pipeline on a group")
     p.add_argument("group")
-    p.add_argument("--max-vertices", type=int, default=4096)
+    p.add_argument("--max-vertices", type=_int, default=4096)
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("finite-orbit", help="search for a finite group orbit")
     p.add_argument("group")
-    p.add_argument("--max-period", type=int, default=6)
+    p.add_argument("--max-period", type=_int, default=6)
     p.set_defaults(func=cmd_finite_orbit)
 
     p = sub.add_parser("cb-rank", help="Cantor-Bendixson rank of a symbolic set")

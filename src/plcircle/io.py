@@ -183,7 +183,7 @@ def load_json(path: str):
             return json.load(fh, object_pairs_hook=_object,
                              parse_int=lambda digits: _exact(int, digits))
     except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:

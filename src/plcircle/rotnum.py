@@ -15,6 +15,14 @@ open, equality included, so no float decides an answer.  Exact orbits are
 int pairs stepped by PLHomeo._step; the enclosures step both bounds at once
 over a piece table pre-scaled once from PLHomeo._table, with one piece
 lookup shared by both bounds unless they lie in different pieces.
+
+Two kinds of map follow no orbit.  A rotation returns its angle.  A map
+with two breakpoints, one mapped onto the other, such as an exotic element,
+has an invariant density 1 / |x + b|, so its rotation number is ln s_1 /
+ln A in closed form (_log_ratio): each sign of the same descent compares
+q ln s_1 with p ln A through integer enclosures of the two logs, an atanh
+series with floored terms and a proved tail bound, and the signs they leave
+open, equality included, through s_1^q and A^p compared exactly.
 """
 from __future__ import annotations
 
@@ -157,6 +165,109 @@ class _Enclosure:
         return lo, hi
 
 
+def _atanh(u: int, v: int, w: int) -> Tuple[int, int]:
+    """Integers lo <= 2^w atanh(u/v) <= hi, for 0 <= u/v <= 1/3.
+
+    Term k of atanh z = sum z^(2k+1) / (2k+1) is floored twice: 2^w z^(2k+1)
+    as P_k = floor(P_(k-1) u^2 / v^2), P_0 = floor(2^w u / v), which leaves
+    0 <= 2^w z^(2k+1) - P_k < 1 + z^2 + z^4 + ... <= 9/8, and then
+    floor(P_k / (2k+1)), which falls short of the term by less than 3.  So
+    the sum S of the N terms before the first P_N = 0 lies within 3N below
+    theirs, and as 2^w z^(2N+1) < 9/8 the rest of the series adds at most
+    (9/8) / (1 - z^2) <= 81/64 < 2."""
+    u2, v2 = u * u, v * v
+    P = (u << w) // v
+    S = n = 0
+    while P:
+        S += P // (2 * n + 1)
+        P = P * u2 // v2
+        n += 1
+    return S, S + 3 * n + 2
+
+
+def _ln(x: Fraction, w: int) -> Tuple[int, int]:
+    """Integers lo <= 2^w ln x <= hi for a rational x > 0, with no float: x =
+    2^k m, k the bit length difference of x's numerator and denominator, so
+    m lies in (1/2, 2), and ln x = 2 atanh((m - 1)/(m + 1)) + 2k atanh(1/3),
+    each |atanh| argument at most 1/3."""
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    n, d = (n, d << k) if k >= 0 else (n << -k, d)
+    lo, hi = _atanh(abs(n - d), n + d, w)
+    if n < d:
+        lo, hi = -hi, -lo
+    lo2, hi2 = _atanh(1, 3, w)
+    a, b = k * lo2, k * hi2  # bounds of 2^w k atanh(1/3), swapped when k < 0
+    return 2 * (lo + min(a, b)), 2 * (hi + max(a, b))
+
+
+class _LogRatio:
+    """Signs of rho - p/q for rho = ln s / ln A, s and A positive rationals
+    with A != 1: that of q ln s - p ln A, flipped when A < 1.
+
+    Each sign is read off integer enclosures of 2^w ln s and 2^w ln A, at a
+    precision w that grows with the bits of q (w is raised, and the logs
+    computed again, only when q outgrows it), or, when the enclosures leave
+    it open, off s^q and A^p compared exactly, equality included."""
+
+    def __init__(self, s: Fraction, A: Fraction):
+        self.s, self.A, self.w = s, A, 0
+
+    def sign(self, p: int, q: int) -> int:
+        """The sign of rho - p/q, for integers p, q >= 0."""
+        sign = self.enclosed(p, q)
+        if not sign:
+            x, y = self.s ** q, self.A ** p
+            sign = (x > y) - (x < y)
+        return sign if self.A > 1 else -sign
+
+    def enclosed(self, p: int, q: int) -> int:
+        """The sign of q ln s - p ln A as the enclosures give it, 0 when they
+        leave it open.  w is the power of 2 at or above 2 bits(q) + 64.
+        Each enclosure is under 2w (1 + |k|) units of 2^-w wide, k the
+        binary exponent _ln splits off, so with p <= q the sign stays open
+        only at rho = p/q, or where a partial quotient of rho next to p/q
+        exceeds about |ln A| 2^64 / (4w (1 + |k|))."""
+        need = 2 * q.bit_length() + 64
+        if need > self.w:
+            self.w = 1 << (need - 1).bit_length()
+            self.ln_s, self.ln_A = _ln(self.s, self.w), _ln(self.A, self.w)
+        (s_lo, s_hi), (A_lo, A_hi) = self.ln_s, self.ln_A
+        return (q * s_lo > p * A_hi) - (q * s_hi < p * A_lo)
+
+
+def _log_ratio(h: PLHomeo) -> Optional[_LogRatio]:
+    """rho(h) mod 1 = ln s_1 / ln A in closed form, for h with exactly two
+    breakpoints c_1, c_2 and h(c_2) = c_1 mod 1 under either labelling, with
+    s_1 the slope on the arc [c_1, c_2], s_2 the other one and A = s_1 / s_2;
+    None for any other h.
+
+    Rotate c_1 to 0 and let l = c_2 - c_1.  Then h is x -> 1 - s_1 (l - x)
+    on [0, l] and x -> s_2 (x - l) on [l, 1], mod 1, with s_1 l + s_2 (1 - l)
+    = 1.  With b = (1 - s_1 l) / (s_1 - 1) = s_2 l / (1 - s_2), each branch
+    multiplies x + b by its slope: 1 - s_1 (l - x) + b = s_1 (x + b) and
+    s_2 (x - l) + b = s_2 (x + b).  So the density 1 / |x + b| is invariant.
+    It is positive on [0, 1]: b > 0 when s_1 > 1, b < -1 when s_1 < 1, and
+    s_1 = 1 would force s_2 = 1, no breakpoint.  Its measure of [a, c] is
+    |ln((c + b) / (a + b))|, and (1 + b) / (l + b) = s_1, b / (l + b) = s_2.
+    Its normalized distribution function conjugates h to the rotation by
+    rho, so rho mod 1 is the measure of [l, h(l)] = [l, 1] over that of
+    [0, 1]: |ln s_1| / |ln A| = ln s_1 / ln A, in (0, 1), as s_1 and 1 / s_2
+    lie on the same side of 1.  Minakawa's exotic elements are the case
+    s_1 = lambda, A > 1 (Herman, Publ. Math. IHES 49, 1979; Ghys and
+    Sergiescu, 1987)."""
+    if len(h.verts) != 2:
+        return None
+    (x0, y0), (x1, y1) = h.verts
+    s = (y1 - y0) / (x1 - x0)  # on [x0, x1]
+    t = (y0 + 1 - y1) / (x0 + 1 - x1)  # on [x1, x0 + 1]
+    if (y1 - x0).denominator == 1:  # h(x1) = x0
+        return _LogRatio(s, s / t)
+    if (y0 - x1).denominator == 1:  # h(x0) = x1
+        return _LogRatio(t, t / s)
+    return None
+
+
 def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResult:
     """Exact rotation number when it is p/q with q <= max_q or the search
     meets it, otherwise a Farey bracket refined `depth` times.
@@ -173,8 +284,12 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
     least the sum of theirs, and returns the bracket of step `depth`.  For
     q > max_q only x = 0 is tested: integer enclosures of its orbit decide
     each sign and the exact orbit those they leave open, so no float decides
-    an answer."""
+    an answer.  A rotation returns its angle, and a map in _log_ratio's
+    class takes every sign, for any q, from the closed form ln s_1 / ln A:
+    the descent is the same, and so are its brackets and exact answers."""
     _check_ints(1, max_q=max_q, depth=depth)
+    if h.is_rotation:  # its one vertex is (0, rho)
+        return RotNumResult(exact=h.verts[0][1])
     # q = 1, never a mediant: F - id is affine between breakpoints, so h fixes
     # a point when an integer lies between the least and greatest gap F(c) - c
     gaps = [y - c for c, y in h.verts]
@@ -182,6 +297,7 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
         return RotNumResult(exact=Fraction(0))
     orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
               for c, y in h.verts]  # the breakpoints' exact lift orbits
+    logs = _log_ratio(h)  # when set, it gives every sign
     enc = None  # built when q first passes max_q
     n, t = 1, h._step(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
     # F(0) is no integer, as 0 is not fixed, so F's translation number lies
@@ -196,7 +312,9 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
         if step >= depth and q > max_q:
             return bracket
         target = p + w * q
-        if q <= max_q:
+        if logs is not None:
+            sign = logs.sign(p, q)
+        elif q <= max_q:
             for orbit in orbits:
                 while len(orbit) <= q:
                     orbit.append(h._step(*orbit[-1])[:2])

@@ -399,7 +399,11 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     (["frobnicate"], "invalid choice: 'frobnicate'"),
     (["rotnum", str(FIXTURES / "exotic_4_2.json"), "--bogus"],
      "unrecognized arguments: --bogus"),
-], ids=["bad_int", "missing_command", "unknown_command", "unknown_option"])
+    # past Python's int-from-string digit limit (3.10.7 on)
+    (["rotnum", str(FIXTURES / "exotic_4_2.json"), "--depth", "9" * 5000],
+     "argument --depth: value too large: 999"),
+], ids=["bad_int", "missing_command", "unknown_command", "unknown_option",
+        "too_many_digits"])
 def test_usage_error_is_one_line_exit_two(capsys, argv, message):
     # argparse by default prints its usage text and raises SystemExit(2)
     from plcircle import cli
@@ -429,7 +433,9 @@ def test_usage_error_quotes_a_long_value_short(capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (["show", str(FIXTURES / "exotic_4_2.json"), "a\nb"],
      "unrecognized arguments: a\\nb"),
-    (["show", "no\nsuch.json"], "cannot read no\\nsuch.json: "),
+    # the OSError's own text would repeat the path
+    (["show", "no\nsuch.json"],
+     "cannot read no\\nsuch.json: No such file or directory\n"),
     (["exotic", "4", "2", "-o", "{tmp}/no\ndir/e.json"],
      "cannot write {tmp}/no\\ndir/e.json: "),
 ], ids=["argument", "missing_path", "unwritable_path"])

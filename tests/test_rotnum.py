@@ -1,4 +1,5 @@
 import bisect
+import decimal
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -72,7 +73,10 @@ def oracle_fixed_points(h):
 def restart_rotation_number(h, max_q=32, depth=16):
     """Test oracle: rotation_number with the Farey phase as a restart loop,
     each mediant p/q compared, after the shift by w = floor(F(0)), with
-    F^q(0) computed afresh in exact arithmetic."""
+    F^q(0) computed afresh in exact arithmetic.  A rotation returns its
+    angle."""
+    if h.is_rotation:
+        return RotNumResult(exact=h.lift_eval(F(0)) % 1)
     power = h
     for q in range(1, max_q + 1):
         fs = fixed_points(power)
@@ -185,6 +189,15 @@ hidden_rotations = st.integers(5, 13).flatmap(lambda q: st.sampled_from(
 # integer (A, lambda) with 1 < lambda < A: rotation number log lambda / log A
 exotic_pairs = st.integers(3, 12).flatmap(
     lambda A: st.tuples(st.just(A), st.integers(2, A - 1)))
+
+
+# slopes 2, 1 and 1/2: its conjugates of dyadic rotations have dyadic orbits,
+# and its conjugates of two-breakpoint maps have more breakpoints
+DYADIC_PHI = PLHomeo([(0, 0), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))])
+
+
+def dyadic_conjugate(g):
+    return DYADIC_PHI.compose(g).compose(DYADIC_PHI.inverse())
 
 
 def conjugate_exotic(seed, pair):
@@ -348,11 +361,11 @@ def test_farey_phase_matches_restart_oracle_on_hidden_rotations(bits, seed, alph
 
 
 @pytest.mark.parametrize("bits", [BITS, 1])
-@given(pair=exotic_pairs, depth=st.integers(1, 18))
+@given(seed=st.integers(0, 10**6), pair=exotic_pairs, depth=st.integers(1, 18))
 @settings(max_examples=25, deadline=None)
-def test_farey_phase_matches_restart_oracle_on_exotic_pairs(bits, pair, depth):
-    A, lam = pair
-    h = exotic_element(ExoticParams(F(A), F(lam)))
+def test_farey_phase_matches_restart_oracle_on_exotic_pairs(bits, seed, pair, depth):
+    # a PL conjugate: exotic elements themselves take the closed form
+    h = conjugate_exotic(seed, pair)
     want = restart_rotation_number(h, max_q=6, depth=depth)
     with pytest.MonkeyPatch.context() as mp:
         count_sign_tests(mp, bits)
@@ -393,8 +406,8 @@ def test_rotation_number_of_lift_below_zero():
     # exact beyond max_q: breakpoint orbits, enclosure and the orbit of 0
     (lambda: _conjugate_rotation(5, F(5, 7)), {"max_q": 4}, "5/7 (exact)"),
     # the enclosure decides every sign past q = 32
-    (lambda: exotic_element(ExoticParams(F(6), F(2))), {"depth": 24},
-     "[4296/11105, 665/1719] after 24 refinements"),
+    (lambda: dyadic_conjugate(exotic_element(ExoticParams(F(6), F(2)))),
+     {"depth": 24}, "[4296/11105, 665/1719] after 24 refinements"),
     # a canonical lift with F(0) < 0, as in test_rotation_number_of_lift_below_zero
     (lambda: _conjugate_rotation(37244, F(7, 8)), {"max_q": 4}, "7/8 (exact)"),
 ])
@@ -411,20 +424,124 @@ def test_rotation_number_never_calls_lift_eval(monkeypatch, make, kwargs, want):
 
 
 @pytest.mark.parametrize("alpha", [F(7, 40), F(3, 16)])
-def test_rotation_number_exact_beyond_max_q(alpha):
-    # the orbit of 0 under R(3/16) is dyadic, so its enclosures are exact
-    # and equality meets lower = upper = p 2^b
-    r = rotation_number(rotation(alpha), max_q=8)
-    assert r == restart_rotation_number(rotation(alpha), max_q=8)
+def test_rotation_number_exact_beyond_max_q(monkeypatch, alpha):
+    # the orbit of 0 under a dyadic conjugate of R(3/16) is dyadic, so its
+    # enclosures are exact and equality meets lower = upper = p 2^b; for
+    # both angles the exact orbit decides the one sign at p/q = alpha alone
+    h = dyadic_conjugate(rotation(alpha))
+    want = restart_rotation_number(h, max_q=8)
+    counts = count_sign_tests(monkeypatch, BITS)
+    r = rotation_number(h, max_q=8)
+    assert r == want
     assert str(r) == f"{alpha} (exact)"
+    assert counts["exact"] == 1
+
+
+def test_rotation_number_of_a_rotation_is_its_angle():
+    # no descent: at depth 16 it would stop at [0, 1/17]
+    for alpha in (F(0), F(1, 3), F(109, 9500)):
+        r = rotation_number(rotation(alpha), max_q=1, depth=1)
+        assert r == RotNumResult(exact=alpha)
+
+
+def two_break_map(l, s1, a):
+    """The map with breakpoints a and a + l, slope s1 on [a, a + l] and
+    a + l taken to a: rho = log s1 / log(s1 / s2), s2 the other slope."""
+    return PLHomeo([(a, a + 1 - s1 * l), (a + l, a + 1)])
+
+
+# the class rotnum._log_ratio takes: exotic elements, their inverses and
+# rotation conjugates, and two-breakpoint maps with s1 < 1
+two_break_maps = st.one_of(
+    exotic_maps,
+    exotic_maps.map(PLHomeo.inverse),
+    st.builds(lambda e, a: rotation(a).compose(e).compose(rotation(-a)),
+              exotic_maps, st.fractions(0, 1, max_denominator=64)),
+    st.builds(two_break_map, st.integers(1, 31).map(lambda i: F(i, 32)),
+              st.tuples(st.integers(1, 11), st.integers(2, 12)).filter(
+                  lambda t: t[0] < t[1]).map(lambda t: F(*t)),
+              st.fractions(0, 1, max_denominator=64)))
+
+
+# s1 = 1/2 and A = s1 / s2 = 1/8: rho = 1/3
+@example(h=two_break_map(F(6, 7), F(1, 2), F(0)), max_q=2, depth=4)
+@example(h=exotic_element(ExoticParams(F(4), F(2))).inverse(), max_q=1, depth=1)
+@pytest.mark.parametrize("log_bounds", ["enclosures", "open"])
+@given(h=two_break_maps, max_q=st.integers(1, 12), depth=st.integers(1, 14))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_matches_restart_oracle(log_bounds, h, max_q, depth):
+    # the closed form gives every sign: no orbit enclosure, no exact orbit
+    assert rotnum._log_ratio(h) is not None
+    want = restart_rotation_number(h, max_q=max_q, depth=depth)
+    with pytest.MonkeyPatch.context() as mp:
+        counts = count_sign_tests(mp, BITS)
+        if log_bounds == "open":
+            # bounds that leave every sign open, for s^q and A^p to decide
+            mp.setattr(rotnum, "_ln", lambda x, w: (-1 << 2 * w, 1 << 2 * w))
+        assert rotation_number(h, max_q=max_q, depth=depth) == want
+    assert not counts
+
+
+@given(h=two_break_maps, qs=st.lists(st.integers(1, 5000), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_enclosed_signs_match_exact_powers(h, qs):
+    # q ln s - p ln A against s^q - A^p, for p next to q rho, where the two
+    # logs' enclosures must be tightest (a float only picks those p), and
+    # at 0 and q; one _LogRatio serves every q, raising its precision as q
+    # grows
+    logs = rotnum._log_ratio(h)
+    s, A = logs.s, logs.A
+    for q in sorted(qs):
+        p0 = round(q * math.log(s) / math.log(A))
+        for p in {0, q, p0 - 1, p0, p0 + 1} & set(range(q + 1)):
+            x, y = s ** q, A ** p
+            exact = (x > y) - (x < y)
+            assert logs.enclosed(p, q) == exact
+            assert logs.sign(p, q) == (exact if A > 1 else -exact)
+
+
+@given(n=st.integers(1, 10**40), d=st.integers(1, 10**40),
+       w=st.sampled_from([64, 128, 1024]))
+@example(n=1, d=1, w=64)
+@example(n=2, d=1, w=64)
+@settings(max_examples=200, deadline=None)
+def test_ln_enclosure_contains_decimal_ln(n, d, w):
+    # decimal's ln is correctly rounded, here to 400 digits: an oracle
+    # independent of the atanh series
+    x = F(n, d)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        exact = decimal.Decimal(x.numerator).ln() - decimal.Decimal(x.denominator).ln()
+        lo, hi = rotnum._ln(x, w)
+        assert decimal.Decimal(lo) <= exact * 2 ** w <= decimal.Decimal(hi)
+    # the width _LogRatio.enclosed counts on
+    k = abs(x.numerator.bit_length() - x.denominator.bit_length())
+    assert hi - lo < 2 * w * (1 + k)
+
+
+def test_rational_rotation_number_past_max_q():
+    # log 4 / log 32 = 2/5: q = 5 > max_q, met by s1^5 = A^2 exactly
+    h = exotic_element(ExoticParams(F(32), F(4)))
+    want = RotNumResult(exact=F(2, 5))
+    assert rotation_number(h, max_q=2) == restart_rotation_number(h, max_q=2) == want
+
+
+def test_exotic_bracket_at_depth_60():
+    # the orbit descent takes about 25 s here, stepping the orbit of 0 to
+    # q = 31,243,955
+    r = rotation_number(exotic_element(ExoticParams(F(5), F(2))), depth=60)
+    assert str(r) == "[1936274/4495889, 13456039/31243955] after 60 refinements"
+    assert r.hi.numerator * r.lo.denominator - r.lo.numerator * r.hi.denominator == 1
 
 
 @pytest.mark.parametrize("bits", [BITS, 16, 1])
 def test_exotic_bracket_at_each_precision(monkeypatch, bits):
+    # a PL conjugate of exotic(6, 2): the element itself takes the closed form
+    h = dyadic_conjugate(exotic_element(ExoticParams(F(6), F(2))))
+    want = restart_rotation_number(h, depth=21)
     counts = count_sign_tests(monkeypatch, bits)
-    r = rotation_number(exotic_element(ExoticParams(F(6), F(2))), depth=21)
-    # the restart loop's bracket
-    assert (r.lo, r.hi, r.depth) == (F(2301, 5948), F(665, 1719), 21)
+    r = rotation_number(h, depth=21)
+    assert r == want and not r.is_exact
     # mediants 1/2 ... 12/31 have q <= max_q = 32 and are tested exactly on
     # the breakpoint orbits; the other 14 read the enclosure
     assert counts["enclosure"] == 14
@@ -550,9 +667,10 @@ def test_exact_past_depth():
     assert rotation_number(h, depth=1) == RotNumResult(exact=F(1, 32))
     assert restart_rotation_number(h, depth=1) == RotNumResult(exact=F(1, 32))
     # and the bracket returned is the one of step depth
-    r = rotation_number(rotation(F(1, 33)), max_q=32, depth=1)
+    h = phi.compose(rotation(F(1, 33))).compose(phi.inverse())
+    r = rotation_number(h, max_q=32, depth=1)
     assert r == RotNumResult(lo=F(0), hi=F(1, 2), depth=1)
-    assert r == restart_rotation_number(rotation(F(1, 33)), max_q=32, depth=1)
+    assert r == restart_rotation_number(h, max_q=32, depth=1)
 
 
 @pytest.mark.parametrize("alpha", [F(3, 8), None])
