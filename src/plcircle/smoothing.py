@@ -21,7 +21,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple, Union
 from .circle import CirclePoint, _check_ints, _order_keys
 from .cocycle import FiniteVector
 from .homeo import _ONE, PLHomeo, identity, rotation
-from .rotnum import fixed_points
+from .rotnum import _log_ratio, fixed_points, rotation_number
 
 
 @dataclass(frozen=True)
@@ -338,9 +338,21 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     Each candidate's orbit is closed under the generators up to max_orbit
     points; the first that closes is returned, or None if none closes
     within the budget.
+
+    A finite orbit is a union of periodic orbits of each generator, of q
+    points each when its rotation number is p/q in lowest terms.  So when a
+    generator's rotation number is read with no orbit (a rotation, or a map
+    in rotnum._log_ratio's class, such as an exotic element) and is no p/q
+    with q <= max_orbit, there is none within the budget, and no word is
+    composed.
     """
     _check_ints(1, max_period=max_period, max_orbit=max_orbit)
     _check_ints(0, max_words=max_words)
+    for _, g in G.generators:
+        if g.is_rotation or _log_ratio(g) is not None:
+            rho = rotation_number(g, max_q=max_orbit, depth=1)
+            if not rho.is_exact or rho.exact.denominator > max_orbit:
+                return None
     signed = _signed_generators(G)
     # keys of the points of closures that passed max_orbit, tried candidates
     # included: closing any of them again cannot succeed

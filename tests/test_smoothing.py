@@ -196,8 +196,12 @@ def test_finite_orbit_none_for_irrational_type():
 
 def test_finite_orbit_tries_zero_after_the_trivial_word(monkeypatch):
     # no word of length 1 has a fixed point; at length 2 the trivial word
-    # g^-1 g is the identity, so 0 is tried after the words' fixed points
-    G = pres(exotic_element(ExoticParams(F(6), F(2))), rotation(F(1, 3)))
+    # g^-1 g is the identity, so 0 is tried after the words' fixed points.
+    # The maps are PL conjugates of exotic(6, 2) and R(1/3), whose rotation
+    # numbers would end the search before any word
+    phi = random_pl(3, 2, 16)
+    G = pres(_conjugate(phi, exotic_element(ExoticParams(F(6), F(2)))),
+             _conjugate(phi, rotation(F(1, 3))))
     seeds = []
 
     class SeedOrbits(_Orbits):
@@ -342,6 +346,24 @@ def test_finite_orbit_after_a_cut_off_candidate():
         assert detect_finite_orbit(G, 1, max_orbit=max_orbit) == want
         assert bfs_detect_finite_orbit(G, 1, max_orbit=max_orbit) == want
     assert detect_finite_orbit(G, 1, max_orbit=1) is None
+
+
+@pytest.mark.parametrize("gens, period", [
+    ((exotic_element(ExoticParams(F(6), F(2))), rotation(F(1, 3))), None),
+    ((exotic_element(ExoticParams(F(4), F(2))).inverse(),), 2),
+    ((rotation(F(3, 5)), STD), 5),
+])
+def test_finite_orbit_ruled_out_by_a_rotation_number(gens, period, monkeypatch):
+    # a rotation or an exotic element (or its inverse) whose rotation number
+    # is no p/q with q <= max_orbit leaves no finite orbit, and the search
+    # then composes no word; period None stands for an irrational one
+    G = pres(*gens)
+    for max_orbit in FINITE_ORBIT_BUDGETS:
+        composed = _count_composes(monkeypatch)
+        got = detect_finite_orbit(G, 2, max_orbit=max_orbit)
+        monkeypatch.undo()
+        assert got == bfs_detect_finite_orbit(G, 2, max_orbit=max_orbit)
+        assert (composed == []) == (period is None or max_orbit < period)
 
 
 def test_finite_orbit_oracle_cases_reach_the_cut_off():
