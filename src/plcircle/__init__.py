@@ -11,9 +11,8 @@ from .cocycle import (FiniteVector, GrowthParams, affine_apply,
                       jump_cocycle, l2_norm_sq, orbit_norm_seq)
 from .rotnum import FixedSet, RotNumResult, fixed_points, rotation_number
 from .smoothing import (Edge, GroupPresentation, Obstruction, Success,
-                        SynthesisInfeasible, Truncated, commensuration_defect,
-                        detect_finite_orbit, smooth_group,
-                        synthesize_conjugator)
+                        Truncated, commensuration_defect, detect_finite_orbit,
+                        smooth_group, synthesize_conjugator)
 from .cantor_bendixson import (CBRank, Leaf, Limit, SymbolicSet, cb_derivative,
                                cb_rank, nested_limit, realize,
                                validate_realization)

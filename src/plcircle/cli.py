@@ -1,8 +1,8 @@
 """Batch command line front end.
 
 Exit codes: 0 success, 1 reported domain outcome (obstruction, truncated,
-infeasible, no finite orbit), 2 malformed input, invariant violation or
-exhausted memory.  Output is deterministic for identical inputs and seeds.
+no finite orbit), 2 malformed input, invariant violation or exhausted
+memory.  Output is deterministic for identical inputs and seeds.
 """
 from __future__ import annotations
 

@@ -119,9 +119,6 @@ def outcome_to_json(o) -> Dict[str, Any]:
         out["found"] = format_rational(o.found)
     elif o.kind == "truncated":
         out["escaping"] = [format_rational(p.value) for p in o.escaping]
-    elif o.kind == "infeasible":
-        out["total_product"] = format_rational(o.total_product)
-        out["component_sizes"] = list(o.component_sizes)
     return out
 
 

@@ -133,56 +133,36 @@ class Obstruction:
     direction it is walked, whose weights multiply to `found`, not 1."""
 
     kind: ClassVar[str] = "obstruction"
+    expected: ClassVar[Fraction] = Fraction(1)
     cycle: Tuple[Edge, ...]
-    expected: Fraction
     found: Fraction
 
 
-@dataclass(frozen=True)
-class SynthesisInfeasible:
-    """Consistent cocycle, but no rational component rescaling reaches a
-    product-one assignment (a component-size-th root would be needed)."""
-
-    kind: ClassVar[str] = "infeasible"
-    total_product: Fraction
-    component_sizes: Tuple[int, ...]
-
-
-def _nth_root(q: Fraction, n: int) -> Optional[Fraction]:
-    """Exact positive rational n-th root of q, or None."""
-    def iroot(m: int) -> Optional[int]:
+def _nth_root(q: Fraction, n: int) -> Fraction:
+    """The positive rational n-th root of q, from the integer roots of its
+    numerator and denominator.  smooth_group's proof shows it exact where
+    _solve takes it; an inexact one would fail synthesize_conjugator's
+    product check."""
+    def iroot(m: int) -> int:
         r = 1 << -(-m.bit_length() // n)  # upper bound on the root
         while (nr := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
             r = nr
-        return r if r ** n == m else None
-    a, b = iroot(q.numerator), iroot(q.denominator)
-    return None if a is None or b is None else Fraction(a, b)
-
-
-def _gcd_coefficients(sizes: List[int]) -> List[int]:
-    """Integers c_i with sum(c_i * sizes[i]) == gcd(sizes), one Bezout step
-    per size n: x g + y n = h = gcd(g, n), x = (g/h)^-1 mod n/h, 0 if n = h."""
-    coeffs, g = [], 0
-    for n in sizes:
-        h = math.gcd(g, n)
-        x = pow(g // h, -1, n // h)
-        coeffs = [c * x for c in coeffs] + [(h - x * g) // n]
-        g = h
-    return coeffs
+        return r
+    return Fraction(iroot(q.numerator), iroot(q.denominator))
 
 
 def _solve(o: _Orbits):
     """The one potentials pass, breadth-first over out-edges from each root in
     id order, each vertex expanded just before its edges are read.  Tree edges
     set a_{g(y)} = a_y / w (1 at a root); the first inconsistent other edge
-    ends it as an Obstruction; else Truncated, SynthesisInfeasible or the
-    solution.  Potentials are interned, one object per value, so a unit edge
-    copies a_y and is checked by identity: only an edge with a jump divides."""
+    ends it as an Obstruction; else Truncated or the solution, its product
+    brought to 1 by scaling the last component.  Potentials are interned,
+    one object per value, so a unit edge copies a_y and is checked by
+    identity: only an edge with a jump divides."""
     out, jumps, K, top = o.out, o.jumps, len(o.maps), o.max_vertices
     a: Dict[int, Fraction] = {}
     parent: Dict[int, int] = {}  # the slot of each non-root's tree edge
     interned = {_ONE: _ONE}
-    components: List[List[int]] = []
     for root in range(o.n_seed):  # every vertex is reached from a seed
         if root in a:
             continue
@@ -206,25 +186,18 @@ def _solve(o: _Orbits):
                     comp.append(t)
                 elif at is not want:
                     return Obstruction(cycle=_closed_walk(o, i, parent),
-                                       expected=Fraction(1), found=at / want)
-        components.append(comp)
+                                       found=at / want)
     if len(o.pts) > top:
         return Truncated(tuple(map(o.point, o.in_order(range(top, len(o.pts))))))
     ys = [y for y in a.values() if y is not _ONE]
     p, q = math.prod(y.numerator for y in ys), math.prod(y.denominator for y in ys)
     if p != q:
-        # scaling component c by t multiplies the total by t^{|c|}; the
-        # reachable correction factors are exactly the g-th powers for
-        # g = gcd of the component sizes (Bezout on the exponents)
-        total, sizes = Fraction(p, q), [len(c) for c in components]
-        t = _nth_root(1 / total, math.gcd(*sizes))
-        if t is None:
-            return SynthesisInfeasible(total_product=total, component_sizes=tuple(sizes))
-        for comp, c in zip(components, _gcd_coefficients(sizes)):
-            if c:
-                scale = t ** c
-                for v in comp:
-                    a[v] *= scale
+        # comp is the last component.  Every component has the same size N
+        # (see smooth_group), and q/p is an N-th power: scaling comp by its
+        # root multiplies the product by q/p
+        t = _nth_root(Fraction(q, p), len(comp))
+        for v in comp:
+            a[v] *= t
     support = o.in_order([v for v, y in a.items() if y is not _ONE and y != 1])
     return FiniteVector(tuple((o.point(v), a[v]) for v in support))
 
@@ -388,7 +361,7 @@ class Truncated:
 
 
 def smooth_group(G: GroupPresentation, max_vertices: int = 4096
-                 ) -> Union[Success, Obstruction, SynthesisInfeasible, Truncated]:
+                 ) -> Union[Success, Obstruction, Truncated]:
     """Full pipeline: orbit graph, coboundary solve, conjugator synthesis.
 
     One pass expands the orbit graph only as far as the potentials sweep
@@ -406,7 +379,26 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     edge, tree edges hold by construction, and rescaling a component by a
     constant keeps them.  For x off V, g(x) is off V too and every factor
     is 1.  So phi g phi^{-1} has no breakpoint: it is the rotation by
-    phi(g(y)) - phi(y), for any y."""
+    phi(g(y)) - phi(y), for any y.
+
+    The product-one rescale needs no other outcome.  Let the pass close
+    with no inconsistent edge, so a_y = J(g, y) a_{g(y)} on every edge.
+    Each w in G permutes the finite set V, so some power w^n fixes V
+    pointwise.  BP(w^n) lies in V, and telescoping along w^n gives
+    J(w^n, y) = a_y / a_{w^n(y)} = 1 there: w^n has no breakpoint and
+    a fixed point, so it is the identity.  (V is empty only when every
+    generator is a rotation, and then nothing is rescaled.)  A nontrivial
+    circle homeomorphism of finite order has no fixed point, so G acts
+    freely; with a finite orbit, G is finite of order N and every orbit
+    has N points.  Each component of the pass is one G-orbit, so all have
+    size N.  A finite group acting freely on the circle is cyclic (Ghys,
+    "Groups acting on the circle", 2001).  If h generates it and its lift
+    has H^N = id + k, then psi(x) = (1/N) sum_{i<N} (H^i(x) - i k / N) is
+    PL with rational data and conjugates G into rotations.  By the chain
+    rule its jump vector b solves the same equations: b = t_c a on each
+    component c, with t_c rational, and b is a constant b_O on each G-orbit
+    O off V.  With P the product of a, 1 = prod b = P (prod_c t_c
+    prod_O b_O)^N, so 1/P is the N-th power of a rational."""
     _check_ints(0, max_vertices=max_vertices)
     seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
     sol = _solve(_Orbits(seed, _signed_generators(G), max_vertices))
