@@ -1,8 +1,9 @@
 """Batch command line front end.
 
 Exit codes: 0 success, 1 reported domain outcome (obstruction, truncated,
-no finite orbit), 2 malformed input, invariant violation or exhausted
-memory.  Output is deterministic for identical inputs and seeds.
+no finite orbit found within the budget), 2 malformed input, invariant
+violation or exhausted memory.  Identical inputs and seeds give identical
+output.
 """
 from __future__ import annotations
 

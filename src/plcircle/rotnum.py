@@ -5,16 +5,15 @@ F - id is affine between vertices and spans less than 1, ceil(min g_i) is
 the one integer it can take, and one in-order pass over the pieces finds
 its zeros.
 
-The rotation number comes from one Stern-Brocot descent.  A mediant p/q
+The rotation number comes from one Stern-Brocot descent, which asks one
+sign function per map about each p/q.  Outside the closed form below, p/q
 with q <= max_q is tested at every point at once, exactly, on the orbits of
 the breakpoints, so a periodic orbit anywhere gives the exact answer.
 Beyond max_q only the orbit of 0 is followed: integer enclosures of it
-(interval arithmetic on ints scaled by L 2^b, L the lcm of the map's x
-denominators) decide each sign, and the exact orbit every sign they leave
-open, equality included, so no float decides an answer.  Exact orbits are
-int pairs stepped by PLHomeo._step; the enclosures step both bounds at once
-over a piece table pre-scaled once from PLHomeo._table, with one piece
-lookup shared by both bounds unless they lie in different pieces.
+(_Enclosure) decide each sign, and the exact orbit every sign they leave
+open, equality included, so no float decides an answer.  Both run on ints:
+exact orbits are pairs stepped by PLHomeo._step, and the enclosures step
+both bounds over one piece table pre-scaled from PLHomeo._table.
 
 Two kinds of map follow no orbit.  A rotation returns its angle.  A map
 with two breakpoints, one mapped onto the other, such as an exotic element,
@@ -31,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .circle import CirclePoint, _check_ints, frac_mod1
 from .homeo import PLHomeo
@@ -268,41 +267,61 @@ def _log_ratio(h: PLHomeo) -> Optional[_LogRatio]:
     return None
 
 
+def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
+    """rotation_number's sign function for h outside _log_ratio's class:
+    that of g = F^q - id - p - wq, w = floor(F(0)), if g has one sign, else
+    0 (a periodic orbit).  F - id spans less than 1 and takes F(0) in [w,
+    w + 1), so h fixes a point exactly when g vanishes at 0/1 or 1/1.  For
+    q <= max_q the gaps g(c) at the breakpoints c decide g at every x: g
+    keeps its sign along F-orbits and breaks only on the backward orbits of
+    the c, so a zero of g that no c shares lies inside an affine piece of g
+    whose two ends, and so two of the c, have opposite signs.  Past max_q,
+    where q only grows, x = 0 alone is tested (see the module docstring)."""
+    orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
+              for c, y in h.verts]  # the breakpoints' exact lift orbits
+    enc = None  # built when q first passes max_q
+    n, t = 1, h._step(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
+    w = t[0] // t[1]
+
+    def sign(p: int, q: int) -> int:
+        nonlocal enc, n, t
+        target = p + w * q
+        if q <= max_q:
+            for orbit in orbits:
+                while len(orbit) <= q:
+                    orbit.append(h._step(*orbit[-1])[:2])
+            # F^q(c) - c - target, each times its positive denominator
+            gaps = [y * e - (c + target * e) * d
+                    for (c, e), (y, d) in ((o[0], o[q]) for o in orbits)]
+            return (min(gaps) > 0) - (max(gaps) < 0)
+        if enc is None:
+            enc = _Enclosure(h, _BITS)
+        lower, upper = enc.at(q)
+        scaled = target * enc.scale
+        if not lower <= scaled <= upper:
+            return 1 if lower > scaled else -1
+        t, n = _lift_iterate(h, t, q - n), q
+        return (t[0] > target * t[1]) - (t[0] < target * t[1])
+
+    return sign
+
+
 def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResult:
     """Exact rotation number when it is p/q with q <= max_q or the search
     meets it, otherwise a Farey bracket refined `depth` times.
 
-    One Stern-Brocot descent on the lift F shifted by w = floor(F(0)): the
-    mediant p/q becomes the lower end when g = F^q - id - p - wq is positive
-    everywhere, the upper end when it is negative everywhere, and else the
-    exact answer (a periodic orbit).  For q <= max_q the gaps g(c) at the
-    breakpoints c of F decide this for every x: g keeps its sign along
-    F-orbits and breaks only on the backward orbits of the c, so a zero of
-    g that no c shares lies inside an affine piece of g whose two ends,
-    and so two of the c, have opposite signs.  The descent goes on past
-    `depth` while q <= max_q, as a p/q between Farey neighbours has q at
-    least the sum of theirs, and returns the bracket of step `depth`.  For
-    q > max_q only x = 0 is tested: integer enclosures of its orbit decide
-    each sign and the exact orbit those they leave open, so no float decides
-    an answer.  A rotation returns its angle, and a map in _log_ratio's
-    class takes every sign, for any q, from the closed form ln s_1 / ln A:
-    the descent is the same, and so are its brackets and exact answers."""
+    The Stern-Brocot descent asks one sign function, of rho(h) mod 1 - p/q,
+    about 0/1 and 1/1, where a 0 is a fixed point, then about each mediant
+    p/q: the lower end when positive, the upper when negative, else exact.
+    It goes on past `depth` while q <= max_q, as a p/q between Farey
+    neighbours has q at least the sum of theirs."""
     _check_ints(1, max_q=max_q, depth=depth)
     if h.is_rotation:  # its one vertex is (0, rho)
         return RotNumResult(exact=h.verts[0][1])
-    # q = 1, never a mediant: F - id is affine between breakpoints, so h fixes
-    # a point when an integer lies between the least and greatest gap F(c) - c
-    gaps = [y - c for c, y in h.verts]
-    if math.ceil(min(gaps)) <= max(gaps):
+    logs = _log_ratio(h)
+    sign = _orbit_sign(h, max_q) if logs is None else logs.sign
+    if not (sign(0, 1) and sign(1, 1)):
         return RotNumResult(exact=Fraction(0))
-    orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
-              for c, y in h.verts]  # the breakpoints' exact lift orbits
-    logs = _log_ratio(h)  # when set, it gives every sign
-    enc = None  # built when q first passes max_q
-    n, t = 1, h._step(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
-    # F(0) is no integer, as 0 is not fixed, so F's translation number lies
-    # in [w, w + 1]: the search brackets that of F - w, which is rho mod 1
-    w = t[0] // t[1]
     lo, hi = Fraction(0), Fraction(1)
     for step in itertools.count():
         p = lo.numerator + hi.numerator
@@ -311,29 +330,10 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
             bracket = RotNumResult(lo=lo, hi=hi, depth=depth)
         if step >= depth and q > max_q:
             return bracket
-        target = p + w * q
-        if logs is not None:
-            sign = logs.sign(p, q)
-        elif q <= max_q:
-            for orbit in orbits:
-                while len(orbit) <= q:
-                    orbit.append(h._step(*orbit[-1])[:2])
-            # F^q(c) - c - target, each times its positive denominator
-            gaps = [y * e - (c + target * e) * d
-                    for (c, e), (y, d) in ((o[0], o[q]) for o in orbits)]
-            sign = (min(gaps) > 0) - (max(gaps) < 0)
-        else:
-            if enc is None:
-                enc = _Enclosure(h, _BITS)
-            lower, upper = enc.at(q)
-            scaled = target * enc.scale
-            sign = (lower > scaled) - (upper < scaled)
-            if not sign:
-                t, n = _lift_iterate(h, t, q - n), q
-                sign = (t[0] > target * t[1]) - (t[0] < target * t[1])
-        if sign > 0:
+        s = sign(p, q)
+        if s > 0:
             lo = Fraction(p, q)
-        elif sign < 0:
+        elif s < 0:
             hi = Fraction(p, q)
         else:
             return RotNumResult(exact=Fraction(p, q))

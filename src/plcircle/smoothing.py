@@ -76,35 +76,33 @@ class _Orbits:
 
     def __init__(self, seed, maps, max_vertices: int):
         self.maps, self.max_vertices = maps, max_vertices
-        self.pts: List[Tuple[int, int]] = []
-        self.ids: Dict[Tuple[int, int], int] = {}
-        self.out: List[Optional[int]] = []  # None until read
+        # a point's first occurrence in the seed gives its id
+        self.pts = list(dict.fromkeys((x.numerator, x.denominator) for x in seed))
+        self.ids: Dict[Tuple[int, int], int] = {x: v for v, x in enumerate(self.pts)}
+        self.out: List[Optional[int]] = [None] * (len(self.pts) * len(maps))
         self.jumps: Dict[int, Fraction] = {}
         self.expanded = 0  # the ids below it have every slot filled
-        for x in seed:
-            self._intern((x.numerator, x.denominator))
         self.n_seed = len(self.pts)
         if self.n_seed > max_vertices:
             raise ValueError("max_vertices smaller than the seed")
 
-    def _intern(self, key: Tuple[int, int]) -> int:
-        v = self.ids.get(key)
-        if v is None:
-            v = self.ids[key] = len(self.pts)
-            self.pts.append(key)
-            self.out += [None] * len(self.maps)
-        return v
-
     def expand(self, v: int) -> None:
         """Fill the slots of the vertices up to the interned id v, in order."""
-        out, jumps, K, top = self.out, self.jumps, len(self.maps), self.max_vertices
+        out, jumps, pts, ids = self.out, self.jumps, self.pts, self.ids
+        K, top = len(self.maps), self.max_vertices
         for u in range(self.expanded, v + 1):
-            n, d = self.pts[u]
+            n, d = pts[u]
             for k, (_, g) in enumerate(self.maps):
                 i = u * K + k
                 if out[i] is None:
                     n2, d2, w = g._step(n, d)
-                    t = out[i] = self._intern((n2 % d2, d2))
+                    key = (n2 % d2, d2)
+                    t = ids.get(key)
+                    if t is None:  # a new point
+                        t = ids[key] = len(pts)
+                        pts.append(key)
+                        out += [None] * K
+                    out[i] = t
                     if w is not _ONE:
                         jumps[i] = w
                     if u < t < top:

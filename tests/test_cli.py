@@ -45,6 +45,15 @@ def test_eval():
     assert r.stdout.strip() == "1/8"
 
 
+def test_eval_negative_point_after_double_dash():
+    # argparse may read "-1/2" as an option; after "--" it is the point, and
+    # -1/2 is 1/2 on the circle
+    fx = str(FIXTURES / "standard_contracting.json")
+    neg, pos = run("eval", fx, "--", "-1/2"), run("eval", fx, "1/2")
+    assert (neg.returncode, neg.stdout, neg.stderr) == (0, pos.stdout, "")
+    assert pos.returncode == 0 and pos.stdout
+
+
 def test_compose_with_inverse_is_rotation(tmp_path):
     fx = str(FIXTURES / "rotation_one_third.json")
     out = tmp_path / "c.json"

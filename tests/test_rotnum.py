@@ -324,9 +324,14 @@ def test_rotation_number_zero_iff_fixed_point():
 
 
 @given(seed=st.integers(0, 10**6), k=st.integers(0, 6), fix_zero=st.booleans())
+# w = floor(F(0)) is -1 and 0, and F - id takes w + 1 alone: the test at 1/1
+# finds these fixed points, the test at 0/1 none
+@example(seed=1, k=3, fix_zero=False)  # F(0) = -526/13175
+@example(seed=2, k=3, fix_zero=False)  # F(0) = 2/3
 @settings(max_examples=100, deadline=None)
 def test_zero_rotation_number_iff_fixed_point(seed, k, fix_zero):
-    # q = 1 is settled by the breakpoint gaps; fixed_points is the oracle
+    # q = 1 is settled by the gap signs at 0/1 and 1/1; fixed_points is the
+    # oracle
     h = random_pl(seed, k, 32)
     if fix_zero:
         h = rotation(-h.eval(reduce_mod1(0)).value).compose(h)
