@@ -44,24 +44,17 @@ def frac_mod1(q: RationalLike) -> Fraction:
     return q - f if f else q
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class CirclePoint:
-    """A point of R/Z with an exact rational coordinate in [0, 1)."""
+    """A point of R/Z with an exact coordinate n/d in [0, 1): 0 <= n < d."""
 
     value: Fraction
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
-        if not 0 <= self.value < 1:
+        if not 0 <= self.value.numerator < self.value.denominator:
             raise ValueError(f"circle coordinate {_quote(self.value)} not in [0, 1)")
-
-    def __sub__(self, other: "CirclePoint") -> Fraction:
-        """Positively oriented displacement from other to self, in [0, 1)."""
-        return frac_mod1(self.value - other.value)
-
-    def __str__(self):
-        return str(self.value)
 
 
 def reduce_mod1(q: RationalLike) -> CirclePoint:

@@ -36,18 +36,19 @@ class FiniteVector:
         # compared in integers: Fraction's comparisons would double the cost
         for p, v in self.entries:
             if v.numerator <= 0:
-                raise ValueError(f"non-positive value {_quote(v)} at {_quote(p)}")
-            if v == 1:
-                raise ValueError(f"trivial value 1 stored at {_quote(p)}")
+                raise ValueError(f"non-positive value {_quote(v)} at {_quote(p.value)}")
+            if v.numerator == v.denominator:
+                raise ValueError(f"trivial value 1 stored at {_quote(p.value)}")
         for (p, _), (q, _) in zip(self.entries, self.entries[1:]):
             a, b = p.value, q.value
             if a.numerator * b.denominator >= b.numerator * a.denominator:
                 raise ValueError("support points are not strictly increasing "
-                                 f"at {_quote(q)}")
+                                 f"at {_quote(b)}")
 
     @classmethod
     def from_dict(cls, d: Dict[CirclePoint, Fraction]) -> "FiniteVector":
-        return cls(tuple(sorted((p, Fraction(v)) for p, v in d.items() if v != 1)))
+        return cls(tuple(sorted(((p, Fraction(v)) for p, v in d.items() if v != 1),
+                                key=lambda e: e[0].value)))
 
     @classmethod
     def empty(cls) -> "FiniteVector":

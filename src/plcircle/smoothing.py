@@ -403,8 +403,7 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     if not isinstance(sol, FiniteVector):
         return sol
     phi = synthesize_conjugator(sol)
-    zero = CirclePoint(Fraction(0))
-    phi_zero = phi.eval(zero)
+    phi_zero = phi.lift_eval(0)
     return Success(phi=phi, conjugated=tuple(
-        (name, rotation(phi.eval(g.eval(zero)) - phi_zero))
+        (name, rotation(phi.lift_eval(g.lift_eval(0)) - phi_zero))
         for name, g in G.generators))

@@ -7,6 +7,7 @@ nearest-neighbour distance keeps shrinking as the realization depth grows.
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +79,24 @@ def test_realization_distinct_and_validates():
         validate_realization(S)
         pts = realize(S, 3)
         assert len(pts) == len(set(pts))
+
+
+def _limit_at_one_eighth():
+    # apex 1/8, ratio 1/2, right side, child {0}: copy n of the child lies at
+    # 1/8 + 2^-(n+1) + 2^-(n+1)/4, so the first at 1/8 + 1/4 + 1/16 = 7/16
+    return Limit(reduce_mod1(F(1, 8)), leaves(0), "right", F(1, 2))
+
+
+@pytest.mark.parametrize("S", [
+    pytest.param(leaves(F(1, 2), F(1, 2)), id="equal_leaves"),
+    pytest.param(SymbolicSet((Leaf(reduce_mod1(F(1, 8))), _limit_at_one_eighth())),
+                 id="leaf_at_apex"),
+    pytest.param(SymbolicSet((_limit_at_one_eighth(), Leaf(reduce_mod1(F(7, 16))))),
+                 id="leaf_at_first_copy"),
+])
+def test_validate_rejects_colliding_points(S):
+    with pytest.raises(ValueError, match="^realized points collide at depth 3$"):
+        validate_realization(S)
 
 
 # -------------------------------------------------- brute-force rank oracle

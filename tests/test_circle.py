@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from plcircle import (GroupPresentation, detect_finite_orbit, growth_sequences,
                       nested_limit, random_pl, realize, reduce_mod1, rotation,
                       rotation_number, smooth_group)
-from plcircle.circle import _order_keys, frac_mod1
+from plcircle.circle import CirclePoint, _order_keys, frac_mod1
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=97)
 
@@ -24,6 +24,36 @@ def test_reduce_mod1_examples():
 @given(fracs, st.integers(min_value=-5, max_value=5))
 def test_reduce_mod1_periodic(q, n):
     assert reduce_mod1(q + n) == reduce_mod1(q)
+
+
+def test_circle_point_coerces_its_value():
+    assert type(CirclePoint(0).value) is F and CirclePoint(0).value == F(0)
+
+
+def _check_range(x):
+    if 0 <= x < 1:  # oracle: the range tested in Fraction comparisons
+        assert CirclePoint(x).value == x
+        return
+    with pytest.raises(ValueError) as info:
+        CirclePoint(x)
+    msg = str(info.value)
+    assert msg.startswith("circle coordinate ") and msg.endswith(" not in [0, 1)")
+    # one line, with the coordinate clipped by _quote to 40 characters and "..."
+    assert "\n" not in msg and len(msg) <= len("circle coordinate  not in [0, 1)") + 43
+
+
+@given(st.fractions())
+@example(F(1))
+@example(F(-1, 2))
+def test_circle_point_accepts_exactly_the_unit_interval(x):
+    _check_range(x)
+
+
+# hypothesis shows every explicit example with repr(), which a 5,001-digit
+# int refuses under Python's digit limit, so these two are pytest cases
+@pytest.mark.parametrize("offset", [-1, 1], ids=["below_one", "above_one"])
+def test_circle_point_range_past_the_digit_limit(offset):
+    _check_range(F(10**5000 + offset, 10**5000))
 
 
 @given(st.one_of(fracs, st.integers(min_value=-5, max_value=5)))

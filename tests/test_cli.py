@@ -245,6 +245,14 @@ def test_cb_rank_rejects_deep_nesting(tmp_path):
     _assert_one_error_line(run("cb-rank", str(deep)))
 
 
+def test_cb_rank_rejects_colliding_leaves(tmp_path):
+    doc = tmp_path / "twice.json"
+    doc.write_text('[{"leaf": "1/2"}, {"leaf": "1/2"}]')
+    r = run("cb-rank", str(doc))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: realized points collide at depth 3\n"
+
+
 def test_cb_rank_rejects_oversized_realization(tmp_path):
     # 12 nested limits realize 797,161 points at depth 3
     big = tmp_path / "big.json"

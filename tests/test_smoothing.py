@@ -282,7 +282,7 @@ def bfs_detect_finite_orbit(G, max_period, max_orbit=512, max_words=2000):
                     orbit.add(w)
                     queue.append(w)
         if bounded:
-            return tuple(sorted(orbit))
+            return tuple(sorted(orbit, key=lambda p: p.value))
     return None
 
 
@@ -554,7 +554,8 @@ OracleGraph = namedtuple("OracleGraph", "vertices edges closed escaping")
 
 
 def bfs_orbit_graph(G, max_vertices):
-    seed = sorted({p for _, g in G.generators for p in g.breakpoints})
+    seed = sorted({p for _, g in G.generators for p in g.breakpoints},
+                  key=lambda p: p.value)
     maps = [m for name, g in G.generators
             for m in ((name, 1, g), (name, -1, g.inverse()))]
     visited, order, queue = set(seed), list(seed), deque(seed)
@@ -572,7 +573,7 @@ def bfs_orbit_graph(G, max_vertices):
                     order.append(w)
                     queue.append(w)
     return OracleGraph(tuple(order), tuple(edges), not escaping,
-                       tuple(sorted(escaping)))
+                       tuple(sorted(escaping, key=lambda p: p.value)))
 
 
 def oracle_potentials(graph):
