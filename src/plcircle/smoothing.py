@@ -254,31 +254,26 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
         (x, Fraction(X0T + n * L, LT)) for x, n in zip(pts, N)))
 
 
-def _word_candidates(signed, max_period: int, max_words: int):
+def _word_candidates(signed, max_period: int, max_words: int = 2000):
     """Fixed points of each new word of length <= max_period, in word order;
-    then 0 if a word is the identity (g^-1 g is, from length 2 on).
+    then 0 if some word is the identity, as 0 stands for its fixed points.
 
-    Only reduced words are composed: a word of length 1 is the generator
-    itself, and a letter followed by its own inverse (slot k ^ 1 of the
-    word's first letter k) is skipped, as it equals the word's tail, which
-    is already seen; it is the identity when the word has length 1.  Each
-    new word is hashed once."""
+    Only reduced words are composed: the empty word is None and matches no
+    letter, a word of length 1 is the generator itself, and a letter
+    followed by its own inverse (slot k ^ 1 of the word's first letter k)
+    is skipped, as it equals the word's tail, which is already seen.  Each
+    new word is hashed once.  The identity is seen from the start, so some
+    word is the identity exactly when a generator is, or when the search
+    reaches length 2, where g^-1 g is skipped."""
     seen = {identity()}
-    frontier = [(identity(), None)]  # (word, slot of its first letter)
-    identity_word_seen = False
+    frontier = [(None, -2)]  # (word, slot of its first letter)
     for length in range(max_period):  # the length of the words in frontier
         nxt = []
         for w, first in frontier:
             for k, (_, g) in enumerate(signed):
-                if first is None:
-                    gw = g
-                elif k == first ^ 1:
-                    identity_word_seen |= length == 1
+                if k == first ^ 1:
                     continue
-                else:
-                    gw = g.compose(w)
-                if gw.is_identity:
-                    identity_word_seen = True
+                gw = g if w is None else g.compose(w)
                 size = len(seen)
                 seen.add(gw)
                 if len(seen) == size:
@@ -292,12 +287,12 @@ def _word_candidates(signed, max_period: int, max_words: int):
         frontier = nxt
         if not frontier or len(seen) > max_words:
             break
-    if identity_word_seen:
+    if length or any(g.is_identity for _, g in signed):
         yield CirclePoint(Fraction(0))
 
 
 def detect_finite_orbit(G: GroupPresentation, max_period: int,
-                        max_orbit: int = 512, max_words: int = 2000
+                        max_orbit: int = 512
                         ) -> Optional[Tuple[CirclePoint, ...]]:
     """Exact search for a finite orbit of the group.
 
@@ -305,10 +300,10 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     generators and their inverses, tried in word order as each word is found,
     with 0 last when a word is the identity.  The trivial word g^-1 g is, so
     every search that reaches length 2 tries 0 last, whatever the group.
-    Only reduced words are composed, and each new word is hashed once.
-    Each candidate's orbit is closed under the generators up to max_orbit
-    points; the first that closes is returned, or None if none closes
-    within the budget.
+    Only reduced words are composed, each new word is hashed once, and the
+    words stop past 2000.  Each candidate's orbit is closed under the
+    generators up to max_orbit points; the first that closes is returned,
+    or None if none closes within the budget.
 
     A finite orbit is a union of periodic orbits of each generator, of q
     points each when its rotation number is p/q in lowest terms.  So when a
@@ -318,7 +313,6 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     composed.
     """
     _check_ints(1, max_period=max_period, max_orbit=max_orbit)
-    _check_ints(0, max_words=max_words)
     for _, g in G.generators:
         if g.is_rotation or _log_ratio(g) is not None:
             rho = rotation_number(g, max_q=max_orbit, depth=1)
@@ -328,7 +322,7 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     # keys of the points of closures that passed max_orbit, tried candidates
     # included: closing any of them again cannot succeed
     cut_off = set()
-    for p in _word_candidates(signed, max_period, max_words):
+    for p in _word_candidates(signed, max_period):
         if (p.value.numerator, p.value.denominator) in cut_off:
             continue
         o = _Orbits([p.value], signed, max_orbit)

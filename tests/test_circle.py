@@ -108,8 +108,6 @@ BUDGETS = [
     pytest.param("max_period", 1, lambda v: detect_finite_orbit(GROUP, v), id="max_period"),
     pytest.param("max_orbit", 1, lambda v: detect_finite_orbit(GROUP, 2, max_orbit=v),
                  id="max_orbit"),
-    pytest.param("max_words", 0, lambda v: detect_finite_orbit(GROUP, 2, max_words=v),
-                 id="max_words"),
     pytest.param("k", 0, lambda v: random_pl(1, v, 32), id="random_pl_k"),
     pytest.param("denom_bound", 1, lambda v: random_pl(1, 1, v), id="denom_bound"),
     pytest.param("k", 0, lambda v: nested_limit(reduce_mod1(0), v), id="nested_limit_k"),

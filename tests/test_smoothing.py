@@ -216,6 +216,17 @@ def test_finite_orbit_tries_zero_after_the_trivial_word(monkeypatch):
     assert len(seeds) > 1 and seeds[-1] == [F(0)]
 
 
+def test_finite_orbit_tries_zero_for_an_identity_generator():
+    # at max_period 1 no word of length 2 is reached, so 0 is tried only
+    # when a generator is the identity; g, a PL conjugate of R(1/3), has
+    # no fixed point, and the orbit of 0 has 3 points
+    phi = random_pl(3, 2, 16)
+    g = _conjugate(phi, rotation(F(1, 3)))
+    assert detect_finite_orbit(pres(g), 1) is None
+    assert detect_finite_orbit(pres(g, identity()), 1) == tuple(
+        reduce_mod1(x) for x in (0, F(1, 12), F(5, 12)))
+
+
 def _generator_maps(G):
     maps = []
     for _, g in G.generators:
