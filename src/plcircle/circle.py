@@ -1,18 +1,24 @@
 """Exact rational arithmetic on the circle R/Z: points, reduction mod 1, the
-one exact order of points held as integer pairs (n, d), and the one way a
-value of any size is quoted in an error message.
+one exact order of points held as integer pairs (n, d), the one documented
+form "p/q" of a rational string, and the one way a value of any size is
+quoted in an error message.
 
 Everything in this module is exact; no floating point is used.
 """
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int]
+
+# a rational's documented form "p/q", q optional: Fraction would also take
+# decimals and exponents, and "1e-10000000" takes seconds to expand
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _exact(convert, arg):

@@ -6,10 +6,12 @@ period, y_0 in [0,1), y strictly increasing, and an implicit closing
 vertex (x_0 + 1, y_0 + 1).  Canonical form: every stored vertex is a
 genuine breakpoint (adjacent slopes differ cyclically) and the base
 vertex is the smallest breakpoint; rotations are stored as the single
-vertex (0, alpha).  Input is canonicalized in integers over the lcms L and
-M of its x and y denominators, with a Fraction built only for each kept
-vertex; evaluation runs on the same integer layout (_table, _step), and
-compose reads the two vertex lists with one _step per breakpoint.
+vertex (0, alpha).  Input is canonicalized in integers: each coordinate is
+read as a (numerator, denominator) pair, a documented "p/q" string by two
+int() calls, and reduced over the lcms L and M of its x and y
+denominators, with a Fraction built only for each kept vertex; evaluation
+runs on the same integer layout (_table, _step), and compose reads the two
+vertex lists with one _step per breakpoint.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Tuple
 
-from .circle import CirclePoint, _check_ints, _order_keys, _quote, frac_mod1
+from .circle import (CirclePoint, _RATIONAL, _check_ints, _order_keys, _quote,
+                     frac_mod1)
 
 Vertex = Tuple[Fraction, Fraction]
 _ONE = Fraction(1)
@@ -33,13 +36,29 @@ class InvalidHomeoError(ValueError):
 
 def _rational(q) -> Fraction:
     """q as a Fraction; InvalidHomeoError when q is no finite rational."""
-    if isinstance(q, Fraction):
-        return q
     try:
         return Fraction(q)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InvalidHomeoError(f"vertex coordinate {_quote(q, repr)} is not "
                                 "a rational number") from None
+
+
+def _pair(q) -> Tuple[int, int]:
+    """q as an integer pair (n, d), d > 0, not always in lowest terms: a
+    Fraction's or an int's own, two int() calls for a str of the documented
+    form "p/q" (_RATIONAL) with q nonzero, else _rational's."""
+    if isinstance(q, (Fraction, int)):
+        return q.numerator, q.denominator
+    m = _RATIONAL.fullmatch(q) if isinstance(q, str) else None
+    if m:
+        try:
+            n, d = int(m[1]), int(m[2] or 1)
+        except ValueError:  # past the int/string digit limit: _rational rejects it
+            d = 0
+        if d:
+            return n, d
+    q = _rational(q)
+    return q.numerator, q.denominator
 
 
 def _canonical(pairs) -> Tuple[Vertex, ...]:
@@ -48,18 +67,21 @@ def _canonical(pairs) -> Tuple[Vertex, ...]:
 
     Merges vertices where the slope does not change and rebases at the
     smallest breakpoint; a map with no breakpoint collapses to a rotation.
-    Works in integers, like _table: with L and M the lcms of the input x
-    and y denominators, vertex (x, y) mod 1 is (X / L, Y / M) for integers
-    X in [0, L) and Y in [0, M), slopes are compared by cross-multiplying
-    integer differences, and a Fraction is built only for each kept vertex.
+    Works in integers, like _table: each coordinate is read as an integer
+    pair (n, d) by _pair, so a "p/q" string costs two int() calls and no
+    Fraction; with L and M the lcms of the input x and y denominators,
+    vertex (x, y) mod 1 is (X / L, Y / M) for integers X in [0, L) and Y in
+    [0, M), slopes are compared by cross-multiplying integer differences,
+    and a Fraction is built only for each kept vertex.  The pairs need not
+    be in lowest terms: that only grows L and M, and each kept vertex is
+    still a reduced Fraction.
     """
-    pairs = [(_rational(x), _rational(y)) for x, y in pairs]
+    pairs = [(_pair(x), _pair(y)) for x, y in pairs]
     if not pairs:
         raise InvalidHomeoError("at least one vertex is required")
-    L = math.lcm(*(x.denominator for x, _ in pairs))
-    M = math.lcm(*(y.denominator for _, y in pairs))
-    pts = sorted({(x.numerator * (L // x.denominator) % L,
-                   y.numerator * (M // y.denominator) % M) for x, y in pairs})
+    L = math.lcm(*(d for (_, d), _ in pairs))
+    M = math.lcm(*(d for _, (_, d) in pairs))
+    pts = sorted({(n * (L // d) % L, m * (M // e) % M) for (n, d), (m, e) in pairs})
     X = [p[0] for p in pts]
     Y = [p[1] for p in pts]
     if len(set(X)) != len(X):

@@ -4,13 +4,12 @@ denominator."""
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from fractions import Fraction
 from typing import Any, Dict
 
 from . import cantor_bendixson as cb
-from .circle import CirclePoint, _exact, _quote, frac_mod1
+from .circle import CirclePoint, _RATIONAL, _exact, _quote, frac_mod1
 from .homeo import ExoticParams, PLHomeo, exotic_element, rotation
 from .smoothing import Edge, GroupPresentation
 
@@ -19,18 +18,15 @@ class FormatError(ValueError):
     """Malformed or invariant-violating input file."""
 
 
-# the documented form only: Fraction would also take decimals and exponents,
-# and "1e-10000000" takes seconds to expand
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
 def parse_rational(s) -> Fraction:
-    """A JSON integer or a "p/q" string (q optional) as an exact Fraction."""
+    """A JSON integer or a "p/q" string (q optional) as an exact Fraction,
+    built from the two ints the documented form holds."""
     if isinstance(s, str):
-        if not _RATIONAL.fullmatch(s):
+        m = _RATIONAL.fullmatch(s)
+        if not m:
             raise FormatError(f"not a rational: {_quote(s, repr)} (expected p/q)")
         try:
-            return _exact(Fraction, s)
+            return _exact(lambda g: Fraction(int(g[1]), int(g[2] or 1)), m)
         except ZeroDivisionError as exc:
             raise FormatError(f"not a rational: {_quote(s, repr)} "
                               f"({_quote(exc)})") from None

@@ -8,7 +8,10 @@ its zeros.
 The rotation number comes from one Stern-Brocot descent, which asks one
 sign function per map about each p/q.  Outside the closed form below, p/q
 with q <= max_q is tested at every point at once, exactly, on the orbits of
-the breakpoints, so a periodic orbit anywhere gives the exact answer.
+the breakpoints, so a periodic orbit anywhere gives the exact answer.  One
+orbit serves each chain of breakpoints, each the image of the one before
+mod 1 (a PL conjugate's breakpoints come in such pairs): the gap tested
+keeps its sign along orbits, so the chain's head decides it for the rest.
 Beyond max_q only the orbit of 0 is followed: integer enclosures of it
 (_Enclosure) decide each sign, and the exact orbit every sign they leave
 open, equality included, so no float decides an answer.  Both run on ints:
@@ -267,6 +270,25 @@ def _log_ratio(h: PLHomeo) -> Optional[_LogRatio]:
     return None
 
 
+def _chain_heads(h: PLHomeo) -> List[int]:
+    """Indices of h's breakpoints, one per chain: with succ(i) = j when y_i
+    = x_j mod 1, each breakpoint has at most one predecessor (h is
+    injective), so succ splits them into chains and cycles.  Each chain's
+    head is kept, then the first breakpoint of each cycle left over; a
+    breakpoint h fixes is a cycle of one."""
+    index = {(x.numerator, x.denominator): j for j, x in enumerate(h._xs)}
+    succ = [index.get((y.numerator % y.denominator, y.denominator)) for y in h._ys]
+    starts = set(range(len(succ))).difference(succ)
+    keep, seen = [], set()
+    for i in sorted(starts) + list(range(len(succ))):
+        if i not in seen:
+            keep.append(i)
+            while i is not None and i not in seen:
+                seen.add(i)
+                i = succ[i]
+    return keep
+
+
 def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
     """rotation_number's sign function for h outside _log_ratio's class:
     that of g = F^q - id - p - wq, w = floor(F(0)), if g has one sign, else
@@ -276,9 +298,17 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
     keeps its sign along F-orbits and breaks only on the backward orbits of
     the c, so a zero of g that no c shares lies inside an affine piece of g
     whose two ends, and so two of the c, have opposite signs.  Past max_q,
-    where q only grows, x = 0 alone is tested (see the module docstring)."""
+    where q only grows, x = 0 alone is tested (see the module docstring).
+
+    Only the head of each chain of breakpoints (_chain_heads) is stepped:
+    g has period 1 and keeps its sign along F-orbits, so g(x_j) has the
+    sign of g(x_i) when y_i = x_j mod 1.  A dropped breakpoint's orbit is
+    its head's orbit, shifted by its position k in the chain and by an
+    integer: F^n(x_j) = F^(n+k)(x_head) - m.  So a nonzero gap at a dropped
+    breakpoint means a gap of the same sign at its head."""
+    heads = [h.verts[i] for i in _chain_heads(h)]
     orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
-              for c, y in h.verts]  # the breakpoints' exact lift orbits
+              for c, y in heads]  # the chain heads' exact lift orbits
     enc = None  # built when q first passes max_q
     n, t = 1, h._step(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
     w = t[0] // t[1]

@@ -374,6 +374,48 @@ def test_non_rational_coordinate_is_invalid(bad, shown):
             PLHomeo(pairs)
 
 
+# a "p/q" string of io's documented form is read by two int() calls; any
+# other string still goes through Fraction, so every string gives the map,
+# or the InvalidHomeoError message, that reading each coordinate as a
+# Fraction gives
+COORDINATE_STRINGS = [
+    "1/2", "2/4", "+1/2", "-1/2", "01/2", "-7/4", " 1/2", "1/2 ", "1/0", "0/0",
+    "-0/00", "+0005/0", "1 /2", "1/-2", "1/+2", "0.5", "1e-3", "1_0/3", "",
+    "/2", "1/", "\u0663/4",
+    pytest.param("7" * 5000 + "/9", id="5000-digit-numerator"),
+    pytest.param("9/" + "7" * 5000, id="5000-digit-denominator"),
+]
+
+
+@pytest.mark.parametrize("s", COORDINATE_STRINGS)
+def test_string_coordinates_read_as_their_fractions(s):
+    def via_fractions(pairs):
+        return PLHomeo([(homeo._rational(x), homeo._rational(y)) for x, y in pairs]).verts
+
+    for pairs in ([(0, 0), (s, "1/3"), ("3/4", "5/6")],
+                  [(0, 0), ("1/3", s), ("3/4", "7/8")]):
+        want = canonical_outcome(via_fractions, pairs)
+        assert canonical_outcome(lambda p: PLHomeo(p).verts, pairs) == want
+
+
+def test_p_over_q_strings_build_no_fraction(monkeypatch):
+    # the search workload's median map, from the "p/q" strings io writes
+    phi = random_pl(21, 8, 64)
+    h = phi.compose(rotation(F(3, 8))).compose(phi.inverse())
+    strings = [(f"{x.numerator}/{x.denominator}", f"{y.numerator}/{y.denominator}")
+               for x, y in h.verts]
+    rational = homeo._rational
+
+    def no_string(q):
+        assert not isinstance(q, str), f"{q!r} was read as a Fraction"
+        return rational(q)
+
+    monkeypatch.setattr(homeo, "_rational", no_string)
+    assert PLHomeo(strings) == h
+    # signs, leading zeros and pairs not in lowest terms take the same path
+    assert PLHomeo([("0", "-2/3"), ("+2/4", "05/6")]) == rotation(F(1, 3))
+
+
 # -- compose, against the body it replaced ---------------------------------
 #
 # compose reads the two vertex lists with one _step per breakpoint.  Its

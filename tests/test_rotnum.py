@@ -718,3 +718,99 @@ def test_exotic_rotation_number_closed_form(A, lam, exact):
     assert b * c - a * d == 1
     # no p/q with q <= max_q is the rotation number, so a bracket is right
     assert all(lam ** q != A ** p for q in range(1, 33) for p in range(q + 1))
+
+
+# -- one orbit per chain of breakpoints, against the body it replaced -------
+#
+# _orbit_sign steps one lift orbit per chain of breakpoints, each the image
+# of the one before mod 1.  Its oracle is the body before that, kept here
+# verbatim: it steps the orbit of every breakpoint.
+
+def oracle_orbit_sign(h, max_q):
+    """rotation_number's sign function for h outside _log_ratio's class:
+    that of g = F^q - id - p - wq, w = floor(F(0)), if g has one sign, else
+    0 (a periodic orbit).  For q <= max_q the gaps g(c) at every breakpoint
+    c decide g at every x; past max_q x = 0 alone is tested."""
+    orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
+              for c, y in h.verts]  # the breakpoints' exact lift orbits
+    enc = None  # built when q first passes max_q
+    n, t = 1, h._step(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
+    w = t[0] // t[1]
+
+    def sign(p, q):
+        nonlocal enc, n, t
+        target = p + w * q
+        if q <= max_q:
+            for orbit in orbits:
+                while len(orbit) <= q:
+                    orbit.append(h._step(*orbit[-1])[:2])
+            # F^q(c) - c - target, each times its positive denominator
+            gaps = [y * e - (c + target * e) * d
+                    for (c, e), (y, d) in ((o[0], o[q]) for o in orbits)]
+            return (min(gaps) > 0) - (max(gaps) < 0)
+        if enc is None:
+            enc = rotnum._Enclosure(h, rotnum._BITS)
+        lower, upper = enc.at(q)
+        scaled = target * enc.scale
+        if not lower <= scaled <= upper:
+            return 1 if lower > scaled else -1
+        t, n = rotnum._lift_iterate(h, t, q - n), q
+        return (t[0] > target * t[1]) - (t[0] < target * t[1])
+
+    return sign
+
+
+def conjugate(phi, g):
+    return phi.compose(g).compose(phi.inverse())
+
+
+# phi_0 R(1/4) phi_0^-1 has its 4 breakpoints in one cycle: each is the
+# image of the one before
+ONE_CYCLE = conjugate(PLHomeo([(0, 0), (F(1, 4), F(1, 8)), (F(1, 2), F(1, 2)),
+                               (F(3, 4), F(5, 8))]), rotation(F(1, 4)))
+# the search workload's median map: 16 breakpoints in 8 chains
+MEDIAN = conjugate(random_pl(21, 8, 64), rotation(F(3, 8)))
+CHAIN_FREE = [random_pl(3, 4, 32), random_pl(4, 5, 32), random_pl(11, 6, 64)]
+CHAINED = ([conjugate(random_pl(s, k, 64), rotation(alpha))
+            for s, k, alpha in [(1, 2, F(1, 2)), (2, 3, F(1, 3)), (3, 4, F(3, 8)),
+                                (4, 5, F(2, 5)), (5, 6, F(5, 13)), (6, 7, F(7, 33)),
+                                (7, 8, F(1, 5)), (21, 8, F(3, 8))]]
+           + [ONE_CYCLE]
+           + [dyadic_conjugate(exotic_element(ExoticParams(F(A), F(lam))))
+              for A, lam in [(4, 2), (6, 2), (7, 3)]])
+
+
+def test_chain_heads_of_known_maps():
+    assert len(ONE_CYCLE.verts) == 4 and len(rotnum._chain_heads(ONE_CYCLE)) == 1
+    assert len(MEDIAN.verts) == 16 and len(rotnum._chain_heads(MEDIAN)) == 8
+    assert rotnum._chain_heads(STD) == [1, 0]  # 0 is fixed: a cycle of one
+    for h in CHAINED:
+        assert len(rotnum._chain_heads(h)) < len(h.verts)
+    for h in CHAIN_FREE:
+        assert rotnum._chain_heads(h) == list(range(len(h.verts)))
+
+
+@pytest.mark.parametrize("h", CHAINED + CHAIN_FREE + [STD])
+def test_chain_heads_give_every_sign_all_breakpoints_give(h):
+    max_q = 32
+    sign, want = rotnum._orbit_sign(h, max_q), oracle_orbit_sign(h, max_q)
+    for q in range(1, max_q + 1):
+        for p in range(q + 1):
+            assert sign(p, q) == want(p, q), (p, q)
+
+
+@pytest.mark.parametrize("h, rho, steps", [
+    (MEDIAN, F(3, 8), 57),  # 113 with one orbit per breakpoint
+    (ONE_CYCLE, F(1, 4), 4),  # 13 with one orbit per breakpoint
+    (random_pl(3, 4, 32), F(13, 23), 89),  # no chain: one orbit per breakpoint
+])
+def test_rotation_number_steps_one_orbit_per_chain(monkeypatch, h, rho, steps):
+    step, calls = PLHomeo._step, []
+
+    def counting_step(self, n, d):
+        calls.append((n, d))
+        return step(self, n, d)
+
+    monkeypatch.setattr(PLHomeo, "_step", counting_step)
+    assert rotation_number(h) == RotNumResult(exact=rho)
+    assert len(calls) == steps
