@@ -1,7 +1,8 @@
 """Exact rational arithmetic on the circle R/Z: points, reduction mod 1, the
-one exact order of points held as integer pairs (n, d), the one documented
-form "p/q" of a rational string, and the one way a value of any size is
-quoted in an error message.
+one exact order of points held as integer pairs (n, d), the one reader of
+the documented form "p/q" of a rational string (_ints), the one rule for
+values past Python's int/string digit limit (_exact), and the one way a
+value of any size is quoted in an error message.
 
 Everything in this module is exact; no floating point is used.
 """
@@ -12,19 +13,20 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int]
 
-# a rational's documented form "p/q", q optional: Fraction would also take
-# decimals and exponents, and "1e-10000000" takes seconds to expand
+# a rational's documented form "p/q", q optional, matched by _ints alone:
+# Fraction would also take decimals and exponents, and "1e-10000000" takes
+# seconds to expand
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _exact(convert, arg):
-    """convert(arg) past Python's int/string digit limit (3.10.7 on) too: each
-    caller's arg can raise no other ValueError, and on that one the call runs
-    again with the limit lifted for it alone."""
+    """convert(arg) past Python's int/string digit limit (3.10.7 on) too: on a
+    ValueError the call runs again with the limit lifted for it alone, so a
+    ValueError with another cause is raised again by that second call."""
     try:
         return convert(arg)
     except ValueError:
@@ -36,6 +38,19 @@ def _exact(convert, arg):
             sys.set_int_max_str_digits(limit)
 
 
+def _ints(s: str) -> Optional[Tuple[int, int]]:
+    """The two ints (p, q) of any size of a string of the documented form
+    "p/q", q = 1 when left out, else None; q may be 0, for each caller to
+    reject in its own words.  _exact runs only once an int() call raises."""
+    m = _RATIONAL.fullmatch(s)
+    if not m:
+        return None
+    try:
+        return int(m[1]), int(m[2] or 1)
+    except ValueError:  # past the int/string digit limit
+        return _exact(lambda g: (int(g[1]), int(g[2] or 1)), m)
+
+
 def _quote(value, convert=str) -> str:
     """convert(value) of any size, clipped to 40 characters for a message."""
     text = _exact(convert, value)
@@ -45,7 +60,7 @@ def _quote(value, convert=str) -> str:
 def frac_mod1(q: RationalLike) -> Fraction:
     """Return q - floor(q) as an exact Fraction in [0, 1)."""
     if not isinstance(q, Fraction):
-        q = Fraction(q)
+        q = _exact(Fraction, q)
     f = math.floor(q)
     return q - f if f else q
 
@@ -58,7 +73,7 @@ class CirclePoint:
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+            object.__setattr__(self, "value", _exact(Fraction, self.value))
         if not 0 <= self.value.numerator < self.value.denominator:
             raise ValueError(f"circle coordinate {_quote(self.value)} not in [0, 1)")
 

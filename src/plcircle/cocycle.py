@@ -78,7 +78,7 @@ def affine_apply(h: PLHomeo, v: FiniteVector) -> FiniteVector:
     """Affine isometric action: new value at x is v(h^{-1}(x)) * jump(h^{-1}, x).
     So v(p) moves to h(p), and 1/J(h, b) multiplies into h(b) for b in BP(h)."""
     d = {h.eval(p): w for p, w in v.entries}
-    for y, j in zip(h._ys, h._jumps):
+    for (_, y), j in zip(h.verts, h._jumps):
         x = reduce_mod1(y)
         d[x] = d.get(x, 1) / j
     return FiniteVector.from_dict(d)
@@ -117,7 +117,7 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     _check_ints(1, N=N)
     weights = [1 / j for j in f._jumps]  # J(f^-1, y_i); none for a rotation
     k, step = len(weights), f._step
-    pts = [(y.numerator % y.denominator, y.denominator) for y in f._ys[:k]]
+    pts = [(y.numerator % y.denominator, y.denominator) for _, y in f.verts[:k]]
     # pts[t*k + i] is head i after t steps
     for _ in range(k * (N - 1)):
         n, d, _ = step(*pts[-k])

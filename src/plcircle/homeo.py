@@ -7,11 +7,11 @@ vertex (x_0 + 1, y_0 + 1).  Canonical form: every stored vertex is a
 genuine breakpoint (adjacent slopes differ cyclically) and the base
 vertex is the smallest breakpoint; rotations are stored as the single
 vertex (0, alpha).  Input is canonicalized in integers: each coordinate is
-read as a (numerator, denominator) pair, a documented "p/q" string by two
-int() calls, and reduced over the lcms L and M of its x and y
-denominators, with a Fraction built only for each kept vertex; evaluation
-runs on the same integer layout (_table, _step), and compose reads the two
-vertex lists with one _step per breakpoint.
+read as a (numerator, denominator) pair, a documented "p/q" string by
+circle._ints' two int() calls, and reduced over the lcms L and M of its x
+and y denominators, with a Fraction built only for each kept vertex;
+evaluation runs on the same integer layout (_table, _step), and compose
+reads the two vertex lists with one _step per breakpoint.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Tuple
 
-from .circle import (CirclePoint, _RATIONAL, _check_ints, _order_keys, _quote,
+from .circle import (CirclePoint, _check_ints, _exact, _ints, _order_keys, _quote,
                      frac_mod1)
 
 Vertex = Tuple[Fraction, Fraction]
@@ -34,30 +34,21 @@ class InvalidHomeoError(ValueError):
     """Data does not define a canonical PL circle homeomorphism."""
 
 
-def _rational(q) -> Fraction:
-    """q as a Fraction; InvalidHomeoError when q is no finite rational."""
+def _pair(q) -> Tuple[int, int]:
+    """q as an integer pair (n, d), d > 0, not always in lowest terms: a
+    Fraction's or an int's own, _ints' two for a str of the documented form
+    "p/q" with q nonzero, else those of Fraction(q) of any size;
+    InvalidHomeoError when q is no finite rational."""
+    if isinstance(q, (Fraction, int)):
+        return q.numerator, q.denominator
+    pq = _ints(q) if isinstance(q, str) else None
+    if pq and pq[1]:
+        return pq
     try:
-        return Fraction(q)
+        q = _exact(Fraction, q)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InvalidHomeoError(f"vertex coordinate {_quote(q, repr)} is not "
                                 "a rational number") from None
-
-
-def _pair(q) -> Tuple[int, int]:
-    """q as an integer pair (n, d), d > 0, not always in lowest terms: a
-    Fraction's or an int's own, two int() calls for a str of the documented
-    form "p/q" (_RATIONAL) with q nonzero, else _rational's."""
-    if isinstance(q, (Fraction, int)):
-        return q.numerator, q.denominator
-    m = _RATIONAL.fullmatch(q) if isinstance(q, str) else None
-    if m:
-        try:
-            n, d = int(m[1]), int(m[2] or 1)
-        except ValueError:  # past the int/string digit limit: _rational rejects it
-            d = 0
-        if d:
-            return n, d
-    q = _rational(q)
     return q.numerator, q.denominator
 
 
@@ -136,14 +127,6 @@ class PLHomeo:
     # -- structure ---------------------------------------------------------
 
     @cached_property
-    def _xs(self):
-        return [p[0] for p in self.verts]
-
-    @cached_property
-    def _ys(self):
-        return [p[1] for p in self.verts]
-
-    @cached_property
     def _jumps(self) -> Tuple[Fraction, ...]:
         """J(h, x_i) = s_i / s_{i-1} = (a_i e_{i-1}) / (a_{i-1} e_i) in vertex
         order, the objects _step returns at the x_i; empty for a rotation."""
@@ -154,7 +137,7 @@ class PLHomeo:
     @property
     def breakpoints(self) -> Tuple[CirclePoint, ...]:
         # every x_i lies in [x_0, 1): a smaller one would be the base
-        return tuple(map(CirclePoint, self._xs)) if len(self.verts) > 1 else ()
+        return tuple(CirclePoint(x) for x, _ in self.verts) if len(self.verts) > 1 else ()
 
     @property
     def is_identity(self) -> bool:
@@ -185,9 +168,10 @@ class PLHomeo:
 
     def left_right_slopes(self, p: CirclePoint) -> Tuple[Fraction, Fraction]:
         """Exact (left derivative, right derivative) at p, each a_i L / e_i."""
-        L, _, A, _, E = self._table
-        i = bisect.bisect_right(self._xs, p.value) - 1  # -1: p < x_0, the last piece
-        j = i - 1 if p.value == self._xs[i] else i
+        L, X, A, _, E = self._table
+        f, r = divmod(p.value.numerator * L, p.value.denominator)  # p L = f + r/d
+        i = bisect.bisect_right(X, f) - 1  # -1: p < x_0, the last piece
+        j = i - 1 if r == 0 and f == X[i] else i
         return Fraction(A[j] * L, E[j]), Fraction(A[i] * L, E[i])
 
     def jump(self, p: CirclePoint) -> Fraction:
@@ -200,10 +184,10 @@ class PLHomeo:
         the lcms of the vertex x and y denominators, X_i = x_i L, and piece i
         as F(u) = (a_i u L + b_i) / e_i, with a_i = (y_{i+1} - y_i) M and
         e_i = (x_{i+1} - x_i) L M.  _step and rotnum's enclosures read it."""
-        L = math.lcm(*(x.denominator for x in self._xs))
-        M = math.lcm(*(y.denominator for y in self._ys))
-        X = [x.numerator * (L // x.denominator) for x in self._xs]
-        Y = [y.numerator * (M // y.denominator) for y in self._ys]
+        L = math.lcm(*(x.denominator for x, _ in self.verts))
+        M = math.lcm(*(y.denominator for _, y in self.verts))
+        X = [x.numerator * (L // x.denominator) for x, _ in self.verts]
+        Y = [y.numerator * (M // y.denominator) for _, y in self.verts]
         dX = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
         A = [b - a for a, b in zip(Y, Y[1:] + [Y[0] + M])]
         B = [y * dx - a * x for x, y, dx, a in zip(X, Y, dX, A)]
@@ -325,8 +309,8 @@ class ExoticParams:
     lam: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "A", _exact(Fraction, self.A))
+        object.__setattr__(self, "lam", _exact(Fraction, self.lam))
         if not self.A > 1:
             raise ValueError(f"modulus A must exceed 1, got {_quote(self.A)}")
         if not 1 < self.lam < self.A:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Any, Dict
 
 from . import cantor_bendixson as cb
-from .circle import CirclePoint, _RATIONAL, _exact, _quote, frac_mod1
+from .circle import CirclePoint, _exact, _ints, _quote, frac_mod1
 from .homeo import ExoticParams, PLHomeo, exotic_element, rotation
 from .smoothing import Edge, GroupPresentation
 
@@ -20,13 +20,13 @@ class FormatError(ValueError):
 
 def parse_rational(s) -> Fraction:
     """A JSON integer or a "p/q" string (q optional) as an exact Fraction,
-    built from the two ints the documented form holds."""
+    built from the two ints the documented form holds (circle._ints)."""
     if isinstance(s, str):
-        m = _RATIONAL.fullmatch(s)
-        if not m:
+        pq = _ints(s)
+        if pq is None:
             raise FormatError(f"not a rational: {_quote(s, repr)} (expected p/q)")
         try:
-            return _exact(lambda g: Fraction(int(g[1]), int(g[2] or 1)), m)
+            return Fraction(*pq)
         except ZeroDivisionError as exc:
             raise FormatError(f"not a rational: {_quote(s, repr)} "
                               f"({_quote(exc)})") from None

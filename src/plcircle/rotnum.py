@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .circle import CirclePoint, _check_ints, frac_mod1
+from .circle import CirclePoint, _check_ints, _exact, frac_mod1
 from .homeo import PLHomeo
 
 
@@ -71,10 +71,10 @@ def fixed_points(h: PLHomeo) -> FixedSet:
         return FixedSet(False, (), ())
     if len(gaps) == 1:  # a single vertex with gap c: the identity
         return FixedSet(True, (), ())
-    xs = h._xs + [h._xs[0] + 1]
-    d = [g - c for g in gaps + gaps[:1]]
+    d, end = [g - c for g in gaps], h.verts[0][0] + 1
     merged: List[List[Fraction]] = []  # closed, in lift coords
-    for a, b, da, db in zip(xs, xs[1:], d, d[1:]):
+    for i, ((a, _), da) in enumerate(zip(h.verts, d)):  # [x_i, x_{i+1}], x_k = end
+        b, db = (h.verts[i + 1][0], d[i + 1]) if i + 1 < len(d) else (end, d[0])
         if da == 0:
             iv = [a, b if db == 0 else a]
         elif da * db < 0:
@@ -86,7 +86,7 @@ def fixed_points(h: PLHomeo) -> FixedSet:
             merged[-1][1] = iv[1]
         else:
             merged.append(iv)
-    if merged[-1][1] == xs[-1]:
+    if merged[-1][1] == end:
         merged[0][0] = merged.pop()[0] - 1
     points = tuple(CirclePoint(frac_mod1(a)) for a, b in merged if a == b)
     arcs = tuple((CirclePoint(frac_mod1(a)), CirclePoint(frac_mod1(b)))
@@ -107,10 +107,10 @@ class RotNumResult:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    def __str__(self):
-        if self.is_exact:
-            return f"{self.exact.numerator}/{self.exact.denominator} (exact)"
-        return f"[{self.lo}, {self.hi}] after {self.depth} refinements"
+    def __str__(self):  # of any size, as io.format_rational
+        return _exact(lambda r: f"{r.exact.numerator}/{r.exact.denominator} (exact)"
+                      if r.is_exact else f"[{r.lo}, {r.hi}] after {r.depth} refinements",
+                      self)
 
 
 def _lift_iterate(h: PLHomeo, t: Tuple[int, int], n: int) -> Tuple[int, int]:
@@ -276,8 +276,8 @@ def _chain_heads(h: PLHomeo) -> List[int]:
     injective), so succ splits them into chains and cycles.  Each chain's
     head is kept, then the first breakpoint of each cycle left over; a
     breakpoint h fixes is a cycle of one."""
-    index = {(x.numerator, x.denominator): j for j, x in enumerate(h._xs)}
-    succ = [index.get((y.numerator % y.denominator, y.denominator)) for y in h._ys]
+    index = {(x.numerator, x.denominator): j for j, (x, _) in enumerate(h.verts)}
+    succ = [index.get((y.numerator % y.denominator, y.denominator)) for _, y in h.verts]
     starts = set(range(len(succ))).difference(succ)
     keep, seen = [], set()
     for i in sorted(starts) + list(range(len(succ))):

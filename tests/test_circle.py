@@ -1,15 +1,17 @@
+import contextlib
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from plcircle import (GroupPresentation, detect_finite_orbit, growth_sequences,
-                      nested_limit, random_pl, realize, reduce_mod1, rotation,
-                      rotation_number, smooth_group)
+from plcircle import (ExoticParams, GroupPresentation, detect_finite_orbit,
+                      growth_sequences, nested_limit, random_pl, realize,
+                      reduce_mod1, rotation, rotation_number, smooth_group)
 from plcircle.circle import CirclePoint, _order_keys, frac_mod1
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=97)
@@ -61,6 +63,45 @@ def test_frac_mod1_is_a_fraction_in_unit_interval(q):
     r = frac_mod1(q)
     assert type(r) is F
     assert r == F(q) - math.floor(q) and 0 <= r < 1
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Python's int/string digit limit (3.10.7 on) lifted inside the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def outcome(fn, *args):
+    """fn(*args), or its error type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# documented "p/q" strings past the digit limit, 4,300 digits by default
+PAST_THE_LIMIT = {"numerator": "7" * 5000 + "/9", "denominator": "9/" + "7" * 5000}
+
+
+@pytest.mark.parametrize("s", PAST_THE_LIMIT.values(), ids=PAST_THE_LIMIT)
+def test_entry_points_read_strings_past_the_digit_limit(s):
+    # each entry point reads s as the Fraction read with the limit lifted:
+    # the same value, or the same rejection of that value
+    with no_digit_limit():
+        q = F(s)
+    r = q - math.floor(q)
+    assert frac_mod1(s) == r
+    assert reduce_mod1(s).value == r
+    assert rotation(s).verts == ((0, r),)
+    calls = [(CirclePoint, s), (ExoticParams, s, "3/2"), (ExoticParams, "2", s)]
+    want = [outcome(fn, *(q if a is s else F(a) for a in args)) for fn, *args in calls]
+    assert [outcome(fn, *args) for fn, *args in calls] == want
+    assert not any("Exceeds the limit" in o[1] for o in want if isinstance(o, tuple))
 
 
 def convergents(terms):

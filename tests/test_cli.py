@@ -63,6 +63,17 @@ def test_compose_with_inverse_is_rotation(tmp_path):
     assert doc == {"rotation": "2/3"}
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Python's int/string digit limit (3.10.7 on) lifted inside the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_compose_prints_answers_past_the_digit_limit(tmp_path):
     # 2,501-digit inputs compose to vertices of more than 4,300 digits, past
     # the int-to-string limit that Python applies from 3.10.7 on
@@ -76,14 +87,8 @@ def test_compose_prints_answers_past_the_digit_limit(tmp_path):
         path.write_text(json.dumps(pio.element_to_json(m)))
     r = run("compose", *map(str, paths))
     assert r.returncode == 0, r.stderr
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:  # the expected strings are built with the limit lifted
-        sys.set_int_max_str_digits(0)
-    try:
+    with _no_digit_limit():  # the expected strings are built with the limit lifted
         want = pio.element_to_json(g.compose(h))
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
     assert json.loads(r.stdout) == want
     assert max(len(c) for v in want["vertices"] for c in v) > 4300
     # and the answer reads back: show prints it byte for byte
@@ -99,6 +104,77 @@ def test_reads_integers_past_the_digit_limit(tmp_path, capsys):
     path.write_text('{"rotation": %s}' % ("7" * 4401))
     assert cli.main(["show", str(path), "--format", "json"]) == 0
     assert capsys.readouterr() == ('{\n  "rotation": "0/1"\n}\n', "")
+
+
+# Valid requests on numbers past the int/string digit limit (4,300 digits
+# by default from 3.10.7 on), run in-process: each exits as recorded, with
+# no message of Python's own (ROADMAP item 13's assertion).  The map has no
+# fixed point, and the jumps on its 2-cycle {0, 1/2} multiply to
+# (1/2 - x)/x, not 1, so smooth ends in an obstruction.
+_BIG = "1/" + "7" * 5000
+_MAP = {"vertices": [["0", "1/2"], [_BIG, "3/4"], ["1/2", "1"]]}
+PAST_THE_LIMIT = {
+    "rotation.json": {"rotation": _BIG},
+    "map.json": _MAP,
+    "exotic.json": {"exotic": {"A": "4", "lambda": "2" + "0" * 4999 + "1/1" + "0" * 5000}},
+    "rotation_group.json": {"generators": {"r": {"rotation": _BIG}}},
+    "map_group.json": {"generators": {"g": _MAP}},
+    "leaf.json": [{"leaf": _BIG}],
+    "r7.json": {"rotation": f"1/{10 ** 2500 + 7}"},
+    "r9.json": {"rotation": f"1/{10 ** 2500 + 9}"},
+}
+PAST_THE_LIMIT_REQUESTS = [
+    (["rotnum", "rotation.json"], 0),
+    (["rotnum", "map.json"], 0),
+    (["rotnum", "exotic.json"], 0),
+    (["rotnum", "composed.json"], 0),
+    (["show", "map.json"], 0),
+    (["eval", "map.json", "1/" + "3" * 5000], 0),
+    (["compose", "r7.json", "r9.json"], 0),
+    (["orbit-norms", "map.json", "-N", "3"], 0),
+    (["breakpoint-growth", "map.json", "-N", "3"], 0),
+    (["commensuration", "map.json"], 0),
+    (["smooth", "rotation_group.json"], 0),
+    (["smooth", "map_group.json", "--max-vertices", "64"], 1),
+    (["finite-orbit", "rotation_group.json", "--max-period", "1"], 1),
+    (["finite-orbit", "map_group.json", "--max-period", "1"], 1),
+    (["cb-rank", "leaf.json"], 0),
+]
+
+
+@pytest.fixture(scope="module")
+def past_the_limit(tmp_path_factory):
+    """The documents, with composed.json the rotation by the sum of the
+    angles of r7.json and r9.json, and the text rotnum prints for each of
+    the two rotations."""
+    from fractions import Fraction as F
+    root = tmp_path_factory.mktemp("past_the_limit")
+    with _no_digit_limit():
+        angles = {"rotation.json": F(_BIG),
+                  "composed.json": F(1, 10 ** 2500 + 7) + F(1, 10 ** 2500 + 9)}
+        rotnum = {name: f"{q.numerator}/{q.denominator} (exact)\n"
+                  for name, q in angles.items()}
+        composed = str(angles["composed.json"])
+    docs = dict(PAST_THE_LIMIT, **{"composed.json": {"rotation": composed}})
+    for name, doc in docs.items():
+        (root / name).write_text(json.dumps(doc))
+    return root, docs, rotnum
+
+
+@pytest.mark.parametrize("argv, code", PAST_THE_LIMIT_REQUESTS, ids=[
+    "-".join(a.removesuffix(".json") for a in argv if len(a) < 40)
+    for argv, _ in PAST_THE_LIMIT_REQUESTS])
+def test_requests_past_the_digit_limit(past_the_limit, monkeypatch, capsys, argv, code):
+    from plcircle import cli
+    root, docs, rotnum = past_the_limit
+    monkeypatch.chdir(root)
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert err == ""  # no "Exceeds the limit", nor any other message
+    if argv[0] == "rotnum" and argv[1] in rotnum:
+        assert out == rotnum[argv[1]]
+    if argv[0] == "compose":
+        assert json.loads(out) == docs["composed.json"]
 
 
 def test_exotic_construction():

@@ -173,7 +173,7 @@ def oracle_growth_sequences(f, N):
     norms, then the support after step N."""
     s = vertex_slopes(f)
     jumps = [] if f.is_rotation else [(frac_mod1(y), s[i - 1] / s[i])
-                                      for i, y in enumerate(f._ys)]
+                                      for i, (_, y) in enumerate(f.verts)]
     heads = [x for x, _ in jumps]
     weights = [w for _, w in jumps]
     pts, vals, sqs = [], [], []
@@ -382,8 +382,9 @@ def oracle_growth_params(f):
     if comp is None:
         raise ValueError("no contracting support component found")
     slopes = vertex_slopes(g)
-    right_slope_at_x0 = slopes[bisect.bisect_right(g._xs, comp[0].value) - 1]
-    left_slope_at_x1 = slopes[bisect.bisect_left(g._xs, comp[1].value) - 1]
+    xs = [x for x, _ in g.verts]
+    right_slope_at_x0 = slopes[bisect.bisect_right(xs, comp[0].value) - 1]
+    left_slope_at_x1 = slopes[bisect.bisect_left(xs, comp[1].value) - 1]
     superset = {F(1)}
     for p in g.breakpoints:
         superset |= {s * g.jump(p) for s in superset}

@@ -9,7 +9,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from plcircle import detect_finite_orbit, identity, rotation_number, smooth_group
+from plcircle import (ExoticParams, PLHomeo, RotNumResult, detect_finite_orbit,
+                      exotic_element, identity, random_pl, rotation,
+                      rotation_number, smooth_group)
 from plcircle.circle import reduce_mod1
 from plcircle.io import group_from_json, load_json
 
@@ -81,3 +83,65 @@ def test_thompson_t_rotation_numbers(thompson_t):
     assert all(r.is_exact for r in rhos.values())
     assert {name: r.exact for name, r in rhos.items()} == {
         "A": 0, "B": 0, "C": F(2, 3)}
+
+
+@pytest.fixture(scope="module")
+def exotic_pair():
+    return load("exotic_pair")
+
+
+@pytest.fixture(scope="module")
+def cyclic_third():
+    return load("cyclic_third")
+
+
+def test_exotic_pair_multiplies_to_the_identity(exotic_pair):
+    # on the exotic circle S_6, x ~ 6x, so multiplying by 2 and then by 3 is 1
+    (_, a), (_, b) = exotic_pair.generators
+    assert a == exotic_element(ExoticParams(F(6), F(2)))
+    assert b == exotic_element(ExoticParams(F(6), F(3)))
+    assert word(a, b).is_identity
+
+
+def test_exotic_pair_smooth_is_truncated(exotic_pair):
+    assert smooth_group(exotic_pair).kind == "truncated"
+
+
+def test_exotic_pair_finite_orbit_search_composes_no_word(exotic_pair, monkeypatch):
+    # both rotation numbers are read in closed form, and neither is p/q
+    # with q <= max_orbit, so no word is built
+    def no_word(self, other):
+        raise AssertionError("the search composed a word")
+
+    monkeypatch.setattr(PLHomeo, "compose", no_word)
+    assert detect_finite_orbit(exotic_pair, 4) is None
+
+
+def test_exotic_pair_rotation_numbers(exotic_pair):
+    # log 2 / log 6 and log 3 / log 6, which sum to 1
+    assert [rotation_number(g) for _, g in exotic_pair.generators] == [
+        RotNumResult(lo=F(306, 791), hi=F(53, 137), depth=16),
+        RotNumResult(lo=F(84, 137), hi=F(485, 791), depth=16)]
+
+
+def test_cyclic_third_is_a_hidden_rotation_and_its_square(cyclic_third):
+    phi = random_pl(3, 4, 32)
+    g = word(phi, rotation(F(1, 3)), phi.inverse())
+    assert cyclic_third.generators == (("g", g), ("g2", word(g, g)))
+
+
+def test_cyclic_third_smooths_to_its_rotations(cyclic_third):
+    outcome = smooth_group(cyclic_third)
+    assert outcome.kind == "success"
+    assert dict(outcome.conjugated) == {"g": rotation(F(1, 3)), "g2": rotation(F(2, 3))}
+
+
+@pytest.mark.parametrize("max_period", [2, 6])  # 6: the CLI's default
+def test_cyclic_third_finite_orbit(cyclic_third, max_period):
+    assert detect_finite_orbit(cyclic_third, max_period) == tuple(
+        map(reduce_mod1, (0, F(74939, 112437), F(1663, 1911))))
+
+
+def test_cyclic_third_rotation_numbers(cyclic_third):
+    assert [rotation_number(g) for _, g in cyclic_third.generators] == [
+        RotNumResult(exact=F(1, 3)), RotNumResult(exact=F(2, 3))]

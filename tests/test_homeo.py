@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -377,25 +378,43 @@ def test_non_rational_coordinate_is_invalid(bad, shown):
 # a "p/q" string of io's documented form is read by two int() calls; any
 # other string still goes through Fraction, so every string gives the map,
 # or the InvalidHomeoError message, that reading each coordinate as a
-# Fraction gives
+# Fraction of any size gives
+# values past the digit limit, 1/8 and 9/777...7 mod 1, on which both pairs
+# below give a map
+PAST_THE_LIMIT = ["7" * 5000 + "/8", "9/" + "7" * 5000]
 COORDINATE_STRINGS = [
     "1/2", "2/4", "+1/2", "-1/2", "01/2", "-7/4", " 1/2", "1/2 ", "1/0", "0/0",
     "-0/00", "+0005/0", "1 /2", "1/-2", "1/+2", "0.5", "1e-3", "1_0/3", "",
     "/2", "1/", "\u0663/4",
-    pytest.param("7" * 5000 + "/9", id="5000-digit-numerator"),
-    pytest.param("9/" + "7" * 5000, id="5000-digit-denominator"),
+    *(pytest.param(s, id=id) for s, id in zip(
+        PAST_THE_LIMIT, ["5000-digit-numerator", "5000-digit-denominator"])),
 ]
+
+
+def lifted_fraction(q):
+    """Fraction(q) with Python's int/string digit limit (3.10.7 on) lifted,
+    or the InvalidHomeoError a coordinate that is no rational gives."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return F(q)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidHomeoError(f"vertex coordinate {q!r} is not a rational number") from None
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("s", COORDINATE_STRINGS)
 def test_string_coordinates_read_as_their_fractions(s):
     def via_fractions(pairs):
-        return PLHomeo([(homeo._rational(x), homeo._rational(y)) for x, y in pairs]).verts
+        return PLHomeo([(lifted_fraction(x), lifted_fraction(y)) for x, y in pairs]).verts
 
     for pairs in ([(0, 0), (s, "1/3"), ("3/4", "5/6")],
                   [(0, 0), ("1/3", s), ("3/4", "7/8")]):
         want = canonical_outcome(via_fractions, pairs)
         assert canonical_outcome(lambda p: PLHomeo(p).verts, pairs) == want
+        if s in PAST_THE_LIMIT:  # in x and in y, the value gives a map
+            assert isinstance(want[0][0], F)
 
 
 def test_p_over_q_strings_build_no_fraction(monkeypatch):
@@ -404,13 +423,13 @@ def test_p_over_q_strings_build_no_fraction(monkeypatch):
     h = phi.compose(rotation(F(3, 8))).compose(phi.inverse())
     strings = [(f"{x.numerator}/{x.denominator}", f"{y.numerator}/{y.denominator}")
                for x, y in h.verts]
-    rational = homeo._rational
+    exact = homeo._exact  # _pair's Fraction fallback
 
-    def no_string(q):
+    def no_string(convert, q):
         assert not isinstance(q, str), f"{q!r} was read as a Fraction"
-        return rational(q)
+        return exact(convert, q)
 
-    monkeypatch.setattr(homeo, "_rational", no_string)
+    monkeypatch.setattr(homeo, "_exact", no_string)
     assert PLHomeo(strings) == h
     # signs, leading zeros and pairs not in lowest terms take the same path
     assert PLHomeo([("0", "-2/3"), ("+2/4", "05/6")]) == rotation(F(1, 3))
@@ -429,7 +448,8 @@ def oracle_compose(self, other):
     images are shifted by one floor."""
     # the preimages are cyclically sorted: at most three sorted runs
     inv = other.inverse()
-    cuts = sorted([frac_mod1(inv.lift_eval(x)) for x in self._xs] + other._xs)
+    cuts = sorted([frac_mod1(inv.lift_eval(x)) for x, _ in self.verts]
+                  + [x for x, _ in other.verts])
     verts = []
     last = None
     for c in cuts:

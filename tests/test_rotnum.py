@@ -24,8 +24,8 @@ def oracle_fixed_points(h):
     """Test oracle: the earlier solver of h(x) = x.  Each piece is solved in
     Fraction arithmetic for every integer between the gaps at its ends;
     the intervals found are sorted, then merged in a second pass."""
-    xs = h._xs + [h._xs[0] + 1]
-    ys = h._ys + [h._ys[0] + 1]
+    xs = [x for x, _ in h.verts] + [h.verts[0][0] + 1]
+    ys = [y for _, y in h.verts] + [h.verts[0][1] + 1]
     intervals = []  # closed, in lift coords
     for i in range(len(h.verts)):
         a, b = xs[i], xs[i + 1]
@@ -623,7 +623,7 @@ def gap_signs(h, q, js):
     changes sign on them."""
     w = math.floor(h.lift_eval(F(0)))
     gaps = []
-    for c in h._xs:
+    for c, _ in h.verts:
         fwd, bwd = [c], [c]
         for _ in range(q):
             fwd.append(h.lift_eval(fwd[-1]))

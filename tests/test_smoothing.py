@@ -853,9 +853,9 @@ def test_vertex_budget_below_seed_is_rejected():
 
 def oracle_locate(g, t):
     """(i, u, m): t = u + m with m an integer and x_i <= u < x_{i+1}."""
-    m = math.floor(t - g._xs[0])
+    m = math.floor(t - g.verts[0][0])
     u = t - m if m else t
-    return bisect.bisect_right(g._xs, u) - 1, u, m
+    return bisect.bisect_right([x for x, _ in g.verts], u) - 1, u, m
 
 
 def vertex_slopes(g):
@@ -867,7 +867,8 @@ def vertex_slopes(g):
 def oracle_lift_eval(g, t):
     """Evaluate the canonical lift (the one with value of x_0 in [0,1))."""
     i, u, m = oracle_locate(g, t)
-    y = g._ys[i] + vertex_slopes(g)[i] * (u - g._xs[i])
+    x, y = g.verts[i]
+    y += vertex_slopes(g)[i] * (u - x)
     return y + m if m else y
 
 
@@ -875,7 +876,7 @@ def oracle_jump(g, t):
     """The jump at t, from one oracle_locate: D+g(t) / D-g(t)."""
     i, u, _ = oracle_locate(g, t)
     s = vertex_slopes(g)
-    return s[i] / s[i - 1] if u == g._xs[i] else F(1)
+    return s[i] / s[i - 1] if u == g.verts[i][0] else F(1)
 
 
 def eval_jump(g, x):
@@ -916,7 +917,8 @@ def test_kernel_matches_fraction_oracle(g, below, rationals, windings):
     # windings: the kernel returns the lift, not its circle coordinate
     x0 = g.verts[0][0]
     # the jump at a breakpoint is the map's cached jump vector entry itself
-    assert all(g._step(x.numerator, x.denominator)[2] is J for x, J in zip(g._xs, g._jumps))
+    assert all(g._step(x.numerator, x.denominator)[2] is J
+               for (x, _), J in zip(g.verts, g._jumps))
     points = [F(0), *(p.value for p in g.breakpoints), (x0 - F(1, below)) % 1,
               *rationals]
     for x in points:
@@ -1090,11 +1092,12 @@ def test_orbit_pass_matches_fraction_oracle(monkeypatch, kind):
 
 def oracle_lift_eval_inverse(self, t):
     """F^{-1}(t) for the canonical lift F, by Fraction arithmetic."""
-    y0 = self._ys[0]
+    y0 = self.verts[0][1]
     m = math.floor(t - y0)
     u = t - m if m else t
-    i = bisect.bisect_right(self._ys, u) - 1
-    x = self._xs[i] + (u - self._ys[i]) / vertex_slopes(self)[i]
+    i = bisect.bisect_right([y for _, y in self.verts], u) - 1
+    x, y = self.verts[i]
+    x += (u - y) / vertex_slopes(self)[i]
     return x + m if m else x
 
 
@@ -1104,9 +1107,9 @@ def oracle_eval_inverse(self, p):
 
 def oracle_compose(self, other):
     """self o other, canonicalized."""
-    cuts = {frac_mod1(x) for x in other._xs}
+    cuts = {frac_mod1(x) for x, _ in other.verts}
     cuts.update(frac_mod1(oracle_lift_eval_inverse(other, frac_mod1(x)))
-                for x in self._xs)
+                for x, _ in self.verts)
     pairs = [(c, frac_mod1(self.lift_eval(frac_mod1(other.lift_eval(c)))))
              for c in cuts]
     return PLHomeo(pairs)
@@ -1198,7 +1201,7 @@ inverse_maps = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_lift_eval_inverse_matches_fraction_oracle(g, rationals):
     # every vertex image, 0 and random rationals, at windings -3..3
-    for y in (*g._ys, F(0), *rationals):
+    for y in (*(y for _, y in g.verts), F(0), *rationals):
         for m in range(-3, 4):
             t = y + m
             x = oracle_lift_eval_inverse(g, t)
