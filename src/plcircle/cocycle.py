@@ -6,7 +6,7 @@ enter only when a norm is computed.  The additive coordinate of a vector
 at x is log of the stored value, so the zero vector is the empty map.
 
 growth_sequences follows the orbit of the zero vector in integers: its
-heads are lowest-terms pairs (n, d) stepped by PLHomeo._step, and its
+heads are lowest-terms pairs (n, d) stepped by PLHomeo._advance, and its
 support is searched by bisect on the exact integer keys of
 circle._order_keys.  Only the values, and the norms summed from their logs,
 leave the integers.
@@ -106,17 +106,17 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     |supp J(f^n)| = |supp J(f^-n)|, so M_n is the support size.
 
     The pass runs in integers.  A head is a lowest-terms pair (n, d) with
-    0 <= n < d, advanced by f._step and reduced as (n % d, d).  All N*k head
-    positions are stepped first and keyed together by _order_keys, so each
-    point has one exact int key.  The support is a list of those keys in
-    ascending order, aligned with lists of the values (Fractions) and their
-    squared logs, and a point is found by one bisect on its key.  Each norm
-    is summed left to right over ascending points, exactly as l2_norm_sq
-    does.
+    0 <= n < d, advanced by the kernel f._advance and reduced as (n % d,
+    d).  All N*k head positions are stepped first and keyed together by
+    _order_keys, so each point has one exact int key.  The support is a
+    list of those keys in ascending order, aligned with lists of the values
+    (Fractions) and their squared logs, and a point is found by one bisect
+    on its key.  Each norm is summed left to right over ascending points,
+    exactly as l2_norm_sq does.
     """
     _check_ints(1, N=N)
     weights = [1 / j for j in f._jumps]  # J(f^-1, y_i); none for a rotation
-    k, step = len(weights), f._step
+    k, step = len(weights), f._advance
     pts = [(y.numerator % y.denominator, y.denominator) for _, y in f.verts[:k]]
     # pts[t*k + i] is head i after t steps
     for _ in range(k * (N - 1)):

@@ -10,17 +10,20 @@ vertex (0, alpha).  Input is canonicalized in integers: each coordinate is
 read as a (numerator, denominator) pair, a documented "p/q" string by
 circle._ints' two int() calls, and reduced over the lcms L and M of its x
 and y denominators, with a Fraction built only for each kept vertex;
-evaluation runs on the same integer layout (_table, _step), and compose
-reads the two vertex lists with one _step per breakpoint.
+evaluation runs on the same integer layout (_table), by one kernel,
+_advance, on pairs in lowest terms: the orbit passes and compose, which
+reads the two vertex lists with one step per breakpoint, call it directly,
+and _step reduces any other pair first.
 """
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Tuple
 
 from .circle import (CirclePoint, _check_ints, _exact, _ints, _order_keys, _quote,
@@ -129,7 +132,8 @@ class PLHomeo:
     @cached_property
     def _jumps(self) -> Tuple[Fraction, ...]:
         """J(h, x_i) = s_i / s_{i-1} = (a_i e_{i-1}) / (a_{i-1} e_i) in vertex
-        order, the objects _step returns at the x_i; empty for a rotation."""
+        order, the objects _advance returns at the x_i; empty for a
+        rotation."""
         _, _, A, _, E = self._table
         return tuple(Fraction(A[i] * E[i - 1], A[i - 1] * E[i])
                      for i in range(len(A))) if len(A) > 1 else ()
@@ -170,7 +174,7 @@ class PLHomeo:
         """Exact (left derivative, right derivative) at p, each a_i L / e_i."""
         L, X, A, _, E = self._table
         f, r = divmod(p.value.numerator * L, p.value.denominator)  # p L = f + r/d
-        i = bisect.bisect_right(X, f) - 1  # -1: p < x_0, the last piece
+        i = bisect_right(X, f) - 1  # -1: p < x_0, the last piece
         j = i - 1 if r == 0 and f == X[i] else i
         return Fraction(A[j] * L, E[j]), Fraction(A[i] * L, E[i])
 
@@ -183,7 +187,8 @@ class PLHomeo:
         """One period in integers, built with no Fraction arithmetic: L and M
         the lcms of the vertex x and y denominators, X_i = x_i L, and piece i
         as F(u) = (a_i u L + b_i) / e_i, with a_i = (y_{i+1} - y_i) M and
-        e_i = (x_{i+1} - x_i) L M.  _step and rotnum's enclosures read it."""
+        e_i = (x_{i+1} - x_i) L M.  _advance and rotnum's enclosures read
+        it."""
         L = math.lcm(*(x.denominator for x, _ in self.verts))
         M = math.lcm(*(y.denominator for _, y in self.verts))
         X = [x.numerator * (L // x.denominator) for x, _ in self.verts]
@@ -196,26 +201,43 @@ class PLHomeo:
     def _step(self, n: int, d: int) -> Tuple[int, int, Fraction]:
         """The one exact forward evaluation: (n', d', J), with n'/d' = F(n/d)
         in lowest terms for the canonical lift F and J the jump at n/d, for
-        any n/d with d > 0.  u = n/d - m, for the winding m, lies in [x_0,
-        x_0 + 1); F(n/d) = F(u) + m; J at x_i is the cached _jumps[i], and
-        the shared _ONE off the breakpoints (a rotation's vertex is none)."""
+        any n/d with d > 0.  It reduces n/d and calls _advance."""
+        g = gcd(n, d)
+        return self._advance(n // g, d // g)
+
+    def _advance(self, n: int, d: int) -> Tuple[int, int, Fraction]:
+        """_step for n/d in lowest terms, d > 0: the orbit kernel.  u = n/d -
+        m, for the winding m, lies in [x_0, x_0 + 1); F(n/d) = F(u) + m; J at
+        x_i is the cached _jumps[i], and the shared _ONE off the breakpoints
+        (a rotation's vertex is none).
+
+        On piece i, F(u) = p / q with p = a_i n' L + b_i d and q = e_i d,
+        where n' = n - m d is prime to d.  gcd(p, q) divides K_i = a_i L e_i:
+        for a prime l, if l^v(d) divides a_i L then v_l(q) <= v_l(K_i);
+        otherwise l divides d but not n', so v_l(p) = v_l(a_i L) because
+        v_l(a_i n' L) = v_l(a_i L) < v_l(d) <= v_l(b_i d).  So gcd(p, q) =
+        gcd(K_i, p, q), which costs a remainder of each big number by the
+        small K_i in place of a gcd quadratic in their bits.  q exceeds K_i
+        exactly when d > a_i L; below that the plain gcd(p, q) is cheaper."""
         L, X, A, B, E = self._table
-        nL = n * L
-        f, r = divmod(nL, d)  # f = floor(n/d * L)
+        f, r = divmod(n * L, d)  # f = floor(n/d * L)
         m = (f - X[0]) // L
-        f -= m * L
-        nL -= m * L * d
-        i = bisect.bisect_right(X, f) - 1
-        p, q = A[i] * nL + B[i] * d, E[i] * d
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
+        if m:
+            f -= m * L
+            n -= m * d
+        i = bisect_right(X, f) - 1
+        aL, e = A[i] * L, E[i]
+        p, q = aL * n + B[i] * d, e * d
+        g = gcd(aL * e, p, q) if d > aL else gcd(p, q)
+        if g != 1:
+            p, q = p // g, q // g
         J = self._jumps[i] if r == 0 and f == X[i] and len(X) > 1 else _ONE
-        return p + m * q, q, J
+        return (p + m * q if m else p), q, J
 
     # -- group operations --------------------------------------------------
 
     def compose(self, other: "PLHomeo") -> "PLHomeo":
-        """self o other, from the two vertex lists with one _step per
+        """self o other, from the two vertex lists with one _advance per
         breakpoint.  With G the canonical lift of other, the lift F o G breaks
         only at the cuts BP(other) and other^{-1}(BP(self)).  At a vertex
         (x_j, y_j) of other, one step of self at y_j gives F(y_j) and the
@@ -230,7 +252,7 @@ class PLHomeo:
             return rotation(fv[0][1] + gv[0][1])
         cuts = []  # (cut, numerator, denominator of the lifted value)
         for (x, y), Jg in zip(gv, other._jumps):
-            n, d, Jf = self._step(y.numerator, y.denominator)
+            n, d, Jf = self._advance(y.numerator, y.denominator)
             # jumps are in lowest terms: Jg Jf = 1 exactly when they are reciprocal
             if Jg.numerator != Jf.denominator or Jg.denominator != Jf.numerator:
                 cuts.append((x, n, d))
@@ -242,7 +264,7 @@ class PLHomeo:
             s = gv[-1][1] >= 1
             inv = other.inverse()
             for u, v in fv:
-                p, q, J = inv._step(u.numerator, u.denominator)
+                p, q, J = inv._advance(u.numerator, u.denominator)
                 if J is _ONE:  # u is no image of a breakpoint of other
                     # c = G^{-1}(u) mod 1, and F(G(c)) = v + s - floor(p/q)
                     w = s - p // q

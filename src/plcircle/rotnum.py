@@ -15,8 +15,9 @@ keeps its sign along orbits, so the chain's head decides it for the rest.
 Beyond max_q only the orbit of 0 is followed: integer enclosures of it
 (_Enclosure) decide each sign, and the exact orbit every sign they leave
 open, equality included, so no float decides an answer.  Both run on ints:
-exact orbits are pairs stepped by PLHomeo._step, and the enclosures step
-both bounds over one piece table pre-scaled from PLHomeo._table.
+exact orbits are lowest-terms pairs stepped by the kernel PLHomeo._advance,
+and the enclosures step both bounds over one piece table pre-scaled from
+PLHomeo._table.
 
 Two kinds of map follow no orbit.  A rotation returns its angle.  A map
 with two breakpoints, one mapped onto the other, such as an exotic element,
@@ -116,7 +117,7 @@ class RotNumResult:
 def _lift_iterate(h: PLHomeo, t: Tuple[int, int], n: int) -> Tuple[int, int]:
     """F^n(t), with t and the result (numerator, denominator) pairs."""
     for _ in range(n):
-        t = h._step(*t)[:2]
+        t = h._advance(*t)[:2]
     return t
 
 
@@ -310,7 +311,7 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
     orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
               for c, y in heads]  # the chain heads' exact lift orbits
     enc = None  # built when q first passes max_q
-    n, t = 1, h._step(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
+    n, t = 1, h._advance(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
     w = t[0] // t[1]
 
     def sign(p: int, q: int) -> int:
@@ -319,7 +320,7 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
         if q <= max_q:
             for orbit in orbits:
                 while len(orbit) <= q:
-                    orbit.append(h._step(*orbit[-1])[:2])
+                    orbit.append(h._advance(*orbit[-1])[:2])
             # F^q(c) - c - target, each times its positive denominator
             gaps = [y * e - (c + target * e) * d
                     for (c, e), (y, d) in ((o[0], o[q]) for o in orbits)]

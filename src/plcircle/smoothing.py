@@ -95,7 +95,7 @@ class _Orbits:
             for k, (_, g) in enumerate(self.maps):
                 i = u * K + k
                 if out[i] is None:
-                    n2, d2, w = g._step(n, d)
+                    n2, d2, w = g._advance(n, d)
                     key = (n2 % d2, d2)
                     t = ids.get(key)
                     if t is None:  # a new point

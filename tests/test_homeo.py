@@ -437,7 +437,7 @@ def test_p_over_q_strings_build_no_fraction(monkeypatch):
 
 # -- compose, against the body it replaced ---------------------------------
 #
-# compose reads the two vertex lists with one _step per breakpoint.  Its
+# compose reads the two vertex lists with one _advance per breakpoint.  Its
 # oracle is the body before that, kept here verbatim: it sorts the cuts
 # BP(other) and other^{-1}(BP(self)) and steps both maps at each one.
 
@@ -531,13 +531,13 @@ def test_compose_steps_once_per_breakpoint(monkeypatch):
     maps = [STD, STD.inverse(), rotation(F(2, 5)), identity(),
             exotic_element(ExoticParams(F(4), F(2))),
             *(random_pl(seed, seed % 7, 64) for seed in range(12))]
-    step, calls = PLHomeo._step, []
+    step, calls = PLHomeo._advance, []
 
     def counting_step(self, n, d):
         calls.append(self)
         return step(self, n, d)
 
-    monkeypatch.setattr(PLHomeo, "_step", counting_step)
+    monkeypatch.setattr(PLHomeo, "_advance", counting_step)
     for f in maps:
         for g in maps:
             del calls[:]

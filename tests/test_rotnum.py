@@ -417,7 +417,7 @@ def test_rotation_number_of_lift_below_zero():
     (lambda: _conjugate_rotation(37244, F(7, 8)), {"max_q": 4}, "7/8 (exact)"),
 ])
 def test_rotation_number_never_calls_lift_eval(monkeypatch, make, kwargs, want):
-    # every evaluation goes through the integer kernel: PLHomeo._step, or
+    # every evaluation goes through the integer kernel: PLHomeo._advance, or
     # PLHomeo._table for the enclosure
     h = make()
 
@@ -805,12 +805,12 @@ def test_chain_heads_give_every_sign_all_breakpoints_give(h):
     (random_pl(3, 4, 32), F(13, 23), 89),  # no chain: one orbit per breakpoint
 ])
 def test_rotation_number_steps_one_orbit_per_chain(monkeypatch, h, rho, steps):
-    step, calls = PLHomeo._step, []
+    step, calls = PLHomeo._advance, []
 
     def counting_step(self, n, d):
         calls.append((n, d))
         return step(self, n, d)
 
-    monkeypatch.setattr(PLHomeo, "_step", counting_step)
+    monkeypatch.setattr(PLHomeo, "_advance", counting_step)
     assert rotation_number(h) == RotNumResult(exact=rho)
     assert len(calls) == steps

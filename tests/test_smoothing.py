@@ -726,11 +726,18 @@ def _two_generators(seed):
                               ("b", random_pl(seed + 1000, 2, 6))))
 
 
+def _exotic_pair(seed):
+    # {exotic(6, 2), exotic(6, 3)}: its escaping points at 1,024 vertices
+    # reach 317-bit denominators, past every a_i L of either map
+    return group_from_json(load_json(str(FIXTURES / "groups" / "exotic_pair.json")))
+
+
 ORACLE_CASES = (
     [("hidden_rotations", _hidden_rotations, s, 4096, "success") for s in range(4)]
     + [("std_conjugate", _std_conjugate, s, 128, "obstruction") for s in range(4)]
     + [("exotic", _exotic, s, 48, "truncated") for s in range(4)]
-    + [("two_generators", _two_generators, s, 40, None) for s in range(12)])
+    + [("two_generators", _two_generators, s, 40, None) for s in range(12)]
+    + [("exotic_pair", _exotic_pair, 0, 1024, "truncated")])
 
 
 @pytest.mark.parametrize("family, make, seed, max_vertices, kind", ORACLE_CASES,
@@ -846,10 +853,11 @@ def test_vertex_budget_below_seed_is_rejected():
 
 # ------------------------------------------------------ integer orbit kernel
 #
-# PLHomeo._step is the one exact forward evaluation: lift_eval, eval, jump,
-# rotation_number and the orbit pass all read it.  Its oracle is the
-# Fraction evaluation it replaced, _locate and the lift_eval body, kept
-# here verbatim.
+# PLHomeo._advance is the one exact forward evaluation, on pairs in lowest
+# terms: the orbit pass, rotation_number, growth_sequences and compose call
+# it directly, and _step, which lift_eval, eval and jump read, reduces any
+# other pair first.  Its oracle is the Fraction evaluation it replaced,
+# _locate and the lift_eval body, kept here verbatim.
 
 def oracle_locate(g, t):
     """(i, u, m): t = u + m with m an integer and x_i <= u < x_{i+1}."""
@@ -937,11 +945,52 @@ def test_kernel_matches_fraction_oracle(g, below, rationals, windings):
             assert g._step(3 * t.numerator, 3 * t.denominator)[:2] == (y.numerator, y.denominator)
 
 
+def test_kernel_long_orbits_match_fraction_oracle():
+    # 300 steps from 0 and from each breakpoint of exotic(6, 2), exotic(6,
+    # 3), STD and a hyperbolic random_pl (its contracting component gives
+    # growth_params c0 < 0 < c1), and of their inverses.  The denominators
+    # outgrow every a_i L, so the gcd is taken against a_i L e_i, and every
+    # step must still be the oracle's value in lowest terms
+    maps = [exotic_element(ExoticParams(F(6), F(2))),
+            exotic_element(ExoticParams(F(6), F(3))), STD, random_pl(9, 4, 32)]
+    ends = []
+    for g in maps + [g.inverse() for g in maps]:
+        L, _, A, _, _ = g._table
+        top, gated = max(A) * L, 0  # gated: steps from a d past every a_i L
+        for x in [F(0), *(p.value for p in g.breakpoints)]:
+            t = (x.numerator, x.denominator)
+            for _ in range(300):
+                gated += t[1] > top
+                y = oracle_lift_eval(g, F(*t))
+                t = g._advance(*t)[:2]
+                assert t == (y.numerator, y.denominator)
+                assert math.gcd(*t) == 1
+            ends.append(t[1])
+        assert gated > 0
+    assert max(ends) > 2**200
+
+
+# reduced rationals of up to 400 bits, so d > a_i L on most maps
+wide_rationals = st.integers(1, 2**400).flatmap(
+    lambda d: st.integers(-2 * d, 3 * d).map(lambda n: F(n, d)))
+
+
+@given(kernel_maps, st.lists(wide_rationals, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_kernel_agrees_with_step_on_reduced_input(g, points):
+    for t in points:
+        got = g._advance(t.numerator, t.denominator)
+        want = g._step(t.numerator, t.denominator)
+        assert got == want and got[2] is want[2]
+        y = oracle_lift_eval(g, t)
+        assert got[:2] == (y.numerator, y.denominator)
+
+
 def _count_steps(monkeypatch):
     """Record (map, source, circle image) of every kernel call made inside
     the orbit pass (_Orbits.expand); calls elsewhere, such as phi.eval on a
     success, are not counted."""
-    step, expand, calls, inside = PLHomeo._step, _Orbits.expand, [], []
+    step, expand, calls, inside = PLHomeo._advance, _Orbits.expand, [], []
 
     def counting_step(self, n, d):
         out = step(self, n, d)
@@ -956,7 +1005,7 @@ def _count_steps(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(PLHomeo, "_step", counting_step)
+    monkeypatch.setattr(PLHomeo, "_advance", counting_step)
     monkeypatch.setattr(_Orbits, "expand", counting_expand)
     return calls
 
