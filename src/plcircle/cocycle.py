@@ -6,24 +6,25 @@ enter only when a norm is computed.  The additive coordinate of a vector
 at x is log of the stored value, so the zero vector is the empty map.
 
 growth_sequences follows the orbit of the zero vector in integers: its
-heads are lowest-terms pairs (n, d) stepped by PLHomeo._advance, and its
-support is searched by bisect on the exact integer keys of
-circle._order_keys.  Only the values, and the norms summed from their logs,
-leave the integers.
+heads are lowest-terms pairs (n, d) stepped by PLHomeo._advance, one orbit
+per chain of breakpoints, its support is searched by bisect on the exact
+integer keys of circle._order_keys, and its values are lowest-terms pairs.
+Only the norms, summed from the logs of those ints, leave the integers.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, log
 from typing import Dict, List, Tuple
 
 from .circle import CirclePoint, _check_ints, _order_keys, _quote, reduce_mod1
 from .homeo import PLHomeo
-from .rotnum import fixed_points
+from .rotnum import _chains, fixed_points
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def affine_apply(h: PLHomeo, v: FiniteVector) -> FiniteVector:
 
 
 def _log(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
+    return log(q.numerator) - log(q.denominator)
 
 
 def l2_norm_sq(v: FiniteVector) -> float:
@@ -99,46 +100,65 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     for n = 1..N, in one exact incremental pass.
 
     rho(f^n) 0 = J(f^-n) = rho(f^(n-1)) 0 * (f^(n-1))_* J(f^-1), so step n
-    multiplies the jump of f^-1 at each s in its support, read off f, into
-    the point f^(n-1)(s).  These k heads advance by one evaluation each,
-    (N-1)*k in all.
+    multiplies the jump of f^-1 at each y_i = f(x_i), read off f, into the
+    point f^(n-1)(y_i).  These k heads follow the orbits of the y_i.
     A canonical map's breakpoints are the support of its jump vector, and
     |supp J(f^n)| = |supp J(f^-n)|, so M_n is the support size.
 
-    The pass runs in integers.  A head is a lowest-terms pair (n, d) with
-    0 <= n < d, advanced by the kernel f._advance and reduced as (n % d,
-    d).  All N*k head positions are stepped first and keyed together by
+    One orbit is stepped per chain of breakpoints (rotnum._chains): when
+    y_i = x_j mod 1, head j is head i one step on.  An open chain of length
+    l steps its first head N - 1 + l - 1 times; a cycle's orbit is the y_i
+    of its members, with no step.  Head s of a chain whose orbit has c
+    points is at point (s + t) mod c of it after t steps.
+
+    The pass runs in integers.  An orbit point is a lowest-terms pair (n,
+    d) with 0 <= n < d, advanced by the kernel f._advance and reduced as
+    (n % d, d).  All orbit points are stepped first and keyed together by
     _order_keys, so each point has one exact int key.  The support is a
-    list of those keys in ascending order, aligned with lists of the values
-    (Fractions) and their squared logs, and a point is found by one bisect
-    on its key.  Each norm is summed left to right over ascending points,
-    exactly as l2_norm_sq does.
+    list of those keys in ascending order, aligned with lists of the values,
+    lowest-terms pairs, and their squared logs, and a point is found by one
+    bisect on its key.  A weight 1/J(f, x_i) is the pair (J.denominator,
+    J.numerator), so a hit costs two products and a gcd, a value of 1 is
+    n == d, and a log reads the ints a Fraction would hold.  Each norm is
+    summed left to right over ascending points, exactly as l2_norm_sq does.
     """
     _check_ints(1, N=N)
-    weights = [1 / j for j in f._jumps]  # J(f^-1, y_i); none for a rotation
-    k, step = len(weights), f._advance
-    pts = [(y.numerator % y.denominator, y.denominator) for _, y in f.verts[:k]]
-    # pts[t*k + i] is head i after t steps
-    for _ in range(k * (N - 1)):
-        n, d, _ = step(*pts[-k])
-        pts.append((n % d, d))
+    step, pts, heads = f._advance, [], [None] * len(f._jumps)
+    for members, cycle in _chains(f):
+        b = len(pts)
+        for i in members if cycle else members[:1]:
+            y = f.verts[i][1]
+            pts.append((y.numerator % y.denominator, y.denominator))
+        if not cycle:
+            for _ in range(N + len(members) - 2):
+                n, d, _ = step(*pts[-1])
+                pts.append((n % d, d))
+        for s, i in enumerate(members):
+            # J(f^-1, y_i) = 1/J(f, x_i) in lowest terms, and its squared log
+            J = f._jumps[i]
+            n, d = J.denominator, J.numerator
+            heads[i] = (b, s, len(pts) - b, n, d, (log(n) - log(d)) ** 2)
     keys = _order_keys(pts)
     support, vals, sqs = [], [], []  # ascending keys, values, squared logs
     M, norms = [], []
     for t in range(N):
-        for key, w in zip(keys[t * k:t * k + k], weights):
-            j = bisect.bisect_left(support, key)
+        for b, s, c, wn, wd, wsq in heads:
+            key = keys[b + (s + t) % c]
+            j = bisect_left(support, key)
             if j < len(support) and support[j] == key:
-                v = vals[j] * w
-                if v == 1:
+                n, d = vals[j]
+                n, d = n * wn, d * wd
+                if n == d:
                     del support[j], vals[j], sqs[j]
                 else:
-                    vals[j] = v
-                    sqs[j] = _log(v) ** 2
+                    g = gcd(n, d)
+                    n, d = n // g, d // g
+                    vals[j] = n, d
+                    sqs[j] = (log(n) - log(d)) ** 2
             else:
                 support.insert(j, key)
-                vals.insert(j, w)
-                sqs.insert(j, _log(w) ** 2)
+                vals.insert(j, (wn, wd))
+                sqs.insert(j, wsq)
         M.append(len(support))
         norms.append(functools.reduce(operator.add, sqs, 0))
     return M, norms
@@ -173,14 +193,22 @@ class GrowthParams:
 _MAX_SUBSET_PRODUCTS = 1 << 15
 
 
-def _subset_products(values) -> frozenset:
-    prods = {Fraction(1)}
+def _subset_products(values) -> set:
+    """The distinct products of the subsets of the positive rationals
+    `values`, as lowest-terms pairs (n, d)."""
+    prods = {(1, 1)}
     for v in values:
-        prods |= {p * v for p in prods}
+        a, b = v.numerator, v.denominator
+        new = set()
+        for n, d in prods:
+            n, d = n * a, d * b
+            g = gcd(n, d)
+            new.add((n // g, d // g))
+        prods |= new
         if len(prods) > _MAX_SUBSET_PRODUCTS:
             raise ValueError(f"more than {_MAX_SUBSET_PRODUCTS} subset products "
                              "of the jumps")
-    return frozenset(prods)
+    return prods
 
 
 def growth_params(f: PLHomeo) -> GrowthParams:
@@ -215,5 +243,5 @@ def growth_params(f: PLHomeo) -> GrowthParams:
     sign = -1 if analyzed_inverse else 1
     c0 = sign * _log(f.left_right_slopes(comp[0])[1])
     c1 = sign * _log(f.left_right_slopes(comp[1])[0])
-    logs = [abs(_log(s)) for s in _subset_products(f._jumps) if s != 1]
+    logs = [abs(log(n) - log(d)) for n, d in _subset_products(f._jumps) if n != d]
     return GrowthParams(comp, c0, c1, max(logs), min(logs), analyzed_inverse)

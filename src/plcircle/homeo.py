@@ -11,9 +11,9 @@ read as a (numerator, denominator) pair, a documented "p/q" string by
 circle._ints' two int() calls, and reduced over the lcms L and M of its x
 and y denominators, with a Fraction built only for each kept vertex;
 evaluation runs on the same integer layout (_table), by one kernel,
-_advance, on pairs in lowest terms: the orbit passes and compose, which
-reads the two vertex lists with one step per breakpoint, call it directly,
-and _step reduces any other pair first.
+_advance, on pairs in lowest terms: the orbit passes, compose, which reads
+the two vertex lists with one step per breakpoint, and eval, lift_eval and
+jump, which pass a Fraction's own pair, all call it.
 """
 from __future__ import annotations
 
@@ -155,7 +155,7 @@ class PLHomeo:
 
     def lift_eval(self, t: Fraction) -> Fraction:
         """Evaluate the canonical lift (the one with value of x_0 in [0,1))."""
-        return Fraction(*self._step(t.numerator, t.denominator)[:2])
+        return Fraction(*self._advance(t.numerator, t.denominator)[:2])
 
     def lift_eval_inverse(self, t: Fraction) -> Fraction:
         """F^{-1}(t) for the canonical lift F: the canonical lift G of h^{-1}
@@ -164,7 +164,7 @@ class PLHomeo:
         return inv.lift_eval(t) - (inv.lift_eval(y0) - x0)
 
     def eval(self, p: CirclePoint) -> CirclePoint:
-        n, d, _ = self._step(p.value.numerator, p.value.denominator)
+        n, d, _ = self._advance(p.value.numerator, p.value.denominator)
         return CirclePoint(Fraction(n % d, d))
 
     def eval_inverse(self, p: CirclePoint) -> CirclePoint:
@@ -180,7 +180,7 @@ class PLHomeo:
 
     def jump(self, p: CirclePoint) -> Fraction:
         """Derivative jump D+h(p) / D-h(p); equals 1 off the breakpoints."""
-        return self._step(p.value.numerator, p.value.denominator)[2]
+        return self._advance(p.value.numerator, p.value.denominator)[2]
 
     @cached_property
     def _table(self):
@@ -198,16 +198,11 @@ class PLHomeo:
         B = [y * dx - a * x for x, y, dx, a in zip(X, Y, dX, A)]
         return L, X, A, B, [M * dx for dx in dX]
 
-    def _step(self, n: int, d: int) -> Tuple[int, int, Fraction]:
-        """The one exact forward evaluation: (n', d', J), with n'/d' = F(n/d)
-        in lowest terms for the canonical lift F and J the jump at n/d, for
-        any n/d with d > 0.  It reduces n/d and calls _advance."""
-        g = gcd(n, d)
-        return self._advance(n // g, d // g)
-
     def _advance(self, n: int, d: int) -> Tuple[int, int, Fraction]:
-        """_step for n/d in lowest terms, d > 0: the orbit kernel.  u = n/d -
-        m, for the winding m, lies in [x_0, x_0 + 1); F(n/d) = F(u) + m; J at
+        """The one exact forward evaluation, the orbit kernel: (n', d', J),
+        with n'/d' = F(n/d) in lowest terms for the canonical lift F and J
+        the jump at n/d, for n/d in lowest terms with d > 0.  u = n/d - m,
+        for the winding m, lies in [x_0, x_0 + 1); F(n/d) = F(u) + m; J at
         x_i is the cached _jumps[i], and the shared _ONE off the breakpoints
         (a rotation's vertex is none).
 

@@ -271,23 +271,34 @@ def _log_ratio(h: PLHomeo) -> Optional[_LogRatio]:
     return None
 
 
-def _chain_heads(h: PLHomeo) -> List[int]:
-    """Indices of h's breakpoints, one per chain: with succ(i) = j when y_i
-    = x_j mod 1, each breakpoint has at most one predecessor (h is
-    injective), so succ splits them into chains and cycles.  Each chain's
-    head is kept, then the first breakpoint of each cycle left over; a
-    breakpoint h fixes is a cycle of one."""
+def _chains(h: PLHomeo) -> List[Tuple[List[int], bool]]:
+    """h's breakpoints split into chains and cycles, each as the list of its
+    indices in order and True for a cycle: with succ(i) = j when y_i = x_j
+    mod 1, each breakpoint has at most one predecessor (h is injective), so
+    succ splits them into chains, each from a breakpoint with no predecessor
+    to one with no successor, and cycles.  The chains come first, by their
+    first index, then each cycle left over from its smallest index; a
+    breakpoint h fixes is a cycle of one, and a rotation has neither.
+
+    Two readers step one orbit per chain: _orbit_sign steps each first
+    index, and cocycle.growth_sequences each chain's first image, reading a
+    cycle's images without a step."""
+    if h.is_rotation:
+        return []
     index = {(x.numerator, x.denominator): j for j, (x, _) in enumerate(h.verts)}
     succ = [index.get((y.numerator % y.denominator, y.denominator)) for _, y in h.verts]
     starts = set(range(len(succ))).difference(succ)
-    keep, seen = [], set()
+    chains, seen = [], set()
     for i in sorted(starts) + list(range(len(succ))):
         if i not in seen:
-            keep.append(i)
+            members = []
             while i is not None and i not in seen:
                 seen.add(i)
+                members.append(i)
                 i = succ[i]
-    return keep
+            # a chain ends at no successor, a cycle back at its first index
+            chains.append((members, i is not None))
+    return chains
 
 
 def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
@@ -301,13 +312,13 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
     whose two ends, and so two of the c, have opposite signs.  Past max_q,
     where q only grows, x = 0 alone is tested (see the module docstring).
 
-    Only the head of each chain of breakpoints (_chain_heads) is stepped:
-    g has period 1 and keeps its sign along F-orbits, so g(x_j) has the
-    sign of g(x_i) when y_i = x_j mod 1.  A dropped breakpoint's orbit is
-    its head's orbit, shifted by its position k in the chain and by an
-    integer: F^n(x_j) = F^(n+k)(x_head) - m.  So a nonzero gap at a dropped
-    breakpoint means a gap of the same sign at its head."""
-    heads = [h.verts[i] for i in _chain_heads(h)]
+    Only the head of each chain of breakpoints, its first index in _chains,
+    is stepped: g has period 1 and keeps its sign along F-orbits, so g(x_j)
+    has the sign of g(x_i) when y_i = x_j mod 1.  A dropped breakpoint's
+    orbit is its head's orbit, shifted by its position k in the chain and by
+    an integer: F^n(x_j) = F^(n+k)(x_head) - m.  So a nonzero gap at a
+    dropped breakpoint means a gap of the same sign at its head."""
+    heads = [h.verts[members[0]] for members, _ in _chains(h)]
     orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
               for c, y in heads]  # the chain heads' exact lift orbits
     enc = None  # built when q first passes max_q

@@ -1,11 +1,12 @@
 import bisect
+import dataclasses
 import functools
 import math
 import operator
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plcircle import (CirclePoint, ExoticParams, FiniteVector, GrowthParams,
@@ -17,6 +18,9 @@ from plcircle import circle, cocycle, homeo
 from plcircle.circle import frac_mod1
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
+# a PL conjugate of R(1/4) whose four breakpoints each map onto the next
+CYCLE = PLHomeo([("0/1", "1/8"), ("1/8", "1/2"), ("1/2", "5/8"), ("5/8", "1/1"),
+                 ("1/1", "9/8")])
 
 random_maps = st.builds(random_pl,
                         seed=st.integers(0, 10**6),
@@ -28,6 +32,10 @@ vec_entries = st.dictionaries(
     st.fractions(min_value=F(1, 7), max_value=7, max_denominator=24).filter(lambda v: v != 1),
     max_size=4)
 vectors = vec_entries.map(FiniteVector.from_dict)
+
+
+def conjugate(phi, g):
+    return phi.compose(g).compose(phi.inverse())
 
 
 def fixing_zero(h):
@@ -257,9 +265,11 @@ def test_growth_sequences_match_oracle_on_real_ties():
 
 
 def test_growth_sequences_reduces_no_fraction(monkeypatch):
-    # heads are integer pairs stepped by _step, and the support is searched
-    # on integer keys: no lift_eval, no frac_mod1, no Fraction comparison
-    maps = [STD, exotic_element(ExoticParams(F(6), F(2))), fixing_zero(random_pl(3, 4, 32))]
+    # heads are integer pairs stepped by _advance, the support is searched
+    # on integer keys, and its values are integer pairs: no lift_eval, no
+    # frac_mod1, no Fraction comparison, product or quotient
+    maps = [STD, exotic_element(ExoticParams(F(6), F(2))), fixing_zero(random_pl(3, 4, 32)),
+            CYCLE]
     want = [oracle_growth_sequences(f, 60) for f in maps]
 
     def forbidden(*args):
@@ -269,10 +279,57 @@ def test_growth_sequences_reduces_no_fraction(monkeypatch):
     for mod in (circle, homeo, cocycle):
         if hasattr(mod, "frac_mod1"):
             monkeypatch.setattr(mod, "frac_mod1", forbidden)
-    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__",
+               "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(F, op, forbidden)
     for f, w in zip(maps, want):
         assert_same_sequences(growth_sequences(f, 60), w)
+
+
+# -- one orbit per chain of heads ------------------------------------------
+#
+# Head i follows the orbit of y_i = f(x_i).  When y_i = x_j mod 1, head j
+# is head i one step on, so growth_sequences steps one orbit per chain of
+# breakpoints and none for a cycle of them.
+
+chained_maps = st.one_of(
+    st.builds(lambda s, k, alpha: conjugate(random_pl(s, k, 32), rotation(alpha)),
+              st.integers(0, 10**6), st.integers(2, 6),
+              st.fractions(0, 1, max_denominator=12).filter(lambda a: a < 1)),
+    st.builds(lambda s, k, g: conjugate(random_pl(s, k, 32), g),
+              st.integers(0, 10**6), st.integers(2, 4),
+              # lambda = 1 + j/2 in (1, A)
+              st.integers(2, 6).flatmap(lambda A: st.integers(1, 2 * A - 3).map(
+                  lambda j: exotic_element(ExoticParams(F(A), 1 + F(j, 2)))))))
+
+
+@given(chained_maps, st.integers(1, 12))
+@example(STD, 20)  # a chain of one beside a fixed breakpoint, a cycle of one
+@example(CYCLE, 12)
+@example(conjugate(random_pl(3, 4, 32), rotation(F(2, 5))), 12)
+@settings(max_examples=60, deadline=None)
+def test_growth_sequences_match_oracle_on_chains_and_cycles(f, N):
+    assert_same_sequences(growth_sequences(f, N), oracle_growth_sequences(f, N))
+
+
+@pytest.mark.parametrize("f, N, steps", [
+    (STD, 60, 59),  # 118 with one orbit per head
+    (exotic_element(ExoticParams(F(6), F(2))), 100, 100),  # 198: one chain of two
+    (CYCLE, 50, 0),  # 196: one cycle of four
+    (random_pl(5, 4, 32), 60, 236),  # no chain: one orbit per head
+], ids=["std", "exotic_6_2", "cycle", "chain_free"])
+def test_growth_sequences_step_one_orbit_per_chain(monkeypatch, f, N, steps):
+    want = oracle_growth_sequences(f, N)
+    step, calls = PLHomeo._advance, []
+
+    def counting_step(self, n, d):
+        calls.append((n, d))
+        return step(self, n, d)
+
+    monkeypatch.setattr(PLHomeo, "_advance", counting_step)
+    got = growth_sequences(f, N)
+    assert len(calls) == steps
+    assert_same_sequences(got, want)
 
 
 def test_orbit_norms_rotation_zero():
@@ -452,6 +509,35 @@ def test_cocycle_builds_no_inverse(monkeypatch):
         assert params_outcome(growth_params, f) == want
         assert calls == [f]
     assert growth_params(std_inv).analyzed_inverse
+
+
+def oracle_subset_products(values):
+    """growth_params' subset products over Fractions, the body they replaced,
+    kept here verbatim."""
+    prods = {F(1)}
+    for v in values:
+        prods |= {p * v for p in prods}
+        if len(prods) > cocycle._MAX_SUBSET_PRODUCTS:
+            raise ValueError(f"more than {cocycle._MAX_SUBSET_PRODUCTS} subset products "
+                             "of the jumps")
+    return frozenset(prods)
+
+
+@given(st.builds(lambda s, k: fixing_zero(random_pl(s, k, 32)),
+                 st.integers(0, 10**6), st.integers(2, 12)))
+@example(STD)
+@example(STD.inverse())
+@settings(max_examples=60, deadline=None)
+def test_growth_params_match_fraction_subset_products(f):
+    # the integer pairs are the Fractions' own, so mu and beta, and the
+    # whole result, print as they did
+    assume(not f.is_identity)
+    prods = oracle_subset_products(f._jumps)
+    assert cocycle._subset_products(f._jumps) == {(p.numerator, p.denominator)
+                                                  for p in prods}
+    logs = [abs(_log(p)) for p in prods if p != 1]
+    gp = growth_params(f)
+    assert repr(gp) == repr(dataclasses.replace(gp, mu=max(logs), beta=min(logs)))
 
 
 def test_subset_products_stop_at_the_limit(monkeypatch):

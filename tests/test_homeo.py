@@ -438,8 +438,9 @@ def test_p_over_q_strings_build_no_fraction(monkeypatch):
 # -- compose, against the body it replaced ---------------------------------
 #
 # compose reads the two vertex lists with one _advance per breakpoint.  Its
-# oracle is the body before that, kept here verbatim: it sorts the cuts
-# BP(other) and other^{-1}(BP(self)) and steps both maps at each one.
+# oracle is the body before that, kept here verbatim but for its kernel, now
+# _advance: it sorts the cuts BP(other) and other^{-1}(BP(self)) and steps
+# both maps at each one.
 
 def oracle_compose(self, other):
     """self o other.  Its breakpoints lie among the cuts BP(other) and
@@ -456,8 +457,8 @@ def oracle_compose(self, other):
         if c == last:
             continue
         last = c
-        n, d, J1 = other._step(c.numerator, c.denominator)
-        n, d, J2 = self._step(n, d)
+        n, d, J1 = other._advance(c.numerator, c.denominator)
+        n, d, J2 = self._advance(n, d)
         # jumps are in lowest terms: J1 J2 = 1 exactly when they are reciprocal
         if J1.numerator != J2.denominator or J1.denominator != J2.numerator:
             verts.append((c, n, d))

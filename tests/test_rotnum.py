@@ -724,7 +724,8 @@ def test_exotic_rotation_number_closed_form(A, lam, exact):
 #
 # _orbit_sign steps one lift orbit per chain of breakpoints, each the image
 # of the one before mod 1.  Its oracle is the body before that, kept here
-# verbatim: it steps the orbit of every breakpoint.
+# verbatim but for its kernel, now _advance: it steps the orbit of every
+# breakpoint.
 
 def oracle_orbit_sign(h, max_q):
     """rotation_number's sign function for h outside _log_ratio's class:
@@ -734,7 +735,7 @@ def oracle_orbit_sign(h, max_q):
     orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
               for c, y in h.verts]  # the breakpoints' exact lift orbits
     enc = None  # built when q first passes max_q
-    n, t = 1, h._step(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
+    n, t = 1, h._advance(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
     w = t[0] // t[1]
 
     def sign(p, q):
@@ -743,7 +744,7 @@ def oracle_orbit_sign(h, max_q):
         if q <= max_q:
             for orbit in orbits:
                 while len(orbit) <= q:
-                    orbit.append(h._step(*orbit[-1])[:2])
+                    orbit.append(h._advance(*orbit[-1])[:2])
             # F^q(c) - c - target, each times its positive denominator
             gaps = [y * e - (c + target * e) * d
                     for (c, e), (y, d) in ((o[0], o[q]) for o in orbits)]
@@ -781,13 +782,27 @@ CHAINED = ([conjugate(random_pl(s, k, 64), rotation(alpha))
 
 
 def test_chain_heads_of_known_maps():
-    assert len(ONE_CYCLE.verts) == 4 and len(rotnum._chain_heads(ONE_CYCLE)) == 1
-    assert len(MEDIAN.verts) == 16 and len(rotnum._chain_heads(MEDIAN)) == 8
-    assert rotnum._chain_heads(STD) == [1, 0]  # 0 is fixed: a cycle of one
+    (members, cycle), = rotnum._chains(ONE_CYCLE)
+    assert len(ONE_CYCLE.verts) == 4 and sorted(members) == [0, 1, 2, 3] and cycle
+    assert len(MEDIAN.verts) == 16 and len(rotnum._chains(MEDIAN)) == 8
+    # 0 is fixed: a cycle of one, after the chain of the breakpoint 1/2
+    assert rotnum._chains(STD) == [([1], False), ([0], True)]
     for h in CHAINED:
-        assert len(rotnum._chain_heads(h)) < len(h.verts)
+        assert len(rotnum._chains(h)) < len(h.verts)
     for h in CHAIN_FREE:
-        assert rotnum._chain_heads(h) == list(range(len(h.verts)))
+        assert rotnum._chains(h) == [([i], False) for i in range(len(h.verts))]
+    assert rotnum._chains(rotation(F(1, 3))) == rotnum._chains(rotation(0)) == []
+    for h in CHAINED + CHAIN_FREE + [STD]:
+        x = [(v.numerator, v.denominator) for v, _ in h.verts]
+        y = [(v.numerator % v.denominator, v.denominator) for _, v in h.verts]
+        chains = rotnum._chains(h)
+        assert sorted(i for members, _ in chains for i in members) == list(range(len(x)))
+        for members, cycle in chains:
+            # each member is the image of the one before mod 1; a cycle's
+            # first is the image of its last, and a chain's first is no image
+            assert all(y[i] == x[j] for i, j in zip(members, members[1:]))
+            assert (y[members[-1]] in x) == cycle
+            assert (x[members[0]] == y[members[-1]]) if cycle else x[members[0]] not in y
 
 
 @pytest.mark.parametrize("h", CHAINED + CHAIN_FREE + [STD])

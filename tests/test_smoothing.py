@@ -854,10 +854,10 @@ def test_vertex_budget_below_seed_is_rejected():
 # ------------------------------------------------------ integer orbit kernel
 #
 # PLHomeo._advance is the one exact forward evaluation, on pairs in lowest
-# terms: the orbit pass, rotation_number, growth_sequences and compose call
-# it directly, and _step, which lift_eval, eval and jump read, reduces any
-# other pair first.  Its oracle is the Fraction evaluation it replaced,
-# _locate and the lift_eval body, kept here verbatim.
+# terms: the orbit pass, rotation_number, growth_sequences, compose, and
+# lift_eval, eval and jump, on a Fraction's own pair, all call it.  Its
+# oracle is the Fraction evaluation it replaced, _locate and the lift_eval
+# body, kept here verbatim.
 
 def oracle_locate(g, t):
     """(i, u, m): t = u + m with m an integer and x_i <= u < x_{i+1}."""
@@ -925,7 +925,7 @@ def test_kernel_matches_fraction_oracle(g, below, rationals, windings):
     # windings: the kernel returns the lift, not its circle coordinate
     x0 = g.verts[0][0]
     # the jump at a breakpoint is the map's cached jump vector entry itself
-    assert all(g._step(x.numerator, x.denominator)[2] is J
+    assert all(g._advance(x.numerator, x.denominator)[2] is J
                for (x, _), J in zip(g.verts, g._jumps))
     points = [F(0), *(p.value for p in g.breakpoints), (x0 - F(1, below)) % 1,
               *rationals]
@@ -937,12 +937,10 @@ def test_kernel_matches_fraction_oracle(g, below, rationals, windings):
         for m in (-2, -1, 0, 1, 2, *windings):
             t = x + m
             y = oracle_lift_eval(g, t)
-            assert g._step(t.numerator, t.denominator) == (y.numerator, y.denominator, jump)
+            assert g._advance(t.numerator, t.denominator) == (y.numerator, y.denominator, jump)
             # every unit jump is the one shared 1, which the orbit pass skips by identity
-            assert (g._step(t.numerator, t.denominator)[2] is homeo._ONE) == (jump == 1)
+            assert (g._advance(t.numerator, t.denominator)[2] is homeo._ONE) == (jump == 1)
             assert g.lift_eval(t) == y
-            # n/d need not be in lowest terms
-            assert g._step(3 * t.numerator, 3 * t.denominator)[:2] == (y.numerator, y.denominator)
 
 
 def test_kernel_long_orbits_match_fraction_oracle():
@@ -977,13 +975,14 @@ wide_rationals = st.integers(1, 2**400).flatmap(
 
 @given(kernel_maps, st.lists(wide_rationals, min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_kernel_agrees_with_step_on_reduced_input(g, points):
+def test_kernel_matches_fraction_oracle_on_wide_input(g, points):
     for t in points:
-        got = g._advance(t.numerator, t.denominator)
-        want = g._step(t.numerator, t.denominator)
-        assert got == want and got[2] is want[2]
+        n, d, J = g._advance(t.numerator, t.denominator)
         y = oracle_lift_eval(g, t)
-        assert got[:2] == (y.numerator, y.denominator)
+        assert (n, d) == (y.numerator, y.denominator)
+        # the jump is the shared 1 or the map's cached jump itself
+        assert J == oracle_jump(g, t)
+        assert J is homeo._ONE or any(J is j for j in g._jumps)
 
 
 def _count_steps(monkeypatch):
