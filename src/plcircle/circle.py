@@ -1,5 +1,6 @@
 """Exact rational arithmetic on the circle R/Z: points, reduction mod 1, the
-one exact order of points held as integer pairs (n, d), the one reader of
+one exact order of points held as integer pairs (n, d), the one Fraction
+built from a pair already in lowest terms (_coprime), the one reader of
 the documented form "p/q" of a rational string (_ints), the one rule for
 values past Python's int/string digit limit (_exact), and the one way a
 value of any size is quoted in an error message.
@@ -55,6 +56,16 @@ def _quote(value, convert=str) -> str:
     """convert(value) of any size, clipped to 40 characters for a message."""
     text = _exact(convert, value)
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _coprime(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for a pair proved to be in lowest terms with d > 0, with
+    no gcd: the two slots every Fraction holds, set as Fraction's own
+    _from_coprime_ints (3.12 on) sets them.  Fraction(n, d) takes gcd(n, d)
+    again, quadratic in the bits of the pair."""
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = n, d
+    return q
 
 
 def frac_mod1(q: RationalLike) -> Fraction:

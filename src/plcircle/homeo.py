@@ -9,11 +9,16 @@ vertex is the smallest breakpoint; rotations are stored as the single
 vertex (0, alpha).  Input is canonicalized in integers: each coordinate is
 read as a (numerator, denominator) pair, a documented "p/q" string by
 circle._ints' two int() calls, and reduced over the lcms L and M of its x
-and y denominators, with a Fraction built only for each kept vertex;
-evaluation runs on the same integer layout (_table), by one kernel,
-_advance, on pairs in lowest terms: the orbit passes, compose, which reads
-the two vertex lists with one step per breakpoint, and eval, lift_eval and
-jump, which pass a Fraction's own pair, all call it.
+and y denominators, which one gcd each then shrinks to the kept vertices,
+with a Fraction built only for each kept vertex.  Evaluation runs on the
+same integer layout, the table, which each map gets once from whoever built
+it: the constructor keeps _canonical's integers, inverse derives its table
+from the forward one, and the other derived maps build theirs on first use
+(_table).  One kernel, _advance, steps pairs in lowest terms and returns the
+index of the breakpoint it hit, not its jump, and builds no Fraction: the
+orbit passes, compose, which reads the two vertex lists with one step per
+breakpoint, and eval, lift_eval and jump, which pass a Fraction's own pair,
+all call it, and a result becomes a Fraction with no gcd (circle._coprime).
 """
 from __future__ import annotations
 
@@ -23,11 +28,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
-from typing import Tuple
+from typing import List, Tuple
 
-from .circle import (CirclePoint, _check_ints, _exact, _ints, _order_keys, _quote,
-                     frac_mod1)
+from .circle import (CirclePoint, _check_ints, _coprime, _exact, _ints, _order_keys,
+                     _quote, frac_mod1)
 
 Vertex = Tuple[Fraction, Fraction]
 _ONE = Fraction(1)
@@ -38,15 +44,17 @@ class InvalidHomeoError(ValueError):
 
 
 def _pair(q) -> Tuple[int, int]:
-    """q as an integer pair (n, d), d > 0, not always in lowest terms: a
-    Fraction's or an int's own, _ints' two for a str of the documented form
-    "p/q" with q nonzero, else those of Fraction(q) of any size;
-    InvalidHomeoError when q is no finite rational."""
-    if isinstance(q, (Fraction, int)):
+    """q as an integer pair (n, d), d > 0, not always in lowest terms: _ints'
+    two for a str of the documented form "p/q" with q nonzero, a Fraction's
+    or an int's own, else those of Fraction(q) of any size;
+    InvalidHomeoError when q is no finite rational.  A str is tested first,
+    by its exact type: isinstance against the two goes through ABCMeta."""
+    if type(q) is str:
+        pq = _ints(q)
+        if pq and pq[1]:
+            return pq
+    elif isinstance(q, (Fraction, int)):
         return q.numerator, q.denominator
-    pq = _ints(q) if isinstance(q, str) else None
-    if pq and pq[1]:
-        return pq
     try:
         q = _exact(Fraction, q)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
@@ -55,20 +63,39 @@ def _pair(q) -> Tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _canonical(pairs) -> Tuple[Vertex, ...]:
+def _layout(L: int, M: int, X: List[int], Y: List[int]):
+    """The integer table of the vertices (X_i / L, Y_i / M): L, the X_i, and
+    piece i as F(u) = (a_i u L + b_i) / e_i, with a_i = Y_{i+1} - Y_i,
+    e_i = (X_{i+1} - X_i) M and b_i = Y_i (X_{i+1} - X_i) - a_i X_i, the
+    closing vertex being (X_0 + L, Y_0 + M)."""
+    dX = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
+    A = [b - a for a, b in zip(Y, Y[1:] + [Y[0] + M])]
+    B = [y * dx - a * x for x, y, dx, a in zip(X, Y, dX, A)]
+    return L, X, A, B, [M * dx for dx in dX]
+
+
+def _lowest(n: int, d: int) -> Fraction:
+    """n/d, d > 0, reduced by one gcd of the two ints."""
+    g = gcd(n, d)
+    return _coprime(n // g, d // g)
+
+
+def _canonical(pairs):
     """Canonicalize vertex pairs, in circle or lift coordinates, into lift
-    vertices.
+    vertices, returned with their integer table (see PLHomeo._table).
 
     Merges vertices where the slope does not change and rebases at the
     smallest breakpoint; a map with no breakpoint collapses to a rotation.
-    Works in integers, like _table: each coordinate is read as an integer
-    pair (n, d) by _pair, so a "p/q" string costs two int() calls and no
-    Fraction; with L and M the lcms of the input x and y denominators,
-    vertex (x, y) mod 1 is (X / L, Y / M) for integers X in [0, L) and Y in
-    [0, M), slopes are compared by cross-multiplying integer differences,
-    and a Fraction is built only for each kept vertex.  The pairs need not
-    be in lowest terms: that only grows L and M, and each kept vertex is
-    still a reduced Fraction.
+    Works in integers: each coordinate is read as an integer pair (n, d) by
+    _pair, so a "p/q" string costs two int() calls and no Fraction; with L
+    and M the lcms of the input x and y denominators, vertex (x, y) mod 1
+    is (X / L, Y / M) for integers X in [0, L) and Y in [0, M), and slopes
+    are compared by cross-multiplying integer differences.  The pairs need
+    not be in lowest terms, and a dropped vertex's denominators count in L
+    and M: one gcd(L, *X) and one gcd(M, *Y) over the kept vertices shrink
+    L and M to the lcms of the kept vertices' denominators, which makes the
+    table the one the vertices alone give, and each kept coordinate is a
+    Fraction built after one gcd of its two ints.
     """
     pairs = [(_pair(x), _pair(y)) for x, y in pairs]
     if not pairs:
@@ -94,10 +121,19 @@ def _canonical(pairs) -> Tuple[Vertex, ...]:
     if not keep:
         # constant slope around the circle forces slope 1: a rotation
         LM = L * M
-        return ((Fraction(0), Fraction((Y[0] * L - X[0] * M) % LM, LM)),)
+        alpha = Fraction((Y[0] * L - X[0] * M) % LM, LM)
+        n, d = alpha.numerator, alpha.denominator
+        return ((Fraction(0), alpha),), (1, [0], [d], [n], [d])
     base = Y[keep[0]]
-    return tuple((Fraction(X[i], L), Fraction(Y[i] + M if Y[i] < base else Y[i], M))
-                 for i in keep)
+    X = [X[i] for i in keep]
+    Y = [Y[i] + M if Y[i] < base else Y[i] for i in keep]
+    g, h = gcd(L, *X), gcd(M, *Y)
+    if g != 1:
+        L, X = L // g, [x // g for x in X]
+    if h != 1:
+        M, Y = M // h, [y // h for y in Y]
+    return (tuple((_lowest(x, L), _lowest(y, M)) for x, y in zip(X, Y)),
+            _layout(L, M, X, Y))
 
 
 @dataclass(frozen=True)
@@ -117,14 +153,19 @@ class PLHomeo:
     verts: Tuple[Vertex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "verts", _canonical(self.verts))
+        verts, table = _canonical(self.verts)
+        object.__setattr__(self, "verts", verts)
+        object.__setattr__(self, "_table", table)  # where the cached property keeps it
 
     @classmethod
-    def _of_canonical(cls, verts: Tuple[Vertex, ...]) -> "PLHomeo":
+    def _of_canonical(cls, verts: Tuple[Vertex, ...], table=None) -> "PLHomeo":
         """The map with these vertices, which must already be in canonical
-        form, as a tuple of (Fraction, Fraction) tuples; nothing is checked."""
+        form, as a tuple of (Fraction, Fraction) tuples, and with their
+        integer table when the builder has it; nothing is checked."""
         h = object.__new__(cls)
         object.__setattr__(h, "verts", verts)
+        if table is not None:
+            object.__setattr__(h, "_table", table)
         return h
 
     # -- structure ---------------------------------------------------------
@@ -132,8 +173,8 @@ class PLHomeo:
     @cached_property
     def _jumps(self) -> Tuple[Fraction, ...]:
         """J(h, x_i) = s_i / s_{i-1} = (a_i e_{i-1}) / (a_{i-1} e_i) in vertex
-        order, the objects _advance returns at the x_i; empty for a
-        rotation."""
+        order, so that the index _advance returns at x_i reads J(h, x_i);
+        empty for a rotation.  Built on first use: no orbit caller reads it."""
         _, _, A, _, E = self._table
         return tuple(Fraction(A[i] * E[i - 1], A[i - 1] * E[i])
                      for i in range(len(A))) if len(A) > 1 else ()
@@ -155,7 +196,7 @@ class PLHomeo:
 
     def lift_eval(self, t: Fraction) -> Fraction:
         """Evaluate the canonical lift (the one with value of x_0 in [0,1))."""
-        return Fraction(*self._advance(t.numerator, t.denominator)[:2])
+        return _coprime(*self._advance(t.numerator, t.denominator)[:2])
 
     def lift_eval_inverse(self, t: Fraction) -> Fraction:
         """F^{-1}(t) for the canonical lift F: the canonical lift G of h^{-1}
@@ -165,7 +206,7 @@ class PLHomeo:
 
     def eval(self, p: CirclePoint) -> CirclePoint:
         n, d, _ = self._advance(p.value.numerator, p.value.denominator)
-        return CirclePoint(Fraction(n % d, d))
+        return CirclePoint(_coprime(n % d, d))
 
     def eval_inverse(self, p: CirclePoint) -> CirclePoint:
         return self.inverse().eval(p)
@@ -180,31 +221,32 @@ class PLHomeo:
 
     def jump(self, p: CirclePoint) -> Fraction:
         """Derivative jump D+h(p) / D-h(p); equals 1 off the breakpoints."""
-        return self._advance(p.value.numerator, p.value.denominator)[2]
+        j = self._advance(p.value.numerator, p.value.denominator)[2]
+        return self._jumps[j] if j >= 0 else _ONE
 
     @cached_property
     def _table(self):
-        """One period in integers, built with no Fraction arithmetic: L and M
-        the lcms of the vertex x and y denominators, X_i = x_i L, and piece i
-        as F(u) = (a_i u L + b_i) / e_i, with a_i = (y_{i+1} - y_i) M and
-        e_i = (x_{i+1} - x_i) L M.  _advance and rotnum's enclosures read
-        it."""
+        """One period in integers: L and M the lcms of the vertex x and y
+        denominators, X_i = x_i L, and piece i as F(u) = (a_i u L + b_i) /
+        e_i, with a_i = (y_{i+1} - y_i) M and e_i = (x_{i+1} - x_i) L M
+        (_layout).  Whoever builds a map stores it here once: the
+        constructor from _canonical's integers, inverse from the forward
+        table; this body, with no Fraction arithmetic, is the lazy path for
+        the other maps _of_canonical builds.  _advance and rotnum's
+        enclosures read it."""
         L = math.lcm(*(x.denominator for x, _ in self.verts))
         M = math.lcm(*(y.denominator for _, y in self.verts))
-        X = [x.numerator * (L // x.denominator) for x, _ in self.verts]
-        Y = [y.numerator * (M // y.denominator) for _, y in self.verts]
-        dX = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
-        A = [b - a for a, b in zip(Y, Y[1:] + [Y[0] + M])]
-        B = [y * dx - a * x for x, y, dx, a in zip(X, Y, dX, A)]
-        return L, X, A, B, [M * dx for dx in dX]
+        return _layout(L, M, [x.numerator * (L // x.denominator) for x, _ in self.verts],
+                       [y.numerator * (M // y.denominator) for _, y in self.verts])
 
-    def _advance(self, n: int, d: int) -> Tuple[int, int, Fraction]:
-        """The one exact forward evaluation, the orbit kernel: (n', d', J),
-        with n'/d' = F(n/d) in lowest terms for the canonical lift F and J
-        the jump at n/d, for n/d in lowest terms with d > 0.  u = n/d - m,
-        for the winding m, lies in [x_0, x_0 + 1); F(n/d) = F(u) + m; J at
-        x_i is the cached _jumps[i], and the shared _ONE off the breakpoints
-        (a rotation's vertex is none).
+    def _advance(self, n: int, d: int) -> Tuple[int, int, int]:
+        """The one exact forward evaluation, the orbit kernel: (n', d', j),
+        with n'/d' = F(n/d) in lowest terms for the canonical lift F and j
+        the index of the breakpoint n/d is, or -1, for n/d in lowest terms
+        with d > 0.  u = n/d - m, for the winding m, lies in [x_0, x_0 + 1);
+        F(n/d) = F(u) + m; n/d is breakpoint i when u = x_i (a rotation's
+        vertex is none), and _jumps[j] is then the jump there.  No Fraction
+        is built: the orbit callers read n' and d' alone.
 
         On piece i, F(u) = p / q with p = a_i n' L + b_i d and q = e_i d,
         where n' = n - m d is prime to d.  gcd(p, q) divides K_i = a_i L e_i:
@@ -226,8 +268,8 @@ class PLHomeo:
         g = gcd(aL * e, p, q) if d > aL else gcd(p, q)
         if g != 1:
             p, q = p // g, q // g
-        J = self._jumps[i] if r == 0 and f == X[i] and len(X) > 1 else _ONE
-        return (p + m * q if m else p), q, J
+        j = i if r == 0 and f == X[i] and len(X) > 1 else -1
+        return (p + m * q if m else p), q, j
 
     # -- group operations --------------------------------------------------
 
@@ -241,13 +283,16 @@ class PLHomeo:
         inverse gives the preimage c; unless c is a breakpoint of other, the
         value there is v_i moved by an integer and the jump J(self, u_i) is
         not 1.  The kept cuts are ordered as integer pairs and the lifted
-        values shifted by one floor."""
+        values shifted by one floor; every cut and value is a lowest-terms
+        pair from _advance, or a vertex moved by an integer, so each becomes
+        a Fraction with no gcd."""
         fv, gv = self.verts, other.verts
         if len(fv) == len(gv) == 1:
             return rotation(fv[0][1] + gv[0][1])
         cuts = []  # (cut, numerator, denominator of the lifted value)
         for (x, y), Jg in zip(gv, other._jumps):
-            n, d, Jf = self._advance(y.numerator, y.denominator)
+            n, d, j = self._advance(y.numerator, y.denominator)
+            Jf = self._jumps[j] if j >= 0 else _ONE
             # jumps are in lowest terms: Jg Jf = 1 exactly when they are reciprocal
             if Jg.numerator != Jf.denominator or Jg.denominator != Jf.numerator:
                 cuts.append((x, n, d))
@@ -259,11 +304,11 @@ class PLHomeo:
             s = gv[-1][1] >= 1
             inv = other.inverse()
             for u, v in fv:
-                p, q, J = inv._advance(u.numerator, u.denominator)
-                if J is _ONE:  # u is no image of a breakpoint of other
+                p, q, j = inv._advance(u.numerator, u.denominator)
+                if j < 0:  # u is no image of a breakpoint of other
                     # c = G^{-1}(u) mod 1, and F(G(c)) = v + s - floor(p/q)
                     w = s - p // q
-                    cuts.append((Fraction(p % q, q), v.numerator + w * v.denominator,
+                    cuts.append((_coprime(p % q, q), v.numerator + w * v.denominator,
                                  v.denominator))
         if not cuts:  # every cut cancelled, and the first loop ran
             return rotation(Fraction(n, d) - x)
@@ -271,7 +316,7 @@ class PLHomeo:
         cuts = [cut for _, cut in sorted(zip(keys, cuts))]  # the keys are distinct
         m = cuts[0][1] // cuts[0][2]
         return PLHomeo._of_canonical(tuple(
-            (c, Fraction(n - m * d, d)) for c, n, d in cuts))
+            (c, _coprime(n - m * d, d)) for c, n, d in cuts))
 
     def inverse(self) -> "PLHomeo":
         """h^{-1}, built once per map: swap the coordinates and rebase at the
@@ -282,15 +327,35 @@ class PLHomeo:
 
     @cached_property
     def _inverse(self) -> "PLHomeo":
+        """h^{-1} from h's integers.  With j the first vertex whose image is
+        at least 1 (0 when none is), vertex i of h gives vertex i - j mod k
+        of h^{-1}: (y_i - 1, x_i) from j on and (y_i, x_i + 1) before, each
+        moved by an integer as an integer pair.  The table swaps roles: L
+        and M trade places, the x gaps become the a and the a times L the
+        e, the new X are the Y_i = y_i M, less M from j on, and b = Y' dX'
+        - a' X' works out to e_i - b_i from j on, a_i L - b_i before, and
+        -b_i when nothing moves."""
         verts = self.verts
         if len(verts) == 1:
             return rotation(-verts[0][1])
+        L, X, A, B, E = self._table
+        M = sum(A)  # the a_i telescope from Y_0 to Y_0 + M
+        y0 = verts[0][1]
+        Y = list(accumulate(A[:-1], initial=y0.numerator * (M // y0.denominator)))
         # every x lies in [x_0, 1): a smaller one would be the base
-        j = next((j for j, (_, y) in enumerate(verts) if y >= 1), 0)
+        j = next((j for j, y in enumerate(Y) if y >= M), 0)
+        dX = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
         if not j:
-            return PLHomeo._of_canonical(tuple((y, x) for x, y in verts))
-        return PLHomeo._of_canonical(tuple((y - 1, x) for x, y in verts[j:])
-                                     + tuple((y, x + 1) for x, y in verts[:j]))
+            return PLHomeo._of_canonical(tuple((y, x) for x, y in verts),
+                                         (M, Y, dX, [-b for b in B], [a * L for a in A]))
+        verts = (tuple((_coprime(y.numerator - y.denominator, y.denominator), x)
+                       for x, y in verts[j:])
+                 + tuple((y, _coprime(x.numerator + x.denominator, x.denominator))
+                         for x, y in verts[:j]))
+        return PLHomeo._of_canonical(verts, (
+            M, [y - M for y in Y[j:]] + Y[:j], dX[j:] + dX[:j],
+            [e - b for e, b in zip(E[j:], B[j:])] + [a * L - b for a, b in zip(A[:j], B[:j])],
+            [a * L for a in A[j:] + A[:j]]))
 
     def iterate(self, n: int) -> "PLHomeo":
         """n-th iterate (negative n iterates the inverse), by sequential composition."""

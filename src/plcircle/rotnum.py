@@ -16,8 +16,10 @@ Beyond max_q only the orbit of 0 is followed: integer enclosures of it
 (_Enclosure) decide each sign, and the exact orbit every sign they leave
 open, equality included, so no float decides an answer.  Both run on ints:
 exact orbits are lowest-terms pairs stepped by the kernel PLHomeo._advance,
-and the enclosures step both bounds over one piece table pre-scaled from
-PLHomeo._table.
+which builds no Fraction and, as it returns a breakpoint's index and not its
+jump, no jump vector, and the enclosures step both bounds over one piece
+table pre-scaled from PLHomeo._table.  The descent's Farey mediants are in
+lowest terms, and become Fractions with no gcd.
 
 Two kinds of map follow no orbit.  A rotation returns its angle.  A map
 with two breakpoints, one mapped onto the other, such as an exotic element,
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .circle import CirclePoint, _check_ints, _exact, frac_mod1
+from .circle import CirclePoint, _check_ints, _coprime, _exact, frac_mod1
 from .homeo import PLHomeo
 
 
@@ -373,9 +375,11 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
         if step >= depth and q > max_q:
             return bracket
         s = sign(p, q)
+        # Farey neighbours: hi.numerator lo.denominator - lo.numerator
+        # hi.denominator = 1 stays true, so the mediant is in lowest terms
         if s > 0:
-            lo = Fraction(p, q)
+            lo = _coprime(p, q)
         elif s < 0:
-            hi = Fraction(p, q)
+            hi = _coprime(p, q)
         else:
-            return RotNumResult(exact=Fraction(p, q))
+            return RotNumResult(exact=_coprime(p, q))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
-from .circle import CirclePoint, _check_ints, _order_keys
+from .circle import CirclePoint, _check_ints, _coprime, _order_keys
 from .cocycle import FiniteVector
 from .homeo import _ONE, PLHomeo, identity, rotation
 from .rotnum import _log_ratio, fixed_points, rotation_number
@@ -67,12 +67,14 @@ def _signed_generators(G: GroupPresentation) -> List[Tuple[Tuple[str, int], PLHo
 class _Orbits:
     """An orbit graph explored on demand.  Points get int ids in breadth-first
     discovery order from the sorted seed, and are held as the (numerator,
-    denominator) pair that interns them; a point becomes a Fraction only in
-    results.  Ids from max_vertices on are escaping points.  Edges are one
-    flat table: out[v*K + k] is map k's target at vertex v, and `jumps` holds
-    the jumps other than 1 under the same index.  The maps come in (g, g^{-1})
-    pairs, so a step u -> t of map k fills t's slot k ^ 1 with u, jump 1/w by
-    the chain rule: each step is evaluated once."""
+    denominator) pair, in lowest terms, that interns them; a point becomes a
+    Fraction, with no gcd, only in results.  Ids from max_vertices on are
+    escaping points.  Edges are one flat table: out[v*K + k] is map k's
+    target at vertex v, and `jumps` holds the jumps other than 1 under the
+    same index, each read off its map at the breakpoint index the kernel
+    returns.  The maps come in (g, g^{-1}) pairs, so a step u -> t of map k
+    fills t's slot k ^ 1 with u, jump 1/w by the chain rule: each step is
+    evaluated once."""
 
     def __init__(self, seed, maps, max_vertices: int):
         self.maps, self.max_vertices = maps, max_vertices
@@ -95,7 +97,7 @@ class _Orbits:
             for k, (_, g) in enumerate(self.maps):
                 i = u * K + k
                 if out[i] is None:
-                    n2, d2, w = g._advance(n, d)
+                    n2, d2, j = g._advance(n, d)
                     key = (n2 % d2, d2)
                     t = ids.get(key)
                     if t is None:  # a new point
@@ -103,16 +105,16 @@ class _Orbits:
                         pts.append(key)
                         out += [None] * K
                     out[i] = t
-                    if w is not _ONE:
-                        jumps[i] = w
+                    if j >= 0:
+                        w = jumps[i] = g._jumps[j]
                     if u < t < top:
                         out[t * K + (k ^ 1)] = u
-                        if w is not _ONE:
+                        if j >= 0:
                             jumps[t * K + (k ^ 1)] = 1 / w
             self.expanded = u + 1
 
     def point(self, v: int) -> CirclePoint:
-        return CirclePoint(Fraction(*self.pts[v]))
+        return CirclePoint(_coprime(*self.pts[v]))
 
     def in_order(self, ids) -> List[int]:
         """The ids, a list or range, sorted by their points' position in [0, 1)."""

@@ -1,0 +1,134 @@
+"""Committed mutants of the library's fast paths, each with the tests that
+must kill it.
+
+Run from the repository root:
+
+    python tests/mutants.py            # every mutant, one process each
+    python tests/mutants.py NAME       # one mutant
+
+A mutant replaces one piece of text, which must occur exactly once, in the
+source of one function, compiles the function again in its module's
+namespace and installs it before pytest collects the tests.  Its tests then
+run with -x, with hypothesis derandomized and not shrinking, and must fail.
+An equivalent mutant computes what the original computes on every input, so
+no test can kill it: it stays here with its proof, and is only checked to
+still apply.  A surviving mutant that is not equivalent is a gap in the
+oracles: mend it with a test, never by editing the mutant away.
+
+Tier-1 does not collect this file: its name matches no test_*.py.
+"""
+from __future__ import annotations
+
+import __future__
+import importlib
+import inspect
+import pathlib
+import subprocess
+import sys
+import textwrap
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+KERNEL = ("tests/test_smoothing.py::test_kernel_matches_fraction_oracle",
+          "tests/test_smoothing.py::test_kernel_long_orbits_match_fraction_oracle",
+          "tests/test_smoothing.py::test_kernel_matches_fraction_oracle_on_wide_input")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # under plcircle
+    function: str  # a module function, or Class.method
+    old: str
+    new: str
+    tests: Tuple[str, ...]  # pytest node ids, of which one must fail
+    equivalent: Optional[str] = None  # the proof that no input tells it apart
+
+
+MUTANTS = [
+    Mutant("table-without-gcd-shrink", "homeo", "_canonical",
+           "g, h = gcd(L, *X), gcd(M, *Y)", "g, h = 1, 1",
+           ("tests/test_homeo.py::test_stored_tables_match_oracle",)),
+    Mutant("inverse-b-unshifted", "homeo", "PLHomeo._inverse",
+           "[e - b for e, b in zip(E[j:], B[j:])]", "[-b for b in B[j:]]",
+           ("tests/test_homeo.py::test_stored_tables_match_oracle",)),
+    Mutant("hit-without-r-zero", "homeo", "PLHomeo._advance",
+           "j = i if r == 0 and f == X[i]", "j = i if f == X[i]", KERNEL),
+    Mutant("K-without-L", "homeo", "PLHomeo._advance",
+           "gcd(aL * e, p, q)", "gcd(A[i] * e, p, q)", KERNEL),
+    Mutant("jump-of-the-piece-before", "homeo", "PLHomeo._advance",
+           "j = i if r == 0", "j = i - 1 if r == 0", KERNEL),
+    Mutant("gate-d-at-least-aL", "homeo", "PLHomeo._advance",
+           "if d > aL else", "if d >= aL else", KERNEL,
+           equivalent="at d = a_i L, q = e_i d = a_i L e_i = K_i, so "
+                      "gcd(K_i, p, q) = gcd(p, q): both branches take the same gcd"),
+]
+
+
+def install(m: Mutant) -> None:
+    """Compile m's function with its text replaced, and put it in place of
+    the original in its module or class."""
+    module = importlib.import_module(f"plcircle.{m.module}")
+    owner, _, name = m.function.rpartition(".")
+    owner = getattr(module, owner) if owner else module
+    func = vars(owner)[name]
+    func = getattr(func, "func", func)  # a cached_property's function
+    source = textwrap.dedent(inspect.getsource(func))
+    if source.count(m.old) != 1:
+        raise SystemExit(f"{m.name}: {m.old!r} is not in {m.function} exactly once")
+    code = compile(source.replace(m.old, m.new), inspect.getsourcefile(func), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace: dict = {}
+    exec(code, vars(module), namespace)
+    mutant = namespace[name]
+    setattr(owner, name, mutant)
+    if hasattr(mutant, "__set_name__"):  # setattr does not call it
+        mutant.__set_name__(owner, name)
+
+
+class _Install:
+    """pytest plugin: install the mutant before any test module is imported,
+    with hypothesis derandomized, stopping at the first failing example."""
+
+    def __init__(self, m: Mutant):
+        self.m = m
+
+    def pytest_configure(self, config):
+        from hypothesis import Phase, settings
+        settings.register_profile("mutants", derandomize=True, database=None,
+                                  phases=[Phase.explicit, Phase.generate])
+        settings.load_profile("mutants")
+        install(self.m)
+
+
+def run_one(m: Mutant) -> int:
+    """pytest's exit code for m's tests with m installed."""
+    return pytest.main(["-x", "-q", "-p", "no:cacheprovider", *m.tests],
+                       plugins=[_Install(m)])
+
+
+def main(argv) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    by_name = {m.name: m for m in MUTANTS}
+    if argv:
+        return run_one(by_name[argv[0]])
+    survivors = 0
+    for m in MUTANTS:
+        if m.equivalent:
+            # it must still apply, or its proof speaks of code that is gone
+            install(m)
+            print(f"{m.name}: equivalent, {m.equivalent}")
+            continue
+        code = subprocess.run([sys.executable, __file__, m.name], cwd=ROOT,
+                              capture_output=True, text=True).returncode
+        killed = code == pytest.ExitCode.TESTS_FAILED
+        print(f"{m.name}: {'killed' if killed else f'NOT killed (pytest exit {code})'}")
+        survivors += not killed
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from plcircle import (ExoticParams, GroupPresentation, detect_finite_orbit,
                       growth_sequences, nested_limit, random_pl, realize,
                       reduce_mod1, rotation, rotation_number, smooth_group)
-from plcircle.circle import CirclePoint, _order_keys, frac_mod1
+from plcircle.circle import CirclePoint, _coprime, _order_keys, frac_mod1
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=97)
 
@@ -174,3 +174,40 @@ def test_budget_arguments_reject_values_below_their_bound(name, least, call):
     with pytest.raises(ValueError, match=f"^{name} must be at least {least}, not {least - 1}$"):
         call(least - 1)
     call(least)
+
+
+# -- a Fraction from a pair already in lowest terms -------------------------
+
+def assert_same_fraction(n, d):
+    """_coprime(n, d) is Fraction(n, d), for n/d in lowest terms, d > 0."""
+    got, want = _coprime(n, d), F(n, d)
+    assert type(got) is F
+    assert (got.numerator, got.denominator) == (n, d)
+    assert got == want and hash(got) == hash(want)
+    # mixed with Fractions, ints and itself, under arithmetic and order
+    other = F(3, 7)
+    for op in (lambda a: a + other, lambda a: a * other, lambda a: a - 1,
+               lambda a: a * a, lambda a: -a, lambda a: abs(a), lambda a: a // 1,
+               lambda a: a % 1, lambda a: a < other, lambda a: a == want,
+               lambda a: {a: 1}[want], lambda a: a ** 2):
+        assert op(got) == op(want)
+    if n:
+        assert 1 / got == 1 / want
+
+
+@given(st.integers(-2**400, 2**400), st.integers(1, 2**400))
+@example(0, 5)
+@example(-7, 1)
+@example(-(2**400) + 1, 2**400)
+def test_coprime_is_the_fraction_of_a_reduced_pair(n, d):
+    g = math.gcd(n, d)
+    assert_same_fraction(n // g, d // g)
+
+
+def test_coprime_of_a_5000_digit_pair():
+    # past the int/string digit limit: both numbers have 5,000 digits
+    n, d = 3 ** 10478, 2 ** 16609
+    assert all(10 ** 4999 <= k < 10 ** 5000 for k in (n, d))
+    assert_same_fraction(n, d)
+    assert_same_fraction(-n, d)
+    assert_same_fraction(0, 1)

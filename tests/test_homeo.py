@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction as F
 
@@ -435,6 +436,46 @@ def test_p_over_q_strings_build_no_fraction(monkeypatch):
     assert PLHomeo([("0", "-2/3"), ("+2/4", "05/6")]) == rotation(F(1, 3))
 
 
+# -- the integer table, against the body that rebuilt it ------------------
+#
+# The constructor keeps the table _canonical built in integers, and inverse
+# derives its table from the forward one.  Their oracle is the body that
+# built every table from the kept Fractions, kept here verbatim.
+
+def oracle_table(h):
+    """One period in integers, built with no Fraction arithmetic: L and M
+    the lcms of the vertex x and y denominators, X_i = x_i L, and piece i
+    as F(u) = (a_i u L + b_i) / e_i, with a_i = (y_{i+1} - y_i) M and e_i
+    = (x_{i+1} - x_i) L M."""
+    L = math.lcm(*(x.denominator for x, _ in h.verts))
+    M = math.lcm(*(y.denominator for _, y in h.verts))
+    X = [x.numerator * (L // x.denominator) for x, _ in h.verts]
+    Y = [y.numerator * (M // y.denominator) for _, y in h.verts]
+    dX = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
+    A = [b - a for a, b in zip(Y, Y[1:] + [Y[0] + M])]
+    B = [y * dx - a * x for x, y, dx, a in zip(X, Y, dX, A)]
+    return L, X, A, B, [M * dx for dx in dX]
+
+
+@given(vertex_inputs())
+@settings(max_examples=400, deadline=None)
+@example(([("0", "0"), ("1/4", "2/16"), ("2/4", "1/4")], None))  # collinear 1/4
+def test_stored_tables_match_oracle(case):
+    # dropped vertices and pairs not in lowest terms grow the input lcms;
+    # the table kept must still be the one the kept vertices give
+    pairs, _ = case
+    try:
+        h = PLHomeo(pairs)
+    except InvalidHomeoError:
+        return
+    assert vars(h)["_table"] == oracle_table(h)
+    inv = h.inverse()  # its vertices are checked in test_smoothing.py
+    assert inv._table == oracle_table(inv)
+    assert inv.inverse()._table == oracle_table(inv.inverse())
+    if not h.is_rotation:  # a rotation's inverse is a rotation, built lazily
+        assert "_table" in vars(inv) and "_table" in vars(inv.inverse())
+
+
 # -- compose, against the body it replaced ---------------------------------
 #
 # compose reads the two vertex lists with one _advance per breakpoint.  Its
@@ -457,8 +498,10 @@ def oracle_compose(self, other):
         if c == last:
             continue
         last = c
-        n, d, J1 = other._advance(c.numerator, c.denominator)
-        n, d, J2 = self._advance(n, d)
+        n, d, j1 = other._advance(c.numerator, c.denominator)
+        n, d, j2 = self._advance(n, d)
+        J1 = other._jumps[j1] if j1 >= 0 else F(1)
+        J2 = self._jumps[j2] if j2 >= 0 else F(1)
         # jumps are in lowest terms: J1 J2 = 1 exactly when they are reciprocal
         if J1.numerator != J2.denominator or J1.denominator != J2.numerator:
             verts.append((c, n, d))

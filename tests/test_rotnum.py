@@ -829,3 +829,14 @@ def test_rotation_number_steps_one_orbit_per_chain(monkeypatch, h, rho, steps):
     monkeypatch.setattr(PLHomeo, "_advance", counting_step)
     assert rotation_number(h) == RotNumResult(exact=rho)
     assert len(calls) == steps
+
+
+@pytest.mark.parametrize("h", [MEDIAN, ONE_CYCLE, STD, random_pl(3, 4, 32),
+                               random_pl(5, 5, 32)])
+def test_rotation_number_builds_no_jump(h):
+    # the orbit kernel returns the index of a breakpoint it hits, so no
+    # orbit it steps, each from a breakpoint, builds the jump vector; a map
+    # read from strings, as io reads one, is fresh
+    fresh = PLHomeo([(str(x), str(y)) for x, y in h.verts])
+    assert rotation_number(fresh) == rotation_number(h)
+    assert "_jumps" not in vars(fresh)

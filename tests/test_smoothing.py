@@ -921,14 +921,16 @@ circle_rationals = st.integers(1, 2**40).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_fraction_oracle(g, below, rationals, windings):
     # breakpoints, 0, a point just below x_0 (it wraps into the lift
-    # period) and random rationals, each moved by -2..2 and by random
-    # windings: the kernel returns the lift, not its circle coordinate
+    # period), a point just above each vertex (x_i < t < x_i + 1/L, so
+    # floor(t L) = x_i L) and random rationals, each moved by -2..2 and by
+    # random windings: the kernel returns the lift, not its circle coordinate
     x0 = g.verts[0][0]
-    # the jump at a breakpoint is the map's cached jump vector entry itself
-    assert all(g._advance(x.numerator, x.denominator)[2] is J
-               for (x, _), J in zip(g.verts, g._jumps))
+    L = math.lcm(*(x.denominator for x, _ in g.verts))
+    # the index at breakpoint i is i, and a rotation's vertex is none
+    assert [g._advance(x.numerator, x.denominator)[2] for x, _ in g.verts] == (
+        list(range(len(g.verts))) if len(g.verts) > 1 else [-1])
     points = [F(0), *(p.value for p in g.breakpoints), (x0 - F(1, below)) % 1,
-              *rationals]
+              *((x + F(1, below * L)) % 1 for x, _ in g.verts), *rationals]
     for x in points:
         p = CirclePoint(x)
         jump = oracle_jump(g, x)
@@ -937,9 +939,11 @@ def test_kernel_matches_fraction_oracle(g, below, rationals, windings):
         for m in (-2, -1, 0, 1, 2, *windings):
             t = x + m
             y = oracle_lift_eval(g, t)
-            assert g._advance(t.numerator, t.denominator) == (y.numerator, y.denominator, jump)
-            # every unit jump is the one shared 1, which the orbit pass skips by identity
-            assert (g._advance(t.numerator, t.denominator)[2] is homeo._ONE) == (jump == 1)
+            n, d, j = g._advance(t.numerator, t.denominator)
+            assert (n, d) == (y.numerator, y.denominator)
+            # an index exactly where the jump is not 1, and it reads that jump
+            assert (j >= 0) == (jump != 1)
+            assert j < 0 or g._jumps[j] == jump
             assert g.lift_eval(t) == y
 
 
@@ -977,12 +981,13 @@ wide_rationals = st.integers(1, 2**400).flatmap(
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_fraction_oracle_on_wide_input(g, points):
     for t in points:
-        n, d, J = g._advance(t.numerator, t.denominator)
+        n, d, j = g._advance(t.numerator, t.denominator)
         y = oracle_lift_eval(g, t)
         assert (n, d) == (y.numerator, y.denominator)
-        # the jump is the shared 1 or the map's cached jump itself
-        assert J == oracle_jump(g, t)
-        assert J is homeo._ONE or any(J is j for j in g._jumps)
+        # an index exactly where the jump is not 1, and it reads that jump
+        jump = oracle_jump(g, t)
+        assert (j >= 0) == (jump != 1)
+        assert j < 0 or g._jumps[j] == jump
 
 
 def _count_steps(monkeypatch):
