@@ -6,10 +6,9 @@ enter only when a norm is computed.  The additive coordinate of a vector
 at x is log of the stored value, so the zero vector is the empty map.
 
 growth_sequences follows the orbit of the zero vector in integers: its
-heads are lowest-terms pairs (n, d) stepped by PLHomeo._advance, one orbit
-per chain of breakpoints, its support is searched by bisect on the exact
-integer keys of circle._order_keys, and its values are lowest-terms pairs.
-Only the norms, summed from the logs of those ints, leave the integers.
+heads read the breakpoint orbits of rotnum._head_orbit, its support is
+searched by bisect on the exact integer keys of circle._order_keys, and its
+values are lowest-terms pairs.  Only the norms leave the integers.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from typing import Dict, List, Tuple
 
 from .circle import CirclePoint, _check_ints, _order_keys, _quote, reduce_mod1
 from .homeo import PLHomeo
-from .rotnum import _chains, fixed_points
+from .rotnum import _chains, _head_orbit, fixed_points
 
 
 @dataclass(frozen=True)
@@ -101,43 +100,33 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
 
     rho(f^n) 0 = J(f^-n) = rho(f^(n-1)) 0 * (f^(n-1))_* J(f^-1), so step n
     multiplies the jump of f^-1 at each y_i = f(x_i), read off f, into the
-    point f^(n-1)(y_i).  These k heads follow the orbits of the y_i.
-    A canonical map's breakpoints are the support of its jump vector, and
-    |supp J(f^n)| = |supp J(f^-n)|, so M_n is the support size.
+    point f^(n-1)(y_i).  A canonical map's breakpoints are the support of
+    its jump vector, and |supp J(f^n)| = |supp J(f^-n)|, so M_n is the
+    support size.  These k heads read one orbit per chain of l breakpoints
+    (rotnum._head_orbit), points 1..c of it, c = l for a cycle and N + l - 1
+    otherwise: member s is at point (s + t) mod c after t steps.  Heads sit
+    on distinct points at every t, so their order is free.
 
-    One orbit is stepped per chain of breakpoints (rotnum._chains): when
-    y_i = x_j mod 1, head j is head i one step on.  An open chain of length
-    l steps its first head N - 1 + l - 1 times; a cycle's orbit is the y_i
-    of its members, with no step.  Head s of a chain whose orbit has c
-    points is at point (s + t) mod c of it after t steps.
-
-    The pass runs in integers.  An orbit point is a lowest-terms pair (n,
-    d) with 0 <= n < d, advanced by the kernel f._advance and reduced as
-    (n % d, d).  All orbit points are stepped first and keyed together by
-    _order_keys, so each point has one exact int key.  The support is a
-    list of those keys in ascending order, aligned with lists of the values,
-    lowest-terms pairs, and their squared logs, and a point is found by one
-    bisect on its key.  A weight 1/J(f, x_i) is the pair (J.denominator,
-    J.numerator), so a hit costs two products and a gcd, a value of 1 is
-    n == d, and a log reads the ints a Fraction would hold.  Each norm is
-    summed left to right over ascending points, exactly as l2_norm_sq does.
-    """
+    The pass runs in integers.  The orbit points, lowest-terms pairs (n, d)
+    with 0 <= n < d, are keyed together by _order_keys, so each point has
+    one exact int key.  The support is a list of those keys in ascending
+    order, aligned with lists of the values, lowest-terms pairs, and their
+    squared logs, and a point is found by one bisect on its key.  A weight
+    1/J(f, x_i) is the pair (J.denominator, J.numerator), so a hit costs two
+    products and a gcd, a value of 1 is n == d, and a log reads the ints a
+    Fraction would hold.  Each norm is summed left to right over ascending
+    points, exactly as l2_norm_sq does."""
     _check_ints(1, N=N)
-    step, pts, heads = f._advance, [], [None] * len(f._jumps)
-    for members, cycle in _chains(f):
-        b = len(pts)
-        for i in members if cycle else members[:1]:
-            y = f.verts[i][1]
-            pts.append((y.numerator % y.denominator, y.denominator))
-        if not cycle:
-            for _ in range(N + len(members) - 2):
-                n, d, _ = step(*pts[-1])
-                pts.append((n % d, d))
+    pts, heads = [], []
+    for chain in _chains(f):
+        members, cycle = chain[:2]
+        b, c = len(pts), len(members) if cycle else N + len(members) - 1
+        pts += _head_orbit(f, chain, c)[0][1:]
         for s, i in enumerate(members):
             # J(f^-1, y_i) = 1/J(f, x_i) in lowest terms, and its squared log
             J = f._jumps[i]
             n, d = J.denominator, J.numerator
-            heads[i] = (b, s, len(pts) - b, n, d, (log(n) - log(d)) ** 2)
+            heads.append((b, s, c, n, d, (log(n) - log(d)) ** 2))
     keys = _order_keys(pts)
     support, vals, sqs = [], [], []  # ascending keys, values, squared logs
     M, norms = [], []

@@ -8,18 +8,15 @@ its zeros.
 The rotation number comes from one Stern-Brocot descent, which asks one
 sign function per map about each p/q.  Outside the closed form below, p/q
 with q <= max_q is tested at every point at once, exactly, on the orbits of
-the breakpoints, so a periodic orbit anywhere gives the exact answer.  One
-orbit serves each chain of breakpoints, each the image of the one before
-mod 1 (a PL conjugate's breakpoints come in such pairs): the gap tested
-keeps its sign along orbits, so the chain's head decides it for the rest.
-Beyond max_q only the orbit of 0 is followed: integer enclosures of it
-(_Enclosure) decide each sign, and the exact orbit every sign they leave
-open, equality included, so no float decides an answer.  Both run on ints:
-exact orbits are lowest-terms pairs stepped by the kernel PLHomeo._advance,
-which builds no Fraction and, as it returns a breakpoint's index and not its
-jump, no jump vector, and the enclosures step both bounds over one piece
-table pre-scaled from PLHomeo._table.  The descent's Farey mediants are in
-lowest terms, and become Fractions with no gcd.
+the chain heads (_head_orbit, which cocycle.growth_sequences reads too), so
+a periodic orbit anywhere gives the exact answer.  Beyond max_q only the
+orbit of 0 is followed: integer enclosures of it (_Enclosure) decide each
+sign, and the exact orbit every sign they leave open, equality included, so
+no float decides an answer.  Both run on ints: exact orbits are
+lowest-terms pairs stepped by the kernel PLHomeo._advance, which builds no
+Fraction and no jump vector, and the enclosures step both bounds over one
+piece table pre-scaled from PLHomeo._table.  The descent's Farey mediants
+are in lowest terms, and become Fractions with no gcd.
 
 Two kinds of map follow no orbit.  A rotation returns its angle.  A map
 with two breakpoints, one mapped onto the other, such as an exotic element,
@@ -273,18 +270,16 @@ def _log_ratio(h: PLHomeo) -> Optional[_LogRatio]:
     return None
 
 
-def _chains(h: PLHomeo) -> List[Tuple[List[int], bool]]:
-    """h's breakpoints split into chains and cycles, each as the list of its
-    indices in order and True for a cycle: with succ(i) = j when y_i = x_j
-    mod 1, each breakpoint has at most one predecessor (h is injective), so
-    succ splits them into chains, each from a breakpoint with no predecessor
-    to one with no successor, and cycles.  The chains come first, by their
-    first index, then each cycle left over from its smallest index; a
-    breakpoint h fixes is a cycle of one, and a rotation has neither.
-
-    Two readers step one orbit per chain: _orbit_sign steps each first
-    index, and cocycle.growth_sequences each chain's first image, reading a
-    cycle's images without a step."""
+def _chains(h: PLHomeo) -> List[Tuple[List[int], bool, List[Tuple[int, int]], List[int]]]:
+    """h's breakpoints split into chains and cycles, each as (members,
+    cycle, pairs, winds): its indices in order, True for a cycle, and its
+    head's orbit as _head_orbit holds it, x_head alone so far.  With succ(i)
+    = j when y_i = x_j mod 1, each breakpoint has at most one predecessor (h
+    is injective), so succ splits them into chains, from a breakpoint with
+    no predecessor to one with no successor, by their first index, then
+    cycles, each from its smallest index; a fixed breakpoint is a cycle of
+    one, and a rotation has neither.  F^t(x_(members[s])) = F^(s+t)(x_head)
+    - w_s, so the head's orbit serves every member."""
     if h.is_rotation:
         return []
     index = {(x.numerator, x.denominator): j for j, (x, _) in enumerate(h.verts)}
@@ -293,14 +288,35 @@ def _chains(h: PLHomeo) -> List[Tuple[List[int], bool]]:
     chains, seen = [], set()
     for i in sorted(starts) + list(range(len(succ))):
         if i not in seen:
-            members = []
+            x, members = h.verts[i][0], []
             while i is not None and i not in seen:
                 seen.add(i)
                 members.append(i)
                 i = succ[i]
             # a chain ends at no successor, a cycle back at its first index
-            chains.append((members, i is not None))
+            chains.append((members, i is not None, [(x.numerator, x.denominator)], [0]))
     return chains
+
+
+def _head_orbit(h: PLHomeo, chain, n: int) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """The chain's head orbit F^t(x_head) = r_t/d_t + w_t up to t = n, as
+    its lists of lowest-terms (r_t, d_t), 0 <= r_t < d_t, and windings w_t,
+    extended in place: the one loop that steps breakpoint orbits.  Position
+    t <= len(members) is read off the vertices with no step, as x_m + w maps
+    to y_m + w for m = members[t - 1]; each one past is one _advance."""
+    members, _, pairs, winds = chain
+    for m in members[len(pairs) - 1:n]:
+        y = h.verts[m][1]
+        w, r = divmod(y.numerator, y.denominator)
+        pairs.append((r, y.denominator))
+        winds.append(winds[-1] + w)
+    step, (r, d), w = h._advance, pairs[-1], winds[-1]
+    for _ in range(n + 1 - len(pairs)):
+        r, d, _ = step(r, d)
+        w, r = w + r // d, r % d
+        pairs.append((r, d))
+        winds.append(w)
+    return pairs, winds
 
 
 def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
@@ -311,18 +327,10 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
     q <= max_q the gaps g(c) at the breakpoints c decide g at every x: g
     keeps its sign along F-orbits and breaks only on the backward orbits of
     the c, so a zero of g that no c shares lies inside an affine piece of g
-    whose two ends, and so two of the c, have opposite signs.  Past max_q,
-    where q only grows, x = 0 alone is tested (see the module docstring).
-
-    Only the head of each chain of breakpoints, its first index in _chains,
-    is stepped: g has period 1 and keeps its sign along F-orbits, so g(x_j)
-    has the sign of g(x_i) when y_i = x_j mod 1.  A dropped breakpoint's
-    orbit is its head's orbit, shifted by its position k in the chain and by
-    an integer: F^n(x_j) = F^(n+k)(x_head) - m.  So a nonzero gap at a
-    dropped breakpoint means a gap of the same sign at its head."""
-    heads = [h.verts[members[0]] for members, _ in _chains(h)]
-    orbits = [[(c.numerator, c.denominator), (y.numerator, y.denominator)]
-              for c, y in heads]  # the chain heads' exact lift orbits
+    whose two ends, and so two of the c, have opposite signs.  A chain
+    member's gap has its head's sign, so only the heads' orbits are read,
+    extended when q passes them.  Past max_q x = 0 alone is tested."""
+    chains = _chains(h)
     enc = None  # built when q first passes max_q
     n, t = 1, h._advance(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
     w = t[0] // t[1]
@@ -331,12 +339,12 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
         nonlocal enc, n, t
         target = p + w * q
         if q <= max_q:
-            for orbit in orbits:
-                while len(orbit) <= q:
-                    orbit.append(h._advance(*orbit[-1])[:2])
-            # F^q(c) - c - target, each times its positive denominator
-            gaps = [y * e - (c + target * e) * d
-                    for (c, e), (y, d) in ((o[0], o[q]) for o in orbits)]
+            if len(chains[0][2]) <= q:  # the heads are held to one length
+                for chain in chains:
+                    _head_orbit(h, chain, q)
+            # F^q(c) - c - target times d e, for F^q(c) = r/d + v and c = c/e
+            gaps = [(r + (v - target) * d) * e - c * d for (c, e), (r, d), v in
+                    ((ps[0], ps[q], ws[q]) for *_, ps, ws in chains)]
             return (min(gaps) > 0) - (max(gaps) < 0)
         if enc is None:
             enc = _Enclosure(h, _BITS)

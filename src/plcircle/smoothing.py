@@ -20,7 +20,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 from .circle import CirclePoint, _check_ints, _coprime, _order_keys
 from .cocycle import FiniteVector
-from .homeo import _ONE, PLHomeo, identity, rotation
+from .homeo import _ONE, PLHomeo, _layout, _lowest, identity, rotation
 from .rotnum import _log_ratio, fixed_points, rotation_number
 
 
@@ -228,9 +228,10 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
     of the point denominators, X_i = x_i L, u_i = P_i / Q the cumulative
     jump products over one denominator Q, and the slope after x_i is
     proportional to u_i.  With D_i = X_{i+1} - X_i (closing at X_0 + L),
-    N_i = sum_{l<i} P_l D_l and T = N_m, the map sends x_i to
-    x_0 + N_i / T = (X_0 T + N_i L) / (L T).  No value is 1, so every x_i
-    is a true breakpoint and the vertices are already canonical."""
+    N_i = sum_{l<i} P_l D_l and T = N_m, the map sends x_i to x_0 + N_i / T
+    = Y_i / (L T), Y_i = X_0 T + N_i L, and its table (PLHomeo._table) is
+    L, the X_i and the Y_i over M = L T / gcd(L T, *Y).  No value is 1, so
+    every x_i is a true breakpoint and the vertices are already canonical."""
     if not a.entries:
         return identity()
     pts = [p.value for p, _ in a.entries]
@@ -251,9 +252,11 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
     for (p, q), dx in zip(us, D):
         N.append(N[-1] + p * (Q // q) * dx)
     T = N.pop()
-    LT, X0T = L * T, X[0] * T
-    return PLHomeo._of_canonical(tuple(
-        (x, Fraction(X0T + n * L, LT)) for x, n in zip(pts, N)))
+    Y = [X[0] * T + n * L for n in N]
+    g = math.gcd(L * T, *Y)  # L T / g is the lcm of the y denominators
+    M, Y = L * T // g, [y // g for y in Y]
+    return PLHomeo._of_canonical(tuple(zip(pts, (_lowest(y, M) for y in Y))),
+                                 _layout(L, M, X, Y))
 
 
 def _word_candidates(signed, max_period: int, max_words: int = 2000):

@@ -35,6 +35,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 KERNEL = ("tests/test_smoothing.py::test_kernel_matches_fraction_oracle",
           "tests/test_smoothing.py::test_kernel_long_orbits_match_fraction_oracle",
           "tests/test_smoothing.py::test_kernel_matches_fraction_oracle_on_wide_input")
+CHAIN_SIGNS = "tests/test_rotnum.py::test_chain_heads_give_every_sign_all_breakpoints_give"
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,22 @@ MUTANTS = [
            "if d > aL else", "if d >= aL else", KERNEL,
            equivalent="at d = a_i L, q = e_i d = a_i L e_i = K_i, so "
                       "gcd(K_i, p, q) = gcd(p, q): both branches take the same gcd"),
+    Mutant("conjugator-without-gcd-shrink", "smoothing", "synthesize_conjugator",
+           "math.gcd(L * T, *Y)", "1",
+           ("tests/test_homeo.py::test_synthesized_tables_match_oracle",
+            "tests/test_homeo.py::test_smoothing_conjugator_tables_match_oracle")),
+    # an open chain has no member past its last: its next position is stepped
+    Mutant("head-orbit-reads-past-the-chain", "rotnum", "_head_orbit",
+           "members[len(pairs) - 1:n]", "(members + members[:1])[len(pairs) - 1:n]",
+           (CHAIN_SIGNS, "tests/test_cocycle.py::"
+                         "test_growth_sequences_match_oracle_on_chains_and_cycles")),
+    Mutant("head-orbit-read-drops-winding", "rotnum", "_head_orbit",
+           "winds.append(winds[-1] + w)", "winds.append(w)", (CHAIN_SIGNS,)),
+    # equal values, one more step per chain: only the step counts tell
+    Mutant("head-orbit-reads-one-short", "rotnum", "_head_orbit",
+           "members[len(pairs) - 1:n]", "members[:-1][len(pairs) - 1:n]",
+           ("tests/test_rotnum.py::test_rotation_number_steps_one_orbit_per_chain",
+            "tests/test_cocycle.py::test_growth_sequences_step_one_orbit_per_chain")),
 ]
 
 
@@ -85,6 +102,9 @@ def install(m: Mutant) -> None:
     exec(code, vars(module), namespace)
     mutant = namespace[name]
     setattr(owner, name, mutant)
+    package = importlib.import_module("plcircle")
+    if vars(package).get(name) is func:  # the package re-exports it
+        setattr(package, name, mutant)
     if hasattr(mutant, "__set_name__"):  # setattr does not call it
         mutant.__set_name__(owner, name)
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plcircle import (ExoticParams, FiniteVector, InvalidHomeoError, PLHomeo,
-                      exotic_element, from_lift_vertices, homeo, identity,
-                      jump_cocycle, random_pl, reduce_mod1, rotation,
+from plcircle import (ExoticParams, FiniteVector, GroupPresentation, InvalidHomeoError,
+                      PLHomeo, exotic_element, from_lift_vertices, homeo, identity,
+                      jump_cocycle, random_pl, reduce_mod1, rotation, smooth_group,
                       synthesize_conjugator)
 from plcircle.circle import frac_mod1
 
@@ -474,6 +474,37 @@ def test_stored_tables_match_oracle(case):
     assert inv.inverse()._table == oracle_table(inv.inverse())
     if not h.is_rotation:  # a rotation's inverse is a rotation, built lazily
         assert "_table" in vars(inv) and "_table" in vars(inv.inverse())
+
+
+@st.composite
+def product_one_vectors(draw):
+    """Finite vectors of product 1 on up to 8 points of denominator <= 64."""
+    xs = draw(st.lists(st.fractions(0, 1, max_denominator=64).filter(lambda x: x < 1),
+                       min_size=1, max_size=8, unique=True))
+    vals = [draw(st.fractions(F(1, 9), 9, max_denominator=9).filter(lambda v: v > 0))
+            for _ in xs[1:]]
+    vals.append(1 / math.prod(vals, start=F(1)))
+    return FiniteVector.from_dict({reduce_mod1(x): v for x, v in zip(xs, vals)})
+
+
+@given(st.one_of(random_maps.map(jump_cocycle), product_one_vectors()))
+@settings(max_examples=300, deadline=None)
+def test_synthesized_tables_match_oracle(a):
+    # synthesize_conjugator builds its table from the integers it solves in
+    phi = synthesize_conjugator(a)
+    if a.entries:
+        assert vars(phi)["_table"] == oracle_table(phi)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_smoothing_conjugator_tables_match_oracle(seed):
+    # the conjugators smooth_group synthesizes from _solve's potentials
+    phi = random_pl(seed, 4, 32)
+    G = GroupPresentation(tuple((f"g{i}", phi.compose(rotation(a)).compose(phi.inverse()))
+                                for i, a in enumerate((F(1, 3), F(1, 5)))))
+    outcome = smooth_group(G)
+    assert outcome.kind == "success" and not outcome.phi.is_rotation
+    assert vars(outcome.phi)["_table"] == oracle_table(outcome.phi)
 
 
 # -- compose, against the body it replaced ---------------------------------

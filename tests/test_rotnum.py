@@ -722,8 +722,10 @@ def test_exotic_rotation_number_closed_form(A, lam, exact):
 
 # -- one orbit per chain of breakpoints, against the body it replaced -------
 #
-# _orbit_sign steps one lift orbit per chain of breakpoints, each the image
-# of the one before mod 1.  Its oracle is the body before that, kept here
+# _orbit_sign reads one lift orbit per chain of breakpoints, each the image
+# of the one before mod 1, from _head_orbit, which reads the chain's own
+# members off the vertices and steps the rest.  Its oracle is the body
+# before chains, kept here
 # verbatim but for its kernel, now _advance: it steps the orbit of every
 # breakpoint.
 
@@ -781,23 +783,30 @@ CHAINED = ([conjugate(random_pl(s, k, 64), rotation(alpha))
               for A, lam in [(4, 2), (6, 2), (7, 3)]])
 
 
+def shapes(h):
+    """Each chain of h as (members, cycle), its head orbit left out."""
+    return [chain[:2] for chain in rotnum._chains(h)]
+
+
 def test_chain_heads_of_known_maps():
-    (members, cycle), = rotnum._chains(ONE_CYCLE)
+    (members, cycle), = shapes(ONE_CYCLE)
     assert len(ONE_CYCLE.verts) == 4 and sorted(members) == [0, 1, 2, 3] and cycle
     assert len(MEDIAN.verts) == 16 and len(rotnum._chains(MEDIAN)) == 8
     # 0 is fixed: a cycle of one, after the chain of the breakpoint 1/2
-    assert rotnum._chains(STD) == [([1], False), ([0], True)]
+    assert shapes(STD) == [([1], False), ([0], True)]
     for h in CHAINED:
         assert len(rotnum._chains(h)) < len(h.verts)
     for h in CHAIN_FREE:
-        assert rotnum._chains(h) == [([i], False) for i in range(len(h.verts))]
+        assert shapes(h) == [([i], False) for i in range(len(h.verts))]
     assert rotnum._chains(rotation(F(1, 3))) == rotnum._chains(rotation(0)) == []
     for h in CHAINED + CHAIN_FREE + [STD]:
         x = [(v.numerator, v.denominator) for v, _ in h.verts]
         y = [(v.numerator % v.denominator, v.denominator) for _, v in h.verts]
         chains = rotnum._chains(h)
-        assert sorted(i for members, _ in chains for i in members) == list(range(len(x)))
-        for members, cycle in chains:
+        assert sorted(i for members, *_ in chains for i in members) == list(range(len(x)))
+        for members, cycle, pairs, winds in chains:
+            # a new chain's head orbit is its head alone
+            assert (pairs, winds) == ([x[members[0]]], [0])
             # each member is the image of the one before mod 1; a cycle's
             # first is the image of its last, and a chain's first is no image
             assert all(y[i] == x[j] for i, j in zip(members, members[1:]))
@@ -814,9 +823,35 @@ def test_chain_heads_give_every_sign_all_breakpoints_give(h):
             assert sign(p, q) == want(p, q), (p, q)
 
 
+def oracle_lift_eval(h, t):
+    """F(t) for the canonical lift F, by Fraction arithmetic on the vertices."""
+    m = math.floor(t - h.verts[0][0])
+    v = h.verts + ((h.verts[0][0] + 1, h.verts[0][1] + 1),)
+    i = bisect.bisect_right([x for x, _ in v], t - m) - 1
+    (x0, y0), (x1, y1) = v[i], v[i + 1]
+    return y0 + (y1 - y0) / (x1 - x0) * (t - m - x0) + m
+
+
+@pytest.mark.parametrize("h", CHAINED + CHAIN_FREE + [STD])
+def test_head_orbit_matches_fraction_oracle(h):
+    # positions up to a chain's length are read off the vertices, the rest
+    # stepped: every one must be F^t(x_head), in lowest terms with 0 <= r < d
+    for chain in rotnum._chains(h):
+        pairs, winds = rotnum._head_orbit(h, chain, 40)
+        assert len(pairs) == len(winds) == 41
+        t = h.verts[chain[0][0]][0]
+        for (r, d), w in zip(pairs, winds):
+            assert 0 <= r < d and math.gcd(r, d) == 1
+            assert F(r, d) + w == t
+            t = oracle_lift_eval(h, t)
+
+
 @pytest.mark.parametrize("h, rho, steps", [
-    (MEDIAN, F(3, 8), 57),  # 113 with one orbit per breakpoint
-    (ONE_CYCLE, F(1, 4), 4),  # 13 with one orbit per breakpoint
+    # the members of a chain are read, not stepped: the 8 chains of 2 read
+    # positions 1 and 2, and the cycle of 4 every position up to q = 4, so
+    # only F(0) is stepped
+    (MEDIAN, F(3, 8), 49),  # 113 with one orbit per breakpoint
+    (ONE_CYCLE, F(1, 4), 1),  # 13 with one orbit per breakpoint
     (random_pl(3, 4, 32), F(13, 23), 89),  # no chain: one orbit per breakpoint
 ])
 def test_rotation_number_steps_one_orbit_per_chain(monkeypatch, h, rho, steps):
