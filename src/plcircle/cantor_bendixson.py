@@ -5,20 +5,27 @@ A set is a finite tree: leaves are isolated rational points, limit nodes
 are an apex point together with ratio-scaled copies of a child set placed
 in nested punctured one-sided neighbourhoods converging to the apex.  Only
 finite ranks are representable; transfinite towers are out of scope.
+
+A limit node's copies are injective affine images of its child in three
+disjoint ranges of offsets from the apex, so its points are distinct
+whenever its child's are: points can only collide between siblings of one
+node list.  validate_realization therefore realizes only the siblings whose
+arcs meet, and its cost is linear in the tree everywhere else.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Tuple, Union
+from typing import FrozenSet, List, Set, Tuple, Union
 
-from .circle import CirclePoint, _check_ints, _quote, frac_mod1
+from .circle import CirclePoint, _check_ints, _exact, _order_keys, _quote, frac_mod1
 
 LEFT = "left"
 RIGHT = "right"
 
-# validate_realization refuses sets with more realized points than this,
-# since it builds every one of them in exact arithmetic
+# validate_realization refuses a group of siblings whose arcs meet when they
+# realize more points than this together, since it builds every one of them
+# in exact arithmetic; the rest of the tree is never realized
 MAX_REALIZED_POINTS = 10 ** 5
 
 
@@ -35,6 +42,8 @@ class Limit:
     ratio: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.ratio, Fraction):  # so no float reaches the arcs
+            object.__setattr__(self, "ratio", _exact(Fraction, self.ratio))
         if self.direction not in (LEFT, RIGHT):
             raise ValueError("direction must be 'left' or 'right', "
                              f"got {_quote(self.direction, repr)}")
@@ -75,25 +84,66 @@ def realize(S: SymbolicSet, depth: int) -> FrozenSet[Fraction]:
     return frozenset(pts)
 
 
+def _arcs(node: Node) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """Closed arcs [lo, hi] within [0, 1] holding every realized point of the
+    node: a leaf's point, or a limit node's apex and its first copy's reach
+    r^2 + 3(r - r^2)/4 on its side, split in two where it passes 0."""
+    if isinstance(node, Leaf):
+        p = node.point.value
+        return ((p, p),)
+    r, a = node.ratio, node.apex.value
+    reach = r * r + 3 * (r - r * r) / 4
+    lo, hi = (a, a + reach) if node.direction == RIGHT else (a - reach, a)
+    if 0 <= lo and hi <= 1:
+        return ((lo, hi),)
+    return ((frac_mod1(lo), 1), (0, frac_mod1(hi)))
+
+
+def _meeting_groups(nodes: Tuple[Node, ...]) -> List[Set[int]]:
+    """The indices of the nodes, grouped by chains of meeting arcs, so two
+    nodes whose arcs meet share a group; only groups of two or more.  The
+    arcs are swept in the order of their integer keys, not of Fractions."""
+    owners, ends = [], []
+    for i, node in enumerate(nodes):
+        for arc in _arcs(node):
+            owners.append(i)
+            ends.extend((q.numerator, q.denominator) for q in arc)
+    keys = _order_keys(ends)
+    groups: List[Set[int]] = []
+    end = None
+    for lo, hi, i in sorted(zip(keys[::2], keys[1::2], owners)):
+        if groups and lo <= end:
+            groups[-1].add(i)
+            end = max(end, hi)
+        else:
+            groups.append({i})
+            end = hi
+    return [group for group in groups if len(group) > 1]
+
+
 def validate_realization(S: SymbolicSet) -> None:
     """Check that all constituents realize pairwise distinct points at depth
-    3 (beyond it, the ratio bounds keep copies disjoint).  Sets realizing
-    more than MAX_REALIZED_POINTS points are rejected unrealized."""
-    depth, total = 3, 0
+    3 (beyond it, the ratio bounds keep copies disjoint).  Each node list is
+    checked after its children's: only its siblings whose arcs meet are
+    realized, together, and a group realizing more than MAX_REALIZED_POINTS
+    points is rejected unrealized."""
+    depth = 3
 
-    def count(node: Node) -> int:
-        if isinstance(node, Leaf):
-            return 1
-        per_copy = sum(count(c) for c in node.child.nodes)
-        return 1 + depth * per_copy
+    def size(nodes: Tuple[Node, ...]) -> int:
+        """The number of points the nodes realize, once checked distinct."""
+        sizes = [1 if isinstance(node, Leaf) else 1 + depth * size(node.child.nodes)
+                 for node in nodes]
+        for group in _meeting_groups(nodes) if len(nodes) > 1 else ():
+            total = sum(sizes[i] for i in group)
+            if total > MAX_REALIZED_POINTS:
+                raise ValueError(f"siblings whose arcs meet realize {total} points at "
+                                 f"depth {depth}, more than the limit of "
+                                 f"{MAX_REALIZED_POINTS}")
+            if len(realize(SymbolicSet(tuple(nodes[i] for i in group)), depth)) != total:
+                raise ValueError(f"realized points collide at depth {depth}")
+        return sum(sizes)
 
-    for node in S.nodes:
-        total += count(node)
-    if total > MAX_REALIZED_POINTS:
-        raise ValueError(f"set realizes {total} points at depth {depth}, "
-                         f"more than the limit of {MAX_REALIZED_POINTS}")
-    if len(realize(S, depth)) != total:
-        raise ValueError(f"realized points collide at depth {depth}")
+    size(S.nodes)
 
 
 def cb_derivative(S: SymbolicSet) -> SymbolicSet:

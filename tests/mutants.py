@@ -36,6 +36,8 @@ KERNEL = ("tests/test_smoothing.py::test_kernel_matches_fraction_oracle",
           "tests/test_smoothing.py::test_kernel_long_orbits_match_fraction_oracle",
           "tests/test_smoothing.py::test_kernel_matches_fraction_oracle_on_wide_input")
 CHAIN_SIGNS = "tests/test_rotnum.py::test_chain_heads_give_every_sign_all_breakpoints_give"
+CB = "tests/test_cantor_bendixson.py::"
+ARC_ORACLE = CB + "test_validate_agrees_with_realizing_oracle"
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,16 @@ MUTANTS = [
            "members[len(pairs) - 1:n]", "members[:-1][len(pairs) - 1:n]",
            ("tests/test_rotnum.py::test_rotation_number_steps_one_orbit_per_chain",
             "tests/test_cocycle.py::test_growth_sequences_step_one_orbit_per_chain")),
+    # a limit node's arc must hold its apex and all of its first copy
+    Mutant("arc-reach-without-first-copy", "cantor_bendixson", "_arcs",
+           "reach = r * r + 3 * (r - r * r) / 4", "reach = r * r",
+           (CB + "test_validate_rejects_colliding_points", ARC_ORACLE)),
+    Mutant("arc-on-the-wrong-side", "cantor_bendixson", "_arcs",
+           "if node.direction == RIGHT", "if node.direction == LEFT",
+           (CB + "test_validate_rejects_colliding_points", ARC_ORACLE)),
+    Mutant("arc-not-split-at-zero", "cantor_bendixson", "_arcs",
+           "if 0 <= lo and hi <= 1:", "if True:",
+           (CB + "test_validate_rejects_collision_across_zero", ARC_ORACLE)),
 ]
 
 

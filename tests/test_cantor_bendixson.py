@@ -3,6 +3,8 @@
 The brute-force oracle works on realized point sets: a point of a finite
 realization approximates an accumulation point of the ideal set iff its
 nearest-neighbour distance keeps shrinking as the realization depth grows.
+The validation oracle realizes every point of a set, as validate_realization
+did before it realized only the siblings whose arcs meet.
 """
 
 from fractions import Fraction as F
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from plcircle import (CBRank, Leaf, Limit, SymbolicSet, cb_derivative,
                       cb_rank, nested_limit, realize, reduce_mod1,
                       validate_realization)
+from plcircle.cantor_bendixson import MAX_REALIZED_POINTS
 from plcircle.io import symbolic_set_from_json, symbolic_set_to_json
 
 
@@ -97,6 +100,109 @@ def _limit_at_one_eighth():
 def test_validate_rejects_colliding_points(S):
     with pytest.raises(ValueError, match="^realized points collide at depth 3$"):
         validate_realization(S)
+
+
+@pytest.mark.parametrize("apex, direction, leaf", [
+    # ratio 1/2, child {0}: the first copy lies 5/16 from the apex, past 0
+    pytest.param(F(15, 16), "right", F(1, 4), id="right_past_one"),
+    pytest.param(F(1, 16), "left", F(3, 4), id="left_past_zero"),
+])
+def test_validate_rejects_collision_across_zero(apex, direction, leaf):
+    node = Limit(reduce_mod1(apex), leaves(0), direction, F(1, 2))
+    with pytest.raises(ValueError, match="^realized points collide at depth 3$"):
+        validate_realization(SymbolicSet((node, Leaf(reduce_mod1(leaf)))))
+
+
+@pytest.mark.parametrize("ratio", [0.5, "1/2"])
+def test_limit_ratio_is_exact(ratio):
+    node = Limit(reduce_mod1(F(1, 8)), leaves(0), "right", ratio)
+    assert type(node.ratio) is F and node.ratio == F(1, 2)
+    assert node == _limit_at_one_eighth()
+
+
+def test_limit_rejects_ratio_string_out_of_range():
+    with pytest.raises(ValueError, match=r"^ratio must lie in \(0, 1\), got 3/2$"):
+        Limit(reduce_mod1(0), leaves(0), "right", "3/2")
+
+
+@pytest.mark.parametrize("k", [10, 11, 12, 100])
+def test_validate_nested_limits_realizing_no_point(k):
+    # 3^(k+1)/2 points at depth 3, past the cap from k = 11 on, but each node
+    # list holds one node, so nothing is realized
+    S = nested_limit(reduce_mod1(F(1, 3)), k)
+    validate_realization(S)
+    assert cb_rank(S).rank == k + 1
+
+
+def test_validate_rejects_oversized_meeting_siblings():
+    # two towers of 10 limits, 88,573 points each, whose arcs meet at 1/64
+    S = SymbolicSet(nested_limit(reduce_mod1(0), 10).nodes
+                    + nested_limit(reduce_mod1(F(1, 64)), 10).nodes)
+    with pytest.raises(ValueError, match=f"^siblings whose arcs meet realize 177146 "
+                                         f"points at depth 3, more than the limit of "
+                                         f"{MAX_REALIZED_POINTS}$"):
+        validate_realization(S)
+
+
+# ------------------------------------------------ realizing validation oracle
+
+def oracle_validate_realization(S: SymbolicSet) -> None:
+    """Count every point at depth 3, refuse past the cap, then realize them
+    all and compare: the check as it was before arcs."""
+    depth, total = 3, 0
+
+    def count(node) -> int:
+        if isinstance(node, Leaf):
+            return 1
+        per_copy = sum(count(c) for c in node.child.nodes)
+        return 1 + depth * per_copy
+
+    for node in S.nodes:
+        total += count(node)
+    if total > MAX_REALIZED_POINTS:
+        raise ValueError(f"set realizes {total} points at depth {depth}, "
+                         f"more than the limit of {MAX_REALIZED_POINTS}")
+    if len(realize(S, depth)) != total:
+        raise ValueError(f"realized points collide at depth {depth}")
+
+
+# a few 1/64 either side of 0, so that arcs wrap past it
+NEAR_ZERO = st.fractions(F(-1, 16), F(1, 16), max_denominator=192).map(reduce_mod1)
+
+
+@st.composite
+def symbolic_sets(draw, levels=3):
+    """Lists of up to four siblings at distinct points, both directions,
+    ratios up to 9/10, nested up to `levels` deep; a quarter of the lists
+    get one more leaf on a point of a sibling's depth-1 realization: an equal
+    leaf, its apex or a point of its first copy."""
+    nodes = []
+    for point in draw(st.lists(NEAR_ZERO, min_size=1, max_size=4, unique=True)):
+        if levels > 1 and draw(st.booleans()):
+            nodes.append(Limit(point, draw(symbolic_sets(levels - 1)),
+                               draw(st.sampled_from(["left", "right"])),
+                               draw(st.fractions(F(1, 16), F(9, 10), max_denominator=16))))
+        else:
+            nodes.append(Leaf(point))
+    if draw(st.integers(0, 3)) == 0:
+        sibling = SymbolicSet((draw(st.sampled_from(nodes)),))
+        point = draw(st.sampled_from(sorted(realize(sibling, 1))))
+        nodes.insert(draw(st.integers(0, len(nodes))), Leaf(reduce_mod1(point)))
+    return SymbolicSet(tuple(nodes))
+
+
+def _verdict(check, S):
+    try:
+        check(S)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(symbolic_sets())
+@settings(max_examples=150, deadline=None)
+def test_validate_agrees_with_realizing_oracle(S):
+    assert _verdict(validate_realization, S) == _verdict(oracle_validate_realization, S)
 
 
 # -------------------------------------------------- brute-force rank oracle

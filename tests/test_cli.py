@@ -307,12 +307,16 @@ def test_rotnum_rejects_zero_depth_by_name():
     assert "depth" in r.stderr and "max_q" not in r.stderr
 
 
-def _nested_set(depth):
-    doc = '[{"leaf": "0/1"}]'
+def _nested_node(depth, apex="0/1"):
+    doc = '{"leaf": "%s"}' % apex
     for _ in range(depth):
-        doc = ('[{"limit": {"apex": "0/1", "child": %s, '
-               '"direction": "right", "ratio": "1/4"}}]' % doc)
+        doc = ('{"limit": {"apex": "%s", "child": [%s], '
+               '"direction": "right", "ratio": "1/4"}}' % (apex, doc))
     return doc
+
+
+def _nested_set(depth):
+    return "[%s]" % _nested_node(depth)
 
 
 def test_cb_rank_rejects_deep_nesting(tmp_path):
@@ -329,13 +333,34 @@ def test_cb_rank_rejects_colliding_leaves(tmp_path):
     assert r.stderr == "error: realized points collide at depth 3\n"
 
 
-def test_cb_rank_rejects_oversized_realization(tmp_path):
-    # 12 nested limits realize 797,161 points at depth 3
-    big = tmp_path / "big.json"
-    big.write_text(_nested_set(12))
-    r = run("cb-rank", str(big), timeout=30)
+@pytest.mark.parametrize("depth", [12, 300])
+def test_cb_rank_ranks_nested_limits_unrealized(tmp_path, depth):
+    # 12 nested limits realize 797,161 points at depth 3, and the JSON reader
+    # takes about 320 levels; no node list has two nodes, so none is realized
+    doc = tmp_path / "nested.json"
+    doc.write_text(_nested_set(depth))
+    r = run("cb-rank", str(doc), timeout=30)
+    chain = "1 " * (depth + 1)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == (f"rank {depth + 1}\ntop finite set size 1\n"
+                        f"derivative chain sizes: {chain}0\n")
+
+
+def test_cb_rank_rejects_oversized_overlapping_siblings(tmp_path):
+    # two towers of 10 limits realize 88,573 points each, and their arcs meet
+    doc = tmp_path / "big.json"
+    doc.write_text("[%s, %s]" % (_nested_node(10), _nested_node(10, "1/64")))
+    r = run("cb-rank", str(doc), timeout=30)
     _assert_one_error_line(r)
-    assert "797161 points" in r.stderr
+    assert "177146 points" in r.stderr
+
+
+def test_cb_rank_rejects_four_hundred_nested_limits(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_nested_set(400))
+    r = run("cb-rank", str(deep), timeout=30)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: input nested too deeply\n"
 
 
 def test_orbit_norms_past_the_subset_product_limit(tmp_path):
