@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import FrozenSet, List, Set, Tuple, Union
 
 from .circle import CirclePoint, _check_ints, _exact, _order_keys, _quote, frac_mod1
@@ -169,20 +170,35 @@ class CBRank:
     chain: Tuple[int, ...]  # node counts of S, S', S'', ..., ending with 0
 
 
+def _height(node: Node) -> int:
+    """0 for a leaf, 1 + the greatest height among a limit node's child's
+    nodes."""
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + max(map(_height, node.child.nodes))
+
+
 def cb_rank(S: SymbolicSet) -> CBRank:
-    """Iterate the derivative until empty; the rank is the iteration count
-    and the last nonempty derivative is a finite set whose size is reported."""
-    cur = S
-    last_size = 0
-    chain = []
-    while cur.nodes:
-        chain.append(len(cur.nodes))
-        last_size = len({node.point.value if isinstance(node, Leaf) else node.apex.value
-                         for node in cur.nodes})
-        cur = cb_derivative(cur)
-    chain.append(0)
-    return CBRank(rank=len(chain) - 1, top_finite_set_size=last_size,
-                  chain=tuple(chain))
+    """The derivative chain read off one walk of the tree, with no derivative
+    built: S^(k) has one node for each top-level node of height >= k.
+
+    By induction on the height h: cb_derivative drops a leaf (h = 0) and
+    keeps a limit node (h >= 1) over the derivative of its child, whose
+    nodes have greatest height h - 1: as a leaf when that derivative is
+    empty (h = 1), else as a limit node of height h - 1.  So a node of
+    height h keeps one node in S^(k) exactly for k <= h, a leaf at its apex
+    or point in S^(h).  The rank is 1 + the greatest height, 0 for the empty
+    set, and the top finite set S^(rank - 1) holds the apexes and points of
+    the top-level nodes of that height."""
+    heights = [_height(node) for node in S.nodes]
+    top = max(heights, default=-1)
+    counts = [0] * (top + 2)
+    for h in heights:
+        counts[h] += 1
+    chain = list(accumulate(reversed(counts)))[::-1]  # ends with counts[top + 1] = 0
+    last = {(node.point if isinstance(node, Leaf) else node.apex).value
+            for node, h in zip(S.nodes, heights) if h == top}
+    return CBRank(rank=top + 1, top_finite_set_size=len(last), chain=tuple(chain))
 
 
 def nested_limit(apex: CirclePoint, k: int) -> SymbolicSet:

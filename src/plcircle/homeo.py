@@ -148,7 +148,12 @@ class PLHomeo:
     nothing, as the slopes invert), `compose` (from the two vertex lists, it
     keeps the cuts whose chain-rule jump is not 1), `rotation` and
     `synthesize_conjugator` (its support points are sorted, distinct, and
-    all true breakpoints)."""
+    all true breakpoints).
+
+    Two maps are equal when their vertices are, and they hash over the ints
+    of the vertex pairs, not over Fraction hashes: equal maps have the same
+    canonical vertices, each a Fraction in lowest terms, so the same ints.
+    The frozen dataclass keeps this explicit __hash__ and its own __eq__."""
 
     verts: Tuple[Vertex, ...]
 
@@ -156,6 +161,10 @@ class PLHomeo:
         verts, table = _canonical(self.verts)
         object.__setattr__(self, "verts", verts)
         object.__setattr__(self, "_table", table)  # where the cached property keeps it
+
+    def __hash__(self) -> int:
+        return hash(tuple([(x.numerator, x.denominator, y.numerator, y.denominator)
+                           for x, y in self.verts]))
 
     @classmethod
     def _of_canonical(cls, verts: Tuple[Vertex, ...], table=None) -> "PLHomeo":

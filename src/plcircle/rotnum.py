@@ -1,9 +1,11 @@
 """Exact fixed-point solving and rotation numbers for PL circle maps.
 
-Fixed sets are read off the vertex gaps g_i = y_i - x_i of the lift F: as
+Fixed sets are read off the vertex gaps g_i = y_i - x_i of the lift F, each
+held as the integer pair of its own vertex, with no common denominator: as
 F - id is affine between vertices and spans less than 1, ceil(min g_i) is
-the one integer it can take, and one in-order pass over the pieces finds
-its zeros.
+the one integer it can take, the signs of the gaps less it are integer
+signs, and one in-order pass over the pieces finds its zeros, building a
+Fraction only for an interpolated zero.
 
 The rotation number comes from one Stern-Brocot descent, which asks one
 sign function per map about each p/q.  Outside the closed form below, p/q
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .circle import CirclePoint, _check_ints, _coprime, _exact, frac_mod1
+from .circle import CirclePoint, _check_ints, _coprime, _exact
 from .homeo import PLHomeo
 
 
@@ -56,41 +58,62 @@ class FixedSet:
 
 
 def fixed_points(h: PLHomeo) -> FixedSet:
-    """Solve h(x) = x exactly from the vertex gaps g_i = y_i - x_i.
+    """Solve h(x) = x exactly from the vertex gaps g_i = y_i - x_i, each the
+    integer pair (n_i, e_i) = (y_n x_d - x_n y_d, x_d y_d) of its own vertex.
 
     F - id is affine between vertices and spans less than 1 over a period,
-    so c = ceil(min g_i) is the only integer it can take, and none when
-    c > max g_i.  One in-order pass over the pieces [x_i, x_{i+1}] adds the
-    zeros of F - id - c, merged with the last interval: the whole piece when
-    both ends are 0, its left vertex when only that end is, the interpolated
-    zero when the signs differ.  An arc ending at x_0 + 1 is then joined
-    onto the first interval."""
-    gaps = [y - x for x, y in h.verts]
-    c = math.ceil(min(gaps))
-    if c > max(gaps):
+    so c = ceil(min g_i) = min ceil(n_i / e_i) is the only integer it can
+    take, and none when n_i < c e_i for every i.  F - id - c has the sign of
+    s_i = n_i - c e_i at x_i, as e_i > 0.  One in-order pass over the pieces
+    [x_i, x_{i+1}], x_k = x_0 + 1 and s_k = s_0, adds the zeros of F - id - c,
+    merged with the last interval when that ended on a whole piece: the
+    whole piece when both ends are 0, its left vertex when only that end is,
+    and when the signs differ the interpolated zero (x_i v + x_{i+1} u) /
+    (u + v), u = |s_i| e_{i+1} and v = |s_{i+1}| e_i, the one Fraction built,
+    in lowest terms mod 1.  A last piece that is whole ends at x_0 + 1, and
+    its interval is joined onto the first one, which starts at x_0.  So
+    every end is a vertex x_i, in [0, 1), or an interpolated zero."""
+    verts = h.verts
+    N, E = [], []
+    for x, y in verts:
+        xd, yd = x.denominator, y.denominator
+        N.append(y.numerator * xd - x.numerator * yd)
+        E.append(xd * yd)
+    c = min(-(-n // e) for n, e in zip(N, E))
+    S = [n - c * e for n, e in zip(N, E)]
+    if max(S) < 0:
         return FixedSet(False, (), ())
-    if len(gaps) == 1:  # a single vertex with gap c: the identity
+    k = len(verts)
+    if k == 1:  # a single vertex with gap c: the identity
         return FixedSet(True, (), ())
-    d, end = [g - c for g in gaps], h.verts[0][0] + 1
-    merged: List[List[Fraction]] = []  # closed, in lift coords
-    for i, ((a, _), da) in enumerate(zip(h.verts, d)):  # [x_i, x_{i+1}], x_k = end
-        b, db = (h.verts[i + 1][0], d[i + 1]) if i + 1 < len(d) else (end, d[0])
-        if da == 0:
-            iv = [a, b if db == 0 else a]
-        elif da * db < 0:
-            x = a + da * (b - a) / (da - db)
-            iv = [x, x]
-        else:
+    merged: List[List[Fraction]] = []  # closed, [start, end]
+    whole = False  # the last interval ends on a whole piece, at x_i
+    for i, ((a, _), sa) in enumerate(zip(verts, S)):
+        j = i + 1 - k  # i + 1 as a negative index: 0 for the last piece
+        sb = S[j]
+        if sa == 0:
+            b = a if sb else verts[j][0]
+            if whole:
+                merged[-1][1] = b
+            else:
+                merged.append([a, b])
+            whole = not sb
             continue
-        if merged and iv[0] == merged[-1][1]:
-            merged[-1][1] = iv[1]
-        else:
-            merged.append(iv)
-    if merged[-1][1] == end:
-        merged[0][0] = merged.pop()[0] - 1
-    points = tuple(CirclePoint(frac_mod1(a)) for a, b in merged if a == b)
-    arcs = tuple((CirclePoint(frac_mod1(a)), CirclePoint(frac_mod1(b)))
-                 for a, b in merged if a != b)
+        if sb and (sa < 0) != (sb < 0):
+            b = verts[j][0]
+            bn, bd, ad = b.numerator, b.denominator, a.denominator
+            if j == 0:
+                bn += bd  # x_0 + 1
+            u, v = abs(sa) * E[j], abs(sb) * E[i]
+            n, d = a.numerator * bd * v + bn * ad * u, ad * bd * (u + v)
+            g = math.gcd(n, d)
+            x = _coprime(n // g % (d // g), d // g)
+            merged.append([x, x])
+        whole = False
+    if whole:
+        merged[0][0] = merged.pop()[0]
+    points = tuple(CirclePoint(a) for a, b in merged if a == b)
+    arcs = tuple((CirclePoint(a), CirclePoint(b)) for a, b in merged if a != b)
     return FixedSet(False, points, arcs)
 
 

@@ -267,9 +267,11 @@ def _word_candidates(signed, max_period: int, max_words: int = 2000):
     letter, a word of length 1 is the generator itself, and a letter
     followed by its own inverse (slot k ^ 1 of the word's first letter k)
     is skipped, as it equals the word's tail, which is already seen.  Each
-    new word is hashed once.  The identity is seen from the start, so some
-    word is the identity exactly when a generator is, or when the search
-    reaches length 2, where g^-1 g is skipped."""
+    new word is hashed once, by the ints of its vertex pairs (PLHomeo's
+    hash), and its fixed points are solved on integer gaps (fixed_points).
+    The identity is seen from the start, so some word is the identity
+    exactly when a generator is, or when the search reaches length 2, where
+    g^-1 g is skipped."""
     seen = {identity()}
     frontier = [(None, -2)]  # (word, slot of its first letter)
     for length in range(max_period):  # the length of the words in frontier
@@ -305,10 +307,10 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     generators and their inverses, tried in word order as each word is found,
     with 0 last when a word is the identity.  The trivial word g^-1 g is, so
     every search that reaches length 2 tries 0 last, whatever the group.
-    Only reduced words are composed, each new word is hashed once, and the
-    words stop past 2000.  Each candidate's orbit is closed under the
-    generators up to max_orbit points; the first that closes is returned,
-    or None if none closes within the budget.
+    Only reduced words are composed, each new word is hashed once, by its
+    integer pairs, and the words stop past 2000.  Each candidate's orbit is
+    closed under the generators up to max_orbit points; the first that
+    closes is returned, or None if none closes within the budget.
 
     A finite orbit is a union of periodic orbits of each generator, of q
     points each when its rotation number is p/q in lowest terms.  So when a

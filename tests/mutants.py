@@ -38,6 +38,10 @@ KERNEL = ("tests/test_smoothing.py::test_kernel_matches_fraction_oracle",
 CHAIN_SIGNS = "tests/test_rotnum.py::test_chain_heads_give_every_sign_all_breakpoints_give"
 CB = "tests/test_cantor_bendixson.py::"
 ARC_ORACLE = CB + "test_validate_agrees_with_realizing_oracle"
+FIXED = ("tests/test_rotnum.py::test_fixed_points_standard",
+         "tests/test_rotnum.py::test_fixed_points_match_the_piecewise_oracle",
+         "tests/test_rotnum.py::test_fixed_points_match_the_piecewise_oracle_on_a_seeded_sweep")
+HASH = "tests/test_homeo.py::test_equal_maps_hash_equal_along_every_path"
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,26 @@ MUTANTS = [
     Mutant("arc-not-split-at-zero", "cantor_bendixson", "_arcs",
            "if 0 <= lo and hi <= 1:", "if True:",
            (CB + "test_validate_rejects_collision_across_zero", ARC_ORACLE)),
+    # c must be the least ceiling of the gaps, the one integer F - id can take
+    Mutant("fixed-points-floor-of-the-gaps", "rotnum", "fixed_points",
+           "c = min(-(-n // e) for", "c = min(n // e for", FIXED),
+    Mutant("fixed-points-empty-at-a-zero-gap", "rotnum", "fixed_points",
+           "if max(S) < 0:", "if max(S) <= 0:", FIXED),
+    # the zero of a piece weighs each end by the other end's denominator
+    Mutant("fixed-points-crossing-one-denominator", "rotnum", "fixed_points",
+           "u, v = abs(sa) * E[j]", "u, v = abs(sa) * E[i]", FIXED),
+    Mutant("rank-leaf-at-height-one", "cantor_bendixson", "_height",
+           "return 0", "return 1",
+           (CB + "test_rank_finite", CB + "test_rank_matches_derivative_oracle")),
+    # equal maps built apart must hash equal; only the contract test builds
+    # the same map twice and compares the hashes
+    Mutant("hash-of-the-object", "homeo", "PLHomeo.__hash__",
+           "for x, y in self.verts]", "for x, y in self.verts] + [id(self)]", (HASH,)),
+    Mutant("hash-without-y", "homeo", "PLHomeo.__hash__",
+           "(x.numerator, x.denominator, y.numerator, y.denominator)",
+           "(x.numerator, x.denominator)", (HASH,),
+           equivalent="a hash only picks a bucket, and __eq__ decides: equal maps "
+                      "have equal vertices, so equal x pairs and equal hashes"),
 ]
 
 

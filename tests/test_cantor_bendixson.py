@@ -4,7 +4,8 @@ The brute-force oracle works on realized point sets: a point of a finite
 realization approximates an accumulation point of the ideal set iff its
 nearest-neighbour distance keeps shrinking as the realization depth grows.
 The validation oracle realizes every point of a set, as validate_realization
-did before it realized only the siblings whose arcs meet.
+did before it realized only the siblings whose arcs meet.  The rank oracle
+iterates cb_derivative, as cb_rank did before it read node heights.
 """
 
 from fractions import Fraction as F
@@ -264,6 +265,54 @@ def test_rank_matches_brute_force_mixed():
     ))
     assert cb_rank(S).rank == 3
     assert cb_rank(S).rank == brute_rank(S)
+
+
+# ------------------------------------------------ derivative-iterating oracle
+
+def oracle_cb_rank(S: SymbolicSet) -> CBRank:
+    """Test oracle: cb_rank as it was before it read heights, iterating
+    cb_derivative until the set is empty."""
+    cur = S
+    last_size = 0
+    chain = []
+    while cur.nodes:
+        chain.append(len(cur.nodes))
+        last_size = len({node.point.value if isinstance(node, Leaf) else node.apex.value
+                         for node in cur.nodes})
+        cur = cb_derivative(cur)
+    chain.append(0)
+    return CBRank(rank=len(chain) - 1, top_finite_set_size=last_size,
+                  chain=tuple(chain))
+
+
+@given(symbolic_sets(4))
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_derivative_oracle(S):
+    assert cb_rank(S) == oracle_cb_rank(S)
+
+
+def test_rank_matches_derivative_oracle_on_mixed_heights():
+    # top-level nodes of heights 0, 1 and three of 2, two of them at one apex
+    # from either side: three nodes at the top, at two points
+    p = [reduce_mod1(F(n, 8)) for n in range(8)]
+    S = SymbolicSet((Leaf(p[1]), nested_limit(p[2], 1).nodes[0],
+                     nested_limit(p[3], 2).nodes[0], nested_limit(p[5], 2).nodes[0],
+                     Limit(p[5], nested_limit(p[5], 1), "left", F(1, 4))))
+    assert cb_rank(S) == oracle_cb_rank(S) == CBRank(rank=3, top_finite_set_size=2,
+                                                     chain=(5, 4, 3, 0))
+    assert cb_rank(SymbolicSet(())) == oracle_cb_rank(SymbolicSet(())) == CBRank(0, 0, (0,))
+
+
+def test_rank_builds_no_limit(monkeypatch):
+    # the chain is read off heights: no derivative, so no Limit, is built
+    S = nested_limit(reduce_mod1(F(1, 3)), 300)
+
+    def refuse(self):
+        raise AssertionError("cb_rank built a Limit")
+
+    monkeypatch.setattr(Limit, "__post_init__", refuse)
+    r = cb_rank(S)
+    assert (r.rank, r.top_finite_set_size, r.chain) == (301, 1, (1,) * 301 + (0,))
 
 
 # ---------------------------------------------------------------- json i/o

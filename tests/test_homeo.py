@@ -618,3 +618,32 @@ def test_compose_steps_once_per_breakpoint(monkeypatch):
             del calls[:]
             f.compose(g)
             assert len(calls) == len(f.breakpoints) + len(g.breakpoints)
+
+
+# ---------------------------------------------------------- hash contract
+# PLHomeo hashes over the ints of its vertex pairs: every way of building one
+# map must give an equal map with an equal hash, or a set of words would keep
+# one map twice
+
+def test_equal_maps_hash_equal_along_every_path():
+    h = PLHomeo([("0", "2/6"), ("1/4", "22/48"), ("2/4", "14/24"), ("6/8", "23/24")])
+    built = {
+        "fractions and ints": PLHomeo([(0, F(1, 3)), (F(1, 4), F(11, 24)),
+                                       (F(1, 2), F(7, 12)), (F(3, 4), F(23, 24))]),
+        "lift coordinates": from_lift_vertices([
+            (1, F(4, 3)), (F(5, 4), F(35, 24)), (F(3, 2), F(19, 12)),
+            (F(7, 4), F(47, 24)), (2, F(7, 3))]),
+        "circle coordinates, shuffled": PLHomeo([
+            (F(3, 4), F(23, 24)), (F(1, 4), F(11, 24)), (F(1, 2), F(7, 12)),
+            (F(0), F(1, 3))]),
+        "inverse of the inverse": h.inverse().inverse(),
+        "composed after the identity": h.compose(identity()),
+        "composed before the identity": identity().compose(h),
+    }
+    for path, g in built.items():
+        assert g == h, path
+        assert hash(g) == hash(h), path
+    assert len({h, *built.values()}) == 1
+    r = rotation(F(1, 3)).compose(rotation(F(2, 3)))
+    assert r == identity() and hash(r) == hash(identity())
+    assert len({r, identity(), PLHomeo([(0, 0)]), rotation(1)}) == 1
