@@ -125,15 +125,21 @@ def _meeting_groups(nodes: Tuple[Node, ...]) -> List[Set[int]]:
 def validate_realization(S: SymbolicSet) -> None:
     """Check that all constituents realize pairwise distinct points at depth
     3 (beyond it, the ratio bounds keep copies disjoint).  Each node list is
-    checked after its children's: only its siblings whose arcs meet are
-    realized, together, and a group realizing more than MAX_REALIZED_POINTS
-    points is rejected unrealized."""
+    checked after its children's, in one post-order walk with a stack of its
+    own, so no nesting depth meets the recursion limit: only its siblings
+    whose arcs meet are realized, together, and a group realizing more than
+    MAX_REALIZED_POINTS points is rejected unrealized."""
     depth = 3
-
-    def size(nodes: Tuple[Node, ...]) -> int:
-        """The number of points the nodes realize, once checked distinct."""
-        sizes = [1 if isinstance(node, Leaf) else 1 + depth * size(node.child.nodes)
-                 for node in nodes]
+    stack = [(S.nodes, [])]  # a node list, and the sizes of its nodes so far
+    while stack:
+        nodes, sizes = stack[-1]
+        if len(sizes) < len(nodes):
+            node = nodes[len(sizes)]
+            if isinstance(node, Leaf):
+                sizes.append(1)
+            else:
+                stack.append((node.child.nodes, []))
+            continue
         for group in _meeting_groups(nodes) if len(nodes) > 1 else ():
             total = sum(sizes[i] for i in group)
             if total > MAX_REALIZED_POINTS:
@@ -142,9 +148,9 @@ def validate_realization(S: SymbolicSet) -> None:
                                  f"{MAX_REALIZED_POINTS}")
             if len(realize(SymbolicSet(tuple(nodes[i] for i in group)), depth)) != total:
                 raise ValueError(f"realized points collide at depth {depth}")
-        return sum(sizes)
-
-    size(S.nodes)
+        stack.pop()
+        if stack:  # the limit node over this list: its apex and depth copies
+            stack[-1][1].append(1 + depth * sum(sizes))
 
 
 def cb_derivative(S: SymbolicSet) -> SymbolicSet:
@@ -171,11 +177,14 @@ class CBRank:
 
 
 def _height(node: Node) -> int:
-    """0 for a leaf, 1 + the greatest height among a limit node's child's
-    nodes."""
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + max(map(_height, node.child.nodes))
+    """The depth of the node's deepest leaf, read off one level walk: as
+    every limit node's child is nonempty, this is 0 for a leaf and 1 + the
+    greatest height among a limit node's child's nodes."""
+    height, level = -1, [node]
+    while level:
+        height += 1
+        level = [n for m in level if isinstance(m, Limit) for n in m.child.nodes]
+    return height
 
 
 def cb_rank(S: SymbolicSet) -> CBRank:

@@ -12,19 +12,19 @@ circle._ints' two int() calls, and reduced over the lcms L and M of its x
 and y denominators, which one gcd each then shrinks to the kept vertices,
 with a Fraction built only for each kept vertex.  Evaluation runs on the
 same integer layout, the table, which each map gets once from whoever built
-it: the constructor keeps _canonical's integers, inverse derives its table
-from the forward one, and the other derived maps build theirs on first use
-(_table).  One kernel, _advance, steps pairs in lowest terms and returns the
-index of the breakpoint it hit, not its jump, and builds no Fraction: the
-orbit passes, compose, which reads the two vertex lists with one step per
-breakpoint, and eval, lift_eval and jump, which pass a Fraction's own pair,
-all call it, and a result becomes a Fraction with no gcd (circle._coprime).
+it by one formula, _layout: the constructor, inverse and rotation from their
+own integers, a composite on first use (_table).  One kernel, _advance,
+steps pairs in lowest terms and returns the index of the breakpoint it hit,
+not its jump, and builds no Fraction: the orbit passes, compose, which
+reads the two vertex lists with one step per breakpoint, and eval, lift_eval
+and jump, which pass a Fraction's own pair, all call it, and a result
+becomes a Fraction with no gcd (circle._coprime).
 """
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -120,10 +120,9 @@ def _canonical(pairs):
     keep = [i for i in range(len(X)) if dy[i - 1] * dx[i] != dy[i] * dx[i - 1]]
     if not keep:
         # constant slope around the circle forces slope 1: a rotation
-        LM = L * M
-        alpha = Fraction((Y[0] * L - X[0] * M) % LM, LM)
-        n, d = alpha.numerator, alpha.denominator
-        return ((Fraction(0), alpha),), (1, [0], [d], [n], [d])
+        alpha = Fraction((Y[0] * L - X[0] * M) % (L * M), L * M)
+        return ((Fraction(0), alpha),), _layout(1, alpha.denominator, [0],
+                                                [alpha.numerator])
     base = Y[keep[0]]
     X = [X[i] for i in keep]
     Y = [Y[i] + M if Y[i] < base else Y[i] for i in keep]
@@ -148,7 +147,7 @@ class PLHomeo:
     nothing, as the slopes invert), `compose` (from the two vertex lists, it
     keeps the cuts whose chain-rule jump is not 1), `rotation` and
     `synthesize_conjugator` (its support points are sorted, distinct, and
-    all true breakpoints).
+    all true breakpoints); each but compose passes its table (_layout).
 
     Two maps are equal when their vertices are, and they hash over the ints
     of the vertex pairs, not over Fraction hashes: equal maps have the same
@@ -238,11 +237,10 @@ class PLHomeo:
         """One period in integers: L and M the lcms of the vertex x and y
         denominators, X_i = x_i L, and piece i as F(u) = (a_i u L + b_i) /
         e_i, with a_i = (y_{i+1} - y_i) M and e_i = (x_{i+1} - x_i) L M
-        (_layout).  Whoever builds a map stores it here once: the
-        constructor from _canonical's integers, inverse from the forward
-        table; this body, with no Fraction arithmetic, is the lazy path for
-        the other maps _of_canonical builds.  _advance and rotnum's
-        enclosures read it."""
+        (_layout), read by _advance and rotnum's enclosures.  Whoever builds
+        a map stores it here once; this body serves compose's maps alone, as
+        the finite-orbit search hashes and solves most words of its last
+        length but evaluates none, and eager tables made it 20% slower."""
         L = math.lcm(*(x.denominator for x, _ in self.verts))
         M = math.lcm(*(y.denominator for _, y in self.verts))
         return _layout(L, M, [x.numerator * (L // x.denominator) for x, _ in self.verts],
@@ -336,35 +334,27 @@ class PLHomeo:
 
     @cached_property
     def _inverse(self) -> "PLHomeo":
-        """h^{-1} from h's integers.  With j the first vertex whose image is
-        at least 1 (0 when none is), vertex i of h gives vertex i - j mod k
-        of h^{-1}: (y_i - 1, x_i) from j on and (y_i, x_i + 1) before, each
-        moved by an integer as an integer pair.  The table swaps roles: L
-        and M trade places, the x gaps become the a and the a times L the
-        e, the new X are the Y_i = y_i M, less M from j on, and b = Y' dX'
-        - a' X' works out to e_i - b_i from j on, a_i L - b_i before, and
-        -b_i when nothing moves."""
+        """h^{-1} from h's integers, on one path: with Y_i = y_i M (the a_i
+        accumulated from Y_0), s = 1 when an image is at least 1 and j the
+        first such vertex (0 when s = 0), vertex i of h gives vertex i - j
+        mod k: (y_i - s, x_i) from j on and (y_i, x_i + 1) before, each moved
+        by an integer as an integer pair; _layout builds the table with L and
+        M swapped.  The x_i lie in [x_0, 1), else a smaller would be the base."""
         verts = self.verts
         if len(verts) == 1:
             return rotation(-verts[0][1])
-        L, X, A, B, E = self._table
-        M = sum(A)  # the a_i telescope from Y_0 to Y_0 + M
+        L, X, A, _, _ = self._table
+        M = sum(A)
         y0 = verts[0][1]
         Y = list(accumulate(A[:-1], initial=y0.numerator * (M // y0.denominator)))
-        # every x lies in [x_0, 1): a smaller one would be the base
-        j = next((j for j, y in enumerate(Y) if y >= M), 0)
-        dX = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
-        if not j:
-            return PLHomeo._of_canonical(tuple((y, x) for x, y in verts),
-                                         (M, Y, dX, [-b for b in B], [a * L for a in A]))
-        verts = (tuple((_coprime(y.numerator - y.denominator, y.denominator), x)
+        s = Y[-1] >= M
+        j = bisect_left(Y, M) if s else 0
+        verts = (tuple((_coprime(y.numerator - s * y.denominator, y.denominator), x)
                        for x, y in verts[j:])
                  + tuple((y, _coprime(x.numerator + x.denominator, x.denominator))
                          for x, y in verts[:j]))
-        return PLHomeo._of_canonical(verts, (
-            M, [y - M for y in Y[j:]] + Y[:j], dX[j:] + dX[:j],
-            [e - b for e, b in zip(E[j:], B[j:])] + [a * L - b for a, b in zip(A[:j], B[:j])],
-            [a * L for a in A[j:] + A[:j]]))
+        return PLHomeo._of_canonical(verts, _layout(
+            M, L, [y - s * M for y in Y[j:]] + Y[:j], X[j:] + [x + L for x in X[:j]]))
 
     def iterate(self, n: int) -> "PLHomeo":
         """n-th iterate (negative n iterates the inverse), by sequential composition."""
@@ -384,8 +374,10 @@ def from_lift_vertices(pairs) -> PLHomeo:
 
 
 def rotation(alpha) -> PLHomeo:
-    """The rotation x -> x + alpha mod 1."""
-    return PLHomeo._of_canonical(((Fraction(0), frac_mod1(alpha)),))
+    """The rotation x -> x + alpha mod 1, with its one-piece table."""
+    alpha = frac_mod1(alpha)
+    return PLHomeo._of_canonical(((Fraction(0), alpha),),
+                                 _layout(1, alpha.denominator, [0], [alpha.numerator]))
 
 
 def identity() -> PLHomeo:

@@ -42,6 +42,7 @@ FIXED = ("tests/test_rotnum.py::test_fixed_points_standard",
          "tests/test_rotnum.py::test_fixed_points_match_the_piecewise_oracle",
          "tests/test_rotnum.py::test_fixed_points_match_the_piecewise_oracle_on_a_seeded_sweep")
 HASH = "tests/test_homeo.py::test_equal_maps_hash_equal_along_every_path"
+TABLES = "tests/test_homeo.py::test_stored_tables_match_oracle"
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,18 @@ class Mutant:
 
 MUTANTS = [
     Mutant("table-without-gcd-shrink", "homeo", "_canonical",
-           "g, h = gcd(L, *X), gcd(M, *Y)", "g, h = 1, 1",
-           ("tests/test_homeo.py::test_stored_tables_match_oracle",)),
-    Mutant("inverse-b-unshifted", "homeo", "PLHomeo._inverse",
-           "[e - b for e, b in zip(E[j:], B[j:])]", "[-b for b in B[j:]]",
-           ("tests/test_homeo.py::test_stored_tables_match_oracle",)),
+           "g, h = gcd(L, *X), gcd(M, *Y)", "g, h = 1, 1", (TABLES,)),
+    Mutant("inverse-y-unshifted", "homeo", "PLHomeo._inverse",
+           "[y - s * M for y in Y[j:]]", "Y[j:]", (TABLES,)),
+    Mutant("inverse-x-unlifted", "homeo", "PLHomeo._inverse",
+           "[x + L for x in X[:j]]", "X[:j]", (TABLES,)),
+    # vertices and table stay consistent, but the base is no longer the
+    # smallest breakpoint once an image is exactly 1
+    Mutant("inverse-base-past-an-image-of-1", "homeo", "PLHomeo._inverse",
+           "bisect_left(Y, M)", "bisect_right(Y, M)",
+           (TABLES, "tests/test_smoothing.py::test_derived_maps_match_canonicalizing_oracles")),
+    Mutant("rotation-table-swapped", "homeo", "rotation",
+           "[alpha.numerator]", "[alpha.denominator - alpha.numerator]", (TABLES,)),
     Mutant("hit-without-r-zero", "homeo", "PLHomeo._advance",
            "j = i if r == 0 and f == X[i]", "j = i if f == X[i]", KERNEL),
     Mutant("K-without-L", "homeo", "PLHomeo._advance",
@@ -107,7 +115,7 @@ MUTANTS = [
     Mutant("fixed-points-crossing-one-denominator", "rotnum", "fixed_points",
            "u, v = abs(sa) * E[j]", "u, v = abs(sa) * E[i]", FIXED),
     Mutant("rank-leaf-at-height-one", "cantor_bendixson", "_height",
-           "return 0", "return 1",
+           "height, level = -1, [node]", "height, level = 0, [node]",
            (CB + "test_rank_finite", CB + "test_rank_matches_derivative_oracle")),
     # equal maps built apart must hash equal; only the contract test builds
     # the same map twice and compares the hashes

@@ -8,6 +8,7 @@ did before it realized only the siblings whose arcs meet.  The rank oracle
 iterates cb_derivative, as cb_rank did before it read node heights.
 """
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -313,6 +314,15 @@ def test_rank_builds_no_limit(monkeypatch):
     monkeypatch.setattr(Limit, "__post_init__", refuse)
     r = cb_rank(S)
     assert (r.rank, r.top_finite_set_size, r.chain) == (301, 1, (1,) * 301 + (0,))
+
+
+def test_nest_deeper_than_the_recursion_limit_validates_and_ranks():
+    # both walks keep their own stack, so the depth is bounded by memory alone
+    assert sys.getrecursionlimit() < 2000
+    S = nested_limit(reduce_mod1(F(1, 3)), 2000)
+    validate_realization(S)
+    r = cb_rank(S)
+    assert (r.rank, r.top_finite_set_size, r.chain) == (2001, 1, (1,) * 2001 + (0,))
 
 
 # ---------------------------------------------------------------- json i/o

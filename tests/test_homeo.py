@@ -438,9 +438,9 @@ def test_p_over_q_strings_build_no_fraction(monkeypatch):
 
 # -- the integer table, against the body that rebuilt it ------------------
 #
-# The constructor keeps the table _canonical built in integers, and inverse
-# derives its table from the forward one.  Their oracle is the body that
-# built every table from the kept Fractions, kept here verbatim.
+# The constructor, inverse and rotation each build their table from their
+# own integers, through _layout.  Their oracle is the body that built every
+# table from the kept Fractions, kept here verbatim.
 
 def oracle_table(h):
     """One period in integers, built with no Fraction arithmetic: L and M
@@ -460,6 +460,9 @@ def oracle_table(h):
 @given(vertex_inputs())
 @settings(max_examples=400, deadline=None)
 @example(([("0", "0"), ("1/4", "2/16"), ("2/4", "1/4")], None))  # collinear 1/4
+@example(([("0", "1/3"), ("1/3", "1")], None))  # exotic(4, 2): an image of exactly 1
+@example(([("1/3", "1/2"), ("2/3", "3/4")], None))  # no image at or past 1
+@example(([("0", "2/5")], None))  # a rotation
 def test_stored_tables_match_oracle(case):
     # dropped vertices and pairs not in lowest terms grow the input lcms;
     # the table kept must still be the one the kept vertices give
@@ -468,12 +471,10 @@ def test_stored_tables_match_oracle(case):
         h = PLHomeo(pairs)
     except InvalidHomeoError:
         return
-    assert vars(h)["_table"] == oracle_table(h)
     inv = h.inverse()  # its vertices are checked in test_smoothing.py
-    assert inv._table == oracle_table(inv)
-    assert inv.inverse()._table == oracle_table(inv.inverse())
-    if not h.is_rotation:  # a rotation's inverse is a rotation, built lazily
-        assert "_table" in vars(inv) and "_table" in vars(inv.inverse())
+    for f in (h, inv, inv.inverse()):  # each builder stores its table
+        assert "_table" in vars(f) and vars(f)["_table"] == oracle_table(f)
+    assert inv.inverse() == h
 
 
 @st.composite
