@@ -5,8 +5,10 @@ maps into rotations.
 
 The constraint solved over the orbit graph is a_y = J(g, y) * a_{g(y)} for
 every generator edge, where J is the derivative jump.  The graph is a flat
-table of integer target ids with the few jumps other than 1 beside it, and
-the potentials are interned, so only those edges do Fraction arithmetic.  A
+table of integer target ids with the few jumps other than 1 beside it; a
+reverse step's jump is the forward one's pair swapped.  The potentials are
+interned integer pairs in lowest terms, so only those edges do arithmetic,
+in integers, and Fractions are built only for the results.  A
 product-one solution is realized as the jump vector of a PL conjugator phi;
 by the chain rule phi g phi^{-1} then has no breakpoints, so it is the
 rotation by phi(g(y)) - phi(y) for any y, read off without composing.
@@ -73,11 +75,13 @@ class _Orbits:
     target at vertex v, and `jumps` holds the jumps other than 1 under the
     same index, each read off its map at the breakpoint index the kernel
     returns.  The maps come in (g, g^{-1}) pairs, so a step u -> t of map k
-    fills t's slot k ^ 1 with u, jump 1/w by the chain rule: each step is
-    evaluated once."""
+    fills t's slot k ^ 1 with u, jump 1/w by the chain rule, the pair of w
+    swapped: each step is evaluated once.  Each map's kernel is bound once,
+    in `steps`."""
 
     def __init__(self, seed, maps, max_vertices: int):
         self.maps, self.max_vertices = maps, max_vertices
+        self.steps = [g._advance for _, g in maps]
         # a point's first occurrence in the seed gives its id
         self.pts = list(dict.fromkeys((x.numerator, x.denominator) for x in seed))
         self.ids: Dict[Tuple[int, int], int] = {x: v for v, x in enumerate(self.pts)}
@@ -86,18 +90,19 @@ class _Orbits:
         self.expanded = 0  # the ids below it have every slot filled
         self.n_seed = len(self.pts)
         if self.n_seed > max_vertices:
-            raise ValueError("max_vertices smaller than the seed")
+            raise ValueError(f"max_vertices {max_vertices} is below the "
+                             f"{self.n_seed} distinct generator breakpoints")
 
     def expand(self, v: int) -> None:
         """Fill the slots of the vertices up to the interned id v, in order."""
-        out, jumps, pts, ids = self.out, self.jumps, self.pts, self.ids
-        K, top = len(self.maps), self.max_vertices
+        out, jumps, pts, ids, steps = self.out, self.jumps, self.pts, self.ids, self.steps
+        K, top = len(steps), self.max_vertices
         for u in range(self.expanded, v + 1):
             n, d = pts[u]
-            for k, (_, g) in enumerate(self.maps):
+            for k, step in enumerate(steps):
                 i = u * K + k
                 if out[i] is None:
-                    n2, d2, j = g._advance(n, d)
+                    n2, d2, j = step(n, d)
                     key = (n2 % d2, d2)
                     t = ids.get(key)
                     if t is None:  # a new point
@@ -106,11 +111,11 @@ class _Orbits:
                         out += [None] * K
                     out[i] = t
                     if j >= 0:
-                        w = jumps[i] = g._jumps[j]
+                        w = jumps[i] = self.maps[k][1]._jumps[j]
                     if u < t < top:
                         out[t * K + (k ^ 1)] = u
                         if j >= 0:
-                            jumps[t * K + (k ^ 1)] = 1 / w
+                            jumps[t * K + (k ^ 1)] = _coprime(w.denominator, w.numerator)
             self.expanded = u + 1
 
     def point(self, v: int) -> CirclePoint:
@@ -138,17 +143,15 @@ class Obstruction:
     found: Fraction
 
 
-def _nth_root(q: Fraction, n: int) -> Fraction:
-    """The positive rational n-th root of q, from the integer roots of its
-    numerator and denominator.  smooth_group's proof shows it exact where
-    _solve takes it; an inexact one would fail synthesize_conjugator's
-    product check."""
-    def iroot(m: int) -> int:
-        r = 1 << -(-m.bit_length() // n)  # upper bound on the root
-        while (nr := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
-            r = nr
-        return r
-    return Fraction(iroot(q.numerator), iroot(q.denominator))
+def _iroot(m: int, n: int) -> int:
+    """The integer n-th root of m > 0, rounded down.  smooth_group's proof
+    shows it exact where _solve takes it, on the numerator and denominator
+    of a lowest-terms N-th power; an inexact one would fail
+    synthesize_conjugator's product check."""
+    r = 1 << -(-m.bit_length() // n)  # upper bound on the root
+    while (nr := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
+        r = nr
+    return r
 
 
 def _solve(o: _Orbits):
@@ -156,17 +159,20 @@ def _solve(o: _Orbits):
     id order, each vertex expanded just before its edges are read.  Tree edges
     set a_{g(y)} = a_y / w (1 at a root); the first inconsistent other edge
     ends it as an Obstruction; else Truncated or the solution, its product
-    brought to 1 by scaling the last component.  Potentials are interned,
-    one object per value, so a unit edge copies a_y and is checked by
-    identity: only an edge with a jump divides."""
+    brought to 1 by scaling the last component.  Potentials are interned
+    (numerator, denominator) pairs in lowest terms, one object per value,
+    so a unit edge copies a_y and is checked by identity: only an edge with
+    a jump n/d computes, a_y times d/n in two products and one gcd.
+    Fractions are built only for the results."""
     out, jumps, K, top = o.out, o.jumps, len(o.maps), o.max_vertices
-    a: Dict[int, Fraction] = {}
+    one = (1, 1)
+    a: Dict[int, Tuple[int, int]] = {}
     parent: Dict[int, int] = {}  # the slot of each non-root's tree edge
-    interned = {_ONE: _ONE}
+    interned = {one: one}
     for root in range(o.n_seed):  # every vertex is reached from a seed
         if root in a:
             continue
-        a[root] = _ONE
+        a[root] = one
         comp = [root]
         for v in comp:  # comp grows in breadth-first order as it is read
             o.expand(v)
@@ -177,7 +183,10 @@ def _solve(o: _Orbits):
                     continue  # an escaping point
                 want = av
                 if i in jumps:
-                    want = av / jumps[i]
+                    w = jumps[i]
+                    p, q = av[0] * w.denominator, av[1] * w.numerator
+                    g = math.gcd(p, q)
+                    want = (p // g, q // g)
                     want = interned.setdefault(want, want)
                 at = a.get(t)
                 if at is None:
@@ -186,20 +195,25 @@ def _solve(o: _Orbits):
                     comp.append(t)
                 elif at is not want:
                     return Obstruction(cycle=_closed_walk(o, i, parent),
-                                       found=at / want)
+                                       found=Fraction(at[0] * want[1], at[1] * want[0]))
     if len(o.pts) > top:
         return Truncated(tuple(map(o.point, o.in_order(range(top, len(o.pts))))))
-    ys = [y for y in a.values() if y is not _ONE]
-    p, q = math.prod(y.numerator for y in ys), math.prod(y.denominator for y in ys)
+    ys = [y for y in a.values() if y is not one]
+    p, q = math.prod(y[0] for y in ys), math.prod(y[1] for y in ys)
     if p != q:
         # comp is the last component.  Every component has the same size N
         # (see smooth_group), and q/p is an N-th power: scaling comp by its
-        # root multiplies the product by q/p
-        t = _nth_root(Fraction(q, p), len(comp))
+        # root r/s, the roots of q/p's lowest terms, multiplies the product
+        # by q/p
+        g = math.gcd(p, q)
+        r, s = _iroot(q // g, len(comp)), _iroot(p // g, len(comp))
         for v in comp:
-            a[v] *= t
-    support = o.in_order([v for v, y in a.items() if y is not _ONE and y != 1])
-    return FiniteVector(tuple((o.point(v), a[v]) for v in support))
+            x, y = a[v]
+            x, y = x * r, y * s
+            g = math.gcd(x, y)
+            a[v] = (x // g, y // g)
+    support = o.in_order([v for v, y in a.items() if y != one])
+    return FiniteVector(tuple((o.point(v), _coprime(*a[v])) for v in support))
 
 
 def _closed_walk(o: _Orbits, i: int, parent) -> Tuple[Edge, ...]:

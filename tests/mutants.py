@@ -42,6 +42,9 @@ FIXED = ("tests/test_rotnum.py::test_fixed_points_standard",
          "tests/test_rotnum.py::test_fixed_points_match_the_piecewise_oracle",
          "tests/test_rotnum.py::test_fixed_points_match_the_piecewise_oracle_on_a_seeded_sweep")
 HASH = "tests/test_homeo.py::test_equal_maps_hash_equal_along_every_path"
+SM = "tests/test_smoothing.py::"
+ORBIT_ORACLES = (SM + "test_orbit_pass_matches_fraction_oracle",
+                 SM + "test_smooth_group_matches_two_pass_oracle")
 TABLES = "tests/test_homeo.py::test_stored_tables_match_oracle"
 
 
@@ -126,6 +129,26 @@ MUTANTS = [
            "(x.numerator, x.denominator)", (HASH,),
            equivalent="a hash only picks a bucket, and __eq__ decides: equal maps "
                       "have equal vertices, so equal x pairs and equal hashes"),
+    # the orbit pass: a reverse step's jump is the forward one inverted, a
+    # jump edge divides the potential by the jump, and the rescale
+    # multiplies by the whole root
+    Mutant("reverse-jump-not-inverted", "smoothing", "_Orbits.expand",
+           "_coprime(w.denominator, w.numerator)", "w", ORBIT_ORACLES),
+    Mutant("potential-times-the-jump", "smoothing", "_solve",
+           "av[0] * w.denominator, av[1] * w.numerator",
+           "av[0] * w.numerator, av[1] * w.denominator", ORBIT_ORACLES),
+    Mutant("rescale-by-the-root-numerator-only", "smoothing", "_solve",
+           "x * r, y * s", "x * r, y", ORBIT_ORACLES),
+    # points 1/(K + 1) apart share a key when K is only the largest d
+    Mutant("order-keys-by-the-largest-d", "circle", "_order_keys",
+           "default=1) ** 2", "default=1)",
+           ("tests/test_circle.py::test_order_keys_order_points_as_fractions",
+            *ORBIT_ORACLES)),
+    # the last piece of the conjugator ends at x_0 + 1, a full turn on
+    Mutant("conjugator-closes-at-x0", "smoothing", "synthesize_conjugator",
+           "X[1:] + [X[0] + L]", "X[1:] + [X[0]]",
+           (SM + "test_synthesize_roundtrip_many",
+            "tests/test_homeo.py::test_synthesized_tables_match_oracle")),
 ]
 
 

@@ -307,6 +307,13 @@ def test_rotnum_rejects_zero_depth_by_name():
     assert "depth" in r.stderr and "max_q" not in r.stderr
 
 
+
+def test_smooth_rejects_a_budget_below_the_seed_by_its_numbers():
+    # the group of STD: its two breakpoints are the seed of its orbit graph
+    r = run("smooth", str(FIXTURES / "fixed_jump_obstruction.json"), "--max-vertices", "1")
+    _assert_one_error_line(r)
+    assert "max_vertices 1 is below the 2 distinct generator breakpoints" in r.stderr
+
 def _nested_node(depth, apex="0/1"):
     doc = '{"leaf": "%s"}' % apex
     for _ in range(depth):
