@@ -9,16 +9,20 @@ vertex is the smallest breakpoint; rotations are stored as the single
 vertex (0, alpha).  Input is canonicalized in integers: each coordinate is
 read as a (numerator, denominator) pair, a documented "p/q" string by
 circle._ints' two int() calls, and reduced over the lcms L and M of its x
-and y denominators, which one gcd each then shrinks to the kept vertices,
-with a Fraction built only for each kept vertex.  Evaluation runs on the
-same integer layout, the table, which each map gets once from whoever built
-it by one formula, _layout: the constructor, inverse and rotation from their
-own integers, a composite on first use (_table).  One kernel, _advance,
-steps pairs in lowest terms and returns the index of the breakpoint it hit,
-not its jump, and builds no Fraction: the orbit passes, compose, which
-reads the two vertex lists with one step per breakpoint, and eval, lift_eval
-and jump, which pass a Fraction's own pair, all call it, and a result
-becomes a Fraction with no gcd (circle._coprime).
+and y denominators, L then shrunk by one gcd to the kept vertices, with a
+Fraction built only for each kept vertex.  Evaluation runs on an integer
+table, which each map gets once from whoever built it: a point's piece is
+found on the common grid, L and the x_i L, and each piece is one row in
+lowest terms, F(u) = (alpha_i u + beta_i) / gamma_i, built from its own two
+vertices by one formula, _layout, so a row has the bits of its piece, not
+of L.  The constructor, rotation and synthesize_conjugator call it on their
+own integers, a composite on first use (_table), and the inverse moves the
+rows of the map it inverts.  One kernel, _advance, steps pairs in lowest
+terms and returns the index of the breakpoint it hit, not its jump, and
+builds no Fraction: the orbit passes, compose, which reads the two vertex
+lists with one step per breakpoint, and eval, lift_eval and jump, which
+pass a Fraction's own pair, all call it, and a result becomes a Fraction
+with no gcd (circle._coprime).
 """
 from __future__ import annotations
 
@@ -28,7 +32,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import gcd
 from typing import List, Tuple
 
@@ -63,21 +66,31 @@ def _pair(q) -> Tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _layout(L: int, M: int, X: List[int], Y: List[int]):
-    """The integer table of the vertices (X_i / L, Y_i / M): L, the X_i, and
-    piece i as F(u) = (a_i u L + b_i) / e_i, with a_i = Y_{i+1} - Y_i,
-    e_i = (X_{i+1} - X_i) M and b_i = Y_i (X_{i+1} - X_i) - a_i X_i, the
-    closing vertex being (X_0 + L, Y_0 + M)."""
-    dX = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
-    A = [b - a for a, b in zip(Y, Y[1:] + [Y[0] + M])]
-    B = [y * dx - a * x for x, y, dx, a in zip(X, Y, dX, A)]
-    return L, X, A, B, [M * dx for dx in dX]
+def _layout(L: int, X: List[int], P: List[Tuple[int, int, int, int]]):
+    """The integer table of the lift vertices (p_i / q_i, r_i / t_i), given
+    as the quadruples P_i = (p_i, q_i, r_i, t_i) of their lowest terms, with
+    p_i / q_i = X_i / L: L, the X_i, and piece i as its row (alpha_i,
+    beta_i, gamma_i), F(u) = (alpha_i u + beta_i) / gamma_i on the lift, in
+    lowest terms, gcd(alpha_i, beta_i, gamma_i) = 1.  Each row comes from
+    its piece's own two vertices, the last closing at (x_0 + 1, y_0 + 1):
+    with the next vertex p'/q', r'/t', F(u) = (D_y q q' u + r t' D_x - D_y p
+    q') / (D_x t t') for D_x = p' q - p q' and D_y = r' t - r t', reduced by
+    one gcd of integers of the vertices' size, not of L's."""
+    p, q, r, t = P[0]
+    closing = (p + q, q, r + t, t)
+    rows = []
+    for (p, q, r, t), (p1, q1, r1, t1) in zip(P, P[1:] + [closing]):
+        dx, dy = p1 * q - p * q1, r1 * t - r * t1
+        a, b, c = dy * q * q1, r * t1 * dx - dy * p * q1, dx * t * t1
+        g = gcd(a, b, c)
+        rows.append((a // g, b // g, c // g))
+    return L, X, rows
 
 
-def _lowest(n: int, d: int) -> Fraction:
-    """n/d, d > 0, reduced by one gcd of the two ints."""
+def _lowest(n: int, d: int) -> Tuple[int, int]:
+    """n/d, d > 0, in lowest terms by one gcd of the two ints."""
     g = gcd(n, d)
-    return _coprime(n // g, d // g)
+    return n // g, d // g
 
 
 def _canonical(pairs):
@@ -91,11 +104,11 @@ def _canonical(pairs):
     and M the lcms of the input x and y denominators, vertex (x, y) mod 1
     is (X / L, Y / M) for integers X in [0, L) and Y in [0, M), and slopes
     are compared by cross-multiplying integer differences.  The pairs need
-    not be in lowest terms, and a dropped vertex's denominators count in L
-    and M: one gcd(L, *X) and one gcd(M, *Y) over the kept vertices shrink
-    L and M to the lcms of the kept vertices' denominators, which makes the
-    table the one the vertices alone give, and each kept coordinate is a
-    Fraction built after one gcd of its two ints.
+    not be in lowest terms, and a dropped vertex's denominators count in L:
+    one gcd(L, *X) over the kept vertices shrinks L to the lcm of the kept x
+    denominators, which makes the grid the one the vertices alone give.
+    Each kept coordinate is put in lowest terms by one gcd of its two ints,
+    and the Fractions and the rows (_layout) are built from those.
     """
     pairs = [(_pair(x), _pair(y)) for x, y in pairs]
     if not pairs:
@@ -121,18 +134,17 @@ def _canonical(pairs):
     if not keep:
         # constant slope around the circle forces slope 1: a rotation
         alpha = Fraction((Y[0] * L - X[0] * M) % (L * M), L * M)
-        return ((Fraction(0), alpha),), _layout(1, alpha.denominator, [0],
-                                                [alpha.numerator])
+        return ((Fraction(0), alpha),), _layout(1, [0], [(0, 1, alpha.numerator,
+                                                          alpha.denominator)])
     base = Y[keep[0]]
     X = [X[i] for i in keep]
     Y = [Y[i] + M if Y[i] < base else Y[i] for i in keep]
-    g, h = gcd(L, *X), gcd(M, *Y)
+    g = gcd(L, *X)
     if g != 1:
         L, X = L // g, [x // g for x in X]
-    if h != 1:
-        M, Y = M // h, [y // h for y in Y]
-    return (tuple((_lowest(x, L), _lowest(y, M)) for x, y in zip(X, Y)),
-            _layout(L, M, X, Y))
+    P = [_lowest(x, L) + _lowest(y, M) for x, y in zip(X, Y)]
+    return (tuple((_coprime(p, q), _coprime(r, t)) for p, q, r, t in P),
+            _layout(L, X, P))
 
 
 @dataclass(frozen=True)
@@ -147,7 +159,7 @@ class PLHomeo:
     nothing, as the slopes invert), `compose` (from the two vertex lists, it
     keeps the cuts whose chain-rule jump is not 1), `rotation` and
     `synthesize_conjugator` (its support points are sorted, distinct, and
-    all true breakpoints); each but compose passes its table (_layout).
+    all true breakpoints); each but compose passes its table.
 
     Two maps are equal when their vertices are, and they hash over the ints
     of the vertex pairs, not over Fraction hashes: equal maps have the same
@@ -180,12 +192,13 @@ class PLHomeo:
 
     @cached_property
     def _jumps(self) -> Tuple[Fraction, ...]:
-        """J(h, x_i) = s_i / s_{i-1} = (a_i e_{i-1}) / (a_{i-1} e_i) in vertex
-        order, so that the index _advance returns at x_i reads J(h, x_i);
-        empty for a rotation.  Built on first use: no orbit caller reads it."""
-        _, _, A, _, E = self._table
-        return tuple(Fraction(A[i] * E[i - 1], A[i - 1] * E[i])
-                     for i in range(len(A))) if len(A) > 1 else ()
+        """J(h, x_i) = s_i / s_{i-1}, with s_i = alpha_i / gamma_i the slope
+        of row i, in vertex order, so that the index _advance returns at x_i
+        reads J(h, x_i); empty for a rotation.  Built on first use: the
+        orbit pass binds it once per map, and rotation_number never reads it."""
+        R = self._table[2]
+        return tuple(Fraction(a * R[i - 1][2], R[i - 1][0] * c)
+                     for i, (a, _, c) in enumerate(R)) if len(R) > 1 else ()
 
     @property
     def breakpoints(self) -> Tuple[CirclePoint, ...]:
@@ -220,12 +233,13 @@ class PLHomeo:
         return self.inverse().eval(p)
 
     def left_right_slopes(self, p: CirclePoint) -> Tuple[Fraction, Fraction]:
-        """Exact (left derivative, right derivative) at p, each a_i L / e_i."""
-        L, X, A, _, E = self._table
+        """Exact (left derivative, right derivative) at p, each a row's
+        alpha_i / gamma_i."""
+        L, X, R = self._table
         f, r = divmod(p.value.numerator * L, p.value.denominator)  # p L = f + r/d
         i = bisect_right(X, f) - 1  # -1: p < x_0, the last piece
         j = i - 1 if r == 0 and f == X[i] else i
-        return Fraction(A[j] * L, E[j]), Fraction(A[i] * L, E[i])
+        return Fraction(R[j][0], R[j][2]), Fraction(R[i][0], R[i][2])
 
     def jump(self, p: CirclePoint) -> Fraction:
         """Derivative jump D+h(p) / D-h(p); equals 1 off the breakpoints."""
@@ -234,17 +248,17 @@ class PLHomeo:
 
     @cached_property
     def _table(self):
-        """One period in integers: L and M the lcms of the vertex x and y
-        denominators, X_i = x_i L, and piece i as F(u) = (a_i u L + b_i) /
-        e_i, with a_i = (y_{i+1} - y_i) M and e_i = (x_{i+1} - x_i) L M
-        (_layout), read by _advance and rotnum's enclosures.  Whoever builds
-        a map stores it here once; this body serves compose's maps alone, as
-        the finite-orbit search hashes and solves most words of its last
-        length but evaluates none, and eager tables made it 20% slower."""
-        L = math.lcm(*(x.denominator for x, _ in self.verts))
-        M = math.lcm(*(y.denominator for _, y in self.verts))
-        return _layout(L, M, [x.numerator * (L // x.denominator) for x, _ in self.verts],
-                       [y.numerator * (M // y.denominator) for _, y in self.verts])
+        """One period in integers: L the lcm of the vertex x denominators,
+        X_i = x_i L, the grid a point's piece is found on, and piece i as its
+        row in lowest terms, F(u) = (alpha_i u + beta_i) / gamma_i (_layout),
+        read by _advance and rotnum's enclosures.  Whoever builds a map
+        stores it here once; this body serves compose's maps alone, as the
+        finite-orbit search hashes and solves most words of its last length
+        but evaluates none, and eager tables made it 20% slower."""
+        P = [(x.numerator, x.denominator, y.numerator, y.denominator)
+             for x, y in self.verts]
+        L = math.lcm(*(q for _, q, _, _ in P))
+        return _layout(L, [p * (L // q) for p, q, _, _ in P], P)
 
     def _advance(self, n: int, d: int) -> Tuple[int, int, int]:
         """The one exact forward evaluation, the orbit kernel: (n', d', j),
@@ -255,24 +269,28 @@ class PLHomeo:
         vertex is none), and _jumps[j] is then the jump there.  No Fraction
         is built: the orbit callers read n' and d' alone.
 
-        On piece i, F(u) = p / q with p = a_i n' L + b_i d and q = e_i d,
-        where n' = n - m d is prime to d.  gcd(p, q) divides K_i = a_i L e_i:
-        for a prime l, if l^v(d) divides a_i L then v_l(q) <= v_l(K_i);
-        otherwise l divides d but not n', so v_l(p) = v_l(a_i L) because
-        v_l(a_i n' L) = v_l(a_i L) < v_l(d) <= v_l(b_i d).  So gcd(p, q) =
-        gcd(K_i, p, q), which costs a remainder of each big number by the
-        small K_i in place of a gcd quadratic in their bits.  q exceeds K_i
-        exactly when d > a_i L; below that the plain gcd(p, q) is cheaper."""
-        L, X, A, B, E = self._table
+        The piece is found on the common grid: f = floor(u L) and a bisect
+        of the X_i.  On piece i, F(u) = p / q with p = alpha_i n' + beta_i d
+        and q = gamma_i d, where n' = n - m d is prime to d.  gcd(p, q)
+        divides K_i = alpha_i gamma_i, for any integer form of the piece:
+        for a prime l, if l^v(d) divides alpha_i then v_l(q) <= v_l(K_i);
+        otherwise l divides d but not n', so v_l(p) = v_l(alpha_i) because
+        v_l(alpha_i n') = v_l(alpha_i) < v_l(d) <= v_l(beta_i d).  So
+        gcd(p, q) = gcd(K_i, p, q), which costs a remainder of each big
+        number by the small K_i in place of a gcd quadratic in their bits.
+        q exceeds K_i exactly when d > alpha_i; below that the plain gcd(p,
+        q) is cheaper.  The row is in lowest terms, so K_i has the bits of
+        the piece's own vertices, not of L."""
+        L, X, R = self._table
         f, r = divmod(n * L, d)  # f = floor(n/d * L)
         m = (f - X[0]) // L
         if m:
             f -= m * L
             n -= m * d
         i = bisect_right(X, f) - 1
-        aL, e = A[i] * L, E[i]
-        p, q = aL * n + B[i] * d, e * d
-        g = gcd(aL * e, p, q) if d > aL else gcd(p, q)
+        a, b, c = R[i]
+        p, q = a * n + b * d, c * d
+        g = gcd(a * c, p, q) if d > a else gcd(p, q)
         if g != 1:
             p, q = p // g, q // g
         j = i if r == 0 and f == X[i] and len(X) > 1 else -1
@@ -334,27 +352,33 @@ class PLHomeo:
 
     @cached_property
     def _inverse(self) -> "PLHomeo":
-        """h^{-1} from h's integers, on one path: with Y_i = y_i M (the a_i
-        accumulated from Y_0), s = 1 when an image is at least 1 and j the
-        first such vertex (0 when s = 0), vertex i of h gives vertex i - j
-        mod k: (y_i - s, x_i) from j on and (y_i, x_i + 1) before, each moved
-        by an integer as an integer pair; _layout builds the table with L and
-        M swapped.  The x_i lie in [x_0, 1), else a smaller would be the base."""
+        """h^{-1} from h's integers, on one path: with M the lcm of the y
+        denominators, Y_i = y_i M, s = 1 when an image is at least 1 and j
+        the first such vertex (0 when s = 0), vertex i of h gives vertex i -
+        j mod k: (y_i - s, x_i) from j on and (y_i, x_i + 1) before, each
+        moved by an integer as an integer pair, and the grid is M with the
+        Y_i moved alike.  The canonical lift of h^{-1} is G(v) = F^{-1}(v +
+        s), so row i of h, F(u) = (alpha u + beta) / gamma, gives G(v) =
+        (gamma v + gamma s - beta) / alpha from j on and, as F(u + 1) = F(u)
+        + 1, G(v) = (gamma v + alpha - beta) / alpha before: each moves beta
+        by a multiple of gamma or alpha, which keeps the row in lowest
+        terms with no gcd.  The x_i lie in [x_0, 1), else a smaller would be
+        the base."""
         verts = self.verts
         if len(verts) == 1:
             return rotation(-verts[0][1])
-        L, X, A, _, _ = self._table
-        M = sum(A)
-        y0 = verts[0][1]
-        Y = list(accumulate(A[:-1], initial=y0.numerator * (M // y0.denominator)))
+        M = math.lcm(*(y.denominator for _, y in verts))
+        Y = [y.numerator * (M // y.denominator) for _, y in verts]
         s = Y[-1] >= M
         j = bisect_left(Y, M) if s else 0
         verts = (tuple((_coprime(y.numerator - s * y.denominator, y.denominator), x)
                        for x, y in verts[j:])
                  + tuple((y, _coprime(x.numerator + x.denominator, x.denominator))
                          for x, y in verts[:j]))
-        return PLHomeo._of_canonical(verts, _layout(
-            M, L, [y - s * M for y in Y[j:]] + Y[:j], X[j:] + [x + L for x in X[:j]]))
+        R = self._table[2]
+        rows = ([(c, c * s - b, a) for a, b, c in R[j:]]
+                + [(c, a - b, a) for a, b, c in R[:j]])
+        return PLHomeo._of_canonical(verts, (M, [y - s * M for y in Y[j:]] + Y[:j], rows))
 
     def iterate(self, n: int) -> "PLHomeo":
         """n-th iterate (negative n iterates the inverse), by sequential composition."""
@@ -376,8 +400,8 @@ def from_lift_vertices(pairs) -> PLHomeo:
 def rotation(alpha) -> PLHomeo:
     """The rotation x -> x + alpha mod 1, with its one-piece table."""
     alpha = frac_mod1(alpha)
-    return PLHomeo._of_canonical(((Fraction(0), alpha),),
-                                 _layout(1, alpha.denominator, [0], [alpha.numerator]))
+    P = [(0, 1, alpha.numerator, alpha.denominator)]
+    return PLHomeo._of_canonical(((Fraction(0), alpha),), _layout(1, [0], P))
 
 
 def identity() -> PLHomeo:

@@ -155,17 +155,18 @@ class _Enclosure:
     F is increasing, so flooring each step keeps a lower bound and ceiling
     it an upper one.  The grid 1 / 2^b lies on this one, so the bounds are
     never looser than bounds scaled by 2^b alone.  PLHomeo._table is read
-    once into one tuple (X_{i+1}, a_i L, b_i L 2^b, e_i) per piece i: for
-    T = L 2^b (u + m), with u in piece i and m the winding, L 2^b F(T / (L
-    2^b)) = (a_i L (T - s) + b_i L 2^b) / e_i + s, s = m L 2^b.  As hi >=
+    once into one tuple (X_{i+1}, alpha_i, beta_i L 2^b, gamma_i) per piece
+    i, from its row F(u) = (alpha_i u + beta_i) / gamma_i: for T = L 2^b (u
+    + m), with u in piece i and m the winding, L 2^b F(T / (L 2^b)) =
+    (alpha_i (T - s) + beta_i L 2^b) / gamma_i + s, s = m L 2^b.  As hi >=
     lo, hi lies in lo's piece unless floor(hi / 2^b) reaches X_{i+1} + m L:
     a step looks up lo's piece and winding, and hi's only then."""
 
     def __init__(self, h: PLHomeo, b: int):
-        L, X, A, B, E = h._table
+        L, X, R = h._table
         self.b, self.L, self.X, self.scale = b, L, X, L << b
-        self.pieces = [(x, a * L, c * L << b, e)
-                       for x, a, c, e in zip(X[1:] + [X[0] + L], A, B, E)]
+        self.pieces = [(x, a, c * L << b, e)
+                       for x, (a, c, e) in zip(X[1:] + [X[0] + L], R)]
         self.n = self.lo = self.hi = 0
 
     def at(self, q: int) -> Tuple[int, int]:

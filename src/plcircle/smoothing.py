@@ -76,12 +76,12 @@ class _Orbits:
     same index, each read off its map at the breakpoint index the kernel
     returns.  The maps come in (g, g^{-1}) pairs, so a step u -> t of map k
     fills t's slot k ^ 1 with u, jump 1/w by the chain rule, the pair of w
-    swapped: each step is evaluated once.  Each map's kernel is bound once,
-    in `steps`."""
+    swapped: each step is evaluated once.  Each map's kernel and jump tuple
+    are bound once, in `steps`."""
 
     def __init__(self, seed, maps, max_vertices: int):
         self.maps, self.max_vertices = maps, max_vertices
-        self.steps = [g._advance for _, g in maps]
+        self.steps = [(g._advance, g._jumps) for _, g in maps]
         # a point's first occurrence in the seed gives its id
         self.pts = list(dict.fromkeys((x.numerator, x.denominator) for x in seed))
         self.ids: Dict[Tuple[int, int], int] = {x: v for v, x in enumerate(self.pts)}
@@ -99,7 +99,7 @@ class _Orbits:
         K, top = len(steps), self.max_vertices
         for u in range(self.expanded, v + 1):
             n, d = pts[u]
-            for k, step in enumerate(steps):
+            for k, (step, map_jumps) in enumerate(steps):
                 i = u * K + k
                 if out[i] is None:
                     n2, d2, j = step(n, d)
@@ -111,7 +111,7 @@ class _Orbits:
                         out += [None] * K
                     out[i] = t
                     if j >= 0:
-                        w = jumps[i] = self.maps[k][1]._jumps[j]
+                        w = jumps[i] = map_jumps[j]
                     if u < t < top:
                         out[t * K + (k ^ 1)] = u
                         if j >= 0:
@@ -156,14 +156,15 @@ def _iroot(m: int, n: int) -> int:
 
 def _solve(o: _Orbits):
     """The one potentials pass, breadth-first over out-edges from each root in
-    id order, each vertex expanded just before its edges are read.  Tree edges
-    set a_{g(y)} = a_y / w (1 at a root); the first inconsistent other edge
-    ends it as an Obstruction; else Truncated or the solution, its product
-    brought to 1 by scaling the last component.  Potentials are interned
-    (numerator, denominator) pairs in lowest terms, one object per value,
-    so a unit edge copies a_y and is checked by identity: only an edge with
-    a jump n/d computes, a_y times d/n in two products and one gcd.
-    Fractions are built only for the results."""
+    id order, each vertex expanded, unless it already is, just before its
+    edges are read.  Tree edges set a_{g(y)} = a_y / w (1 at a root); the
+    first inconsistent other edge ends it as an Obstruction; else Truncated
+    or the solution, its product brought to 1 by scaling the last
+    component.  Potentials are interned (numerator, denominator) pairs in
+    lowest terms, one object per value, so a unit edge copies a_y and is
+    checked by identity: only an edge with a jump n/d computes, a_y times
+    d/n in two products and one gcd.  Fractions are built only for the
+    results."""
     out, jumps, K, top = o.out, o.jumps, len(o.maps), o.max_vertices
     one = (1, 1)
     a: Dict[int, Tuple[int, int]] = {}
@@ -175,7 +176,8 @@ def _solve(o: _Orbits):
         a[root] = one
         comp = [root]
         for v in comp:  # comp grows in breadth-first order as it is read
-            o.expand(v)
+            if v >= o.expanded:
+                o.expand(v)
             av = a[v]
             for i in range(v * K, v * K + K):
                 t = out[i]
@@ -243,9 +245,10 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
     jump products over one denominator Q, and the slope after x_i is
     proportional to u_i.  With D_i = X_{i+1} - X_i (closing at X_0 + L),
     N_i = sum_{l<i} P_l D_l and T = N_m, the map sends x_i to x_0 + N_i / T
-    = Y_i / (L T), Y_i = X_0 T + N_i L, and its table (PLHomeo._table) is
-    L, the X_i and the Y_i over M = L T / gcd(L T, *Y).  No value is 1, so
-    every x_i is a true breakpoint and the vertices are already canonical."""
+    = Y_i / (L T), Y_i = X_0 T + N_i L, each put in lowest terms by one
+    gcd, and its table (PLHomeo._table) is L, the X_i and the rows of these
+    vertices (_layout).  No value is 1, so every x_i is a true breakpoint
+    and the vertices are already canonical."""
     if not a.entries:
         return identity()
     pts = [p.value for p, _ in a.entries]
@@ -266,11 +269,11 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
     for (p, q), dx in zip(us, D):
         N.append(N[-1] + p * (Q // q) * dx)
     T = N.pop()
-    Y = [X[0] * T + n * L for n in N]
-    g = math.gcd(L * T, *Y)  # L T / g is the lcm of the y denominators
-    M, Y = L * T // g, [y // g for y in Y]
-    return PLHomeo._of_canonical(tuple(zip(pts, (_lowest(y, M) for y in Y))),
-                                 _layout(L, M, X, Y))
+    LT = L * T
+    P = [(x.numerator, x.denominator, *_lowest(X[0] * T + n * L, LT))
+         for x, n in zip(pts, N)]
+    return PLHomeo._of_canonical(tuple((x, _coprime(r, t)) for x, (_, _, r, t) in zip(pts, P)),
+                                 _layout(L, X, P))
 
 
 def _word_candidates(signed, max_period: int, max_words: int = 2000):

@@ -46,6 +46,9 @@ SM = "tests/test_smoothing.py::"
 ORBIT_ORACLES = (SM + "test_orbit_pass_matches_fraction_oracle",
                  SM + "test_smooth_group_matches_two_pass_oracle")
 TABLES = "tests/test_homeo.py::test_stored_tables_match_oracle"
+ENCLOSURE = "tests/test_rotnum.py::test_enclosure_lies_inside_the_coarse_oracle"
+COMPOSE = ("tests/test_homeo.py::test_compose_matches_cut_sorting_oracle",
+           "tests/test_homeo.py::test_compose_oracle_cases_cover_each_branch")
 
 
 @dataclass(frozen=True)
@@ -61,32 +64,46 @@ class Mutant:
 
 MUTANTS = [
     Mutant("table-without-gcd-shrink", "homeo", "_canonical",
-           "g, h = gcd(L, *X), gcd(M, *Y)", "g, h = 1, 1", (TABLES,)),
+           "g = gcd(L, *X)", "g = 1", (TABLES,)),
+    # each row in lowest terms, from its piece's own two vertices
+    Mutant("row-left-unreduced", "homeo", "_layout",
+           "g = gcd(a, b, c)", "g = 1", (TABLES,)),
+    # the inverse's rows: h's rows swapped, beta negated and moved by
+    # gamma s from j on and by alpha, x lifted by 1, before j
+    Mutant("inverse-row-beta-sign", "homeo", "PLHomeo._inverse",
+           "(c, c * s - b, a)", "(c, c * s + b, a)", (TABLES,)),
+    Mutant("inverse-row-unshifted", "homeo", "PLHomeo._inverse",
+           "(c, c * s - b, a)", "(c, -b, a)", (TABLES,)),
+    Mutant("inverse-x-unlifted", "homeo", "PLHomeo._inverse",
+           "(c, a - b, a)", "(c, -b, a)", (TABLES,)),
+    Mutant("inverse-row-shifted-by-gamma", "homeo", "PLHomeo._inverse",
+           "(c, a - b, a)", "(c, c - b, a)", (TABLES,)),
     Mutant("inverse-y-unshifted", "homeo", "PLHomeo._inverse",
            "[y - s * M for y in Y[j:]]", "Y[j:]", (TABLES,)),
-    Mutant("inverse-x-unlifted", "homeo", "PLHomeo._inverse",
-           "[x + L for x in X[:j]]", "X[:j]", (TABLES,)),
     # vertices and table stay consistent, but the base is no longer the
     # smallest breakpoint once an image is exactly 1
     Mutant("inverse-base-past-an-image-of-1", "homeo", "PLHomeo._inverse",
            "bisect_left(Y, M)", "bisect_right(Y, M)",
            (TABLES, "tests/test_smoothing.py::test_derived_maps_match_canonicalizing_oracles")),
     Mutant("rotation-table-swapped", "homeo", "rotation",
-           "[alpha.numerator]", "[alpha.denominator - alpha.numerator]", (TABLES,)),
+           "1, alpha.numerator,", "1, alpha.denominator - alpha.numerator,", (TABLES,)),
     Mutant("hit-without-r-zero", "homeo", "PLHomeo._advance",
            "j = i if r == 0 and f == X[i]", "j = i if f == X[i]", KERNEL),
-    Mutant("K-without-L", "homeo", "PLHomeo._advance",
-           "gcd(aL * e, p, q)", "gcd(A[i] * e, p, q)", KERNEL),
+    Mutant("K-without-alpha", "homeo", "PLHomeo._advance",
+           "gcd(a * c, p, q)", "gcd(c, p, q)", KERNEL),
     Mutant("jump-of-the-piece-before", "homeo", "PLHomeo._advance",
            "j = i if r == 0", "j = i - 1 if r == 0", KERNEL),
-    Mutant("gate-d-at-least-aL", "homeo", "PLHomeo._advance",
-           "if d > aL else", "if d >= aL else", KERNEL,
-           equivalent="at d = a_i L, q = e_i d = a_i L e_i = K_i, so "
+    Mutant("gate-d-at-least-alpha", "homeo", "PLHomeo._advance",
+           "if d > a else", "if d >= a else", KERNEL,
+           equivalent="at d = alpha_i, q = gamma_i d = alpha_i gamma_i = K_i, so "
                       "gcd(K_i, p, q) = gcd(p, q): both branches take the same gcd"),
-    Mutant("conjugator-without-gcd-shrink", "smoothing", "synthesize_conjugator",
-           "math.gcd(L * T, *Y)", "1",
-           ("tests/test_homeo.py::test_synthesized_tables_match_oracle",
-            "tests/test_homeo.py::test_smoothing_conjugator_tables_match_oracle")),
+    # the enclosure's rows on the grid 1 / (L 2^b): beta_i scaled by L 2^b
+    Mutant("enclosure-beta-unscaled-by-L", "rotnum", "_Enclosure.__init__",
+           "c * L << b", "c << b", (ENCLOSURE,)),
+    # a cut is dropped only when the two jumps are reciprocal
+    Mutant("compose-cut-kept-when-both-halves-differ", "homeo", "PLHomeo.compose",
+           "Jg.numerator != Jf.denominator or Jg.denominator != Jf.numerator",
+           "Jg.numerator != Jf.denominator and Jg.denominator != Jf.numerator", COMPOSE),
     # an open chain has no member past its last: its next position is stepped
     Mutant("head-orbit-reads-past-the-chain", "rotnum", "_head_orbit",
            "members[len(pairs) - 1:n]", "(members + members[:1])[len(pairs) - 1:n]",

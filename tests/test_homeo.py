@@ -436,25 +436,28 @@ def test_p_over_q_strings_build_no_fraction(monkeypatch):
     assert PLHomeo([("0", "-2/3"), ("+2/4", "05/6")]) == rotation(F(1, 3))
 
 
-# -- the integer table, against the body that rebuilt it ------------------
+# -- the integer table, against an oracle in Fractions ---------------------
 #
-# The constructor, inverse and rotation each build their table from their
-# own integers, through _layout.  Their oracle is the body that built every
-# table from the kept Fractions, kept here verbatim.
+# The constructor and rotation build their rows from their own vertices,
+# through _layout, and the inverse moves the rows of the map it inverts.
+# Their oracle reads each piece's slope and intercept off the vertices in
+# Fraction arithmetic: the row of a piece is unique.
 
 def oracle_table(h):
-    """One period in integers, built with no Fraction arithmetic: L and M
-    the lcms of the vertex x and y denominators, X_i = x_i L, and piece i
-    as F(u) = (a_i u L + b_i) / e_i, with a_i = (y_{i+1} - y_i) M and e_i
-    = (x_{i+1} - x_i) L M."""
+    """One period: L the lcm of the vertex x denominators, X_i = x_i L, and
+    piece i, of slope s and intercept c on the lift, as its unique row in
+    lowest terms, gamma = lcm(den s, den c), alpha = s gamma, beta = c
+    gamma."""
     L = math.lcm(*(x.denominator for x, _ in h.verts))
-    M = math.lcm(*(y.denominator for _, y in h.verts))
     X = [x.numerator * (L // x.denominator) for x, _ in h.verts]
-    Y = [y.numerator * (M // y.denominator) for _, y in h.verts]
-    dX = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
-    A = [b - a for a, b in zip(Y, Y[1:] + [Y[0] + M])]
-    B = [y * dx - a * x for x, y, dx, a in zip(X, Y, dX, A)]
-    return L, X, A, B, [M * dx for dx in dX]
+    v = h.verts + ((h.verts[0][0] + 1, h.verts[0][1] + 1),)
+    rows = []
+    for (x0, y0), (x1, y1) in zip(v, v[1:]):
+        s = (y1 - y0) / (x1 - x0)
+        c = y0 - s * x0
+        gamma = math.lcm(s.denominator, c.denominator)
+        rows.append((int(s * gamma), int(c * gamma), gamma))
+    return L, X, rows
 
 
 @given(vertex_inputs())
@@ -475,6 +478,17 @@ def test_stored_tables_match_oracle(case):
     for f in (h, inv, inv.inverse()):  # each builder stores its table
         assert "_table" in vars(f) and vars(f)["_table"] == oracle_table(f)
     assert inv.inverse() == h
+
+
+@pytest.mark.parametrize("seed, k", [(1, 40), (2, 120), (3, 200)])
+def test_tables_of_incommensurable_maps_match_oracle(seed, k):
+    # denominators up to 10**9: L has thousands of bits, each row those of
+    # its piece; the inverse moves h's rows, and a composite builds its own
+    h = random_pl(seed, k, 10**9)
+    inv = h.inverse()
+    square = h.compose(h)
+    for f in (h, inv, inv.inverse(), square):
+        assert f._table == oracle_table(f)
 
 
 @st.composite

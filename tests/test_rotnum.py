@@ -136,21 +136,20 @@ def oracle_enclosure(h, b, steps):
     """Test oracle: the enclosure with each bound stepped on its own, on
     the grid 1 / 2^b.  Returns the bounds lo <= 2^b F^n(0) <= hi for
     n = 1..steps; each step looks up the piece of lo and of hi in
-    PLHomeo._table."""
-    L, X, A, B, E = h._table
+    PLHomeo._table, and evaluates its row F(u) = (alpha u + beta) / gamma at
+    u = t / 2^b - m."""
+    L, X, R = h._table
     lo = hi = 0
     bounds = []
     for _ in range(steps):
-        tL = lo * L
-        f = tL >> b
+        f = lo * L >> b
         m = (f - X[0]) // L
-        i = bisect.bisect_right(X, f - m * L) - 1
-        lo = (A[i] * (tL - (m * L << b)) + (B[i] << b)) // E[i] + (m << b)
-        tL = hi * L
-        f = tL >> b
+        a, c, e = R[bisect.bisect_right(X, f - m * L) - 1]
+        lo = (a * (lo - (m << b)) + (c << b)) // e + (m << b)
+        f = hi * L >> b
         m = (f - X[0]) // L
-        i = bisect.bisect_right(X, f - m * L) - 1
-        hi = -(-(A[i] * (tL - (m * L << b)) + (B[i] << b)) // E[i]) + (m << b)
+        a, c, e = R[bisect.bisect_right(X, f - m * L) - 1]
+        hi = -(-(a * (hi - (m << b)) + (c << b)) // e) + (m << b)
         bounds.append((lo, hi))
     return bounds
 

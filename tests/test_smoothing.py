@@ -728,7 +728,7 @@ def _two_generators(seed):
 
 def _exotic_pair(seed):
     # {exotic(6, 2), exotic(6, 3)}: its escaping points at 1,024 vertices
-    # reach 317-bit denominators, past every a_i L of either map
+    # reach 317-bit denominators, past every row's alpha_i of either map
     return group_from_json(load_json(str(FIXTURES / "groups" / "exotic_pair.json")))
 
 
@@ -949,14 +949,14 @@ def test_kernel_long_orbits_match_fraction_oracle():
     # 300 steps from 0 and from each breakpoint of exotic(6, 2), exotic(6,
     # 3), STD and a hyperbolic random_pl (its contracting component gives
     # growth_params c0 < 0 < c1), and of their inverses.  The denominators
-    # outgrow every a_i L, so the gcd is taken against a_i L e_i, and every
-    # step must still be the oracle's value in lowest terms
+    # outgrow every row's alpha_i, so the gcd is taken against alpha_i
+    # gamma_i, and every step must still be the oracle's value in lowest terms
     maps = [exotic_element(ExoticParams(F(6), F(2))),
             exotic_element(ExoticParams(F(6), F(3))), STD, random_pl(9, 4, 32)]
     ends = []
     for g in maps + [g.inverse() for g in maps]:
-        L, _, A, _, _ = g._table
-        top, gated = max(A) * L, 0  # gated: steps from a d past every a_i L
+        top = max(a for a, _, _ in g._table[2])
+        gated = 0  # steps from a d past every alpha_i
         for x in [F(0), *(p.value for p in g.breakpoints)]:
             t = (x.numerator, x.denominator)
             for _ in range(300):
@@ -970,7 +970,7 @@ def test_kernel_long_orbits_match_fraction_oracle():
     assert max(ends) > 2**200
 
 
-# reduced rationals of up to 400 bits, so d > a_i L on most maps
+# reduced rationals of up to 400 bits, so d > alpha_i on most maps
 wide_rationals = st.integers(1, 2**400).flatmap(
     lambda d: st.integers(-2 * d, 3 * d).map(lambda n: F(n, d)))
 
@@ -986,6 +986,34 @@ def test_kernel_matches_fraction_oracle_on_wide_input(g, points):
         jump = oracle_jump(g, t)
         assert (j >= 0) == (jump != 1)
         assert j < 0 or g._jumps[j] == jump
+
+
+@pytest.mark.parametrize("seed, k", [(1, 40), (2, 80), (3, 120), (4, 160), (5, 200)])
+def test_kernel_matches_fraction_oracle_on_incommensurable_denominators(seed, k):
+    # vertex denominators up to 10**9 with no common factor: L grows with
+    # the vertex count, to thousands of bits at k = 200, while each row is
+    # built from its piece's own two vertices and keeps their size
+    g = random_pl(seed, k, 10**9)
+    L, _, rows = g._table
+    assert L.bit_length() > 30 * k // 2
+    assert max(abs(v).bit_length() for row in rows for v in row) <= 4 * 30 + 4
+    top, gated = max(a for a, _, _ in rows), 0  # gated: steps from a d past every alpha_i
+    rng = random.Random(seed)
+    starts = [F(0), *(p.value for p in g.breakpoints),
+              *(F(rng.randrange(-3 * d, 3 * d), d)
+                for d in (rng.randrange(1, 2**rng.randrange(1, 400)) for _ in range(20)))]
+    for x in starts:
+        t = (x.numerator, x.denominator)
+        for _ in range(3):  # a short orbit: its denominators outgrow every alpha_i
+            gated += t[1] > top
+            y = oracle_lift_eval(g, F(*t))
+            n, d, j = g._advance(*t)
+            assert (n, d) == (y.numerator, y.denominator)
+            jump = oracle_jump(g, F(*t))
+            assert (j >= 0) == (jump != 1)
+            assert j < 0 or g._jumps[j] == jump
+            t = (n, d)
+    assert gated > len(starts)
 
 
 def _count_steps(monkeypatch):
