@@ -161,10 +161,10 @@ class PLHomeo:
     `synthesize_conjugator` (its support points are sorted, distinct, and
     all true breakpoints); each but compose passes its table.
 
-    Two maps are equal when their vertices are, and they hash over the ints
-    of the vertex pairs, not over Fraction hashes: equal maps have the same
-    canonical vertices, each a Fraction in lowest terms, so the same ints.
-    The frozen dataclass keeps this explicit __hash__ and its own __eq__."""
+    Two maps are equal when their vertices are.  Canonical vertices are
+    Fractions in lowest terms, so equal maps have the same ints, and both
+    __eq__ and __hash__ read those ints, not Fraction hashes or Fraction
+    comparisons.  The frozen dataclass keeps both, as they are explicit."""
 
     verts: Tuple[Vertex, ...]
 
@@ -173,9 +173,19 @@ class PLHomeo:
         object.__setattr__(self, "verts", verts)
         object.__setattr__(self, "_table", table)  # where the cached property keeps it
 
+    def _key(self) -> List[Tuple[int, int, int, int]]:
+        # the two slots of each Fraction, as circle._coprime sets them: a read
+        # of the .numerator property costs more than comparing the ints
+        return [(x._numerator, x._denominator, y._numerator, y._denominator)
+                for x, y in self.verts]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PLHomeo):
+            return NotImplemented
+        return self._key() == other._key()
+
     def __hash__(self) -> int:
-        return hash(tuple([(x.numerator, x.denominator, y.numerator, y.denominator)
-                           for x, y in self.verts]))
+        return hash(tuple(self._key()))
 
     @classmethod
     def _of_canonical(cls, verts: Tuple[Vertex, ...], table=None) -> "PLHomeo":
@@ -207,7 +217,8 @@ class PLHomeo:
 
     @property
     def is_identity(self) -> bool:
-        return self.verts == ((Fraction(0), Fraction(0)),)
+        # a rotation has one vertex, (0, rho); the identity is rho = 0
+        return len(self.verts) == 1 and not self.verts[0][1]
 
     @property
     def is_rotation(self) -> bool:

@@ -11,7 +11,9 @@ The rotation number comes from one Stern-Brocot descent, which asks one
 sign function per map about each p/q.  Outside the closed form below, p/q
 with q <= max_q is tested at every point at once, exactly, on the orbits of
 the chain heads (_head_orbit, which cocycle.growth_sequences reads too), so
-a periodic orbit anywhere gives the exact answer.  Beyond max_q only the
+a periodic orbit anywhere gives the exact answer.  The heads are read one
+at a time, each orbit extended only when its gap is read, and the first
+zero gap or pair of opposite gaps ends the test.  Beyond max_q only the
 orbit of 0 is followed: integer enclosures of it (_Enclosure) decide each
 sign, and the exact orbit every sign they leave open, equality included, so
 no float decides an answer.  Both run on ints: exact orbits are
@@ -352,8 +354,13 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
     keeps its sign along F-orbits and breaks only on the backward orbits of
     the c, so a zero of g that no c shares lies inside an affine piece of g
     whose two ends, and so two of the c, have opposite signs.  A chain
-    member's gap has its head's sign, so only the heads' orbits are read,
-    extended when q passes them.  Past max_q x = 0 alone is tested."""
+    member's gap has its head's sign, so only the heads' orbits are read.
+    They are read one at a time, each extended to q only when its gap is
+    read: a zero gap, or a gap of the other sign than one before it, is a
+    periodic orbit and returns 0 at once, and the common sign is returned
+    once every head agrees.  So the sign is (min(gaps) > 0) - (max(gaps) <
+    0) over all the heads, and no orbit is stepped further than that reads
+    it.  Past max_q x = 0 alone is tested."""
     chains = _chains(h)
     enc = None  # built when q first passes max_q
     n, t = 1, h._advance(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
@@ -363,13 +370,18 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
         nonlocal enc, n, t
         target = p + w * q
         if q <= max_q:
-            if len(chains[0][2]) <= q:  # the heads are held to one length
-                for chain in chains:
+            s = 0  # the sign of every gap read so far
+            for chain in chains:
+                *_, ps, ws = chain
+                if len(ps) <= q:
                     _head_orbit(h, chain, q)
-            # F^q(c) - c - target times d e, for F^q(c) = r/d + v and c = c/e
-            gaps = [(r + (v - target) * d) * e - c * d for (c, e), (r, d), v in
-                    ((ps[0], ps[q], ws[q]) for *_, ps, ws in chains)]
-            return (min(gaps) > 0) - (max(gaps) < 0)
+                # F^q(c) - c - target times d e, for F^q(c) = r/d + v and c = c/e
+                (c, e), (r, d) = ps[0], ps[q]
+                g = (r + (ws[q] - target) * d) * e - c * d
+                if not g or s and (g > 0) != (s > 0):
+                    return 0  # a periodic orbit
+                s = 1 if g > 0 else -1
+            return s
         if enc is None:
             enc = _Enclosure(h, _BITS)
         lower, upper = enc.at(q)

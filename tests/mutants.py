@@ -36,6 +36,8 @@ KERNEL = ("tests/test_smoothing.py::test_kernel_matches_fraction_oracle",
           "tests/test_smoothing.py::test_kernel_long_orbits_match_fraction_oracle",
           "tests/test_smoothing.py::test_kernel_matches_fraction_oracle_on_wide_input")
 CHAIN_SIGNS = "tests/test_rotnum.py::test_chain_heads_give_every_sign_all_breakpoints_give"
+CHAIN_SHAPES = "tests/test_rotnum.py::test_chain_heads_of_known_maps"
+STEPS = "tests/test_rotnum.py::test_rotation_number_steps_one_orbit_per_chain"
 CB = "tests/test_cantor_bendixson.py::"
 ARC_ORACLE = CB + "test_validate_agrees_with_realizing_oracle"
 FIXED = ("tests/test_rotnum.py::test_fixed_points_standard",
@@ -114,8 +116,24 @@ MUTANTS = [
     # equal values, one more step per chain: only the step counts tell
     Mutant("head-orbit-reads-one-short", "rotnum", "_head_orbit",
            "members[len(pairs) - 1:n]", "members[:-1][len(pairs) - 1:n]",
-           ("tests/test_rotnum.py::test_rotation_number_steps_one_orbit_per_chain",
-            "tests/test_cocycle.py::test_growth_sequences_step_one_orbit_per_chain")),
+           (STEPS, "tests/test_cocycle.py::test_growth_sequences_step_one_orbit_per_chain")),
+    # _orbit_sign reads the heads one at a time: a zero gap, or a gap of the
+    # other sign than one before it, is a periodic orbit, and a head is
+    # extended to position q before its gap is read
+    Mutant("orbit-sign-reads-on-past-a-zero-gap", "rotnum", "_orbit_sign",
+           "if not g or s and", "if s and", (CHAIN_SIGNS,)),
+    Mutant("orbit-sign-returns-the-last-head", "rotnum", "_orbit_sign",
+           "if not g or s and (g > 0) != (s > 0):", "if not g:", (CHAIN_SIGNS,)),
+    Mutant("orbit-sign-head-one-short", "rotnum", "_orbit_sign",
+           "if len(ps) <= q:", "if len(ps) < q:", (CHAIN_SIGNS, STEPS)),
+    # succ maps each y_i mod 1 onto an x_j; a cycle closes on its own head
+    Mutant("chains-successor-in-lift-coordinates", "rotnum", "_chains",
+           "(y.numerator % y.denominator, y.denominator)", "(y.numerator, y.denominator)",
+           (CHAIN_SHAPES, STEPS)),
+    Mutant("chains-cycle-flag-inverted", "rotnum", "_chains",
+           "chains.append((members, i is not None,", "chains.append((members, i is None,",
+           (CHAIN_SHAPES, "tests/test_cocycle.py::"
+                          "test_growth_sequences_match_oracle_on_chains_and_cycles")),
     # a limit node's arc must hold its apex and all of its first copy
     Mutant("arc-reach-without-first-copy", "cantor_bendixson", "_arcs",
            "reach = r * r + 3 * (r - r * r) / 4", "reach = r * r",
@@ -140,12 +158,16 @@ MUTANTS = [
     # equal maps built apart must hash equal; only the contract test builds
     # the same map twice and compares the hashes
     Mutant("hash-of-the-object", "homeo", "PLHomeo.__hash__",
-           "for x, y in self.verts]", "for x, y in self.verts] + [id(self)]", (HASH,)),
+           "tuple(self._key())", "tuple(self._key() + [id(self)])", (HASH,)),
     Mutant("hash-without-y", "homeo", "PLHomeo.__hash__",
-           "(x.numerator, x.denominator, y.numerator, y.denominator)",
-           "(x.numerator, x.denominator)", (HASH,),
+           "tuple(self._key())", "tuple(k[:2] for k in self._key())", (HASH,),
            equivalent="a hash only picks a bucket, and __eq__ decides: equal maps "
                       "have equal vertices, so equal x pairs and equal hashes"),
+    # __eq__ reads the ints __hash__ reads, the y pairs too
+    Mutant("eq-without-y", "homeo", "PLHomeo.__eq__",
+           "self._key() == other._key()",
+           "[k[:2] for k in self._key()] == [k[:2] for k in other._key()]",
+           ("tests/test_homeo.py::test_maps_differ_when_any_int_of_their_vertices_does",)),
     # the orbit pass: a reverse step's jump is the forward one inverted, a
     # jump edge divides the potential by the jump, and the rescale
     # multiplies by the whole root

@@ -662,3 +662,16 @@ def test_equal_maps_hash_equal_along_every_path():
     r = rotation(F(1, 3)).compose(rotation(F(2, 3)))
     assert r == identity() and hash(r) == hash(identity())
     assert len({r, identity(), PLHomeo([(0, 0)]), rotation(1)}) == 1
+
+
+def test_maps_differ_when_any_int_of_their_vertices_does():
+    # STD and g share their x pairs, and differ in one y pair
+    g = PLHomeo([(0, 0), (F(1, 2), F(1, 3))])
+    assert [x for x, _ in g.verts] == [x for x, _ in STD.verts] == [0, F(1, 2)]
+    assert g != STD and not g == STD and len({g, STD}) == 2
+    assert rotation(F(1, 3)) != rotation(F(1, 4)) != identity()
+    assert STD != STD.compose(STD) and g == PLHomeo([("0", "0"), ("2/4", "2/6")])
+    # another type is not equal, and its own __eq__ is asked
+    assert STD != STD.verts and STD != 0 and STD.__eq__(STD.verts) is NotImplemented
+    assert identity().is_identity and rotation(1).is_identity
+    assert not rotation(F(1, 3)).is_identity and not STD.is_identity

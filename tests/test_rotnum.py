@@ -1,5 +1,6 @@
 import bisect
 import decimal
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -762,6 +763,50 @@ def oracle_orbit_sign(h, max_q):
     return sign
 
 
+# _orbit_sign as it was before it read the heads one at a time, kept here
+# verbatim but for the module prefixes: every head is extended to q before
+# any gap is read, and the sign is the min/max test over all the gaps.  The
+# one-at-a-time loop must return what it returns, with no more steps.
+
+def held_orbit_sign(h, max_q):
+    """rotation_number's sign function for h outside _log_ratio's class:
+    that of g = F^q - id - p - wq, w = floor(F(0)), if g has one sign, else
+    0 (a periodic orbit).  F - id spans less than 1 and takes F(0) in [w,
+    w + 1), so h fixes a point exactly when g vanishes at 0/1 or 1/1.  For
+    q <= max_q the gaps g(c) at the breakpoints c decide g at every x: g
+    keeps its sign along F-orbits and breaks only on the backward orbits of
+    the c, so a zero of g that no c shares lies inside an affine piece of g
+    whose two ends, and so two of the c, have opposite signs.  A chain
+    member's gap has its head's sign, so only the heads' orbits are read,
+    extended when q passes them.  Past max_q x = 0 alone is tested."""
+    chains = rotnum._chains(h)
+    enc = None  # built when q first passes max_q
+    n, t = 1, h._advance(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
+    w = t[0] // t[1]
+
+    def sign(p: int, q: int) -> int:
+        nonlocal enc, n, t
+        target = p + w * q
+        if q <= max_q:
+            if len(chains[0][2]) <= q:  # the heads are held to one length
+                for chain in chains:
+                    rotnum._head_orbit(h, chain, q)
+            # F^q(c) - c - target times d e, for F^q(c) = r/d + v and c = c/e
+            gaps = [(r + (v - target) * d) * e - c * d for (c, e), (r, d), v in
+                    ((ps[0], ps[q], ws[q]) for *_, ps, ws in chains)]
+            return (min(gaps) > 0) - (max(gaps) < 0)
+        if enc is None:
+            enc = rotnum._Enclosure(h, rotnum._BITS)
+        lower, upper = enc.at(q)
+        scaled = target * enc.scale
+        if not lower <= scaled <= upper:
+            return 1 if lower > scaled else -1
+        t, n = rotnum._lift_iterate(h, t, q - n), q
+        return (t[0] > target * t[1]) - (t[0] < target * t[1])
+
+    return sign
+
+
 def conjugate(phi, g):
     return phi.compose(g).compose(phi.inverse())
 
@@ -845,24 +890,35 @@ def test_head_orbit_matches_fraction_oracle(h):
             t = oracle_lift_eval(h, t)
 
 
+def counted_rotation_number(h, max_q, depth, sign=None):
+    """rotation_number(h, max_q, depth), with _orbit_sign replaced by `sign`
+    when given, and the number of _advance calls it made."""
+    step, calls = PLHomeo._advance, [0]
+
+    def counting_step(self, n, d):
+        calls[0] += 1
+        return step(self, n, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PLHomeo, "_advance", counting_step)
+        if sign is not None:
+            mp.setattr(rotnum, "_orbit_sign", sign)
+        return rotation_number(h, max_q=max_q, depth=depth), calls[0]
+
+
 @pytest.mark.parametrize("h, rho, steps", [
     # the members of a chain are read, not stepped: the 8 chains of 2 read
     # positions 1 and 2, and the cycle of 4 every position up to q = 4, so
     # only F(0) is stepped
-    (MEDIAN, F(3, 8), 49),  # 113 with one orbit per breakpoint
+    (MEDIAN, F(3, 8), 28),  # 49 with the heads held to one length, 113
+    # with one orbit per breakpoint: 3/8 reads one head, whose gap is 0
     (ONE_CYCLE, F(1, 4), 1),  # 13 with one orbit per breakpoint
-    (random_pl(3, 4, 32), F(13, 23), 89),  # no chain: one orbit per breakpoint
+    # no chain, one orbit per breakpoint: 89 with the heads held to one
+    # length, as the signs of opposite heads end a read early
+    (random_pl(3, 4, 32), F(13, 23), 75),
 ])
-def test_rotation_number_steps_one_orbit_per_chain(monkeypatch, h, rho, steps):
-    step, calls = PLHomeo._advance, []
-
-    def counting_step(self, n, d):
-        calls.append((n, d))
-        return step(self, n, d)
-
-    monkeypatch.setattr(PLHomeo, "_advance", counting_step)
-    assert rotation_number(h) == RotNumResult(exact=rho)
-    assert len(calls) == steps
+def test_rotation_number_steps_one_orbit_per_chain(h, rho, steps):
+    assert counted_rotation_number(h, 32, 16) == (RotNumResult(exact=rho), steps)
 
 
 @pytest.mark.parametrize("h", [MEDIAN, ONE_CYCLE, STD, random_pl(3, 4, 32),
@@ -874,3 +930,26 @@ def test_rotation_number_builds_no_jump(h):
     fresh = PLHomeo([(str(x), str(y)) for x, y in h.verts])
     assert rotation_number(fresh) == rotation_number(h)
     assert "_jumps" not in vars(fresh)
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """Seeded random maps, PL conjugates of rotations, STD and ONE_CYCLE."""
+    return ([random_pl(s, 1 + s % 6, 32) for s in range(1000)]
+            + [conjugate(random_pl(s, 2 + s % 7, 64), rotation(F(s % q, q)))
+               for s, q in zip(range(300), itertools.cycle(range(2, 20)))]
+            + [STD, ONE_CYCLE])
+
+
+@pytest.mark.parametrize("max_q, depth", [(32, 16), (8, 24)])
+def test_heads_read_one_at_a_time_match_the_held_oracle(sweep, max_q, depth):
+    # each sign is the min/max test over every head, so the descent is the
+    # same; a read that stops early steps no head further than before
+    fewer = 0
+    for h in sweep:
+        got, steps = counted_rotation_number(h, max_q, depth)
+        want, held_steps = counted_rotation_number(h, max_q, depth, held_orbit_sign)
+        assert got == want, h
+        assert steps <= held_steps, h
+        fewer += steps < held_steps
+    assert fewer
