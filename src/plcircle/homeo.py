@@ -15,8 +15,8 @@ table, which each map gets once from whoever built it: a point's piece is
 found on the common grid, L and the x_i L, and each piece is one row in
 lowest terms, F(u) = (alpha_i u + beta_i) / gamma_i, built from its own two
 vertices by one formula, _layout, so a row has the bits of its piece, not
-of L.  The constructor, rotation and synthesize_conjugator call it on their
-own integers, a composite on first use (_table), and the inverse moves the
+of L.  The constructor and rotation call it on their own integers, a
+composite or a conjugator on first use (_table), and the inverse moves the
 rows of the map it inverts.  One kernel, _advance, steps pairs in lowest
 terms and returns the index of the breakpoint it hit, not its jump, and
 builds no Fraction: the orbit passes, compose, which reads the two vertex
@@ -159,7 +159,7 @@ class PLHomeo:
     nothing, as the slopes invert), `compose` (from the two vertex lists, it
     keeps the cuts whose chain-rule jump is not 1), `rotation` and
     `synthesize_conjugator` (its support points are sorted, distinct, and
-    all true breakpoints); each but compose passes its table.
+    all true breakpoints); inverse and rotation pass their tables.
 
     Two maps are equal when their vertices are.  Canonical vertices are
     Fractions in lowest terms, so equal maps have the same ints, and both
@@ -263,9 +263,12 @@ class PLHomeo:
         X_i = x_i L, the grid a point's piece is found on, and piece i as its
         row in lowest terms, F(u) = (alpha_i u + beta_i) / gamma_i (_layout),
         read by _advance and rotnum's enclosures.  Whoever builds a map
-        stores it here once; this body serves compose's maps alone, as the
+        stores it here once; this body serves compose's maps and the
+        conjugators of synthesize_conjugator and smooth_group alone.  The
         finite-orbit search hashes and solves most words of its last length
-        but evaluates none, and eager tables made it 20% slower."""
+        but evaluates none, and eager tables made it 20% slower; a
+        conjugator's angles are read off its synthesis sums, and its rows
+        cost about a quarter of the synthesis."""
         P = [(x.numerator, x.denominator, y.numerator, y.denominator)
              for x, y in self.verts]
         L = math.lcm(*(q for _, q, _, _ in P))

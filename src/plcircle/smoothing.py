@@ -11,18 +11,23 @@ interned integer pairs in lowest terms, so only those edges do arithmetic,
 in integers, and Fractions are built only for the results.  A
 product-one solution is realized as the jump vector of a PL conjugator phi;
 by the chain rule phi g phi^{-1} then has no breakpoints, so it is the
-rotation by phi(g(y)) - phi(y) for any y, read off without composing.
+rotation by phi(g(y)) - phi(y) for any y.  From the potentials to the
+result all stays in integers: phi's vertices and, with y = x_0 the
+smallest support point, which phi fixes, every angle phi(g(x_0)) - x_0
+come from one set of prefix sums (_conjugator), with no map composed or
+evaluated.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 from .circle import CirclePoint, _check_ints, _coprime, _order_keys
 from .cocycle import FiniteVector
-from .homeo import _ONE, PLHomeo, _layout, _lowest, identity, rotation
+from .homeo import _ONE, PLHomeo, _lowest, identity, rotation
 from .rotnum import _log_ratio, fixed_points, rotation_number
 
 
@@ -146,8 +151,8 @@ class Obstruction:
 def _iroot(m: int, n: int) -> int:
     """The integer n-th root of m > 0, rounded down.  smooth_group's proof
     shows it exact where _solve takes it, on the numerator and denominator
-    of a lowest-terms N-th power; an inexact one would fail
-    synthesize_conjugator's product check."""
+    of a lowest-terms N-th power; an inexact one would fail _conjugator's
+    product check."""
     r = 1 << -(-m.bit_length() // n)  # upper bound on the root
     while (nr := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
         r = nr
@@ -163,8 +168,9 @@ def _solve(o: _Orbits):
     component.  Potentials are interned (numerator, denominator) pairs in
     lowest terms, one object per value, so a unit edge copies a_y and is
     checked by identity: only an edge with a jump n/d computes, a_y times
-    d/n in two products and one gcd.  Fractions are built only for the
-    results."""
+    d/n in two products and one gcd.  The solution is returned as its
+    support ids, in circle order, each with its potential pair: a success
+    builds no Fraction here."""
     out, jumps, K, top = o.out, o.jumps, len(o.maps), o.max_vertices
     one = (1, 1)
     a: Dict[int, Tuple[int, int]] = {}
@@ -214,8 +220,7 @@ def _solve(o: _Orbits):
             x, y = x * r, y * s
             g = math.gcd(x, y)
             a[v] = (x // g, y // g)
-    support = o.in_order([v for v, y in a.items() if y != one])
-    return FiniteVector(tuple((o.point(v), _coprime(*a[v])) for v in support))
+    return [(v, a[v]) for v in o.in_order([v for v, y in a.items() if y != one])]
 
 
 def _closed_walk(o: _Orbits, i: int, parent) -> Tuple[Edge, ...]:
@@ -235,45 +240,68 @@ def _closed_walk(o: _Orbits, i: int, parent) -> Tuple[Edge, ...]:
             *(o.edge(parent[u]) for u in reversed(down)))
 
 
-def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
-    """The canonical PL map whose jump vector is exactly a.
+def _conjugator(pts, vals):
+    """synthesize_conjugator in integers: pts the support points (n_i, d_i)
+    in [0, 1), strictly increasing, and vals their values (p_i, q_i), each
+    pair in lowest terms and no value 1.  Returns phi's vertices and
+    `angle`, phi(t) - x_0 for t = n / d in [0, 1), read off the same sums.
 
-    Requires the support points strictly increasing and the product of
-    values to be 1 (every PL circle homeomorphism has jump product 1).  The
-    result fixes the smallest support point x_0.  In integers: L is the lcm
-    of the point denominators, X_i = x_i L, u_i = P_i / Q the cumulative
-    jump products over one denominator Q, and the slope after x_i is
-    proportional to u_i.  With D_i = X_{i+1} - X_i (closing at X_0 + L),
-    N_i = sum_{l<i} P_l D_l and T = N_m, the map sends x_i to x_0 + N_i / T
-    = Y_i / (L T), Y_i = X_0 T + N_i L, each put in lowest terms by one
-    gcd, and its table (PLHomeo._table) is L, the X_i and the rows of these
-    vertices (_layout).  No value is 1, so every x_i is a true breakpoint
+    L is the lcm of the d_i, X_i = x_i L and D_i = X_{i+1} - X_i, closing
+    at X_0 + L.  The cumulative products (p_i, q_i) of the values, each in
+    lowest terms, are u_i = U_i / Q over one denominator Q, U_i = p_i Q /
+    q_i, and the slope after x_i is proportional to u_i.  With N_i = sum_{l
+    < i} U_l D_l and T = N_m, phi lifts [x_0, x_0 + 1) onto itself, fixes
+    x_0 and sends u on piece i to x_0 + (N_i + U_i (u L - X_i)) / (L T):
+    vertex x_i goes to Y_i / (L T), Y_i = X_0 T + N_i L, put in lowest
+    terms by one gcd.  No value is 1, so every x_i is a true breakpoint
     and the vertices are already canonical."""
-    if not a.entries:
-        return identity()
-    pts = [p.value for p, _ in a.entries]
-    L = math.lcm(*(x.denominator for x in pts))
-    X = [x.numerator * (L // x.denominator) for x in pts]
+    L = math.lcm(*(d for _, d in pts))
+    X = [n * (L // d) for n, d in pts]
     D = [b - a for a, b in zip(X, X[1:] + [X[0] + L])]
     us = []
     p = q = 1
-    for _, v in a.entries:
-        p, q = p * v.numerator, q * v.denominator
+    for vp, vq in vals:
+        p, q = p * vp, q * vq
         g = math.gcd(p, q)
         p, q = p // g, q // g
         us.append((p, q))
     if p != q:
         raise ValueError("assignment product differs from 1; no PL map realizes it")
     Q = math.lcm(*(q for _, q in us))
+    U = [p * (Q // q) for p, q in us]
     N = [0]
-    for (p, q), dx in zip(us, D):
-        N.append(N[-1] + p * (Q // q) * dx)
+    for u, dx in zip(U, D):
+        N.append(N[-1] + u * dx)
     T = N.pop()
     LT = L * T
-    P = [(x.numerator, x.denominator, *_lowest(X[0] * T + n * L, LT))
-         for x, n in zip(pts, N)]
-    return PLHomeo._of_canonical(tuple((x, _coprime(r, t)) for x, (_, _, r, t) in zip(pts, P)),
-                                 _layout(L, X, P))
+    verts = tuple((_coprime(n, d), _coprime(*_lowest(X[0] * T + s * L, LT)))
+                  for (n, d), s in zip(pts, N))
+
+    def angle(n, d):
+        # t = n / d lifted into [x_0, x_0 + 1), on the grid: t L = nL / d
+        nL = n * L
+        if nL < X[0] * d:
+            nL += d * L
+        i = bisect_right(X, nL // d) - 1
+        return _coprime(*_lowest(N[i] * d + U[i] * (nL - X[i] * d), T * d))
+
+    return verts, angle
+
+
+def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
+    """The canonical PL map whose jump vector is exactly a.
+
+    Requires the support points strictly increasing and the product of
+    values to be 1 (every PL circle homeomorphism has jump product 1).  The
+    result fixes the smallest support point x_0.  Its vertices come from
+    the integer core _conjugator, on the lowest-terms pairs of a's points
+    and values; it has no table until it is first evaluated
+    (PLHomeo._table)."""
+    if not a.entries:
+        return identity()
+    verts, _ = _conjugator([(p.value.numerator, p.value.denominator) for p, _ in a.entries],
+                           [(v.numerator, v.denominator) for _, v in a.entries])
+    return PLHomeo._of_canonical(verts)
 
 
 def _word_candidates(signed, max_period: int, max_words: int = 2000):
@@ -385,7 +413,8 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     certifies unsolvability even in a truncated graph.  Finite orbits are
     not searched for (see detect_finite_orbit).
 
-    On success each conjugate is read off phi, with no composition.  Let V
+    On success phi and each conjugate come from the potentials in integers
+    (_conjugator), with no composition and no evaluation.  Let V
     be the closed vertex set and a the product-one solution, supported in V;
     phi = synthesize_conjugator(a) has jump vector exactly a (criterion 09).
     For every generator g and every x, by the chain rule,
@@ -395,7 +424,11 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     edge, tree edges hold by construction, and rescaling a component by a
     constant keeps them.  For x off V, g(x) is off V too and every factor
     is 1.  So phi g phi^{-1} has no breakpoint: it is the rotation by
-    phi(g(y)) - phi(y), for any y.
+    phi(g(y)) - phi(y), for any y.  Take y = x_0, the smallest support
+    point: phi fixes it, and g(x_0) is x_0's target in g's slot of the
+    orbit table, so the angle is phi(g(x_0)) - x_0, read off the sums phi
+    was built from.  (With no support every generator is a rotation, and
+    phi is the identity.)
 
     The product-one rescale needs no other outcome.  Let the pass close
     with no inconsistent edge, so a_y = J(g, y) a_{g(y)} on every edge.
@@ -417,11 +450,14 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     prod_O b_O)^N, so 1/P is the N-th power of a rational."""
     _check_ints(0, max_vertices=max_vertices)
     seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
-    sol = _solve(_Orbits(seed, _signed_generators(G), max_vertices))
-    if not isinstance(sol, FiniteVector):
+    o = _Orbits(seed, _signed_generators(G), max_vertices)
+    sol = _solve(o)
+    if not isinstance(sol, list):
         return sol
-    phi = synthesize_conjugator(sol)
-    phi_zero = phi.lift_eval(0)
-    return Success(phi=phi, conjugated=tuple(
-        (name, rotation(phi.lift_eval(g.lift_eval(0)) - phi_zero))
-        for name, g in G.generators))
+    if not sol:  # every generator is a rotation
+        return Success(phi=identity(), conjugated=G.generators)
+    verts, angle = _conjugator([o.pts[v] for v, _ in sol], [y for _, y in sol])
+    x0 = sol[0][0] * len(o.maps)  # the slots of x_0; generator k's is x0 + 2k
+    return Success(phi=PLHomeo._of_canonical(verts), conjugated=tuple(
+        (name, rotation(angle(*o.pts[o.out[x0 + 2 * k]])))
+        for k, (name, _) in enumerate(G.generators)))

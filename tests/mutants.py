@@ -49,6 +49,7 @@ ORBIT_ORACLES = (SM + "test_orbit_pass_matches_fraction_oracle",
                  SM + "test_smooth_group_matches_two_pass_oracle")
 TABLES = "tests/test_homeo.py::test_stored_tables_match_oracle"
 ENCLOSURE = "tests/test_rotnum.py::test_enclosure_lies_inside_the_coarse_oracle"
+TAIL = SM + "test_success_tail_matches_fraction_oracle"
 COMPOSE = ("tests/test_homeo.py::test_compose_matches_cut_sorting_oracle",
            "tests/test_homeo.py::test_compose_oracle_cases_cover_each_branch")
 
@@ -184,10 +185,27 @@ MUTANTS = [
            ("tests/test_circle.py::test_order_keys_order_points_as_fractions",
             *ORBIT_ORACLES)),
     # the last piece of the conjugator ends at x_0 + 1, a full turn on
-    Mutant("conjugator-closes-at-x0", "smoothing", "synthesize_conjugator",
+    Mutant("conjugator-closes-at-x0", "smoothing", "_conjugator",
            "X[1:] + [X[0] + L]", "X[1:] + [X[0]]",
            (SM + "test_synthesize_roundtrip_many",
-            "tests/test_homeo.py::test_synthesized_tables_match_oracle")),
+            SM + "test_derived_maps_match_canonicalizing_oracles")),
+    # each angle is phi(g(x_0)) - x_0: g's slot, g(x_0) lifted into [x_0,
+    # x_0 + 1), its piece the last X_i at or below it, the offset scaled by
+    # the piece's slope U_i
+    Mutant("angle-from-the-inverse-slot", "smoothing", "smooth_group",
+           "x0 + 2 * k]", "x0 + 2 * k + 1]", (TAIL,)),
+    Mutant("angle-without-the-lift", "smoothing", "_conjugator",
+           "nL += d * L", "nL += 0", (TAIL,)),
+    # bisect_left(X, f) is bisect_right(X, f - 1) on ints
+    Mutant("angle-piece-by-bisect-left", "smoothing", "_conjugator",
+           "bisect_right(X, nL // d)", "bisect_right(X, nL // d - 1)", (TAIL,)),
+    Mutant("angle-offset-not-times-slope", "smoothing", "_conjugator",
+           "U[i] * (nL - X[i] * d)", "(nL - X[i] * d)", (TAIL,)),
+    # slopes dy_i / dx_i are compared by cross-multiplying
+    Mutant("canonical-slopes-not-cross-multiplied", "homeo", "_canonical",
+           "dy[i - 1] * dx[i] != dy[i] * dx[i - 1]", "dy[i - 1] * dx[i - 1] != dy[i] * dx[i]",
+           ("tests/test_homeo.py::test_removable_breakpoints_merge",
+            "tests/test_homeo.py::test_integer_canonicalization_matches_fraction_oracle")),
 ]
 
 

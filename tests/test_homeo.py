@@ -10,7 +10,8 @@ from plcircle import (ExoticParams, FiniteVector, GroupPresentation, InvalidHome
                       PLHomeo, exotic_element, from_lift_vertices, homeo, identity,
                       jump_cocycle, random_pl, reduce_mod1, rotation, smooth_group,
                       synthesize_conjugator)
-from plcircle.circle import frac_mod1
+from plcircle import smoothing
+from plcircle.circle import CirclePoint, frac_mod1
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
 
@@ -505,21 +506,72 @@ def product_one_vectors(draw):
 @given(st.one_of(random_maps.map(jump_cocycle), product_one_vectors()))
 @settings(max_examples=300, deadline=None)
 def test_synthesized_tables_match_oracle(a):
-    # synthesize_conjugator builds its table from the integers it solves in
+    # synthesize_conjugator stores no table: the first evaluation builds it
     phi = synthesize_conjugator(a)
     if a.entries:
-        assert vars(phi)["_table"] == oracle_table(phi)
+        assert "_table" not in vars(phi)
+        assert phi._table == oracle_table(phi)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_smoothing_conjugator_tables_match_oracle(seed):
     # the conjugators smooth_group synthesizes from _solve's potentials
+    # store no table: the first evaluation builds it
     phi = random_pl(seed, 4, 32)
     G = GroupPresentation(tuple((f"g{i}", phi.compose(rotation(a)).compose(phi.inverse()))
                                 for i, a in enumerate((F(1, 3), F(1, 5)))))
     outcome = smooth_group(G)
     assert outcome.kind == "success" and not outcome.phi.is_rotation
-    assert vars(outcome.phi)["_table"] == oracle_table(outcome.phi)
+    assert "_table" not in vars(outcome.phi)
+    assert outcome.phi._table == oracle_table(outcome.phi)
+
+
+def test_smoothing_success_steps_and_lays_out_nothing(monkeypatch):
+    # the 616-vertex hidden rotations, whose conjugator has 159 breakpoints:
+    # after the pass, phi's vertices and the angles are read off integer
+    # sums, with no kernel step, no point or vector built, and no rows laid
+    # out but each conjugate rotation's one
+    phi = random_pl(21, 8, 64)
+    G = GroupPresentation(tuple((f"g{i}", phi.compose(rotation(a)).compose(phi.inverse()))
+                                for i, a in enumerate((F(1, 7), F(2, 11)))))
+    after, pieces = [], []
+    counts = {name: [0, 0] for name in ("step", "CirclePoint", "FiniteVector")}
+    solve = smoothing._solve
+
+    def marking_solve(o):
+        out = solve(o)
+        after.append(o)
+        return out
+
+    def counting(name, f):
+        def wrapper(*args):
+            counts[name][bool(after)] += 1
+            return f(*args)
+        return wrapper
+
+    layout = homeo._layout
+
+    def recording_layout(L, X, P):
+        if after:
+            pieces.append(len(X))
+        return layout(L, X, P)
+
+    monkeypatch.setattr(smoothing, "_solve", marking_solve)
+    monkeypatch.setattr(homeo, "_layout", recording_layout)
+    monkeypatch.setattr(PLHomeo, "_advance", counting("step", PLHomeo._advance))
+    for cls in (CirclePoint, FiniteVector):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+    outcome = smooth_group(G)
+    assert outcome.kind == "success" and len(after[0].pts) == 616
+    # the pass steps 1,232 times, and the seed is read off BP(g) as points
+    assert counts["step"] == [1232, 0]
+    assert counts["CirclePoint"][0] > 0 and counts["CirclePoint"][1] == 0
+    assert counts["FiniteVector"] == [0, 0]
+    assert pieces == [1, 1]
+    assert len(outcome.phi.verts) == 159
+    assert "_table" not in vars(outcome.phi)
+    monkeypatch.undo()
+    assert outcome.phi._table == oracle_table(outcome.phi)
 
 
 # -- compose, against the body it replaced ---------------------------------

@@ -150,6 +150,70 @@ def test_synthesize_roundtrip_many():
         assert jump_cocycle(psi) == a
 
 
+# ---------------------------------------------------------- the success tail
+#
+# smooth_group reads phi's vertices and every conjugate's angle off the
+# integer sums of smoothing._conjugator.  The oracle is the tail it
+# replaced, kept here verbatim: the support as a FiniteVector, phi from the
+# public synthesize_conjugator, and each angle phi(g(0)) - phi(0) by
+# lift_eval, which evaluates phi on its table.
+
+def oracle_tail_smooth(G, max_vertices):
+    seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
+    o = _Orbits(seed, smoothing._signed_generators(G), max_vertices)
+    sol = smoothing._solve(o)
+    if not isinstance(sol, list):
+        return sol
+    phi = synthesize_conjugator(FiniteVector(tuple((o.point(v), F(*y)) for v, y in sol)))
+    phi_zero = phi.lift_eval(F(0))
+    return Success(phi=phi, conjugated=tuple(
+        (name, rotation(phi.lift_eval(g.lift_eval(F(0))) - phi_zero))
+        for name, g in G.generators))
+
+
+def _periodic_conjugate(alpha):
+    """R(1/4) beside a conjugate of R(alpha) by a map that commutes with
+    R(1/4)."""
+    psi = PLHomeo([(F(i, 8), F(i // 2, 4) + (i % 2) * F(1, 16)) for i in range(8)])
+    return GroupPresentation((("a", rotation(F(1, 4))),
+                              ("b", _conjugate(psi, rotation(alpha)))))
+
+
+def _tail_groups():
+    """500 seeded groups, most of them successes: conjugates of one or two
+    rotations, single rotations and seeded maps; then an identity and a
+    rotation each beside a conjugated rotation."""
+    for s in range(300):
+        phi = random_pl(s, 1 + s % 5, 32)
+        alphas = [F(1, 2 + s % 5)] + [F(s % 3 + 1, 7)] * (s % 2)
+        yield pres(*(_conjugate(phi, rotation(a)) for a in alphas))
+    for s in range(100):
+        yield pres(rotation(F(s % 11, 11)))
+    for s in range(100):
+        yield pres(random_pl(s, 2, 8))
+    for s in range(8):
+        yield pres(identity(), _conjugate(random_pl(s, 3, 16), rotation(F(2, 5))))
+        yield _periodic_conjugate(F(1 + s % 3, 4 + s))
+
+
+def test_success_tail_matches_fraction_oracle():
+    kinds, lifted = Counter(), 0
+    for G in (pres(_conjugate(random_pl(46, 2, 32), rotation(F(1, 3)))), *_tail_groups()):
+        got, want = smooth_group(G, 512), oracle_tail_smooth(G, 512)
+        assert got.kind == want.kind
+        kinds[got.kind] += 1
+        if got.kind != "success":
+            assert got == want
+            continue
+        assert_same_verts(got.phi, want.phi)
+        assert got.conjugated == want.conjugated
+        if not got.phi.is_rotation:  # the lift of g(x_0) below x_0
+            x0 = got.phi.verts[0][0]
+            lifted += sum(g.eval(CirclePoint(x0)).value < x0 for _, g in G.generators)
+    assert kinds["success"] >= 400 and kinds["truncated"] and kinds["obstruction"]
+    assert lifted >= 3
+
+
 # ---------------------------------------------------------------- finite orbit
 
 def test_finite_orbit_rotation():
@@ -1077,12 +1141,14 @@ def test_finite_orbit_closures_evaluate_no_step_backwards(monkeypatch, seed):
 
 class FractionOrbits(_Orbits):
     """The orbit pass before the integer kernel, as a test oracle: points are
-    Fractions, and every map, inverses included, is evaluated at every vertex
-    by the Fraction oracle; a jump goes in the table when it is not 1."""
+    Fractions, in xs, and every map, inverses included, is evaluated at every
+    vertex by the Fraction oracle; a jump goes in the table when it is not
+    1.  pts holds each point's pair, as _Orbits does, for smooth_group to
+    read on a success."""
 
     def __init__(self, seed, maps, max_vertices):
         self.maps, self.max_vertices = maps, max_vertices
-        self.pts, self.ids, self.out, self.jumps, self.expanded = [], {}, [], {}, 0
+        self.xs, self.pts, self.ids, self.out, self.jumps, self.expanded = [], [], {}, [], {}, 0
         for x in seed:
             self._intern(x)
         self.n_seed = len(self.pts)
@@ -1094,14 +1160,15 @@ class FractionOrbits(_Orbits):
         v = self.ids.get(key)
         if v is None:
             v = self.ids[key] = len(self.pts)
-            self.pts.append(x)
+            self.xs.append(x)
+            self.pts.append(key)
             self.out += [None] * len(self.maps)
         return v
 
     def expand(self, v):
         K = len(self.maps)
         while self.expanded <= v and self.expanded < len(self.pts):
-            x = self.pts[self.expanded]
+            x = self.xs[self.expanded]
             for k, (label, g) in enumerate(self.maps):
                 y, w = eval_jump(g, x)
                 i = self.expanded * K + k
@@ -1111,10 +1178,10 @@ class FractionOrbits(_Orbits):
             self.expanded += 1
 
     def point(self, v):
-        return CirclePoint(self.pts[v])
+        return CirclePoint(self.xs[v])
 
     def in_order(self, ids):
-        return sorted(ids, key=self.pts.__getitem__)
+        return sorted(ids, key=self.xs.__getitem__)
 
 
 def _kind_groups(kind, seed):
