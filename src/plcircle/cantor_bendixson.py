@@ -14,12 +14,11 @@ arcs meet, and its cost is linear in the tree everywhere else.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import FrozenSet, List, Set, Tuple, Union
+from typing import FrozenSet, List, NamedTuple, Set, Tuple, Union
 
-from .circle import CirclePoint, _check_ints, _exact, _order_keys, _quote, frac_mod1
+from .circle import CirclePoint, _Frozen, _check_ints, _exact, _order_keys, _quote, frac_mod1
 
 LEFT = "left"
 RIGHT = "right"
@@ -30,21 +29,20 @@ RIGHT = "right"
 MAX_REALIZED_POINTS = 10 ** 5
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     point: CirclePoint
 
 
-@dataclass(frozen=True)
-class Limit:
-    apex: CirclePoint
-    child: "SymbolicSet"
-    direction: str
-    ratio: Fraction
+class Limit(_Frozen):
+    __slots__ = _fields = ("apex", "child", "direction", "ratio")
+
+    def __init__(self, apex: CirclePoint, child: SymbolicSet, direction: str,
+                 ratio: Fraction):
+        if not isinstance(ratio, Fraction):  # so no float reaches the arcs
+            ratio = _exact(Fraction, ratio)
+        self._init(apex, child, direction, ratio)
 
     def __post_init__(self):
-        if not isinstance(self.ratio, Fraction):  # so no float reaches the arcs
-            object.__setattr__(self, "ratio", _exact(Fraction, self.ratio))
         if self.direction not in (LEFT, RIGHT):
             raise ValueError("direction must be 'left' or 'right', "
                              f"got {_quote(self.direction, repr)}")
@@ -57,8 +55,7 @@ class Limit:
 Node = Union[Leaf, Limit]
 
 
-@dataclass(frozen=True)
-class SymbolicSet:
+class SymbolicSet(NamedTuple):
     nodes: Tuple[Node, ...]
 
 
@@ -169,8 +166,7 @@ def cb_derivative(S: SymbolicSet) -> SymbolicSet:
     return SymbolicSet(tuple(nodes))
 
 
-@dataclass(frozen=True)
-class CBRank:
+class CBRank(NamedTuple):
     rank: int
     top_finite_set_size: int
     chain: Tuple[int, ...]  # node counts of S, S', S'', ..., ending with 0

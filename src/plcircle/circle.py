@@ -3,7 +3,8 @@ one exact order of points held as integer pairs (n, d), the one Fraction
 built from a pair already in lowest terms (_coprime), the one reader of
 the documented form "p/q" of a rational string (_ints), the one rule for
 values past Python's int/string digit limit (_exact), and the one way a
-value of any size is quoted in an error message.
+value of any size is quoted in an error message; and _Frozen, the base of
+the library's records that validate on construction.
 
 Everything in this module is exact; no floating point is used.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -76,15 +76,59 @@ def frac_mod1(q: RationalLike) -> Fraction:
     return q - f if f else q
 
 
-@dataclass(frozen=True)
-class CirclePoint:
+class _Frozen:
+    """A validating record: __init__ converts its arguments and passes them,
+    in _fields order, to _init, which sets them and calls __post_init__.
+    No field can be assigned after.  repr, == and hash read the fields in
+    order, as a frozen dataclass's do: hash(r) = hash(tuple of r's fields)."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()  # every subclass's __slots__ too, but PLHomeo's
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CirclePoint(_Frozen):
     """A point of R/Z with an exact coordinate n/d in [0, 1): 0 <= n < d."""
 
-    value: Fraction
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Fraction):
+        self._init(value if isinstance(value, Fraction) else _exact(Fraction, value))
+
+    def __eq__(self, other):  # _Frozen's, with no tuples: points are dict keys
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", _exact(Fraction, self.value))
         if not 0 <= self.value.numerator < self.value.denominator:
             raise ValueError(f"circle coordinate {_quote(self.value)} not in [0, 1)")
 

@@ -16,21 +16,22 @@ import functools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from .circle import CirclePoint, _check_ints, _order_keys, _quote, reduce_mod1
+from .circle import CirclePoint, _Frozen, _check_ints, _order_keys, _quote, reduce_mod1
 from .homeo import PLHomeo
 from .rotnum import _chains, _head_orbit, fixed_points
 
 
-@dataclass(frozen=True)
-class FiniteVector:
+class FiniteVector(_Frozen):
     """Positive rationals at strictly increasing CirclePoints, value 1 pruned."""
 
-    entries: Tuple[Tuple[CirclePoint, Fraction], ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[CirclePoint, Fraction], ...]):
+        self._init(entries)
 
     def __post_init__(self):
         # compared in integers: Fraction's comparisons would double the cost
@@ -163,8 +164,7 @@ def breakpoint_growth(f: PLHomeo, N: int) -> List[int]:
     return growth_sequences(f, N)[0]
 
 
-@dataclass(frozen=True)
-class GrowthParams:
+class GrowthParams(NamedTuple):
     """Constants controlling the linear breakpoint-growth lower bound
     for a map contracting on a component of its open support."""
 

@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import List, Tuple
 
-from .circle import (CirclePoint, _check_ints, _coprime, _exact, _ints, _order_keys,
+from .circle import (CirclePoint, _Frozen, _check_ints, _coprime, _exact, _ints, _order_keys,
                      _quote, frac_mod1)
 
 Vertex = Tuple[Fraction, Fraction]
@@ -147,8 +146,7 @@ def _canonical(pairs):
             _layout(L, X, P))
 
 
-@dataclass(frozen=True)
-class PLHomeo:
+class PLHomeo(_Frozen):
     """Orientation-preserving PL circle homeomorphism in canonical form.
 
     The constructor canonicalizes input: it takes vertex pairs in circle or
@@ -164,9 +162,13 @@ class PLHomeo:
     Two maps are equal when their vertices are.  Canonical vertices are
     Fractions in lowest terms, so equal maps have the same ints, and both
     __eq__ and __hash__ read those ints, not Fraction hashes or Fraction
-    comparisons.  The frozen dataclass keeps both, as they are explicit."""
+    comparisons, in place of _Frozen's.  A map has no __slots__: its table
+    and jumps are kept in its __dict__."""
 
-    verts: Tuple[Vertex, ...]
+    _fields = ("verts",)
+
+    def __init__(self, verts: Tuple[Vertex, ...]):
+        self._init(verts)
 
     def __post_init__(self):
         verts, table = _canonical(self.verts)
@@ -422,16 +424,15 @@ def identity() -> PLHomeo:
     return rotation(0)
 
 
-@dataclass(frozen=True)
-class ExoticParams:
+class ExoticParams(_Frozen):
     """Parameters (A, lambda) of an element of the exotic circle S_A."""
 
-    A: Fraction
-    lam: Fraction
+    __slots__ = _fields = ("A", "lam")
+
+    def __init__(self, A: Fraction, lam: Fraction):
+        self._init(_exact(Fraction, A), _exact(Fraction, lam))
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _exact(Fraction, self.A))
-        object.__setattr__(self, "lam", _exact(Fraction, self.lam))
         if not self.A > 1:
             raise ValueError(f"modulus A must exceed 1, got {_quote(self.A)}")
         if not 1 < self.lam < self.A:

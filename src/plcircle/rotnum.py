@@ -35,16 +35,14 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .circle import CirclePoint, _check_ints, _coprime, _exact
 from .homeo import PLHomeo
 
 
-@dataclass(frozen=True)
-class FixedSet:
+class FixedSet(NamedTuple):
     """Exact solution set of h(x) = x, as maximal components.
 
     Points, then arcs, each in lift order from x_0, the base vertex; an arc
@@ -119,8 +117,7 @@ def fixed_points(h: PLHomeo) -> FixedSet:
     return FixedSet(False, points, arcs)
 
 
-@dataclass(frozen=True)
-class RotNumResult:
+class RotNumResult(NamedTuple):
     """Either an exact rational rotation number or a Farey bracket."""
 
     exact: Optional[Fraction] = None

@@ -21,21 +21,22 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .circle import CirclePoint, _check_ints, _coprime, _order_keys
+from .circle import CirclePoint, _Frozen, _check_ints, _coprime, _order_keys
 from .cocycle import FiniteVector
 from .homeo import _ONE, PLHomeo, _lowest, identity, rotation
 from .rotnum import _log_ratio, fixed_points, rotation_number
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(_Frozen):
     """A finite named generating set of PL circle homeomorphisms."""
 
-    generators: Tuple[Tuple[str, PLHomeo], ...]
+    __slots__ = _fields = ("generators",)
+
+    def __init__(self, generators: Tuple[Tuple[str, PLHomeo], ...]):
+        self._init(generators)
 
     def __post_init__(self):
         if not self.generators:
@@ -52,8 +53,7 @@ def commensuration_defect(g: PLHomeo) -> int:
     return 2 * len(g.breakpoints)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: CirclePoint
     gen: str
     sign: int           # +1 for the generator, -1 for its inverse
@@ -88,7 +88,7 @@ class _Orbits:
         self.maps, self.max_vertices = maps, max_vertices
         self.steps = [(g._advance, g._jumps) for _, g in maps]
         # a point's first occurrence in the seed gives its id
-        self.pts = list(dict.fromkeys((x.numerator, x.denominator) for x in seed))
+        self.pts = list(dict.fromkeys(seed))
         self.ids: Dict[Tuple[int, int], int] = {x: v for v, x in enumerate(self.pts)}
         self.out: List[Optional[int]] = [None] * (len(self.pts) * len(maps))
         self.jumps: Dict[int, Fraction] = {}
@@ -137,13 +137,12 @@ class _Orbits:
         return Edge(self.point(v), gen, sign, self.point(t), self.jumps.get(i, _ONE))
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     """An exactly inconsistent cycle: a closed walk, each edge listed in the
     direction it is walked, whose weights multiply to `found`, not 1."""
 
-    kind: ClassVar[str] = "obstruction"
-    expected: ClassVar[Fraction] = Fraction(1)
+    kind = "obstruction"
+    expected = Fraction(1)
     cycle: Tuple[Edge, ...]
     found: Fraction
 
@@ -375,9 +374,10 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     # included: closing any of them again cannot succeed
     cut_off = set()
     for p in _word_candidates(signed, max_period):
-        if (p.value.numerator, p.value.denominator) in cut_off:
+        key = (p.value.numerator, p.value.denominator)
+        if key in cut_off:
             continue
-        o = _Orbits([p.value], signed, max_orbit)
+        o = _Orbits([key], signed, max_orbit)
         while o.expanded < len(o.pts) <= max_orbit:
             o.expand(o.expanded)
         if len(o.pts) <= max_orbit:
@@ -386,21 +386,19 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     return None
 
 
-@dataclass(frozen=True)
-class Success:
+class Success(NamedTuple):
     """phi conjugates every generator to a rotation, listed by name."""
 
-    kind: ClassVar[str] = "success"
+    kind = "success"
     phi: PLHomeo
     conjugated: Tuple[Tuple[str, PLHomeo], ...]
 
 
-@dataclass(frozen=True)
-class Truncated:
+class Truncated(NamedTuple):
     """The orbit graph reached max_vertices with no inconsistent cycle
     inside; `escaping` are the points it did not take in."""
 
-    kind: ClassVar[str] = "truncated"
+    kind = "truncated"
     escaping: Tuple[CirclePoint, ...]
 
 
@@ -449,8 +447,11 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     O off V.  With P the product of a, 1 = prod b = P (prod_c t_c
     prod_O b_O)^N, so 1/P is the N-th power of a rational."""
     _check_ints(0, max_vertices=max_vertices)
-    seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
-    o = _Orbits(seed, _signed_generators(G), max_vertices)
+    # every generator's breakpoints as int pairs, put in circle order by key
+    bps = [(x.numerator, x.denominator) for _, g in G.generators
+           if len(g.verts) > 1 for x, _ in g.verts]
+    o = _Orbits([x for _, x in sorted(zip(_order_keys(bps), bps))],
+                _signed_generators(G), max_vertices)
     sol = _solve(o)
     if not isinstance(sol, list):
         return sol

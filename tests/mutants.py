@@ -52,6 +52,7 @@ ENCLOSURE = "tests/test_rotnum.py::test_enclosure_lies_inside_the_coarse_oracle"
 TAIL = SM + "test_success_tail_matches_fraction_oracle"
 COMPOSE = ("tests/test_homeo.py::test_compose_matches_cut_sorting_oracle",
            "tests/test_homeo.py::test_compose_oracle_cases_cover_each_branch")
+RECORDS = "tests/test_records.py::test_records_match_frozen_dataclass_twins"
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,23 @@ MUTANTS = [
            "dy[i - 1] * dx[i] != dy[i] * dx[i - 1]", "dy[i - 1] * dx[i - 1] != dy[i] * dx[i]",
            ("tests/test_homeo.py::test_removable_breakpoints_merge",
             "tests/test_homeo.py::test_integer_canonicalization_matches_fraction_oracle")),
+    # the records print, hash and compare as frozen dataclasses did: a
+    # point hashes the 1-tuple of its value, == reads every field (Limit's
+    # ratio is its last), and each __init__ validates through _init, which
+    # calls __post_init__
+    Mutant("point-hash-of-the-bare-value", "circle", "CirclePoint.__hash__",
+           "hash((self.value,))", "hash(self.value)", (RECORDS,)),
+    Mutant("record-eq-without-the-last-field", "circle", "_Frozen.__eq__",
+           "self._values() == other._values()",
+           "self._values()[:-1] == other._values()[:-1]", (RECORDS,)),
+    Mutant("init-without-post-init", "circle", "_Frozen._init",
+           "self.__post_init__()", "pass",
+           (CB + "test_limit_rejects_ratio_string_out_of_range",
+            "tests/test_circle.py::test_circle_point_accepts_exactly_the_unit_interval")),
+    # member s of a chain is at point (s + t) mod c after t steps
+    Mutant("growth-head-one-step-ahead", "cocycle", "growth_sequences",
+           "keys[b + (s + t) % c]", "keys[b + (s + t + 1) % c]",
+           ("tests/test_cocycle.py::test_growth_sequences_match_oracles",)),
 ]
 
 

@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import functools
 import math
 import operator
@@ -538,7 +537,7 @@ def test_growth_params_match_fraction_subset_products(f):
                                                   for p in prods}
     logs = [abs(_log(p)) for p in prods if p != 1]
     gp = growth_params(f)
-    assert repr(gp) == repr(dataclasses.replace(gp, mu=max(logs), beta=min(logs)))
+    assert repr(gp) == repr(gp._replace(mu=max(logs), beta=min(logs)))
 
 
 def test_subset_products_stop_at_the_limit(monkeypatch):

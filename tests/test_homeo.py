@@ -563,9 +563,10 @@ def test_smoothing_success_steps_and_lays_out_nothing(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
     outcome = smooth_group(G)
     assert outcome.kind == "success" and len(after[0].pts) == 616
-    # the pass steps 1,232 times, and the seed is read off BP(g) as points
+    # the pass steps 1,232 times, and the seed is read off the vertices as
+    # int pairs: no point is built before the pass or after it
     assert counts["step"] == [1232, 0]
-    assert counts["CirclePoint"][0] > 0 and counts["CirclePoint"][1] == 0
+    assert counts["CirclePoint"] == [0, 0]
     assert counts["FiniteVector"] == [0, 0]
     assert pieces == [1, 1]
     assert len(outcome.phi.verts) == 159

@@ -160,7 +160,8 @@ def test_synthesize_roundtrip_many():
 
 def oracle_tail_smooth(G, max_vertices):
     seed = sorted(p.value for _, g in G.generators for p in g.breakpoints)
-    o = _Orbits(seed, smoothing._signed_generators(G), max_vertices)
+    o = _Orbits([(x.numerator, x.denominator) for x in seed],
+                smoothing._signed_generators(G), max_vertices)
     sol = smoothing._solve(o)
     if not isinstance(sol, list):
         return sol
@@ -277,7 +278,7 @@ def test_finite_orbit_tries_zero_after_the_trivial_word(monkeypatch):
     assert detect_finite_orbit(G, 1) is None
     assert seeds == []
     assert detect_finite_orbit(G, 2) is None
-    assert len(seeds) > 1 and seeds[-1] == [F(0)]
+    assert len(seeds) > 1 and seeds[-1] == [(0, 1)]
 
 
 def test_finite_orbit_tries_zero_for_an_identity_generator():
@@ -1150,7 +1151,7 @@ class FractionOrbits(_Orbits):
         self.maps, self.max_vertices = maps, max_vertices
         self.xs, self.pts, self.ids, self.out, self.jumps, self.expanded = [], [], {}, [], {}, 0
         for x in seed:
-            self._intern(x)
+            self._intern(F(*x))
         self.n_seed = len(self.pts)
         if self.n_seed > max_vertices:
             raise ValueError("max_vertices smaller than the seed")
@@ -1226,6 +1227,33 @@ def test_orbit_pass_matches_fraction_oracle(monkeypatch, kind):
     assert compared == 150
     if kind == "obstruction":
         assert backward >= 10
+
+
+def test_seed_matches_sorted_fraction_seed(monkeypatch):
+    # smooth_group orders the generators' vertex pairs by their int keys;
+    # the oracle is the seed it replaced, BP(g) as points sorted as
+    # Fractions, duplicates shared across generators kept in place
+    seeds = []
+
+    class SeedOrbits(_Orbits):
+        def __init__(self, seed, *args):
+            seeds.append(list(seed))
+            super().__init__(seed, *args)
+
+    monkeypatch.setattr(smoothing, "_Orbits", SeedOrbits)
+    shared = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = random_pl(seed, rng.randint(1, 4), 8)
+        # r o g breaks where g does; a second map on the same small grid
+        # meets g's breakpoints by chance
+        G = pres(g, rotation(F(rng.randrange(1, 5), 5)).compose(g),
+                 random_pl(seed + 100, rng.randint(0, 4), 8))
+        smooth_group(G, 64)
+        want = sorted(p.value for _, h in G.generators for p in h.breakpoints)
+        assert seeds[-1] == [(x.numerator, x.denominator) for x in want]
+        shared += len(want) > len(set(want))
+    assert shared >= 30  # most groups share breakpoints
 
 
 # ------------------------------------------------------ trusted construction
