@@ -80,7 +80,8 @@ class _Frozen:
     """A validating record: __init__ converts its arguments and passes them,
     in _fields order, to _init, which sets them and calls __post_init__.
     No field can be assigned after.  repr, == and hash read the fields in
-    order, as a frozen dataclass's do: hash(r) = hash(tuple of r's fields)."""
+    order, as a frozen dataclass's do: hash(r) = hash(tuple of r's fields).
+    copy, deepcopy and pickle call __init__ again with the fields."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()  # every subclass's __slots__ too, but PLHomeo's
@@ -111,6 +112,9 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return type(self), self._values()
+
 
 class CirclePoint(_Frozen):
     """A point of R/Z with an exact coordinate n/d in [0, 1): 0 <= n < d."""
@@ -119,14 +123,6 @@ class CirclePoint(_Frozen):
 
     def __init__(self, value: Fraction):
         self._init(value if isinstance(value, Fraction) else _exact(Fraction, value))
-
-    def __eq__(self, other):  # _Frozen's, with no tuples: points are dict keys
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
 
     def __post_init__(self):
         if not 0 <= self.value.numerator < self.value.denominator:

@@ -208,11 +208,11 @@ MUTANTS = [
            ("tests/test_homeo.py::test_removable_breakpoints_merge",
             "tests/test_homeo.py::test_integer_canonicalization_matches_fraction_oracle")),
     # the records print, hash and compare as frozen dataclasses did: a
-    # point hashes the 1-tuple of its value, == reads every field (Limit's
-    # ratio is its last), and each __init__ validates through _init, which
-    # calls __post_init__
-    Mutant("point-hash-of-the-bare-value", "circle", "CirclePoint.__hash__",
-           "hash((self.value,))", "hash(self.value)", (RECORDS,)),
+    # record hashes the tuple of its fields, so a point the 1-tuple of its
+    # value, == reads every field (Limit's ratio is its last), and each
+    # __init__ validates through _init, which calls __post_init__
+    Mutant("record-hash-of-the-bare-first-field", "circle", "_Frozen.__hash__",
+           "hash(self._values())", "hash(self._values()[0])", (RECORDS,)),
     Mutant("record-eq-without-the-last-field", "circle", "_Frozen.__eq__",
            "self._values() == other._values()",
            "self._values()[:-1] == other._values()[:-1]", (RECORDS,)),

@@ -4,11 +4,14 @@ Each record is a typing.NamedTuple or, when it validates on construction, a
 circle._Frozen.  The oracle is a twin built here with
 dataclasses.make_dataclass(name, fields, frozen=True): the records must
 print, hash and compare as their twins do, so no repr, set order or dict
-order that reaches output moves, and no field may be assigned."""
+order that reaches output moves, no field may be assigned, and copy, deepcopy
+and pickle give back an equal record, as they did for the twins."""
 
+import copy
 import dataclasses
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -84,6 +87,9 @@ def test_records_match_frozen_dataclass_twins(cls, fields):
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(r, name, getattr(r, name))
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            c = clone(r)
+            assert type(c) is cls and c == r and repr(c) == repr(r) and hash(c) == hash(r)
     assert [[a == b for b in records] for a in records] == \
         [[a == b for b in twins] for a in twins]
 
