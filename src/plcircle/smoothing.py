@@ -6,9 +6,11 @@ maps into rotations.
 The constraint solved over the orbit graph is a_y = J(g, y) * a_{g(y)} for
 every generator edge, where J is the derivative jump.  The graph is a flat
 table of integer target ids with the few jumps other than 1 beside it; a
-reverse step's jump is the forward one's pair swapped.  The potentials are
-interned integer pairs in lowest terms, so only those edges do arithmetic,
-in integers, and Fractions are built only for the results.  A
+reverse step's jump is the forward one's pair swapped.  One pass in
+discovery order fills the table and checks each edge as it fills it, in
+potential trees merged as a weighted union-find.  The potentials are
+interned integer pairs in lowest terms, so only those edges do
+arithmetic, in integers, and Fractions are built only for the results.  A
 product-one solution is realized as the jump vector of a PL conjugator phi;
 by the chain rule phi g phi^{-1} then has no breakpoints, so it is the
 rotation by phi(g(y)) - phi(y) for any y.  From the potentials to the
@@ -73,16 +75,17 @@ def _signed_generators(G: GroupPresentation) -> List[Tuple[Tuple[str, int], PLHo
 
 class _Orbits:
     """An orbit graph explored on demand.  Points get int ids in breadth-first
-    discovery order from the sorted seed, and are held as the (numerator,
-    denominator) pair, in lowest terms, that interns them; a point becomes a
-    Fraction, with no gcd, only in results.  Ids from max_vertices on are
-    escaping points.  Edges are one flat table: out[v*K + k] is map k's
-    target at vertex v, and `jumps` holds the jumps other than 1 under the
-    same index, each read off its map at the breakpoint index the kernel
-    returns.  The maps come in (g, g^{-1}) pairs, so a step u -> t of map k
-    fills t's slot k ^ 1 with u, jump 1/w by the chain rule, the pair of w
-    swapped: each step is evaluated once.  Each map's kernel and jump tuple
-    are bound once, in `steps`."""
+    discovery order from the sorted seed, whether _solve's pass or expand
+    steps the slots, and are held as the (numerator, denominator) pair, in
+    lowest terms, that interns them; a point becomes a Fraction, with no
+    gcd, only in results.  Ids from max_vertices on are escaping points.
+    Edges are one flat table: out[v*K + k] is map k's target at vertex v,
+    and `jumps` holds the jumps other than 1 under the same index, each
+    read off its map at the breakpoint index the kernel returns.  The maps
+    come in (g, g^{-1}) pairs, so a step u -> t of map k fills t's slot
+    k ^ 1 with u, jump 1/w by the chain rule, the pair of w swapped: each
+    step is evaluated once.  Each map's kernel and jump tuple are bound
+    once, in `steps`."""
 
     def __init__(self, seed, maps, max_vertices: int):
         self.maps, self.max_vertices = maps, max_vertices
@@ -158,23 +161,105 @@ def _iroot(m: int, n: int) -> int:
     return r
 
 
+def _scaled(x, p: int, q: int, root: int, interned):
+    """The interned potential of root's tree worth x's value times p/q."""
+    p, q = x[0] * p, x[1] * q
+    g = math.gcd(p, q)
+    y = (p // g, q // g, root)
+    return interned.setdefault(y, y)
+
+
 def _solve(o: _Orbits):
-    """The one potentials pass, breadth-first over out-edges from each root in
-    id order, each vertex expanded, unless it already is, just before its
-    edges are read.  Tree edges set a_{g(y)} = a_y / w (1 at a root); the
-    first inconsistent other edge ends it as an Obstruction; else Truncated
-    or the solution, its product brought to 1 by scaling the last
-    component.  Potentials are interned (numerator, denominator) pairs in
-    lowest terms, one object per value, so a unit edge copies a_y and is
-    checked by identity: only an edge with a jump n/d computes, a_y times
-    d/n in two products and one gcd.  The solution is returned as its
-    support ids, in circle order, each with its potential pair: a success
-    builds no Fraction here."""
+    """The one orbit pass, in id (discovery) order: each vertex below the
+    budget has its empty slots stepped as _Orbits.expand steps them, and
+    each edge, a_{g(y)} = a_y / w, is checked as it is filled, its reverse
+    slot with it.  Potentials are a weighted union-find (Tarjan 1975):
+    interned (numerator, denominator, root) triples, a value in lowest terms
+    and its tree, so a unit edge copies a_y and is checked by identity, and
+    only a jump n/d computes, a_y times d/n in two products and one gcd.  A
+    vertex with no potential when expanded (only a seed) roots a tree at 1;
+    an edge between trees rescales the younger one, of the larger root id,
+    into the older one's frame, so each component ends in the frame of its
+    smallest id, as the breadth-first sweep leaves it.  An edge
+    inconsistent within a tree hands the table to _obstruction, since which
+    cycle is met first depends on the order.  Else Truncated, or the
+    support ids in circle order, each with its value pair, the product
+    brought to 1 by scaling the component of the largest root."""
+    out, jumps, pts, ids, steps = o.out, o.jumps, o.pts, o.ids, o.steps
+    K, top = len(steps), o.max_vertices
+    a, interned = [None] * len(pts), {}  # each vertex's potential; one object per value
+    members: Dict[int, List[int]] = {}  # each tree, by its root
+    for u, (n, d) in zip(range(top), pts):  # pts grows as it is read
+        au = a[u]
+        if au is None:  # a seed no earlier vertex reaches
+            au = (1, 1, u)
+            a[u] = interned[au] = au
+            members[u] = [u]
+        tree = members[au[2]]
+        for k, (step, map_jumps) in enumerate(steps):
+            i = u * K + k
+            if out[i] is not None:
+                continue  # filled, and checked, with its reverse step
+            n2, d2, j = step(n, d)
+            key = (n2 % d2, d2)
+            t = ids.get(key)
+            if t is None:  # a new point
+                t = ids[key] = len(pts)
+                pts.append(key)
+                out += [None] * K
+                a.append(None)
+            out[i] = t
+            want = au
+            if j >= 0:
+                w = jumps[i] = map_jumps[j]
+                want = _scaled(au, w.denominator, w.numerator, au[2], interned)
+                if u < t < top:
+                    jumps[t * K + (k ^ 1)] = _coprime(w.denominator, w.numerator)
+            if t >= top:
+                continue  # an escaping point
+            if u < t:
+                out[t * K + (k ^ 1)] = u
+            at = a[t]
+            if at is None:
+                a[t] = want
+                tree.append(t)
+            elif at is not want:
+                if at[2] == au[2]:
+                    o.expanded = u
+                    return _obstruction(o)
+                # t's potential in the older tree (x) and in the younger (y)
+                x, y = (want, at) if au[2] < at[2] else (at, want)
+                for v in members[y[2]]:
+                    a[v] = _scaled(a[v], x[0] * y[1], x[1] * y[0], x[2], interned)
+                members[x[2]] += members.pop(y[2])
+                au = a[u]
+                tree = members[au[2]]
+    o.expanded = min(len(pts), top)
+    if len(pts) > top:
+        return Truncated(tuple(map(o.point, o.in_order(range(top, len(pts))))))
+    ys = [y for y in a if y[0] != y[1]]
+    p, q = math.prod(y[0] for y in ys), math.prod(y[1] for y in ys)
+    if p != q:
+        # Every component has the same size N (see smooth_group), and q/p
+        # is an N-th power: scaling one component by its root r/s, the
+        # roots of q/p's lowest terms, multiplies the product by q/p
+        comp = members[max(members)]
+        g = math.gcd(p, q)
+        r, s = _iroot(q // g, len(comp)), _iroot(p // g, len(comp))
+        for v in comp:
+            a[v] = _scaled(a[v], r, s, a[v][2], interned)
+    return [(v, a[v][:2]) for v in o.in_order([v for v, y in enumerate(a) if y[0] != y[1]])]
+
+
+def _obstruction(o: _Orbits) -> Obstruction:
+    """The breadth-first sweep's certificate for a table _solve found
+    inconsistent: from each root in id order, tree edges set a_{g(y)} =
+    a_y / w (1 at a root), each vertex expanded, on from where the pass
+    stopped, just before its edges are read; the first inconsistent other
+    edge closes the cycle."""
     out, jumps, K, top = o.out, o.jumps, len(o.maps), o.max_vertices
-    one = (1, 1)
-    a: Dict[int, Tuple[int, int]] = {}
-    parent: Dict[int, int] = {}  # the slot of each non-root's tree edge
-    interned = {one: one}
+    one = (1, 1, 0)
+    a, parent, interned = {}, {}, {one: one}  # parent: each tree edge's slot
     for root in range(o.n_seed):  # every vertex is reached from a seed
         if root in a:
             continue
@@ -191,10 +276,7 @@ def _solve(o: _Orbits):
                 want = av
                 if i in jumps:
                     w = jumps[i]
-                    p, q = av[0] * w.denominator, av[1] * w.numerator
-                    g = math.gcd(p, q)
-                    want = (p // g, q // g)
-                    want = interned.setdefault(want, want)
+                    want = _scaled(av, w.denominator, w.numerator, 0, interned)
                 at = a.get(t)
                 if at is None:
                     a[t] = want
@@ -203,23 +285,7 @@ def _solve(o: _Orbits):
                 elif at is not want:
                     return Obstruction(cycle=_closed_walk(o, i, parent),
                                        found=Fraction(at[0] * want[1], at[1] * want[0]))
-    if len(o.pts) > top:
-        return Truncated(tuple(map(o.point, o.in_order(range(top, len(o.pts))))))
-    ys = [y for y in a.values() if y is not one]
-    p, q = math.prod(y[0] for y in ys), math.prod(y[1] for y in ys)
-    if p != q:
-        # comp is the last component.  Every component has the same size N
-        # (see smooth_group), and q/p is an N-th power: scaling comp by its
-        # root r/s, the roots of q/p's lowest terms, multiplies the product
-        # by q/p
-        g = math.gcd(p, q)
-        r, s = _iroot(q // g, len(comp)), _iroot(p // g, len(comp))
-        for v in comp:
-            x, y = a[v]
-            x, y = x * r, y * s
-            g = math.gcd(x, y)
-            a[v] = (x // g, y // g)
-    return [(v, a[v]) for v in o.in_order([v for v, y in a.items() if y != one])]
+    raise AssertionError("_solve met an inconsistent edge; the sweep must too")
 
 
 def _closed_walk(o: _Orbits, i: int, parent) -> Tuple[Edge, ...]:
@@ -406,10 +472,11 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
                  ) -> Union[Success, Obstruction, Truncated]:
     """Full pipeline: orbit graph, coboundary solve, conjugator synthesis.
 
-    One pass expands the orbit graph only as far as the potentials sweep
-    reads it and stops at the first inconsistent edge; such a cycle
-    certifies unsolvability even in a truncated graph.  Finite orbits are
-    not searched for (see detect_finite_orbit).
+    One pass in discovery order (_solve) evaluates and checks each edge
+    once and stops at the first inconsistent one; the breadth-first sweep
+    then reports its cycle, which certifies unsolvability even in a
+    truncated graph.  Finite orbits are not searched for (see
+    detect_finite_orbit).
 
     On success phi and each conjugate come from the potentials in integers
     (_conjugator), with no composition and no evaluation.  Let V
@@ -418,9 +485,9 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     For every generator g and every x, by the chain rule,
         J(phi g phi^{-1}, phi(x)) = J(phi, g(x)) * J(g, x) / J(phi, x).
     V holds BP(g) and is closed under g and g^{-1}.  For x in V the right
-    side is a(g(x)) * J(g, x) / a(x) = 1: the pass checks every non-tree
-    edge, tree edges hold by construction, and rescaling a component by a
-    constant keeps them.  For x off V, g(x) is off V too and every factor
+    side is a(g(x)) * J(g, x) / a(x) = 1: the pass checks every edge as it
+    fills it, and rescaling a tree or a component by a constant keeps the
+    edges inside it.  For x off V, g(x) is off V too and every factor
     is 1.  So phi g phi^{-1} has no breakpoint: it is the rotation by
     phi(g(y)) - phi(y), for any y.  Take y = x_0, the smallest support
     point: phi fixes it, and g(x_0) is x_0's target in g's slot of the

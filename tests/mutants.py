@@ -47,6 +47,7 @@ HASH = "tests/test_homeo.py::test_equal_maps_hash_equal_along_every_path"
 SM = "tests/test_smoothing.py::"
 ORBIT_ORACLES = (SM + "test_orbit_pass_matches_fraction_oracle",
                  SM + "test_smooth_group_matches_two_pass_oracle")
+SWEEP_ORDER = SM + "test_discovery_order_pass_matches_sweep_order_oracle"
 TABLES = "tests/test_homeo.py::test_stored_tables_match_oracle"
 ENCLOSURE = "tests/test_rotnum.py::test_enclosure_lies_inside_the_coarse_oracle"
 TAIL = SM + "test_success_tail_matches_fraction_oracle"
@@ -175,11 +176,35 @@ MUTANTS = [
     # multiplies by the whole root
     Mutant("reverse-jump-not-inverted", "smoothing", "_Orbits.expand",
            "_coprime(w.denominator, w.numerator)", "w", ORBIT_ORACLES),
+    Mutant("pass-reverse-jump-not-inverted", "smoothing", "_solve",
+           "_coprime(w.denominator, w.numerator)", "w", ORBIT_ORACLES),
     Mutant("potential-times-the-jump", "smoothing", "_solve",
-           "av[0] * w.denominator, av[1] * w.numerator",
-           "av[0] * w.numerator, av[1] * w.denominator", ORBIT_ORACLES),
+           "_scaled(au, w.denominator, w.numerator,", "_scaled(au, w.numerator, w.denominator,",
+           ORBIT_ORACLES),
+    Mutant("sweep-potential-times-the-jump", "smoothing", "_obstruction",
+           "_scaled(av, w.denominator, w.numerator,", "_scaled(av, w.numerator, w.denominator,",
+           ORBIT_ORACLES),
     Mutant("rescale-by-the-root-numerator-only", "smoothing", "_solve",
-           "x * r, y * s", "x * r, y", ORBIT_ORACLES),
+           "_scaled(a[v], r, s,", "_scaled(a[v], r, 1,", ORBIT_ORACLES),
+    # an edge between two trees rescales the younger one, of the larger
+    # root id, by t's potential in the older frame over the younger, so a
+    # component ends in the frame of its smallest id; the product-one
+    # rescale goes to the component of the largest root, and an
+    # inconsistent edge hands the table to the sweep for its cycle
+    Mutant("merge-the-older-tree-into-the-younger", "smoothing", "_solve",
+           "if au[2] < at[2] else", "if au[2] > at[2] else", (SWEEP_ORDER, *ORBIT_ORACLES)),
+    Mutant("merge-factor-inverted", "smoothing", "_solve",
+           "x[0] * y[1], x[1] * y[0]", "x[1] * y[0], x[0] * y[1]", (SWEEP_ORDER, *ORBIT_ORACLES)),
+    Mutant("rescale-the-smallest-root-component", "smoothing", "_solve",
+           "members[max(members)]", "members[min(members)]", (SWEEP_ORDER, *ORBIT_ORACLES)),
+    Mutant("obstruction-from-the-pass-edge", "smoothing", "_solve",
+           "return _obstruction(o)",
+           "return Obstruction((o.edge(i),), Fraction(at[0] * want[1], at[1] * want[0]))",
+           (SWEEP_ORDER, *ORBIT_ORACLES)),
+    # Newton's iteration descends to the root only from above it
+    Mutant("root-bound-one-bit-short", "smoothing", "_iroot",
+           "r = 1 << -(-m.bit_length() // n)", "r = 1 << -(-m.bit_length() // n) - 1",
+           (SWEEP_ORDER, *ORBIT_ORACLES, TAIL)),
     # points 1/(K + 1) apart share a key when K is only the largest d
     Mutant("order-keys-by-the-largest-d", "circle", "_order_keys",
            "default=1) ** 2", "default=1)",

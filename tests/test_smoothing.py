@@ -828,6 +828,83 @@ def test_oracle_cases_cover_cut_off_components():
     assert many >= 1
 
 
+# ------------------------------------------- discovery order against sweep order
+#
+# smooth_group's pass checks each edge as it fills it, in discovery order,
+# and holds the potentials in trees it merges, the younger one (of the
+# larger root id) rescaled into the older one; two_pass_smooth solves in
+# the breadth-first sweep order the pass replaced.
+
+def oracle_merges(graph):
+    """[source, target]: how many merges of the discovery-order pass take
+    the younger tree to be the source's, and the target's.  An unweighted
+    union-find over the graph's edges, by source in discovery order, then
+    by map; a source that no earlier edge reaches roots its own tree."""
+    index = {v: n for n, v in enumerate(graph.vertices)}
+    root, merges = {}, [0, 0]
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for e in graph.edges:
+        if e.target not in index:
+            continue  # an escaping point
+        s, t = index[e.source], index[e.target]
+        root.setdefault(s, s)
+        if t not in root:
+            root[t] = find(s)
+            continue
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            merges[rs < rt] += 1
+            root[max(rs, rt)] = min(rs, rt)
+    return merges
+
+
+def _several_seed_groups():
+    """Seeded groups whose components often hold several seeds, each with
+    its budget: conjugates of rotations, seeded pairs of map families, and
+    pairs of small random maps."""
+    for seed in range(100):
+        yield _seeded_hidden_rotations(seed), 512
+        yield pres(*_seeded_pair(seed)), 64
+        yield _two_generators(seed), 40
+
+
+def test_discovery_order_pass_matches_sweep_order_oracle(monkeypatch):
+    # byte-identical outcomes, the obstruction cycle included, also where
+    # the pass meets the inconsistency at another vertex than the one the
+    # sweep's cycle starts from
+    stops = []
+    obstruction = smoothing._obstruction
+
+    def recording(o):
+        stop = o.expanded  # the vertex the pass stopped at
+        out = obstruction(o)
+        x = out.cycle[0].source.value
+        stops.append((stop, o.ids[(x.numerator, x.denominator)]))
+        return out
+
+    monkeypatch.setattr(smoothing, "_obstruction", recording)
+    kinds, merges = Counter(), [0, 0]
+    for G, max_vertices in _several_seed_groups():
+        got = smooth_group(G, max_vertices)
+        want = two_pass_smooth(G, max_vertices)
+        assert json.dumps(outcome_to_json(got)) == json.dumps(outcome_to_json(want))
+        kinds[got.kind] += 1
+        if got.kind != "obstruction":  # the pass made every merge
+            merges = [m + n for m, n in zip(merges, oracle_merges(bfs_orbit_graph(G, max_vertices)))]
+    assert min(kinds[k] for k in ("success", "obstruction", "truncated")) >= 80
+    assert merges[0] >= 20 and merges[1] >= 5
+    assert sum(stop != start for stop, start in stops) >= 10
+    # CI's pair3 group: the pass stops at vertex 10, its cycle starts at 1
+    stops.clear()
+    assert smooth_group(_two_generators(3), 40).kind == "obstruction"
+    assert stops == [(10, 1)]
+
+
 def _seeded_hidden_rotations(seed):
     """One to three rational rotations conjugated by one random PL map."""
     rng = random.Random(seed)
@@ -1083,9 +1160,9 @@ def test_kernel_matches_fraction_oracle_on_incommensurable_denominators(seed, k)
 
 def _count_steps(monkeypatch):
     """Record (map, source, circle image) of every kernel call made inside
-    the orbit pass (_Orbits.expand); calls elsewhere, such as phi.eval on a
-    success, are not counted."""
-    step, expand, calls, inside = PLHomeo._advance, _Orbits.expand, [], []
+    the orbit pass (smoothing._solve) or an orbit closure (_Orbits.expand);
+    calls elsewhere, such as phi.eval on a success, are not counted."""
+    step, calls, inside = PLHomeo._advance, [], []
 
     def counting_step(self, n, d):
         out = step(self, n, d)
@@ -1093,15 +1170,18 @@ def _count_steps(monkeypatch):
             calls.append((self, (n, d), (out[0] % out[1], out[1])))
         return out
 
-    def counting_expand(self, v):
-        inside.append(v)
-        try:
-            expand(self, v)
-        finally:
-            inside.pop()
+    def marking(f):
+        def marked(*args):
+            inside.append(f)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+        return marked
 
     monkeypatch.setattr(PLHomeo, "_advance", counting_step)
-    monkeypatch.setattr(_Orbits, "expand", counting_expand)
+    monkeypatch.setattr(_Orbits, "expand", marking(_Orbits.expand))
+    monkeypatch.setattr(smoothing, "_solve", marking(smoothing._solve))
     return calls
 
 
@@ -1141,27 +1221,42 @@ def test_finite_orbit_closures_evaluate_no_step_backwards(monkeypatch, seed):
 
 
 class FractionOrbits(_Orbits):
-    """The orbit pass before the integer kernel, as a test oracle: points are
-    Fractions, in xs, and every map, inverses included, is evaluated at every
-    vertex by the Fraction oracle; a jump goes in the table when it is not
-    1.  pts holds each point's pair, as _Orbits does, for smooth_group to
-    read on a success."""
+    """The orbit pass before the integer kernel, as a test oracle: every
+    step is evaluated by the Fraction oracle.  In `steps` it has the
+    kernel's shape, (n, d) -> (n', d', j), j indexing the jumps other than
+    1 in the order they are met, for smoothing._solve to read; expand, for
+    detect_finite_orbit and the obstruction sweep, evaluates every map,
+    inverses included, at every vertex, and puts a jump in the table when
+    it is not 1.  pts holds each point's pair, as _Orbits does."""
 
     def __init__(self, seed, maps, max_vertices):
         self.maps, self.max_vertices = maps, max_vertices
-        self.xs, self.pts, self.ids, self.out, self.jumps, self.expanded = [], [], {}, [], {}, 0
+        self.steps = [self._oracle_step(g) for _, g in maps]
+        self.pts, self.ids, self.out, self.jumps, self.expanded = [], {}, [], {}, 0
         for x in seed:
             self._intern(F(*x))
         self.n_seed = len(self.pts)
         if self.n_seed > max_vertices:
             raise ValueError("max_vertices smaller than the seed")
 
+    @staticmethod
+    def _oracle_step(g):
+        met = []
+
+        def step(n, d):
+            y, w = eval_jump(g, F(n, d))
+            if w == 1:
+                return y.numerator, y.denominator, -1
+            met.append(w)
+            return y.numerator, y.denominator, len(met) - 1
+
+        return step, met
+
     def _intern(self, x):
         key = (x.numerator, x.denominator)
         v = self.ids.get(key)
         if v is None:
             v = self.ids[key] = len(self.pts)
-            self.xs.append(x)
             self.pts.append(key)
             self.out += [None] * len(self.maps)
         return v
@@ -1169,7 +1264,7 @@ class FractionOrbits(_Orbits):
     def expand(self, v):
         K = len(self.maps)
         while self.expanded <= v and self.expanded < len(self.pts):
-            x = self.xs[self.expanded]
+            x = F(*self.pts[self.expanded])
             for k, (label, g) in enumerate(self.maps):
                 y, w = eval_jump(g, x)
                 i = self.expanded * K + k
@@ -1179,10 +1274,10 @@ class FractionOrbits(_Orbits):
             self.expanded += 1
 
     def point(self, v):
-        return CirclePoint(self.xs[v])
+        return CirclePoint(F(*self.pts[v]))
 
     def in_order(self, ids):
-        return sorted(ids, key=self.xs.__getitem__)
+        return sorted(ids, key=lambda v: F(*self.pts[v]))
 
 
 def _kind_groups(kind, seed):
