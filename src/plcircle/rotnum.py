@@ -22,6 +22,16 @@ Fraction and no jump vector, and the enclosures step both bounds over one
 piece table pre-scaled from PLHomeo._table.  The descent's Farey mediants
 are in lowest terms, and become Fractions with no gcd.
 
+Before the descent one periodic breakpoint orbit may settle it
+(_periodic): a cycle of at most max_q breakpoints, read off the vertices,
+or, when every chain's jump product is 1, as on a map of finite order
+(a PL conjugate of a rational rotation) whose breakpoint orbits hold one
+chain each, the first chain's head, walked until its first return mod 1.
+A return after t <= max_q steps, t least, with winding W gives rho = (W
+mod t)/t, the p/t the descent would meet, in at most t steps where the
+descent extends every head to each mediant before p/t.  A map with a chain
+of one breakpoint, as a generic map has, walks nothing.
+
 Two kinds of map follow no orbit.  A rotation returns its angle.  A map
 with two breakpoints, one mapped onto the other, such as an exotic element,
 has an invariant density 1 / |x + b|, so its rotation number is ln s_1 /
@@ -391,6 +401,49 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
     return sign
 
 
+def _periodic(h: PLHomeo, max_q: int) -> Optional[Fraction]:
+    """rho(h) mod 1 read off one breakpoint orbit of least period t <= max_q,
+    or None.  The orbit is that of the first cycle of at most max_q
+    breakpoints, whose positions are read off the vertices with no step,
+    or else, when every chain's jump product is 1, that of the first
+    chain's head, walked until its first return mod 1, or max_q.
+
+    A point c with F^t(c) = c + W, t least, has translation number W/t, and
+    t is the denominator of rho in lowest terms.  So rho = 0 when t = 1.
+    For t >= 2 h fixes no point, so F - id - w, w = floor(F(0)), never
+    takes the value 0 or 1; as it takes F(0) - w in [0, 1) at 0, it lies in
+    (0, 1), and so does its mean along the orbit, W/t - w, the descent's
+    rho: (W mod t)/t.
+
+    The gate multiplies J(h, x_m) = s_m / s_(m-1), s_i = alpha_i / gamma_i
+    the slope of row i of _table, over a chain's members m, as two integer
+    products.  By the chain rule the jump of h^q at a head is the product
+    of h's jumps along q steps of its orbit, and a period of that orbit
+    passes no breakpoint but its own chain's members when it holds no
+    other chain.  So when h^q = id, such a chain has product 1.  A chain of
+    one breakpoint never has, so a map with one walks nothing.  The gate
+    only spares the walk: an answer is exact whichever orbit gives it."""
+    chains = _chains(h)
+    chain = next((c for c in chains if c[1] and len(c[0]) <= max_q), None)
+    if chain is None:
+        R = h._table[2]
+        for members, *_ in chains:
+            n = d = 1
+            for m in members:
+                (a, _, e), (a0, _, e0) = R[m], R[m - 1]
+                n, d = n * a * e0, d * a0 * e
+            if n != d:
+                return None
+        chain = chains[0]
+    *_, pairs, winds = chain
+    for t in range(1, max_q + 1):
+        if len(pairs) <= t:
+            _head_orbit(h, chain, t)
+        if pairs[t] == pairs[0]:
+            return _coprime(winds[t] % t, t)
+    return None
+
+
 def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResult:
     """Exact rotation number when it is p/q with q <= max_q or the search
     meets it, otherwise a Farey bracket refined `depth` times.
@@ -399,12 +452,26 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
     about 0/1 and 1/1, where a 0 is a fixed point, then about each mediant
     p/q: the lower end when positive, the upper when negative, else exact.
     It goes on past `depth` while q <= max_q, as a p/q between Farey
-    neighbours has q at least the sum of theirs."""
+    neighbours has q at least the sum of theirs.
+
+    Before it, a map outside _log_ratio's class tries _periodic, a
+    certificate from one breakpoint orbit: least period t <= max_q gives
+    rho = p/t exactly, and that is what the descent returns.  Every mediant
+    on the Stern-Brocot path to p/t has a denominator below t <= max_q, so
+    the descent does not stop at `depth` before p/t.  Its sign at each of
+    them is not 0, as rho is none of them, and at p/t it is 0 (at 0/1 or
+    1/1, a fixed point, when t = 1)."""
     _check_ints(1, max_q=max_q, depth=depth)
     if h.is_rotation:  # its one vertex is (0, rho)
         return RotNumResult(exact=h.verts[0][1])
     logs = _log_ratio(h)
-    sign = _orbit_sign(h, max_q) if logs is None else logs.sign
+    if logs is not None:
+        sign = logs.sign
+    else:
+        exact = _periodic(h, max_q)
+        if exact is not None:
+            return RotNumResult(exact=exact)
+        sign = _orbit_sign(h, max_q)
     if not (sign(0, 1) and sign(1, 1)):
         return RotNumResult(exact=Fraction(0))
     lo, hi = Fraction(0), Fraction(1)

@@ -50,6 +50,7 @@ ORBIT_ORACLES = (SM + "test_orbit_pass_matches_fraction_oracle",
 SWEEP_ORDER = SM + "test_discovery_order_pass_matches_sweep_order_oracle"
 TABLES = "tests/test_homeo.py::test_stored_tables_match_oracle"
 ENCLOSURE = "tests/test_rotnum.py::test_enclosure_lies_inside_the_coarse_oracle"
+CERTIFICATE = "tests/test_rotnum.py::test_periodic_certificate_matches_the_descent_oracle"
 TAIL = SM + "test_success_tail_matches_fraction_oracle"
 COMPOSE = ("tests/test_homeo.py::test_compose_matches_cut_sorting_oracle",
            "tests/test_homeo.py::test_compose_oracle_cases_cover_each_branch")
@@ -129,6 +130,25 @@ MUTANTS = [
            "if not g or s and (g > 0) != (s > 0):", "if not g:", (CHAIN_SIGNS,)),
     Mutant("orbit-sign-head-one-short", "rotnum", "_orbit_sign",
            "if len(ps) <= q:", "if len(ps) < q:", (CHAIN_SIGNS, STEPS)),
+    # _periodic: a first return after t <= max_q steps with winding W
+    # gives rho = (W mod t)/t, 0 when t = 1, the walk stops at max_q, and
+    # only a map whose chains all have jump product 1 walks its first head
+    Mutant("periodic-walk-one-step-past-max-q", "rotnum", "_periodic",
+           "range(1, max_q + 1)", "range(1, max_q + 2)", (CERTIFICATE,)),
+    Mutant("periodic-winding-off-by-one", "rotnum", "_periodic",
+           "winds[t] % t", "(winds[t] + 1) % t", (CERTIFICATE,)),
+    Mutant("periodic-return-at-one-read-as-one", "rotnum", "_periodic",
+           "winds[t] % t", "(winds[t] - 1) % t + 1", (CERTIFICATE,)),
+    Mutant("periodic-gate-inverted", "rotnum", "_periodic",
+           "if n != d:", "if n == d:", (STEPS, CERTIFICATE)),
+    # a q past the precision's reach raises w and computes both logs again
+    Mutant("log-ratio-keeps-its-first-precision", "rotnum", "_LogRatio.enclosed",
+           "if need > self.w:", "if not self.w:",
+           ("tests/test_rotnum.py::test_enclosed_signs_raise_their_precision_with_q",)),
+    # the series past its last nonzero floored term adds less than 2
+    Mutant("atanh-without-the-tail-bound", "rotnum", "_atanh",
+           "S + 3 * n + 2", "S + 3 * n",
+           ("tests/test_rotnum.py::test_ln_enclosure_contains_decimal_ln",)),
     # succ maps each y_i mod 1 onto an x_j; a cycle closes on its own head
     Mutant("chains-successor-in-lift-coordinates", "rotnum", "_chains",
            "(y.numerator % y.denominator, y.denominator)", "(y.numerator, y.denominator)",

@@ -505,10 +505,42 @@ def test_enclosed_signs_match_exact_powers(h, qs):
             assert logs.sign(p, q) == (exact if A > 1 else -exact)
 
 
+def decimal_ln(x):
+    """ln x for a positive Fraction, correctly rounded to the context."""
+    return decimal.Decimal(x.numerator).ln() - decimal.Decimal(x.denominator).ln()
+
+
+@pytest.mark.parametrize("A, lam", [(6, 2), (10, 3), (7, 5)])
+def test_enclosed_signs_raise_their_precision_with_q(A, lam):
+    # q = 1 sets w = 128; the convergents p/q of rho with q past 2^64 have
+    # |q ln s - p ln A| below what enclosures at w = 128 can separate, so
+    # the same _LogRatio must raise w and compute both logs again, and then
+    # decide every sign as decimal's logs, to 300 digits, give it
+    logs = rotnum._log_ratio(exotic_element(ExoticParams(F(A), F(lam))))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 300
+        ln_s, ln_A = decimal_ln(logs.s), decimal_ln(logs.A)
+        rho = ln_s / ln_A
+        assert logs.enclosed(0, 1) == (ln_s > 0) - (ln_s < 0)
+        assert logs.w == 128
+        (p0, q0), (p, q), x, far = (0, 1), (1, 0), rho, 0
+        while q < 1 << 100:
+            a = int(x)
+            (p0, q0), (p, q), x = (p, q), (a * p + p0, a * q + q0), 1 / (x - a)
+            if q > 1 << 64:
+                want = q * ln_s - p * ln_A
+                assert logs.enclosed(p, q) == (want > 0) - (want < 0) != 0
+                far += 1
+    assert far and logs.w >= 256
+
+
 @given(n=st.integers(1, 10**40), d=st.integers(1, 10**40),
        w=st.sampled_from([64, 128, 1024]))
 @example(n=1, d=1, w=64)
 @example(n=2, d=1, w=64)
+# atanh's argument is 1/(2^71 + 1): its first floored term is 0 already,
+# and only the tail bound lifts hi above 2^64 ln x
+@example(n=2 ** 70 + 1, d=2 ** 70, w=64)
 @settings(max_examples=200, deadline=None)
 def test_ln_enclosure_contains_decimal_ln(n, d, w):
     # decimal's ln is correctly rounded, here to 400 digits: an oracle
@@ -907,12 +939,15 @@ def counted_rotation_number(h, max_q, depth, sign=None):
 
 
 @pytest.mark.parametrize("h, rho, steps", [
-    # the members of a chain are read, not stepped: the 8 chains of 2 read
-    # positions 1 and 2, and the cycle of 4 every position up to q = 4, so
-    # only F(0) is stepped
-    (MEDIAN, F(3, 8), 28),  # 49 with the heads held to one length, 113
-    # with one orbit per breakpoint: 3/8 reads one head, whose gap is 0
-    (ONE_CYCLE, F(1, 4), 1),  # 13 with one orbit per breakpoint
+    # every chain's jump product is 1, so the first head is walked to its
+    # first return: positions 1 and 2 are its chain's members, read off
+    # the vertices, and 3 to 8 are stepped (28 by the descent alone, which
+    # extends the other heads too, 49 with the heads held to one length and
+    # 113 with one orbit per breakpoint)
+    (MEDIAN, F(3, 8), 6),
+    # a cycle of 4 is read off the vertices, with no step (1 by the descent
+    # alone, for F(0), and 13 with one orbit per breakpoint)
+    (ONE_CYCLE, F(1, 4), 0),
     # no chain, one orbit per breakpoint: 89 with the heads held to one
     # length, as the signs of opposite heads end a read early
     (random_pl(3, 4, 32), F(13, 23), 75),
@@ -953,3 +988,129 @@ def test_heads_read_one_at_a_time_match_the_held_oracle(sweep, max_q, depth):
         assert steps <= held_steps, h
         fewer += steps < held_steps
     assert fewer
+
+
+# -- the periodic-orbit certificate, against the descent it precedes --------
+#
+# rotation_number first tries rotnum._periodic: one breakpoint orbit of least
+# period t <= max_q gives rho exactly.  Its oracle is rotation_number as it
+# was before, kept here verbatim but for the module prefixes and F(p, q) in
+# place of _coprime: the descent alone, which must return the same result
+# for every (h, max_q, depth).
+
+def descent_rotation_number(h, max_q=32, depth=16):
+    """Exact rotation number when it is p/q with q <= max_q or the search
+    meets it, otherwise a Farey bracket refined `depth` times.
+
+    The Stern-Brocot descent asks one sign function, of rho(h) mod 1 - p/q,
+    about 0/1 and 1/1, where a 0 is a fixed point, then about each mediant
+    p/q: the lower end when positive, the upper when negative, else exact.
+    It goes on past `depth` while q <= max_q, as a p/q between Farey
+    neighbours has q at least the sum of theirs."""
+    rotnum._check_ints(1, max_q=max_q, depth=depth)
+    if h.is_rotation:  # its one vertex is (0, rho)
+        return RotNumResult(exact=h.verts[0][1])
+    logs = rotnum._log_ratio(h)
+    sign = rotnum._orbit_sign(h, max_q) if logs is None else logs.sign
+    if not (sign(0, 1) and sign(1, 1)):
+        return RotNumResult(exact=F(0))
+    lo, hi = F(0), F(1)
+    for step in itertools.count():
+        p = lo.numerator + hi.numerator
+        q = lo.denominator + hi.denominator
+        if step == depth:
+            bracket = RotNumResult(lo=lo, hi=hi, depth=depth)
+        if step >= depth and q > max_q:
+            return bracket
+        s = sign(p, q)
+        # Farey neighbours: hi.numerator lo.denominator - lo.numerator
+        # hi.denominator = 1 stays true, so the mediant is in lowest terms
+        if s > 0:
+            lo = F(p, q)
+        elif s < 0:
+            hi = F(p, q)
+        else:
+            return RotNumResult(exact=F(p, q))
+
+
+def gate_passes(h):
+    """Every chain's product of the jumps J(h, x_m), read from _jumps."""
+    return all(math.prod(h._jumps[m] for m in members) == 1
+               for members, *_ in rotnum._chains(h))
+
+
+def check_certificate(h, rho):
+    """rho = p/t must be read off a chain's head c, iterated in Fractions:
+    F^t(c) = c + W with W = p mod t, and F^s(c) - c no integer for
+    0 < s < t."""
+    t = rho.denominator
+    for members, *_ in rotnum._chains(h):
+        c = x = h.verts[members[0]][0]
+        for s in range(1, t + 1):
+            x = oracle_lift_eval(h, x)
+            if (x - c).denominator == 1:
+                break
+        if s == t and (x - c).denominator == 1:
+            assert (x - c).numerator % t == rho.numerator
+            return
+    raise AssertionError(f"no head of period {t}")
+
+
+@pytest.fixture(scope="module")
+def certificate_sweep(sweep):
+    """The sweep above, conjugates of R(p/q) for q up to 40, so that some
+    periods exceed every max_q tested, and DYADIC_PHI-conjugates of
+    exotic elements, which pass the gate but have no periodic orbit, or,
+    for exotic(4, 2), one of period 2."""
+    return (sweep
+            + [conjugate(random_pl(q * 97 + s, 2 + (q + s) % 5, 32), rotation(F(p, q)))
+               for q in range(2, 41) for s, p in enumerate(
+                   [p for p in range(1, q) if math.gcd(p, q) == 1][:3])]
+            + [dyadic_conjugate(exotic_element(ExoticParams(F(A), F(lam))))
+               for A, lam in [(4, 2), (5, 2), (6, 2), (7, 3), (10, 3)]])
+
+
+def counted_steps(f, h, max_q, depth):
+    """f(h, max_q, depth) and the number of _advance calls it made."""
+    step, calls = PLHomeo._advance, [0]
+
+    def counting_step(self, n, d):
+        calls[0] += 1
+        return step(self, n, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PLHomeo, "_advance", counting_step)
+        return f(h, max_q, depth), calls[0]
+
+
+@pytest.mark.parametrize("max_q, depth", [(32, 16), (8, 24), (4, 1)])
+def test_periodic_certificate_matches_the_descent_oracle(certificate_sweep, max_q, depth):
+    kinds = Counter()
+    for h in certificate_sweep:
+        got, steps = counted_steps(rotation_number, h, max_q, depth)
+        want, descent_steps = counted_steps(descent_rotation_number, h, max_q, depth)
+        assert got == want, h
+        if h.is_rotation or rotnum._log_ratio(h) is not None:
+            continue  # no orbit is read
+        rho = rotnum._periodic(h, max_q)
+        if rho is not None:
+            assert got == RotNumResult(exact=rho), h
+            check_certificate(h, rho)
+            assert steps <= descent_steps, h
+            kinds["zero"] += rho == 0
+            kinds["cycle"] += steps == 0
+            kinds["certified"] += 1
+        elif gate_passes(h):
+            # the first head is walked to max_q, and stepped again by the
+            # descent
+            assert steps <= descent_steps + max_q, h
+            kinds["gated"] += 1
+            # a period of 5 past max_q = 4 ends in the descent's bracket
+            kinds["period 5"] += rotnum._periodic(h, 5) is not None and not got.is_exact
+        else:
+            # a map with a chain of one breakpoint walks nothing
+            assert steps == descent_steps, h
+            kinds["open"] += 1
+    assert kinds["zero"] and kinds["cycle"] and kinds["certified"] > 100
+    assert kinds["gated"] and kinds["open"] > 700
+    assert kinds["period 5"] if max_q == 4 else not kinds["period 5"]
