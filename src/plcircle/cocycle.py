@@ -6,7 +6,7 @@ enter only when a norm is computed.  The additive coordinate of a vector
 at x is log of the stored value, so the zero vector is the empty map.
 
 growth_sequences follows the orbit of the zero vector in integers: its
-heads read the breakpoint orbits of rotnum._head_orbit, its support is
+heads read breakpoint orbits (rotnum._chains, _head_orbit), its support is
 searched by bisect on the exact integer keys of circle._order_keys, and its
 values are lowest-terms pairs.  Only the norms leave the integers.
 """
@@ -103,10 +103,11 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     multiplies the jump of f^-1 at each y_i = f(x_i), read off f, into the
     point f^(n-1)(y_i).  A canonical map's breakpoints are the support of
     its jump vector, and |supp J(f^n)| = |supp J(f^-n)|, so M_n is the
-    support size.  These k heads read one orbit per chain of l breakpoints
-    (rotnum._head_orbit), points 1..c of it, c = l for a cycle and N + l - 1
-    otherwise: member s is at point (s + t) mod c after t steps.  Heads sit
-    on distinct points at every t, so their order is free.
+    support size.  These k heads read one orbit per chain of l breakpoints,
+    points 1..c of it, c = l for a cycle and N + l - 1 otherwise, 1..l off
+    the vertices (rotnum._chains), the rest stepped (rotnum._head_orbit):
+    member s is at point (s + t) mod c after t steps.  Heads sit on distinct
+    points at every t, so their order is free.
 
     The pass runs in integers.  The orbit points, lowest-terms pairs (n, d)
     with 0 <= n < d, are keyed together by _order_keys, so each point has

@@ -131,10 +131,9 @@ def _canonical(pairs):
     # slope i is (dy_i L) / (dx_i M), and every dx_i is positive
     keep = [i for i in range(len(X)) if dy[i - 1] * dx[i] != dy[i] * dx[i - 1]]
     if not keep:
-        # constant slope around the circle forces slope 1: a rotation
-        alpha = Fraction((Y[0] * L - X[0] * M) % (L * M), L * M)
-        return ((Fraction(0), alpha),), _layout(1, [0], [(0, 1, alpha.numerator,
-                                                          alpha.denominator)])
+        # constant slope around the circle forces slope 1: a rotation, kept
+        # as its one vertex (0, y_0 - x_0 mod 1) on the grid 1 / (L M)
+        X, Y, M, keep = [0], [(Y[0] * L - X[0] * M) % (L * M)], L * M, [0]
     base = Y[keep[0]]
     X = [X[i] for i in keep]
     Y = [Y[i] + M if Y[i] < base else Y[i] for i in keep]

@@ -10,17 +10,18 @@ Fraction only for an interpolated zero.
 The rotation number comes from one Stern-Brocot descent, which asks one
 sign function per map about each p/q.  Outside the closed form below, p/q
 with q <= max_q is tested at every point at once, exactly, on the orbits of
-the chain heads (_head_orbit, which cocycle.growth_sequences reads too), so
-a periodic orbit anywhere gives the exact answer.  The heads are read one
-at a time, each orbit extended only when its gap is read, and the first
-zero gap or pair of opposite gaps ends the test.  Beyond max_q only the
-orbit of 0 is followed: integer enclosures of it (_Enclosure) decide each
-sign, and the exact orbit every sign they leave open, equality included, so
-no float decides an answer.  Both run on ints: exact orbits are
-lowest-terms pairs stepped by the kernel PLHomeo._advance, which builds no
-Fraction and no jump vector, and the enclosures step both bounds over one
-piece table pre-scaled from PLHomeo._table.  The descent's Farey mediants
-are in lowest terms, and become Fractions with no gcd.
+the chain heads, so a periodic orbit anywhere gives the exact answer:
+_chains reads each head's orbit off the vertices as far as its chain's
+members, and _head_orbit steps it on (cocycle.growth_sequences reads both).
+The heads are read one at a time, each orbit extended only when its gap is
+read, and the first zero gap or pair of opposite gaps ends the test.
+Beyond max_q only the orbit of 0 is followed: integer enclosures of it
+(_Enclosure) decide each sign, and the exact orbit every sign they leave
+open, equality included, so no float decides an answer.  Both run on ints:
+exact orbits are lowest-terms pairs stepped by the kernel PLHomeo._advance,
+which builds no Fraction and no jump vector, and the enclosures step both
+bounds over one piece table pre-scaled from PLHomeo._table.  The descent's
+Farey mediants are in lowest terms, and become Fractions with no gcd.
 
 Before the descent one periodic breakpoint orbit may settle it
 (_periodic): a cycle of at most max_q breakpoints, read off the vertices,
@@ -30,7 +31,8 @@ chain each, the first chain's head, walked until its first return mod 1.
 A return after t <= max_q steps, t least, with winding W gives rho = (W
 mod t)/t, the p/t the descent would meet, in at most t steps where the
 descent extends every head to each mediant before p/t.  A map with a chain
-of one breakpoint, as a generic map has, walks nothing.
+of one breakpoint, as a generic map has, walks nothing.  The descent reads
+the same chain list, so it steps no walked position again.
 
 Two kinds of map follow no orbit.  A rotation returns its angle.  A map
 with two breakpoints, one mapped onto the other, such as an exotic element,
@@ -304,45 +306,45 @@ def _log_ratio(h: PLHomeo) -> Optional[_LogRatio]:
 
 
 def _chains(h: PLHomeo) -> List[Tuple[List[int], bool, List[Tuple[int, int]], List[int]]]:
-    """h's breakpoints split into chains and cycles, each as (members,
-    cycle, pairs, winds): its indices in order, True for a cycle, and its
-    head's orbit as _head_orbit holds it, x_head alone so far.  With succ(i)
-    = j when y_i = x_j mod 1, each breakpoint has at most one predecessor (h
-    is injective), so succ splits them into chains, from a breakpoint with
-    no predecessor to one with no successor, by their first index, then
-    cycles, each from its smallest index; a fixed breakpoint is a cycle of
-    one, and a rotation has neither.  F^t(x_(members[s])) = F^(s+t)(x_head)
-    - w_s, so the head's orbit serves every member."""
+    """h's breakpoints split into chains and cycles, each as (members, cycle,
+    pairs, winds): its indices in order, True for a cycle, and its head's
+    orbit as _head_orbit holds it, read to position len(members) off the
+    ints of PLHomeo._key: F maps x_m + w to y_m + w, m = members[t - 1].
+    With succ(i) = j when y_i = x_j mod 1, each breakpoint has at most one
+    predecessor (h is injective), so succ splits them into chains, from a
+    breakpoint with no predecessor to one with no successor, by their first
+    index, then cycles, each from its smallest index; a fixed breakpoint is
+    a cycle of one, and a rotation has neither.  F^t(x_(members[s])) =
+    F^(s+t)(x_head) - w_s, so the head's orbit serves every member."""
     if h.is_rotation:
         return []
-    index = {(x.numerator, x.denominator): j for j, (x, _) in enumerate(h.verts)}
-    succ = [index.get((y.numerator % y.denominator, y.denominator)) for _, y in h.verts]
+    key = h._key()
+    index = {(p, q): j for j, (p, q, _, _) in enumerate(key)}
+    succ = [index.get((r % t, t)) for _, _, r, t in key]
     starts = set(range(len(succ))).difference(succ)
     chains, seen = [], set()
     for i in sorted(starts) + list(range(len(succ))):
         if i not in seen:
-            x, members = h.verts[i][0], []
+            members, pairs, winds = [], [key[i][:2]], [0]
             while i is not None and i not in seen:
                 seen.add(i)
                 members.append(i)
                 i = succ[i]
+            for m in members:
+                w, r = divmod(key[m][2], key[m][3])
+                pairs.append((r, key[m][3]))
+                winds.append(winds[-1] + w)
             # a chain ends at no successor, a cycle back at its first index
-            chains.append((members, i is not None, [(x.numerator, x.denominator)], [0]))
+            chains.append((members, i is not None, pairs, winds))
     return chains
 
 
 def _head_orbit(h: PLHomeo, chain, n: int) -> Tuple[List[Tuple[int, int]], List[int]]:
     """The chain's head orbit F^t(x_head) = r_t/d_t + w_t up to t = n, as
     its lists of lowest-terms (r_t, d_t), 0 <= r_t < d_t, and windings w_t,
-    extended in place: the one loop that steps breakpoint orbits.  Position
-    t <= len(members) is read off the vertices with no step, as x_m + w maps
-    to y_m + w for m = members[t - 1]; each one past is one _advance."""
-    members, _, pairs, winds = chain
-    for m in members[len(pairs) - 1:n]:
-        y = h.verts[m][1]
-        w, r = divmod(y.numerator, y.denominator)
-        pairs.append((r, y.denominator))
-        winds.append(winds[-1] + w)
+    extended in place past the positions _chains read: the one loop that
+    steps breakpoint orbits, one _advance per position."""
+    *_, pairs, winds = chain
     step, (r, d), w = h._advance, pairs[-1], winds[-1]
     for _ in range(n + 1 - len(pairs)):
         r, d, _ = step(r, d)
@@ -352,7 +354,7 @@ def _head_orbit(h: PLHomeo, chain, n: int) -> Tuple[List[Tuple[int, int]], List[
     return pairs, winds
 
 
-def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
+def _orbit_sign(h: PLHomeo, chains, max_q: int) -> Callable[[int, int], int]:
     """rotation_number's sign function for h outside _log_ratio's class:
     that of g = F^q - id - p - wq, w = floor(F(0)), if g has one sign, else
     0 (a periodic orbit).  F - id spans less than 1 and takes F(0) in [w,
@@ -368,7 +370,6 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
     once every head agrees.  So the sign is (min(gaps) > 0) - (max(gaps) <
     0) over all the heads, and no orbit is stepped further than that reads
     it.  Past max_q x = 0 alone is tested."""
-    chains = _chains(h)
     enc = None  # built when q first passes max_q
     n, t = 1, h._advance(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
     w = t[0] // t[1]
@@ -401,12 +402,12 @@ def _orbit_sign(h: PLHomeo, max_q: int) -> Callable[[int, int], int]:
     return sign
 
 
-def _periodic(h: PLHomeo, max_q: int) -> Optional[Fraction]:
-    """rho(h) mod 1 read off one breakpoint orbit of least period t <= max_q,
-    or None.  The orbit is that of the first cycle of at most max_q
-    breakpoints, whose positions are read off the vertices with no step,
-    or else, when every chain's jump product is 1, that of the first
-    chain's head, walked until its first return mod 1, or max_q.
+def _periodic(h: PLHomeo, chains, max_q: int) -> Optional[Fraction]:
+    """rho(h) mod 1 off one breakpoint orbit of least period t <= max_q in
+    chains = _chains(h), or None: the first cycle of at most max_q
+    breakpoints, whose positions _chains read, or else, when every chain's
+    jump product is 1, the first chain's head, walked until its first return
+    mod 1, or max_q, in place, so the descent reads the walk with no step.
 
     A point c with F^t(c) = c + W, t least, has translation number W/t, and
     t is the denominator of rho in lowest terms.  So rho = 0 when t = 1.
@@ -423,7 +424,6 @@ def _periodic(h: PLHomeo, max_q: int) -> Optional[Fraction]:
     other chain.  So when h^q = id, such a chain has product 1.  A chain of
     one breakpoint never has, so a map with one walks nothing.  The gate
     only spares the walk: an answer is exact whichever orbit gives it."""
-    chains = _chains(h)
     chain = next((c for c in chains if c[1] and len(c[0]) <= max_q), None)
     if chain is None:
         R = h._table[2]
@@ -435,10 +435,8 @@ def _periodic(h: PLHomeo, max_q: int) -> Optional[Fraction]:
             if n != d:
                 return None
         chain = chains[0]
-    *_, pairs, winds = chain
     for t in range(1, max_q + 1):
-        if len(pairs) <= t:
-            _head_orbit(h, chain, t)
+        pairs, winds = _head_orbit(h, chain, t)
         if pairs[t] == pairs[0]:
             return _coprime(winds[t] % t, t)
     return None
@@ -468,10 +466,11 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
     if logs is not None:
         sign = logs.sign
     else:
-        exact = _periodic(h, max_q)
+        chains = _chains(h)
+        exact = _periodic(h, chains, max_q)
         if exact is not None:
             return RotNumResult(exact=exact)
-        sign = _orbit_sign(h, max_q)
+        sign = _orbit_sign(h, chains, max_q)
     if not (sign(0, 1) and sign(1, 1)):
         return RotNumResult(exact=Fraction(0))
     lo, hi = Fraction(0), Fraction(1)

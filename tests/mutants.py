@@ -93,6 +93,10 @@ MUTANTS = [
            (TABLES, "tests/test_smoothing.py::test_derived_maps_match_canonicalizing_oracles")),
     Mutant("rotation-table-swapped", "homeo", "rotation",
            "1, alpha.numerator,", "1, alpha.denominator - alpha.numerator,", (TABLES,)),
+    # a map with no breakpoint goes on as the one vertex (0, y_0 - x_0 mod 1)
+    Mutant("canonical-rotation-angle-negated", "homeo", "_canonical",
+           "[(Y[0] * L - X[0] * M) % (L * M)]", "[(X[0] * M - Y[0] * L) % (L * M)]",
+           (TABLES, "tests/test_homeo.py::test_library_maps_are_canonical")),
     Mutant("hit-without-r-zero", "homeo", "PLHomeo._advance",
            "j = i if r == 0 and f == X[i]", "j = i if f == X[i]", KERNEL),
     Mutant("K-without-alpha", "homeo", "PLHomeo._advance",
@@ -111,15 +115,15 @@ MUTANTS = [
            "Jg.numerator != Jf.denominator or Jg.denominator != Jf.numerator",
            "Jg.numerator != Jf.denominator and Jg.denominator != Jf.numerator", COMPOSE),
     # an open chain has no member past its last: its next position is stepped
-    Mutant("head-orbit-reads-past-the-chain", "rotnum", "_head_orbit",
-           "members[len(pairs) - 1:n]", "(members + members[:1])[len(pairs) - 1:n]",
+    Mutant("head-orbit-reads-past-the-chain", "rotnum", "_chains",
+           "for m in members:", "for m in members + members[:1]:",
            (CHAIN_SIGNS, "tests/test_cocycle.py::"
                          "test_growth_sequences_match_oracle_on_chains_and_cycles")),
-    Mutant("head-orbit-read-drops-winding", "rotnum", "_head_orbit",
+    Mutant("head-orbit-read-drops-winding", "rotnum", "_chains",
            "winds.append(winds[-1] + w)", "winds.append(w)", (CHAIN_SIGNS,)),
-    # equal values, one more step per chain: only the step counts tell
-    Mutant("head-orbit-reads-one-short", "rotnum", "_head_orbit",
-           "members[len(pairs) - 1:n]", "members[:-1][len(pairs) - 1:n]",
+    # equal values, one more step per chain: the step counts tell
+    Mutant("head-orbit-reads-one-short", "rotnum", "_chains",
+           "for m in members:", "for m in members[:-1]:",
            (STEPS, "tests/test_cocycle.py::test_growth_sequences_step_one_orbit_per_chain")),
     # _orbit_sign reads the heads one at a time: a zero gap, or a gap of the
     # other sign than one before it, is a periodic orbit, and a head is
@@ -141,6 +145,11 @@ MUTANTS = [
            "winds[t] % t", "(winds[t] - 1) % t + 1", (CERTIFICATE,)),
     Mutant("periodic-gate-inverted", "rotnum", "_periodic",
            "if n != d:", "if n == d:", (STEPS, CERTIFICATE)),
+    # _periodic and the descent read one chain list, so the descent reads
+    # the head the walk stepped with no step
+    Mutant("descent-builds-its-own-chains", "rotnum", "rotation_number",
+           "_orbit_sign(h, chains, max_q)", "_orbit_sign(h, _chains(h), max_q)",
+           (STEPS, "tests/test_rotnum.py::test_rotation_number_reads_the_chains_once")),
     # a q past the precision's reach raises w and computes both logs again
     Mutant("log-ratio-keeps-its-first-precision", "rotnum", "_LogRatio.enclosed",
            "if need > self.w:", "if not self.w:",
@@ -151,8 +160,7 @@ MUTANTS = [
            ("tests/test_rotnum.py::test_ln_enclosure_contains_decimal_ln",)),
     # succ maps each y_i mod 1 onto an x_j; a cycle closes on its own head
     Mutant("chains-successor-in-lift-coordinates", "rotnum", "_chains",
-           "(y.numerator % y.denominator, y.denominator)", "(y.numerator, y.denominator)",
-           (CHAIN_SHAPES, STEPS)),
+           "index.get((r % t, t))", "index.get((r, t))", (CHAIN_SHAPES, STEPS)),
     Mutant("chains-cycle-flag-inverted", "rotnum", "_chains",
            "chains.append((members, i is not None,", "chains.append((members, i is None,",
            (CHAIN_SHAPES, "tests/test_cocycle.py::"

@@ -755,11 +755,10 @@ def test_exotic_rotation_number_closed_form(A, lam, exact):
 # -- one orbit per chain of breakpoints, against the body it replaced -------
 #
 # _orbit_sign reads one lift orbit per chain of breakpoints, each the image
-# of the one before mod 1, from _head_orbit, which reads the chain's own
-# members off the vertices and steps the rest.  Its oracle is the body
-# before chains, kept here
-# verbatim but for its kernel, now _advance: it steps the orbit of every
-# breakpoint.
+# of the one before mod 1: _chains reads the chain's own members off the
+# vertices, and _head_orbit steps the rest.  Its oracle is the body before
+# chains, kept here verbatim but for its kernel, now _advance: it steps the
+# orbit of every breakpoint.
 
 def oracle_orbit_sign(h, max_q):
     """rotation_number's sign function for h outside _log_ratio's class:
@@ -796,11 +795,12 @@ def oracle_orbit_sign(h, max_q):
 
 
 # _orbit_sign as it was before it read the heads one at a time, kept here
-# verbatim but for the module prefixes: every head is extended to q before
-# any gap is read, and the sign is the min/max test over all the gaps.  The
+# verbatim but for the module prefixes and the chains it is given, which
+# _periodic may have walked: every head is extended to q before any gap is
+# read, and the sign is the min/max test over all the gaps.  The
 # one-at-a-time loop must return what it returns, with no more steps.
 
-def held_orbit_sign(h, max_q):
+def held_orbit_sign(h, chains, max_q):
     """rotation_number's sign function for h outside _log_ratio's class:
     that of g = F^q - id - p - wq, w = floor(F(0)), if g has one sign, else
     0 (a periodic orbit).  F - id spans less than 1 and takes F(0) in [w,
@@ -811,7 +811,6 @@ def held_orbit_sign(h, max_q):
     whose two ends, and so two of the c, have opposite signs.  A chain
     member's gap has its head's sign, so only the heads' orbits are read,
     extended when q passes them.  Past max_q x = 0 alone is tested."""
-    chains = rotnum._chains(h)
     enc = None  # built when q first passes max_q
     n, t = 1, h._advance(0, 1)[:2]  # the exact orbit of 0, t = F^n(0)
     w = t[0] // t[1]
@@ -820,9 +819,8 @@ def held_orbit_sign(h, max_q):
         nonlocal enc, n, t
         target = p + w * q
         if q <= max_q:
-            if len(chains[0][2]) <= q:  # the heads are held to one length
-                for chain in chains:
-                    rotnum._head_orbit(h, chain, q)
+            for chain in chains:  # no step where a head reaches q
+                rotnum._head_orbit(h, chain, q)
             # F^q(c) - c - target times d e, for F^q(c) = r/d + v and c = c/e
             gaps = [(r + (v - target) * d) * e - c * d for (c, e), (r, d), v in
                     ((ps[0], ps[q], ws[q]) for *_, ps, ws in chains)]
@@ -881,8 +879,12 @@ def test_chain_heads_of_known_maps():
         chains = rotnum._chains(h)
         assert sorted(i for members, *_ in chains for i in members) == list(range(len(x)))
         for members, cycle, pairs, winds in chains:
-            # a new chain's head orbit is its head alone
-            assert (pairs, winds) == ([x[members[0]]], [0])
+            # a new chain holds its head and its members' images: position
+            # t is y_m mod 1, m = members[t - 1], and its winding is the sum
+            # of the floors of the ys before it
+            assert pairs == [x[members[0]]] + [y[m] for m in members]
+            floors = [h.verts[m][1].numerator // h.verts[m][1].denominator for m in members]
+            assert winds == list(itertools.accumulate([0] + floors))
             # each member is the image of the one before mod 1; a cycle's
             # first is the image of its last, and a chain's first is no image
             assert all(y[i] == x[j] for i, j in zip(members, members[1:]))
@@ -893,7 +895,7 @@ def test_chain_heads_of_known_maps():
 @pytest.mark.parametrize("h", CHAINED + CHAIN_FREE + [STD])
 def test_chain_heads_give_every_sign_all_breakpoints_give(h):
     max_q = 32
-    sign, want = rotnum._orbit_sign(h, max_q), oracle_orbit_sign(h, max_q)
+    sign, want = rotnum._orbit_sign(h, rotnum._chains(h), max_q), oracle_orbit_sign(h, max_q)
     for q in range(1, max_q + 1):
         for p in range(q + 1):
             assert sign(p, q) == want(p, q), (p, q)
@@ -924,7 +926,8 @@ def test_head_orbit_matches_fraction_oracle(h):
 
 def counted_rotation_number(h, max_q, depth, sign=None):
     """rotation_number(h, max_q, depth), with _orbit_sign replaced by `sign`
-    when given, and the number of _advance calls it made."""
+    when given, and the number of _advance calls it made; `sign` is given
+    the chains _periodic read."""
     step, calls = PLHomeo._advance, [0]
 
     def counting_step(self, n, d):
@@ -938,22 +941,47 @@ def counted_rotation_number(h, max_q, depth, sign=None):
         return rotation_number(h, max_q=max_q, depth=depth), calls[0]
 
 
+# c.json of CI's console-script job: no periodic orbit, and every chain's
+# jump product is 1
+C_JSON = dyadic_conjugate(exotic_element(ExoticParams(F(6), F(2))))
+
+
 @pytest.mark.parametrize("h, rho, steps", [
     # every chain's jump product is 1, so the first head is walked to its
     # first return: positions 1 and 2 are its chain's members, read off
     # the vertices, and 3 to 8 are stepped (28 by the descent alone, which
     # extends the other heads too, 49 with the heads held to one length and
     # 113 with one orbit per breakpoint)
-    (MEDIAN, F(3, 8), 6),
+    (MEDIAN, RotNumResult(exact=F(3, 8)), 6),
     # a cycle of 4 is read off the vertices, with no step (1 by the descent
     # alone, for F(0), and 13 with one orbit per breakpoint)
-    (ONE_CYCLE, F(1, 4), 0),
+    (ONE_CYCLE, RotNumResult(exact=F(1, 4)), 0),
     # no chain, one orbit per breakpoint: 89 with the heads held to one
     # length, as the signs of opposite heads end a read early
-    (random_pl(3, 4, 32), F(13, 23), 75),
+    (random_pl(3, 4, 32), RotNumResult(exact=F(13, 23)), 75),
+    # three chains of two pass the gate: the walk steps the first head from
+    # position 3 to 32 with no return (30), then the descent steps F(0)
+    # once and the other two heads to position 31 (58), reads the walked
+    # head with no step, and past max_q the enclosures decide every sign
+    # (118 when the descent built its own chains and stepped the first head
+    # again)
+    (C_JSON, RotNumResult(lo=F(306, 791), hi=F(53, 137), depth=16), 89),
 ])
 def test_rotation_number_steps_one_orbit_per_chain(h, rho, steps):
-    assert counted_rotation_number(h, 32, 16) == (RotNumResult(exact=rho), steps)
+    assert counted_rotation_number(h, 32, 16) == (rho, steps)
+
+
+@pytest.mark.parametrize("h", [random_pl(3, 4, 32), C_JSON])
+def test_rotation_number_reads_the_chains_once(h):
+    # _periodic and the descent share one chain list, whether the gate
+    # fails (a chain of one) or passes with no return within max_q
+    chains, calls = rotnum._chains, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rotnum, "_chains", lambda h: calls.append(h) or chains(h))
+        rotation_number(h)
+    assert calls == [h]
+    assert rotnum._periodic(h, chains(h), 32) is None
+    assert gate_passes(h) == (h is C_JSON)
 
 
 @pytest.mark.parametrize("h", [MEDIAN, ONE_CYCLE, STD, random_pl(3, 4, 32),
@@ -1011,7 +1039,7 @@ def descent_rotation_number(h, max_q=32, depth=16):
     if h.is_rotation:  # its one vertex is (0, rho)
         return RotNumResult(exact=h.verts[0][1])
     logs = rotnum._log_ratio(h)
-    sign = rotnum._orbit_sign(h, max_q) if logs is None else logs.sign
+    sign = rotnum._orbit_sign(h, rotnum._chains(h), max_q) if logs is None else logs.sign
     if not (sign(0, 1) and sign(1, 1)):
         return RotNumResult(exact=F(0))
     lo, hi = F(0), F(1)
@@ -1092,7 +1120,7 @@ def test_periodic_certificate_matches_the_descent_oracle(certificate_sweep, max_
         assert got == want, h
         if h.is_rotation or rotnum._log_ratio(h) is not None:
             continue  # no orbit is read
-        rho = rotnum._periodic(h, max_q)
+        rho = rotnum._periodic(h, rotnum._chains(h), max_q)
         if rho is not None:
             assert got == RotNumResult(exact=rho), h
             check_certificate(h, rho)
@@ -1101,12 +1129,13 @@ def test_periodic_certificate_matches_the_descent_oracle(certificate_sweep, max_
             kinds["cycle"] += steps == 0
             kinds["certified"] += 1
         elif gate_passes(h):
-            # the first head is walked to max_q, and stepped again by the
-            # descent
+            # the first head is walked to max_q, which the descent may not
+            # reach, and the descent reads that walk with no step
             assert steps <= descent_steps + max_q, h
             kinds["gated"] += 1
             # a period of 5 past max_q = 4 ends in the descent's bracket
-            kinds["period 5"] += rotnum._periodic(h, 5) is not None and not got.is_exact
+            kinds["period 5"] += (rotnum._periodic(h, rotnum._chains(h), 5) is not None
+                                  and not got.is_exact)
         else:
             # a map with a chain of one breakpoint walks nothing
             assert steps == descent_steps, h
