@@ -17,7 +17,7 @@ import sys
 from . import cantor_bendixson as cb
 from . import io
 from .circle import CirclePoint, _quote, frac_mod1
-from .cocycle import growth_params, growth_sequences, jump_cocycle
+from .cocycle import growth_params, growth_sequences
 from .homeo import ExoticParams, exotic_element, random_pl
 from .rotnum import rotation_number
 from .smoothing import commensuration_defect, detect_finite_orbit, smooth_group
@@ -44,8 +44,8 @@ def cmd_show(args):
     for x, y in h.verts:
         print(f"  {io.format_rational(x)} -> {io.format_rational(y)}")
     print(f"breakpoints: {len(h.breakpoints)}")
-    for p, v in jump_cocycle(h).entries:
-        print(f"  jump at {io.format_rational(p.value)}: {io.format_rational(v)}")
+    for (x, _), v in zip(h.verts, h._jumps):  # jump_cocycle(h)'s entries
+        print(f"  jump at {io.format_rational(x)}: {io.format_rational(v)}")
     return 0
 
 
@@ -176,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="plcircle",
         description="Exact dynamics of piecewise linear circle homeomorphisms")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices  # name -> the subparser the root would call
 
     p = sub.add_parser("show", help="print an element's canonical data")
     p.add_argument("element")
@@ -245,8 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        # a request that starts with a command's name is parsed by that
+        # command's parser alone: the root parser would pass it the same words
+        ap = build_parser()
+        command = ap.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else ap.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a reader gone after the last write fails here
         return code

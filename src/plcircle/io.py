@@ -37,7 +37,10 @@ def parse_rational(s) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """q as "p/q" of any size, past Python's int-to-string digit limit too."""
-    return _exact(lambda r: f"{r.numerator}/{r.denominator}", Fraction(q))
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the digit limit
+        return _exact(lambda r: f"{r.numerator}/{r.denominator}", q)
 
 
 def element_from_json(obj) -> PLHomeo:

@@ -55,6 +55,7 @@ TAIL = SM + "test_success_tail_matches_fraction_oracle"
 COMPOSE = ("tests/test_homeo.py::test_compose_matches_cut_sorting_oracle",
            "tests/test_homeo.py::test_compose_oracle_cases_cover_each_branch")
 RECORDS = "tests/test_records.py::test_records_match_frozen_dataclass_twins"
+DISPATCH = "tests/test_cli.py::test_dispatch_matches_the_root_parser"
 
 
 @dataclass(frozen=True)
@@ -277,6 +278,17 @@ MUTANTS = [
     Mutant("growth-head-one-step-ahead", "cocycle", "growth_sequences",
            "keys[b + (s + t) % c]", "keys[b + (s + t + 1) % c]",
            ("tests/test_cocycle.py::test_growth_sequences_match_oracles",)),
+    # a request that starts with a command's name goes to that command's
+    # parser without the name; any other goes to the root parser
+    Mutant("dispatch-passes-the-command-word", "cli", "main",
+           "command.parse_args(argv[1:])", "command.parse_args(argv)", (DISPATCH,)),
+    Mutant("dispatch-without-root-fallback", "cli", "main",
+           "ap.commands.get(argv[0])", "ap.commands[argv[0]]", (DISPATCH,)),
+    # the jump at x_i is _jumps[i], as jump_cocycle pairs them
+    Mutant("show-jump-at-next-vertex", "cli", "cmd_show",
+           "zip(h.verts, h._jumps)", "zip(h.verts[1:], h._jumps)",
+           ("tests/test_cli.py::test_show_prints_the_jump_cocycle",
+            "tests/test_cli.py::test_fixture_requests_match_recorded_digests")),
 ]
 
 

@@ -31,6 +31,22 @@ def test_show_table():
     assert "jump at 1/2: 3/1" in r.stdout
 
 
+def test_show_prints_the_jump_cocycle(tmp_path, capsys):
+    # show reads the jumps off the map's vertices; jump_cocycle is the oracle
+    from fractions import Fraction
+    from plcircle import cli, jump_cocycle, random_pl, rotation
+    from plcircle.io import element_to_json, format_rational
+    maps = [random_pl(seed, k, 64) for seed in range(1, 6) for k in (1, 2, 5)]
+    for h in maps + [rotation(Fraction(2, 7))]:
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(element_to_json(h)))
+        assert cli.main(["show", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = [f"  jump at {format_rational(p.value)}: {format_rational(v)}"
+                for p, v in jump_cocycle(h).entries]
+        assert lines[-len(want) - 1:] == [f"breakpoints: {len(want)}", *want]
+
+
 def test_show_json_roundtrip():
     r = run("show", str(FIXTURES / "standard_contracting.json"),
             "--format", "json")
@@ -598,6 +614,49 @@ def test_usage_errors_and_help_through_the_process():
     assert r.stderr == "error: the following arguments are required: command\n"
     r = run("-h")
     assert r.returncode == 0 and r.stdout.startswith("usage: plcircle")
+
+
+_F = "fixtures/standard_contracting.json"
+DISPATCH_CORPUS = [req["argv"] for req in json.loads(
+    (REPO / "perfbench" / "cli_digests.json").read_text())] + [
+    [], ["-h"], ["--help"], ["show", "-h"], ["show", "-h", "x"], ["-x"],
+    ["nosuch"], ["sho", _F], ["--", "show", _F], ["show", "--", _F],
+    ["eval", _F, "-1/2"], ["eval", _F, "-1"], ["eval", _F, "--", "-1/2"],
+    ["eval", _F], ["compose", _F],
+    ["show", _F, "extra"], ["show", _F, "--form", "json"],
+    ["show", "--format=json", _F], ["show", _F, "--format", "xml"],
+    ["rotnum", _F, "--max", "3"], ["rotnum", _F, "--dep", "3"],
+    ["rotnum", _F, "--max-q", "x"], ["rotnum", _F, "--max-q", "7" * 5000],
+    ["rotnum", "--max-q"],
+    ["orbit-norms", _F, "-N5"], ["orbit-norms", _F, "-N", "0"],
+    ["random", "--seed=3", "-k2"], ["random"],
+    ["smooth", "fixtures/conjugated_rotations.json", "--max-vertices", "1"],
+    ["show", "no\nsuch.json"],
+]
+
+
+def _outcome(main, argv, capsys):
+    """main(argv)'s exit code, or its SystemExit's code, with what it wrote."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # -h prints help and exits
+        code = ("SystemExit", exc.code)
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS,
+                         ids=lambda argv: " ".join(argv)[:60] or "no words")
+def test_dispatch_matches_the_root_parser(monkeypatch, capsys, argv):
+    # main parses a request that starts with a command's name with that
+    # command's parser alone; the oracle is the same main with no command
+    # known to it, so the root parser reads every request, as it did before
+    from plcircle import cli
+    monkeypatch.chdir(REPO)
+    got = _outcome(cli.main, argv, capsys)
+    with monkeypatch.context() as m:
+        m.setattr(cli.build_parser(), "commands", {})
+        want = _outcome(cli.main, argv, capsys)
+    assert got == want
 
 
 @pytest.mark.parametrize("value", ["x" * 200_000, [1] * 50_000],
