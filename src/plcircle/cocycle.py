@@ -6,9 +6,14 @@ enter only when a norm is computed.  The additive coordinate of a vector
 at x is log of the stored value, so the zero vector is the empty map.
 
 growth_sequences follows the orbit of the zero vector in integers: its
-heads read breakpoint orbits (rotnum._chains, _head_orbit), its support is
+heads read breakpoint orbits off the map's one chain list (PLHomeo._chains,
+extended in place by rotnum._head_orbit, so a later call, or
+rotation_number, on the same map steps none of them again), its support is
 searched by bisect on the exact integer keys of circle._order_keys, and its
-values are lowest-terms pairs.  Only the norms leave the integers.
+values are lowest-terms pairs.  growth_params also runs in integers: its
+fixed components are ordered by their keys, each support arc is tested at
+its midpoint by one kernel step, and its constants are logs of ints.  Only
+the norms and the constants leave the integers.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .circle import CirclePoint, _Frozen, _check_ints, _order_keys, _quote, reduce_mod1
 from .homeo import PLHomeo
-from .rotnum import _chains, _head_orbit, fixed_points
+from .rotnum import _head_orbit, fixed_points
 
 
 class FiniteVector(_Frozen):
@@ -105,9 +110,11 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     its jump vector, and |supp J(f^n)| = |supp J(f^-n)|, so M_n is the
     support size.  These k heads read one orbit per chain of l breakpoints,
     points 1..c of it, c = l for a cycle and N + l - 1 otherwise, 1..l off
-    the vertices (rotnum._chains), the rest stepped (rotnum._head_orbit):
-    member s is at point (s + t) mod c after t steps.  Heads sit on distinct
-    points at every t, so their order is free.
+    the vertices (PLHomeo._chains), the rest stepped (rotnum._head_orbit)
+    unless an earlier reader of f stepped them: member s is at point (s + t)
+    mod c after t steps.  Exactly c points are read, as the shared orbit may
+    run further.  Heads sit on distinct points at every t, so their order
+    is free.
 
     The pass runs in integers.  The orbit points, lowest-terms pairs (n, d)
     with 0 <= n < d, are keyed together by _order_keys, so each point has
@@ -120,10 +127,10 @@ def growth_sequences(f: PLHomeo, N: int) -> Tuple[List[int], List[float]]:
     points, exactly as l2_norm_sq does."""
     _check_ints(1, N=N)
     pts, heads = [], []
-    for chain in _chains(f):
+    for chain in f._chains:
         members, cycle = chain[:2]
         b, c = len(pts), len(members) if cycle else N + len(members) - 1
-        pts += _head_orbit(f, chain, c)[0][1:]
+        pts += _head_orbit(f, chain, c)[0][1:c + 1]
         for s, i in enumerate(members):
             # J(f^-1, y_i) = 1/J(f, x_i) in lowest terms, and its squared log
             J = f._jumps[i]
@@ -207,31 +214,48 @@ def growth_params(f: PLHomeo) -> GrowthParams:
     fixed point and f != identity.  f^{-1} is read off f: it has f's fixed
     set, contracts where f expands, has the reciprocal one-sided slopes at a
     fixed point, and has f's subset products, which are closed under
-    reciprocals because all jumps multiply to 1."""
+    reciprocals because all jumps multiply to 1.
+
+    It runs on ints.  The closed fixed components are put in cyclic order by
+    the _order_keys of their ends, and the open support components (a, b)
+    lie between them, from each end to the next start, none empty as the
+    components are maximal, b lifted by 1 when it is not past a (the last
+    one, or the circle punctured at a point).  f
+    maps (a, b) to itself, so it contracts there exactly when F(m) moved
+    into [a, a + 1) by an integer lies below the midpoint m: one _advance
+    and one comparison of ints.  c0 and c1 are the logs of the one-sided
+    slopes alpha_i / gamma_i of _table's rows, each reduced by one gcd as a
+    Fraction holds it, so each float is the one _log gives."""
     if f.is_identity:
         raise ValueError("identity map has no support component")
     fs = fixed_points(f)
     if fs.is_empty:
         raise ValueError("map has no fixed point")
-    # closed fixed components in cyclic order, as (start, end) lift intervals,
-    # and the open support components (a, b) between them
-    comps = [(p.value, p.value) for p in fs.points]
-    comps += [(a.value, b.value + (1 if b.value < a.value else 0)) for a, b in fs.arcs]
-    comps.sort()
-    nxt = comps[1:] + [(comps[0][0] + 1, comps[0][1] + 1)]
-    support = [(a, b) for (_, a), (b, _) in zip(comps, nxt) if a != b]
-    for a, b in support:
-        mid = (a + b) / 2
-        # f maps (a, b) to itself; lift the image next to mid
-        fm = f.lift_eval(mid)
-        if fm - math.floor(fm - a) < mid:
+    ends = [(p, p) for p in fs.points] + list(fs.arcs)
+    keys = _order_keys([(x.value.numerator, x.value.denominator) for e in ends for x in e])
+    comps = sorted(zip(keys[::2], keys[1::2], ends), key=operator.itemgetter(0))
+    support = [(a, b, kb <= ka) for (_, ka, (_, a)), (kb, _, (b, _))
+               in zip(comps, comps[1:] + comps[:1])]
+    for a, b, wrap in support:
+        an, ad = a.value.numerator, a.value.denominator
+        bn, bd = b.value.numerator, b.value.denominator
+        if wrap:
+            bn += bd
+        n, d = an * bd + bn * ad, 2 * ad * bd
+        g = gcd(n, d)
+        n, d = n // g, d // g  # the midpoint, in lowest terms
+        p, q, _ = f._advance(n, d)
+        k = (p * ad - an * q) // (q * ad)  # floor(F(m) - a)
+        if (p - k * q) * d < n * q:
             analyzed_inverse = False
             break
     else:
-        (a, b), analyzed_inverse = support[0], True
-    comp = CirclePoint(a - math.floor(a)), CirclePoint(b - math.floor(b))
-    sign = -1 if analyzed_inverse else 1
-    c0 = sign * _log(f.left_right_slopes(comp[0])[1])
-    c1 = sign * _log(f.left_right_slopes(comp[1])[0])
+        (a, b, _), analyzed_inverse = support[0], True
+    (a0, _, e0), (a1, _, e1) = f._rows_at(a)[1], f._rows_at(b)[0]
+    g0, g1 = gcd(a0, e0), gcd(a1, e1)
+    c0 = log(a0 // g0) - log(e0 // g0)  # log of the right slope at a
+    c1 = log(a1 // g1) - log(e1 // g1)  # log of the left slope at b
+    if analyzed_inverse:
+        c0, c1 = -c0, -c1
     logs = [abs(log(n) - log(d)) for n, d in _subset_products(f._jumps) if n != d]
-    return GrowthParams(comp, c0, c1, max(logs), min(logs), analyzed_inverse)
+    return GrowthParams((a, b), c0, c1, max(logs), min(logs), analyzed_inverse)

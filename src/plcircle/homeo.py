@@ -161,8 +161,10 @@ class PLHomeo(_Frozen):
     Two maps are equal when their vertices are.  Canonical vertices are
     Fractions in lowest terms, so equal maps have the same ints, and both
     __eq__ and __hash__ read those ints, not Fraction hashes or Fraction
-    comparisons, in place of _Frozen's.  A map has no __slots__: its table
-    and jumps are kept in its __dict__."""
+    comparisons, in place of _Frozen's.  A map has no __slots__: its table,
+    jumps, inverse and breakpoint chains are kept in its __dict__, each built
+    once; the chains hold the head orbits its readers have stepped, so a
+    map keeps those positions for as long as it lives."""
 
     _fields = ("verts",)
 
@@ -211,6 +213,48 @@ class PLHomeo(_Frozen):
         return tuple(Fraction(a * R[i - 1][2], R[i - 1][0] * c)
                      for i, (a, _, c) in enumerate(R)) if len(R) > 1 else ()
 
+    @cached_property
+    def _chains(self) -> List[Tuple[List[int], bool, List[Tuple[int, int]], List[int]]]:
+        """The breakpoints split into chains and cycles, each as (members,
+        cycle, pairs, winds): its indices in order, True for a cycle, and its
+        head's orbit F^t(x_head) = r_t/d_t + w_t as lists of lowest-terms
+        (r_t, d_t), 0 <= r_t < d_t, and windings w_t, read here to position
+        len(members) off the ints of _key: F maps x_m + w to y_m + w, m =
+        members[t - 1].  With succ(i) = j when y_i = x_j mod 1, each
+        breakpoint has at most one predecessor (the map is injective), so succ
+        splits them into chains, from a breakpoint with no predecessor to one
+        with no successor, by their first index, then cycles, each from its
+        smallest index; a fixed breakpoint is a cycle of one, and a rotation
+        has neither.  F^t(x_(members[s])) = F^(s+t)(x_head) - w_s, so the
+        head's orbit serves every member.
+
+        Built once per map: rotnum._head_orbit extends a head's orbit in
+        place, so every reader (rotation_number's certificate and descent,
+        cocycle.growth_sequences) reads the one prefix, each position stepped
+        once, and the map keeps the prefix its readers stepped for as long
+        as it lives."""
+        if self.is_rotation:
+            return []
+        key = self._key()
+        index = {(p, q): j for j, (p, q, _, _) in enumerate(key)}
+        succ = [index.get((r % t, t)) for _, _, r, t in key]
+        starts = set(range(len(succ))).difference(succ)
+        chains, seen = [], set()
+        for i in sorted(starts) + list(range(len(succ))):
+            if i not in seen:
+                members, pairs, winds = [], [key[i][:2]], [0]
+                while i is not None and i not in seen:
+                    seen.add(i)
+                    members.append(i)
+                    i = succ[i]
+                for m in members:
+                    w, r = divmod(key[m][2], key[m][3])
+                    pairs.append((r, key[m][3]))
+                    winds.append(winds[-1] + w)
+                # a chain ends at no successor, a cycle back at its first index
+                chains.append((members, i is not None, pairs, winds))
+        return chains
+
     @property
     def breakpoints(self) -> Tuple[CirclePoint, ...]:
         # every x_i lies in [x_0, 1): a smaller one would be the base
@@ -247,11 +291,17 @@ class PLHomeo(_Frozen):
     def left_right_slopes(self, p: CirclePoint) -> Tuple[Fraction, Fraction]:
         """Exact (left derivative, right derivative) at p, each a row's
         alpha_i / gamma_i."""
+        (a, _, c), (a1, _, c1) = self._rows_at(p)
+        return Fraction(a, c), Fraction(a1, c1)
+
+    def _rows_at(self, p: CirclePoint) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
+        """The rows (alpha_i, beta_i, gamma_i) of _table left and right of p:
+        the same row twice at a point that is no vertex."""
         L, X, R = self._table
         f, r = divmod(p.value.numerator * L, p.value.denominator)  # p L = f + r/d
         i = bisect_right(X, f) - 1  # -1: p < x_0, the last piece
         j = i - 1 if r == 0 and f == X[i] else i
-        return Fraction(R[j][0], R[j][2]), Fraction(R[i][0], R[i][2])
+        return R[j], R[i]
 
     def jump(self, p: CirclePoint) -> Fraction:
         """Derivative jump D+h(p) / D-h(p); equals 1 off the breakpoints."""

@@ -11,10 +11,12 @@ The rotation number comes from one Stern-Brocot descent, which asks one
 sign function per map about each p/q.  Outside the closed form below, p/q
 with q <= max_q is tested at every point at once, exactly, on the orbits of
 the chain heads, so a periodic orbit anywhere gives the exact answer:
-_chains reads each head's orbit off the vertices as far as its chain's
-members, and _head_orbit steps it on (cocycle.growth_sequences reads both).
-The heads are read one at a time, each orbit extended only when its gap is
-read, and the first zero gap or pair of opposite gaps ends the test.
+PLHomeo._chains, built once per map, reads each head's orbit off the
+vertices as far as its chain's members, and _head_orbit steps it on in
+place, so this module and cocycle.growth_sequences read one prefix per map
+and no position is stepped twice.  The heads are read one at a time, each
+orbit extended only when its gap is read, and the first zero gap or pair
+of opposite gaps ends the test.
 Beyond max_q only the orbit of 0 is followed: integer enclosures of it
 (_Enclosure) decide each sign, and the exact orbit every sign they leave
 open, equality included, so no float decides an answer.  Both run on ints:
@@ -32,7 +34,8 @@ A return after t <= max_q steps, t least, with winding W gives rho = (W
 mod t)/t, the p/t the descent would meet, in at most t steps where the
 descent extends every head to each mediant before p/t.  A map with a chain
 of one breakpoint, as a generic map has, walks nothing.  The descent reads
-the same chain list, so it steps no walked position again.
+the same chain list, so it steps no walked position again, and neither
+does a later call on the same map.
 
 Two kinds of map follow no orbit.  A rotation returns its angle.  A map
 with two breakpoints, one mapped onto the other, such as an exotic element,
@@ -305,45 +308,13 @@ def _log_ratio(h: PLHomeo) -> Optional[_LogRatio]:
     return None
 
 
-def _chains(h: PLHomeo) -> List[Tuple[List[int], bool, List[Tuple[int, int]], List[int]]]:
-    """h's breakpoints split into chains and cycles, each as (members, cycle,
-    pairs, winds): its indices in order, True for a cycle, and its head's
-    orbit as _head_orbit holds it, read to position len(members) off the
-    ints of PLHomeo._key: F maps x_m + w to y_m + w, m = members[t - 1].
-    With succ(i) = j when y_i = x_j mod 1, each breakpoint has at most one
-    predecessor (h is injective), so succ splits them into chains, from a
-    breakpoint with no predecessor to one with no successor, by their first
-    index, then cycles, each from its smallest index; a fixed breakpoint is
-    a cycle of one, and a rotation has neither.  F^t(x_(members[s])) =
-    F^(s+t)(x_head) - w_s, so the head's orbit serves every member."""
-    if h.is_rotation:
-        return []
-    key = h._key()
-    index = {(p, q): j for j, (p, q, _, _) in enumerate(key)}
-    succ = [index.get((r % t, t)) for _, _, r, t in key]
-    starts = set(range(len(succ))).difference(succ)
-    chains, seen = [], set()
-    for i in sorted(starts) + list(range(len(succ))):
-        if i not in seen:
-            members, pairs, winds = [], [key[i][:2]], [0]
-            while i is not None and i not in seen:
-                seen.add(i)
-                members.append(i)
-                i = succ[i]
-            for m in members:
-                w, r = divmod(key[m][2], key[m][3])
-                pairs.append((r, key[m][3]))
-                winds.append(winds[-1] + w)
-            # a chain ends at no successor, a cycle back at its first index
-            chains.append((members, i is not None, pairs, winds))
-    return chains
-
-
 def _head_orbit(h: PLHomeo, chain, n: int) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """The chain's head orbit F^t(x_head) = r_t/d_t + w_t up to t = n, as
-    its lists of lowest-terms (r_t, d_t), 0 <= r_t < d_t, and windings w_t,
-    extended in place past the positions _chains read: the one loop that
-    steps breakpoint orbits, one _advance per position."""
+    """The head orbit of a chain of h._chains, F^t(x_head) = r_t/d_t + w_t,
+    at least up to t = n, as its lists of lowest-terms (r_t, d_t), 0 <= r_t
+    < d_t, and windings w_t, extended in place past the positions already
+    read or stepped: the one loop that steps breakpoint orbits, one
+    _advance per position, and none for a position some earlier reader of
+    the same map stepped.  The lists may run past n."""
     *_, pairs, winds = chain
     step, (r, d), w = h._advance, pairs[-1], winds[-1]
     for _ in range(n + 1 - len(pairs)):
@@ -404,8 +375,8 @@ def _orbit_sign(h: PLHomeo, chains, max_q: int) -> Callable[[int, int], int]:
 
 def _periodic(h: PLHomeo, chains, max_q: int) -> Optional[Fraction]:
     """rho(h) mod 1 off one breakpoint orbit of least period t <= max_q in
-    chains = _chains(h), or None: the first cycle of at most max_q
-    breakpoints, whose positions _chains read, or else, when every chain's
+    chains = h._chains, or None: the first cycle of at most max_q
+    breakpoints, whose positions h._chains read, or else, when every chain's
     jump product is 1, the first chain's head, walked until its first return
     mod 1, or max_q, in place, so the descent reads the walk with no step.
 
@@ -466,7 +437,7 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
     if logs is not None:
         sign = logs.sign
     else:
-        chains = _chains(h)
+        chains = h._chains
         exact = _periodic(h, chains, max_q)
         if exact is not None:
             return RotNumResult(exact=exact)

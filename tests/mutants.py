@@ -56,6 +56,9 @@ COMPOSE = ("tests/test_homeo.py::test_compose_matches_cut_sorting_oracle",
            "tests/test_homeo.py::test_compose_oracle_cases_cover_each_branch")
 RECORDS = "tests/test_records.py::test_records_match_frozen_dataclass_twins"
 DISPATCH = "tests/test_cli.py::test_dispatch_matches_the_root_parser"
+SHARED = "tests/test_cocycle.py::test_readers_of_one_map_share_its_orbit_prefix"
+PARAMS = ("tests/test_cocycle.py::test_inverse_read_off_h_matches_oracles",
+          "tests/test_cocycle.py::test_growth_params_reduces_no_fraction")
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,14 @@ MUTANTS = [
            "Jg.numerator != Jf.denominator or Jg.denominator != Jf.numerator",
            "Jg.numerator != Jf.denominator and Jg.denominator != Jf.numerator", COMPOSE),
     # an open chain has no member past its last: its next position is stepped
-    Mutant("head-orbit-reads-past-the-chain", "rotnum", "_chains",
+    Mutant("head-orbit-reads-past-the-chain", "homeo", "PLHomeo._chains",
            "for m in members:", "for m in members + members[:1]:",
            (CHAIN_SIGNS, "tests/test_cocycle.py::"
                          "test_growth_sequences_match_oracle_on_chains_and_cycles")),
-    Mutant("head-orbit-read-drops-winding", "rotnum", "_chains",
+    Mutant("head-orbit-read-drops-winding", "homeo", "PLHomeo._chains",
            "winds.append(winds[-1] + w)", "winds.append(w)", (CHAIN_SIGNS,)),
     # equal values, one more step per chain: the step counts tell
-    Mutant("head-orbit-reads-one-short", "rotnum", "_chains",
+    Mutant("head-orbit-reads-one-short", "homeo", "PLHomeo._chains",
            "for m in members:", "for m in members[:-1]:",
            (STEPS, "tests/test_cocycle.py::test_growth_sequences_step_one_orbit_per_chain")),
     # _orbit_sign reads the heads one at a time: a zero gap, or a gap of the
@@ -146,11 +149,17 @@ MUTANTS = [
            "winds[t] % t", "(winds[t] - 1) % t + 1", (CERTIFICATE,)),
     Mutant("periodic-gate-inverted", "rotnum", "_periodic",
            "if n != d:", "if n == d:", (STEPS, CERTIFICATE)),
-    # _periodic and the descent read one chain list, so the descent reads
-    # the head the walk stepped with no step
+    # _periodic and the descent read the map's one chain list, so the
+    # descent reads the head the walk stepped with no step
     Mutant("descent-builds-its-own-chains", "rotnum", "rotation_number",
-           "_orbit_sign(h, chains, max_q)", "_orbit_sign(h, _chains(h), max_q)",
+           "_orbit_sign(h, chains, max_q)", "_orbit_sign(h, PLHomeo._chains.func(h), max_q)",
            (STEPS, "tests/test_rotnum.py::test_rotation_number_reads_the_chains_once")),
+    # a map builds its chain list once, and every reader extends that one
+    # prefix; a reader takes exactly the positions it needs from it
+    Mutant("chains-cache-bypassed", "homeo", "PLHomeo._chains",
+           "@cached_property", "@property", (SHARED,)),
+    Mutant("growth-reads-the-whole-shared-orbit", "cocycle", "growth_sequences",
+           "[0][1:c + 1]", "[0][1:]", (SHARED,)),
     # a q past the precision's reach raises w and computes both logs again
     Mutant("log-ratio-keeps-its-first-precision", "rotnum", "_LogRatio.enclosed",
            "if need > self.w:", "if not self.w:",
@@ -160,9 +169,9 @@ MUTANTS = [
            "S + 3 * n + 2", "S + 3 * n",
            ("tests/test_rotnum.py::test_ln_enclosure_contains_decimal_ln",)),
     # succ maps each y_i mod 1 onto an x_j; a cycle closes on its own head
-    Mutant("chains-successor-in-lift-coordinates", "rotnum", "_chains",
+    Mutant("chains-successor-in-lift-coordinates", "homeo", "PLHomeo._chains",
            "index.get((r % t, t))", "index.get((r, t))", (CHAIN_SHAPES, STEPS)),
-    Mutant("chains-cycle-flag-inverted", "rotnum", "_chains",
+    Mutant("chains-cycle-flag-inverted", "homeo", "PLHomeo._chains",
            "chains.append((members, i is not None,", "chains.append((members, i is None,",
            (CHAIN_SHAPES, "tests/test_cocycle.py::"
                           "test_growth_sequences_match_oracle_on_chains_and_cycles")),
@@ -278,6 +287,16 @@ MUTANTS = [
     Mutant("growth-head-one-step-ahead", "cocycle", "growth_sequences",
            "keys[b + (s + t) % c]", "keys[b + (s + t + 1) % c]",
            ("tests/test_cocycle.py::test_growth_sequences_match_oracles",)),
+    # growth_params on ints: a slope is logged in lowest terms, as a
+    # Fraction holds it, f contracts on (a, b) when F(m) moved into [a, a +
+    # 1) lies below the midpoint m, and b is lifted past a when it is not
+    # already past it
+    Mutant("growth-params-slope-row-unreduced", "cocycle", "growth_params",
+           "g0, g1 = gcd(a0, e0), gcd(a1, e1)", "g0, g1 = 1, 1", PARAMS),
+    Mutant("growth-params-midpoint-comparison-flipped", "cocycle", "growth_params",
+           "(p - k * q) * d < n * q", "(p - k * q) * d > n * q", PARAMS),
+    Mutant("growth-params-wrap-dropped", "cocycle", "growth_params",
+           "bn += bd", "bn += 0", PARAMS),
     # a request that starts with a command's name goes to that command's
     # parser without the name; any other goes to the root parser
     Mutant("dispatch-passes-the-command-word", "cli", "main",

@@ -12,8 +12,9 @@ from plcircle import (CirclePoint, ExoticParams, FiniteVector, GrowthParams,
                       PLHomeo, affine_apply, breakpoint_growth, exotic_element,
                       fixed_points, from_lift_vertices, growth_params,
                       growth_sequences, identity, jump_cocycle, l2_norm_sq,
-                      orbit_norm_seq, random_pl, reduce_mod1, rotation)
-from plcircle import circle, cocycle, homeo
+                      orbit_norm_seq, random_pl, reduce_mod1, rotation,
+                      rotation_number)
+from plcircle import circle, cocycle, homeo, rotnum
 from plcircle.circle import frac_mod1
 
 STD = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
@@ -45,6 +46,25 @@ def fixing_zero(h):
 # half of the maps fix 0, so growth_params reaches both of its branches
 half_fixing_zero = st.tuples(random_maps, st.booleans()).map(
     lambda t: fixing_zero(t[0]) if t[1] else t[0])
+
+
+@st.composite
+def fixed_arc_maps(draw):
+    """A map on the grid 1/n that is the identity on the arc [a, b], with
+    vertices (c, d), (d, c) or (c, (c + d) / 2), (d, d) beyond it, the last
+    a second fixed arc from d on; the shift s may carry an arc past 1."""
+    n = draw(st.integers(4, 40))
+    a, b, c, d = sorted(draw(st.lists(st.integers(0, n - 1), min_size=4,
+                                      max_size=4, unique=True)))
+    kinks = draw(st.sampled_from([[(c, d)], [(d, c)], [(c, c + (d - c) // 2), (d, d)]]))
+    s = draw(st.integers(0, n - 1))
+    return PLHomeo([(F((x + s) % n, n), F((y + s) % n, n))
+                    for x, y in [(a, a), (b, b)] + kinks])
+
+
+# the identity on [3/4, 5/4], contracting on (1/4, 3/4): the fixed arc
+# wraps past 1, so the support component's end is no later than its start
+WRAPPED_ARC = PLHomeo([(F(1, 4), F(1, 4)), (F(1, 2), F(3, 8)), (F(3, 4), F(3, 4))])
 
 
 def telescoped_product(h):
@@ -319,6 +339,8 @@ def test_growth_sequences_match_oracle_on_chains_and_cycles(f, N):
     (random_pl(5, 4, 32), 60, 236),  # no chain: one orbit per head
 ], ids=["std", "exotic_6_2", "cycle", "chain_free"])
 def test_growth_sequences_step_one_orbit_per_chain(monkeypatch, f, N, steps):
+    # a map of its own: the maps above keep the orbits other tests stepped
+    f = PLHomeo(f.verts)
     want = oracle_growth_sequences(f, N)
     step, calls = PLHomeo._advance, []
 
@@ -468,9 +490,11 @@ def params_outcome(fn, f):
             gp.analyzed_inverse)
 
 
-@given(half_fixing_zero, vectors)
+@given(st.one_of(half_fixing_zero, fixed_arc_maps()), vectors)
 @example(STD, FiniteVector.empty())
 @example(STD.inverse(), FiniteVector.empty())  # the inverse branch
+@example(WRAPPED_ARC, FiniteVector.empty())
+@example(WRAPPED_ARC.inverse(), FiniteVector.empty())
 @settings(max_examples=150, deadline=None)
 def test_inverse_read_off_h_matches_oracles(h, v):
     assert affine_apply(h, v) == oracle_affine_apply(h, v)
@@ -509,6 +533,103 @@ def test_cocycle_builds_no_inverse(monkeypatch):
         assert params_outcome(growth_params, f) == want
         assert calls == [f]
     assert growth_params(std_inv).analyzed_inverse
+
+
+def test_growth_params_reduces_no_fraction(monkeypatch):
+    # the components are ordered on integer keys, each midpoint is one
+    # kernel step and one comparison of ints, and the slopes are rows of
+    # ints: no lift_eval, no Fraction slope, order, sum, product or floor
+    # (equality is no arithmetic: fixed_points sorts its points by it)
+    maps = [STD, STD.inverse(), WRAPPED_ARC, WRAPPED_ARC.inverse(),
+            fixing_zero(random_pl(3, 4, 32)), fixing_zero(random_pl(8, 6, 64)).inverse()]
+    want = [params_outcome(oracle_growth_params, f) for f in maps]
+
+    def forbidden(*args):
+        raise AssertionError("growth_params used a Fraction path")
+
+    for name in ("lift_eval", "left_right_slopes"):
+        monkeypatch.setattr(PLHomeo, name, forbidden)
+    for mod in (circle, homeo, cocycle):
+        if hasattr(mod, "frac_mod1"):
+            monkeypatch.setattr(mod, "frac_mod1", forbidden)
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__add__", "__radd__", "__sub__",
+               "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+               "__floordiv__", "__mod__", "__neg__", "__floor__"):
+        monkeypatch.setattr(F, op, forbidden)
+    for f, w in zip(maps, want):
+        assert params_outcome(growth_params, f) == w
+
+
+# -- readers of one map share its breakpoint orbits ------------------------
+#
+# rotation_number and growth_sequences read the map's one chain list,
+# PLHomeo._chains, which rotnum._head_orbit extends in place, so a call may
+# find a head's orbit stepped further than it reads.  Each call must give
+# what it gives on a fresh map, whatever ran on the map before it, and a
+# call made again steps no breakpoint orbit.
+
+SHARED_MAPS = ([random_pl(s, 1 + s % 6, 32) for s in range(10)]
+               + [fixing_zero(random_pl(s, 2 + s % 4, 32)) for s in range(4)]
+               + [conjugate(random_pl(s, 3, 32), rotation(F(s + 1, 9))) for s in range(3)]
+               + [conjugate(random_pl(1, 2, 16), exotic_element(ExoticParams(F(5), F(2)))),
+                  exotic_element(ExoticParams(F(6), F(2))), STD, CYCLE, WRAPPED_ARC])
+
+READERS = {
+    "rotation_number": rotation_number,
+    "rotation_number_2000": lambda f: rotation_number(f, max_q=2000),
+    "growth_40": lambda f: growth_sequences(f, 40),
+    "growth_7": lambda f: growth_sequences(f, 7),
+    "growth_params": lambda f: params_outcome(growth_params, f),
+}
+
+
+def counted_advance(call, f):
+    """call(f) and the pairs of the _advance calls it made."""
+    step, calls = PLHomeo._advance, []
+
+    def counting_step(self, n, d):
+        calls.append((n, d))
+        return step(self, n, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PLHomeo, "_advance", counting_step)
+        return call(f), calls
+
+
+@pytest.mark.parametrize("h", SHARED_MAPS)
+def test_readers_of_one_map_share_its_orbit_prefix(monkeypatch, h):
+    # growth_sequences keys exactly the points it reads, however far the
+    # orbits run: the number of points each _order_keys call gets is part
+    # of a call's result here
+    keyed, order_keys = [], cocycle._order_keys
+    monkeypatch.setattr(cocycle, "_order_keys",
+                        lambda pairs: keyed.append(len(pairs)) or order_keys(pairs))
+
+    def read(name, f):
+        keyed.clear()
+        return repr(READERS[name](f)), keyed[:]
+
+    names = list(READERS)
+    want = {name: read(name, PLHomeo(h.verts)) for name in names}
+    orders = [names[i:] + names[:i] for i in range(len(names))] + [names[::-1]]
+    for order in orders:
+        f = PLHomeo(h.verts)
+        for name in order:
+            assert read(name, f) == want[name], (order, name)
+        # again: growth_sequences steps nothing, and rotation_number steps
+        # only the orbit of 0, which it does not keep
+        for name in order:
+            lengths = [len(pairs) for *_, pairs, _ in f._chains]
+            got, calls = counted_advance(lambda f: read(name, f), f)
+            assert got == want[name], (order, name)
+            assert [len(pairs) for *_, pairs, _ in f._chains] == lengths
+            if name.startswith("growth_"):
+                assert calls == [] or name == "growth_params"
+            elif calls:
+                orbit = [(0, 1)]
+                while len(orbit) < len(calls):
+                    orbit.append(rotnum._lift_iterate(f, orbit[-1], 1))
+                assert calls == orbit, name
 
 
 def oracle_subset_products(values):

@@ -755,8 +755,8 @@ def test_exotic_rotation_number_closed_form(A, lam, exact):
 # -- one orbit per chain of breakpoints, against the body it replaced -------
 #
 # _orbit_sign reads one lift orbit per chain of breakpoints, each the image
-# of the one before mod 1: _chains reads the chain's own members off the
-# vertices, and _head_orbit steps the rest.  Its oracle is the body before
+# of the one before mod 1: PLHomeo._chains reads the chain's own members off
+# the vertices, and _head_orbit steps the rest.  Its oracle is the body before
 # chains, kept here verbatim but for its kernel, now _advance: it steps the
 # orbit of every breakpoint.
 
@@ -857,26 +857,32 @@ CHAINED = ([conjugate(random_pl(s, k, 64), rotation(alpha))
               for A, lam in [(4, 2), (6, 2), (7, 3)]])
 
 
+def fresh(h):
+    """A map equal to h whose chain list no reader has stepped yet: h's
+    own list is shared by every call on h, and keeps what they stepped."""
+    return PLHomeo(h.verts)
+
+
 def shapes(h):
     """Each chain of h as (members, cycle), its head orbit left out."""
-    return [chain[:2] for chain in rotnum._chains(h)]
+    return [chain[:2] for chain in h._chains]
 
 
 def test_chain_heads_of_known_maps():
     (members, cycle), = shapes(ONE_CYCLE)
     assert len(ONE_CYCLE.verts) == 4 and sorted(members) == [0, 1, 2, 3] and cycle
-    assert len(MEDIAN.verts) == 16 and len(rotnum._chains(MEDIAN)) == 8
+    assert len(MEDIAN.verts) == 16 and len(MEDIAN._chains) == 8
     # 0 is fixed: a cycle of one, after the chain of the breakpoint 1/2
     assert shapes(STD) == [([1], False), ([0], True)]
     for h in CHAINED:
-        assert len(rotnum._chains(h)) < len(h.verts)
+        assert len(h._chains) < len(h.verts)
     for h in CHAIN_FREE:
         assert shapes(h) == [([i], False) for i in range(len(h.verts))]
-    assert rotnum._chains(rotation(F(1, 3))) == rotnum._chains(rotation(0)) == []
+    assert rotation(F(1, 3))._chains == rotation(0)._chains == []
     for h in CHAINED + CHAIN_FREE + [STD]:
         x = [(v.numerator, v.denominator) for v, _ in h.verts]
         y = [(v.numerator % v.denominator, v.denominator) for _, v in h.verts]
-        chains = rotnum._chains(h)
+        chains = fresh(h)._chains
         assert sorted(i for members, *_ in chains for i in members) == list(range(len(x)))
         for members, cycle, pairs, winds in chains:
             # a new chain holds its head and its members' images: position
@@ -895,7 +901,7 @@ def test_chain_heads_of_known_maps():
 @pytest.mark.parametrize("h", CHAINED + CHAIN_FREE + [STD])
 def test_chain_heads_give_every_sign_all_breakpoints_give(h):
     max_q = 32
-    sign, want = rotnum._orbit_sign(h, rotnum._chains(h), max_q), oracle_orbit_sign(h, max_q)
+    sign, want = rotnum._orbit_sign(h, h._chains, max_q), oracle_orbit_sign(h, max_q)
     for q in range(1, max_q + 1):
         for p in range(q + 1):
             assert sign(p, q) == want(p, q), (p, q)
@@ -914,7 +920,8 @@ def oracle_lift_eval(h, t):
 def test_head_orbit_matches_fraction_oracle(h):
     # positions up to a chain's length are read off the vertices, the rest
     # stepped: every one must be F^t(x_head), in lowest terms with 0 <= r < d
-    for chain in rotnum._chains(h):
+    h = fresh(h)
+    for chain in h._chains:
         pairs, winds = rotnum._head_orbit(h, chain, 40)
         assert len(pairs) == len(winds) == 41
         t = h.verts[chain[0][0]][0]
@@ -968,20 +975,24 @@ C_JSON = dyadic_conjugate(exotic_element(ExoticParams(F(6), F(2))))
     (C_JSON, RotNumResult(lo=F(306, 791), hi=F(53, 137), depth=16), 89),
 ])
 def test_rotation_number_steps_one_orbit_per_chain(h, rho, steps):
-    assert counted_rotation_number(h, 32, 16) == (rho, steps)
+    assert counted_rotation_number(fresh(h), 32, 16) == (rho, steps)
 
 
 @pytest.mark.parametrize("h", [random_pl(3, 4, 32), C_JSON])
 def test_rotation_number_reads_the_chains_once(h):
-    # _periodic and the descent share one chain list, whether the gate
-    # fails (a chain of one) or passes with no return within max_q
-    chains, calls = rotnum._chains, []
+    # _periodic and the descent read the map's one chain list, whether the
+    # gate fails (a chain of one) or passes with no return within max_q
+    f, read = fresh(h), []
+    periodic, orbit_sign = rotnum._periodic, rotnum._orbit_sign
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rotnum, "_chains", lambda h: calls.append(h) or chains(h))
-        rotation_number(h)
-    assert calls == [h]
-    assert rotnum._periodic(h, chains(h), 32) is None
-    assert gate_passes(h) == (h is C_JSON)
+        mp.setattr(rotnum, "_periodic", lambda f, chains, max_q:
+                   read.append(chains) or periodic(f, chains, max_q))
+        mp.setattr(rotnum, "_orbit_sign", lambda f, chains, max_q:
+                   read.append(chains) or orbit_sign(f, chains, max_q))
+        rotation_number(f)
+    assert len(read) == 2 and read[0] is read[1] is f._chains
+    assert rotnum._periodic(f, f._chains, 32) is None
+    assert gate_passes(f) == (h is C_JSON)
 
 
 @pytest.mark.parametrize("h", [MEDIAN, ONE_CYCLE, STD, random_pl(3, 4, 32),
@@ -1010,8 +1021,10 @@ def test_heads_read_one_at_a_time_match_the_held_oracle(sweep, max_q, depth):
     # same; a read that stops early steps no head further than before
     fewer = 0
     for h in sweep:
-        got, steps = counted_rotation_number(h, max_q, depth)
-        want, held_steps = counted_rotation_number(h, max_q, depth, held_orbit_sign)
+        # each side steps its own map: a second call on h would read the
+        # orbits the first one stepped
+        got, steps = counted_rotation_number(fresh(h), max_q, depth)
+        want, held_steps = counted_rotation_number(fresh(h), max_q, depth, held_orbit_sign)
         assert got == want, h
         assert steps <= held_steps, h
         fewer += steps < held_steps
@@ -1039,7 +1052,7 @@ def descent_rotation_number(h, max_q=32, depth=16):
     if h.is_rotation:  # its one vertex is (0, rho)
         return RotNumResult(exact=h.verts[0][1])
     logs = rotnum._log_ratio(h)
-    sign = rotnum._orbit_sign(h, rotnum._chains(h), max_q) if logs is None else logs.sign
+    sign = rotnum._orbit_sign(h, h._chains, max_q) if logs is None else logs.sign
     if not (sign(0, 1) and sign(1, 1)):
         return RotNumResult(exact=F(0))
     lo, hi = F(0), F(1)
@@ -1064,7 +1077,7 @@ def descent_rotation_number(h, max_q=32, depth=16):
 def gate_passes(h):
     """Every chain's product of the jumps J(h, x_m), read from _jumps."""
     return all(math.prod(h._jumps[m] for m in members) == 1
-               for members, *_ in rotnum._chains(h))
+               for members, *_ in h._chains)
 
 
 def check_certificate(h, rho):
@@ -1072,7 +1085,7 @@ def check_certificate(h, rho):
     F^t(c) = c + W with W = p mod t, and F^s(c) - c no integer for
     0 < s < t."""
     t = rho.denominator
-    for members, *_ in rotnum._chains(h):
+    for members, *_ in h._chains:
         c = x = h.verts[members[0]][0]
         for s in range(1, t + 1):
             x = oracle_lift_eval(h, x)
@@ -1115,12 +1128,12 @@ def counted_steps(f, h, max_q, depth):
 def test_periodic_certificate_matches_the_descent_oracle(certificate_sweep, max_q, depth):
     kinds = Counter()
     for h in certificate_sweep:
-        got, steps = counted_steps(rotation_number, h, max_q, depth)
-        want, descent_steps = counted_steps(descent_rotation_number, h, max_q, depth)
+        got, steps = counted_steps(rotation_number, fresh(h), max_q, depth)
+        want, descent_steps = counted_steps(descent_rotation_number, fresh(h), max_q, depth)
         assert got == want, h
         if h.is_rotation or rotnum._log_ratio(h) is not None:
             continue  # no orbit is read
-        rho = rotnum._periodic(h, rotnum._chains(h), max_q)
+        rho = rotnum._periodic(h, h._chains, max_q)
         if rho is not None:
             assert got == RotNumResult(exact=rho), h
             check_certificate(h, rho)
@@ -1134,7 +1147,7 @@ def test_periodic_certificate_matches_the_descent_oracle(certificate_sweep, max_
             assert steps <= descent_steps + max_q, h
             kinds["gated"] += 1
             # a period of 5 past max_q = 4 ends in the descent's bracket
-            kinds["period 5"] += (rotnum._periodic(h, rotnum._chains(h), 5) is not None
+            kinds["period 5"] += (rotnum._periodic(h, h._chains, 5) is not None
                                   and not got.is_exact)
         else:
             # a map with a chain of one breakpoint walks nothing
