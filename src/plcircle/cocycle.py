@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, log
 from typing import Dict, List, NamedTuple, Tuple
 
-from .circle import CirclePoint, _Frozen, _check_ints, _order_keys, _quote, reduce_mod1
+from .circle import CirclePoint, _Frozen, _check_ints, _coprime, _order_keys, _quote
 from .homeo import PLHomeo
 from .rotnum import _head_orbit, fixed_points
 
@@ -84,8 +84,8 @@ def affine_apply(h: PLHomeo, v: FiniteVector) -> FiniteVector:
     """Affine isometric action: new value at x is v(h^{-1}(x)) * jump(h^{-1}, x).
     So v(p) moves to h(p), and 1/J(h, b) multiplies into h(b) for b in BP(h)."""
     d = {h.eval(p): w for p, w in v.entries}
-    for (_, y), j in zip(h.verts, h._jumps):
-        x = reduce_mod1(y)
+    for (_, _, r, t), j in zip(h._quads, h._jumps):
+        x = CirclePoint(_coprime(r % t, t))
         d[x] = d.get(x, 1) / j
     return FiniteVector.from_dict(d)
 

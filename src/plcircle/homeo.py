@@ -6,23 +6,23 @@ period, y_0 in [0,1), y strictly increasing, and an implicit closing
 vertex (x_0 + 1, y_0 + 1).  Canonical form: every stored vertex is a
 genuine breakpoint (adjacent slopes differ cyclically) and the base
 vertex is the smallest breakpoint; rotations are stored as the single
-vertex (0, alpha).  Input is canonicalized in integers: each coordinate is
+vertex (0, alpha).  A map stores its vertices as lowest-terms integer
+quadruples (x_n, x_d, y_n, y_d) and builds their Fractions, `verts`, on
+first read alone.  Input is canonicalized in integers: each coordinate is
 read as a (numerator, denominator) pair, a documented "p/q" string by
 circle._ints' two int() calls, and reduced over the lcms L and M of its x
-and y denominators, L then shrunk by one gcd to the kept vertices, with a
-Fraction built only for each kept vertex.  Evaluation runs on an integer
-table, which each map gets once from whoever built it: a point's piece is
-found on the common grid, L and the x_i L, and each piece is one row in
-lowest terms, F(u) = (alpha_i u + beta_i) / gamma_i, built from its own two
-vertices by one formula, _layout, so a row has the bits of its piece, not
-of L.  The constructor and rotation call it on their own integers, a
-composite or a conjugator on first use (_table), and the inverse moves the
-rows of the map it inverts.  One kernel, _advance, steps pairs in lowest
-terms and returns the index of the breakpoint it hit, not its jump, and
-builds no Fraction: the orbit passes, compose, which reads the two vertex
-lists with one step per breakpoint, and eval, lift_eval and jump, which
-pass a Fraction's own pair, all call it, and a result becomes a Fraction
-with no gcd (circle._coprime).
+and y denominators, L then shrunk by one gcd to the kept vertices.
+Evaluation runs on an integer table, which each map gets once from whoever
+built it: a point's piece is found on the common grid, L and the x_i L,
+and each piece is one row in lowest terms, F(u) = (alpha_i u + beta_i) /
+gamma_i, built from its own two vertices by one formula, _layout, so a row
+has the bits of its piece, not of L.  The constructor and rotation call it
+on their own integers, a composite or a conjugator on first use (_table),
+and the inverse moves the rows of the map it inverts.  One kernel,
+_advance, steps pairs in lowest terms and returns the index of the
+breakpoint it hit, not its jump: the orbit passes, compose, which reads
+the two quadruple lists with one step per breakpoint, and eval, lift_eval
+and jump all call it, and no step builds a Fraction.
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ def _pair(q) -> Tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _layout(L: int, X: List[int], P: List[Tuple[int, int, int, int]]):
+def _layout(L: int, X: List[int], P: Tuple[Tuple[int, int, int, int], ...]):
     """The integer table of the lift vertices (p_i / q_i, r_i / t_i), given
     as the quadruples P_i = (p_i, q_i, r_i, t_i) of their lowest terms, with
     p_i / q_i = X_i / L: L, the X_i, and piece i as its row (alpha_i,
@@ -78,7 +78,7 @@ def _layout(L: int, X: List[int], P: List[Tuple[int, int, int, int]]):
     p, q, r, t = P[0]
     closing = (p + q, q, r + t, t)
     rows = []
-    for (p, q, r, t), (p1, q1, r1, t1) in zip(P, P[1:] + [closing]):
+    for (p, q, r, t), (p1, q1, r1, t1) in zip(P, (*P[1:], closing)):
         dx, dy = p1 * q - p * q1, r1 * t - r * t1
         a, b, c = dy * q * q1, r * t1 * dx - dy * p * q1, dx * t * t1
         g = gcd(a, b, c)
@@ -93,8 +93,9 @@ def _lowest(n: int, d: int) -> Tuple[int, int]:
 
 
 def _canonical(pairs):
-    """Canonicalize vertex pairs, in circle or lift coordinates, into lift
-    vertices, returned with their integer table (see PLHomeo._table).
+    """Canonicalize vertex pairs, in circle or lift coordinates, into the
+    lowest-terms quadruples of the lift vertices (PLHomeo._quads), returned
+    with their integer table (see PLHomeo._table).
 
     Merges vertices where the slope does not change and rebases at the
     smallest breakpoint; a map with no breakpoint collapses to a rotation.
@@ -107,7 +108,7 @@ def _canonical(pairs):
     one gcd(L, *X) over the kept vertices shrinks L to the lcm of the kept x
     denominators, which makes the grid the one the vertices alone give.
     Each kept coordinate is put in lowest terms by one gcd of its two ints,
-    and the Fractions and the rows (_layout) are built from those.
+    and the rows (_layout) are built from those quadruples; no Fraction is.
     """
     pairs = [(_pair(x), _pair(y)) for x, y in pairs]
     if not pairs:
@@ -140,9 +141,8 @@ def _canonical(pairs):
     g = gcd(L, *X)
     if g != 1:
         L, X = L // g, [x // g for x in X]
-    P = [_lowest(x, L) + _lowest(y, M) for x, y in zip(X, Y)]
-    return (tuple((_coprime(p, q), _coprime(r, t)) for p, q, r, t in P),
-            _layout(L, X, P))
+    P = tuple(_lowest(x, L) + _lowest(y, M) for x, y in zip(X, Y))
+    return P, _layout(L, X, P)
 
 
 class PLHomeo(_Frozen):
@@ -153,18 +153,19 @@ class PLHomeo(_Frozen):
     InvalidHomeoError when they do not define a homeomorphism.  Maps the
     library derives from canonical maps are built in canonical form
     directly, through _of_canonical: `inverse` (swapping coordinates merges
-    nothing, as the slopes invert), `compose` (from the two vertex lists, it
-    keeps the cuts whose chain-rule jump is not 1), `rotation` and
+    nothing, as the slopes invert), `compose` (from the two quadruple lists,
+    it keeps the cuts whose chain-rule jump is not 1), `rotation` and
     `synthesize_conjugator` (its support points are sorted, distinct, and
     all true breakpoints); inverse and rotation pass their tables.
 
-    Two maps are equal when their vertices are.  Canonical vertices are
-    Fractions in lowest terms, so equal maps have the same ints, and both
-    __eq__ and __hash__ read those ints, not Fraction hashes or Fraction
-    comparisons, in place of _Frozen's.  A map has no __slots__: its table,
-    jumps, inverse and breakpoint chains are kept in its __dict__, each built
-    once; the chains hold the head orbits its readers have stepped, so a
-    map keeps those positions for as long as it lives."""
+    A map always holds _quads, its canonical vertices as a tuple of
+    lowest-terms integer quadruples (x_n, x_d, y_n, y_d), and holds `verts`,
+    the same as (Fraction, Fraction) pairs, only once that is read.  Equal
+    maps have equal quadruples, which __eq__ and __hash__ compare and hash
+    in place of _Frozen's.  A map has no __slots__: its vertex Fractions,
+    table, jumps, inverse and breakpoint chains are kept in its __dict__,
+    each built once; the chains hold the head orbits its readers have
+    stepped, so a map keeps those positions for as long as it lives."""
 
     _fields = ("verts",)
 
@@ -172,31 +173,30 @@ class PLHomeo(_Frozen):
         self._init(verts)
 
     def __post_init__(self):
-        verts, table = _canonical(self.verts)
-        object.__setattr__(self, "verts", verts)
+        quads, table = _canonical(self.__dict__.pop("verts"))  # the raw input, set by _init
+        object.__setattr__(self, "_quads", quads)
         object.__setattr__(self, "_table", table)  # where the cached property keeps it
 
-    def _key(self) -> List[Tuple[int, int, int, int]]:
-        # the two slots of each Fraction, as circle._coprime sets them: a read
-        # of the .numerator property costs more than comparing the ints
-        return [(x._numerator, x._denominator, y._numerator, y._denominator)
-                for x, y in self.verts]
+    @cached_property
+    def verts(self) -> Tuple[Vertex, ...]:
+        """The vertices as (Fraction, Fraction) pairs, from _quads with no gcd."""
+        return tuple((_coprime(p, q), _coprime(r, t)) for p, q, r, t in self._quads)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PLHomeo):
             return NotImplemented
-        return self._key() == other._key()
+        return self._quads == other._quads
 
     def __hash__(self) -> int:
-        return hash(tuple(self._key()))
+        return hash(self._quads)
 
     @classmethod
-    def _of_canonical(cls, verts: Tuple[Vertex, ...], table=None) -> "PLHomeo":
+    def _of_canonical(cls, quads, table=None) -> "PLHomeo":
         """The map with these vertices, which must already be in canonical
-        form, as a tuple of (Fraction, Fraction) tuples, and with their
+        form, as a tuple of lowest-terms quadruples (_quads), and with their
         integer table when the builder has it; nothing is checked."""
         h = object.__new__(cls)
-        object.__setattr__(h, "verts", verts)
+        object.__setattr__(h, "_quads", quads)
         if table is not None:
             object.__setattr__(h, "_table", table)
         return h
@@ -210,7 +210,7 @@ class PLHomeo(_Frozen):
         reads J(h, x_i); empty for a rotation.  Built on first use: the
         orbit pass binds it once per map, and rotation_number never reads it."""
         R = self._table[2]
-        return tuple(Fraction(a * R[i - 1][2], R[i - 1][0] * c)
+        return tuple(_coprime(*_lowest(a * R[i - 1][2], R[i - 1][0] * c))
                      for i, (a, _, c) in enumerate(R)) if len(R) > 1 else ()
 
     @cached_property
@@ -219,7 +219,7 @@ class PLHomeo(_Frozen):
         cycle, pairs, winds): its indices in order, True for a cycle, and its
         head's orbit F^t(x_head) = r_t/d_t + w_t as lists of lowest-terms
         (r_t, d_t), 0 <= r_t < d_t, and windings w_t, read here to position
-        len(members) off the ints of _key: F maps x_m + w to y_m + w, m =
+        len(members) off _quads: F maps x_m + w to y_m + w, m =
         members[t - 1].  With succ(i) = j when y_i = x_j mod 1, each
         breakpoint has at most one predecessor (the map is injective), so succ
         splits them into chains, from a breakpoint with no predecessor to one
@@ -235,7 +235,7 @@ class PLHomeo(_Frozen):
         as it lives."""
         if self.is_rotation:
             return []
-        key = self._key()
+        key = self._quads
         index = {(p, q): j for j, (p, q, _, _) in enumerate(key)}
         succ = [index.get((r % t, t)) for _, _, r, t in key]
         starts = set(range(len(succ))).difference(succ)
@@ -258,16 +258,17 @@ class PLHomeo(_Frozen):
     @property
     def breakpoints(self) -> Tuple[CirclePoint, ...]:
         # every x_i lies in [x_0, 1): a smaller one would be the base
-        return tuple(CirclePoint(x) for x, _ in self.verts) if len(self.verts) > 1 else ()
+        Q = self._quads
+        return tuple(CirclePoint(_coprime(p, q)) for p, q, _, _ in Q) if len(Q) > 1 else ()
 
     @property
     def is_identity(self) -> bool:
         # a rotation has one vertex, (0, rho); the identity is rho = 0
-        return len(self.verts) == 1 and not self.verts[0][1]
+        return len(self._quads) == 1 and not self._quads[0][2]
 
     @property
     def is_rotation(self) -> bool:
-        return len(self.verts) == 1
+        return len(self._quads) == 1
 
     # -- evaluation --------------------------------------------------------
 
@@ -277,9 +278,11 @@ class PLHomeo(_Frozen):
 
     def lift_eval_inverse(self, t: Fraction) -> Fraction:
         """F^{-1}(t) for the canonical lift F: the canonical lift G of h^{-1}
-        minus the integer G(y_0) - x_0, which is 0 or 1."""
-        inv, (x0, y0) = self.inverse(), self.verts[0]
-        return inv.lift_eval(t) - (inv.lift_eval(y0) - x0)
+        minus the integer k = G(y_0) - x_0, 0 or 1, over x_0's denominator."""
+        inv, (p, q, r, s) = self.inverse(), self._quads[0]
+        k = (inv._advance(r, s)[0] - p) // q
+        n, d, _ = inv._advance(t.numerator, t.denominator)
+        return _coprime(n - k * d, d)
 
     def eval(self, p: CirclePoint) -> CirclePoint:
         n, d, _ = self._advance(p.value.numerator, p.value.denominator)
@@ -320,8 +323,7 @@ class PLHomeo(_Frozen):
         but evaluates none, and eager tables made it 20% slower; a
         conjugator's angles are read off its synthesis sums, and its rows
         cost about a quarter of the synthesis."""
-        P = [(x.numerator, x.denominator, y.numerator, y.denominator)
-             for x, y in self.verts]
+        P = self._quads
         L = math.lcm(*(q for _, q, _, _ in P))
         return _layout(L, [p * (L // q) for p, q, _, _ in P], P)
 
@@ -364,7 +366,7 @@ class PLHomeo(_Frozen):
     # -- group operations --------------------------------------------------
 
     def compose(self, other: "PLHomeo") -> "PLHomeo":
-        """self o other, from the two vertex lists with one _advance per
+        """self o other, from the two quadruple lists with one _advance per
         breakpoint.  With G the canonical lift of other, the lift F o G breaks
         only at the cuts BP(other) and other^{-1}(BP(self)).  At a vertex
         (x_j, y_j) of other, one step of self at y_j gives F(y_j) and the
@@ -374,39 +376,37 @@ class PLHomeo(_Frozen):
         value there is v_i moved by an integer and the jump J(self, u_i) is
         not 1.  The kept cuts are ordered as integer pairs and the lifted
         values shifted by one floor; every cut and value is a lowest-terms
-        pair from _advance, or a vertex moved by an integer, so each becomes
-        a Fraction with no gcd."""
-        fv, gv = self.verts, other.verts
-        if len(fv) == len(gv) == 1:
-            return rotation(fv[0][1] + gv[0][1])
-        cuts = []  # (cut, numerator, denominator of the lifted value)
-        for (x, y), Jg in zip(gv, other._jumps):
-            n, d, j = self._advance(y.numerator, y.denominator)
+        pair from _advance, or a vertex moved by an integer, so each vertex
+        is a quadruple with no gcd taken, and no Fraction is built."""
+        fq, gq = self._quads, other._quads
+        if len(fq) == len(gq) == 1:
+            (_, _, a, b), (_, _, c, d) = fq[0], gq[0]
+            return _rotation(a * d + c * b, b * d)
+        cuts = []  # (cut numerator, denominator, lifted value numerator, denominator)
+        for (x, e, y, yd), Jg in zip(gq, other._jumps):
+            n, d, j = self._advance(y, yd)
             Jf = self._jumps[j] if j >= 0 else _ONE
             # jumps are in lowest terms: Jg Jf = 1 exactly when they are reciprocal
             if Jg.numerator != Jf.denominator or Jg.denominator != Jf.numerator:
-                cuts.append((x, n, d))
-        if len(fv) > 1:
+                cuts.append((x, e, n, d))
+        if len(fq) > 1:
             # the inverse's canonical lift is G^{-1} + s, with s = 1 when a
             # vertex image of other is >= 1.  (For a rotation by alpha > 0 it
             # is G^{-1} + 1 too, but then every cut comes from this loop and
             # the shift by one floor drops the common integer.)
-            s = gv[-1][1] >= 1
+            s = gq[-1][2] >= gq[-1][3]
             inv = other.inverse()
-            for u, v in fv:
-                p, q, j = inv._advance(u.numerator, u.denominator)
+            for u, ud, v, vd in fq:
+                p, q, j = inv._advance(u, ud)
                 if j < 0:  # u is no image of a breakpoint of other
                     # c = G^{-1}(u) mod 1, and F(G(c)) = v + s - floor(p/q)
-                    w = s - p // q
-                    cuts.append((_coprime(p % q, q), v.numerator + w * v.denominator,
-                                 v.denominator))
-        if not cuts:  # every cut cancelled, and the first loop ran
-            return rotation(Fraction(n, d) - x)
-        keys = _order_keys([(c.numerator, c.denominator) for c, _, _ in cuts])
+                    cuts.append((p % q, q, v + (s - p // q) * vd, vd))
+        if not cuts:  # every cut cancelled, and the first loop ran: n/d - x/e
+            return _rotation(n * e - x * d, d * e)
+        keys = _order_keys([cut[:2] for cut in cuts])
         cuts = [cut for _, cut in sorted(zip(keys, cuts))]  # the keys are distinct
-        m = cuts[0][1] // cuts[0][2]
-        return PLHomeo._of_canonical(tuple(
-            (c, _coprime(n - m * d, d)) for c, n, d in cuts))
+        m = cuts[0][2] // cuts[0][3]
+        return PLHomeo._of_canonical(tuple((c, e, n - m * d, d) for c, e, n, d in cuts))
 
     def inverse(self) -> "PLHomeo":
         """h^{-1}, built once per map: swap the coordinates and rebase at the
@@ -429,21 +429,19 @@ class PLHomeo(_Frozen):
         by a multiple of gamma or alpha, which keeps the row in lowest
         terms with no gcd.  The x_i lie in [x_0, 1), else a smaller would be
         the base."""
-        verts = self.verts
-        if len(verts) == 1:
-            return rotation(-verts[0][1])
-        M = math.lcm(*(y.denominator for _, y in verts))
-        Y = [y.numerator * (M // y.denominator) for _, y in verts]
+        Q = self._quads
+        if len(Q) == 1:
+            return _rotation(-Q[0][2], Q[0][3])
+        M = math.lcm(*(t for _, _, _, t in Q))
+        Y = [r * (M // t) for _, _, r, t in Q]
         s = Y[-1] >= M
         j = bisect_left(Y, M) if s else 0
-        verts = (tuple((_coprime(y.numerator - s * y.denominator, y.denominator), x)
-                       for x, y in verts[j:])
-                 + tuple((y, _coprime(x.numerator + x.denominator, x.denominator))
-                         for x, y in verts[:j]))
+        quads = (tuple((r - s * t, t, p, q) for p, q, r, t in Q[j:])
+                 + tuple((r, t, p + q, q) for p, q, r, t in Q[:j]))
         R = self._table[2]
         rows = ([(c, c * s - b, a) for a, b, c in R[j:]]
                 + [(c, a - b, a) for a, b, c in R[:j]])
-        return PLHomeo._of_canonical(verts, (M, [y - s * M for y in Y[j:]] + Y[:j], rows))
+        return PLHomeo._of_canonical(quads, (M, [y - s * M for y in Y[j:]] + Y[:j], rows))
 
     def iterate(self, n: int) -> "PLHomeo":
         """n-th iterate (negative n iterates the inverse), by sequential composition."""
@@ -465,12 +463,17 @@ def from_lift_vertices(pairs) -> PLHomeo:
 def rotation(alpha) -> PLHomeo:
     """The rotation x -> x + alpha mod 1, with its one-piece table."""
     alpha = frac_mod1(alpha)
-    P = [(0, 1, alpha.numerator, alpha.denominator)]
-    return PLHomeo._of_canonical(((Fraction(0), alpha),), _layout(1, [0], P))
+    return _rotation(alpha.numerator, alpha.denominator)
+
+
+def _rotation(n: int, d: int) -> PLHomeo:
+    """The rotation by n/d mod 1, d > 0, from one gcd of the two ints."""
+    P = ((0, 1) + _lowest(n % d, d),)
+    return PLHomeo._of_canonical(P, _layout(1, [0], P))
 
 
 def identity() -> PLHomeo:
-    return rotation(0)
+    return _rotation(0, 1)
 
 
 class ExoticParams(_Frozen):

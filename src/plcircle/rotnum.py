@@ -84,51 +84,49 @@ def fixed_points(h: PLHomeo) -> FixedSet:
     merged with the last interval when that ended on a whole piece: the
     whole piece when both ends are 0, its left vertex when only that end is,
     and when the signs differ the interpolated zero (x_i v + x_{i+1} u) /
-    (u + v), u = |s_i| e_{i+1} and v = |s_{i+1}| e_i, the one Fraction built,
-    in lowest terms mod 1.  A last piece that is whole ends at x_0 + 1, and
-    its interval is joined onto the first one, which starts at x_0.  So
-    every end is a vertex x_i, in [0, 1), or an interpolated zero."""
-    verts = h.verts
-    N, E = [], []
-    for x, y in verts:
-        xd, yd = x.denominator, y.denominator
-        N.append(y.numerator * xd - x.numerator * yd)
-        E.append(xd * yd)
+    (u + v), u = |s_i| e_{i+1} and v = |s_{i+1}| e_i, in lowest terms mod 1.
+    A last piece that is whole ends at x_0 + 1, and its interval is joined
+    onto the first one, which starts at x_0.  So every end is a vertex x_i,
+    in [0, 1), or an interpolated zero, each held as its lowest-terms pair,
+    and a Fraction is built, with no gcd, only for a point returned."""
+    Q = h._quads
+    N = [r * q - p * t for p, q, r, t in Q]
+    E = [q * t for _, q, _, t in Q]
     c = min(-(-n // e) for n, e in zip(N, E))
     S = [n - c * e for n, e in zip(N, E)]
     if max(S) < 0:
         return FixedSet(False, (), ())
-    k = len(verts)
+    k = len(Q)
     if k == 1:  # a single vertex with gap c: the identity
         return FixedSet(True, (), ())
-    merged: List[List[Fraction]] = []  # closed, [start, end]
+    merged: List[List[Tuple[int, int]]] = []  # closed, [start, end], lowest-terms pairs
     whole = False  # the last interval ends on a whole piece, at x_i
-    for i, ((a, _), sa) in enumerate(zip(verts, S)):
+    for i, (a, sa) in enumerate(zip(Q, S)):
         j = i + 1 - k  # i + 1 as a negative index: 0 for the last piece
         sb = S[j]
         if sa == 0:
-            b = a if sb else verts[j][0]
+            b = a[:2] if sb else Q[j][:2]
             if whole:
                 merged[-1][1] = b
             else:
-                merged.append([a, b])
+                merged.append([a[:2], b])
             whole = not sb
             continue
         if sb and (sa < 0) != (sb < 0):
-            b = verts[j][0]
-            bn, bd, ad = b.numerator, b.denominator, a.denominator
+            (an, ad), (bn, bd) = a[:2], Q[j][:2]
             if j == 0:
                 bn += bd  # x_0 + 1
             u, v = abs(sa) * E[j], abs(sb) * E[i]
-            n, d = a.numerator * bd * v + bn * ad * u, ad * bd * (u + v)
+            n, d = an * bd * v + bn * ad * u, ad * bd * (u + v)
             g = math.gcd(n, d)
-            x = _coprime(n // g % (d // g), d // g)
+            x = (n // g % (d // g), d // g)
             merged.append([x, x])
         whole = False
     if whole:
         merged[0][0] = merged.pop()[0]
-    points = tuple(CirclePoint(a) for a, b in merged if a == b)
-    arcs = tuple((CirclePoint(a), CirclePoint(b)) for a, b in merged if a != b)
+    points = tuple(CirclePoint(_coprime(*a)) for a, b in merged if a == b)
+    arcs = tuple((CirclePoint(_coprime(*a)), CirclePoint(_coprime(*b)))
+                 for a, b in merged if a != b)
     return FixedSet(False, points, arcs)
 
 
@@ -296,14 +294,14 @@ def _log_ratio(h: PLHomeo) -> Optional[_LogRatio]:
     lie on the same side of 1.  Minakawa's exotic elements are the case
     s_1 = lambda, A > 1 (Herman, Publ. Math. IHES 49, 1979; Ghys and
     Sergiescu, 1987)."""
-    if len(h.verts) != 2:
+    if len(h._quads) != 2:
         return None
-    (x0, y0), (x1, y1) = h.verts
-    s = (y1 - y0) / (x1 - x0)  # on [x0, x1]
-    t = (y0 + 1 - y1) / (x0 + 1 - x1)  # on [x1, x0 + 1]
-    if (y1 - x0).denominator == 1:  # h(x1) = x0
+    (p0, q0, r0, t0), (p1, q1, r1, t1) = h._quads
+    (a, _, c), (a1, _, c1) = h._table[2]
+    s, t = Fraction(a, c), Fraction(a1, c1)  # the slopes on [x0, x1] and [x1, x0 + 1]
+    if t1 == q0 and not (r1 - p0) % q0:  # h(x1) = x0, both pairs in lowest terms
         return _LogRatio(s, s / t)
-    if (y0 - x1).denominator == 1:  # h(x0) = x1
+    if t0 == q1 and not (r0 - p1) % q1:  # h(x0) = x1
         return _LogRatio(t, t / s)
     return None
 
@@ -432,7 +430,7 @@ def rotation_number(h: PLHomeo, max_q: int = 32, depth: int = 16) -> RotNumResul
     1/1, a fixed point, when t = 1)."""
     _check_ints(1, max_q=max_q, depth=depth)
     if h.is_rotation:  # its one vertex is (0, rho)
-        return RotNumResult(exact=h.verts[0][1])
+        return RotNumResult(exact=_coprime(*h._quads[0][2:]))
     logs = _log_ratio(h)
     if logs is not None:
         sign = logs.sign

@@ -308,8 +308,9 @@ def _closed_walk(o: _Orbits, i: int, parent) -> Tuple[Edge, ...]:
 def _conjugator(pts, vals):
     """synthesize_conjugator in integers: pts the support points (n_i, d_i)
     in [0, 1), strictly increasing, and vals their values (p_i, q_i), each
-    pair in lowest terms and no value 1.  Returns phi's vertices and
-    `angle`, phi(t) - x_0 for t = n / d in [0, 1), read off the same sums.
+    pair in lowest terms and no value 1.  Returns phi's vertices, as its
+    lowest-terms quadruples (PLHomeo._quads), and `angle`, phi(t) - x_0 for
+    t = n / d in [0, 1), read off the same sums.
 
     L is the lcm of the d_i, X_i = x_i L and D_i = X_{i+1} - X_i, closing
     at X_0 + L.  The cumulative products (p_i, q_i) of the values, each in
@@ -339,8 +340,7 @@ def _conjugator(pts, vals):
         N.append(N[-1] + u * dx)
     T = N.pop()
     LT = L * T
-    verts = tuple((_coprime(n, d), _coprime(*_lowest(X[0] * T + s * L, LT)))
-                  for (n, d), s in zip(pts, N))
+    quads = tuple((n, d) + _lowest(X[0] * T + s * L, LT) for (n, d), s in zip(pts, N))
 
     def angle(n, d):
         # t = n / d lifted into [x_0, x_0 + 1), on the grid: t L = nL / d
@@ -350,7 +350,7 @@ def _conjugator(pts, vals):
         i = bisect_right(X, nL // d) - 1
         return _coprime(*_lowest(N[i] * d + U[i] * (nL - X[i] * d), T * d))
 
-    return verts, angle
+    return quads, angle
 
 
 def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
@@ -364,9 +364,9 @@ def synthesize_conjugator(a: FiniteVector) -> PLHomeo:
     (PLHomeo._table)."""
     if not a.entries:
         return identity()
-    verts, _ = _conjugator([(p.value.numerator, p.value.denominator) for p, _ in a.entries],
+    quads, _ = _conjugator([(p.value.numerator, p.value.denominator) for p, _ in a.entries],
                            [(v.numerator, v.denominator) for _, v in a.entries])
-    return PLHomeo._of_canonical(verts)
+    return PLHomeo._of_canonical(quads)
 
 
 def _word_candidates(signed, max_period: int, max_words: int = 2000):
@@ -377,7 +377,7 @@ def _word_candidates(signed, max_period: int, max_words: int = 2000):
     letter, a word of length 1 is the generator itself, and a letter
     followed by its own inverse (slot k ^ 1 of the word's first letter k)
     is skipped, as it equals the word's tail, which is already seen.  Each
-    new word is hashed once, by the ints of its vertex pairs (PLHomeo's
+    new word is hashed once, by its lowest-terms quadruples (PLHomeo's
     hash), and its fixed points are solved on integer gaps (fixed_points).
     The identity is seen from the start, so some word is the identity
     exactly when a generator is, or when the search reaches length 2, where
@@ -515,8 +515,7 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     prod_O b_O)^N, so 1/P is the N-th power of a rational."""
     _check_ints(0, max_vertices=max_vertices)
     # every generator's breakpoints as int pairs, put in circle order by key
-    bps = [(x.numerator, x.denominator) for _, g in G.generators
-           if len(g.verts) > 1 for x, _ in g.verts]
+    bps = [(p, q) for _, g in G.generators if not g.is_rotation for p, q, _, _ in g._quads]
     o = _Orbits([x for _, x in sorted(zip(_order_keys(bps), bps))],
                 _signed_generators(G), max_vertices)
     sol = _solve(o)
@@ -524,8 +523,8 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
         return sol
     if not sol:  # every generator is a rotation
         return Success(phi=identity(), conjugated=G.generators)
-    verts, angle = _conjugator([o.pts[v] for v, _ in sol], [y for _, y in sol])
+    quads, angle = _conjugator([o.pts[v] for v, _ in sol], [y for _, y in sol])
     x0 = sol[0][0] * len(o.maps)  # the slots of x_0; generator k's is x0 + 2k
-    return Success(phi=PLHomeo._of_canonical(verts), conjugated=tuple(
+    return Success(phi=PLHomeo._of_canonical(quads), conjugated=tuple(
         (name, rotation(angle(*o.pts[o.out[x0 + 2 * k]])))
         for k, (name, _) in enumerate(G.generators)))

@@ -90,17 +90,26 @@ MUTANTS = [
            "(c, a - b, a)", "(c, c - b, a)", (TABLES,)),
     Mutant("inverse-y-unshifted", "homeo", "PLHomeo._inverse",
            "[y - s * M for y in Y[j:]]", "Y[j:]", (TABLES,)),
+    # the inverse's vertices: y_i - s is the quadruple's numerator less s y_d
+    Mutant("inverse-vertex-shifted-by-s", "homeo", "PLHomeo._inverse",
+           "(r - s * t, t, p, q)", "(r - s, t, p, q)",
+           (TABLES, "tests/test_smoothing.py::test_derived_maps_match_canonicalizing_oracles")),
     # vertices and table stay consistent, but the base is no longer the
     # smallest breakpoint once an image is exactly 1
     Mutant("inverse-base-past-an-image-of-1", "homeo", "PLHomeo._inverse",
            "bisect_left(Y, M)", "bisect_right(Y, M)",
            (TABLES, "tests/test_smoothing.py::test_derived_maps_match_canonicalizing_oracles")),
-    Mutant("rotation-table-swapped", "homeo", "rotation",
-           "1, alpha.numerator,", "1, alpha.denominator - alpha.numerator,", (TABLES,)),
+    Mutant("rotation-table-swapped", "homeo", "_rotation",
+           "_layout(1, [0], P)", "_layout(1, [0], [(0, 1, P[0][3] - P[0][2], P[0][3])])",
+           (TABLES,)),
     # a map with no breakpoint goes on as the one vertex (0, y_0 - x_0 mod 1)
     Mutant("canonical-rotation-angle-negated", "homeo", "_canonical",
            "[(Y[0] * L - X[0] * M) % (L * M)]", "[(X[0] * M - Y[0] * L) % (L * M)]",
            (TABLES, "tests/test_homeo.py::test_library_maps_are_canonical")),
+    # F^{-1} is G less the integer G(y_0) - x_0
+    Mutant("lift-eval-inverse-unshifted", "homeo", "PLHomeo.lift_eval_inverse",
+           "_coprime(n - k * d, d)", "_coprime(n, d)",
+           ("tests/test_smoothing.py::test_lift_eval_inverse_matches_fraction_oracle",)),
     Mutant("hit-without-r-zero", "homeo", "PLHomeo._advance",
            "j = i if r == 0 and f == X[i]", "j = i if f == X[i]", KERNEL),
     Mutant("K-without-alpha", "homeo", "PLHomeo._advance",
@@ -118,6 +127,10 @@ MUTANTS = [
     Mutant("compose-cut-kept-when-both-halves-differ", "homeo", "PLHomeo.compose",
            "Jg.numerator != Jf.denominator or Jg.denominator != Jf.numerator",
            "Jg.numerator != Jf.denominator and Jg.denominator != Jf.numerator", COMPOSE),
+    # other's inverse is lifted by 1 once a vertex image of other is 1 or
+    # more: y_n >= y_d on its last quadruple, equality included
+    Mutant("compose-wrap-past-an-image-of-1", "homeo", "PLHomeo.compose",
+           "s = gq[-1][2] >= gq[-1][3]", "s = gq[-1][2] > gq[-1][3]", COMPOSE),
     # an open chain has no member past its last: its next position is stepped
     Mutant("head-orbit-reads-past-the-chain", "homeo", "PLHomeo._chains",
            "for m in members:", "for m in members + members[:1]:",
@@ -185,6 +198,11 @@ MUTANTS = [
     Mutant("arc-not-split-at-zero", "cantor_bendixson", "_arcs",
            "if 0 <= lo and hi <= 1:", "if True:",
            (CB + "test_validate_rejects_collision_across_zero", ARC_ORACLE)),
+    # a breakpoint maps onto the other exactly when their lowest-terms
+    # pairs agree mod 1: the same denominator and congruent numerators
+    Mutant("log-ratio-class-by-the-denominator-alone", "rotnum", "_log_ratio",
+           "t1 == q0 and not (r1 - p0) % q0", "t1 == q0",
+           ("tests/test_rotnum.py::test_log_ratio_takes_the_maps_with_one_breakpoint_onto_the_other",)),
     # c must be the least ceiling of the gaps, the one integer F - id can take
     Mutant("fixed-points-floor-of-the-gaps", "rotnum", "fixed_points",
            "c = min(-(-n // e) for", "c = min(n // e for", FIXED),
@@ -193,21 +211,24 @@ MUTANTS = [
     # the zero of a piece weighs each end by the other end's denominator
     Mutant("fixed-points-crossing-one-denominator", "rotnum", "fixed_points",
            "u, v = abs(sa) * E[j]", "u, v = abs(sa) * E[i]", FIXED),
+    # an interpolated zero is held in lowest terms, as a Fraction holds it
+    Mutant("fixed-points-zero-left-unreduced", "rotnum", "fixed_points",
+           "g = math.gcd(n, d)", "g = 1", FIXED),
     Mutant("rank-leaf-at-height-one", "cantor_bendixson", "_height",
            "height, level = -1, [node]", "height, level = 0, [node]",
            (CB + "test_rank_finite", CB + "test_rank_matches_derivative_oracle")),
     # equal maps built apart must hash equal; only the contract test builds
     # the same map twice and compares the hashes
     Mutant("hash-of-the-object", "homeo", "PLHomeo.__hash__",
-           "tuple(self._key())", "tuple(self._key() + [id(self)])", (HASH,)),
+           "hash(self._quads)", "hash((*self._quads, id(self)))", (HASH,)),
     Mutant("hash-without-y", "homeo", "PLHomeo.__hash__",
-           "tuple(self._key())", "tuple(k[:2] for k in self._key())", (HASH,),
+           "hash(self._quads)", "hash(tuple(k[:2] for k in self._quads))", (HASH,),
            equivalent="a hash only picks a bucket, and __eq__ decides: equal maps "
                       "have equal vertices, so equal x pairs and equal hashes"),
     # __eq__ reads the ints __hash__ reads, the y pairs too
     Mutant("eq-without-y", "homeo", "PLHomeo.__eq__",
-           "self._key() == other._key()",
-           "[k[:2] for k in self._key()] == [k[:2] for k in other._key()]",
+           "self._quads == other._quads",
+           "[k[:2] for k in self._quads] == [k[:2] for k in other._quads]",
            ("tests/test_homeo.py::test_maps_differ_when_any_int_of_their_vertices_does",)),
     # the orbit pass: a reverse step's jump is the forward one inverted, a
     # jump edge divides the potential by the jump, and the rescale

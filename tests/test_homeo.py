@@ -1,4 +1,7 @@
+import copy
 import math
+import pathlib
+import pickle
 import sys
 from fractions import Fraction as F
 
@@ -337,12 +340,20 @@ def vertex_inputs(draw):
             for i, (x, y) in enumerate(pairs)], expected
 
 
+def _lazy_verts(pairs):
+    """PLHomeo(pairs).verts, built from the stored quadruples on this read;
+    an AssertionError, when they were built before, differs from the oracle."""
+    h = PLHomeo(pairs)
+    assert "verts" not in vars(h)
+    return h.verts
+
+
 @given(vertex_inputs())
 @settings(max_examples=400, deadline=None)
 def test_integer_canonicalization_matches_fraction_oracle(case):
     pairs, expected = case
     want = canonical_outcome(oracle_canonical, pairs)
-    got = canonical_outcome(lambda p: PLHomeo(p).verts, pairs)
+    got = canonical_outcome(_lazy_verts, pairs)
     assert got == want
     if expected is not None:
         assert got == expected.verts
@@ -608,7 +619,7 @@ def oracle_compose(self, other):
         return rotation(F(n, d) - last)
     m = verts[0][1] // verts[0][2]
     return PLHomeo._of_canonical(tuple(
-        (c, F(n - m * d, d)) for c, n, d in verts))
+        (c.numerator, c.denominator, n - m * d, d) for c, n, d in verts))
 
 
 def _squared_jumps(g):
@@ -728,3 +739,101 @@ def test_maps_differ_when_any_int_of_their_vertices_does():
     assert STD != STD.verts and STD != 0 and STD.__eq__(STD.verts) is NotImplemented
     assert identity().is_identity and rotation(1).is_identity
     assert not rotation(F(1, 3)).is_identity and not STD.is_identity
+
+
+# ------------------------------------------------- lowest-terms quadruples
+# A map stores its vertices as the lowest-terms integer quadruples (x_n,
+# x_d, y_n, y_d) of _quads, and builds the Fractions of `verts` on its
+# first read alone: reading them must change nothing a caller sees, and the
+# library's own paths must never read them.
+
+RECORD_BUILDERS = {
+    "constructor": lambda: random_pl(3, 4, 32),
+    "compose": lambda: random_pl(4, 3, 32).compose(random_pl(5, 4, 32)),
+    "inverse": lambda: random_pl(6, 5, 64).inverse(),
+    "rotation": lambda: rotation(F(2, 7)),
+    "composed rotations": lambda: rotation(F(1, 3)).compose(rotation(F(1, 2))),
+    "conjugator": lambda: synthesize_conjugator(jump_cocycle(random_pl(7, 4, 32))),
+}
+
+
+def _seen(x):
+    """What a caller sees of x: for a map, itself, its vertices and its hash."""
+    return (x, x.verts, hash(x)) if isinstance(x, PLHomeo) else x
+
+
+@pytest.mark.parametrize("build", RECORD_BUILDERS.values(), ids=list(RECORD_BUILDERS))
+def test_maps_agree_whether_or_not_their_vertices_were_read(build):
+    read = build()
+    verts = read.verts
+    assert "verts" in vars(read) and read.verts is verts  # built once
+    assert verts == oracle_canonical(verts)
+    for op in (repr, copy.copy, copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h)),
+               hash, lambda h: h == read, lambda h: read == h, lambda h: len({h, read})):
+        fresh = build()
+        assert "verts" not in vars(fresh)
+        assert _seen(op(fresh)) == _seen(op(read))
+    fresh = build()
+    assert fresh._quads == tuple((x.numerator, x.denominator, y.numerator, y.denominator)
+                                 for x, y in verts)
+    assert all(type(n) is int for q in fresh._quads for n in q)
+    assert "verts" not in vars(fresh)
+
+
+def test_library_paths_read_no_vertex_fraction(monkeypatch):
+    # no input map, and no map the five paths build, holds `verts`, and no
+    # Fraction is built in homeo, where every vertex is handled: compose and
+    # inverse build none, and the other paths build them for points,
+    # slopes, obstruction weights and rotation numbers
+    from plcircle import io, rotation_number
+    built, makers = [], []
+    of_canonical, post_init, new = PLHomeo._of_canonical, PLHomeo.__post_init__, F.__new__
+
+    def recording_of_canonical(cls, quads, table=None):
+        built.append(of_canonical(quads, table))
+        return built[-1]
+
+    def recording_post_init(self):
+        post_init(self)
+        built.append(self)
+
+    def recording_new(cls, *args, **kwargs):
+        # the first caller past Fraction's own operators, or homeo when it
+        # is on the stack, as when it calls circle.frac_mod1
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == new.__code__.co_filename:
+            frame = frame.f_back
+        makers.append(frame.f_code.co_filename)
+        while frame and frame.f_code.co_filename != homeo.__file__:
+            frame = frame.f_back
+        if frame:
+            makers.append(homeo.__file__)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PLHomeo, "_of_canonical", classmethod(recording_of_canonical))
+    monkeypatch.setattr(PLHomeo, "__post_init__", recording_post_init)
+    monkeypatch.setattr(F, "__new__", recording_new)
+    # the inputs, built apart: random_pl and exotic_element make their
+    # input vertices as Fractions
+    G = io.group_from_json(io.load_json(
+        str(pathlib.Path(__file__).parent.parent / "fixtures" / "conjugated_rotations.json")))
+    f, g, h = random_pl(3, 6, 64), random_pl(4, 5, 64), random_pl(5, 5, 64)
+    e = exotic_element(ExoticParams(F(6), F(2)))
+    std = from_lift_vertices([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
+    r, s = rotation(F(1, 3)), rotation(F(2, 3))
+    inputs = [f, g, h, e, std, r, s, *(m for _, m in G.generators)]
+    paths = {
+        "compose": lambda: (f.compose(g), g.compose(f), f.compose(f.inverse()), r.compose(s)),
+        "inverse": lambda: (h.inverse(), r.inverse()),
+        "detect_finite_orbit": lambda: smoothing.detect_finite_orbit(G, max_period=2),
+        "rotation_number": lambda: [rotation_number(m) for m in (f, e, s)],
+        "smooth_group": lambda: (smooth_group(G), smooth_group(GroupPresentation((("f", std),)))),
+    }
+    for path, run in paths.items():
+        makers.clear()
+        run()
+        assert not [m for m in built + inputs if "verts" in vars(m)], path
+        assert homeo.__file__ not in makers, path
+        if path in ("compose", "inverse"):
+            assert not makers, path
+    assert len(built) > len(inputs)

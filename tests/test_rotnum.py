@@ -487,6 +487,26 @@ def test_closed_form_matches_restart_oracle(log_bounds, h, max_q, depth):
     assert not counts
 
 
+@given(h=st.one_of(two_break_maps, st.builds(random_pl, st.integers(0, 10**6), st.just(2),
+                                              st.sampled_from((3, 4, 8, 32)))))
+@settings(max_examples=300, deadline=None)
+def test_log_ratio_takes_the_maps_with_one_breakpoint_onto_the_other(h):
+    # the class, read in Fractions: two breakpoints, one mapped onto the
+    # other, with s the slope after the one that is the image
+    logs = rotnum._log_ratio(h)
+    if len(h.verts) != 2:
+        assert logs is None
+        return
+    (x0, y0), (x1, y1) = h.verts
+    s, t = (y1 - y0) / (x1 - x0), (y0 + 1 - y1) / (x0 + 1 - x1)
+    if (y1 - x0).denominator == 1:
+        assert (logs.s, logs.A) == (s, s / t)
+    elif (y0 - x1).denominator == 1:
+        assert (logs.s, logs.A) == (t, t / s)
+    else:
+        assert logs is None
+
+
 @given(h=two_break_maps, qs=st.lists(st.integers(1, 5000), min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_enclosed_signs_match_exact_powers(h, qs):
