@@ -161,7 +161,7 @@ class PLHomeo(_Frozen):
     A map always holds _quads, its canonical vertices as a tuple of
     lowest-terms integer quadruples (x_n, x_d, y_n, y_d), and holds `verts`,
     the same as (Fraction, Fraction) pairs, only once that is read.  Equal
-    maps have equal quadruples, which __eq__ and __hash__ compare and hash
+    maps have equal quadruples, which __eq__, __hash__ and __reduce__ read
     in place of _Frozen's.  A map has no __slots__: its vertex Fractions,
     table, jumps, inverse and breakpoint chains are kept in its __dict__,
     each built once; the chains hold the head orbits its readers have
@@ -189,6 +189,10 @@ class PLHomeo(_Frozen):
 
     def __hash__(self) -> int:
         return hash(self._quads)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild from _quads, with no Fraction
+        return type(self)._of_canonical, (self._quads,)
 
     @classmethod
     def _of_canonical(cls, quads, table=None) -> "PLHomeo":

@@ -10,7 +10,9 @@ reverse step's jump is the forward one's pair swapped.  One pass in
 discovery order fills the table and checks each edge as it fills it, in
 potential trees merged as a weighted union-find.  The potentials are
 interned integer pairs in lowest terms, so only those edges do
-arithmetic, in integers, and Fractions are built only for the results.  A
+arithmetic, in integers, and Fractions are built only for the results.
+The first inconsistent edge, closed by a walk back over the edges the
+pass checked, is the obstruction, with no map stepped after it.  A
 product-one solution is realized as the jump vector of a PL conjugator phi;
 by the chain rule phi g phi^{-1} then has no breakpoints, so it is the
 rotation by phi(g(y)) - phi(y) for any y.  From the potentials to the
@@ -75,17 +77,18 @@ def _signed_generators(G: GroupPresentation) -> List[Tuple[Tuple[str, int], PLHo
 
 class _Orbits:
     """An orbit graph explored on demand.  Points get int ids in breadth-first
-    discovery order from the sorted seed, whether _solve's pass or expand
-    steps the slots, and are held as the (numerator, denominator) pair, in
-    lowest terms, that interns them; a point becomes a Fraction, with no
-    gcd, only in results.  Ids from max_vertices on are escaping points.
-    Edges are one flat table: out[v*K + k] is map k's target at vertex v,
-    and `jumps` holds the jumps other than 1 under the same index, each
-    read off its map at the breakpoint index the kernel returns.  The maps
-    come in (g, g^{-1}) pairs, so a step u -> t of map k fills t's slot
-    k ^ 1 with u, jump 1/w by the chain rule, the pair of w swapped: each
-    step is evaluated once.  Each map's kernel and jump tuple are bound
-    once, in `steps`."""
+    discovery order from the sorted seed, and are held as the (numerator,
+    denominator) pair, in lowest terms, that interns them; a point becomes
+    a Fraction, with no gcd, only in results.  Ids from max_vertices on are
+    escaping points.  Edges are one flat table: out[v*K + k] is map k's
+    target at vertex v.  The maps come in (g, g^{-1}) pairs, so a step u ->
+    t of map k fills t's slot k ^ 1 with u: each step is evaluated once.
+    _solve fills the table for smooth_group, and `jumps` with the jumps
+    other than 1 under the same index, each read off its map at the
+    breakpoint index the kernel returns, a reverse slot's the pair of w
+    swapped (1/w by the chain rule).  expand fills it, with no jump, for
+    detect_finite_orbit.  Each map's kernel and jump tuple are bound once,
+    in `steps`."""
 
     def __init__(self, seed, maps, max_vertices: int):
         self.maps, self.max_vertices = maps, max_vertices
@@ -96,21 +99,20 @@ class _Orbits:
         self.out: List[Optional[int]] = [None] * (len(self.pts) * len(maps))
         self.jumps: Dict[int, Fraction] = {}
         self.expanded = 0  # the ids below it have every slot filled
-        self.n_seed = len(self.pts)
-        if self.n_seed > max_vertices:
+        if len(self.pts) > max_vertices:
             raise ValueError(f"max_vertices {max_vertices} is below the "
-                             f"{self.n_seed} distinct generator breakpoints")
+                             f"{len(self.pts)} distinct generator breakpoints")
 
     def expand(self, v: int) -> None:
         """Fill the slots of the vertices up to the interned id v, in order."""
-        out, jumps, pts, ids, steps = self.out, self.jumps, self.pts, self.ids, self.steps
+        out, pts, ids, steps = self.out, self.pts, self.ids, self.steps
         K, top = len(steps), self.max_vertices
         for u in range(self.expanded, v + 1):
             n, d = pts[u]
-            for k, (step, map_jumps) in enumerate(steps):
+            for k, (step, _) in enumerate(steps):
                 i = u * K + k
                 if out[i] is None:
-                    n2, d2, j = step(n, d)
+                    n2, d2, _ = step(n, d)
                     key = (n2 % d2, d2)
                     t = ids.get(key)
                     if t is None:  # a new point
@@ -118,12 +120,8 @@ class _Orbits:
                         pts.append(key)
                         out += [None] * K
                     out[i] = t
-                    if j >= 0:
-                        w = jumps[i] = map_jumps[j]
                     if u < t < top:
                         out[t * K + (k ^ 1)] = u
-                        if j >= 0:
-                            jumps[t * K + (k ^ 1)] = _coprime(w.denominator, w.numerator)
             self.expanded = u + 1
 
     def point(self, v: int) -> CirclePoint:
@@ -173,18 +171,18 @@ def _solve(o: _Orbits):
     """The one orbit pass, in id (discovery) order: each vertex below the
     budget has its empty slots stepped as _Orbits.expand steps them, and
     each edge, a_{g(y)} = a_y / w, is checked as it is filled, its reverse
-    slot with it.  Potentials are a weighted union-find (Tarjan 1975):
-    interned (numerator, denominator, root) triples, a value in lowest terms
-    and its tree, so a unit edge copies a_y and is checked by identity, and
-    only a jump n/d computes, a_y times d/n in two products and one gcd.  A
-    vertex with no potential when expanded (only a seed) roots a tree at 1;
-    an edge between trees rescales the younger one, of the larger root id,
-    into the older one's frame, so each component ends in the frame of its
-    smallest id, as the breadth-first sweep leaves it.  An edge
-    inconsistent within a tree hands the table to _obstruction, since which
-    cycle is met first depends on the order.  Else Truncated, or the
-    support ids in circle order, each with its value pair, the product
-    brought to 1 by scaling the component of the largest root."""
+    slot and jumps with it.  Potentials are a weighted union-find (Tarjan
+    1975): interned (numerator, denominator, root) triples, a value in
+    lowest terms and its tree, so a unit edge copies a_y and is checked by
+    identity, and only a jump n/d computes, a_y times d/n in two products
+    and one gcd.  A vertex with no potential when expanded (only a seed)
+    roots a tree at 1; an edge between trees rescales the younger one, of
+    the larger root id, into the older one's frame, so each component ends
+    in the frame of its smallest id.  The first edge inconsistent within a
+    tree stops the pass, and _obstruction certifies it from the slots
+    filled so far.  Else Truncated, or the support ids in circle order,
+    each with its value pair, the product brought to 1 by scaling the
+    component of the largest root."""
     out, jumps, pts, ids, steps = o.out, o.jumps, o.pts, o.ids, o.steps
     K, top = len(steps), o.max_vertices
     a, interned = [None] * len(pts), {}  # each vertex's potential; one object per value
@@ -225,8 +223,7 @@ def _solve(o: _Orbits):
                 tree.append(t)
             elif at is not want:
                 if at[2] == au[2]:
-                    o.expanded = u
-                    return _obstruction(o)
+                    return _obstruction(o, i, Fraction(at[0] * want[1], at[1] * want[0]))
                 # t's potential in the older tree (x) and in the younger (y)
                 x, y = (want, at) if au[2] < at[2] else (at, want)
                 for v in members[y[2]]:
@@ -234,7 +231,6 @@ def _solve(o: _Orbits):
                 members[x[2]] += members.pop(y[2])
                 au = a[u]
                 tree = members[au[2]]
-    o.expanded = min(len(pts), top)
     if len(pts) > top:
         return Truncated(tuple(map(o.point, o.in_order(range(top, len(pts))))))
     ys = [y for y in a if y[0] != y[1]]
@@ -251,58 +247,33 @@ def _solve(o: _Orbits):
     return [(v, a[v][:2]) for v in o.in_order([v for v, y in enumerate(a) if y[0] != y[1]])]
 
 
-def _obstruction(o: _Orbits) -> Obstruction:
-    """The breadth-first sweep's certificate for a table _solve found
-    inconsistent: from each root in id order, tree edges set a_{g(y)} =
-    a_y / w (1 at a root), each vertex expanded, on from where the pass
-    stopped, just before its edges are read; the first inconsistent other
-    edge closes the cycle."""
-    out, jumps, K, top = o.out, o.jumps, len(o.maps), o.max_vertices
-    one = (1, 1, 0)
-    a, parent, interned = {}, {}, {one: one}  # parent: each tree edge's slot
-    for root in range(o.n_seed):  # every vertex is reached from a seed
-        if root in a:
-            continue
-        a[root] = one
-        comp = [root]
-        for v in comp:  # comp grows in breadth-first order as it is read
-            if v >= o.expanded:
-                o.expand(v)
-            av = a[v]
-            for i in range(v * K, v * K + K):
-                t = out[i]
-                if t >= top:
-                    continue  # an escaping point
-                want = av
-                if i in jumps:
-                    w = jumps[i]
-                    want = _scaled(av, w.denominator, w.numerator, 0, interned)
-                at = a.get(t)
-                if at is None:
-                    a[t] = want
-                    parent[t] = i
-                    comp.append(t)
-                elif at is not want:
-                    return Obstruction(cycle=_closed_walk(o, i, parent),
-                                       found=Fraction(at[0] * want[1], at[1] * want[0]))
-    raise AssertionError("_solve met an inconsistent edge; the sweep must too")
-
-
-def _closed_walk(o: _Orbits, i: int, parent) -> Tuple[Edge, ...]:
-    """The closing edge in slot i, the tree path up from its target to the
-    lowest common ancestor (tree edges reversed), then down to its source."""
-    def path_up(u):
-        ups = []
-        while u in parent:
-            ups.append(u)
-            u = parent[u] // len(o.maps)
-        return ups
-    up, down = path_up(o.out[i]), path_up(i // len(o.maps))
-    while up and down and up[-1] == down[-1]:
-        up.pop()
-        down.pop()
-    return (o.edge(i), *(o.edge(parent[u]).reverse() for u in up),
-            *(o.edge(parent[u]) for u in reversed(down)))
+def _obstruction(o: _Orbits, i: int, found: Fraction) -> Obstruction:
+    """The certificate for the inconsistent edge the pass met in slot i, u
+    -> t, where it read `found` = a_t w / a_u: edge i, then the shortest
+    walk from t back to u over the slots the pass has filled, found
+    breadth-first from t in slot order, skipping slot i, its reverse slot
+    and the escaping points.  The pass checked every other filled slot, and
+    a reverse slot holds when its forward one does, so the walk's weights
+    multiply to a_t / a_u and the cycle's to `found`.  No map is stepped."""
+    out, K, top = o.out, len(o.maps), o.max_vertices
+    u, t = i // K, out[i]
+    skip = (i, t * K + (i % K ^ 1))
+    parent = {t: None}  # each reached vertex's slot from the one before it
+    queue = [t]
+    for v in queue:  # queue grows in breadth-first order as it is read
+        if u in parent:
+            break
+        for j in range(v * K, v * K + K):
+            w = out[j]
+            if w is None or w >= top or j in skip or w in parent:
+                continue
+            parent[w] = j
+            queue.append(w)
+    walk = []
+    while (j := parent[u]) is not None:
+        walk.append(j)
+        u = j // K
+    return Obstruction(cycle=tuple(map(o.edge, (i, *reversed(walk)))), found=found)
 
 
 def _conjugator(pts, vals):
@@ -473,10 +444,10 @@ def smooth_group(G: GroupPresentation, max_vertices: int = 4096
     """Full pipeline: orbit graph, coboundary solve, conjugator synthesis.
 
     One pass in discovery order (_solve) evaluates and checks each edge
-    once and stops at the first inconsistent one; the breadth-first sweep
-    then reports its cycle, which certifies unsolvability even in a
-    truncated graph.  Finite orbits are not searched for (see
-    detect_finite_orbit).
+    once and stops at the first inconsistent one.  That edge and the
+    shortest walk back over the edges checked before it (_obstruction) are
+    the cycle, which certifies unsolvability even in a truncated graph.
+    Finite orbits are not searched for (see detect_finite_orbit).
 
     On success phi and each conjugate come from the potentials in integers
     (_conjugator), with no composition and no evaluation.  Let V

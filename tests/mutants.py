@@ -8,8 +8,10 @@ Run from the repository root:
 
 A mutant replaces one piece of text, which must occur exactly once, in the
 source of one function, compiles the function again in its module's
-namespace and installs it before pytest collects the tests.  Its tests then
-run with -x, with hypothesis derandomized and not shrinking, and must fail.
+namespace and installs it before pytest collects the tests, wherever a
+plcircle module holds the original: a function another module imported by
+name runs mutated there too.  Its tests then run with -x, with hypothesis
+derandomized and not shrinking, and must fail.
 An equivalent mutant computes what the original computes on every input, so
 no test can kill it: it stays here with its proof, and is only checked to
 still apply.  A surviving mutant that is not equivalent is a gap in the
@@ -23,6 +25,7 @@ import __future__
 import importlib
 import inspect
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -106,6 +109,11 @@ MUTANTS = [
     Mutant("canonical-rotation-angle-negated", "homeo", "_canonical",
            "[(Y[0] * L - X[0] * M) % (L * M)]", "[(X[0] * M - Y[0] * L) % (L * M)]",
            (TABLES, "tests/test_homeo.py::test_library_maps_are_canonical")),
+    # the identity is built from its ints, as every rotation is, with no
+    # Fraction: smoothing's word search imports it by name
+    Mutant("identity-as-rotation-zero", "homeo", "identity",
+           "return _rotation(0, 1)", "return rotation(0)",
+           ("tests/test_homeo.py::test_library_paths_read_no_vertex_fraction",)),
     # F^{-1} is G less the integer G(y_0) - x_0
     Mutant("lift-eval-inverse-unshifted", "homeo", "PLHomeo.lift_eval_inverse",
            "_coprime(n - k * d, d)", "_coprime(n, d)",
@@ -225,6 +233,10 @@ MUTANTS = [
            "hash(self._quads)", "hash(tuple(k[:2] for k in self._quads))", (HASH,),
            equivalent="a hash only picks a bucket, and __eq__ decides: equal maps "
                       "have equal vertices, so equal x pairs and equal hashes"),
+    # a copy or a pickle carries the quadruples, with no vertex Fraction
+    Mutant("reduce-through-the-constructor", "homeo", "PLHomeo.__reduce__",
+           "type(self)._of_canonical, (self._quads,)", "type(self), (self.verts,)",
+           ("tests/test_homeo.py::test_copies_build_no_vertex_fraction",)),
     # __eq__ reads the ints __hash__ reads, the y pairs too
     Mutant("eq-without-y", "homeo", "PLHomeo.__eq__",
            "self._quads == other._quads",
@@ -233,15 +245,10 @@ MUTANTS = [
     # the orbit pass: a reverse step's jump is the forward one inverted, a
     # jump edge divides the potential by the jump, and the rescale
     # multiplies by the whole root
-    Mutant("reverse-jump-not-inverted", "smoothing", "_Orbits.expand",
-           "_coprime(w.denominator, w.numerator)", "w", ORBIT_ORACLES),
     Mutant("pass-reverse-jump-not-inverted", "smoothing", "_solve",
            "_coprime(w.denominator, w.numerator)", "w", ORBIT_ORACLES),
     Mutant("potential-times-the-jump", "smoothing", "_solve",
            "_scaled(au, w.denominator, w.numerator,", "_scaled(au, w.numerator, w.denominator,",
-           ORBIT_ORACLES),
-    Mutant("sweep-potential-times-the-jump", "smoothing", "_obstruction",
-           "_scaled(av, w.denominator, w.numerator,", "_scaled(av, w.numerator, w.denominator,",
            ORBIT_ORACLES),
     Mutant("rescale-by-the-root-numerator-only", "smoothing", "_solve",
            "_scaled(a[v], r, s,", "_scaled(a[v], r, 1,", ORBIT_ORACLES),
@@ -249,7 +256,7 @@ MUTANTS = [
     # root id, by t's potential in the older frame over the younger, so a
     # component ends in the frame of its smallest id; the product-one
     # rescale goes to the component of the largest root, and an
-    # inconsistent edge hands the table to the sweep for its cycle
+    # inconsistent edge is certified by itself and a walk back
     Mutant("merge-the-older-tree-into-the-younger", "smoothing", "_solve",
            "if au[2] < at[2] else", "if au[2] > at[2] else", (SWEEP_ORDER, *ORBIT_ORACLES)),
     Mutant("merge-factor-inverted", "smoothing", "_solve",
@@ -257,9 +264,19 @@ MUTANTS = [
     Mutant("rescale-the-smallest-root-component", "smoothing", "_solve",
            "members[max(members)]", "members[min(members)]", (SWEEP_ORDER, *ORBIT_ORACLES)),
     Mutant("obstruction-from-the-pass-edge", "smoothing", "_solve",
-           "return _obstruction(o)",
+           "return _obstruction(o, i, Fraction(at[0] * want[1], at[1] * want[0]))",
            "return Obstruction((o.edge(i),), Fraction(at[0] * want[1], at[1] * want[0]))",
            (SWEEP_ORDER, *ORBIT_ORACLES)),
+    # found is a_t w / a_u, what the cycle's weights multiply to: edge i, u
+    # -> t, then a walk from t back to u that takes neither slot i nor its
+    # reverse, which would close the cycle at product 1
+    Mutant("obstruction-found-inverted", "smoothing", "_solve",
+           "Fraction(at[0] * want[1], at[1] * want[0]))",
+           "Fraction(at[1] * want[0], at[0] * want[1]))", (SWEEP_ORDER, *ORBIT_ORACLES)),
+    Mutant("obstruction-walk-skips-nothing", "smoothing", "_obstruction",
+           " or j in skip", "", (SWEEP_ORDER, *ORBIT_ORACLES)),
+    Mutant("obstruction-walk-rooted-at-u", "smoothing", "_obstruction",
+           "u, t = i // K, out[i]", "t, u = i // K, out[i]", (SWEEP_ORDER, *ORBIT_ORACLES)),
     # Newton's iteration descends to the root only from above it
     Mutant("root-bound-one-bit-short", "smoothing", "_iroot",
            "r = 1 << -(-m.bit_length() // n)", "r = 1 << -(-m.bit_length() // n) - 1",
@@ -334,12 +351,13 @@ MUTANTS = [
 
 def install(m: Mutant) -> None:
     """Compile m's function with its text replaced, and put it in place of
-    the original in its module or class."""
+    the original in its module or class, and under every name a plcircle
+    module, the package included, binds the original to."""
     module = importlib.import_module(f"plcircle.{m.module}")
     owner, _, name = m.function.rpartition(".")
     owner = getattr(module, owner) if owner else module
-    func = vars(owner)[name]
-    func = getattr(func, "func", func)  # a cached_property's function
+    original = vars(owner)[name]
+    func = getattr(original, "func", original)  # a cached_property's function
     source = textwrap.dedent(inspect.getsource(func))
     if source.count(m.old) != 1:
         raise SystemExit(f"{m.name}: {m.old!r} is not in {m.function} exactly once")
@@ -350,8 +368,11 @@ def install(m: Mutant) -> None:
     mutant = namespace[name]
     setattr(owner, name, mutant)
     package = importlib.import_module("plcircle")
-    if vars(package).get(name) is func:  # the package re-exports it
-        setattr(package, name, mutant)
+    for mod in (package, *(importlib.import_module(f"plcircle.{info.name}")
+                           for info in pkgutil.iter_modules(package.__path__))):
+        for attr, obj in list(vars(mod).items()):
+            if obj is original:
+                setattr(mod, attr, mutant)
     if hasattr(mutant, "__set_name__"):  # setattr does not call it
         mutant.__set_name__(owner, name)
 

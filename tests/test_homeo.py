@@ -780,6 +780,23 @@ def test_maps_agree_whether_or_not_their_vertices_were_read(build):
     assert "verts" not in vars(fresh)
 
 
+@pytest.mark.parametrize("build", [
+    *RECORD_BUILDERS.values(),
+    lambda: random_pl(5, 300, 10**9).compose(random_pl(6, 300, 10**9))],
+    ids=[*RECORD_BUILDERS, "600-vertex composite"])
+def test_copies_build_no_vertex_fraction(build):
+    # copy, deepcopy and pickle carry the quadruples alone: neither the
+    # source nor the copy builds `verts`, and the copy is equal, with the
+    # same hash, and evaluates as the source does
+    h = build()
+    for op in (copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))):
+        c = op(h)
+        assert type(c) is PLHomeo and c._quads == h._quads
+        assert c == h and hash(c) == hash(h)
+        assert "verts" not in vars(c) and "verts" not in vars(h)
+        assert c.lift_eval(F(1, 3)) == h.lift_eval(F(1, 3))
+
+
 def test_library_paths_read_no_vertex_fraction(monkeypatch):
     # no input map, and no map the five paths build, holds `verts`, and no
     # Fraction is built in homeo, where every vertex is handled: compose and

@@ -624,7 +624,9 @@ def test_smooth_conjugated_exotic_succeeds():
 # An independent two-pass pipeline: build the whole orbit graph with
 # CirclePoint-keyed sets, then run one breadth-first potentials pass over
 # Edge objects, then normalize.  smooth_group's one on-demand pass must give
-# byte-identical results, the same first inconsistent edge included.
+# byte-identical successes and truncations.  An obstruction is the pass's
+# own certificate, and its oracle is oracle_pass_certificate on the same
+# Fraction graph.
 
 OracleGraph = namedtuple("OracleGraph", "vertices edges closed escaping")
 
@@ -768,6 +770,44 @@ def two_pass_smooth(G, max_vertices=4096):
                               for name, g in G.generators))
 
 
+def oracle_pass_certificate(G, max_vertices):
+    """The obstruction the pass reports, read off bfs_orbit_graph: the
+    first edge in id and slot order that closes a cycle of product other
+    than 1 over the edges checked before it, then the shortest walk from its
+    target back to its source over those edges, breadth-first in slot
+    order; None if no edge does.  An edge is checked unless its reverse
+    already was, and a checked edge's reverse, the graph's own edge, can be
+    walked too.  No potential is kept: each edge is tested by the product
+    of the cycle it closes."""
+    graph = bfs_orbit_graph(G, max_vertices)
+    inside, out, checked = set(graph.vertices), {}, set()
+    for e in graph.edges:
+        out.setdefault(e.source, []).append(e)
+    for e in graph.edges:
+        key, rev = (e.source, e.gen, e.sign), (e.target, e.gen, -e.sign)
+        if e.target not in inside or key in checked:
+            continue
+        parent, queue = {e.target: None}, deque([e.target])
+        while queue and e.source not in parent:
+            for f in out[queue.popleft()]:
+                fkey = (f.source, f.gen, f.sign)
+                if (fkey in checked and fkey not in (key, rev)
+                        and f.target in inside and f.target not in parent):
+                    parent[f.target] = f
+                    queue.append(f.target)
+        if e.source in parent:
+            walk, v = [], e.source
+            while parent[v] is not None:
+                walk.append(parent[v])
+                v = parent[v].source
+            cycle = (e, *reversed(walk))
+            found = math.prod(f.weight for f in cycle)
+            if found != 1:
+                return Obstruction(cycle, found)
+        checked |= {key, rev}
+    return None
+
+
 def _conjugate(phi, g):
     return phi.compose(g).compose(phi.inverse())
 
@@ -813,6 +853,8 @@ def test_smooth_group_matches_two_pass_oracle(family, make, seed, max_vertices, 
     want = two_pass_smooth(G, max_vertices)
     if kind is not None:
         assert want.kind == kind
+    if want.kind == "obstruction":
+        want = oracle_pass_certificate(G, max_vertices)
     assert (json.dumps(outcome_to_json(got)) == json.dumps(outcome_to_json(want)))
 
 
@@ -833,7 +875,9 @@ def test_oracle_cases_cover_cut_off_components():
 # smooth_group's pass checks each edge as it fills it, in discovery order,
 # and holds the potentials in trees it merges, the younger one (of the
 # larger root id) rescaled into the older one; two_pass_smooth solves in
-# the breadth-first sweep order the pass replaced.
+# the breadth-first sweep order the pass replaced.  An obstruction is the
+# edge the pass stopped at and a walk back over the slots it filled, so
+# its oracle is oracle_pass_certificate, not the sweep's cycle.
 
 def oracle_merges(graph):
     """[source, target]: how many merges of the discovery-order pass take
@@ -874,35 +918,40 @@ def _several_seed_groups():
 
 
 def test_discovery_order_pass_matches_sweep_order_oracle(monkeypatch):
-    # byte-identical outcomes, the obstruction cycle included, also where
-    # the pass meets the inconsistency at another vertex than the one the
-    # sweep's cycle starts from
+    # successes and truncations byte-identical to the sweep's; an
+    # obstruction byte-identical to the pass-rule oracle, which starts at
+    # the edge the pass stopped at, also where the sweep reports another
+    # cycle or walks it the other way
     stops = []
     obstruction = smoothing._obstruction
 
-    def recording(o):
-        stop = o.expanded  # the vertex the pass stopped at
-        out = obstruction(o)
+    def recording(o, i, found):
+        out = obstruction(o, i, found)
         x = out.cycle[0].source.value
-        stops.append((stop, o.ids[(x.numerator, x.denominator)]))
+        stops.append((i // len(o.maps), o.ids[(x.numerator, x.denominator)]))
         return out
 
     monkeypatch.setattr(smoothing, "_obstruction", recording)
-    kinds, merges = Counter(), [0, 0]
+    kinds, merges, other_cycle = Counter(), [0, 0], 0
     for G, max_vertices in _several_seed_groups():
         got = smooth_group(G, max_vertices)
         want = two_pass_smooth(G, max_vertices)
+        if want.kind == "obstruction":
+            sweep = json.dumps(outcome_to_json(want))
+            want = oracle_pass_certificate(G, max_vertices)
+            other_cycle += sweep != json.dumps(outcome_to_json(want))
         assert json.dumps(outcome_to_json(got)) == json.dumps(outcome_to_json(want))
         kinds[got.kind] += 1
         if got.kind != "obstruction":  # the pass made every merge
             merges = [m + n for m, n in zip(merges, oracle_merges(bfs_orbit_graph(G, max_vertices)))]
     assert min(kinds[k] for k in ("success", "obstruction", "truncated")) >= 80
     assert merges[0] >= 20 and merges[1] >= 5
-    assert sum(stop != start for stop, start in stops) >= 10
-    # CI's pair3 group: the pass stops at vertex 10, its cycle starts at 1
+    assert all(stop == start for stop, start in stops) and other_cycle >= 10
+    # CI's pair3 group: the pass stops at vertex 10, where its cycle starts;
+    # the sweep's cycle, the same six edges, started at vertex 1
     stops.clear()
     assert smooth_group(_two_generators(3), 40).kind == "obstruction"
-    assert stops == [(10, 1)]
+    assert stops == [(10, 10)]
 
 
 def _seeded_hidden_rotations(seed):
@@ -981,6 +1030,34 @@ def test_smooth_stops_at_first_inconsistent_edge():
     zero = reduce_mod1(0)
     assert outcome == Obstruction(cycle=(Edge(zero, "g0", 1, zero, F(1, 3)),),
                                   found=F(1, 3))
+
+
+def test_obstruction_steps_no_map_after_the_pass(monkeypatch):
+    # conjugated STD: the pass meets a jump of 1/3 at the fixed point
+    # 55/96, the fifth seed, after 8 kernel steps, and reports that
+    # self-loop with no further step, at any budget; the breadth-first
+    # sweep stepped on until it filled the budget
+    G = _std_conjugate(1)
+    steps, at_stop = [], []
+    step, obstruction = PLHomeo._advance, smoothing._obstruction
+
+    def counting_step(self, n, d):
+        steps.append((n, d))
+        return step(self, n, d)
+
+    def recording(o, i, found):
+        at_stop.append(len(steps))
+        return obstruction(o, i, found)
+
+    monkeypatch.setattr(PLHomeo, "_advance", counting_step)
+    monkeypatch.setattr(smoothing, "_obstruction", recording)
+    x = reduce_mod1(F(55, 96))
+    for max_vertices in (4096, 10**6):
+        steps.clear()
+        at_stop.clear()
+        outcome = smooth_group(G, max_vertices)
+        assert outcome == Obstruction(cycle=(Edge(x, "g0", 1, x, F(1, 3)),), found=F(1, 3))
+        assert at_stop == [len(steps)] == [8]
 
 
 def test_vertex_budget_below_seed_is_rejected():
@@ -1225,9 +1302,9 @@ class FractionOrbits(_Orbits):
     step is evaluated by the Fraction oracle.  In `steps` it has the
     kernel's shape, (n, d) -> (n', d', j), j indexing the jumps other than
     1 in the order they are met, for smoothing._solve to read; expand, for
-    detect_finite_orbit and the obstruction sweep, evaluates every map,
-    inverses included, at every vertex, and puts a jump in the table when
-    it is not 1.  pts holds each point's pair, as _Orbits does."""
+    detect_finite_orbit, evaluates every map, inverses included, at every
+    vertex, and puts a jump in the table when it is not 1.  pts holds each
+    point's pair, as _Orbits does."""
 
     def __init__(self, seed, maps, max_vertices):
         self.maps, self.max_vertices = maps, max_vertices
@@ -1235,8 +1312,7 @@ class FractionOrbits(_Orbits):
         self.pts, self.ids, self.out, self.jumps, self.expanded = [], {}, [], {}, 0
         for x in seed:
             self._intern(F(*x))
-        self.n_seed = len(self.pts)
-        if self.n_seed > max_vertices:
+        if len(self.pts) > max_vertices:
             raise ValueError("max_vertices smaller than the seed")
 
     @staticmethod
