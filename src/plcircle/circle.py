@@ -81,7 +81,8 @@ class _Frozen:
     in _fields order, to _init, which sets them and calls __post_init__.
     No field can be assigned after.  repr, == and hash read the fields in
     order, as a frozen dataclass's do: hash(r) = hash(tuple of r's fields).
-    copy, deepcopy and pickle call __init__ again with the fields."""
+    copy, deepcopy and pickle call __init__ again with the fields, but
+    PLHomeo's __reduce__ rebuilds a map from its _quads, with no check."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()  # every subclass's __slots__ too, but PLHomeo's

@@ -86,9 +86,9 @@ class _Orbits:
     _solve fills the table for smooth_group, and `jumps` with the jumps
     other than 1 under the same index, each read off its map at the
     breakpoint index the kernel returns, a reverse slot's the pair of w
-    swapped (1/w by the chain rule).  expand fills it, with no jump, for
-    detect_finite_orbit.  Each map's kernel and jump tuple are bound once,
-    in `steps`."""
+    swapped (1/w by the chain rule); each map's kernel and jump tuple are
+    bound once for it, in `steps`.  expand fills the table one vertex at a
+    time, with no jump, for detect_finite_orbit."""
 
     def __init__(self, seed, maps, max_vertices: int):
         self.maps, self.max_vertices = maps, max_vertices
@@ -103,26 +103,25 @@ class _Orbits:
             raise ValueError(f"max_vertices {max_vertices} is below the "
                              f"{len(self.pts)} distinct generator breakpoints")
 
-    def expand(self, v: int) -> None:
-        """Fill the slots of the vertices up to the interned id v, in order."""
-        out, pts, ids, steps = self.out, self.pts, self.ids, self.steps
-        K, top = len(steps), self.max_vertices
-        for u in range(self.expanded, v + 1):
-            n, d = pts[u]
-            for k, (step, _) in enumerate(steps):
-                i = u * K + k
-                if out[i] is None:
-                    n2, d2, _ = step(n, d)
-                    key = (n2 % d2, d2)
-                    t = ids.get(key)
-                    if t is None:  # a new point
-                        t = ids[key] = len(pts)
-                        pts.append(key)
-                        out += [None] * K
-                    out[i] = t
-                    if u < t < top:
-                        out[t * K + (k ^ 1)] = u
-            self.expanded = u + 1
+    def expand(self) -> None:
+        """Fill the empty slots of the vertex `expanded`, with no jump."""
+        out, pts, ids, K = self.out, self.pts, self.ids, len(self.maps)
+        u = self.expanded
+        n, d = pts[u]
+        for k, (_, g) in enumerate(self.maps):
+            i = u * K + k
+            if out[i] is None:
+                n2, d2, _ = g._advance(n, d)
+                key = (n2 % d2, d2)
+                t = ids.get(key)
+                if t is None:  # a new point
+                    t = ids[key] = len(pts)
+                    pts.append(key)
+                    out += [None] * K
+                out[i] = t
+                if u < t < self.max_vertices:
+                    out[t * K + (k ^ 1)] = u
+        self.expanded = u + 1
 
     def point(self, v: int) -> CirclePoint:
         return CirclePoint(_coprime(*self.pts[v]))
@@ -416,7 +415,7 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
             continue
         o = _Orbits([key], signed, max_orbit)
         while o.expanded < len(o.pts) <= max_orbit:
-            o.expand(o.expanded)
+            o.expand()
         if len(o.pts) <= max_orbit:
             return tuple(map(o.point, o.in_order(range(len(o.pts)))))
         cut_off.update(o.ids)

@@ -1302,9 +1302,9 @@ class FractionOrbits(_Orbits):
     step is evaluated by the Fraction oracle.  In `steps` it has the
     kernel's shape, (n, d) -> (n', d', j), j indexing the jumps other than
     1 in the order they are met, for smoothing._solve to read; expand, for
-    detect_finite_orbit, evaluates every map, inverses included, at every
-    vertex, and puts a jump in the table when it is not 1.  pts holds each
-    point's pair, as _Orbits does."""
+    detect_finite_orbit, evaluates every map, inverses included, at the
+    vertex `expanded`, and fills no jump.  pts holds each point's pair, as
+    _Orbits does."""
 
     def __init__(self, seed, maps, max_vertices):
         self.maps, self.max_vertices = maps, max_vertices
@@ -1337,17 +1337,11 @@ class FractionOrbits(_Orbits):
             self.out += [None] * len(self.maps)
         return v
 
-    def expand(self, v):
-        K = len(self.maps)
-        while self.expanded <= v and self.expanded < len(self.pts):
-            x = F(*self.pts[self.expanded])
-            for k, (label, g) in enumerate(self.maps):
-                y, w = eval_jump(g, x)
-                i = self.expanded * K + k
-                self.out[i] = self._intern(y)
-                if w != 1:
-                    self.jumps[i] = w
-            self.expanded += 1
+    def expand(self):
+        x, K = F(*self.pts[self.expanded]), len(self.maps)
+        for k, (label, g) in enumerate(self.maps):
+            self.out[self.expanded * K + k] = self._intern(eval_jump(g, x)[0])
+        self.expanded += 1
 
     def point(self, v):
         return CirclePoint(F(*self.pts[v]))
