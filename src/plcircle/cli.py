@@ -258,16 +258,20 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a reader gone after the last write fails here
         return code
     except OSError as exc:
-        # stdout failed (`plcircle ... | head`, or a full device): send the
-        # unwritten output to devnull so the flush at exit is silent
-        if sys.stdout is sys.__stdout__:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        if isinstance(exc, BrokenPipeError):
-            print("error: output closed before it was complete", file=sys.stderr)
-        else:
-            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        # stdout failed (`plcircle ... | head`, or a full device), and stderr
+        # too when it is the same closed pipe (`2>&1 | head`): the process's
+        # own failed streams go to devnull, so the flush at exit is silent
+        failed = [(sys.stdout, sys.__stdout__)]
+        try:
+            print("error: output closed before it was complete" if isinstance(exc, BrokenPipeError)
+                  else f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        except OSError:
+            failed.append((sys.stderr, sys.__stderr__))
+        for stream, own in failed:
+            if stream is own:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
         return 2
     except ValueError as exc:  # io.FormatError too; a line break shows as \n
         print("error:", "\\n".join(str(exc).splitlines()), file=sys.stderr)

@@ -76,19 +76,18 @@ def _signed_generators(G: GroupPresentation) -> List[Tuple[Tuple[str, int], PLHo
 
 
 class _Orbits:
-    """An orbit graph explored on demand.  Points get int ids in breadth-first
-    discovery order from the sorted seed, and are held as the (numerator,
-    denominator) pair, in lowest terms, that interns them; a point becomes
-    a Fraction, with no gcd, only in results.  Ids from max_vertices on are
-    escaping points.  Edges are one flat table: out[v*K + k] is map k's
-    target at vertex v.  The maps come in (g, g^{-1}) pairs, so a step u ->
-    t of map k fills t's slot k ^ 1 with u: each step is evaluated once.
-    _solve fills the table for smooth_group, and `jumps` with the jumps
-    other than 1 under the same index, each read off its map at the
-    breakpoint index the kernel returns, a reverse slot's the pair of w
+    """An orbit graph explored on demand, for smooth_group.  Points get int
+    ids in breadth-first discovery order from the sorted seed, and are held
+    as the (numerator, denominator) pair, in lowest terms, that interns
+    them; a point becomes a Fraction, with no gcd, only in results.  Ids
+    from max_vertices on are escaping points.  Edges are one flat table:
+    out[v*K + k] is map k's target at vertex v.  The maps come in (g,
+    g^{-1}) pairs, so a step u -> t of map k fills t's slot k ^ 1 with u:
+    each step is evaluated once.  _solve fills the table, and `jumps` with
+    the jumps other than 1 under the same index, each read off its map at
+    the breakpoint index the kernel returns, a reverse slot's the pair of w
     swapped (1/w by the chain rule); each map's kernel and jump tuple are
-    bound once for it, in `steps`.  expand fills the table one vertex at a
-    time, with no jump, for detect_finite_orbit."""
+    bound once for it, in `steps`."""
 
     def __init__(self, seed, maps, max_vertices: int):
         self.maps, self.max_vertices = maps, max_vertices
@@ -98,30 +97,9 @@ class _Orbits:
         self.ids: Dict[Tuple[int, int], int] = {x: v for v, x in enumerate(self.pts)}
         self.out: List[Optional[int]] = [None] * (len(self.pts) * len(maps))
         self.jumps: Dict[int, Fraction] = {}
-        self.expanded = 0  # the ids below it have every slot filled
         if len(self.pts) > max_vertices:
             raise ValueError(f"max_vertices {max_vertices} is below the "
                              f"{len(self.pts)} distinct generator breakpoints")
-
-    def expand(self) -> None:
-        """Fill the empty slots of the vertex `expanded`, with no jump."""
-        out, pts, ids, K = self.out, self.pts, self.ids, len(self.maps)
-        u = self.expanded
-        n, d = pts[u]
-        for k, (_, g) in enumerate(self.maps):
-            i = u * K + k
-            if out[i] is None:
-                n2, d2, _ = g._advance(n, d)
-                key = (n2 % d2, d2)
-                t = ids.get(key)
-                if t is None:  # a new point
-                    t = ids[key] = len(pts)
-                    pts.append(key)
-                    out += [None] * K
-                out[i] = t
-                if u < t < self.max_vertices:
-                    out[t * K + (k ^ 1)] = u
-        self.expanded = u + 1
 
     def point(self, v: int) -> CirclePoint:
         return CirclePoint(_coprime(*self.pts[v]))
@@ -168,9 +146,9 @@ def _scaled(x, p: int, q: int, root: int, interned):
 
 def _solve(o: _Orbits):
     """The one orbit pass, in id (discovery) order: each vertex below the
-    budget has its empty slots stepped as _Orbits.expand steps them, and
-    each edge, a_{g(y)} = a_y / w, is checked as it is filled, its reverse
-    slot and jumps with it.  Potentials are a weighted union-find (Tarjan
+    budget has its empty slots stepped by their maps' kernels, and each
+    edge, a_{g(y)} = a_y / w, is checked as it is filled, its reverse slot
+    and jumps with it.  Potentials are a weighted union-find (Tarjan
     1975): interned (numerator, denominator, root) triples, a value in
     lowest terms and its tree, so a unit edge copies a_y and is checked by
     identity, and only a jump n/d computes, a_y times d/n in two products
@@ -392,6 +370,15 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     closed under the generators up to max_orbit points; the first that
     closes is returned, or None if none closes within the budget.
 
+    A closure steps the generators alone, breadth-first, never an inverse.
+    A finite set that each generator, an injective map, sends into itself
+    it sends onto itself, so the inverses keep it too: a point's forward
+    orbit, its images under the words in the generators alone, is finite
+    exactly when its group orbit is, and the two sets are then equal.  The
+    forward orbit lies in the group orbit, so a closure cut off past
+    max_orbit puts every point it met on one group orbit of more than
+    max_orbit points, and a candidate among them is skipped.
+
     A finite orbit is a union of periodic orbits of each generator, of q
     points each when its rotation number is p/q in lowest terms.  So when a
     generator's rotation number is read with no orbit (a rotation, or a map
@@ -405,20 +392,26 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
             rho = rotation_number(g, max_q=max_orbit, depth=1)
             if not rho.is_exact or rho.exact.denominator > max_orbit:
                 return None
-    signed = _signed_generators(G)
-    # keys of the points of closures that passed max_orbit, tried candidates
-    # included: closing any of them again cannot succeed
-    cut_off = set()
-    for p in _word_candidates(signed, max_period):
+    steps = [g._advance for _, g in G.generators]
+    cut_off = set()  # the points of closures cut off, tried candidates included
+    for p in _word_candidates(_signed_generators(G), max_period):
         key = (p.value.numerator, p.value.denominator)
         if key in cut_off:
             continue
-        o = _Orbits([key], signed, max_orbit)
-        while o.expanded < len(o.pts) <= max_orbit:
-            o.expand()
-        if len(o.pts) <= max_orbit:
-            return tuple(map(o.point, o.in_order(range(len(o.pts)))))
-        cut_off.update(o.ids)
+        orbit, seen = [key], {key}
+        for n, d in orbit:  # orbit grows in breadth-first order as it is read
+            for step in steps:
+                n2, d2, _ = step(n, d)
+                x = (n2 % d2, d2)
+                if x not in seen:
+                    seen.add(x)
+                    orbit.append(x)
+            if len(orbit) > max_orbit:
+                cut_off.update(orbit)
+                break
+        else:
+            return tuple(CirclePoint(_coprime(*x))
+                         for _, x in sorted(zip(_order_keys(orbit), orbit)))
     return None
 
 

@@ -51,6 +51,8 @@ SM = "tests/test_smoothing.py::"
 ORBIT_ORACLES = (SM + "test_orbit_pass_matches_fraction_oracle",
                  SM + "test_smooth_group_matches_two_pass_oracle")
 SWEEP_ORDER = SM + "test_discovery_order_pass_matches_sweep_order_oracle"
+CLOSURES = (SM + "test_finite_orbit_closures_evaluate_no_step_backwards",
+            SM + "test_finite_orbit_matches_bfs_oracle")
 TABLES = "tests/test_homeo.py::test_stored_tables_match_oracle"
 ENCLOSURE = "tests/test_rotnum.py::test_enclosure_lies_inside_the_coarse_oracle"
 CERTIFICATE = "tests/test_rotnum.py::test_periodic_certificate_matches_the_descent_oracle"
@@ -277,6 +279,14 @@ MUTANTS = [
            " or j in skip", "", (SWEEP_ORDER, *ORBIT_ORACLES)),
     Mutant("obstruction-walk-rooted-at-u", "smoothing", "_obstruction",
            "u, t = i // K, out[i]", "t, u = i // K, out[i]", (SWEEP_ORDER, *ORBIT_ORACLES)),
+    # a finite-orbit closure steps every generator and closes within max_orbit
+    Mutant("closure-cut-at-max-orbit", "smoothing", "detect_finite_orbit",
+           "if len(orbit) > max_orbit:", "if len(orbit) >= max_orbit:", CLOSURES),
+    Mutant("closure-drops-a-generator", "smoothing", "detect_finite_orbit",
+           "for step in steps:", "for step in steps[1:]:", CLOSURES),
+    # the answers stay; only the closures made twice over show it
+    Mutant("cut-off-never-recorded", "smoothing", "detect_finite_orbit",
+           "cut_off.update(orbit)", "pass", (SM + "test_finite_orbit_skips_candidates_on_cut_off_orbits",)),
     # Newton's iteration descends to the root only from above it
     Mutant("root-bound-one-bit-short", "smoothing", "_iroot",
            "r = 1 << -(-m.bit_length() // n)", "r = 1 << -(-m.bit_length() // n) - 1",

@@ -403,7 +403,7 @@ def test_orbit_norms_past_the_subset_product_limit(tmp_path):
 
 
 class _ClosedStdout:
-    """A stdout whose reader has gone away."""
+    """A stdout, or stderr, whose reader has gone away."""
 
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
@@ -420,6 +420,15 @@ def test_broken_pipe_exit_two(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_broken_pipe_on_stdout_and_stderr_exit_two(monkeypatch):
+    # `2>&1 | head`: the error line cannot be written either, and main
+    # still returns 2 rather than raise
+    from plcircle import cli
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    monkeypatch.setattr(sys, "stderr", _ClosedStdout())
+    assert cli.main(["exotic", "4", "2"]) == 2
 
 
 def test_memory_error_exit_two(monkeypatch, capsys):
@@ -450,6 +459,18 @@ def test_broken_pipe_reader_closes_early():
     p.stderr.close()
     assert p.wait(timeout=60) == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_broken_pipe_shared_with_stderr():
+    # `2>&1 | head -1`: stderr is the pipe the reader closed, so the error
+    # line fails too; the exit code is still 2, not 1, a domain outcome
+    p = subprocess.Popen([sys.executable, "-m", "plcircle.cli", "orbit-norms",
+                          str(FIXTURES / "rotation_one_third.json"), "-N", "20000"],
+                         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                         env=ENV)
+    assert p.stdout.readline().startswith("# ")
+    p.stdout.close()
+    assert p.wait(timeout=60) == 2
 
 
 @pytest.mark.parametrize("argv", [["exotic", "4", "2"], ["random", "--seed", "1"],

@@ -254,6 +254,40 @@ def test_finite_orbit_exotic_period_two():
     assert orbit is not None and len(orbit) == 2
 
 
+def _spy_closures(monkeypatch):
+    """The list that records each orbit closure detect_finite_orbit makes
+    from now on, as (candidate pair, kernel steps), each step (map,
+    source, circle image).  A closure's steps are those made between the
+    search's taking its candidate from _word_candidates and asking for the
+    next, so the words' compositions and fixed points, made inside
+    _word_candidates, are not counted; a candidate skipped with no step
+    is dropped."""
+    step, word_candidates = PLHomeo._advance, smoothing._word_candidates
+    closures, active = [], []
+
+    def counting_step(self, n, d):
+        out = step(self, n, d)
+        if active:
+            active[-1].append((self, (n, d), (out[0] % out[1], out[1])))
+        return out
+
+    def spied(*args):
+        for p in word_candidates(*args):
+            steps = []
+            closures.append(((p.value.numerator, p.value.denominator), steps))
+            active.append(steps)
+            try:
+                yield p
+            finally:  # also when the search returns, and closes the generator
+                active.pop()
+            if not steps:
+                closures.pop()
+
+    monkeypatch.setattr(PLHomeo, "_advance", counting_step)
+    monkeypatch.setattr(smoothing, "_word_candidates", spied)
+    return closures
+
+
 def test_finite_orbit_none_for_irrational_type():
     g = exotic_element(ExoticParams(F(5), F(2)))
     assert detect_finite_orbit(pres(g), 6) is None
@@ -267,18 +301,11 @@ def test_finite_orbit_tries_zero_after_the_trivial_word(monkeypatch):
     phi = random_pl(3, 2, 16)
     G = pres(_conjugate(phi, exotic_element(ExoticParams(F(6), F(2)))),
              _conjugate(phi, rotation(F(1, 3))))
-    seeds = []
-
-    class SeedOrbits(_Orbits):
-        def __init__(self, seed, *args):
-            seeds.append(list(seed))
-            super().__init__(seed, *args)
-
-    monkeypatch.setattr(smoothing, "_Orbits", SeedOrbits)
+    closures = _spy_closures(monkeypatch)
     assert detect_finite_orbit(G, 1) is None
-    assert seeds == []
+    assert closures == []
     assert detect_finite_orbit(G, 2) is None
-    assert len(seeds) > 1 and seeds[-1] == [(0, 1)]
+    assert len(closures) > 1 and closures[-1][0] == (0, 1)
 
 
 def test_finite_orbit_tries_zero_for_an_identity_generator():
@@ -453,20 +480,16 @@ def test_finite_orbit_skips_candidates_on_cut_off_orbits(monkeypatch):
     # of this pair's 11 distinct candidates, 4 lie on orbits that an earlier
     # closure cut off at max_orbit
     G = pres(STD, random_pl(0, 4, 32))
-    closures = []
-
-    class CountingOrbits(_Orbits):
-        def __init__(self, *args):
-            super().__init__(*args)
-            closures.append(self)
-
-    monkeypatch.setattr(smoothing, "_Orbits", CountingOrbits)
+    closures = _spy_closures(monkeypatch)
     got = detect_finite_orbit(G, 2, max_orbit=8)
     assert got == bfs_detect_finite_orbit(G, 2, max_orbit=8)
-    assert len(closures) < len(set(oracle_candidates(G, 2)))
-    # no closure starts on a point an earlier closure explored
-    for i, o in enumerate(closures):
-        assert all(o.pts[0] not in e.ids for e in closures[:i])
+    assert len(set(oracle_candidates(G, 2))) == 11
+    assert len(closures) == 7
+    # no closure starts on a point an earlier closure reached
+    reached = set()
+    for key, steps in closures:
+        assert key not in reached
+        reached |= {x for _, x, _ in steps} | {y for _, _, y in steps}
 
 
 def test_finite_orbit_rejects_empty_budgets():
@@ -1237,8 +1260,8 @@ def test_kernel_matches_fraction_oracle_on_incommensurable_denominators(seed, k)
 
 def _count_steps(monkeypatch):
     """Record (map, source, circle image) of every kernel call made inside
-    the orbit pass (smoothing._solve) or an orbit closure (_Orbits.expand);
-    calls elsewhere, such as phi.eval on a success, are not counted."""
+    the orbit pass (smoothing._solve); calls elsewhere, such as phi.eval on
+    a success, are not counted."""
     step, calls, inside = PLHomeo._advance, [], []
 
     def counting_step(self, n, d):
@@ -1257,7 +1280,6 @@ def _count_steps(monkeypatch):
         return marked
 
     monkeypatch.setattr(PLHomeo, "_advance", counting_step)
-    monkeypatch.setattr(_Orbits, "expand", marking(_Orbits.expand))
     monkeypatch.setattr(smoothing, "_solve", marking(smoothing._solve))
     return calls
 
@@ -1275,41 +1297,49 @@ def test_smooth_group_evaluates_each_step_once(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_finite_orbit_closures_evaluate_no_step_backwards(monkeypatch, seed):
-    # within one closure, map k ^ 1 inverts map k, and its step y -> x is
-    # not evaluated once the step x -> y of map k was, unless x is fixed
+    # a closure steps each generator, never an inverse, once at each point
+    # it takes in, in breadth-first order: a closing orbit of m points
+    # costs m |G| steps, and one cut off past max_orbit stops after the
+    # point whose images took it past.  At max_orbit 8 the rotation of
+    # seeds 7 and 15 rules every orbit out before any closure
     G = _finite_orbit_group(seed)
-    calls, closures = _count_steps(monkeypatch), []
-
-    class CountingOrbits(_Orbits):
-        def __init__(self, *args):
-            super().__init__(*args)
-            closures.append((self, len(calls)))
-
-    monkeypatch.setattr(smoothing, "_Orbits", CountingOrbits)
-    detect_finite_orbit(G, 2, max_orbit=8)
-    ends = [start for _, start in closures[1:]] + [len(calls)]
-    for (o, start), end in zip(closures, ends):
-        index = {id(g): k for k, (_, g) in enumerate(o.maps)}
-        steps = [(index[id(g)], x, y) for g, x, y in calls[start:end]]
-        done = {(k, x) for k, x, _ in steps}
-        assert len(done) == len(steps)
-        for k, x, y in steps:
-            assert x == y or (k ^ 1, y) not in done
+    gens = [g for _, g in G.generators]
+    made = 0
+    for max_orbit in (8, 512):
+        closures = _spy_closures(monkeypatch)
+        got = detect_finite_orbit(G, 2, max_orbit=max_orbit)
+        monkeypatch.undo()
+        made += len(closures)
+        for i, (key, steps) in enumerate(closures):
+            assert all(any(g is h for h in gens) for g, _, _ in steps)
+            order = [key]  # the points in the order the closure met them
+            for _, _, y in steps:
+                if y not in order:
+                    order.append(y)
+            sources = [x for _, x, _ in steps]
+            assert sources == [x for x in order[:len(steps) // len(gens)] for _ in gens]
+            assert [g for g, _, _ in steps] == gens * (len(steps) // len(gens))
+            if got is not None and i == len(closures) - 1:
+                assert sorted(order) == sorted((p.value.numerator, p.value.denominator)
+                                               for p in got)
+                assert len(steps) == len(got) * len(gens)
+            else:
+                met = {key} | {y for _, _, y in steps[:-len(gens)]}
+                assert len(met) <= max_orbit < len(order)
+    assert made
 
 
 class FractionOrbits(_Orbits):
     """The orbit pass before the integer kernel, as a test oracle: every
     step is evaluated by the Fraction oracle.  In `steps` it has the
     kernel's shape, (n, d) -> (n', d', j), j indexing the jumps other than
-    1 in the order they are met, for smoothing._solve to read; expand, for
-    detect_finite_orbit, evaluates every map, inverses included, at the
-    vertex `expanded`, and fills no jump.  pts holds each point's pair, as
-    _Orbits does."""
+    1 in the order they are met, for smoothing._solve to read.  pts holds
+    each point's pair, as _Orbits does."""
 
     def __init__(self, seed, maps, max_vertices):
         self.maps, self.max_vertices = maps, max_vertices
         self.steps = [self._oracle_step(g) for _, g in maps]
-        self.pts, self.ids, self.out, self.jumps, self.expanded = [], {}, [], {}, 0
+        self.pts, self.ids, self.out, self.jumps = [], {}, [], {}
         for x in seed:
             self._intern(F(*x))
         if len(self.pts) > max_vertices:
@@ -1336,12 +1366,6 @@ class FractionOrbits(_Orbits):
             self.pts.append(key)
             self.out += [None] * len(self.maps)
         return v
-
-    def expand(self):
-        x, K = F(*self.pts[self.expanded]), len(self.maps)
-        for k, (label, g) in enumerate(self.maps):
-            self.out[self.expanded * K + k] = self._intern(eval_jump(g, x)[0])
-        self.expanded += 1
 
     def point(self, v):
         return CirclePoint(F(*self.pts[v]))
@@ -1371,18 +1395,19 @@ def _kind_groups(kind, seed):
 @pytest.mark.parametrize("kind", ["success", "obstruction", "truncated"])
 def test_orbit_pass_matches_fraction_oracle(monkeypatch, kind):
     # 150 seeded groups of each outcome kind: byte-identical smoothing
-    # outcomes and finite orbits
-    compared = backward = 0
+    # outcomes, and the finite orbits of the breadth-first oracle
+    compared = backward = orbits = 0
     for seed in range(400):
         G, max_vertices = _kind_groups(kind, seed)
         got = smooth_group(G, max_vertices)
         if got.kind != kind:
             continue
         orbit = detect_finite_orbit(G, 1, max_orbit=16)
+        assert orbit == bfs_detect_finite_orbit(G, 1, max_orbit=16)
+        orbits += orbit is not None
         with monkeypatch.context() as m:
             m.setattr(smoothing, "_Orbits", FractionOrbits)
             want = smooth_group(G, max_vertices)
-            assert detect_finite_orbit(G, 1, max_orbit=16) == orbit
         assert json.dumps(outcome_to_json(got)) == json.dumps(outcome_to_json(want))
         if kind == "obstruction":
             backward += any(e.sign == -1 for e in got.cycle)
@@ -1390,8 +1415,8 @@ def test_orbit_pass_matches_fraction_oracle(monkeypatch, kind):
         if compared == 150:
             break
     assert compared == 150
-    if kind == "obstruction":
-        assert backward >= 10
+    if kind == "obstruction":  # the other kinds' generators fix no point
+        assert backward >= 10 and orbits >= 10
 
 
 def test_seed_matches_sorted_fraction_seed(monkeypatch):
