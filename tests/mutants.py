@@ -286,7 +286,8 @@ MUTANTS = [
            "for step in steps:", "for step in steps[1:]:", CLOSURES),
     # the answers stay; only the closures made twice over show it
     Mutant("cut-off-never-recorded", "smoothing", "detect_finite_orbit",
-           "cut_off.update(orbit)", "pass", (SM + "test_finite_orbit_skips_candidates_on_cut_off_orbits",)),
+           "cut_off.update(orbit)", "pass",
+           (SM + "test_finite_orbit_skips_candidates_on_cut_off_orbits",)),
     # Newton's iteration descends to the root only from above it
     Mutant("root-bound-one-bit-short", "smoothing", "_iroot",
            "r = 1 << -(-m.bit_length() // n)", "r = 1 << -(-m.bit_length() // n) - 1",
