@@ -245,6 +245,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _error(message: str, *failed) -> int:
+    """Print the error line to stderr and return 2.  The failed streams,
+    and stderr too when the line cannot be written (the same closed pipe as
+    stdout under `2>&1 | head`), go to devnull when they are the process's
+    own, so the flush at exit is silent and the exit code stays 2."""
+    try:
+        print("error:", message, file=sys.stderr)
+    except OSError:
+        failed += (sys.stderr,)
+    for stream in failed:
+        if stream is sys.__stdout__ or stream is sys.__stderr__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+    return 2
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -257,31 +274,15 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader gone after the last write fails here
         return code
-    except OSError as exc:
-        # stdout failed (`plcircle ... | head`, or a full device), and stderr
-        # too when it is the same closed pipe (`2>&1 | head`): the process's
-        # own failed streams go to devnull, so the flush at exit is silent
-        failed = [(sys.stdout, sys.__stdout__)]
-        try:
-            print("error: output closed before it was complete" if isinstance(exc, BrokenPipeError)
-                  else f"error: cannot write output: {exc.strerror}", file=sys.stderr)
-        except OSError:
-            failed.append((sys.stderr, sys.__stderr__))
-        for stream, own in failed:
-            if stream is own:
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, stream.fileno())
-                os.close(devnull)
-        return 2
+    except OSError as exc:  # stdout failed: `plcircle ... | head`, or a full device
+        return _error("output closed before it was complete" if isinstance(exc, BrokenPipeError)
+                      else f"cannot write output: {exc.strerror}", sys.stdout)
     except ValueError as exc:  # io.FormatError too; a line break shows as \n
-        print("error:", "\\n".join(str(exc).splitlines()), file=sys.stderr)
-        return 2
+        return _error("\\n".join(str(exc).splitlines()))
     except RecursionError:
-        print("error: input nested too deeply", file=sys.stderr)
-        return 2
+        return _error("input nested too deeply")
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        return _error("out of memory")
 
 
 if __name__ == "__main__":

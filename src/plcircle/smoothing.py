@@ -321,29 +321,56 @@ def _word_candidates(signed, max_period: int, max_words: int = 2000):
     """Fixed points of each new word of length <= max_period, in word order;
     then 0 if some word is the identity, as 0 stands for its fixed points.
 
-    Only reduced words are composed: the empty word is None and matches no
-    letter, a word of length 1 is the generator itself, and a letter
-    followed by its own inverse (slot k ^ 1 of the word's first letter k)
-    is skipped, as it equals the word's tail, which is already seen.  Each
-    new word is hashed once, by its lowest-terms quadruples (PLHomeo's
-    hash), and its fixed points are solved on integer gaps (fixed_points).
-    The identity is seen from the start, so some word is the identity
-    exactly when a generator is, or when the search reaches length 2, where
-    g^-1 g is skipped."""
+    Letters are compared as maps: each signed generator is the letter of
+    the first slot holding an equal map, so an involution is one letter,
+    its own inverse.  Only reduced words are composed: the empty word is
+    None and matches no letter, a word of length 1 is the generator
+    itself, and a word whose first two letters multiply to the identity
+    (letter k before inv[k]) is skipped, as it equals the word's tail,
+    which is already seen.  Each new word is hashed once, by its
+    lowest-terms quadruples (PLHomeo's hash), and its fixed points are
+    solved on integer gaps (fixed_points).  The identity is seen from the
+    start, so some word is the identity exactly when a generator is, or
+    when the search reaches length 2, where g^-1 g is skipped.
+
+    On the last length, when the word budget cannot bind there (the words
+    seen, plus one per letter for each word of the frontier, are at most
+    max_words), one word per letter cycle is composed: a word whose
+    letters are a rotation of a word already met on this length, or of
+    its inverse word, is skipped.  Rotating w = l_1 ... l_n to l_2 ... l_n
+    l_1 gives l_1^-1 w l_1, whose fixed points are l_1^-1 of w's, and the
+    inverse word l_n^-1 ... l_1^-1 has w's fixed points.  So each fixed
+    point of a skipped word is g(p), g a word in the generators, and p a
+    candidate of the word met first, or of an equal earlier word.  The
+    consumer tries each candidate before the next word is composed, so
+    the skip is exact for detect_finite_orbit (see there).  Skipping adds
+    no word to `seen` that the budget test would count: under the guard
+    the budget breaks nowhere on this length, as before."""
+    maps = [g for _, g in signed]
+    letters = [k for k, g in enumerate(maps) if maps.index(g) == k]
+    inv = {k: maps.index(maps[k ^ 1]) for k in letters}  # each letter's inverse
     seen = {identity()}
-    frontier = [(None, -2)]  # (word, slot of its first letter)
+    frontier = [(None, ())]  # (word, its letters, the outermost first)
     for length in range(max_period):  # the length of the words in frontier
+        cycles = (set() if length == max_period - 1
+                  and len(seen) + len(frontier) * len(letters) <= max_words else None)
         nxt = []
-        for w, first in frontier:
-            for k, (_, g) in enumerate(signed):
-                if k == first ^ 1:
+        for w, word in frontier:
+            for k in letters:
+                if word and k == inv[word[0]]:
                     continue
-                gw = g if w is None else g.compose(w)
+                kw = (k, *word)
+                if cycles is not None:
+                    if kw in cycles:
+                        continue
+                    back = tuple(inv[x] for x in reversed(kw))
+                    cycles.update(u[i:] + u[:i] for u in (kw, back) for i in range(len(kw)))
+                gw = maps[k] if w is None else maps[k].compose(w)
                 size = len(seen)
                 seen.add(gw)
                 if len(seen) == size:
                     continue
-                nxt.append((gw, k))
+                nxt.append((gw, kw))
                 fs = fixed_points(gw)
                 yield from fs.points
                 yield from (p for arc in fs.arcs for p in arc)
@@ -352,7 +379,7 @@ def _word_candidates(signed, max_period: int, max_words: int = 2000):
         frontier = nxt
         if not frontier or len(seen) > max_words:
             break
-    if length or any(g.is_identity for _, g in signed):
+    if length or any(g.is_identity for g in maps):
         yield CirclePoint(Fraction(0))
 
 
@@ -365,10 +392,25 @@ def detect_finite_orbit(G: GroupPresentation, max_period: int,
     generators and their inverses, tried in word order as each word is found,
     with 0 last when a word is the identity.  The trivial word g^-1 g is, so
     every search that reaches length 2 tries 0 last, whatever the group.
-    Only reduced words are composed, each new word is hashed once, by its
-    integer pairs, and the words stop past 2000.  Each candidate's orbit is
-    closed under the generators up to max_orbit points; the first that
-    closes is returned, or None if none closes within the budget.
+    Only reduced words are composed, letters compared as maps, each new
+    word is hashed once, by its integer pairs, and the words stop past
+    2000.  Each candidate's orbit is closed under the generators up to
+    max_orbit points; the first that closes is returned, or None if none
+    closes within the budget.
+
+    On the last length, unless the 2000-word budget could bind there, one
+    word per letter cycle is composed, up to rotation and inversion
+    (_word_candidates).  This is exact.  Rotating a word's letters
+    conjugates its map by the first letter, and reversing and inverting
+    them inverts the map, which keeps its fixed points, so each fixed point
+    of a skipped word is g(p), g a word in the generators and p a candidate
+    of a word already solved.  p was tried and did not close, or was on a
+    cut-off orbit: either way p lies on a group orbit of more than
+    max_orbit points, and g(p) on the same one, so its closure would be cut
+    off too.  The guard on the budget keeps its break where it is without
+    the skip, so the same words are reached.  A signed generator is
+    replaced by the first slot holding an equal map, so an involution's
+    square is skipped as g^-1 g is, and its inverse is not composed twice.
 
     A closure steps the generators alone, breadth-first, never an inverse.
     A finite set that each generator, an injective map, sends into itself

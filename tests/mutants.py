@@ -53,6 +53,11 @@ ORBIT_ORACLES = (SM + "test_orbit_pass_matches_fraction_oracle",
 SWEEP_ORDER = SM + "test_discovery_order_pass_matches_sweep_order_oracle"
 CLOSURES = (SM + "test_finite_orbit_closures_evaluate_no_step_backwards",
             SM + "test_finite_orbit_matches_bfs_oracle")
+WORDS = (SM + "test_reduced_words_change_no_candidate",
+         SM + "test_finite_orbit_with_an_involution_matches_bfs_oracle")
+WORD_COUNTS = (SM + "test_finite_orbit_composes_reduced_words_only",
+               SM + "test_finite_orbit_composes_an_involution_once",
+               SM + "test_finite_orbit_composes_one_word_per_cycle_at_period_six")
 TABLES = "tests/test_homeo.py::test_stored_tables_match_oracle"
 ENCLOSURE = "tests/test_rotnum.py::test_enclosure_lies_inside_the_coarse_oracle"
 CERTIFICATE = "tests/test_rotnum.py::test_periodic_certificate_matches_the_descent_oracle"
@@ -288,6 +293,20 @@ MUTANTS = [
     Mutant("cut-off-never-recorded", "smoothing", "detect_finite_orbit",
            "cut_off.update(orbit)", "pass",
            (SM + "test_finite_orbit_skips_candidates_on_cut_off_orbits",)),
+    # the word search skips a word of a letter cycle already met only on the
+    # last length, and only where the word budget cannot break it there
+    Mutant("cycle-skip-past-the-word-budget", "smoothing", "_word_candidates",
+           "and len(seen) + len(frontier) * len(letters) <= max_words ", "", WORDS),
+    Mutant("cycle-skip-on-every-length", "smoothing", "_word_candidates",
+           "length == max_period - 1", "True", WORDS),
+    # the answers stay; only the compositions counted show it
+    Mutant("letters-compared-by-slot", "smoothing", "_word_candidates",
+           "letters = [k for k, g in enumerate(maps) if maps.index(g) == k]\n"
+           "    inv = {k: maps.index(maps[k ^ 1]) for k in letters}",
+           "letters = list(range(len(maps)))\n    inv = {k: k ^ 1 for k in letters}",
+           WORD_COUNTS),
+    Mutant("cycle-key-without-inversion", "smoothing", "_word_candidates",
+           "for u in (kw, back)", "for u in (kw,)", WORD_COUNTS),
     # Newton's iteration descends to the root only from above it
     Mutant("root-bound-one-bit-short", "smoothing", "_iroot",
            "r = 1 << -(-m.bit_length() // n)", "r = 1 << -(-m.bit_length() // n) - 1",

@@ -431,6 +431,29 @@ def test_broken_pipe_on_stdout_and_stderr_exit_two(monkeypatch):
     assert cli.main(["exotic", "4", "2"]) == 2
 
 
+@pytest.mark.parametrize("handler", ["value", "recursion", "memory"])
+def test_rejected_request_with_closed_stdout_and_stderr_exits_two(monkeypatch, tmp_path,
+                                                                   handler):
+    # a malformed input's error line cannot be written either: main still
+    # returns 2, not 1, the code of a domain outcome, and raises nothing
+    from plcircle import cli
+    if handler == "value":  # a group where an element is expected
+        argv = ["show", str(FIXTURES / "conjugated_rotations.json")]
+    elif handler == "recursion":
+        deep = tmp_path / "deep.json"
+        deep.write_text(_nested_set(400))
+        argv = ["cb-rank", str(deep)]
+    else:
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "random_pl", exhausted)
+        argv = ["random", "--seed", "1"]
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    monkeypatch.setattr(sys, "stderr", _ClosedStdout())
+    assert cli.main(argv) == 2
+
+
 def test_memory_error_exit_two(monkeypatch, capsys):
     from plcircle import cli
 
@@ -471,6 +494,22 @@ def test_broken_pipe_shared_with_stderr():
     assert p.stdout.readline().startswith("# ")
     p.stdout.close()
     assert p.wait(timeout=60) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", str(FIXTURES / "conjugated_rotations.json")],
+    ["rotnum", str(FIXTURES / "exotic_4_2.json"), "--depth", "0"]], ids=["group", "depth"])
+def test_rejected_request_on_a_closed_shared_pipe(argv):
+    # stdout and stderr on one pipe whose reader has gone before the error
+    # line is written: the exit code is 2, a malformed input, not 1
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        p = subprocess.run([sys.executable, "-m", "plcircle.cli", *argv],
+                           stdout=w, stderr=subprocess.STDOUT, env=ENV, timeout=60)
+    finally:
+        os.close(w)
+    assert p.returncode == 2
 
 
 @pytest.mark.parametrize("argv", [["exotic", "4", "2"], ["random", "--seed", "1"],

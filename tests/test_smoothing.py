@@ -242,7 +242,7 @@ def _count_composes(monkeypatch):
 
 def test_finite_orbit_closes_each_candidate_as_found(monkeypatch):
     # STD fixes 0, the first candidate of the first word, STD itself: no
-    # word is composed (the whole enumeration to length 6 composes 10)
+    # word is composed (the whole enumeration to length 6 composes 9)
     composed = _count_composes(monkeypatch)
     assert detect_finite_orbit(pres(STD), 6) == (reduce_mod1(0),)
     assert len(composed) == 0
@@ -327,15 +327,18 @@ def _generator_maps(G):
     return maps
 
 
-def oracle_candidates(G, max_period, max_words=2000):
-    """The fixed points of short words that the finite-orbit search tries,
-    in the order it tries them, repeats included."""
+def oracle_search(G, max_period, max_words=2000):
+    """The fixed points of every new word of length <= max_period, in word
+    order, repeats included, then 0 if some word is the identity; and the
+    length index, from 0, at which the word budget broke the search, or
+    None."""
     maps = _generator_maps(G)
     seen = {identity()}
     frontier = [identity()]
     candidates = []
     identity_word_seen = False
-    for _ in range(max_period):
+    broke_at = None
+    for length in range(max_period):
         nxt = []
         for w in frontier:
             for g in maps:
@@ -353,13 +356,23 @@ def oracle_candidates(G, max_period, max_words=2000):
                 for s, t in fs.arcs:
                     candidates.extend((s, t))
             if len(seen) > max_words:
+                broke_at = length
                 break
         frontier = nxt
         if not frontier or len(seen) > max_words:
             break
     if identity_word_seen:
         candidates.append(reduce_mod1(0))
-    return candidates
+    return candidates, broke_at
+
+
+def _ball(G, radius):
+    """Every element of G that a word of length <= radius gives."""
+    maps = _generator_maps(G)
+    ball = {identity()}
+    for _ in range(radius):
+        ball |= {g.compose(w) for w in ball for g in maps}
+    return ball
 
 
 def bfs_detect_finite_orbit(G, max_period, max_orbit=512, max_words=2000):
@@ -367,7 +380,7 @@ def bfs_detect_finite_orbit(G, max_period, max_orbit=512, max_words=2000):
     closed by its own breadth-first search over CirclePoint sets."""
     maps = _generator_maps(G)
     tried = set()
-    for p in oracle_candidates(G, max_period, max_words):
+    for p in oracle_search(G, max_period, max_words)[0]:
         if p in tried:
             continue
         tried.add(p)
@@ -408,24 +421,94 @@ FINITE_ORBIT_BUDGETS = (1, 2, 3, 5, 8)
 
 @pytest.mark.parametrize("seed", range(16))
 def test_reduced_words_change_no_candidate(seed):
-    # the search composes reduced words only and the oracle every word, so
-    # the same candidates come in the same order, and a word budget binds
-    # at the same word
+    # the search composes reduced words only, letters compared as maps, and
+    # the oracle every word.  Where the word budget breaks the oracle's
+    # search, the same candidates come in the same order.  Elsewhere the
+    # last length solves one word per letter cycle: the candidates are a
+    # subsequence of the oracle's, and each one dropped is g(p) for a kept
+    # candidate p before it and a word g shorter than max_period, so it
+    # lies on p's orbit
     G = _finite_orbit_group(seed)
     signed = smoothing._signed_generators(G)
     for max_period in (1, 2, 3):
+        ball = _ball(G, max_period - 1)
         for max_words in (0, 1, 3, 20, 2000):
-            assert (list(smoothing._word_candidates(signed, max_period, max_words))
-                    == oracle_candidates(G, max_period, max_words))
+            got = list(smoothing._word_candidates(signed, max_period, max_words))
+            want, broke_at = oracle_search(G, max_period, max_words)
+            if broke_at is not None:
+                assert got == want
+                continue
+            kept = []
+            for x in want:
+                if len(kept) < len(got) and got[len(kept)] == x:
+                    kept.append(x)
+                else:
+                    assert any(g.eval(p) == x for p in kept for g in ball)
+            assert kept == got
 
 
 def test_finite_orbit_composes_reduced_words_only(monkeypatch):
-    # two generators: the 4 words of length 1 are the signed generators,
-    # and each extends by the 3 letters other than its own inverse
+    # two generators a, b: the 4 words of length 1 are the signed
+    # generators, and of the 12 reduced words of length 2, the last, one
+    # per letter cycle up to rotation and inversion is composed: aa, ab, aB
+    # and bb stand for {aa, AA}, {ab, ba, AB, BA}, {aB, Ba, Ab, bA} and
+    # {bb, BB}
     G = group_from_json(load_json(str(FIXTURES / "conjugated_rotations.json")))
     composed = _count_composes(monkeypatch)
     assert len(detect_finite_orbit(G, 2)) == 15
-    assert len(composed) == 12
+    assert len(composed) == 4
+
+
+def test_finite_orbit_composes_one_word_per_cycle_at_period_six(monkeypatch):
+    # without the cycle rule the search composes 1,452 words of lengths 2
+    # to 6, 972 of them of length 6; with it, the same 480 of lengths 2 to
+    # 5 and 186 of length 6.  The pair has no finite orbit to find
+    G = pres(STD, random_pl(3, 4, 32))
+    composed = _count_composes(monkeypatch)
+    assert detect_finite_orbit(G, 6) is None
+    assert len(composed) == 666
+
+
+def _involution_groups(seed):
+    """Four pairs whose first generator is an involution, its own inverse:
+    a finite cyclic group of order 6, and three infinite groups."""
+    phi = random_pl(seed, 2, 16)
+    half = _conjugate(phi, rotation(F(1, 2)))
+    return [pres(half, _conjugate(phi, rotation(F(1, 3)))),
+            pres(half, random_pl(seed + 700, 2, 16)),
+            pres(half, _conjugate(phi, STD)),
+            pres(exotic_element(ExoticParams(F(4), F(2))).inverse(), random_pl(seed, 1, 8))]
+
+
+def test_finite_orbit_composes_an_involution_once(monkeypatch):
+    # a = phi R(1/2) phi^-1 is one letter, so the length-1 words are a, b
+    # and B; of length 2, aa is skipped as g^-1 g is, ab stands for ba, aB
+    # and Ba, and bb for BB: 2 compositions for the 9 reduced words that
+    # extend the three.  No word has a fixed point, and 0's orbit has 6
+    # points
+    G = _involution_groups(0)[0]
+    composed = _count_composes(monkeypatch)
+    assert len(detect_finite_orbit(G, 2)) == 6
+    assert len(composed) == 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_finite_orbit_with_an_involution_matches_bfs_oracle(seed, monkeypatch):
+    # the search equals the oracle, which composes every word, at periods 1
+    # to 4, also under word budgets that break the search on its last length
+    word_candidates = smoothing._word_candidates
+    broke_on_last = 0
+    for G in _involution_groups(seed):
+        for max_period in (1, 2, 3, 4):
+            for max_words in (2000, 5, 9):
+                broke_at = oracle_search(G, max_period, max_words)[1]
+                broke_on_last += broke_at == max_period - 1
+                monkeypatch.setattr(smoothing, "_word_candidates",
+                                    lambda signed, p, m=max_words: word_candidates(signed, p, m))
+                for max_orbit in (2, 8, 64):
+                    assert (detect_finite_orbit(G, max_period, max_orbit=max_orbit)
+                            == bfs_detect_finite_orbit(G, max_period, max_orbit, max_words))
+    assert broke_on_last >= 4
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -459,14 +542,28 @@ def test_finite_orbit_after_a_cut_off_candidate():
 def test_finite_orbit_ruled_out_by_a_rotation_number(gens, period, monkeypatch):
     # a rotation or an exotic element (or its inverse) whose rotation number
     # is no p/q with q <= max_orbit leaves no finite orbit, and the search
-    # then composes no word; period None stands for an irrational one
+    # then composes no word; period None stands for an irrational one.
+    # Otherwise the word search runs, though it may compose nothing: the
+    # involution exotic(4, 2)^-1 is its own inverse, and its square is
+    # skipped as g^-1 g is
     G = pres(*gens)
+    word_candidates = smoothing._word_candidates
     for max_orbit in FINITE_ORBIT_BUDGETS:
+        searches = []
+
+        def spied(*args):
+            searches.append(args)
+            return word_candidates(*args)
+
+        monkeypatch.setattr(smoothing, "_word_candidates", spied)
         composed = _count_composes(monkeypatch)
         got = detect_finite_orbit(G, 2, max_orbit=max_orbit)
         monkeypatch.undo()
         assert got == bfs_detect_finite_orbit(G, 2, max_orbit=max_orbit)
-        assert (composed == []) == (period is None or max_orbit < period)
+        ruled_out = period is None or max_orbit < period
+        assert (searches == []) == ruled_out
+        if ruled_out:
+            assert composed == []
 
 
 def test_finite_orbit_oracle_cases_reach_the_cut_off():
@@ -483,7 +580,7 @@ def test_finite_orbit_skips_candidates_on_cut_off_orbits(monkeypatch):
     closures = _spy_closures(monkeypatch)
     got = detect_finite_orbit(G, 2, max_orbit=8)
     assert got == bfs_detect_finite_orbit(G, 2, max_orbit=8)
-    assert len(set(oracle_candidates(G, 2))) == 11
+    assert len(set(oracle_search(G, 2)[0])) == 11
     assert len(closures) == 7
     # no closure starts on a point an earlier closure reached
     reached = set()
